@@ -12,7 +12,8 @@ namespace genbase::linalg {
 // trailing update both walk columns of A — so the transposed layout turns
 // every inner loop into a contiguous (vectorizable) sweep. On a 3200x1200
 // factorization this is the difference between ~100 s (strided) and a few
-// seconds (contiguous).
+// seconds (contiguous). The sweeps run on the runtime-dispatched BLAS-1
+// kernels (Dot/Axpy), so they vectorize under simd::Backend::kSimd.
 
 genbase::Result<HouseholderQr> HouseholderQr::Factor(Matrix a,
                                                      ExecContext* ctx) {
@@ -64,9 +65,7 @@ genbase::Result<HouseholderQr> HouseholderQr::FactorPacked(Matrix qrt,
     }
     double* colk = qrt.Row(k);  // A's column k, contiguous.
     // Build the Householder reflector for column k, rows k..m.
-    double norm_x = 0.0;
-    for (int64_t i = k; i < m; ++i) norm_x += colk[i] * colk[i];
-    norm_x = std::sqrt(norm_x);
+    const double norm_x = std::sqrt(Dot(colk + k, colk + k, m - k));
     if (norm_x == 0.0) {
       tau[k] = 0.0;
       continue;
@@ -85,11 +84,10 @@ genbase::Result<HouseholderQr> HouseholderQr::FactorPacked(Matrix qrt,
     auto update = [&qrt, colk, k, m, tau_k](int64_t j_lo, int64_t j_hi) {
       for (int64_t j = j_lo; j < j_hi; ++j) {
         double* colj = qrt.Row(j);
-        double s = colj[k];
-        for (int64_t i = k + 1; i < m; ++i) s += colk[i] * colj[i];
-        s *= tau_k;
+        const double s =
+            (colj[k] + Dot(colk + k + 1, colj + k + 1, m - k - 1)) * tau_k;
         colj[k] -= s;
-        for (int64_t i = k + 1; i < m; ++i) colj[i] -= s * colk[i];
+        Axpy(-s, colk + k + 1, colj + k + 1, m - k - 1);
       }
     };
     const int64_t trailing = n - (k + 1);
@@ -109,11 +107,10 @@ void HouseholderQr::ApplyQTranspose(double* b) const {
   for (int64_t k = 0; k < n; ++k) {
     if (tau_[k] == 0.0) continue;
     const double* colk = qrt_.Row(k);
-    double s = b[k];
-    for (int64_t i = k + 1; i < m; ++i) s += colk[i] * b[i];
-    s *= tau_[k];
+    const double s =
+        (b[k] + Dot(colk + k + 1, b + k + 1, m - k - 1)) * tau_[k];
     b[k] -= s;
-    for (int64_t i = k + 1; i < m; ++i) b[i] -= s * colk[i];
+    Axpy(-s, colk + k + 1, b + k + 1, m - k - 1);
   }
 }
 
@@ -123,11 +120,10 @@ void HouseholderQr::ApplyQ(double* b) const {
   for (int64_t k = n - 1; k >= 0; --k) {
     if (tau_[k] == 0.0) continue;
     const double* colk = qrt_.Row(k);
-    double s = b[k];
-    for (int64_t i = k + 1; i < m; ++i) s += colk[i] * b[i];
-    s *= tau_[k];
+    const double s =
+        (b[k] + Dot(colk + k + 1, b + k + 1, m - k - 1)) * tau_[k];
     b[k] -= s;
-    for (int64_t i = k + 1; i < m; ++i) b[i] -= s * colk[i];
+    Axpy(-s, colk + k + 1, b + k + 1, m - k - 1);
   }
 }
 

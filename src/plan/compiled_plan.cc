@@ -43,9 +43,10 @@ void CompiledPlan::ReleaseArena(std::unique_ptr<PlanArena> arena) {
   if (arena_pool_.size() < 8) arena_pool_.push_back(std::move(arena));
 }
 
-genbase::Result<core::QueryResult> CompiledPlan::Execute(ExecContext* ctx) {
+genbase::Result<core::QueryResult> CompiledPlan::Execute(
+    const core::QueryParams& params, ExecContext* ctx) {
   GENBASE_ASSIGN_OR_RETURN(std::unique_ptr<PlanArena> arena, AcquireArena());
-  ExecFrame frame(arena.get(), this);
+  ExecFrame frame(arena.get(), this, &params);
   core::QueryResult result;
   result.query = query_;
   for (const CompiledOp& op : ops_) {

@@ -19,18 +19,20 @@
 #include "plan/arena.h"
 #include "plan/memory_planner.h"
 #include "plan/plan_graph.h"
-#include "relational/col_ops.h"
 #include "relational/restructure.h"
 
 namespace genbase::plan {
 
 /// \brief Everything resolved once at compile time and shared (read-only)
 /// by every execution of the plan: the dataset snapshot the plan was built
-/// against plus the relational access paths (filters, join indices, dense
-/// mappings). Per-execute state lives in the arena, never here.
+/// against plus the relational access paths (filters, join matches, dense
+/// mappings). Built from the shape params only (ShapeFingerprint); per-run
+/// state lives in the arena or in ExecFrame::params(), never here.
 struct PlanStatics {
   std::shared_ptr<const engine::ColumnarTables> tables;
-  relational::JoinIndex join;
+  /// Microarray rows the compile-time hash join matched (the join index's
+  /// right side; its left side is never read at execute).
+  std::vector<int64_t> matched_rows;
   relational::DenseMapping row_map;
   relational::DenseMapping col_map;
   std::vector<int64_t> row_ids;
@@ -45,12 +47,14 @@ struct PlanStatics {
 class CompiledPlan;
 
 /// \brief Per-execution frame: binds plan value ids to addresses inside one
-/// arena and tracks the observed high-water mark (max touched offset+size),
-/// which the obs stack compares against the planner's predicted peak.
+/// arena and this execution's params, and tracks the observed high-water
+/// mark (max touched offset+size), which the obs stack compares against the
+/// planner's predicted peak.
 class ExecFrame {
  public:
-  ExecFrame(PlanArena* arena, const CompiledPlan* plan)
-      : arena_(arena), plan_(plan) {}
+  ExecFrame(PlanArena* arena, const CompiledPlan* plan,
+            const core::QueryParams* params)
+      : arena_(arena), plan_(plan), params_(params) {}
 
   /// Address of value `id`'s buffer (alias chains share the root's offset).
   double* Data(int value_id);
@@ -61,11 +65,16 @@ class ExecFrame {
   /// The compile-time statics shared by every execution of this plan.
   const PlanStatics& statics() const;
 
+  /// This execution's params. Ops read only the fields bound at execute;
+  /// the shape fields were fixed when the plan was compiled.
+  const core::QueryParams& params() const { return *params_; }
+
   int64_t observed_peak() const { return observed_peak_; }
 
  private:
   PlanArena* arena_;
   const CompiledPlan* plan_;
+  const core::QueryParams* params_;
   int64_t observed_peak_ = 0;
 };
 
@@ -82,9 +91,10 @@ struct CompiledOp {
 
 /// \brief A query compiled to a static plan: operator DAG, deterministic
 /// schedule, memory plan, and the closures that execute each op against the
-/// arena. Compiled once per (query, params, dataset epoch), then executed
-/// concurrently by any number of serving threads — executions grab an arena
-/// from a small pool so they never contend on buffer memory.
+/// arena. Compiled once per (query, shape params, dataset epoch), then
+/// executed concurrently by any number of serving threads under any params
+/// of that shape — executions grab an arena from a small pool so they never
+/// contend on buffer memory.
 class CompiledPlan {
  public:
   CompiledPlan(core::QueryId query, PlanGraph graph,
@@ -100,11 +110,14 @@ class CompiledPlan {
         ops_(std::move(ops)),
         tracker_(tracker) {}
 
-  /// Runs the schedule. Each op gets a trace span + phase attribution;
+  /// Runs the schedule with `params` bound to the frame. `params` must have
+  /// the shape the plan was compiled for (same ShapeFingerprint); its other
+  /// fields are free. Each op gets a trace span + phase attribution;
   /// success bumps plan_executes_total and publishes the observed arena
   /// peak (with a mismatch counter if it differs from the predicted peak —
   /// property tests keep that counter at zero).
-  genbase::Result<core::QueryResult> Execute(ExecContext* ctx);
+  genbase::Result<core::QueryResult> Execute(const core::QueryParams& params,
+                                             ExecContext* ctx);
 
   core::QueryId query() const { return query_; }
   const PlanGraph& graph() const { return graph_; }

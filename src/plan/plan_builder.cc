@@ -1,9 +1,11 @@
 #include "plan/plan_builder.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/datasets.h"
 #include "core/reference.h"
 #include "linalg/blas.h"
@@ -42,13 +44,31 @@ std::vector<int64_t> GatherIds(const std::vector<int64_t>& ids,
   return out;
 }
 
+/// Mixes one shape field into a ShapeFingerprint accumulator (SplitMix64,
+/// so nearby values land far apart).
+uint64_t MixShape(uint64_t h, uint64_t v) {
+  return SplitMix64(h ^ (v + 0x9e3779b97f4a7c15ULL));
+}
+
+uint64_t MixShape(uint64_t h, double d) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return MixShape(h, bits);
+}
+
+/// Keeps only the matched microarray rows of a compile-time join, without
+/// spare capacity: the statics hold them for the plan's whole lifetime.
+std::vector<int64_t> MatchedRows(JoinIndex join) {
+  join.right.shrink_to_fit();
+  return std::move(join.right);
+}
+
 /// Approximate resident footprint of the compile-time statics, charged to
-/// the engine tracker for the plan's lifetime (id vectors, join index,
+/// the engine tracker for the plan's lifetime (id vectors, matched rows,
 /// dense mappings, Q5 memberships).
 int64_t StaticsBytes(const PlanStatics& st) {
   int64_t bytes = 0;
-  bytes += static_cast<int64_t>(st.join.left.size() + st.join.right.size()) *
-           8;
+  bytes += static_cast<int64_t>(st.matched_rows.size()) * 8;
   bytes += static_cast<int64_t>(st.row_ids.size() + st.col_ids.size()) * 8;
   bytes += static_cast<int64_t>(st.y.size()) * 8;
   // DenseMapping: sorted ids plus a hash entry (~3 words) per id.
@@ -72,11 +92,11 @@ genbase::Status ScatterJoined(const PlanStatics& st, double* data,
   const auto& gid = st.tables->microarray.IntColumn(MicroarrayCols::kGeneId);
   const auto& expr =
       st.tables->microarray.DoubleColumn(MicroarrayCols::kExpr);
-  for (size_t k = 0; k < st.join.right.size(); ++k) {
+  for (size_t k = 0; k < st.matched_rows.size(); ++k) {
     if (ctx != nullptr && (k & 262143) == 0) {
       GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
     }
-    const int64_t row = st.join.right[k];
+    const int64_t row = st.matched_rows[k];
     const auto rit = st.row_map.index.find(pid[static_cast<size_t>(row)]);
     if (rit == st.row_map.index.end()) continue;
     const auto cit = st.col_map.index.find(gid[static_cast<size_t>(row)]);
@@ -106,10 +126,11 @@ genbase::Result<PlanStatics> BuildMatrixStatics(
                       ctx));
     st.col_ids = GatherIds(t.genes.IntColumn(GeneCols::kGeneId), gene_sel);
     GENBASE_ASSIGN_OR_RETURN(
-        st.join,
+        JoinIndex join,
         HashJoinIndicesFiltered(t.genes, GeneCols::kGeneId, gene_sel,
                                 t.microarray, MicroarrayCols::kGeneId, ctx,
                                 tracker));
+    st.matched_rows = MatchedRows(std::move(join));
     st.row_ids = t.patients.IntColumn(PatientCols::kPatientId);
     std::sort(st.row_ids.begin(), st.row_ids.end());
     st.row_map = MakeDenseMapping(st.row_ids);
@@ -144,10 +165,11 @@ genbase::Result<PlanStatics> BuildMatrixStatics(
   st.row_ids =
       GatherIds(t.patients.IntColumn(PatientCols::kPatientId), patient_sel);
   GENBASE_ASSIGN_OR_RETURN(
-      st.join,
+      JoinIndex join,
       HashJoinIndicesFiltered(t.patients, PatientCols::kPatientId,
                               patient_sel, t.microarray,
                               MicroarrayCols::kPatientId, ctx, tracker));
+  st.matched_rows = MatchedRows(std::move(join));
   st.col_ids = t.genes.IntColumn(GeneCols::kGeneId);
   std::sort(st.col_ids.begin(), st.col_ids.end());
   st.row_map = MakeDenseMapping(st.row_ids);
@@ -175,10 +197,11 @@ genbase::Result<PlanStatics> BuildStatsStatics(
                     ctx));
   st.sample_count = static_cast<int64_t>(patient_sel.size());
   GENBASE_ASSIGN_OR_RETURN(
-      st.join,
+      JoinIndex join,
       HashJoinIndicesFiltered(t.patients, PatientCols::kPatientId,
                               patient_sel, t.microarray,
                               MicroarrayCols::kPatientId, ctx, tracker));
+  st.matched_rows = MatchedRows(std::move(join));
   // The per-gene aggregate target mapping (gene id -> dense index).
   st.col_map = MakeDenseMapping(t.genes.IntColumn(GeneCols::kGeneId));
   st.memberships =
@@ -191,8 +214,7 @@ struct GraphParts {
   std::vector<CompiledOp> ops;  ///< Indexed by op id.
 };
 
-GraphParts BuildRegressionGraph(const PlanStatics& st,
-                                const QueryParams& /*params*/) {
+GraphParts BuildRegressionGraph(const PlanStatics& st) {
   GraphParts p;
   const int64_t rows = st.row_map.size();
   const int64_t cd = st.col_map.size() + 1;  // Intercept column first.
@@ -221,8 +243,7 @@ GraphParts BuildRegressionGraph(const PlanStatics& st,
   return p;
 }
 
-genbase::Result<GraphParts> BuildCovarianceGraph(const PlanStatics& st,
-                                                 const QueryParams& params) {
+genbase::Result<GraphParts> BuildCovarianceGraph(const PlanStatics& st) {
   GraphParts p;
   const int64_t rows = st.row_map.size();
   const int64_t cols = st.col_map.size();
@@ -283,13 +304,12 @@ genbase::Result<GraphParts> BuildCovarianceGraph(const PlanStatics& st,
                     f->View(v_cov), f->Data(v_upper), ctx);
               }};
   p.ops[5] = {OpKind::kQuantile, "quantile",
-              [v_upper, v_thr, num_pairs, params](
-                  ExecFrame* f, ExecContext*,
-                  QueryResult*) -> genbase::Status {
+              [v_upper, v_thr, num_pairs](ExecFrame* f, ExecContext*,
+                                          QueryResult*) -> genbase::Status {
                 GENBASE_ASSIGN_OR_RETURN(
                     const double thr,
                     stats::Quantile(f->Data(v_upper), num_pairs,
-                                    params.covariance_quantile));
+                                    f->params().covariance_quantile));
                 f->Data(v_thr)[0] = thr;
                 return genbase::Status::OK();
               }};
@@ -307,8 +327,7 @@ genbase::Result<GraphParts> BuildCovarianceGraph(const PlanStatics& st,
   return p;
 }
 
-GraphParts BuildBiclusterGraph(const PlanStatics& st,
-                               const QueryParams& params) {
+GraphParts BuildBiclusterGraph(const PlanStatics& st) {
   GraphParts p;
   const int64_t rows = st.row_map.size();
   const int64_t cols = st.col_map.size();
@@ -325,8 +344,9 @@ GraphParts BuildBiclusterGraph(const PlanStatics& st,
                                      /*col_offset=*/0, ctx);
               }};
   p.ops[1] = {OpKind::kChengChurchStep, "cheng_church",
-              [v_x, params](ExecFrame* f, ExecContext* ctx,
-                            QueryResult* out) -> genbase::Status {
+              [v_x](ExecFrame* f, ExecContext* ctx,
+                    QueryResult* out) -> genbase::Status {
+                const QueryParams& params = f->params();
                 GENBASE_ASSIGN_OR_RETURN(
                     out->bicluster,
                     core::BiclusterAnalytics(
@@ -337,7 +357,7 @@ GraphParts BuildBiclusterGraph(const PlanStatics& st,
   return p;
 }
 
-GraphParts BuildSvdGraph(const PlanStatics& st, const QueryParams& params) {
+GraphParts BuildSvdGraph(const PlanStatics& st) {
   GraphParts p;
   const int64_t rows = st.row_map.size();
   const int64_t cols = st.col_map.size();
@@ -354,18 +374,18 @@ GraphParts BuildSvdGraph(const PlanStatics& st, const QueryParams& params) {
                                      /*col_offset=*/0, ctx);
               }};
   p.ops[1] = {OpKind::kSvdHelper, "truncated_svd",
-              [v_x, params](ExecFrame* f, ExecContext* ctx,
-                            QueryResult* out) -> genbase::Status {
+              [v_x](ExecFrame* f, ExecContext* ctx,
+                    QueryResult* out) -> genbase::Status {
                 GENBASE_ASSIGN_OR_RETURN(
                     out->svd,
-                    core::SvdAnalytics(f->View(v_x), params.svd_rank,
+                    core::SvdAnalytics(f->View(v_x), f->params().svd_rank,
                                        linalg::KernelQuality::kTuned, ctx));
                 return genbase::Status::OK();
               }};
   return p;
 }
 
-GraphParts BuildStatsGraph(const PlanStatics& st, const QueryParams& params) {
+GraphParts BuildStatsGraph(const PlanStatics& st) {
   GraphParts p;
   const int64_t genes = st.col_map.size();
   const int v_scores = p.graph.AddValue("scores", {genes, 1});
@@ -382,11 +402,11 @@ GraphParts BuildStatsGraph(const PlanStatics& st, const QueryParams& params) {
                     st.tables->microarray.IntColumn(MicroarrayCols::kGeneId);
                 const auto& expr = st.tables->microarray.DoubleColumn(
                     MicroarrayCols::kExpr);
-                for (size_t idx = 0; idx < st.join.right.size(); ++idx) {
+                for (size_t idx = 0; idx < st.matched_rows.size(); ++idx) {
                   if (ctx != nullptr && (idx & 262143) == 0) {
                     GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
                   }
-                  const int64_t row = st.join.right[idx];
+                  const int64_t row = st.matched_rows[idx];
                   const auto it =
                       st.col_map.index.find(gid[static_cast<size_t>(row)]);
                   if (it != st.col_map.index.end()) {
@@ -401,14 +421,14 @@ GraphParts BuildStatsGraph(const PlanStatics& st, const QueryParams& params) {
                 return genbase::Status::OK();
               }};
   p.ops[1] = {OpKind::kWilcoxonRank, "wilcoxon",
-              [v_scores, genes, params](ExecFrame* f, ExecContext* ctx,
-                                        QueryResult* out) -> genbase::Status {
+              [v_scores, genes](ExecFrame* f, ExecContext* ctx,
+                                QueryResult* out) -> genbase::Status {
                 const PlanStatics& st = f->statics();
                 GENBASE_ASSIGN_OR_RETURN(
                     out->stats,
                     core::StatsAnalytics(f->Data(v_scores), genes,
-                                         st.memberships, params.significance,
-                                         ctx));
+                                         st.memberships,
+                                         f->params().significance, ctx));
                 out->stats.samples = st.sample_count;
                 return genbase::Status::OK();
               }};
@@ -416,6 +436,39 @@ GraphParts BuildStatsGraph(const PlanStatics& st, const QueryParams& params) {
 }
 
 }  // namespace
+
+// Tripwire: every QueryParams field is classified, per query, as shape
+// (mixed in below because the statics builders or graph shapes read it) or
+// bound at execute (read by op closures through ExecFrame::params()). A
+// field added without a decision would either be ignored by the plan key
+// while it changes the plan (wrong answers from a shared plan) or never
+// reach the ops. Classify it here and in plan_builder.h's table, extend
+// plan_test's per-field coverage, then update the expected size. (LP64:
+// 6 x int64/double + 2 x int32 + 2 x double = 72.)
+static_assert(sizeof(QueryParams) == 72,
+              "QueryParams changed: classify the new field in "
+              "ShapeFingerprint (shape vs bound) and plan_test");
+
+uint64_t ShapeFingerprint(QueryId query, const QueryParams& params) {
+  uint64_t h = SeedFromTag("plan/shape");
+  switch (query) {
+    case QueryId::kRegression:
+    case QueryId::kSvd:
+      h = MixShape(h, static_cast<uint64_t>(params.function_threshold));
+      break;
+    case QueryId::kCovariance:
+      h = MixShape(h, static_cast<uint64_t>(params.disease_id));
+      break;
+    case QueryId::kBiclustering:
+      h = MixShape(h, static_cast<uint64_t>(params.gender));
+      h = MixShape(h, static_cast<uint64_t>(params.max_age));
+      break;
+    case QueryId::kStatistics:
+      h = MixShape(h, params.sample_fraction);
+      break;
+  }
+  return h;
+}
 
 genbase::Result<std::shared_ptr<CompiledPlan>> CompileQuery(
     std::shared_ptr<const ColumnarTables> tables, QueryId query,
@@ -437,21 +490,20 @@ genbase::Result<std::shared_ptr<CompiledPlan>> CompileQuery(
   GraphParts parts;
   switch (query) {
     case QueryId::kRegression:
-      parts = BuildRegressionGraph(statics, params);
+      parts = BuildRegressionGraph(statics);
       break;
     case QueryId::kCovariance: {
-      GENBASE_ASSIGN_OR_RETURN(parts,
-                               BuildCovarianceGraph(statics, params));
+      GENBASE_ASSIGN_OR_RETURN(parts, BuildCovarianceGraph(statics));
       break;
     }
     case QueryId::kBiclustering:
-      parts = BuildBiclusterGraph(statics, params);
+      parts = BuildBiclusterGraph(statics);
       break;
     case QueryId::kSvd:
-      parts = BuildSvdGraph(statics, params);
+      parts = BuildSvdGraph(statics);
       break;
     case QueryId::kStatistics:
-      parts = BuildStatsGraph(statics, params);
+      parts = BuildStatsGraph(statics);
       break;
   }
 

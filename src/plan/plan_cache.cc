@@ -1,18 +1,12 @@
 #include "plan/plan_cache.h"
 
 #include <utility>
-#include <vector>
 
 namespace genbase::plan {
 
-// Tripwire (mirrors serving/result_cache.cc): the plan-cache key must keep
-// covering the full query identity. If QueryParams grows a field,
-// FingerprintParams' mix list must be updated or two different plans would
-// collide under one key; if PlanKey itself changes shape, re-audit
-// PlanKeyHash and every place a key is built.
-static_assert(sizeof(core::QueryParams) == 72,
-              "QueryParams changed: update serving::FingerprintParams and "
-              "re-audit PlanKey coverage");
+// Tripwire: if PlanKey changes shape, re-audit PlanKeyHash and every place
+// a key is built. (QueryParams coverage is ShapeFingerprint's tripwire, in
+// plan_builder.cc.)
 static_assert(sizeof(PlanKey) == 24,
               "PlanKey changed: re-audit PlanKeyHash, operator== and all "
               "key-construction sites");
@@ -24,14 +18,25 @@ genbase::Result<std::shared_ptr<CompiledPlan>> PlanCache::GetOrCompile(
     bool leader = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      auto it = slots_.find(key);
-      if (it == slots_.end()) {
-        slot = std::make_shared<Slot>();
-        slots_.emplace(key, slot);
-        leader = true;
-      } else {
-        slot = it->second;
+      if (key.epoch > epoch_) {
+        slots_.clear();  // Every slot is keyed to the older epoch_.
+        epoch_ = key.epoch;
       }
+      if (key.epoch == epoch_) {
+        auto it = slots_.find(key);
+        if (it == slots_.end()) {
+          slot = std::make_shared<Slot>();
+          slots_.emplace(key, slot);
+          leader = true;
+        } else {
+          slot = it->second;
+        }
+      }
+    }
+    if (slot == nullptr) {
+      // A straggler on an evicted epoch: serve it, but never re-cache it.
+      if (cache_hit != nullptr) *cache_hit = false;
+      return compile();
     }
     if (leader) {
       auto result = compile();
@@ -60,17 +65,6 @@ genbase::Result<std::shared_ptr<CompiledPlan>> PlanCache::GetOrCompile(
     }
     // Leader failed and released the slot; loop to retry (possibly
     // becoming the new leader).
-  }
-}
-
-void PlanCache::EvictEpochsBelow(uint64_t epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = slots_.begin(); it != slots_.end();) {
-    if (it->first.epoch < epoch) {
-      it = slots_.erase(it);
-    } else {
-      ++it;
-    }
   }
 }
 

@@ -6,7 +6,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "plan/plan_stats.h"
-#include "serving/result_cache.h"
 
 namespace genbase::plan {
 
@@ -55,10 +54,9 @@ PlanEngine::TablesSnapshot PlanEngine::Snapshot() const {
 genbase::Result<std::shared_ptr<CompiledPlan>> PlanEngine::GetPlan(
     core::QueryId query, const core::QueryParams& params,
     const TablesSnapshot& snap, ExecContext* ctx, bool* cache_hit) {
-  cache_.EvictEpochsBelow(snap.epoch);
   PlanKey key;
   key.query = query;
-  key.params_fingerprint = serving::FingerprintParams(params);
+  key.shape_fingerprint = ShapeFingerprint(query, params);
   key.epoch = snap.epoch;
   auto result = cache_.GetOrCompile(
       key,
@@ -99,7 +97,7 @@ genbase::Result<core::QueryResult> PlanEngine::RunQuery(
   bool cache_hit = false;
   GENBASE_ASSIGN_OR_RETURN(std::shared_ptr<CompiledPlan> plan,
                            GetPlan(query, params, snap, ctx, &cache_hit));
-  return plan->Execute(ctx);
+  return plan->Execute(params, ctx);
 }
 
 genbase::Result<std::shared_ptr<CompiledPlan>> PlanEngine::CompileForTest(

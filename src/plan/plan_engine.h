@@ -14,11 +14,12 @@ namespace genbase::plan {
 
 /// \brief The planned column store: identical storage and kernels to
 /// ColumnStoreEngine's in-database path, but every query compiles once per
-/// (params, dataset epoch) into a static plan — operator DAG, deterministic
-/// schedule, arena memory plan — and then executes with zero per-run
-/// planning, allocation or hashing beyond one arena grab. Results are
-/// bitwise identical to the legacy path (property-tested); what changes is
-/// where the time and memory go, which the plan_* metrics expose.
+/// (query, shape params, dataset epoch) into a static plan — operator DAG,
+/// deterministic schedule, arena memory plan — and then executes, with the
+/// remaining params bound per run, with zero per-run planning, allocation
+/// or hashing beyond one arena grab. Results are bitwise identical to the
+/// legacy path (property-tested); what changes is where the time and memory
+/// go, which the plan_* metrics expose.
 class PlanEngine : public core::Engine {
  public:
   PlanEngine();
@@ -32,7 +33,8 @@ class PlanEngine : public core::Engine {
                                               ExecContext* ctx) override;
 
   /// Compiles (or fetches) the plan for `query` without executing it; test
-  /// and bench hook for inspecting schedules and allocation plans.
+  /// and bench hook for inspecting schedules and allocation plans. The plan
+  /// is shared by every params of the same shape (ShapeFingerprint).
   genbase::Result<std::shared_ptr<CompiledPlan>> CompileForTest(
       core::QueryId query, const core::QueryParams& params, ExecContext* ctx);
 

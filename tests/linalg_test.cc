@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "common/thread_pool.h"
 #include "linalg/blas.h"
 #include "linalg/covariance.h"
@@ -225,6 +228,60 @@ TEST(QrTest, ParallelTrailingUpdateBitIdentical) {
   for (int64_t i = 0; i < serial->packed().size(); ++i) {
     ASSERT_EQ(serial->packed().data()[i], parallel->packed().data()[i]);
   }
+}
+
+/// max |a - b| / max |a| over two equally sized arrays.
+double RelativeError(const double* a, const double* b, int64_t n) {
+  double diff = 0, scale = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    diff = std::max(diff, std::fabs(a[i] - b[i]));
+    scale = std::max(scale, std::fabs(a[i]));
+  }
+  return diff / scale;
+}
+
+// Q1's benchmark shape: 400 patients x (200 genes + intercept). The
+// regression reference answer (core/reference.cc) runs this same kernel, so
+// end-to-end verification cannot catch a QR bug; the SIMD kernels are held
+// to the scalar ones here, and the fit to the normal equations.
+TEST(QrTest, SimdMatchesScalarAtRegressionShape) {
+  const int64_t m = 400, n = 201;
+  Matrix a = RandomMatrix(m, n, 43);
+  for (int64_t i = 0; i < m; ++i) a(i, 0) = 1.0;
+  std::vector<double> y(m);
+  Rng rng(44);
+  for (auto& v : y) v = rng.Gaussian();
+
+  const simd::Backend previous = simd::SetBackend(simd::Backend::kScalar);
+  auto qr_scalar = HouseholderQr::Factor(MatrixView(a));
+  auto fit_scalar = LeastSquaresQr(MatrixView(a), y);
+  simd::SetBackend(simd::Backend::kSimd);
+  auto qr_simd = HouseholderQr::Factor(MatrixView(a));
+  auto fit_simd = LeastSquaresQr(MatrixView(a), y);
+  simd::SetBackend(previous);
+  ASSERT_TRUE(qr_scalar.ok() && qr_simd.ok());
+  ASSERT_TRUE(fit_scalar.ok() && fit_simd.ok());
+
+  EXPECT_LT(RelativeError(qr_scalar->packed().data(),
+                          qr_simd->packed().data(), qr_simd->packed().size()),
+            1e-10);
+  EXPECT_LT(RelativeError(fit_scalar->coefficients.data(),
+                          fit_simd->coefficients.data(), n),
+            1e-10);
+  EXPECT_LT(RelativeError(&fit_scalar->residual_norm, &fit_simd->residual_norm,
+                          1),
+            1e-10);
+  EXPECT_LT(RelativeError(&fit_scalar->r_squared, &fit_simd->r_squared, 1),
+            1e-10);
+
+  // X^T (y - X beta) = 0 for the SIMD fit.
+  std::vector<double> r = y;
+  for (int64_t i = 0; i < m; ++i) {
+    r[i] -= Dot(a.Row(i), fit_simd->coefficients.data(), n);
+  }
+  std::vector<double> xtr(n);
+  GemvTranspose(MatrixView(a), r.data(), xtr.data());
+  for (int64_t j = 0; j < n; ++j) EXPECT_NEAR(xtr[j], 0.0, 1e-9);
 }
 
 TEST(LeastSquaresTest, RecoversExactCoefficients) {

@@ -12,6 +12,7 @@
 #include "common/check.h"
 #include "common/exec_context.h"
 #include "common/memory_tracker.h"
+#include "common/rng.h"
 #include "common/status.h"
 #include "core/datasets.h"
 #include "core/generator.h"
@@ -21,8 +22,10 @@
 #include "plan/compiled_plan.h"
 #include "plan/memory_planner.h"
 #include "plan/plan_builder.h"
+#include "plan/plan_cache.h"
 #include "plan/plan_engine.h"
 #include "plan/plan_graph.h"
+#include "plan/plan_stats.h"
 #include "plan/scheduler.h"
 
 namespace genbase {
@@ -145,6 +148,19 @@ bool BitEq(const std::vector<double>& a, const std::vector<double>& b) {
     return fail("stats summary");
   }
   return ::testing::AssertionSuccess();
+}
+
+/// The legacy column-store answer for `q` under `params` on TinyTables().
+QueryResult LegacyAnswer(QueryId q, const QueryParams& params) {
+  MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTestLegacy");
+  ExecContext ctx;
+  ctx.set_memory(&tracker);
+  auto inputs = engine::PrepareInputsColumnar(*TinyTables(), q, params, &ctx);
+  GENBASE_CHECK(inputs.ok());
+  auto legacy = engine::RunStandardAnalytics(
+      q, std::move(*inputs), params, linalg::KernelQuality::kTuned, &ctx);
+  GENBASE_CHECK(legacy.ok());
+  return std::move(legacy).ValueOrDie();
 }
 
 /// --- randomized DAGs for planner property tests ------------------------------
@@ -349,18 +365,9 @@ TEST_P(PlannedQueryTest, BitwiseIdenticalToLegacyPath) {
   auto plan = plan::CompileQuery(TinyTables(), q, TinyParams(), &tracker,
                                  &ctx);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  auto planned = (*plan)->Execute(&ctx);
+  auto planned = (*plan)->Execute(TinyParams(), &ctx);
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
-
-  auto inputs =
-      engine::PrepareInputsColumnar(*TinyTables(), q, TinyParams(), &ctx);
-  ASSERT_TRUE(inputs.ok()) << inputs.status().ToString();
-  auto legacy = engine::RunStandardAnalytics(
-      q, std::move(*inputs), TinyParams(), linalg::KernelQuality::kTuned,
-      &ctx);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-
-  EXPECT_TRUE(BitwiseEqual(*planned, *legacy));
+  EXPECT_TRUE(BitwiseEqual(*planned, LegacyAnswer(q, TinyParams())));
 }
 
 TEST_P(PlannedQueryTest, ObservedPeakEqualsPredictedPeak) {
@@ -372,8 +379,8 @@ TEST_P(PlannedQueryTest, ObservedPeakEqualsPredictedPeak) {
                                  &ctx);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   // Execute twice: pooled-arena reuse must not change the high-water mark.
-  ASSERT_TRUE((*plan)->Execute(&ctx).ok());
-  ASSERT_TRUE((*plan)->Execute(&ctx).ok());
+  ASSERT_TRUE((*plan)->Execute(TinyParams(), &ctx).ok());
+  ASSERT_TRUE((*plan)->Execute(TinyParams(), &ctx).ok());
   EXPECT_EQ((*plan)->observed_peak_bytes(),
             (*plan)->memory_plan().arena_bytes)
       << (*plan)->DumpAllocationPlan();
@@ -436,7 +443,7 @@ TEST(PlanEngineTest, CachesPlansPerQueryAndEpoch) {
   EXPECT_EQ(p1->get(), p2->get()) << "same key must return the cached plan";
   EXPECT_EQ(engine.cached_plans(), 1);
 
-  // A different parameter fingerprint compiles a distinct plan.
+  // A different shape param compiles a distinct plan.
   QueryParams other = TinyParams();
   other.function_threshold += 10;
   auto p3 = engine.CompileForTest(QueryId::kRegression, other, &ctx);
@@ -455,6 +462,45 @@ TEST(PlanEngineTest, CachesPlansPerQueryAndEpoch) {
   EXPECT_FALSE(engine.RunQuery(QueryId::kRegression, TinyParams(), &ctx).ok());
 }
 
+/// The first request of a new epoch evicts every older plan, and a
+/// straggler still asking for an old epoch is served without re-entering
+/// the cache — so after a reload plus one query only current-epoch plans
+/// remain.
+TEST(PlanCacheTest, EpochAdvanceLeavesOnlyCurrentEpochPlans) {
+  MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
+  ExecContext ctx;
+  ctx.set_memory(&tracker);
+  plan::PlanCache cache;
+  const auto get = [&](QueryId q, uint64_t epoch, bool* hit) {
+    return cache.GetOrCompile(
+        plan::PlanKey{q, /*shape_fingerprint=*/0, epoch},
+        [&] {
+          return plan::CompileQuery(TinyTables(), q, TinyParams(), &tracker,
+                                    &ctx);
+        },
+        hit);
+  };
+  bool hit = true;
+  for (const QueryId q : core::kAllQueries) {
+    ASSERT_TRUE(get(q, /*epoch=*/1, &hit).ok());
+    EXPECT_FALSE(hit);
+  }
+  EXPECT_EQ(cache.size(), 5);
+
+  ASSERT_TRUE(get(QueryId::kRegression, /*epoch=*/2, &hit).ok());
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(cache.size(), 1);
+
+  auto straggler = get(QueryId::kCovariance, /*epoch=*/1, &hit);
+  ASSERT_TRUE(straggler.ok());
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(cache.size(), 1) << "an evicted epoch's plan re-entered the cache";
+
+  ASSERT_TRUE(get(QueryId::kRegression, /*epoch=*/2, &hit).ok());
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(cache.size(), 1);
+}
+
 TEST(PlanEngineTest, ServesAllQueriesThroughRunQuery) {
   plan::PlanEngine engine;
   ASSERT_TRUE(engine.LoadDataset(TinyData()).ok());
@@ -465,6 +511,119 @@ TEST(PlanEngineTest, ServesAllQueriesThroughRunQuery) {
     ASSERT_TRUE(r.ok()) << core::QueryName(q) << ": "
                         << r.status().ToString();
     EXPECT_EQ(r->query, q);
+  }
+  EXPECT_EQ(engine.cached_plans(), 5);
+}
+
+/// --- shape-keyed plans ------------------------------------------------------
+/// Each QueryParams field either sets a plan's shape (it is in the plan key,
+/// so changing it compiles a new plan) or is bound at execute (the plan is
+/// reused and must answer exactly as the legacy path does under the new
+/// value). The table below is the expected split, kept apart from
+/// ShapeFingerprint so a misclassified field fails here either way.
+
+static_assert(sizeof(QueryParams) == 72,
+              "QueryParams changed: add the new field to ParamFields()");
+
+struct ParamField {
+  const char* name;
+  void (*perturb)(QueryParams*);
+  std::set<QueryId> shape_of;  ///< Queries whose plan key includes it.
+  std::set<QueryId> bound_by;  ///< Queries that read it at execute.
+};
+
+std::vector<ParamField> ParamFields() {
+  using Q = QueryId;
+  return {
+      {"function_threshold",
+       [](QueryParams* p) { p->function_threshold += 10; },
+       {Q::kRegression, Q::kSvd},
+       {}},
+      {"disease_id", [](QueryParams* p) { p->disease_id += 1; },
+       {Q::kCovariance}, {}},
+      {"covariance_quantile",
+       [](QueryParams* p) { p->covariance_quantile = 0.8; },
+       {},
+       {Q::kCovariance}},
+      {"max_age", [](QueryParams* p) { p->max_age += 10; },
+       {Q::kBiclustering}, {}},
+      {"gender", [](QueryParams* p) { p->gender = 1 - p->gender; },
+       {Q::kBiclustering}, {}},
+      {"bicluster_delta_fraction",
+       [](QueryParams* p) { p->bicluster_delta_fraction = 0.5; },
+       {},
+       {Q::kBiclustering}},
+      {"bicluster_count", [](QueryParams* p) { p->bicluster_count += 1; },
+       {}, {Q::kBiclustering}},
+      {"svd_rank", [](QueryParams* p) { p->svd_rank -= 2; }, {}, {Q::kSvd}},
+      {"sample_fraction", [](QueryParams* p) { p->sample_fraction *= 2; },
+       {Q::kStatistics}, {}},
+      {"significance", [](QueryParams* p) { p->significance = 0.5; }, {},
+       {Q::kStatistics}},
+  };
+}
+
+TEST(ShapeKeyTest, EveryFieldIsShapeOrBoundAtExecute) {
+  plan::PlanEngine engine;
+  ASSERT_TRUE(engine.LoadDataset(TinyData()).ok());
+  ExecContext ctx;
+  engine.PrepareContext(&ctx);
+  for (const ParamField& field : ParamFields()) {
+    for (const QueryId q : core::kAllQueries) {
+      SCOPED_TRACE(std::string(field.name) + " on " + core::QueryName(q));
+      QueryParams perturbed = TinyParams();
+      field.perturb(&perturbed);
+      auto base_plan = engine.CompileForTest(q, TinyParams(), &ctx);
+      auto plan = engine.CompileForTest(q, perturbed, &ctx);
+      ASSERT_TRUE(base_plan.ok() && plan.ok());
+      if (field.shape_of.count(q) > 0) {
+        EXPECT_NE(plan->get(), base_plan->get())
+            << "shape field reused another shape's plan";
+      } else {
+        EXPECT_EQ(plan->get(), base_plan->get())
+            << "field outside the shape compiled a new plan";
+      }
+      const QueryResult legacy = LegacyAnswer(q, perturbed);
+      if (field.bound_by.count(q) > 0) {
+        ASSERT_FALSE(BitwiseEqual(legacy, LegacyAnswer(q, TinyParams())))
+            << "perturbation does not change the answer, so it cannot "
+               "show the field is bound";
+      }
+      auto planned = (*plan)->Execute(perturbed, &ctx);
+      ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+      EXPECT_TRUE(BitwiseEqual(*planned, legacy));
+    }
+  }
+}
+
+TEST(ShapeKeyTest, SeededBoundParamSweepSharesOnePlan) {
+  plan::PlanEngine engine;
+  ASSERT_TRUE(engine.LoadDataset(TinyData()).ok());
+  ExecContext ctx;
+  engine.PrepareContext(&ctx);
+  Rng rng(20261017);
+  for (const QueryId q : core::kAllQueries) {
+    SCOPED_TRACE(core::QueryName(q));
+    auto shared = engine.CompileForTest(q, TinyParams(), &ctx);
+    ASSERT_TRUE(shared.ok());
+    const plan::PlanStatsSnapshot before = plan::PlanStatsSnapshot::Capture();
+    for (int draw = 0; draw < 8; ++draw) {
+      QueryParams p = TinyParams();
+      p.covariance_quantile = rng.Uniform(0.5, 0.99);
+      p.bicluster_delta_fraction = rng.Uniform(0.2, 0.6);
+      p.bicluster_count = static_cast<int>(rng.UniformInt(1, 3));
+      p.svd_rank = static_cast<int>(rng.UniformInt(2, 8));
+      p.significance = rng.Uniform(0.001, 0.5);
+      auto planned = engine.RunQuery(q, p, &ctx);
+      ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+      EXPECT_TRUE(BitwiseEqual(*planned, LegacyAnswer(q, p)))
+          << "draw " << draw;
+    }
+    const plan::PlanStatsSnapshot delta =
+        plan::PlanStatsSnapshot::Capture() - before;
+    EXPECT_EQ(delta.compiles, 0);
+    EXPECT_EQ(delta.cache_hits, 8);
+    EXPECT_EQ(delta.executes, 8);
   }
   EXPECT_EQ(engine.cached_plans(), 5);
 }

@@ -15,6 +15,7 @@
 
 #include "common/check.h"
 #include "common/exec_context.h"
+#include "common/rng.h"
 #include "core/datasets.h"
 #include "core/generator.h"
 #include "core/queries.h"
@@ -86,7 +87,7 @@ TEST(PlanCacheStressTest, ConcurrentExecutionsShareOnePlan) {
   auto plan =
       engine.CompileForTest(QueryId::kRegression, TinyParams(), &warm_ctx);
   ASSERT_TRUE(plan.ok());
-  auto expected = (*plan)->Execute(&warm_ctx);
+  auto expected = (*plan)->Execute(TinyParams(), &warm_ctx);
   ASSERT_TRUE(expected.ok());
 
   constexpr int kThreads = 8;
@@ -110,27 +111,57 @@ TEST(PlanCacheStressTest, ConcurrentExecutionsShareOnePlan) {
   EXPECT_EQ(engine.cached_plans(), 1);
 }
 
-/// Mixed query traffic racing dataset reloads: every request either serves
-/// from a plan keyed to a consistent {tables, epoch} snapshot or reports
-/// the transient not-loaded window — never a crash, a stale mix, or a
-/// wrong answer. After the churn settles, the cache holds exactly the
-/// current epoch's plans.
+/// Params variants for the reload race: every bound-at-execute field drawn
+/// per variant, plus two function thresholds, so Q1 and Q4 have two plan
+/// shapes each and Q2/Q3/Q5 one.
+constexpr int kVariants = 16;
+constexpr int64_t kShapesPerEpoch = 2 + 1 + 1 + 2 + 1;
+
+std::vector<QueryParams> BoundParamVariants() {
+  std::vector<QueryParams> variants;
+  Rng rng(0x5eed);
+  for (int v = 0; v < kVariants; ++v) {
+    QueryParams p = TinyParams();
+    p.function_threshold += (v % 2) * 10;
+    p.covariance_quantile = rng.Uniform(0.5, 0.99);
+    p.bicluster_delta_fraction = rng.Uniform(0.2, 0.6);
+    p.bicluster_count = static_cast<int>(rng.UniformInt(1, 3));
+    p.svd_rank = static_cast<int>(rng.UniformInt(2, 8));
+    p.significance = rng.Uniform(0.001, 0.5);
+    variants.push_back(p);
+  }
+  return variants;
+}
+
+/// Mixed query traffic over many bound-param variants racing dataset
+/// reloads: every request either serves from a plan keyed to a consistent
+/// {tables, epoch} snapshot with its own params bound, or reports the
+/// transient not-loaded window — never a crash, a stale mix, or a wrong
+/// answer. After the churn settles, the cache holds exactly one plan per
+/// (query, shape) of the current epoch.
 TEST(PlanCacheStressTest, QueryTrafficRacesReloads) {
   plan::PlanEngine engine;
   ASSERT_TRUE(engine.LoadDataset(TinyData()).ok());
+  const std::vector<QueryParams> variants = BoundParamVariants();
 
-  // Reference answers (the dataset is identical across reloads, so every
-  // successful answer must match regardless of which epoch served it).
-  std::vector<core::QueryResult> expected;
+  // Reference answers per (query, variant). The dataset is identical
+  // across reloads, so every successful answer must match regardless of
+  // which epoch served it.
+  std::vector<std::vector<core::QueryResult>> expected;
   {
     ExecContext ctx;
     engine.PrepareContext(&ctx);
     for (const QueryId q : core::kAllQueries) {
-      auto r = engine.RunQuery(q, TinyParams(), &ctx);
-      ASSERT_TRUE(r.ok()) << core::QueryName(q);
-      expected.push_back(*r);
+      expected.emplace_back();
+      for (const QueryParams& p : variants) {
+        auto r = engine.RunQuery(q, p, &ctx);
+        ASSERT_TRUE(r.ok()) << core::QueryName(q) << ": "
+                            << r.status().ToString();
+        expected.back().push_back(*r);
+      }
     }
   }
+  EXPECT_EQ(engine.cached_plans(), kShapesPerEpoch);
 
   constexpr int kClients = 6;
   constexpr int kRoundsPerClient = 24;
@@ -150,19 +181,24 @@ TEST(PlanCacheStressTest, QueryTrafficRacesReloads) {
     }
     uint64_t rng = 0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(t + 1);
     const auto attempt = [&](QueryId q, bool must_serve) {
+      const size_t v = stress::NextRand(&rng) % variants.size();
       ExecContext ctx;
       engine.PrepareContext(&ctx);
-      auto r = engine.RunQuery(q, TinyParams(), &ctx);
+      auto r = engine.RunQuery(q, variants[v], &ctx);
       if (r.ok()) {
         served.fetch_add(1, std::memory_order_relaxed);
-        const auto& exp = expected[static_cast<size_t>(q) - 1];
+        const auto& exp = expected[static_cast<size_t>(q) - 1][v];
         const bool match =
             r->query == exp.query &&
             r->regression.r_squared == exp.regression.r_squared &&
+            r->covariance.threshold == exp.covariance.threshold &&
             r->covariance.cov_checksum == exp.covariance.cov_checksum &&
+            r->bicluster.delta == exp.bicluster.delta &&
+            r->bicluster.biclusters.size() ==
+                exp.bicluster.biclusters.size() &&
             r->svd.singular_values == exp.svd.singular_values &&
-            r->stats.z_abs_sum == exp.stats.z_abs_sum &&
-            r->bicluster.biclusters.size() == exp.bicluster.biclusters.size();
+            r->stats.significant_terms == exp.stats.significant_terms &&
+            r->stats.z_abs_sum == exp.stats.z_abs_sum;
         if (!match) wrong_answers.fetch_add(1, std::memory_order_relaxed);
       } else if (must_serve ||
                  r.status().code() != StatusCode::kInternal) {
@@ -195,16 +231,19 @@ TEST(PlanCacheStressTest, QueryTrafficRacesReloads) {
   EXPECT_EQ(unexpected_errors.load(std::memory_order_relaxed), 0);
   EXPECT_GE(served.load(std::memory_order_relaxed), kClients);
 
-  // Settle: one pass over all queries on the final epoch, then the cache
-  // must hold exactly those five plans (older epochs evicted).
+  // Settle: one pass over every query and variant on the final epoch, then
+  // the cache must hold exactly one plan per (query, shape) — older epochs
+  // evicted, bound-param variants sharing their shape's plan.
   ExecContext ctx;
   engine.PrepareContext(&ctx);
   for (const QueryId q : core::kAllQueries) {
-    auto r = engine.RunQuery(q, TinyParams(), &ctx);
-    ASSERT_TRUE(r.ok()) << core::QueryName(q) << ": "
-                        << r.status().ToString();
+    for (const QueryParams& p : variants) {
+      auto r = engine.RunQuery(q, p, &ctx);
+      ASSERT_TRUE(r.ok()) << core::QueryName(q) << ": "
+                          << r.status().ToString();
+    }
   }
-  EXPECT_EQ(engine.cached_plans(), 5);
+  EXPECT_EQ(engine.cached_plans(), kShapesPerEpoch);
   EXPECT_EQ(plan::PlanStatsSnapshot::Capture().peak_mismatches, 0);
 }
 
