@@ -16,6 +16,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -252,7 +253,8 @@ void RegisterAll(ThreadPool* pool) {
 
 /// --- static-plan query benches ----------------------------------------------
 /// plan_compile/qN times one full CompileQuery (filters, joins, mappings,
-/// schedule, memory plan); plan_execute/qN times one cached-plan execution;
+/// schedule, memory plans, and every folded op); plan_execute/qN times one
+/// cached-plan execution (only the ops that read bound params);
 /// legacy_execute/qN is the per-run PrepareInputsColumnar + analytics path
 /// the plan replaces, on the same tables and kernels.
 
@@ -347,10 +349,11 @@ void RegisterPlanBenches() {
 }
 
 /// Deterministic plan gates, enforced on every run (no clock involved):
-/// every compiled plan's predicted arena peak must equal the observed
-/// execute-time high-water mark, at least one of Q1–Q5 must reuse arena
-/// bytes, and the planned engine's total tracked peak must stay within a
-/// documented factor of the legacy path's.
+/// both of every compiled plan's memory plans (folded at compile, run per
+/// execute) must predict their observed arena high-water marks exactly, at
+/// least one of Q1–Q5 must reuse arena bytes across the two, and the
+/// planned engine's total tracked peak must stay within a documented
+/// factor of the legacy path's.
 int RunPlanGates() {
   int failures = 0;
   PlanBench& b = PlanBench::Get();
@@ -374,16 +377,28 @@ int RunPlanGates() {
       ++failures;
       continue;
     }
-    total_reused += (*plan)->memory_plan().reused_bytes;
-    if ((*plan)->observed_peak_bytes() !=
-        (*plan)->memory_plan().arena_bytes) {
-      std::fprintf(stderr,
-                   "GATE FAIL: %s arena peak mismatch: observed %lld vs "
-                   "predicted %lld\n",
-                   genbase::core::QueryName(q),
-                   static_cast<long long>((*plan)->observed_peak_bytes()),
-                   static_cast<long long>((*plan)->memory_plan().arena_bytes));
-      ++failures;
+    const genbase::plan::CompiledPlan& p = **plan;
+    total_reused +=
+        p.folded_memory_plan().reused_bytes + p.memory_plan().reused_bytes;
+    const struct {
+      const char* half;
+      int64_t observed;
+      int64_t predicted;
+    } peaks[] = {
+        {"folded", p.folded_observed_peak_bytes(),
+         p.folded_memory_plan().arena_bytes},
+        {"execute", p.observed_peak_bytes(), p.memory_plan().arena_bytes},
+    };
+    for (const auto& peak : peaks) {
+      if (peak.observed != peak.predicted) {
+        std::fprintf(stderr,
+                     "GATE FAIL: %s %s arena peak mismatch: observed %lld "
+                     "vs predicted %lld\n",
+                     genbase::core::QueryName(q), peak.half,
+                     static_cast<long long>(peak.observed),
+                     static_cast<long long>(peak.predicted));
+        ++failures;
+      }
     }
   }
   if (total_reused <= 0) {
@@ -395,10 +410,10 @@ int RunPlanGates() {
   // Memory-peak gate: run the five legacy queries against the legacy
   // tracker (tables + tracked per-run temporaries), then compare engine
   // totals. The planned engine's peak additionally holds five cached
-  // plans' statics (join index, mappings — precomputed DM state the legacy
-  // path rebuilds per run, largely through untracked std::vectors) plus
-  // their pooled arenas, so parity is not the bar; staying within 2.5x is.
-  // A planner or statics blow-up trips this long before it hurts RSS.
+  // plans' retained folded values plus their pooled arenas, and a compile's
+  // transient statics and folding arena, so parity is not the bar; staying
+  // within 2.5x is. A planner or retention blow-up trips this long before
+  // it hurts RSS.
   {
     genbase::ExecContext legacy_ctx;
     legacy_ctx.set_memory(&b.legacy_tracker);
@@ -424,10 +439,12 @@ int RunPlanGates() {
   }
   if (failures == 0) {
     std::printf("# plan gates passed: reused=%lldB peak planned=%lldB "
-                "legacy=%lldB\n",
+                "legacy=%lldB (%.2fx)\n",
                 static_cast<long long>(total_reused),
                 static_cast<long long>(plan_peak),
-                static_cast<long long>(legacy_peak));
+                static_cast<long long>(legacy_peak),
+                static_cast<double>(plan_peak) /
+                    static_cast<double>(std::max<int64_t>(1, legacy_peak)));
   }
   return failures;
 }

@@ -816,7 +816,10 @@ genbase::Result<std::vector<Bicluster>> ChengChurch(
     return Status::InvalidArgument("matrix smaller than minimum bicluster");
   }
   // Working copy: masking replaces found cells with noise.
-  linalg::Matrix work(data.rows, data.cols);
+  GENBASE_ASSIGN_OR_RETURN(
+      linalg::Matrix work,
+      linalg::Matrix::Create(data.rows, data.cols,
+                             ctx != nullptr ? ctx->memory() : nullptr));
   for (int64_t i = 0; i < data.rows; ++i) {
     std::copy(data.data + i * data.stride, data.data + i * data.stride +
               data.cols, work.Row(i));

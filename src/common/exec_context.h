@@ -22,6 +22,8 @@ inline constexpr int kNumPhases = 3;
 
 const char* PhaseName(Phase phase);
 
+class ScopedPhase;
+
 /// \brief Accumulates measured wall seconds plus modeled virtual seconds per
 /// phase. Virtual seconds cover costs the host machine cannot physically
 /// incur (simulated network links, coprocessor transfer/compute); they are
@@ -114,28 +116,50 @@ class ExecContext {
   const PhaseClock& clock() const { return clock_; }
 
  private:
+  friend class ScopedPhase;
+
   std::optional<std::chrono::steady_clock::time_point> deadline_;
   std::atomic<bool> cancelled_{false};
   MemoryTracker* memory_ = nullptr;
   ThreadPool* pool_ = nullptr;
   PhaseClock clock_;
+  ScopedPhase* innermost_phase_ = nullptr;  ///< Open scope being charged.
 };
 
 /// \brief RAII phase timer: measures wall time of a scope into the context's
-/// phase clock.
+/// phase clock. Scopes on one context nest exclusively: opening a scope
+/// pauses the enclosing one until it closes, so each second is charged to
+/// exactly one phase and the phases sum to at most the outer wall time.
+/// Scopes on one context must open and close on one thread, innermost
+/// first (RAII order).
 class ScopedPhase {
  public:
-  ScopedPhase(ExecContext* ctx, Phase phase) : ctx_(ctx), phase_(phase) {}
+  ScopedPhase(ExecContext* ctx, Phase phase) : ctx_(ctx), phase_(phase) {
+    if (ctx_ == nullptr) return;
+    outer_ = ctx_->innermost_phase_;
+    ctx_->innermost_phase_ = this;
+    if (outer_ != nullptr) {
+      outer_->Charge();
+      timer_.Restart();  // After the outer scope stopped: no double charge.
+    }
+  }
   ~ScopedPhase() {
-    if (ctx_ != nullptr) ctx_->clock().AddMeasured(phase_, timer_.Seconds());
+    if (ctx_ == nullptr) return;
+    Charge();
+    ctx_->innermost_phase_ = outer_;
+    if (outer_ != nullptr) outer_->timer_.Restart();
   }
 
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
 
  private:
+  /// Books the time since the last (re)start to this scope's phase.
+  void Charge() { ctx_->clock().AddMeasured(phase_, timer_.Seconds()); }
+
   ExecContext* ctx_;
   Phase phase_;
+  ScopedPhase* outer_ = nullptr;
   WallTimer timer_;
 };
 

@@ -138,8 +138,8 @@ genbase::Result<CovarianceSummary> CovarianceThresholdJoin(
   GENBASE_RETURN_NOT_OK(CovarianceExtractUpper(cov_view, upper.data(), ctx));
   GENBASE_ASSIGN_OR_RETURN(const double threshold,
                            stats::Quantile(upper, quantile));
-  return CovarianceJoinPass(cov_view, samples, threshold, gene_ids, meta,
-                            ctx);
+  return CovarianceJoinPass(upper.data(), n, samples, threshold, gene_ids,
+                            meta, ctx);
 }
 
 genbase::Status CovarianceExtractUpper(const linalg::MatrixView& cov,
@@ -156,21 +156,22 @@ genbase::Status CovarianceExtractUpper(const linalg::MatrixView& cov,
 }
 
 genbase::Result<CovarianceSummary> CovarianceJoinPass(
-    const linalg::MatrixView& cov, int64_t samples, double threshold,
+    const double* upper, int64_t genes, int64_t samples, double threshold,
     const std::vector<int64_t>& gene_ids, const GeneMetaLookup& meta,
     ExecContext* ctx) {
   CovarianceSummary s;
   s.samples = samples;
-  s.genes = cov.rows;
+  s.genes = genes;
   s.threshold = threshold;
   // Threshold pass + metadata join for qualifying pairs.
-  const int64_t n = cov.rows;
+  const int64_t n = genes;
+  int64_t k = 0;
   for (int64_t i = 0; i < n; ++i) {
     if (ctx != nullptr && (i & 255) == 0) {
       GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
     }
     for (int64_t j = i + 1; j < n; ++j) {
-      const double c = cov(i, j);
+      const double c = upper[k++];
       if (c <= s.threshold) continue;
       ++s.pairs_above;
       s.cov_checksum += c;
@@ -252,6 +253,23 @@ genbase::Result<StatsSummary> StatsAnalytics(
     const double* gene_scores, int64_t count,
     const std::vector<std::vector<int64_t>>& memberships,
     double significance, ExecContext* ctx) {
+  const auto terms = static_cast<int64_t>(memberships.size());
+  MemoryTracker* tracker = ctx != nullptr ? ctx->memory() : nullptr;
+  GENBASE_ASSIGN_OR_RETURN(auto p_reservation,
+                           ScopedReservation::Acquire(tracker, terms * 8));
+  std::vector<double> p_values(static_cast<size_t>(terms));
+  GENBASE_ASSIGN_OR_RETURN(
+      StatsSummary s, StatsRankTests(gene_scores, count, memberships,
+                                     p_values.data(), ctx));
+  s.significant_terms =
+      CountSignificant(p_values.data(), s.terms_tested, significance);
+  return s;
+}
+
+genbase::Result<StatsSummary> StatsRankTests(
+    const double* gene_scores, int64_t count,
+    const std::vector<std::vector<int64_t>>& memberships, double* p_values,
+    ExecContext* ctx) {
   StatsSummary s;
   s.genes_ranked = count;
   // The group mask is reused across terms; charge its packed-bit footprint
@@ -271,11 +289,19 @@ genbase::Result<StatsSummary> StatsAnalytics(
     GENBASE_ASSIGN_OR_RETURN(
         stats::RankSumResult r,
         stats::WilcoxonRankSum(gene_scores, count, mask));
-    ++s.terms_tested;
-    if (r.p_two_sided < significance) ++s.significant_terms;
+    p_values[s.terms_tested++] = r.p_two_sided;
     s.z_abs_sum += std::fabs(r.z);
   }
   return s;
+}
+
+int64_t CountSignificant(const double* p_values, int64_t terms,
+                         double significance) {
+  int64_t significant = 0;
+  for (int64_t t = 0; t < terms; ++t) {
+    if (p_values[t] < significance) ++significant;
+  }
+  return significant;
 }
 
 }  // namespace genbase::core

@@ -162,10 +162,12 @@ genbase::Status CovarianceExtractUpper(const linalg::MatrixView& cov,
                                        double* upper, ExecContext* ctx);
 
 /// Q2's qualifying-pair metadata join alone, against a precomputed
-/// threshold. Fills the full summary (samples/genes/threshold come from the
-/// arguments). The other CovarianceThresholdJoin building block.
+/// threshold, over the `genes` x `genes` covariance's strict upper triangle
+/// as CovarianceExtractUpper lays it out. Fills the full summary
+/// (samples/genes/threshold come from the arguments). The other
+/// CovarianceThresholdJoin building block.
 genbase::Result<CovarianceSummary> CovarianceJoinPass(
-    const linalg::MatrixView& cov, int64_t samples, double threshold,
+    const double* upper, int64_t genes, int64_t samples, double threshold,
     const std::vector<int64_t>& gene_ids, const GeneMetaLookup& meta,
     ExecContext* ctx);
 
@@ -185,6 +187,7 @@ genbase::Result<SvdSummary> SvdAnalytics(const linalg::MatrixView& x,
 
 /// Q5 analytics: Wilcoxon rank-sum per GO term over per-gene scores.
 /// memberships[t] lists gene indices (0..genes-1) belonging to term t.
+/// StatsRankTests then CountSignificant.
 genbase::Result<StatsSummary> StatsAnalytics(
     const std::vector<double>& gene_scores,
     const std::vector<std::vector<int64_t>>& memberships,
@@ -196,6 +199,20 @@ genbase::Result<StatsSummary> StatsAnalytics(
     const double* gene_scores, int64_t count,
     const std::vector<std::vector<int64_t>>& memberships,
     double significance, ExecContext* ctx);
+
+/// Q5's first half, which reads no parameter: one rank-sum test per GO
+/// term with both groups non-empty. Writes the tested terms' two-sided
+/// p-values, in term order, to p_values[0, terms_tested) (room for
+/// memberships.size()) and fills genes_ranked, terms_tested and z_abs_sum.
+genbase::Result<StatsSummary> StatsRankTests(
+    const double* gene_scores, int64_t count,
+    const std::vector<std::vector<int64_t>>& memberships, double* p_values,
+    ExecContext* ctx);
+
+/// Q5's second half: how many of the `terms` p-values fall below
+/// `significance` (StatsSummary::significant_terms).
+int64_t CountSignificant(const double* p_values, int64_t terms,
+                         double significance);
 
 }  // namespace genbase::core
 

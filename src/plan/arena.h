@@ -27,9 +27,14 @@ class PlanArena {
   const unsigned char* base() const { return base_; }
   int64_t size() const { return size_; }
   int64_t alignment() const { return alignment_; }
+  /// Bytes charged to the tracker: the rounded size plus alignment slack.
+  int64_t reserved_bytes() const { return size_ + alignment_; }
 
   double* DoubleAt(int64_t offset) {
     return reinterpret_cast<double*>(base_ + offset);
+  }
+  const double* DoubleAt(int64_t offset) const {
+    return reinterpret_cast<const double*>(base_ + offset);
   }
 
   PlanArena(const PlanArena&) = delete;

@@ -29,7 +29,8 @@ struct Root {
 
 genbase::Result<MemoryPlan> PlanMemory(const PlanGraph& graph,
                                        const std::vector<int>& schedule,
-                                       int64_t alignment) {
+                                       int64_t alignment,
+                                       const std::vector<int>& live_out) {
   if (alignment < 64 || (alignment & (alignment - 1)) != 0) {
     return genbase::Status::InvalidArgument(
         "arena alignment must be a power of two >= 64");
@@ -56,8 +57,8 @@ genbase::Result<MemoryPlan> PlanMemory(const PlanGraph& graph,
   }
 
   // Lifetimes over the schedule: a root is live from its first write to its
-  // last touch. Values nothing consumes (graph outputs) stay live to the
-  // end of the schedule.
+  // last touch. Values nothing consumes (graph outputs) and live-out values
+  // stay live to the end of the schedule.
   std::vector<int> def_step(static_cast<size_t>(num_values), num_steps);
   std::vector<int> last_step(static_cast<size_t>(num_values), -1);
   std::vector<int> consumers(static_cast<size_t>(num_values), 0);
@@ -76,6 +77,15 @@ genbase::Result<MemoryPlan> PlanMemory(const PlanGraph& graph,
       last_step[static_cast<size_t>(r)] =
           std::max(last_step[static_cast<size_t>(r)], step);
     }
+  }
+  for (int v : live_out) {
+    if (v < 0 || v >= num_values) {
+      return genbase::Status::InvalidArgument(
+          "live-out value id out of range");
+    }
+    ++consumers[static_cast<size_t>(v)];
+    last_step[static_cast<size_t>(root[static_cast<size_t>(v)])] =
+        num_steps - 1;
   }
   for (int v = 0; v < num_values; ++v) {
     if (consumers[static_cast<size_t>(v)] == 0) {

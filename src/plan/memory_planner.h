@@ -42,10 +42,13 @@ struct MemoryPlan {
 /// offsets, which is where the reuse comes from. In-place op chains
 /// collapse to one buffer (shared offset, merged lifetime). All sizes are
 /// rounded up to `alignment` (>= 64 for the SIMD kernels' aligned loads)
-/// and every offset is an alignment multiple.
+/// and every offset is an alignment multiple. Values nothing in the graph
+/// consumes, and the `live_out` values (read after the schedule ends), stay
+/// live to its last step.
 genbase::Result<MemoryPlan> PlanMemory(const PlanGraph& graph,
                                        const std::vector<int>& schedule,
-                                       int64_t alignment = 64);
+                                       int64_t alignment = 64,
+                                       const std::vector<int>& live_out = {});
 
 }  // namespace genbase::plan
 

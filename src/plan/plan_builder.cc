@@ -10,8 +10,6 @@
 #include "core/reference.h"
 #include "linalg/blas.h"
 #include "linalg/covariance.h"
-#include "plan/memory_planner.h"
-#include "plan/scheduler.h"
 #include "relational/col_ops.h"
 #include "relational/restructure.h"
 #include "stats/quantile.h"
@@ -57,29 +55,68 @@ uint64_t MixShape(uint64_t h, double d) {
 }
 
 /// Keeps only the matched microarray rows of a compile-time join, without
-/// spare capacity: the statics hold them for the plan's whole lifetime.
+/// spare capacity.
 std::vector<int64_t> MatchedRows(JoinIndex join) {
   join.right.shrink_to_fit();
   return std::move(join.right);
 }
 
+/// Approximate footprint of one id -> index hash entry (~3 words; the
+/// DenseMappings, the gene-metadata lookup).
+constexpr int64_t kHashEntryBytes = 24;
+
 /// Approximate resident footprint of the compile-time statics, charged to
-/// the engine tracker for the plan's lifetime (id vectors, matched rows,
+/// the engine tracker while the plan compiles (id vectors, matched rows,
 /// dense mappings, Q5 memberships).
 int64_t StaticsBytes(const PlanStatics& st) {
   int64_t bytes = 0;
   bytes += static_cast<int64_t>(st.matched_rows.size()) * 8;
-  bytes += static_cast<int64_t>(st.row_ids.size() + st.col_ids.size()) * 8;
   bytes += static_cast<int64_t>(st.y.size()) * 8;
-  // DenseMapping: sorted ids plus a hash entry (~3 words) per id.
+  // DenseMapping: sorted ids plus a hash entry per id.
   bytes += static_cast<int64_t>(st.row_map.ids.size() +
                                 st.col_map.ids.size()) *
-           32;
+           (8 + kHashEntryBytes);
   for (const auto& m : st.memberships) {
     bytes += static_cast<int64_t>(m.size()) * 8;
   }
   return bytes;
 }
+
+/// Id -> dense index of a DenseMapping for the per-matched-row loops: a
+/// direct-address table when the (sorted) ids span a compact range, as the
+/// generated tables' dense ids do, else the mapping's hash index. -1 when
+/// the id is not mapped.
+class IndexLookup {
+ public:
+  explicit IndexLookup(const DenseMapping& map) : map_(&map) {
+    if (map.ids.empty()) return;
+    const uint64_t span = static_cast<uint64_t>(map.ids.back()) -
+                          static_cast<uint64_t>(map.ids.front());
+    if (span >= static_cast<uint64_t>(4 * map.size() + 1024)) return;
+    base_ = map.ids.front();
+    table_.assign(static_cast<size_t>(span) + 1, -1);
+    for (int64_t i = 0; i < map.size(); ++i) {
+      table_[static_cast<size_t>(static_cast<uint64_t>(
+          map.ids[static_cast<size_t>(i)]) - static_cast<uint64_t>(base_))] =
+          i;
+    }
+  }
+
+  int64_t operator()(int64_t id) const {
+    if (table_.empty()) {
+      const auto it = map_->index.find(id);
+      return it == map_->index.end() ? -1 : it->second;
+    }
+    const uint64_t off =
+        static_cast<uint64_t>(id) - static_cast<uint64_t>(base_);
+    return off < table_.size() ? table_[static_cast<size_t>(off)] : -1;
+  }
+
+ private:
+  const DenseMapping* map_;
+  int64_t base_ = 0;
+  std::vector<int64_t> table_;
+};
 
 /// Zero + scatter of the joined microarray triples into a dense arena
 /// matrix at `data` (the planned twin of engine_util's RestructureJoined;
@@ -92,17 +129,18 @@ genbase::Status ScatterJoined(const PlanStatics& st, double* data,
   const auto& gid = st.tables->microarray.IntColumn(MicroarrayCols::kGeneId);
   const auto& expr =
       st.tables->microarray.DoubleColumn(MicroarrayCols::kExpr);
+  const IndexLookup row_of(st.row_map);
+  const IndexLookup col_of(st.col_map);
   for (size_t k = 0; k < st.matched_rows.size(); ++k) {
     if (ctx != nullptr && (k & 262143) == 0) {
       GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
     }
-    const int64_t row = st.matched_rows[k];
-    const auto rit = st.row_map.index.find(pid[static_cast<size_t>(row)]);
-    if (rit == st.row_map.index.end()) continue;
-    const auto cit = st.col_map.index.find(gid[static_cast<size_t>(row)]);
-    if (cit == st.col_map.index.end()) continue;
-    data[rit->second * num_cols + col_offset + cit->second] =
-        expr[static_cast<size_t>(row)];
+    const auto row = static_cast<size_t>(st.matched_rows[k]);
+    const int64_t r = row_of(pid[row]);
+    if (r < 0) continue;
+    const int64_t c = col_of(gid[row]);
+    if (c < 0) continue;
+    data[r * num_cols + col_offset + c] = expr[row];
   }
   return genbase::Status::OK();
 }
@@ -124,18 +162,17 @@ genbase::Result<PlanStatics> BuildMatrixStatics(
                           GeneCols::kFunction,
                           Value::Int(params.function_threshold))},
                       ctx));
-    st.col_ids = GatherIds(t.genes.IntColumn(GeneCols::kGeneId), gene_sel);
+    st.col_map =
+        MakeDenseMapping(GatherIds(t.genes.IntColumn(GeneCols::kGeneId),
+                                   gene_sel));
     GENBASE_ASSIGN_OR_RETURN(
         JoinIndex join,
         HashJoinIndicesFiltered(t.genes, GeneCols::kGeneId, gene_sel,
                                 t.microarray, MicroarrayCols::kGeneId, ctx,
                                 tracker));
     st.matched_rows = MatchedRows(std::move(join));
-    st.row_ids = t.patients.IntColumn(PatientCols::kPatientId);
-    std::sort(st.row_ids.begin(), st.row_ids.end());
-    st.row_map = MakeDenseMapping(st.row_ids);
-    st.col_map = MakeDenseMapping(st.col_ids);
-    st.col_ids = st.col_map.ids;
+    st.row_map =
+        MakeDenseMapping(t.patients.IntColumn(PatientCols::kPatientId));
     if (query == QueryId::kRegression) {
       st.y.assign(static_cast<size_t>(st.row_map.size()), 0.0);
       const auto& pid = t.patients.IntColumn(PatientCols::kPatientId);
@@ -162,19 +199,15 @@ genbase::Result<PlanStatics> BuildMatrixStatics(
   }
   GENBASE_ASSIGN_OR_RETURN(std::vector<int64_t> patient_sel,
                            FilterColumns(t.patients, preds, ctx));
-  st.row_ids =
-      GatherIds(t.patients.IntColumn(PatientCols::kPatientId), patient_sel);
+  st.row_map = MakeDenseMapping(
+      GatherIds(t.patients.IntColumn(PatientCols::kPatientId), patient_sel));
   GENBASE_ASSIGN_OR_RETURN(
       JoinIndex join,
       HashJoinIndicesFiltered(t.patients, PatientCols::kPatientId,
                               patient_sel, t.microarray,
                               MicroarrayCols::kPatientId, ctx, tracker));
   st.matched_rows = MatchedRows(std::move(join));
-  st.col_ids = t.genes.IntColumn(GeneCols::kGeneId);
-  std::sort(st.col_ids.begin(), st.col_ids.end());
-  st.row_map = MakeDenseMapping(st.row_ids);
-  st.col_map = MakeDenseMapping(st.col_ids);
-  st.row_ids = st.row_map.ids;
+  st.col_map = MakeDenseMapping(t.genes.IntColumn(GeneCols::kGeneId));
   if (query == QueryId::kCovariance) {
     st.meta = engine::MakeColumnarMetaLookup(t.genes);
   }
@@ -209,37 +242,54 @@ genbase::Result<PlanStatics> BuildStatsStatics(
   return st;
 }
 
+/// Tag for OpDef::reads_params in the builders below.
+constexpr bool kReadsParams = true;
+
+/// A query's operator DAG plus one closure per op (indexed by op id), and
+/// the bytes its execute-op closures capture from the statics.
 struct GraphParts {
   PlanGraph graph;
-  std::vector<CompiledOp> ops;  ///< Indexed by op id.
+  std::vector<OpFn> ops;
+  int64_t retained_static_bytes = 0;
+
+  void Add(OpDef def, OpFn run) {
+    graph.AddOp(std::move(def));
+    ops.push_back(std::move(run));
+  }
 };
+
+/// Zero-fills a rows x cols arena matrix and scatters the joined triples.
+OpFn ScanMatrix(int v_x, int64_t rows, int64_t cols) {
+  return [v_x, rows, cols](ExecFrame* f, ExecContext* ctx,
+                           QueryResult*) -> genbase::Status {
+    double* d = f->Data(v_x);
+    std::fill_n(d, static_cast<size_t>(rows * cols), 0.0);
+    return ScatterJoined(f->statics(), d, cols, /*col_offset=*/0, ctx);
+  };
+}
 
 GraphParts BuildRegressionGraph(const PlanStatics& st) {
   GraphParts p;
   const int64_t rows = st.row_map.size();
   const int64_t cd = st.col_map.size() + 1;  // Intercept column first.
   const int v_design = p.graph.AddValue("design", {rows, cd});
-  p.graph.AddOp({OpKind::kScan, "scan_design", {}, {v_design}});
-  p.graph.AddOp({OpKind::kGemm, "least_squares", {v_design}, {}});
-  p.ops.resize(2);
-  p.ops[0] = {OpKind::kScan, "scan_design",
-              [v_design, rows, cd](ExecFrame* f, ExecContext* ctx,
-                                   QueryResult*) -> genbase::Status {
-                const PlanStatics& st = f->statics();
-                double* d = f->Data(v_design);
-                std::fill_n(d, static_cast<size_t>(rows * cd), 0.0);
-                for (int64_t i = 0; i < rows; ++i) d[i * cd] = 1.0;
-                return ScatterJoined(st, d, cd, /*col_offset=*/1, ctx);
-              }};
-  p.ops[1] = {OpKind::kGemm, "least_squares",
-              [v_design](ExecFrame* f, ExecContext* ctx,
-                         QueryResult* out) -> genbase::Status {
-                GENBASE_ASSIGN_OR_RETURN(
-                    out->regression,
-                    core::RegressionAnalytics(f->View(v_design),
-                                              f->statics().y, ctx));
-                return genbase::Status::OK();
-              }};
+  p.Add({OpKind::kScan, "scan_design", {}, {v_design}},
+        [v_design, rows, cd](ExecFrame* f, ExecContext* ctx,
+                             QueryResult*) -> genbase::Status {
+          double* d = f->Data(v_design);
+          std::fill_n(d, static_cast<size_t>(rows * cd), 0.0);
+          for (int64_t i = 0; i < rows; ++i) d[i * cd] = 1.0;
+          return ScatterJoined(f->statics(), d, cd, /*col_offset=*/1, ctx);
+        });
+  p.Add({OpKind::kGemm, "least_squares", {v_design}, {}},
+        [v_design](ExecFrame* f, ExecContext* ctx,
+                   QueryResult* out) -> genbase::Status {
+          GENBASE_ASSIGN_OR_RETURN(
+              out->regression,
+              core::RegressionAnalytics(f->View(v_design), f->statics().y,
+                                        ctx));
+          return genbase::Status::OK();
+        });
   return p;
 }
 
@@ -258,72 +308,65 @@ genbase::Result<GraphParts> BuildCovarianceGraph(const PlanStatics& st) {
   const int v_cov = p.graph.AddValue("cov", {cols, cols});
   const int v_upper = p.graph.AddValue("upper", {num_pairs, 1});
   const int v_thr = p.graph.AddValue("threshold", {1, 1});
-  p.graph.AddOp({OpKind::kScan, "scan_matrix", {}, {v_x}});
-  p.graph.AddOp({OpKind::kColumnMeans, "column_means", {v_x}, {v_means}});
-  p.graph.AddOp({OpKind::kSyrkCentered, "syrk_centered", {v_x, v_means},
-                 {v_cov_raw}});
-  p.graph.AddOp({OpKind::kScale, "scale_cov", {v_cov_raw}, {v_cov},
-                 /*in_place=*/true});
-  p.graph.AddOp({OpKind::kSelect, "extract_upper", {v_cov}, {v_upper}});
-  p.graph.AddOp({OpKind::kQuantile, "quantile", {v_upper}, {v_thr}});
-  p.graph.AddOp({OpKind::kJoin, "threshold_join", {v_cov, v_thr}, {}});
-  p.ops.resize(7);
-  p.ops[0] = {OpKind::kScan, "scan_matrix",
-              [v_x, rows, cols](ExecFrame* f, ExecContext* ctx,
-                                QueryResult*) -> genbase::Status {
-                double* d = f->Data(v_x);
-                std::fill_n(d, static_cast<size_t>(rows * cols), 0.0);
-                return ScatterJoined(f->statics(), d, cols,
-                                     /*col_offset=*/0, ctx);
-              }};
-  p.ops[1] = {OpKind::kColumnMeans, "column_means",
-              [v_x, v_means](ExecFrame* f, ExecContext*,
-                             QueryResult*) -> genbase::Status {
-                linalg::ColumnMeansInto(f->View(v_x), f->Data(v_means));
-                return genbase::Status::OK();
-              }};
-  p.ops[2] = {OpKind::kSyrkCentered, "syrk_centered",
-              [v_x, v_means, v_cov_raw](ExecFrame* f, ExecContext* ctx,
-                                        QueryResult*) -> genbase::Status {
-                return linalg::SyrkCentered(
-                    f->View(v_x), f->Data(v_means), f->Data(v_cov_raw),
-                    ctx != nullptr ? ctx->pool() : nullptr, ctx);
-              }};
-  p.ops[3] = {OpKind::kScale, "scale_cov",
-              [v_cov, rows, cols](ExecFrame* f, ExecContext*,
+  p.Add({OpKind::kScan, "scan_matrix", {}, {v_x}},
+        ScanMatrix(v_x, rows, cols));
+  p.Add({OpKind::kColumnMeans, "column_means", {v_x}, {v_means}},
+        [v_x, v_means](ExecFrame* f, ExecContext*,
+                       QueryResult*) -> genbase::Status {
+          linalg::ColumnMeansInto(f->View(v_x), f->Data(v_means));
+          return genbase::Status::OK();
+        });
+  p.Add({OpKind::kSyrkCentered, "syrk_centered", {v_x, v_means},
+         {v_cov_raw}},
+        [v_x, v_means, v_cov_raw](ExecFrame* f, ExecContext* ctx,
                                   QueryResult*) -> genbase::Status {
-                double* c = f->Data(v_cov);
-                const double inv = 1.0 / static_cast<double>(rows - 1);
-                for (int64_t i = 0; i < cols * cols; ++i) c[i] *= inv;
-                return genbase::Status::OK();
-              }};
-  p.ops[4] = {OpKind::kSelect, "extract_upper",
-              [v_cov, v_upper](ExecFrame* f, ExecContext* ctx,
-                               QueryResult*) -> genbase::Status {
-                return core::CovarianceExtractUpper(
-                    f->View(v_cov), f->Data(v_upper), ctx);
-              }};
-  p.ops[5] = {OpKind::kQuantile, "quantile",
-              [v_upper, v_thr, num_pairs](ExecFrame* f, ExecContext*,
-                                          QueryResult*) -> genbase::Status {
-                GENBASE_ASSIGN_OR_RETURN(
-                    const double thr,
-                    stats::Quantile(f->Data(v_upper), num_pairs,
-                                    f->params().covariance_quantile));
-                f->Data(v_thr)[0] = thr;
-                return genbase::Status::OK();
-              }};
-  p.ops[6] = {OpKind::kJoin, "threshold_join",
-              [v_cov, v_thr, rows](ExecFrame* f, ExecContext* ctx,
-                                   QueryResult* out) -> genbase::Status {
-                const PlanStatics& st = f->statics();
-                GENBASE_ASSIGN_OR_RETURN(
-                    out->covariance,
-                    core::CovarianceJoinPass(f->View(v_cov), rows,
-                                             f->Data(v_thr)[0], st.col_ids,
-                                             st.meta, ctx));
-                return genbase::Status::OK();
-              }};
+          return linalg::SyrkCentered(
+              f->View(v_x), f->In(v_means), f->Data(v_cov_raw),
+              ctx != nullptr ? ctx->pool() : nullptr, ctx);
+        });
+  p.Add({OpKind::kScale, "scale_cov", {v_cov_raw}, {v_cov},
+         /*in_place=*/true},
+        [v_cov, rows, cols](ExecFrame* f, ExecContext*,
+                            QueryResult*) -> genbase::Status {
+          double* c = f->Data(v_cov);
+          const double inv = 1.0 / static_cast<double>(rows - 1);
+          for (int64_t i = 0; i < cols * cols; ++i) c[i] *= inv;
+          return genbase::Status::OK();
+        });
+  p.Add({OpKind::kSelect, "extract_upper", {v_cov}, {v_upper}},
+        [v_cov, v_upper](ExecFrame* f, ExecContext* ctx,
+                         QueryResult*) -> genbase::Status {
+          return core::CovarianceExtractUpper(f->View(v_cov),
+                                              f->Data(v_upper), ctx);
+        });
+  p.Add({OpKind::kQuantile, "quantile", {v_upper}, {v_thr},
+         /*in_place=*/false, kReadsParams},
+        [v_upper, v_thr, num_pairs](ExecFrame* f, ExecContext*,
+                                    QueryResult*) -> genbase::Status {
+          // Selects on a private copy: `upper` is a read-only plan constant.
+          GENBASE_ASSIGN_OR_RETURN(
+              const double thr,
+              stats::Quantile(f->In(v_upper), num_pairs,
+                              f->params().covariance_quantile));
+          f->Data(v_thr)[0] = thr;
+          return genbase::Status::OK();
+        });
+  // The join runs per execute (its threshold does), so it keeps the gene
+  // ids and the metadata lookup — and the tables the lookup points into.
+  p.Add({OpKind::kJoin, "threshold_join", {v_upper, v_thr}, {}},
+        [v_upper, v_thr, rows, cols, tables = st.tables,
+         gene_ids = st.col_map.ids, meta = st.meta](
+            ExecFrame* f, ExecContext* ctx,
+            QueryResult* out) -> genbase::Status {
+          GENBASE_ASSIGN_OR_RETURN(
+              out->covariance,
+              core::CovarianceJoinPass(f->In(v_upper), cols, rows,
+                                       f->In(v_thr)[0], gene_ids, meta,
+                                       ctx));
+          return genbase::Status::OK();
+        });
+  // Gene ids plus one lookup hash entry per gene.
+  p.retained_static_bytes = cols * (8 + kHashEntryBytes);
   return p;
 }
 
@@ -332,28 +375,20 @@ GraphParts BuildBiclusterGraph(const PlanStatics& st) {
   const int64_t rows = st.row_map.size();
   const int64_t cols = st.col_map.size();
   const int v_x = p.graph.AddValue("x", {rows, cols});
-  p.graph.AddOp({OpKind::kScan, "scan_matrix", {}, {v_x}});
-  p.graph.AddOp({OpKind::kChengChurchStep, "cheng_church", {v_x}, {}});
-  p.ops.resize(2);
-  p.ops[0] = {OpKind::kScan, "scan_matrix",
-              [v_x, rows, cols](ExecFrame* f, ExecContext* ctx,
-                                QueryResult*) -> genbase::Status {
-                double* d = f->Data(v_x);
-                std::fill_n(d, static_cast<size_t>(rows * cols), 0.0);
-                return ScatterJoined(f->statics(), d, cols,
-                                     /*col_offset=*/0, ctx);
-              }};
-  p.ops[1] = {OpKind::kChengChurchStep, "cheng_church",
-              [v_x](ExecFrame* f, ExecContext* ctx,
-                    QueryResult* out) -> genbase::Status {
-                const QueryParams& params = f->params();
-                GENBASE_ASSIGN_OR_RETURN(
-                    out->bicluster,
-                    core::BiclusterAnalytics(
-                        f->View(v_x), params.bicluster_delta_fraction,
-                        params.bicluster_count, ctx, nullptr));
-                return genbase::Status::OK();
-              }};
+  p.Add({OpKind::kScan, "scan_matrix", {}, {v_x}},
+        ScanMatrix(v_x, rows, cols));
+  p.Add({OpKind::kChengChurchStep, "cheng_church", {v_x}, {},
+         /*in_place=*/false, kReadsParams},
+        [v_x](ExecFrame* f, ExecContext* ctx,
+              QueryResult* out) -> genbase::Status {
+          const QueryParams& params = f->params();
+          GENBASE_ASSIGN_OR_RETURN(
+              out->bicluster,
+              core::BiclusterAnalytics(f->View(v_x),
+                                       params.bicluster_delta_fraction,
+                                       params.bicluster_count, ctx, nullptr));
+          return genbase::Status::OK();
+        });
   return p;
 }
 
@@ -362,76 +397,73 @@ GraphParts BuildSvdGraph(const PlanStatics& st) {
   const int64_t rows = st.row_map.size();
   const int64_t cols = st.col_map.size();
   const int v_x = p.graph.AddValue("x", {rows, cols});
-  p.graph.AddOp({OpKind::kScan, "scan_matrix", {}, {v_x}});
-  p.graph.AddOp({OpKind::kSvdHelper, "truncated_svd", {v_x}, {}});
-  p.ops.resize(2);
-  p.ops[0] = {OpKind::kScan, "scan_matrix",
-              [v_x, rows, cols](ExecFrame* f, ExecContext* ctx,
-                                QueryResult*) -> genbase::Status {
-                double* d = f->Data(v_x);
-                std::fill_n(d, static_cast<size_t>(rows * cols), 0.0);
-                return ScatterJoined(f->statics(), d, cols,
-                                     /*col_offset=*/0, ctx);
-              }};
-  p.ops[1] = {OpKind::kSvdHelper, "truncated_svd",
-              [v_x](ExecFrame* f, ExecContext* ctx,
-                    QueryResult* out) -> genbase::Status {
-                GENBASE_ASSIGN_OR_RETURN(
-                    out->svd,
-                    core::SvdAnalytics(f->View(v_x), f->params().svd_rank,
-                                       linalg::KernelQuality::kTuned, ctx));
-                return genbase::Status::OK();
-              }};
+  p.Add({OpKind::kScan, "scan_matrix", {}, {v_x}},
+        ScanMatrix(v_x, rows, cols));
+  p.Add({OpKind::kSvdHelper, "truncated_svd", {v_x}, {},
+         /*in_place=*/false, kReadsParams},
+        [v_x](ExecFrame* f, ExecContext* ctx,
+              QueryResult* out) -> genbase::Status {
+          GENBASE_ASSIGN_OR_RETURN(
+              out->svd,
+              core::SvdAnalytics(f->View(v_x), f->params().svd_rank,
+                                 linalg::KernelQuality::kTuned, ctx));
+          return genbase::Status::OK();
+        });
   return p;
 }
 
 GraphParts BuildStatsGraph(const PlanStatics& st) {
   GraphParts p;
   const int64_t genes = st.col_map.size();
+  const auto terms = static_cast<int64_t>(st.memberships.size());
   const int v_scores = p.graph.AddValue("scores", {genes, 1});
-  p.graph.AddOp({OpKind::kScan, "aggregate_scores", {}, {v_scores}});
-  p.graph.AddOp({OpKind::kWilcoxonRank, "wilcoxon", {v_scores}, {}});
-  p.ops.resize(2);
-  p.ops[0] = {OpKind::kScan, "aggregate_scores",
-              [v_scores, genes](ExecFrame* f, ExecContext* ctx,
-                                QueryResult*) -> genbase::Status {
-                const PlanStatics& st = f->statics();
-                double* scores = f->Data(v_scores);
-                std::fill_n(scores, static_cast<size_t>(genes), 0.0);
-                const auto& gid =
-                    st.tables->microarray.IntColumn(MicroarrayCols::kGeneId);
-                const auto& expr = st.tables->microarray.DoubleColumn(
-                    MicroarrayCols::kExpr);
-                for (size_t idx = 0; idx < st.matched_rows.size(); ++idx) {
-                  if (ctx != nullptr && (idx & 262143) == 0) {
-                    GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
-                  }
-                  const int64_t row = st.matched_rows[idx];
-                  const auto it =
-                      st.col_map.index.find(gid[static_cast<size_t>(row)]);
-                  if (it != st.col_map.index.end()) {
-                    scores[it->second] += expr[static_cast<size_t>(row)];
-                  }
-                }
-                const double inv =
-                    st.sample_count > 0
-                        ? 1.0 / static_cast<double>(st.sample_count)
-                        : 0.0;
-                for (int64_t g = 0; g < genes; ++g) scores[g] *= inv;
-                return genbase::Status::OK();
-              }};
-  p.ops[1] = {OpKind::kWilcoxonRank, "wilcoxon",
-              [v_scores, genes](ExecFrame* f, ExecContext* ctx,
-                                QueryResult* out) -> genbase::Status {
-                const PlanStatics& st = f->statics();
-                GENBASE_ASSIGN_OR_RETURN(
-                    out->stats,
-                    core::StatsAnalytics(f->Data(v_scores), genes,
-                                         st.memberships,
-                                         f->params().significance, ctx));
-                out->stats.samples = st.sample_count;
-                return genbase::Status::OK();
-              }};
+  const int v_p = p.graph.AddValue("p_values", {terms, 1});
+  p.Add({OpKind::kScan, "aggregate_scores", {}, {v_scores}},
+        [v_scores, genes](ExecFrame* f, ExecContext* ctx,
+                          QueryResult*) -> genbase::Status {
+          const PlanStatics& st = f->statics();
+          double* scores = f->Data(v_scores);
+          std::fill_n(scores, static_cast<size_t>(genes), 0.0);
+          const auto& gid =
+              st.tables->microarray.IntColumn(MicroarrayCols::kGeneId);
+          const auto& expr =
+              st.tables->microarray.DoubleColumn(MicroarrayCols::kExpr);
+          const IndexLookup gene_of(st.col_map);
+          for (size_t idx = 0; idx < st.matched_rows.size(); ++idx) {
+            if (ctx != nullptr && (idx & 262143) == 0) {
+              GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
+            }
+            const auto row = static_cast<size_t>(st.matched_rows[idx]);
+            const int64_t g = gene_of(gid[row]);
+            if (g >= 0) scores[g] += expr[row];
+          }
+          const double inv =
+              st.sample_count > 0
+                  ? 1.0 / static_cast<double>(st.sample_count)
+                  : 0.0;
+          for (int64_t g = 0; g < genes; ++g) scores[g] *= inv;
+          return genbase::Status::OK();
+        });
+  p.Add({OpKind::kWilcoxonRank, "wilcoxon", {v_scores}, {v_p}},
+        [v_scores, v_p, genes](ExecFrame* f, ExecContext* ctx,
+                               QueryResult* out) -> genbase::Status {
+          const PlanStatics& st = f->statics();
+          GENBASE_ASSIGN_OR_RETURN(
+              out->stats,
+              core::StatsRankTests(f->In(v_scores), genes, st.memberships,
+                                   f->Data(v_p), ctx));
+          out->stats.samples = st.sample_count;
+          return genbase::Status::OK();
+        });
+  // terms_tested comes with the folded result every execute starts from.
+  p.Add({OpKind::kCount, "count_significant", {v_p}, {},
+         /*in_place=*/false, kReadsParams},
+        [v_p](ExecFrame* f, ExecContext*,
+              QueryResult* out) -> genbase::Status {
+          out->stats.significant_terms = core::CountSignificant(
+              f->In(v_p), out->stats.terms_tested, f->params().significance);
+          return genbase::Status::OK();
+        });
   return p;
 }
 
@@ -473,7 +505,8 @@ uint64_t ShapeFingerprint(QueryId query, const QueryParams& params) {
 genbase::Result<std::shared_ptr<CompiledPlan>> CompileQuery(
     std::shared_ptr<const ColumnarTables> tables, QueryId query,
     const QueryParams& params, MemoryTracker* tracker, ExecContext* ctx) {
-  // Relational prep once, at compile time.
+  // Relational prep once, at compile time; charged while compiling and
+  // released with the statics when this returns.
   PlanStatics statics;
   if (query == QueryId::kStatistics) {
     GENBASE_ASSIGN_OR_RETURN(
@@ -506,22 +539,9 @@ genbase::Result<std::shared_ptr<CompiledPlan>> CompileQuery(
       parts = BuildStatsGraph(statics);
       break;
   }
-
-  GENBASE_RETURN_NOT_OK(parts.graph.Validate());
-  GENBASE_ASSIGN_OR_RETURN(std::vector<int> schedule,
-                           TopologicalSchedule(parts.graph));
-  GENBASE_ASSIGN_OR_RETURN(MemoryPlan mem,
-                           PlanMemory(parts.graph, schedule));
-
-  std::vector<CompiledOp> scheduled;
-  scheduled.reserve(schedule.size());
-  for (int op_id : schedule) {
-    scheduled.push_back(std::move(parts.ops[static_cast<size_t>(op_id)]));
-  }
-  return std::make_shared<CompiledPlan>(
-      query, std::move(parts.graph), std::move(schedule), std::move(mem),
-      std::move(statics), std::move(statics_reservation),
-      std::move(scheduled), tracker);
+  return CompiledPlan::Build(query, std::move(parts.graph),
+                             std::move(parts.ops), statics,
+                             parts.retained_static_bytes, tracker, ctx);
 }
 
 }  // namespace genbase::plan

@@ -31,12 +31,12 @@ uint64_t ShapeFingerprint(core::QueryId query,
 
 /// \brief Compiles one query against a dataset snapshot into a static plan:
 /// runs the relational prep (filters, hash joins, dense mappings) once,
-/// builds the operator DAG with exact buffer shapes, schedules it
-/// deterministically, runs the memory planner, and binds operator closures
-/// to the planned arena offsets. Only the shape fields of `params` (see
+/// builds the operator DAG with exact buffer shapes, and hands it to
+/// CompiledPlan::Build, which runs every op that reads no bound param
+/// (folding) and plans the rest. Only the shape fields of `params` (see
 /// ShapeFingerprint) are read; the result executes any number of times,
-/// under any params of the same shape, against the same tables with zero
-/// per-run planning or allocation beyond one arena grab.
+/// under any params of the same shape, running only the param-reading ops
+/// with zero per-run planning or allocation beyond one arena grab.
 ///
 /// Planned execution is bitwise identical to the legacy
 /// PrepareInputsColumnar + RunStandardAnalytics path: every operator runs

@@ -1,5 +1,6 @@
 #include "plan/plan_engine.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/timer.h"
@@ -63,7 +64,9 @@ genbase::Result<std::shared_ptr<CompiledPlan>> PlanEngine::GetPlan(
       [this, &snap, query, &params, ctx]()
           -> genbase::Result<std::shared_ptr<CompiledPlan>> {
         // Compile counts as data management: it subsumes the filter, join
-        // and mapping work the legacy path pays there on every run.
+        // and mapping work the legacy path pays there on every run. Folded
+        // ops inside it charge their own phases (scans DM, the rest
+        // analytics), and nested phase scopes are exclusive.
         ScopedPhase dm(ctx, Phase::kDataManagement);
         obs::ScopedSpan span("plan.compile");
         span.SetDetail(core::QueryName(query));
@@ -76,9 +79,11 @@ genbase::Result<std::shared_ptr<CompiledPlan>> PlanEngine::GetPlan(
         PlanMetrics& m = PlanMetrics::Get();
         m.compiles->Inc();
         m.compile_ns->Inc(plan->compile_ns());
-        m.reused_bytes->Inc(plan->memory_plan().reused_bytes);
-        m.predicted_peak_bytes->SetMax(
-            static_cast<double>(plan->memory_plan().arena_bytes));
+        m.reused_bytes->Inc(plan->folded_memory_plan().reused_bytes +
+                            plan->memory_plan().reused_bytes);
+        m.predicted_peak_bytes->SetMax(static_cast<double>(
+            std::max(plan->folded_memory_plan().arena_bytes,
+                     plan->memory_plan().arena_bytes)));
         return plan;
       },
       cache_hit);

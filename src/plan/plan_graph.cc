@@ -26,6 +26,8 @@ const char* OpKindName(OpKind kind) {
       return "scale";
     case OpKind::kQuantile:
       return "quantile";
+    case OpKind::kCount:
+      return "count";
   }
   return "?";
 }
@@ -54,6 +56,8 @@ const char* OpSpanName(OpKind kind) {
       return "plan.scale";
     case OpKind::kQuantile:
       return "plan.quantile";
+    case OpKind::kCount:
+      return "plan.count";
   }
   return "plan.op";
 }
@@ -118,6 +122,37 @@ genbase::Status PlanGraph::Validate() const {
     }
   }
   return genbase::Status::OK();
+}
+
+PlanGraph PlanGraph::Subgraph(const std::vector<int>& op_ids,
+                              std::vector<int>* value_ids) const {
+  PlanGraph sub;
+  value_ids->clear();
+  std::vector<int> sub_id(values_.size(), -1);
+  for (int o : op_ids) {
+    for (int v : ops_[static_cast<size_t>(o)].outputs) {
+      sub_id[static_cast<size_t>(v)] = sub.AddValue(
+          values_[static_cast<size_t>(v)].name,
+          values_[static_cast<size_t>(v)].spec);
+      value_ids->push_back(v);
+    }
+  }
+  const auto remap = [&sub_id](const std::vector<int>& ids) {
+    std::vector<int> out;
+    for (int v : ids) {
+      if (sub_id[static_cast<size_t>(v)] >= 0) {
+        out.push_back(sub_id[static_cast<size_t>(v)]);
+      }
+    }
+    return out;
+  };
+  for (int o : op_ids) {
+    OpDef op = ops_[static_cast<size_t>(o)];
+    op.inputs = remap(op.inputs);
+    op.outputs = remap(op.outputs);
+    sub.AddOp(std::move(op));
+  }
+  return sub;
 }
 
 }  // namespace genbase::plan

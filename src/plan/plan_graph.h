@@ -11,10 +11,12 @@
 namespace genbase::plan {
 
 /// \brief Operator vocabulary of the query plans. The first eight kinds are
-/// the query-level operators Q1-Q5 decompose into; the last three are small
-/// auxiliary kernels (mean vector, in-place scaling, quantile reduction)
-/// that Q2's covariance pipeline needs as separate schedulable steps so the
-/// memory planner sees their buffers' true lifetimes.
+/// the query-level operators Q1-Q5 decompose into; the last four are small
+/// auxiliary kernels (mean vector, in-place scaling, quantile reduction,
+/// thresholded count) that Q2's covariance pipeline and Q5's significance
+/// step need as separate schedulable steps, so the memory planner sees
+/// their buffers' true lifetimes and the fold split can run the
+/// parameter-free part at compile.
 enum class OpKind {
   kScan = 0,         ///< Tables -> dense arena matrix/vector (zero + scatter).
   kSelect,           ///< Element selection (upper-triangle extraction).
@@ -27,8 +29,9 @@ enum class OpKind {
   kColumnMeans,      ///< Column mean vector (Q2).
   kScale,            ///< In-place scalar multiply (Q2's 1/(m-1)).
   kQuantile,         ///< Quantile reduction to a scalar buffer (Q2).
+  kCount,            ///< Count of entries below a bound (Q5 significance).
 };
-inline constexpr int kNumOpKinds = 11;
+inline constexpr int kNumOpKinds = 12;
 
 const char* OpKindName(OpKind kind);
 
@@ -36,10 +39,11 @@ const char* OpKindName(OpKind kind);
 /// (obs::Span::name must outlive the tracer rings).
 const char* OpSpanName(OpKind kind);
 
-/// Which benchmark phase an operator's execute time is charged to. Scans
-/// are the relational->array restructure (data management); everything else
-/// is analytics. (Plan compilation itself is charged to data management by
-/// the engine, since it subsumes the filter/join/mapping work.)
+/// Which benchmark phase an operator's run time is charged to, at compile
+/// (folded ops) or at execute. Scans are the relational->array restructure
+/// (data management); everything else is analytics. (The rest of plan
+/// compilation is charged to data management by the engine, since it
+/// subsumes the filter/join/mapping work.)
 Phase OpPhase(OpKind kind);
 
 /// \brief Dense row-major shape of one plan value. Vectors are rows x 1,
@@ -56,22 +60,28 @@ struct TensorSpec {
 
 /// \brief One named intermediate buffer in the plan (a "tensor" in
 /// inference-engine terms). Values are arena-resident; compile-time
-/// constants (join indices, id mappings, the Q1 response vector) live in
-/// the compiled plan's statics instead and never appear here.
+/// constants (join matches, id mappings, the Q1 response vector) live in
+/// the compile-time statics instead and never appear here.
 struct ValueDef {
   std::string name;
   TensorSpec spec;
 };
 
 /// \brief One operator instance: kind, the value ids it reads and writes,
-/// and whether it runs in place (outputs[0] aliases inputs[0], which the
-/// memory planner turns into a shared offset and a merged lifetime).
+/// whether it runs in place (outputs[0] aliases inputs[0], which the
+/// memory planner turns into a shared offset and a merged lifetime), and
+/// whether it reads the params bound at execute (ExecFrame::params()).
+///
+/// Fold rule: an op that reads no param and whose inputs are all folded is
+/// folded — it runs once, at compile, and its outputs are constants of the
+/// plan. Every other op runs at each execute.
 struct OpDef {
   OpKind kind = OpKind::kScan;
   std::string name;
   std::vector<int> inputs;
   std::vector<int> outputs;
   bool in_place = false;
+  bool reads_params = false;
 };
 
 /// \brief The operator DAG for one compiled query: values (buffers) plus
@@ -93,6 +103,14 @@ class PlanGraph {
   /// Structural checks: value ids in range, every value written by exactly
   /// one op, in-place ops alias byte-identical shapes.
   genbase::Status Validate() const;
+
+  /// The subgraph of `op_ids` (ascending, so schedule tiebreaks keep their
+  /// relative order): those ops, the values they write, and only the
+  /// inputs one of them writes — an input produced outside the subgraph is
+  /// a constant to it (so an in-place op must alias an input from inside).
+  /// `value_ids` receives subgraph value id -> this graph's value id.
+  PlanGraph Subgraph(const std::vector<int>& op_ids,
+                     std::vector<int>* value_ids) const;
 
  private:
   std::vector<ValueDef> values_;

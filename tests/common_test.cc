@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <thread>
 
@@ -13,6 +14,7 @@
 #include "common/spill.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "obs/metrics.h"
 
 namespace genbase {
@@ -238,6 +240,42 @@ TEST(ExecContextTest, ScopedPhaseAccumulates) {
   { ScopedPhase p(&ctx, Phase::kGlue); }
   { ScopedPhase p(&ctx, Phase::kGlue); }
   EXPECT_GE(ctx.clock().measured(Phase::kGlue), 0.0);
+}
+
+TEST(ExecContextTest, NestedScopedPhasesAreExclusive) {
+  const auto nap = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(15));
+  };
+  ExecContext ctx;
+  WallTimer wall;
+  {
+    ScopedPhase dm(&ctx, Phase::kDataManagement);
+    nap();
+    {
+      ScopedPhase an(&ctx, Phase::kAnalytics);
+      nap();
+      {
+        ScopedPhase glue(&ctx, Phase::kGlue);
+        nap();
+      }
+      nap();
+    }
+    nap();
+  }
+  const double outer_wall = wall.Seconds();
+  const PhaseClock& c = ctx.clock();
+  EXPECT_GE(c.measured(Phase::kDataManagement), 0.030);
+  EXPECT_GE(c.measured(Phase::kAnalytics), 0.030);
+  EXPECT_GE(c.measured(Phase::kGlue), 0.015);
+  // Each second lands in exactly one phase: the outer scope excludes the
+  // inner ones, so the phases never sum past the outer wall time.
+  EXPECT_LE(c.grand_total(), outer_wall);
+  EXPECT_LE(c.measured(Phase::kDataManagement),
+            outer_wall - c.measured(Phase::kAnalytics) -
+                c.measured(Phase::kGlue));
+  // Closing the inner scopes restored the chain: a new scope nests nowhere.
+  { ScopedPhase again(&ctx, Phase::kGlue); }
+  EXPECT_LE(c.grand_total(), wall.Seconds());
 }
 
 // --- CSV -----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <thread>
 
+#include "common/timer.h"
 #include "core/driver.h"
 #include "core/engine.h"
 #include "core/generator.h"
@@ -130,6 +131,30 @@ TEST(DriverTest, UnsupportedQueryIsNa) {
                     FastOptions());
   EXPECT_FALSE(cell.supported);
   EXPECT_EQ(cell.Display(), "n/a");
+}
+
+/// Column store + R keeps its glue scope open across the R analytics; the
+/// analytics scope nested inside it must not be charged twice, so no cell's
+/// measured total exceeds the wall time around it.
+TEST(DriverTest, NestedPhasesNeverExceedCellWallTime) {
+  auto data = core::GenerateDataset(DatasetSize::kSmall, 0.008);
+  ASSERT_TRUE(data.ok());
+  auto engine = engine::CreateColumnStoreR();
+  ASSERT_TRUE(engine->LoadDataset(*data).ok());
+  DriverOptions o;
+  o.timeout_seconds = 30.0;
+  o.params.svd_rank = 6;
+  o.params.bicluster_count = 2;
+  for (const QueryId q : core::kAllQueries) {
+    ExecContext ctx;
+    WallTimer wall;
+    const CellResult cell =
+        core::RunCellWithContext(engine.get(), q, DatasetSize::kSmall, o, &ctx);
+    const double wall_s = wall.Seconds();
+    ASSERT_TRUE(cell.status.ok()) << cell.status.ToString();
+    EXPECT_GT(cell.analytics_s, 0.0) << core::QueryName(q);
+    EXPECT_LE(cell.total_s - cell.modeled_s, wall_s) << core::QueryName(q);
+  }
 }
 
 // --- real-engine capability matrix (paper Section 4.1/4.3) ---------------------------

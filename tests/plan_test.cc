@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -27,6 +27,7 @@
 #include "plan/plan_graph.h"
 #include "plan/plan_stats.h"
 #include "plan/scheduler.h"
+#include "bitwise_result.h"  // Same directory.
 
 namespace genbase {
 namespace {
@@ -42,6 +43,7 @@ using plan::OpDef;
 using plan::OpKind;
 using plan::PlanGraph;
 using plan::TensorSpec;
+using testutil::BitwiseEqual;
 
 constexpr double kTinyScale = 0.008;
 
@@ -73,81 +75,6 @@ std::shared_ptr<const engine::ColumnarTables> TinyTables() {
     return new std::shared_ptr<const engine::ColumnarTables>(std::move(t));
   }();
   return *tables;
-}
-
-/// --- bitwise result comparison ----------------------------------------------
-/// Equality at the bit level, not within tolerance: planned kernels share
-/// the exact inner implementations with the legacy path, so every double
-/// must match bit for bit.
-
-bool BitEq(double a, double b) {
-  uint64_t ua = 0, ub = 0;
-  std::memcpy(&ua, &a, sizeof(a));
-  std::memcpy(&ub, &b, sizeof(b));
-  return ua == ub;
-}
-
-bool BitEq(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!BitEq(a[i], b[i])) return false;
-  }
-  return true;
-}
-
-::testing::AssertionResult BitwiseEqual(const QueryResult& a,
-                                        const QueryResult& b) {
-  const auto fail = [&](const char* what) {
-    return ::testing::AssertionFailure()
-           << what << " differs:\n  planned: " << a.ToString()
-           << "\n  legacy:  " << b.ToString();
-  };
-  if (a.query != b.query) return fail("query id");
-  const auto& ar = a.regression;
-  const auto& br = b.regression;
-  if (ar.rows != br.rows || ar.predictors != br.predictors ||
-      !BitEq(ar.r_squared, br.r_squared) || !BitEq(ar.coef_l2, br.coef_l2) ||
-      !BitEq(ar.coef_head, br.coef_head)) {
-    return fail("regression summary");
-  }
-  const auto& ac = a.covariance;
-  const auto& bc = b.covariance;
-  if (ac.samples != bc.samples || ac.genes != bc.genes ||
-      ac.pairs_above != bc.pairs_above ||
-      !BitEq(ac.threshold, bc.threshold) ||
-      !BitEq(ac.cov_checksum, bc.cov_checksum) ||
-      !BitEq(ac.meta_checksum, bc.meta_checksum)) {
-    return fail("covariance summary");
-  }
-  const auto& ab = a.bicluster;
-  const auto& bb = b.bicluster;
-  if (ab.matrix_rows != bb.matrix_rows || ab.matrix_cols != bb.matrix_cols ||
-      !BitEq(ab.delta, bb.delta) ||
-      ab.biclusters.size() != bb.biclusters.size()) {
-    return fail("bicluster summary");
-  }
-  for (size_t i = 0; i < ab.biclusters.size(); ++i) {
-    if (ab.biclusters[i].rows != bb.biclusters[i].rows ||
-        ab.biclusters[i].cols != bb.biclusters[i].cols ||
-        !BitEq(ab.biclusters[i].msr, bb.biclusters[i].msr)) {
-      return fail("bicluster entry");
-    }
-  }
-  const auto& as = a.svd;
-  const auto& bs = b.svd;
-  if (as.rows != bs.rows || as.cols != bs.cols || as.rank != bs.rank ||
-      !BitEq(as.singular_values, bs.singular_values)) {
-    return fail("svd summary");
-  }
-  const auto& at = a.stats;
-  const auto& bt = b.stats;
-  if (at.samples != bt.samples || at.genes_ranked != bt.genes_ranked ||
-      at.terms_tested != bt.terms_tested ||
-      at.significant_terms != bt.significant_terms ||
-      !BitEq(at.z_abs_sum, bt.z_abs_sum)) {
-    return fail("stats summary");
-  }
-  return ::testing::AssertionSuccess();
 }
 
 /// The legacy column-store answer for `q` under `params` on TinyTables().
@@ -378,6 +305,10 @@ TEST_P(PlannedQueryTest, ObservedPeakEqualsPredictedPeak) {
   auto plan = plan::CompileQuery(TinyTables(), q, TinyParams(), &tracker,
                                  &ctx);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  // The folded half ran once, inside the compile.
+  EXPECT_EQ((*plan)->folded_observed_peak_bytes(),
+            (*plan)->folded_memory_plan().arena_bytes)
+      << (*plan)->DumpAllocationPlan();
   // Execute twice: pooled-arena reuse must not change the high-water mark.
   ASSERT_TRUE((*plan)->Execute(TinyParams(), &ctx).ok());
   ASSERT_TRUE((*plan)->Execute(TinyParams(), &ctx).ok());
@@ -414,6 +345,8 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, PlannedQueryTest,
                            return std::string(core::QueryName(info.param));
                          });
 
+/// Q2's covariance chain is folded, so the reuse it earns is in the
+/// compile-time memory plan.
 TEST(PlannedQueryTest, CovarianceReusesArenaBytes) {
   MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
   ExecContext ctx;
@@ -421,11 +354,132 @@ TEST(PlannedQueryTest, CovarianceReusesArenaBytes) {
   auto plan = plan::CompileQuery(TinyTables(), QueryId::kCovariance,
                                  TinyParams(), &tracker, &ctx);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_GT((*plan)->memory_plan().reused_bytes, 0)
-      << (*plan)->DumpAllocationPlan();
-  EXPECT_EQ((*plan)->memory_plan().reused_bytes,
-            (*plan)->memory_plan().total_bytes_no_reuse -
-                (*plan)->memory_plan().arena_bytes);
+  const MemoryPlan& folded = (*plan)->folded_memory_plan();
+  EXPECT_GT(folded.reused_bytes, 0) << (*plan)->DumpAllocationPlan();
+  EXPECT_EQ(folded.reused_bytes,
+            folded.total_bytes_no_reuse - folded.arena_bytes);
+}
+
+/// --- folding ----------------------------------------------------------------
+/// Each plan runs, once at compile, every op that reads no bound param and
+/// only folded inputs; execute runs the rest. The expected split, kept apart
+/// from the builders' reads_params declarations so a misdeclared op (or a
+/// fold rule change) fails here:
+///
+///   query         folded at compile           left at execute
+///   regression    scan_design, least_squares  -
+///   covariance    scan .. extract_upper       quantile, threshold_join
+///   biclustering  scan_matrix                 cheng_church
+///   svd           scan_matrix                 truncated_svd
+///   statistics    aggregate_scores, wilcoxon  count_significant
+
+struct FoldSplit {
+  QueryId query;
+  std::vector<std::string> folded;    ///< In compile-time run order.
+  std::vector<std::string> executed;  ///< In execute run order.
+};
+
+std::vector<FoldSplit> FoldTable() {
+  return {
+      {QueryId::kRegression, {"scan_design", "least_squares"}, {}},
+      {QueryId::kCovariance,
+       {"scan_matrix", "column_means", "syrk_centered", "scale_cov",
+        "extract_upper"},
+       {"quantile", "threshold_join"}},
+      {QueryId::kBiclustering, {"scan_matrix"}, {"cheng_church"}},
+      {QueryId::kSvd, {"scan_matrix"}, {"truncated_svd"}},
+      {QueryId::kStatistics, {"aggregate_scores", "wilcoxon"},
+       {"count_significant"}},
+  };
+}
+
+std::vector<std::string> OpNames(const plan::CompiledPlan& plan,
+                                 const std::vector<int>& op_ids) {
+  std::vector<std::string> names;
+  for (int id : op_ids) {
+    names.push_back(plan.graph().ops()[static_cast<size_t>(id)].name);
+  }
+  return names;
+}
+
+TEST(FoldTest, PlansExecuteExactlyTheOpsThatReadBoundParams) {
+  ASSERT_EQ(FoldTable().size(), std::size(core::kAllQueries));
+  for (const FoldSplit& row : FoldTable()) {
+    SCOPED_TRACE(core::QueryName(row.query));
+    MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
+    ExecContext ctx;
+    ctx.set_memory(&tracker);
+    auto plan = plan::CompileQuery(TinyTables(), row.query, TinyParams(),
+                                   &tracker, &ctx);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(OpNames(**plan, (*plan)->FoldedOps()), row.folded);
+    EXPECT_EQ(OpNames(**plan, (*plan)->ExecuteOps()), row.executed);
+  }
+}
+
+/// Plans keep only what execute reads: after compile the tracker holds
+/// exactly the retained bytes, and a Q1 plan — folded whole — holds nothing
+/// at all (no arena, matched rows or maps), before or after executing.
+TEST(FoldTest, PlansRetainOnlyWhatExecuteReads) {
+  for (const QueryId q : core::kAllQueries) {
+    SCOPED_TRACE(core::QueryName(q));
+    MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
+    ExecContext ctx;
+    ctx.set_memory(&tracker);
+    auto plan =
+        plan::CompileQuery(TinyTables(), q, TinyParams(), &tracker, &ctx);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(tracker.used(), (*plan)->retained_bytes());
+    if (q == QueryId::kRegression) {
+      EXPECT_EQ((*plan)->retained_bytes(), 0);
+      EXPECT_EQ((*plan)->memory_plan().arena_bytes, 0);
+      ASSERT_TRUE((*plan)->Execute(TinyParams(), &ctx).ok());
+      EXPECT_EQ(tracker.used(), 0) << "Q1 execute pinned an arena";
+    }
+  }
+}
+
+/// The params guard: an op declared param-free is folded and runs on a
+/// frame without params, so reading them fails the compile — it cannot bake
+/// one request's params into a plan every request of the shape shares.
+/// Declared honestly, the same op runs at execute with each request's own.
+TEST(FoldTest, FoldedOpThatReadsParamsFailsCompile) {
+  const auto compile = [](bool declared_reads_params,
+                          MemoryTracker* tracker) {
+    PlanGraph g;
+    const int v = g.AddValue("rank", TensorSpec{1, 1});
+    g.AddOp({OpKind::kScan, "reads_rank", {}, {v}, /*in_place=*/false,
+             declared_reads_params});
+    std::vector<plan::OpFn> ops;
+    ops.push_back([v](plan::ExecFrame* f, ExecContext*,
+                      QueryResult* out) -> Status {
+      f->Data(v)[0] = f->params().svd_rank;
+      out->svd.rank = f->params().svd_rank;
+      return Status::OK();
+    });
+    return plan::CompiledPlan::Build(QueryId::kSvd, std::move(g),
+                                     std::move(ops), plan::PlanStatics(),
+                                     /*retained_static_bytes=*/0, tracker,
+                                     nullptr);
+  };
+  MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
+  auto misdeclared = compile(/*declared_reads_params=*/false, &tracker);
+  ASSERT_FALSE(misdeclared.ok());
+  EXPECT_EQ(misdeclared.status().code(), StatusCode::kInternal);
+  EXPECT_NE(misdeclared.status().ToString().find("reads_rank"),
+            std::string::npos)
+      << misdeclared.status().ToString();
+  EXPECT_EQ(tracker.used(), 0) << "failed compile leaked its arena";
+
+  auto honest = compile(/*declared_reads_params=*/true, &tracker);
+  ASSERT_TRUE(honest.ok()) << honest.status().ToString();
+  for (const int rank : {3, 7}) {
+    QueryParams p;
+    p.svd_rank = rank;
+    auto r = (*honest)->Execute(p, nullptr);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->svd.rank, rank);
+  }
 }
 
 /// --- engine + cache behavior --------------------------------------------------

@@ -154,7 +154,50 @@ TEST(StatsAnalyticsTest, PlantedEnrichmentDetected) {
   EXPECT_EQ(s->significant_terms, 1);
 }
 
+TEST(StatsAnalyticsTest, RankTestsThenCountEqualsStatsAnalytics) {
+  std::vector<double> scores(60);
+  Rng rng(6);
+  for (auto& s : scores) s = rng.Gaussian();
+  std::vector<std::vector<int64_t>> memberships = {
+      {0, 1, 2, 3, 4, 5}, {}, {10, 20, 30, 40}, {7, 8, 9, 11, 13, 17, 19}};
+  std::vector<double> p(memberships.size(), -1.0);
+  auto tests = StatsRankTests(scores.data(), 60, memberships, p.data(),
+                              nullptr);
+  ASSERT_TRUE(tests.ok());
+  EXPECT_EQ(tests->terms_tested, 3);  // The empty term is skipped.
+  EXPECT_EQ(p[3], -1.0) << "wrote past the tested terms";
+  for (const double significance : {0.01, 0.3, 0.9}) {
+    auto whole = StatsAnalytics(scores, memberships, significance, nullptr);
+    ASSERT_TRUE(whole.ok());
+    EXPECT_EQ(CountSignificant(p.data(), tests->terms_tested, significance),
+              whole->significant_terms);
+    EXPECT_EQ(tests->z_abs_sum, whole->z_abs_sum);
+  }
+}
+
 // --- resource-failure injection through the real query pipelines -----------------------
+
+TEST(ResourceInjectionTest, BiclusterWorkingCopyRespectsBudget) {
+  // The budget covers Q3's index reservation but not its rows x cols
+  // working copy, which must be charged and fail, not slip past the budget.
+  Rng rng(5);
+  linalg::Matrix x(64, 48);
+  for (int64_t i = 0; i < x.size(); ++i) x.data()[i] = rng.Gaussian();
+  const int64_t index_bytes = (64 + 48) * 8;
+  const int64_t copy_bytes = 64 * 48 * 8;
+  MemoryTracker tight(index_bytes + copy_bytes / 2);
+  ExecContext ctx;
+  ctx.set_memory(&tight);
+  auto s = BiclusterAnalytics(linalg::MatrixView(x), 0.35, 1, &ctx);
+  ASSERT_FALSE(s.ok());
+  EXPECT_TRUE(s.status().IsOutOfMemory()) << s.status().ToString();
+  EXPECT_EQ(tight.used(), 0);
+
+  MemoryTracker roomy(MemoryTracker::kUnlimited);
+  ctx.set_memory(&roomy);
+  ASSERT_TRUE(BiclusterAnalytics(linalg::MatrixView(x), 0.35, 1, &ctx).ok());
+  EXPECT_GE(roomy.peak(), index_bytes + copy_bytes);
+}
 
 TEST(ResourceInjectionTest, TinyMemoryBudgetFailsReferenceQuery) {
   auto data = GenerateDataset(DatasetSize::kSmall, 0.01);

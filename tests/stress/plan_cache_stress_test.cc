@@ -19,8 +19,10 @@
 #include "core/datasets.h"
 #include "core/generator.h"
 #include "core/queries.h"
+#include "engine/engine_util.h"
 #include "plan/plan_engine.h"
 #include "plan/plan_stats.h"
+#include "tests/bitwise_result.h"
 #include "tests/stress/stress_util.h"
 
 namespace genbase {
@@ -48,6 +50,26 @@ QueryParams TinyParams() {
   p.bicluster_count = 2;
   p.sample_fraction = 0.1;
   return p;
+}
+
+/// The legacy column-store answer for `q` under `params` on its own
+/// columnar copy of the tiny dataset.
+core::QueryResult LegacyAnswer(QueryId q, const QueryParams& params) {
+  static const auto* tables = [] {
+    static MemoryTracker tracker(MemoryTracker::kUnlimited, "StressTables");
+    auto* t = new engine::ColumnarTables();
+    GENBASE_CHECK(engine::LoadColumnarTables(TinyData(), &tracker, t).ok());
+    return t;
+  }();
+  MemoryTracker tracker(MemoryTracker::kUnlimited, "StressLegacy");
+  ExecContext ctx;
+  ctx.set_memory(&tracker);
+  auto inputs = engine::PrepareInputsColumnar(*tables, q, params, &ctx);
+  GENBASE_CHECK(inputs.ok());
+  auto legacy = engine::RunStandardAnalytics(
+      q, std::move(*inputs), params, linalg::KernelQuality::kTuned, &ctx);
+  GENBASE_CHECK(legacy.ok());
+  return std::move(legacy).ValueOrDie();
 }
 
 /// A stampede of clients on one cold key must compile exactly once: one
@@ -144,9 +166,9 @@ TEST(PlanCacheStressTest, QueryTrafficRacesReloads) {
   ASSERT_TRUE(engine.LoadDataset(TinyData()).ok());
   const std::vector<QueryParams> variants = BoundParamVariants();
 
-  // Reference answers per (query, variant). The dataset is identical
-  // across reloads, so every successful answer must match regardless of
-  // which epoch served it.
+  // Legacy answers per (query, variant): the whole planned answer must
+  // equal them bit for bit. The dataset is identical across reloads, so
+  // every successful answer must match regardless of which epoch served it.
   std::vector<std::vector<core::QueryResult>> expected;
   {
     ExecContext ctx;
@@ -154,10 +176,11 @@ TEST(PlanCacheStressTest, QueryTrafficRacesReloads) {
     for (const QueryId q : core::kAllQueries) {
       expected.emplace_back();
       for (const QueryParams& p : variants) {
+        expected.back().push_back(LegacyAnswer(q, p));
         auto r = engine.RunQuery(q, p, &ctx);
         ASSERT_TRUE(r.ok()) << core::QueryName(q) << ": "
                             << r.status().ToString();
-        expected.back().push_back(*r);
+        ASSERT_TRUE(testutil::BitwiseEqual(*r, expected.back().back()));
       }
     }
   }
@@ -188,18 +211,9 @@ TEST(PlanCacheStressTest, QueryTrafficRacesReloads) {
       if (r.ok()) {
         served.fetch_add(1, std::memory_order_relaxed);
         const auto& exp = expected[static_cast<size_t>(q) - 1][v];
-        const bool match =
-            r->query == exp.query &&
-            r->regression.r_squared == exp.regression.r_squared &&
-            r->covariance.threshold == exp.covariance.threshold &&
-            r->covariance.cov_checksum == exp.covariance.cov_checksum &&
-            r->bicluster.delta == exp.bicluster.delta &&
-            r->bicluster.biclusters.size() ==
-                exp.bicluster.biclusters.size() &&
-            r->svd.singular_values == exp.svd.singular_values &&
-            r->stats.significant_terms == exp.stats.significant_terms &&
-            r->stats.z_abs_sum == exp.stats.z_abs_sum;
-        if (!match) wrong_answers.fetch_add(1, std::memory_order_relaxed);
+        if (!testutil::BitwiseEqual(*r, exp)) {
+          wrong_answers.fetch_add(1, std::memory_order_relaxed);
+        }
       } else if (must_serve ||
                  r.status().code() != StatusCode::kInternal) {
         // The only acceptable failure is the transient unloaded window
