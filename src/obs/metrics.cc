@@ -8,27 +8,15 @@ namespace genbase::obs {
 
 namespace {
 
-// Same geometry as workload::LatencyHistogram: 1us floor, ~5% growth, range
-// past 1000s. Kept in lockstep so per-stage quantiles from either side are
-// comparable.
+// 1us floor; ~5% geometric growth; kHistogramBuckets reach past 1000 s
+// (ceil(log(1000 / 1e-6) / log(1.05)) == 426).
 constexpr double kMinTracked = 1e-6;
 constexpr double kGrowth = 1.05;
-constexpr int kNumBuckets = 427;
 const double kLogGrowth = std::log(kGrowth);
-
-int BucketFor(double seconds) {
-  if (!(seconds > kMinTracked)) return 0;
-  // Clamp while still a double: float→int conversion of an out-of-range
-  // value (inf, or anything past INT_MAX) is UB, so the comparison must
-  // happen before the cast. The negated form also routes NaN to the cap.
-  const double b =
-      std::floor(std::log(seconds / kMinTracked) / kLogGrowth) + 1.0;
-  if (!(b < kNumBuckets - 1)) return kNumBuckets - 1;
-  return std::max(1, static_cast<int>(b));
-}
 
 double BucketValue(int bucket) {
   if (bucket == 0) return kMinTracked;
+  // Geometric midpoint of [min * g^(b-1), min * g^b).
   return kMinTracked * std::pow(kGrowth, bucket - 0.5);
 }
 
@@ -74,11 +62,25 @@ std::string FormatDouble(double v) {
 
 }  // namespace
 
+int HistogramBucket(double seconds) {
+  if (!(seconds > kMinTracked)) return 0;
+  // Clamp while still a double: float→int conversion of an out-of-range
+  // value (inf, or anything past INT_MAX) is UB, so the comparison must
+  // happen before the cast. The negated form also routes NaN to the cap.
+  const double b =
+      std::floor(std::log(seconds / kMinTracked) / kLogGrowth) + 1.0;
+  if (!(b < kHistogramBuckets - 1)) return kHistogramBuckets - 1;
+  return std::max(1, static_cast<int>(b));
+}
+
 double HistogramSnapshot::Quantile(double q) const {
   if (count == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
+  // Rank of the quantile observation (1-based, nearest-rank method).
   const int64_t rank =
       std::max<int64_t>(1, static_cast<int64_t>(std::ceil(q * count)));
+  // The extreme ranks are tracked exactly; everything in between resolves
+  // to its bucket's representative value.
   if (rank >= count) return max;
   if (rank <= 1) return min;
   int64_t seen = 0;
@@ -91,13 +93,13 @@ double HistogramSnapshot::Quantile(double q) const {
   return max;
 }
 
-Histogram::Histogram() : buckets_(kNumBuckets) {
+Histogram::Histogram() : buckets_(kHistogramBuckets) {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
 }
 
 void Histogram::Observe(double seconds) {
   if (seconds < 0 || !std::isfinite(seconds)) seconds = 0.0;
-  buckets_[static_cast<size_t>(BucketFor(seconds))].fetch_add(
+  buckets_[static_cast<size_t>(HistogramBucket(seconds))].fetch_add(
       1, std::memory_order_relaxed);
   AtomicAddDouble(&sum_, seconds);
   count_.fetch_add(1, std::memory_order_relaxed);

@@ -58,6 +58,15 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
+/// Number of log buckets in every latency histogram (Histogram and
+/// workload::LatencyHistogram): a 1us floor, ~5% geometric growth, and a
+/// range past 1000 s, so any value resolves to within one bucket width.
+inline constexpr int kHistogramBuckets = 427;
+
+/// Bucket of `seconds` in that geometry. Values outside the range (NaN and
+/// +/-inf included) clamp to the edge buckets.
+int HistogramBucket(double seconds);
+
 /// \brief Read-only copy of a histogram's state, safe to use after the
 /// source instrument keeps moving.
 struct HistogramSnapshot {
@@ -68,13 +77,14 @@ struct HistogramSnapshot {
   std::vector<int64_t> buckets;
 
   double mean() const { return count == 0 ? 0.0 : sum / count; }
-  /// Value at quantile q in [0, 1]: defined for every q (empty -> 0,
-  /// q <= 0 -> min, q >= 1 -> max, out-of-range clamps).
+  /// Value at quantile q in [0, 1]: the representative value (geometric
+  /// bucket midpoint) of the bucket holding the q-th observation
+  /// (nearest-rank), clamped to [min, max]. Defined for every q (empty ->
+  /// 0, q <= 0 -> min, q >= 1 -> max, out-of-range clamps).
   double Quantile(double q) const;
 };
 
-/// \brief Log-bucketed concurrent histogram (1us floor, ~5% geometric
-/// buckets — the same geometry as workload::LatencyHistogram, here with
+/// \brief Log-bucketed concurrent histogram (HistogramBucket geometry, with
 /// atomic buckets so many threads can Observe without coordination).
 /// min/max/sum are tracked atomically and stay exact; Observe is a handful
 /// of relaxed atomic ops.

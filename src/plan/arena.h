@@ -9,11 +9,12 @@
 
 namespace genbase::plan {
 
-/// \brief One contiguous aligned allocation backing every buffer of a
-/// compiled plan execution. The arena is sized by the memory planner before
-/// execution starts, charged to the engine's MemoryTracker as a single
-/// reservation, and handed out purely by precomputed offsets — operators
-/// never allocate (enforced by the `plan-arena-alloc` lint rule).
+/// \brief One contiguous aligned allocation backing every value of one
+/// region of a compiled plan (MemoryLayout). The arena is sized by the
+/// layout before any op runs, charged to the engine's MemoryTracker as a
+/// single reservation, and handed out purely by precomputed offsets —
+/// operators never allocate (enforced by the `plan-arena-alloc` lint
+/// rule).
 class PlanArena {
  public:
   /// Allocates `bytes` rounded up to `alignment`, with the base pointer
@@ -29,13 +30,6 @@ class PlanArena {
   int64_t alignment() const { return alignment_; }
   /// Bytes charged to the tracker: the rounded size plus alignment slack.
   int64_t reserved_bytes() const { return size_ + alignment_; }
-
-  double* DoubleAt(int64_t offset) {
-    return reinterpret_cast<double*>(base_ + offset);
-  }
-  const double* DoubleAt(int64_t offset) const {
-    return reinterpret_cast<const double*>(base_ + offset);
-  }
 
   PlanArena(const PlanArena&) = delete;
   PlanArena& operator=(const PlanArena&) = delete;

@@ -1,38 +1,15 @@
 #include "plan/compiled_plan.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "common/check.h"
 #include "obs/trace.h"
 #include "plan/plan_stats.h"
-#include "plan/scheduler.h"
 
 namespace genbase::plan {
 
 namespace {
-
-/// Schedules and memory-plans the subgraph of `op_ids`; `live_out` marks
-/// the full-graph values read after the half ends.
-genbase::Result<PlanHalf> MakeHalf(const PlanGraph& graph,
-                                   const std::vector<int>& op_ids,
-                                   const std::vector<bool>& live_out) {
-  PlanHalf half;
-  half.op_ids = op_ids;
-  half.graph = graph.Subgraph(op_ids, &half.value_ids);
-  GENBASE_ASSIGN_OR_RETURN(half.schedule, TopologicalSchedule(half.graph));
-  std::vector<int> sub_live_out;
-  for (size_t s = 0; s < half.value_ids.size(); ++s) {
-    if (live_out[static_cast<size_t>(half.value_ids[s])]) {
-      sub_live_out.push_back(static_cast<int>(s));
-    }
-  }
-  GENBASE_ASSIGN_OR_RETURN(
-      half.mem,
-      PlanMemory(half.graph, half.schedule, /*alignment=*/64, sub_live_out));
-  return half;
-}
 
 /// Runs one op under its trace span and phase.
 genbase::Status RunOp(const OpDef& def, const OpFn& fn, ExecFrame* frame,
@@ -43,51 +20,42 @@ genbase::Status RunOp(const OpDef& def, const OpFn& fn, ExecFrame* frame,
   return fn(frame, ctx, result);
 }
 
-/// An arena for `mem`, or none when the plan places no bytes.
-genbase::Result<std::unique_ptr<PlanArena>> MaybeArena(const MemoryPlan& mem,
-                                                       MemoryTracker* tracker) {
-  if (mem.arena_bytes == 0) return std::unique_ptr<PlanArena>();
-  return PlanArena::Create(mem.arena_bytes, mem.alignment, tracker);
+unsigned char* BaseOf(PlanArena* arena) {
+  return arena == nullptr ? nullptr : arena->base();
 }
 
 }  // namespace
 
-ExecFrame::ExecFrame(const CompiledPlan* plan, PlanArena* arena,
+ExecFrame::ExecFrame(const CompiledPlan* plan, PlanArena* scratch,
                      const PlanStatics* statics)
-    : plan_(plan),
-      half_(&plan->folded_),
-      arena_(arena),
-      statics_(statics),
-      params_(nullptr) {}
+    : plan_(plan), folding_(true), statics_(statics), params_(nullptr) {
+  base_[static_cast<size_t>(Region::kRetained)] = BaseOf(plan->retained_.get());
+  base_[static_cast<size_t>(Region::kScratch)] = BaseOf(scratch);
+}
 
-ExecFrame::ExecFrame(const CompiledPlan* plan, PlanArena* arena,
+ExecFrame::ExecFrame(const CompiledPlan* plan, PlanArena* execute,
                      const core::QueryParams* params)
-    : plan_(plan),
-      half_(&plan->execute_),
-      arena_(arena),
-      statics_(nullptr),
-      params_(params) {}
+    : plan_(plan), folding_(false), statics_(nullptr), params_(params) {
+  base_[static_cast<size_t>(Region::kRetained)] = BaseOf(plan->retained_.get());
+  base_[static_cast<size_t>(Region::kExecute)] = BaseOf(execute);
+}
+
+double* ExecFrame::Address(int value_id) const {
+  const Slot& slot = plan_->layout_.slots[static_cast<size_t>(value_id)];
+  unsigned char* base = base_[static_cast<size_t>(slot.region)];
+  GENBASE_CHECK(base != nullptr && "op touches a region its frame cannot see");
+  return reinterpret_cast<double*>(base + slot.offset);
+}
 
 double* ExecFrame::Data(int value_id) {
-  const CompiledPlan::ValueHome& home =
-      plan_->homes_[static_cast<size_t>(value_id)];
-  GENBASE_CHECK((home.folded == (half_ == &plan_->folded_)) &&
-                "op writes a value of the other plan half");
-  const BufferAssignment& b =
-      half_->mem.buffers[static_cast<size_t>(home.sub_id)];
-  observed_peak_ = std::max(observed_peak_, b.offset + b.size);
-  return arena_ == nullptr ? nullptr : arena_->DoubleAt(b.offset);
+  const Region region =
+      plan_->layout_.slots[static_cast<size_t>(value_id)].region;
+  GENBASE_CHECK(folding_ == (region != Region::kExecute) &&
+                "op writes a value outside its frame's regions");
+  return Address(value_id);
 }
 
-const double* ExecFrame::In(int value_id) {
-  const CompiledPlan::ValueHome& home =
-      plan_->homes_[static_cast<size_t>(value_id)];
-  if (home.folded == (half_ == &plan_->folded_)) return Data(value_id);
-  const PlanArena* retained =
-      plan_->retained_[static_cast<size_t>(value_id)].get();
-  GENBASE_CHECK(retained != nullptr && "op reads an unretained folded value");
-  return retained->DoubleAt(0);
-}
+const double* ExecFrame::In(int value_id) { return Address(value_id); }
 
 linalg::MatrixView ExecFrame::View(int value_id) {
   const TensorSpec& spec =
@@ -117,80 +85,44 @@ genbase::Result<std::shared_ptr<CompiledPlan>> CompiledPlan::Build(
   if (ops.size() != graph.ops().size()) {
     return genbase::Status::InvalidArgument("one closure per op required");
   }
-  GENBASE_ASSIGN_OR_RETURN(const std::vector<int> order,
-                           TopologicalSchedule(graph));
-  const auto& defs = graph.ops();
-  const size_t num_values = graph.values().size();
-  std::vector<int> producer(num_values, -1);
-  for (size_t o = 0; o < defs.size(); ++o) {
-    for (int v : defs[o].outputs) {
-      producer[static_cast<size_t>(v)] = static_cast<int>(o);
-    }
-  }
-
-  // The fold rule, decided in schedule order so producers come first.
-  std::vector<bool> folds(defs.size(), false);
-  const auto folded_input = [&](int v) {
-    return folds[static_cast<size_t>(producer[static_cast<size_t>(v)])];
-  };
-  for (int o : order) {
-    const OpDef& op = defs[static_cast<size_t>(o)];
-    folds[static_cast<size_t>(o)] =
-        !op.reads_params &&
-        std::all_of(op.inputs.begin(), op.inputs.end(), folded_input);
-  }
-  std::vector<int> folded_ops;
-  std::vector<int> execute_ops;
-  std::vector<bool> retained(num_values, false);
-  for (size_t o = 0; o < defs.size(); ++o) {
-    if (folds[o]) {
-      folded_ops.push_back(static_cast<int>(o));
-      continue;
-    }
-    execute_ops.push_back(static_cast<int>(o));
-    for (int v : defs[o].inputs) {
-      if (folded_input(v)) retained[static_cast<size_t>(v)] = true;
-    }
-    if (defs[o].in_place &&
-        retained[static_cast<size_t>(defs[o].inputs[0])]) {
-      return genbase::Status::InvalidArgument(
-          "op " + defs[o].name + " would write a folded value in place");
-    }
-  }
-
   auto plan = std::make_shared<CompiledPlan>(query, std::move(graph), tracker);
-  GENBASE_ASSIGN_OR_RETURN(plan->folded_,
-                           MakeHalf(plan->graph_, folded_ops, retained));
-  GENBASE_ASSIGN_OR_RETURN(
-      plan->execute_,
-      MakeHalf(plan->graph_, execute_ops, std::vector<bool>(num_values)));
-  plan->homes_.resize(num_values);
-  for (const PlanHalf* half : {&plan->folded_, &plan->execute_}) {
-    for (size_t s = 0; s < half->value_ids.size(); ++s) {
-      plan->homes_[static_cast<size_t>(half->value_ids[s])] = {
-          half == &plan->folded_, static_cast<int>(s)};
-    }
+  const auto& defs = plan->graph_.ops();
+
+  // The fold rule, in op order: Validate guarantees producers come first.
+  std::vector<bool> folds(defs.size(), false);
+  std::vector<bool> folded_value(plan->graph_.values().size(), false);
+  for (size_t o = 0; o < defs.size(); ++o) {
+    const OpDef& op = defs[o];
+    folds[o] = !op.reads_params &&
+               std::all_of(op.inputs.begin(), op.inputs.end(), [&](int v) {
+                 return folded_value[static_cast<size_t>(v)];
+               });
+    for (int v : op.outputs) folded_value[static_cast<size_t>(v)] = folds[o];
+    (folds[o] ? plan->folded_ops_ : plan->execute_ops_)
+        .push_back(static_cast<int>(o));
   }
+  plan->layout_ = LayOut(plan->graph_, folds);
+
   plan->folded_result_.query = query;
-  GENBASE_RETURN_NOT_OK(plan->RunFolded(ops, retained, statics, ctx));
+  GENBASE_RETURN_NOT_OK(plan->RunFolded(ops, statics, ctx));
   GENBASE_ASSIGN_OR_RETURN(
       plan->retained_static_reservation_,
       ScopedReservation::Acquire(tracker, retained_static_bytes));
   plan->retained_bytes_ += retained_static_bytes;
-  for (int op_id : plan->ExecuteOps()) {
+  for (int op_id : plan->execute_ops_) {
     plan->execute_fns_.push_back(std::move(ops[static_cast<size_t>(op_id)]));
   }
   return plan;
 }
 
 genbase::Status CompiledPlan::RunFolded(const std::vector<OpFn>& ops,
-                                        const std::vector<bool>& retained,
                                         const PlanStatics& statics,
                                         ExecContext* ctx) {
-  GENBASE_ASSIGN_OR_RETURN(std::unique_ptr<PlanArena> arena,
-                           MaybeArena(folded_.mem, tracker_));
-  ExecFrame frame(this, arena.get(), &statics);
-  for (int op_id : FoldedOps()) {
+  GENBASE_ASSIGN_OR_RETURN(retained_, NewArena(Region::kRetained));
+  GENBASE_ASSIGN_OR_RETURN(std::unique_ptr<PlanArena> scratch,
+                           NewArena(Region::kScratch));
+  ExecFrame frame(this, scratch.get(), &statics);
+  for (int op_id : folded_ops_) {
     const OpDef& def = graph_.ops()[static_cast<size_t>(op_id)];
     GENBASE_RETURN_NOT_OK(RunOp(def, ops[static_cast<size_t>(op_id)], &frame,
                                 ctx, &folded_result_));
@@ -201,39 +133,31 @@ genbase::Status CompiledPlan::RunFolded(const std::vector<OpFn>& ops,
           "a plan shared across params");
     }
   }
-  folded_peak_bytes_ = frame.observed_peak();
-  PlanMetrics& m = PlanMetrics::Get();
-  m.peak_bytes->SetMax(static_cast<double>(folded_peak_bytes_));
-  if (folded_peak_bytes_ != folded_.mem.arena_bytes) m.peak_mismatches->Inc();
-
-  // Retain what execute reads; the folding arena goes when we return.
-  retained_.resize(retained.size());
-  for (size_t v = 0; v < retained.size(); ++v) {
-    if (!retained[v]) continue;
-    const int64_t bytes = graph_.values()[v].spec.bytes();
-    GENBASE_ASSIGN_OR_RETURN(
-        retained_[v],
-        PlanArena::Create(bytes, folded_.mem.alignment, tracker_));
-    if (bytes > 0) {
-      std::memcpy(retained_[v]->base(), frame.In(static_cast<int>(v)),
-                  static_cast<size_t>(bytes));
-    }
-    retained_bytes_ += retained_[v]->reserved_bytes();
-  }
+  GENBASE_RETURN_NOT_OK(CheckGuards(Region::kRetained, retained_.get()));
+  GENBASE_RETURN_NOT_OK(CheckGuards(Region::kScratch, scratch.get()));
+  if (retained_ != nullptr) retained_bytes_ += retained_->reserved_bytes();
   return genbase::Status::OK();
 }
 
-std::vector<int> CompiledPlan::RunOrder(const PlanHalf& half) {
-  std::vector<int> ids;
-  for (int sub : half.schedule) {
-    ids.push_back(half.op_ids[static_cast<size_t>(sub)]);
-  }
-  return ids;
+genbase::Result<std::unique_ptr<PlanArena>> CompiledPlan::NewArena(
+    Region region) const {
+  if (layout_.bytes(region) == 0) return std::unique_ptr<PlanArena>();
+  GENBASE_ASSIGN_OR_RETURN(
+      std::unique_ptr<PlanArena> arena,
+      PlanArena::Create(layout_.bytes(region), kSlotAlignment, tracker_));
+  layout_.FillGuards(region, arena->base());
+  return arena;
 }
 
-std::string CompiledPlan::DumpAllocationPlan() const {
-  return "folded at compile:\n" + folded_.mem.Dump(folded_.graph) +
-         "run per execute:\n" + execute_.mem.Dump(execute_.graph);
+genbase::Status CompiledPlan::CheckGuards(Region region,
+                                          const PlanArena* arena) const {
+  if (arena == nullptr) return genbase::Status::OK();
+  const int v = layout_.OverwrittenGuard(region, arena->base());
+  if (v < 0) return genbase::Status::OK();
+  PlanMetrics::Get().peak_mismatches->Inc();
+  return genbase::Status::Internal(
+      "plan value " + graph_.values()[static_cast<size_t>(v)].name +
+      " was written past its " + RegionName(region) + " slot");
 }
 
 genbase::Result<std::unique_ptr<PlanArena>> CompiledPlan::AcquireArena() {
@@ -245,7 +169,7 @@ genbase::Result<std::unique_ptr<PlanArena>> CompiledPlan::AcquireArena() {
       return arena;
     }
   }
-  return MaybeArena(execute_.mem, tracker_);
+  return NewArena(Region::kExecute);
 }
 
 void CompiledPlan::ReleaseArena(std::unique_ptr<PlanArena> arena) {
@@ -262,31 +186,16 @@ genbase::Result<core::QueryResult> CompiledPlan::Execute(
   GENBASE_ASSIGN_OR_RETURN(std::unique_ptr<PlanArena> arena, AcquireArena());
   ExecFrame frame(this, arena.get(), &params);
   core::QueryResult result = folded_result_;
-  for (size_t i = 0; i < execute_fns_.size(); ++i) {
-    const int op_id = execute_.op_ids[static_cast<size_t>(
-        execute_.schedule[i])];
-    genbase::Status s =
-        RunOp(graph_.ops()[static_cast<size_t>(op_id)], execute_fns_[i],
-              &frame, ctx, &result);
-    if (!s.ok()) {
-      ReleaseArena(std::move(arena));
-      return s;
-    }
+  genbase::Status s;
+  for (size_t i = 0; i < execute_fns_.size() && s.ok(); ++i) {
+    s = RunOp(graph_.ops()[static_cast<size_t>(execute_ops_[i])],
+              execute_fns_[i], &frame, ctx, &result);
   }
-  PlanMetrics& m = PlanMetrics::Get();
-  m.executes->Inc();
-  m.peak_bytes->SetMax(static_cast<double>(frame.observed_peak()));
-  // A successful execution must touch exactly the planned high-water mark;
-  // anything else means planner and runtime disagree about lifetimes.
-  if (frame.observed_peak() != execute_.mem.arena_bytes) {
-    m.peak_mismatches->Inc();
-  }
-  int64_t cur = observed_peak_bytes_.load(std::memory_order_relaxed);
-  while (cur < frame.observed_peak() &&
-         !observed_peak_bytes_.compare_exchange_weak(
-             cur, frame.observed_peak(), std::memory_order_relaxed)) {
-  }
+  // A failed op may have written past its slot too: check before pooling.
+  GENBASE_RETURN_NOT_OK(CheckGuards(Region::kExecute, arena.get()));
   ReleaseArena(std::move(arena));
+  GENBASE_RETURN_NOT_OK(s);
+  PlanMetrics::Get().executes->Inc();
   return result;
 }
 

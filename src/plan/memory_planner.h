@@ -1,54 +1,70 @@
 #ifndef GENBASE_PLAN_MEMORY_PLANNER_H_
 #define GENBASE_PLAN_MEMORY_PLANNER_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "plan/plan_graph.h"
 
 namespace genbase::plan {
 
-/// \brief Static placement of one plan value inside the arena.
-struct BufferAssignment {
-  int64_t offset = 0;     ///< Byte offset into the arena (alignment-multiple).
-  int64_t size = 0;       ///< Alignment-rounded byte size.
-  int def_step = 0;       ///< First schedule step that writes the buffer.
-  int last_use_step = 0;  ///< Last schedule step that touches the buffer.
-  int alias_root = -1;    ///< Value id this aliases (in-place chains), or -1.
+/// \brief The arena a plan value lives in, chosen by the fold split.
+enum class Region {
+  kRetained = 0,  ///< Folded values an execute op reads: written once at
+                  ///< compile, read-only afterwards, owned by the plan.
+  kScratch,       ///< Every other folded value: freed before Build returns.
+  kExecute,       ///< Values execute ops write: one pooled arena per run.
+};
+inline constexpr int kNumRegions = 3;
+
+const char* RegionName(Region region);
+
+/// Every slot offset is a multiple of this (the SIMD kernels' aligned
+/// loads), and so is every region's base.
+inline constexpr int64_t kSlotAlignment = 64;
+/// Each slot ends in one guard word of this many bytes, filled with a fixed
+/// pattern when its arena is created; a write past a value's end lands in it.
+inline constexpr int64_t kGuardBytes = 64;
+
+/// \brief One value's place: [offset, offset + size) of its region — the
+/// value's bytes rounded up to kSlotAlignment, then its guard word.
+struct Slot {
+  Region region = Region::kScratch;
+  int64_t offset = 0;
+  int64_t size = 0;
+
+  int64_t guard_offset() const { return offset + size - kGuardBytes; }
 };
 
-/// \brief The static allocation plan: per-value offsets into one arena,
-/// plus the accounting the obs stack reports. `arena_bytes` is an exact
-/// peak — executing the schedule touches exactly the planned high-water
-/// mark, never more (property-tested), so peak memory is known before the
-/// first byte is allocated.
-struct MemoryPlan {
-  std::vector<BufferAssignment> buffers;  ///< Indexed by value id.
-  int64_t alignment = 64;
-  int64_t arena_bytes = 0;            ///< Peak = arena size.
-  int64_t total_bytes_no_reuse = 0;   ///< Sum of distinct buffer sizes.
-  int64_t reused_bytes = 0;           ///< total_bytes_no_reuse - arena_bytes.
+/// \brief Where every value of a plan lives. No two values share bytes, so
+/// a region's size is the sum of its slots and is known before any op runs.
+struct MemoryLayout {
+  std::vector<Slot> slots;  ///< Indexed by value id.
+  std::array<int64_t, kNumRegions> region_bytes{};
 
-  /// Human-readable allocation plan (one line per value: offset, size,
-  /// lifetime, alias) for debugging planner decisions.
+  int64_t bytes(Region region) const {
+    return region_bytes[static_cast<size_t>(region)];
+  }
+
+  /// Writes the guard pattern into every slot of `region` at `base`.
+  void FillGuards(Region region, unsigned char* base) const;
+
+  /// The first value of `region` whose guard word at `base` no longer holds
+  /// the pattern, or -1 when every guard is intact.
+  int OverwrittenGuard(Region region, const unsigned char* base) const;
+
+  /// One line per value: name, shape, bytes, region and offset.
   std::string Dump(const PlanGraph& graph) const;
 };
 
-/// \brief Computes buffer lifetimes over `schedule` and assigns arena
-/// offsets greedily by size (largest first), best-fit into the gaps left by
-/// lifetime-overlapping buffers — lifetime-disjoint buffers may share
-/// offsets, which is where the reuse comes from. In-place op chains
-/// collapse to one buffer (shared offset, merged lifetime). All sizes are
-/// rounded up to `alignment` (>= 64 for the SIMD kernels' aligned loads)
-/// and every offset is an alignment multiple. Values nothing in the graph
-/// consumes, and the `live_out` values (read after the schedule ends), stay
-/// live to its last step.
-genbase::Result<MemoryPlan> PlanMemory(const PlanGraph& graph,
-                                       const std::vector<int>& schedule,
-                                       int64_t alignment = 64,
-                                       const std::vector<int>& live_out = {});
+/// \brief Bump layout of `graph`'s values, in op order. `folds[o]` is the
+/// fold split (op o runs at compile). A value an execute op writes goes to
+/// the execute region; a folded value an execute op reads goes to the
+/// retained region; every other folded value goes to scratch. Within its
+/// region each value takes the next aligned slot.
+MemoryLayout LayOut(const PlanGraph& graph, const std::vector<bool>& folds);
 
 }  // namespace genbase::plan
 

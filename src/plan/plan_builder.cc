@@ -304,7 +304,6 @@ genbase::Result<GraphParts> BuildCovarianceGraph(const PlanStatics& st) {
   const int64_t num_pairs = cols * (cols - 1) / 2;
   const int v_x = p.graph.AddValue("x", {rows, cols});
   const int v_means = p.graph.AddValue("means", {cols, 1});
-  const int v_cov_raw = p.graph.AddValue("cov_raw", {cols, cols});
   const int v_cov = p.graph.AddValue("cov", {cols, cols});
   const int v_upper = p.graph.AddValue("upper", {num_pairs, 1});
   const int v_thr = p.graph.AddValue("threshold", {1, 1});
@@ -316,19 +315,13 @@ genbase::Result<GraphParts> BuildCovarianceGraph(const PlanStatics& st) {
           linalg::ColumnMeansInto(f->View(v_x), f->Data(v_means));
           return genbase::Status::OK();
         });
-  p.Add({OpKind::kSyrkCentered, "syrk_centered", {v_x, v_means},
-         {v_cov_raw}},
-        [v_x, v_means, v_cov_raw](ExecFrame* f, ExecContext* ctx,
-                                  QueryResult*) -> genbase::Status {
-          return linalg::SyrkCentered(
-              f->View(v_x), f->In(v_means), f->Data(v_cov_raw),
-              ctx != nullptr ? ctx->pool() : nullptr, ctx);
-        });
-  p.Add({OpKind::kScale, "scale_cov", {v_cov_raw}, {v_cov},
-         /*in_place=*/true},
-        [v_cov, rows, cols](ExecFrame* f, ExecContext*,
-                            QueryResult*) -> genbase::Status {
+  p.Add({OpKind::kSyrkCentered, "syrk_centered", {v_x, v_means}, {v_cov}},
+        [v_x, v_means, v_cov, rows, cols](ExecFrame* f, ExecContext* ctx,
+                                          QueryResult*) -> genbase::Status {
           double* c = f->Data(v_cov);
+          GENBASE_RETURN_NOT_OK(linalg::SyrkCentered(
+              f->View(v_x), f->In(v_means), c,
+              ctx != nullptr ? ctx->pool() : nullptr, ctx));
           const double inv = 1.0 / static_cast<double>(rows - 1);
           for (int64_t i = 0; i < cols * cols; ++i) c[i] *= inv;
           return genbase::Status::OK();
@@ -339,8 +332,7 @@ genbase::Result<GraphParts> BuildCovarianceGraph(const PlanStatics& st) {
           return core::CovarianceExtractUpper(f->View(v_cov),
                                               f->Data(v_upper), ctx);
         });
-  p.Add({OpKind::kQuantile, "quantile", {v_upper}, {v_thr},
-         /*in_place=*/false, kReadsParams},
+  p.Add({OpKind::kQuantile, "quantile", {v_upper}, {v_thr}, kReadsParams},
         [v_upper, v_thr, num_pairs](ExecFrame* f, ExecContext*,
                                     QueryResult*) -> genbase::Status {
           // Selects on a private copy: `upper` is a read-only plan constant.
@@ -377,8 +369,7 @@ GraphParts BuildBiclusterGraph(const PlanStatics& st) {
   const int v_x = p.graph.AddValue("x", {rows, cols});
   p.Add({OpKind::kScan, "scan_matrix", {}, {v_x}},
         ScanMatrix(v_x, rows, cols));
-  p.Add({OpKind::kChengChurchStep, "cheng_church", {v_x}, {},
-         /*in_place=*/false, kReadsParams},
+  p.Add({OpKind::kChengChurchStep, "cheng_church", {v_x}, {}, kReadsParams},
         [v_x](ExecFrame* f, ExecContext* ctx,
               QueryResult* out) -> genbase::Status {
           const QueryParams& params = f->params();
@@ -399,8 +390,7 @@ GraphParts BuildSvdGraph(const PlanStatics& st) {
   const int v_x = p.graph.AddValue("x", {rows, cols});
   p.Add({OpKind::kScan, "scan_matrix", {}, {v_x}},
         ScanMatrix(v_x, rows, cols));
-  p.Add({OpKind::kSvdHelper, "truncated_svd", {v_x}, {},
-         /*in_place=*/false, kReadsParams},
+  p.Add({OpKind::kSvdHelper, "truncated_svd", {v_x}, {}, kReadsParams},
         [v_x](ExecFrame* f, ExecContext* ctx,
               QueryResult* out) -> genbase::Status {
           GENBASE_ASSIGN_OR_RETURN(
@@ -456,8 +446,7 @@ GraphParts BuildStatsGraph(const PlanStatics& st) {
           return genbase::Status::OK();
         });
   // terms_tested comes with the folded result every execute starts from.
-  p.Add({OpKind::kCount, "count_significant", {v_p}, {},
-         /*in_place=*/false, kReadsParams},
+  p.Add({OpKind::kCount, "count_significant", {v_p}, {}, kReadsParams},
         [v_p](ExecFrame* f, ExecContext*,
               QueryResult* out) -> genbase::Status {
           out->stats.significant_terms = core::CountSignificant(

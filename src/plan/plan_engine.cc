@@ -79,11 +79,9 @@ genbase::Result<std::shared_ptr<CompiledPlan>> PlanEngine::GetPlan(
         PlanMetrics& m = PlanMetrics::Get();
         m.compiles->Inc();
         m.compile_ns->Inc(plan->compile_ns());
-        m.reused_bytes->Inc(plan->folded_memory_plan().reused_bytes +
-                            plan->memory_plan().reused_bytes);
-        m.predicted_peak_bytes->SetMax(static_cast<double>(
-            std::max(plan->folded_memory_plan().arena_bytes,
-                     plan->memory_plan().arena_bytes)));
+        const auto& regions = plan->layout().region_bytes;
+        m.peak_bytes->SetMax(static_cast<double>(
+            *std::max_element(regions.begin(), regions.end())));
         return plan;
       },
       cache_hit);

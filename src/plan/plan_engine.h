@@ -14,8 +14,8 @@ namespace genbase::plan {
 
 /// \brief The planned column store: identical storage and kernels to
 /// ColumnStoreEngine's in-database path, but every query compiles once per
-/// (query, shape params, dataset epoch) into a static plan — operator DAG,
-/// deterministic schedule, arena memory plan — and then executes, with the
+/// (query, shape params, dataset epoch) into a static plan — operator DAG
+/// and region layout — and then executes, with the
 /// remaining params bound per run, with zero per-run planning, allocation
 /// or hashing beyond one arena grab. Results are bitwise identical to the
 /// legacy path (property-tested); what changes is where the time and memory
@@ -33,7 +33,7 @@ class PlanEngine : public core::Engine {
                                               ExecContext* ctx) override;
 
   /// Compiles (or fetches) the plan for `query` without executing it; test
-  /// and bench hook for inspecting schedules and allocation plans. The plan
+  /// and bench hook for inspecting fold splits and layouts. The plan
   /// is shared by every params of the same shape (ShapeFingerprint).
   genbase::Result<std::shared_ptr<CompiledPlan>> CompileForTest(
       core::QueryId query, const core::QueryParams& params, ExecContext* ctx);

@@ -11,27 +11,25 @@
 namespace genbase::plan {
 
 /// \brief Operator vocabulary of the query plans. The first eight kinds are
-/// the query-level operators Q1-Q5 decompose into; the last four are small
-/// auxiliary kernels (mean vector, in-place scaling, quantile reduction,
-/// thresholded count) that Q2's covariance pipeline and Q5's significance
-/// step need as separate schedulable steps, so the memory planner sees
-/// their buffers' true lifetimes and the fold split can run the
-/// parameter-free part at compile.
+/// the query-level operators Q1-Q5 decompose into; the last three are small
+/// auxiliary kernels (mean vector, quantile reduction, thresholded count)
+/// that Q2's covariance pipeline and Q5's significance step need as
+/// separate ops, so the fold split can run the parameter-free part at
+/// compile.
 enum class OpKind {
   kScan = 0,         ///< Tables -> dense arena matrix/vector (zero + scatter).
   kSelect,           ///< Element selection (upper-triangle extraction).
   kJoin,             ///< Threshold pass + metadata join (Q2 summary).
   kGemm,             ///< Dense least-squares solve (Q1, QR-backed).
-  kSyrkCentered,     ///< C = centered(A)^T centered(A) (Q2).
+  kSyrkCentered,     ///< C = centered(A)^T centered(A) / (m-1) (Q2).
   kSvdHelper,        ///< Truncated Lanczos SVD (Q4 summary).
   kWilcoxonRank,     ///< Rank-sum tests over GO terms (Q5 summary).
   kChengChurchStep,  ///< Cheng-Church biclustering (Q3 summary).
   kColumnMeans,      ///< Column mean vector (Q2).
-  kScale,            ///< In-place scalar multiply (Q2's 1/(m-1)).
   kQuantile,         ///< Quantile reduction to a scalar buffer (Q2).
   kCount,            ///< Count of entries below a bound (Q5 significance).
 };
-inline constexpr int kNumOpKinds = 12;
+inline constexpr int kNumOpKinds = 11;
 
 const char* OpKindName(OpKind kind);
 
@@ -68,9 +66,7 @@ struct ValueDef {
 };
 
 /// \brief One operator instance: kind, the value ids it reads and writes,
-/// whether it runs in place (outputs[0] aliases inputs[0], which the
-/// memory planner turns into a shared offset and a merged lifetime), and
-/// whether it reads the params bound at execute (ExecFrame::params()).
+/// and whether it reads the params bound at execute (ExecFrame::params()).
 ///
 /// Fold rule: an op that reads no param and whose inputs are all folded is
 /// folded — it runs once, at compile, and its outputs are constants of the
@@ -80,13 +76,13 @@ struct OpDef {
   std::string name;
   std::vector<int> inputs;
   std::vector<int> outputs;
-  bool in_place = false;
   bool reads_params = false;
 };
 
 /// \brief The operator DAG for one compiled query: values (buffers) plus
-/// ops wired by value ids. Build with AddValue/AddOp, then Validate before
-/// scheduling. Deliberately dumb storage — the scheduler and memory planner
+/// ops wired by value ids. Ops run in the order they are added, so a
+/// builder adds each op after the ops that write its inputs (Validate
+/// checks it). Deliberately dumb storage — the fold split and the layout
 /// do the thinking.
 class PlanGraph {
  public:
@@ -101,16 +97,9 @@ class PlanGraph {
   const std::vector<OpDef>& ops() const { return ops_; }
 
   /// Structural checks: value ids in range, every value written by exactly
-  /// one op, in-place ops alias byte-identical shapes.
+  /// one op, and every op reads only values an earlier op wrote (so op
+  /// order is a dependency order and the graph has no cycle).
   genbase::Status Validate() const;
-
-  /// The subgraph of `op_ids` (ascending, so schedule tiebreaks keep their
-  /// relative order): those ops, the values they write, and only the
-  /// inputs one of them writes — an input produced outside the subgraph is
-  /// a constant to it (so an in-place op must alias an input from inside).
-  /// `value_ids` receives subgraph value id -> this graph's value id.
-  PlanGraph Subgraph(const std::vector<int>& op_ids,
-                     std::vector<int>* value_ids) const;
 
  private:
   std::vector<ValueDef> values_;

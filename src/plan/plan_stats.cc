@@ -12,10 +12,12 @@ PlanMetrics& PlanMetrics::Get() {
     m.cache_hits = reg.GetCounter("plan_cache_hits_total");
     m.executes = reg.GetCounter("plan_executes_total");
     m.compile_ns = reg.GetCounter("plan_compile_ns_total");
-    m.reused_bytes = reg.GetCounter("plan_reused_bytes_total");
     m.peak_mismatches = reg.GetCounter("plan_peak_mismatch_total");
     m.peak_bytes = reg.GetGauge("plan_peak_bytes");
-    m.predicted_peak_bytes = reg.GetGauge("plan_predicted_peak_bytes");
+    // No plan value shares bytes with another (MemoryLayout), so nothing is
+    // reused and this reads 0; it stays registered because perfbench reads
+    // plan.reused_bytes by instrument name.
+    reg.GetCounter("plan_reused_bytes_total");
     return m;
   }();
   return metrics;
@@ -28,10 +30,8 @@ PlanStatsSnapshot PlanStatsSnapshot::Capture() {
   s.cache_hits = m.cache_hits->Value();
   s.executes = m.executes->Value();
   s.compile_ns = m.compile_ns->Value();
-  s.reused_bytes = m.reused_bytes->Value();
   s.peak_mismatches = m.peak_mismatches->Value();
   s.peak_bytes = m.peak_bytes->Value();
-  s.predicted_peak_bytes = m.predicted_peak_bytes->Value();
   return s;
 }
 
@@ -42,7 +42,6 @@ PlanStatsSnapshot PlanStatsSnapshot::operator-(
   d.cache_hits -= rhs.cache_hits;
   d.executes -= rhs.executes;
   d.compile_ns -= rhs.compile_ns;
-  d.reused_bytes -= rhs.reused_bytes;
   d.peak_mismatches -= rhs.peak_mismatches;
   return d;
 }

@@ -18,10 +18,8 @@ struct PlanMetrics {
   obs::Counter* cache_hits;      ///< plan_cache_hits_total
   obs::Counter* executes;        ///< plan_executes_total
   obs::Counter* compile_ns;      ///< plan_compile_ns_total
-  obs::Counter* reused_bytes;    ///< plan_reused_bytes_total (per compile)
-  obs::Counter* peak_mismatches; ///< plan_peak_mismatch_total
-  obs::Gauge* peak_bytes;        ///< plan_peak_bytes (observed high-water)
-  obs::Gauge* predicted_peak_bytes;  ///< plan_predicted_peak_bytes
+  obs::Counter* peak_mismatches; ///< plan_peak_mismatch_total (guard hits)
+  obs::Gauge* peak_bytes;        ///< plan_peak_bytes (largest region laid out)
 
   static PlanMetrics& Get();
 };
@@ -34,10 +32,8 @@ struct PlanStatsSnapshot {
   int64_t cache_hits = 0;
   int64_t executes = 0;
   int64_t compile_ns = 0;
-  int64_t reused_bytes = 0;
   int64_t peak_mismatches = 0;
   double peak_bytes = 0.0;
-  double predicted_peak_bytes = 0.0;
 
   static PlanStatsSnapshot Capture();
 

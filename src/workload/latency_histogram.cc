@@ -5,88 +5,41 @@
 
 namespace genbase::workload {
 
-namespace {
-// 1us floor; ~5% geometric growth; enough buckets to pass 1000s.
-constexpr double kMinTracked = 1e-6;
-constexpr double kGrowth = 1.05;
-// ceil(log(1000 / 1e-6) / log(1.05)) == 426.
-constexpr int kNumBuckets = 427;
-const double kLogGrowth = std::log(kGrowth);
-}  // namespace
-
-LatencyHistogram::LatencyHistogram() : buckets_(kNumBuckets, 0) {}
-
-int LatencyHistogram::BucketFor(double seconds) const {
-  if (!(seconds > kMinTracked)) return 0;
-  // Clamp while still a double: float→int conversion of an out-of-range
-  // value (inf, or anything past INT_MAX) is UB, so the comparison must
-  // happen before the cast. The negated form also routes NaN to the cap.
-  const double b =
-      std::floor(std::log(seconds / kMinTracked) / kLogGrowth) + 1.0;
-  if (!(b < kNumBuckets - 1)) return kNumBuckets - 1;
-  return std::max(1, static_cast<int>(b));
-}
-
-double LatencyHistogram::BucketValue(int bucket) const {
-  if (bucket == 0) return kMinTracked;
-  // Geometric midpoint of [min * g^(b-1), min * g^b).
-  return kMinTracked * std::pow(kGrowth, bucket - 0.5);
-}
+LatencyHistogram::LatencyHistogram() { Reset(); }
 
 void LatencyHistogram::Record(double seconds) {
   if (seconds < 0 || !std::isfinite(seconds)) seconds = 0.0;
-  ++buckets_[BucketFor(seconds)];
-  if (count_ == 0) {
-    min_ = max_ = seconds;
+  ++hist_.buckets[static_cast<size_t>(obs::HistogramBucket(seconds))];
+  if (hist_.count == 0) {
+    hist_.min = hist_.max = seconds;
   } else {
-    min_ = std::min(min_, seconds);
-    max_ = std::max(max_, seconds);
+    hist_.min = std::min(hist_.min, seconds);
+    hist_.max = std::max(hist_.max, seconds);
   }
-  ++count_;
-  sum_ += seconds;
+  ++hist_.count;
+  hist_.sum += seconds;
 }
 
 void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  if (other.count_ == 0) return;
-  for (int i = 0; i < kNumBuckets; ++i) buckets_[i] += other.buckets_[i];
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
+  const obs::HistogramSnapshot& o = other.hist_;
+  if (o.count == 0) return;
+  for (size_t i = 0; i < hist_.buckets.size(); ++i) {
+    hist_.buckets[i] += o.buckets[i];
   }
-  count_ += other.count_;
-  sum_ += other.sum_;
+  if (hist_.count == 0) {
+    hist_.min = o.min;
+    hist_.max = o.max;
+  } else {
+    hist_.min = std::min(hist_.min, o.min);
+    hist_.max = std::max(hist_.max, o.max);
+  }
+  hist_.count += o.count;
+  hist_.sum += o.sum;
 }
 
 void LatencyHistogram::Reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  sum_ = min_ = max_ = 0.0;
-}
-
-double LatencyHistogram::min() const { return count_ == 0 ? 0.0 : min_; }
-double LatencyHistogram::max() const { return count_ == 0 ? 0.0 : max_; }
-
-double LatencyHistogram::Quantile(double q) const {
-  if (count_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  // Rank of the quantile observation (1-based, nearest-rank method).
-  const int64_t rank =
-      std::max<int64_t>(1, static_cast<int64_t>(std::ceil(q * count_)));
-  // The extreme ranks are tracked exactly; everything in between resolves
-  // to its bucket's representative value.
-  if (rank >= count_) return max_;
-  if (rank <= 1) return min_;
-  int64_t seen = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    seen += buckets_[i];
-    if (seen >= rank) {
-      return std::clamp(BucketValue(i), min_, max_);
-    }
-  }
-  return max_;
+  hist_ = obs::HistogramSnapshot();
+  hist_.buckets.assign(obs::kHistogramBuckets, 0);
 }
 
 }  // namespace genbase::workload

@@ -2,16 +2,18 @@
 #define GENBASE_WORKLOAD_LATENCY_HISTOGRAM_H_
 
 #include <cstdint>
-#include <vector>
+
+#include "obs/metrics.h"
 
 namespace genbase::workload {
 
 /// \brief Log-bucketed latency histogram, HdrHistogram-style but sized for
-/// this benchmark: buckets grow geometrically by ~5% from 1 microsecond to
-/// beyond the per-op timeout, so any recorded latency is resolved to within
-/// one bucket width (<= 5% relative error) at O(1) record cost and a few KB
-/// of memory. Values outside the tracked range clamp to the edge buckets
-/// (exact min/max/sum are kept separately and stay exact).
+/// this benchmark: obs::HistogramBucket's geometry (~5% buckets from 1
+/// microsecond to beyond the per-op timeout), so any recorded latency is
+/// resolved to within one bucket width (<= 5% relative error) at O(1)
+/// record cost and a few KB of memory. Values outside the tracked range
+/// clamp to the edge buckets (exact min/max/sum are kept separately and
+/// stay exact).
 ///
 /// Not internally synchronized: each workload client records into its own
 /// histogram and the runner merges them after the measured phase.
@@ -23,31 +25,24 @@ class LatencyHistogram {
   void Merge(const LatencyHistogram& other);
   void Reset();
 
-  int64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double min() const;  ///< 0 when empty.
-  double max() const;  ///< 0 when empty.
-  double mean() const { return count_ == 0 ? 0.0 : sum_ / count_; }
+  int64_t count() const { return hist_.count; }
+  double sum() const { return hist_.sum; }
+  double min() const { return hist_.min; }  ///< 0 when empty.
+  double max() const { return hist_.max; }  ///< 0 when empty.
+  double mean() const { return hist_.mean(); }
 
   /// Latency at quantile `q` in [0, 1]: the representative value (geometric
   /// bucket midpoint) of the bucket containing the q-th quantile observation
   /// (nearest-rank). Defined for every input, never UB: 0 when empty,
   /// exactly min() at q = 0, exactly max() at q = 1, and out-of-range q
   /// clamps to [0, 1].
-  double Quantile(double q) const;
+  double Quantile(double q) const { return hist_.Quantile(q); }
 
   /// Quantile on the percent scale: Percentile(p) == Quantile(p / 100).
   double Percentile(double p) const { return Quantile(p / 100.0); }
 
  private:
-  int BucketFor(double seconds) const;
-  double BucketValue(int bucket) const;
-
-  std::vector<int64_t> buckets_;
-  int64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
+  obs::HistogramSnapshot hist_;
 };
 
 }  // namespace genbase::workload

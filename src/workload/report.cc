@@ -270,14 +270,12 @@ void WorkloadReport::Print() const {
   }
   if (has_plan) {
     std::printf("  plan: compiles=%lld hits=%lld executes=%lld "
-                "compile=%s reused=%lldB peak=%.0fB predicted=%.0fB%s\n",
+                "compile=%s peak=%.0fB%s\n",
                 static_cast<long long>(plan.compiles),
                 static_cast<long long>(plan.cache_hits),
                 static_cast<long long>(plan.executes),
-                FormatMillis(plan.compile_ns * 1e-9).c_str(),
-                static_cast<long long>(plan.reused_bytes),
-                plan.peak_bytes, plan.predicted_peak_bytes,
-                plan.peak_mismatches > 0 ? "  PEAK MISMATCH" : "");
+                FormatMillis(plan.compile_ns * 1e-9).c_str(), plan.peak_bytes,
+                plan.peak_mismatches > 0 ? "  GUARD OVERWRITTEN" : "");
   }
   std::printf("  %-14s %7s %6s %5s %5s %5s %9s %9s %9s  %9s %9s %9s\n",
               "query", "ops", "err", "inf", "bad", "shed", "p50", "p95",
@@ -576,13 +574,9 @@ std::string WorkloadReport::ToJson() const {
     out.push_back(',');
     AppendKv(&out, "compile_ns", plan.compile_ns);
     out.push_back(',');
-    AppendKv(&out, "reused_bytes", plan.reused_bytes);
-    out.push_back(',');
     AppendKv(&out, "peak_mismatches", plan.peak_mismatches);
     out.push_back(',');
     AppendKv(&out, "peak_bytes", plan.peak_bytes);
-    out.push_back(',');
-    AppendKv(&out, "predicted_peak_bytes", plan.predicted_peak_bytes);
     out.push_back('}');
   }
   out.push_back('}');

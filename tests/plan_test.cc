@@ -26,7 +26,6 @@
 #include "plan/plan_engine.h"
 #include "plan/plan_graph.h"
 #include "plan/plan_stats.h"
-#include "plan/scheduler.h"
 #include "bitwise_result.h"  // Same directory.
 
 namespace genbase {
@@ -37,11 +36,12 @@ using core::GenBaseData;
 using core::QueryId;
 using core::QueryParams;
 using core::QueryResult;
-using plan::BufferAssignment;
-using plan::MemoryPlan;
+using plan::MemoryLayout;
 using plan::OpDef;
 using plan::OpKind;
 using plan::PlanGraph;
+using plan::Region;
+using plan::Slot;
 using plan::TensorSpec;
 using testutil::BitwiseEqual;
 
@@ -90,7 +90,7 @@ QueryResult LegacyAnswer(QueryId q, const QueryParams& params) {
   return std::move(legacy).ValueOrDie();
 }
 
-/// --- randomized DAGs for planner property tests ------------------------------
+/// --- randomized DAGs for layout property tests ------------------------------
 
 uint64_t NextRand(uint64_t* state) {
   uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
@@ -100,8 +100,7 @@ uint64_t NextRand(uint64_t* state) {
 }
 
 /// Builds a random valid DAG: each op reads 1-3 already-produced values and
-/// writes one new value (sometimes in place over its first input). Sources
-/// are scan ops with no inputs.
+/// writes one new value. Sources are scan ops with no inputs.
 PlanGraph RandomGraph(uint64_t seed) {
   PlanGraph g;
   uint64_t s = seed;
@@ -128,16 +127,8 @@ PlanGraph RandomGraph(uint64_t seed) {
       op.inputs.push_back(
           produced[NextRand(&s) % produced.size()]);
     }
-    const bool in_place = (NextRand(&s) % 4) == 0;
-    TensorSpec spec;
-    if (in_place) {
-      // In-place ops must write a byte-identical shape over inputs[0].
-      spec = g.values()[static_cast<size_t>(op.inputs[0])].spec;
-      op.in_place = true;
-    } else {
-      spec = TensorSpec{1 + static_cast<int64_t>(NextRand(&s) % 40),
-                        1 + static_cast<int64_t>(NextRand(&s) % 12)};
-    }
+    const TensorSpec spec{1 + static_cast<int64_t>(NextRand(&s) % 40),
+                          1 + static_cast<int64_t>(NextRand(&s) % 12)};
     const int v = g.AddValue("v" + std::to_string(i), spec);
     op.outputs = {v};
     g.AddOp(std::move(op));
@@ -146,122 +137,204 @@ PlanGraph RandomGraph(uint64_t seed) {
   return g;
 }
 
-/// Resolves a value to the root of its alias chain.
-int AliasRoot(const MemoryPlan& mem, int v) {
-  int root = v;
-  while (mem.buffers[static_cast<size_t>(root)].alias_root >= 0) {
-    root = mem.buffers[static_cast<size_t>(root)].alias_root;
-  }
-  return root;
-}
+/// --- layout property tests ---------------------------------------------------
 
-/// --- planner property tests --------------------------------------------------
-
-TEST(MemoryPlannerTest, RandomizedDagsNeverOverlapLiveBuffers) {
+TEST(PlanLayoutTest, RandomizedDagsGetDisjointAlignedSlots) {
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     PlanGraph g = RandomGraph(seed);
     ASSERT_TRUE(g.Validate().ok()) << "seed " << seed;
-    auto schedule = plan::TopologicalSchedule(g);
-    ASSERT_TRUE(schedule.ok()) << "seed " << seed;
-    auto mem = plan::PlanMemory(g, *schedule);
-    ASSERT_TRUE(mem.ok()) << "seed " << seed;
+    uint64_t s = ~seed;
+    std::vector<bool> folds;
+    for (size_t o = 0; o < g.ops().size(); ++o) {
+      folds.push_back(NextRand(&s) % 3 != 0);
+    }
+    const MemoryLayout layout = plan::LayOut(g, folds);
+    ASSERT_EQ(layout.slots.size(), g.values().size());
 
-    int64_t max_extent = 0;
-    int64_t root_total = 0;
-    std::set<int> roots;
+    // The region rule: execute ops' values in the execute region, folded
+    // values an execute op reads retained, the rest scratch.
+    std::vector<Region> expected(g.values().size(), Region::kScratch);
+    for (size_t o = 0; o < g.ops().size(); ++o) {
+      if (folds[o]) continue;
+      for (int v : g.ops()[o].outputs) {
+        expected[static_cast<size_t>(v)] = Region::kExecute;
+      }
+    }
+    for (size_t o = 0; o < g.ops().size(); ++o) {
+      if (folds[o]) continue;
+      for (int v : g.ops()[o].inputs) {
+        if (expected[static_cast<size_t>(v)] == Region::kScratch) {
+          expected[static_cast<size_t>(v)] = Region::kRetained;
+        }
+      }
+    }
+
+    std::map<Region, int64_t> slot_total;
     for (size_t v = 0; v < g.values().size(); ++v) {
-      const BufferAssignment& b = mem->buffers[v];
-      EXPECT_EQ(b.offset % mem->alignment, 0) << "seed " << seed;
-      EXPECT_EQ(b.size % mem->alignment, 0) << "seed " << seed;
-      EXPECT_GE(b.size, g.values()[v].spec.bytes()) << "seed " << seed;
-      EXPECT_LE(b.def_step, b.last_use_step) << "seed " << seed;
-      max_extent = std::max(max_extent, b.offset + b.size);
-      const int root = AliasRoot(*mem, static_cast<int>(v));
-      EXPECT_EQ(mem->buffers[static_cast<size_t>(root)].offset, b.offset)
-          << "seed " << seed << ": alias offset mismatch";
-      if (roots.insert(root).second) {
-        root_total += mem->buffers[static_cast<size_t>(root)].size;
+      const Slot& a = layout.slots[v];
+      EXPECT_EQ(a.region, expected[v]) << "seed " << seed << " value " << v;
+      EXPECT_EQ(a.offset % 64, 0) << "seed " << seed;
+      EXPECT_EQ(a.size % 64, 0) << "seed " << seed;
+      EXPECT_GE(a.size - plan::kGuardBytes, g.values()[v].spec.bytes())
+          << "seed " << seed;
+      slot_total[a.region] += a.size;
+      for (size_t w = v + 1; w < g.values().size(); ++w) {
+        const Slot& b = layout.slots[w];
+        if (a.region != b.region) continue;
+        EXPECT_FALSE(a.offset < b.offset + b.size &&
+                     b.offset < a.offset + a.size)
+            << "seed " << seed << ": values " << v << " and " << w
+            << " overlap\n"
+            << layout.Dump(g);
       }
     }
-    EXPECT_EQ(mem->arena_bytes, max_extent) << "seed " << seed;
-    EXPECT_EQ(mem->total_bytes_no_reuse, root_total) << "seed " << seed;
-    EXPECT_EQ(mem->reused_bytes, root_total - mem->arena_bytes)
-        << "seed " << seed;
-
-    // The core property: two distinct roots whose lifetimes overlap must
-    // occupy disjoint byte ranges.
-    const std::vector<int> root_list(roots.begin(), roots.end());
-    for (size_t i = 0; i < root_list.size(); ++i) {
-      for (size_t j = i + 1; j < root_list.size(); ++j) {
-        const BufferAssignment& a =
-            mem->buffers[static_cast<size_t>(root_list[i])];
-        const BufferAssignment& b =
-            mem->buffers[static_cast<size_t>(root_list[j])];
-        const bool lifetimes_overlap =
-            a.def_step <= b.last_use_step && b.def_step <= a.last_use_step;
-        const bool bytes_overlap =
-            a.offset < b.offset + b.size && b.offset < a.offset + a.size;
-        EXPECT_FALSE(lifetimes_overlap && bytes_overlap)
-            << "seed " << seed << ": live buffers " << root_list[i] << " and "
-            << root_list[j] << " overlap\n"
-            << mem->Dump(g);
-      }
+    for (const Region r :
+         {Region::kRetained, Region::kScratch, Region::kExecute}) {
+      EXPECT_EQ(layout.bytes(r), slot_total[r]) << "seed " << seed;
     }
   }
 }
 
-TEST(MemoryPlannerTest, ScheduleIsDeterministic) {
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
-    PlanGraph g = RandomGraph(seed);
-    auto s1 = plan::TopologicalSchedule(g);
-    auto s2 = plan::TopologicalSchedule(g);
-    ASSERT_TRUE(s1.ok() && s2.ok());
-    EXPECT_EQ(*s1, *s2) << "seed " << seed;
-    // Topological: every input's producer runs before the consumer.
-    std::map<int, int> producer_step;
-    for (size_t step = 0; step < s1->size(); ++step) {
-      const OpDef& op = g.ops()[static_cast<size_t>((*s1)[step])];
-      for (int out : op.outputs) producer_step[out] = static_cast<int>(step);
-    }
-    for (size_t step = 0; step < s1->size(); ++step) {
-      const OpDef& op = g.ops()[static_cast<size_t>((*s1)[step])];
-      for (int in : op.inputs) {
-        EXPECT_LE(producer_step[in], static_cast<int>(step))
-            << "seed " << seed;
-      }
-    }
-  }
+/// Ops run in the order they were added, so an op may read only what an
+/// earlier op wrote; that also rules out cycles.
+TEST(PlanGraphTest, ValidateRejectsReadsOfLaterOps) {
+  const auto select = [](std::string name, std::vector<int> in,
+                         std::vector<int> out) {
+    OpDef op;
+    op.kind = OpKind::kSelect;
+    op.name = std::move(name);
+    op.inputs = std::move(in);
+    op.outputs = std::move(out);
+    return op;
+  };
+  PlanGraph out_of_order;
+  const int a = out_of_order.AddValue("a", TensorSpec{4, 4});
+  const int b = out_of_order.AddValue("b", TensorSpec{4, 4});
+  out_of_order.AddOp(select("reads_b", {b}, {a}));
+  out_of_order.AddOp(select("writes_b", {}, {b}));
+  auto status = out_of_order.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("reads_b"), std::string::npos)
+      << status.ToString();
+
+  PlanGraph cycle;
+  const int c = cycle.AddValue("c", TensorSpec{4, 4});
+  const int d = cycle.AddValue("d", TensorSpec{4, 4});
+  cycle.AddOp(select("c_to_d", {c}, {d}));
+  cycle.AddOp(select("d_to_c", {d}, {c}));
+  EXPECT_EQ(cycle.Validate().code(), StatusCode::kInvalidArgument);
+
+  PlanGraph in_order;
+  const int e = in_order.AddValue("e", TensorSpec{4, 4});
+  const int f = in_order.AddValue("f", TensorSpec{4, 4});
+  in_order.AddOp(select("writes_e", {}, {e}));
+  in_order.AddOp(select("e_to_f", {e}, {f}));
+  EXPECT_TRUE(in_order.Validate().ok());
 }
 
-TEST(MemoryPlannerTest, CycleIsRejected) {
+/// A folded op writes a retained value at the address execute ops read it
+/// from: no copy, so the compile holds the value once.
+TEST(PlanLayoutTest, RetainedValuesAreWrittenInPlace) {
+  constexpr int64_t kRows = 1000;
+  MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
   PlanGraph g;
-  const int a = g.AddValue("a", TensorSpec{4, 4});
-  const int b = g.AddValue("b", TensorSpec{4, 4});
-  OpDef op1;
-  op1.kind = OpKind::kSelect;
-  op1.name = "a_to_b";
-  op1.inputs = {a};
-  op1.outputs = {b};
-  g.AddOp(std::move(op1));
-  OpDef op2;
-  op2.kind = OpKind::kSelect;
-  op2.name = "b_to_a";
-  op2.inputs = {b};
-  op2.outputs = {a};
-  g.AddOp(std::move(op2));
-  ASSERT_TRUE(g.Validate().ok());
-  auto schedule = plan::TopologicalSchedule(g);
-  EXPECT_FALSE(schedule.ok());
-  EXPECT_EQ(schedule.status().code(), StatusCode::kInvalidArgument);
+  const int v = g.AddValue("v", TensorSpec{kRows, 1});
+  OpDef write;
+  write.kind = OpKind::kScan;
+  write.name = "write_v";
+  write.outputs = {v};
+  g.AddOp(std::move(write));
+  OpDef read;
+  read.kind = OpKind::kCount;
+  read.name = "read_v";
+  read.inputs = {v};
+  read.reads_params = true;
+  g.AddOp(std::move(read));
+
+  const double* written_at = nullptr;
+  const double* read_at = nullptr;
+  std::vector<plan::OpFn> ops;
+  ops.push_back([&written_at, v](plan::ExecFrame* f, ExecContext*,
+                                 QueryResult*) -> Status {
+    double* d = f->Data(v);
+    for (int64_t i = 0; i < kRows; ++i) d[i] = static_cast<double>(i);
+    written_at = d;
+    return Status::OK();
+  });
+  ops.push_back([&read_at, v](plan::ExecFrame* f, ExecContext*,
+                              QueryResult* out) -> Status {
+    read_at = f->In(v);
+    out->stats.significant_terms =
+        static_cast<int64_t>(read_at[kRows - 1]) + f->params().svd_rank;
+    return Status::OK();
+  });
+  auto plan = plan::CompiledPlan::Build(QueryId::kStatistics, std::move(g),
+                                        std::move(ops), plan::PlanStatics(),
+                                        /*retained_static_bytes=*/0,
+                                        &tracker, nullptr);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  QueryParams p;
+  p.svd_rank = 5;
+  auto r = (*plan)->Execute(p, nullptr);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->stats.significant_terms, kRows - 1 + 5);
+  EXPECT_NE(written_at, nullptr);
+  EXPECT_EQ(read_at, written_at) << "execute read a copy of the value";
+  // The compile's whole tracked peak is the plan's one retained copy.
+  EXPECT_EQ(tracker.peak(), (*plan)->retained_bytes());
+  EXPECT_LT((*plan)->retained_bytes(), 2 * kRows * 8);
 }
 
-TEST(MemoryPlannerTest, RejectsBadAlignment) {
-  PlanGraph g = RandomGraph(1);
-  auto schedule = plan::TopologicalSchedule(g);
-  ASSERT_TRUE(schedule.ok());
-  EXPECT_FALSE(plan::PlanMemory(g, *schedule, 16).ok());   // < 64.
-  EXPECT_FALSE(plan::PlanMemory(g, *schedule, 96).ok());   // Not a power of 2.
-  EXPECT_TRUE(plan::PlanMemory(g, *schedule, 128).ok());
+/// Each slot ends in a guard word: an op that writes one double past its
+/// value fails its run with Internal, names the value and bumps
+/// plan_peak_mismatch_total — folded (at compile) or at execute.
+TEST(PlanLayoutTest, WritePastAValueFailsTheRun) {
+  constexpr int64_t kRows = 8;  // 64 B: the next double is the guard word.
+  const auto build = [](bool at_execute, MemoryTracker* tracker) {
+    PlanGraph g;
+    const int v = g.AddValue("overrun", TensorSpec{kRows, 1});
+    OpDef op;
+    op.kind = OpKind::kScan;
+    op.name = "writes_past_overrun";
+    op.outputs = {v};
+    op.reads_params = at_execute;
+    g.AddOp(std::move(op));
+    std::vector<plan::OpFn> ops;
+    ops.push_back([v](plan::ExecFrame* f, ExecContext*,
+                      QueryResult*) -> Status {
+      double* d = f->Data(v);
+      for (int64_t i = 0; i <= kRows; ++i) d[i] = 1.0;
+      return Status::OK();
+    });
+    return plan::CompiledPlan::Build(QueryId::kSvd, std::move(g),
+                                     std::move(ops), plan::PlanStatics(),
+                                     /*retained_static_bytes=*/0, tracker,
+                                     nullptr);
+  };
+  const auto mismatches = [] {
+    return plan::PlanStatsSnapshot::Capture().peak_mismatches;
+  };
+  MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
+
+  int64_t before = mismatches();
+  auto folded = build(/*at_execute=*/false, &tracker);
+  ASSERT_FALSE(folded.ok());
+  EXPECT_EQ(folded.status().code(), StatusCode::kInternal);
+  EXPECT_NE(folded.status().ToString().find("overrun"), std::string::npos)
+      << folded.status().ToString();
+  EXPECT_EQ(mismatches() - before, 1);
+
+  auto executed = build(/*at_execute=*/true, &tracker);
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  before = mismatches();
+  auto r = (*executed)->Execute(QueryParams(), nullptr);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+  EXPECT_NE(r.status().ToString().find("overrun"), std::string::npos)
+      << r.status().ToString();
+  EXPECT_EQ(mismatches() - before, 1);
+  EXPECT_EQ(tracker.used(), (*executed)->retained_bytes())
+      << "an arena with a broken guard went back to the pool";
 }
 
 TEST(PlanArenaTest, BaseIsAlignedAndSized) {
@@ -297,23 +370,19 @@ TEST_P(PlannedQueryTest, BitwiseIdenticalToLegacyPath) {
   EXPECT_TRUE(BitwiseEqual(*planned, LegacyAnswer(q, TinyParams())));
 }
 
-TEST_P(PlannedQueryTest, ObservedPeakEqualsPredictedPeak) {
+TEST_P(PlannedQueryTest, GuardsStayIntact) {
   const QueryId q = GetParam();
   MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
   ExecContext ctx;
   ctx.set_memory(&tracker);
+  const int64_t before = plan::PlanStatsSnapshot::Capture().peak_mismatches;
   auto plan = plan::CompileQuery(TinyTables(), q, TinyParams(), &tracker,
                                  &ctx);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  // The folded half ran once, inside the compile.
-  EXPECT_EQ((*plan)->folded_observed_peak_bytes(),
-            (*plan)->folded_memory_plan().arena_bytes)
-      << (*plan)->DumpAllocationPlan();
-  // Execute twice: pooled-arena reuse must not change the high-water mark.
+  // Execute twice: the second run reuses the pooled arena and its guards.
   ASSERT_TRUE((*plan)->Execute(TinyParams(), &ctx).ok());
   ASSERT_TRUE((*plan)->Execute(TinyParams(), &ctx).ok());
-  EXPECT_EQ((*plan)->observed_peak_bytes(),
-            (*plan)->memory_plan().arena_bytes)
+  EXPECT_EQ(plan::PlanStatsSnapshot::Capture().peak_mismatches, before)
       << (*plan)->DumpAllocationPlan();
 }
 
@@ -325,17 +394,23 @@ TEST_P(PlannedQueryTest, AllocationPlanIsAlignedAndDumps) {
   auto plan = plan::CompileQuery(TinyTables(), q, TinyParams(), &tracker,
                                  &ctx);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  const MemoryPlan& mem = (*plan)->memory_plan();
-  EXPECT_GE(mem.alignment, 64);
-  for (const BufferAssignment& b : mem.buffers) {
-    EXPECT_EQ(b.offset % 64, 0);
-    EXPECT_EQ(b.size % 64, 0);
+  const MemoryLayout& layout = (*plan)->layout();
+  ASSERT_EQ(layout.slots.size(), (*plan)->graph().values().size());
+  for (const Slot& slot : layout.slots) {
+    EXPECT_EQ(slot.offset % 64, 0);
+    EXPECT_EQ(slot.size % 64, 0);
   }
   const std::string dump = (*plan)->DumpAllocationPlan();
   EXPECT_FALSE(dump.empty());
-  for (const auto& v : (*plan)->graph().values()) {
-    EXPECT_NE(dump.find(v.name), std::string::npos)
-        << "value " << v.name << " missing from dump:\n" << dump;
+  for (size_t v = 0; v < layout.slots.size(); ++v) {
+    const std::string& name = (*plan)->graph().values()[v].name;
+    const size_t line = dump.find(" " + name + " ");
+    ASSERT_NE(line, std::string::npos)
+        << "value " << name << " missing from dump:\n" << dump;
+    EXPECT_NE(dump.substr(line, dump.find('\n', line) - line)
+                  .find(plan::RegionName(layout.slots[v].region)),
+              std::string::npos)
+        << "value " << name << " has no region in dump:\n" << dump;
   }
 }
 
@@ -344,21 +419,6 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, PlannedQueryTest,
                          [](const auto& info) {
                            return std::string(core::QueryName(info.param));
                          });
-
-/// Q2's covariance chain is folded, so the reuse it earns is in the
-/// compile-time memory plan.
-TEST(PlannedQueryTest, CovarianceReusesArenaBytes) {
-  MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
-  ExecContext ctx;
-  ctx.set_memory(&tracker);
-  auto plan = plan::CompileQuery(TinyTables(), QueryId::kCovariance,
-                                 TinyParams(), &tracker, &ctx);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  const MemoryPlan& folded = (*plan)->folded_memory_plan();
-  EXPECT_GT(folded.reused_bytes, 0) << (*plan)->DumpAllocationPlan();
-  EXPECT_EQ(folded.reused_bytes,
-            folded.total_bytes_no_reuse - folded.arena_bytes);
-}
 
 /// --- folding ----------------------------------------------------------------
 /// Each plan runs, once at compile, every op that reads no bound param and
@@ -383,8 +443,7 @@ std::vector<FoldSplit> FoldTable() {
   return {
       {QueryId::kRegression, {"scan_design", "least_squares"}, {}},
       {QueryId::kCovariance,
-       {"scan_matrix", "column_means", "syrk_centered", "scale_cov",
-        "extract_upper"},
+       {"scan_matrix", "column_means", "syrk_centered", "extract_upper"},
        {"quantile", "threshold_join"}},
       {QueryId::kBiclustering, {"scan_matrix"}, {"cheng_church"}},
       {QueryId::kSvd, {"scan_matrix"}, {"truncated_svd"}},
@@ -432,7 +491,7 @@ TEST(FoldTest, PlansRetainOnlyWhatExecuteReads) {
     EXPECT_EQ(tracker.used(), (*plan)->retained_bytes());
     if (q == QueryId::kRegression) {
       EXPECT_EQ((*plan)->retained_bytes(), 0);
-      EXPECT_EQ((*plan)->memory_plan().arena_bytes, 0);
+      EXPECT_EQ((*plan)->layout().bytes(Region::kExecute), 0);
       ASSERT_TRUE((*plan)->Execute(TinyParams(), &ctx).ok());
       EXPECT_EQ(tracker.used(), 0) << "Q1 execute pinned an arena";
     }
@@ -448,8 +507,7 @@ TEST(FoldTest, FoldedOpThatReadsParamsFailsCompile) {
                           MemoryTracker* tracker) {
     PlanGraph g;
     const int v = g.AddValue("rank", TensorSpec{1, 1});
-    g.AddOp({OpKind::kScan, "reads_rank", {}, {v}, /*in_place=*/false,
-             declared_reads_params});
+    g.AddOp({OpKind::kScan, "reads_rank", {}, {v}, declared_reads_params});
     std::vector<plan::OpFn> ops;
     ops.push_back([v](plan::ExecFrame* f, ExecContext*,
                       QueryResult* out) -> Status {

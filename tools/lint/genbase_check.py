@@ -38,13 +38,13 @@ depends on but that neither the compiler nor clang-tidy enforces:
   plan-arena-alloc      No dense-buffer heap allocation in src/plan/ —
                         no Matrix construction, no std::vector<double>,
                         no `new double[]`/`new unsigned char[]`. Every
-                        per-run buffer in the plan subsystem must come
-                        from the static memory plan's arena, or the
-                        planner's exact peak accounting (predicted ==
-                        observed, gated in kernelbench) silently turns
-                        into a lower bound. The arena's own backing
-                        allocation and per-plan statics carry inline
-                        waivers.
+                        plan value must live in its slot of the plan's
+                        region arenas, where a guard word follows it and
+                        the region sizes account for every byte; a
+                        buffer allocated elsewhere escapes both the
+                        layout's memory accounting and the guard check.
+                        The arena's own backing allocation and per-plan
+                        statics carry inline waivers.
 
 Waivers: a finding on line N is waived by a comment on line N or N-1 of the
 form
@@ -359,8 +359,9 @@ def check_plan_arena_alloc(path, code):
     for m in PLAN_ALLOC_RE.finditer(code):
         yield Finding(
             path, line_of(code, m.start()), "plan-arena-alloc",
-            "dense buffer allocated outside the plan arena — route it "
-            "through the memory plan, or waive a one-time/static allocation")
+            "dense buffer allocated outside the plan arena — make it a "
+            "plan value with a layout slot, or waive a one-time/static "
+            "allocation")
 
 
 def scan_file(path):
