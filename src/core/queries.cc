@@ -136,8 +136,9 @@ genbase::Result<CovarianceSummary> CovarianceThresholdJoin(
   std::vector<double> upper(static_cast<size_t>(num_pairs));
   const linalg::MatrixView cov_view(cov);
   GENBASE_RETURN_NOT_OK(CovarianceExtractUpper(cov_view, upper.data(), ctx));
-  GENBASE_ASSIGN_OR_RETURN(const double threshold,
-                           stats::Quantile(upper, quantile));
+  GENBASE_ASSIGN_OR_RETURN(
+      const double threshold,
+      stats::Quantile(upper.data(), num_pairs, quantile, tracker));
   return CovarianceJoinPass(upper.data(), n, samples, threshold, gene_ids,
                             meta, ctx);
 }
@@ -155,34 +156,67 @@ genbase::Status CovarianceExtractUpper(const linalg::MatrixView& cov,
   return Status::OK();
 }
 
-genbase::Result<CovarianceSummary> CovarianceJoinPass(
+namespace {
+
+/// The one threshold pass + metadata join, in upper-triangle order (so the
+/// checksums sum in the same order on every path). `resolve(g)` runs before
+/// a qualifying pair reads function[g] and length[g].
+template <typename Resolve>
+genbase::Result<CovarianceSummary> JoinLoop(
     const double* upper, int64_t genes, int64_t samples, double threshold,
-    const std::vector<int64_t>& gene_ids, const GeneMetaLookup& meta,
+    const int64_t* function, const int64_t* length, const Resolve& resolve,
     ExecContext* ctx) {
   CovarianceSummary s;
   s.samples = samples;
   s.genes = genes;
   s.threshold = threshold;
-  // Threshold pass + metadata join for qualifying pairs.
-  const int64_t n = genes;
   int64_t k = 0;
-  for (int64_t i = 0; i < n; ++i) {
+  for (int64_t i = 0; i < genes; ++i) {
     if (ctx != nullptr && (i & 255) == 0) {
       GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
     }
-    for (int64_t j = i + 1; j < n; ++j) {
+    for (int64_t j = i + 1; j < genes; ++j) {
       const double c = upper[k++];
-      if (c <= s.threshold) continue;
+      if (c <= threshold) continue;
       ++s.pairs_above;
       s.cov_checksum += c;
-      int64_t func_i = 0, len_i = 0, func_j = 0, len_j = 0;
-      GENBASE_RETURN_NOT_OK(meta(gene_ids[i], &func_i, &len_i));
-      GENBASE_RETURN_NOT_OK(meta(gene_ids[j], &func_j, &len_j));
-      s.meta_checksum += static_cast<double>(func_i + func_j) +
-                         1e-3 * static_cast<double>(len_i + len_j);
+      GENBASE_RETURN_NOT_OK(resolve(i));
+      GENBASE_RETURN_NOT_OK(resolve(j));
+      s.meta_checksum += static_cast<double>(function[i] + function[j]) +
+                         1e-3 * static_cast<double>(length[i] + length[j]);
     }
   }
   return s;
+}
+
+}  // namespace
+
+genbase::Result<CovarianceSummary> CovarianceJoinPass(
+    const double* upper, int64_t genes, int64_t samples, double threshold,
+    const int64_t* function, const int64_t* length, ExecContext* ctx) {
+  return JoinLoop(upper, genes, samples, threshold, function, length,
+                  [](int64_t) { return Status::OK(); }, ctx);
+}
+
+genbase::Result<CovarianceSummary> CovarianceJoinPass(
+    const double* upper, int64_t genes, int64_t samples, double threshold,
+    const std::vector<int64_t>& gene_ids, const GeneMetaLookup& meta,
+    ExecContext* ctx) {
+  MemoryTracker* tracker = ctx != nullptr ? ctx->memory() : nullptr;
+  GENBASE_ASSIGN_OR_RETURN(
+      auto reservation,
+      ScopedReservation::Acquire(tracker, genes * 16 + (genes + 7) / 8));
+  std::vector<int64_t> function(static_cast<size_t>(genes));
+  std::vector<int64_t> length(static_cast<size_t>(genes));
+  std::vector<bool> resolved(static_cast<size_t>(genes), false);
+  const auto resolve = [&](int64_t g) -> genbase::Status {
+    const auto idx = static_cast<size_t>(g);
+    if (resolved[idx]) return Status::OK();
+    resolved[idx] = true;
+    return meta(gene_ids[idx], &function[idx], &length[idx]);
+  };
+  return JoinLoop(upper, genes, samples, threshold, function.data(),
+                  length.data(), resolve, ctx);
 }
 
 genbase::Result<BiclusterSummary> BiclusterAnalytics(

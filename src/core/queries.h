@@ -163,9 +163,17 @@ genbase::Status CovarianceExtractUpper(const linalg::MatrixView& cov,
 
 /// Q2's qualifying-pair metadata join alone, against a precomputed
 /// threshold, over the `genes` x `genes` covariance's strict upper triangle
-/// as CovarianceExtractUpper lays it out. Fills the full summary
-/// (samples/genes/threshold come from the arguments). The other
-/// CovarianceThresholdJoin building block.
+/// as CovarianceExtractUpper lays it out, with gene column g's metadata in
+/// function[g] and length[g]. Fills the full summary (samples/genes/
+/// threshold come from the arguments). The other CovarianceThresholdJoin
+/// building block; the static-plan path resolves the arrays at compile.
+genbase::Result<CovarianceSummary> CovarianceJoinPass(
+    const double* upper, int64_t genes, int64_t samples, double threshold,
+    const int64_t* function, const int64_t* length, ExecContext* ctx);
+
+/// Lookup overload: resolves gene column g through meta(gene_ids[g]) when a
+/// qualifying pair first reads it (a failed lookup fails the join), then
+/// reads it as the array overload does, in the same loop.
 genbase::Result<CovarianceSummary> CovarianceJoinPass(
     const double* upper, int64_t genes, int64_t samples, double threshold,
     const std::vector<int64_t>& gene_ids, const GeneMetaLookup& meta,

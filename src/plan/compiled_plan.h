@@ -38,7 +38,6 @@ struct PlanStatics {
   // lint:allow(plan-arena-alloc): compile-time static (statics reservation).
   std::vector<double> y;
   std::vector<std::vector<int64_t>> memberships;
-  core::GeneMetaLookup meta;
   int64_t sample_count = 0;
 };
 

@@ -61,8 +61,8 @@ std::vector<int64_t> MatchedRows(JoinIndex join) {
   return std::move(join.right);
 }
 
-/// Approximate footprint of one id -> index hash entry (~3 words; the
-/// DenseMappings, the gene-metadata lookup).
+/// Approximate footprint of one DenseMapping id -> index hash entry
+/// (~3 words).
 constexpr int64_t kHashEntryBytes = 24;
 
 /// Approximate resident footprint of the compile-time statics, charged to
@@ -208,9 +208,6 @@ genbase::Result<PlanStatics> BuildMatrixStatics(
                               MicroarrayCols::kPatientId, ctx, tracker));
   st.matched_rows = MatchedRows(std::move(join));
   st.col_map = MakeDenseMapping(t.genes.IntColumn(GeneCols::kGeneId));
-  if (query == QueryId::kCovariance) {
-    st.meta = engine::MakeColumnarMetaLookup(t.genes);
-  }
   return st;
 }
 
@@ -301,11 +298,24 @@ genbase::Result<GraphParts> BuildCovarianceGraph(const PlanStatics& st) {
     return genbase::Status::InvalidArgument(
         "covariance needs at least 2 samples");
   }
+  // The join's gene metadata, resolved once through the legacy path's
+  // lookup: gene column g's function and length.
+  const core::GeneMetaLookup meta =
+      engine::MakeColumnarMetaLookup(st.tables->genes);
+  std::vector<int64_t> function(static_cast<size_t>(cols));
+  std::vector<int64_t> length(static_cast<size_t>(cols));
+  for (size_t g = 0; g < function.size(); ++g) {
+    GENBASE_RETURN_NOT_OK(meta(st.col_map.ids[g], &function[g], &length[g]));
+  }
   const int64_t num_pairs = cols * (cols - 1) / 2;
   const int v_x = p.graph.AddValue("x", {rows, cols});
   const int v_means = p.graph.AddValue("means", {cols, 1});
   const int v_cov = p.graph.AddValue("cov", {cols, cols});
   const int v_upper = p.graph.AddValue("upper", {num_pairs, 1});
+  const int v_buckets = p.graph.AddValue("upper_buckets", {num_pairs, 1});
+  const int v_ends = p.graph.AddValue(
+      "bucket_ends", {stats::QuantileBuckets(num_pairs), 1});
+  const int v_select = p.graph.AddValue("select", {num_pairs, 1});
   const int v_thr = p.graph.AddValue("threshold", {1, 1});
   p.Add({OpKind::kScan, "scan_matrix", {}, {v_x}},
         ScanMatrix(v_x, rows, cols));
@@ -332,33 +342,48 @@ genbase::Result<GraphParts> BuildCovarianceGraph(const PlanStatics& st) {
           return core::CovarianceExtractUpper(f->View(v_cov),
                                               f->Data(v_upper), ctx);
         });
-  p.Add({OpKind::kQuantile, "quantile", {v_upper}, {v_thr}, kReadsParams},
-        [v_upper, v_thr, num_pairs](ExecFrame* f, ExecContext*,
-                                    QueryResult*) -> genbase::Status {
-          // Selects on a private copy: `upper` is a read-only plan constant.
+  // `bucket_ends` is an int64 value: both ops below access its slot only
+  // through int64_t pointers.
+  p.Add({OpKind::kPartition, "partition_upper", {v_upper},
+         {v_buckets, v_ends}},
+        [v_upper, v_buckets, v_ends, num_pairs](
+            ExecFrame* f, ExecContext*, QueryResult*) -> genbase::Status {
+          stats::PartitionForQuantile(
+              f->In(v_upper), num_pairs, f->Data(v_buckets),
+              reinterpret_cast<int64_t*>(f->Data(v_ends)));
+          return genbase::Status::OK();
+        });
+  // Selects inside the one bucket that holds the quantile's rank, on a copy
+  // in the execute region: the buckets are read-only plan constants.
+  p.Add({OpKind::kQuantile, "quantile", {v_buckets, v_ends},
+         {v_select, v_thr}, kReadsParams},
+        [v_buckets, v_ends, v_select, v_thr, num_pairs](
+            ExecFrame* f, ExecContext*, QueryResult*) -> genbase::Status {
           GENBASE_ASSIGN_OR_RETURN(
               const double thr,
-              stats::Quantile(f->In(v_upper), num_pairs,
-                              f->params().covariance_quantile));
+              stats::PartitionedQuantile(
+                  f->In(v_buckets),
+                  reinterpret_cast<const int64_t*>(f->In(v_ends)), num_pairs,
+                  f->params().covariance_quantile, f->Data(v_select)));
           f->Data(v_thr)[0] = thr;
           return genbase::Status::OK();
         });
-  // The join runs per execute (its threshold does), so it keeps the gene
-  // ids and the metadata lookup — and the tables the lookup points into.
+  // The join runs per execute (its threshold does), on the upper triangle
+  // in extraction order so its checksums sum as the legacy path's do.
   p.Add({OpKind::kJoin, "threshold_join", {v_upper, v_thr}, {}},
-        [v_upper, v_thr, rows, cols, tables = st.tables,
-         gene_ids = st.col_map.ids, meta = st.meta](
-            ExecFrame* f, ExecContext* ctx,
-            QueryResult* out) -> genbase::Status {
+        [v_upper, v_thr, rows, cols, function = std::move(function),
+         length = std::move(length)](ExecFrame* f, ExecContext* ctx,
+                                     QueryResult* out) -> genbase::Status {
           GENBASE_ASSIGN_OR_RETURN(
               out->covariance,
               core::CovarianceJoinPass(f->In(v_upper), cols, rows,
-                                       f->In(v_thr)[0], gene_ids, meta,
-                                       ctx));
+                                       f->In(v_thr)[0], function.data(),
+                                       length.data(), ctx));
           return genbase::Status::OK();
         });
-  // Gene ids plus one lookup hash entry per gene.
-  p.retained_static_bytes = cols * (8 + kHashEntryBytes);
+  // The join's two metadata arrays; the tables are not kept.
+  p.retained_static_bytes =
+      cols * 2 * static_cast<int64_t>(sizeof(int64_t));
   return p;
 }
 

@@ -26,6 +26,8 @@ const char* OpKindName(OpKind kind) {
       return "quantile";
     case OpKind::kCount:
       return "count";
+    case OpKind::kPartition:
+      return "partition";
   }
   return "?";
 }
@@ -54,6 +56,8 @@ const char* OpSpanName(OpKind kind) {
       return "plan.quantile";
     case OpKind::kCount:
       return "plan.count";
+    case OpKind::kPartition:
+      return "plan.partition";
   }
   return "plan.op";
 }

@@ -11,11 +11,11 @@
 namespace genbase::plan {
 
 /// \brief Operator vocabulary of the query plans. The first eight kinds are
-/// the query-level operators Q1-Q5 decompose into; the last three are small
-/// auxiliary kernels (mean vector, quantile reduction, thresholded count)
-/// that Q2's covariance pipeline and Q5's significance step need as
-/// separate ops, so the fold split can run the parameter-free part at
-/// compile.
+/// the query-level operators Q1-Q5 decompose into; the last four are small
+/// auxiliary kernels (mean vector, quantile reduction, thresholded count,
+/// radix partition) that Q2's covariance pipeline and Q5's significance
+/// step need as separate ops, so the fold split can run the
+/// parameter-free part at compile.
 enum class OpKind {
   kScan = 0,         ///< Tables -> dense arena matrix/vector (zero + scatter).
   kSelect,           ///< Element selection (upper-triangle extraction).
@@ -28,8 +28,9 @@ enum class OpKind {
   kColumnMeans,      ///< Column mean vector (Q2).
   kQuantile,         ///< Quantile reduction to a scalar buffer (Q2).
   kCount,            ///< Count of entries below a bound (Q5 significance).
+  kPartition,        ///< Radix partition into quantile buckets (Q2).
 };
-inline constexpr int kNumOpKinds = 11;
+inline constexpr int kNumOpKinds = 12;
 
 const char* OpKindName(OpKind kind);
 
@@ -45,7 +46,8 @@ const char* OpSpanName(OpKind kind);
 Phase OpPhase(OpKind kind);
 
 /// \brief Dense row-major shape of one plan value. Vectors are rows x 1,
-/// scalars 1 x 1 — everything in the arena is a double buffer.
+/// scalars 1 x 1. Every element is 8 bytes: a double, or an int64 index
+/// for the few index values (Q2's bucket ends).
 struct TensorSpec {
   int64_t rows = 0;
   int64_t cols = 1;

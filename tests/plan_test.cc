@@ -428,7 +428,7 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, PlannedQueryTest,
 ///
 ///   query         folded at compile           left at execute
 ///   regression    scan_design, least_squares  -
-///   covariance    scan .. extract_upper       quantile, threshold_join
+///   covariance    scan .. partition_upper     quantile, threshold_join
 ///   biclustering  scan_matrix                 cheng_church
 ///   svd           scan_matrix                 truncated_svd
 ///   statistics    aggregate_scores, wilcoxon  count_significant
@@ -443,7 +443,8 @@ std::vector<FoldSplit> FoldTable() {
   return {
       {QueryId::kRegression, {"scan_design", "least_squares"}, {}},
       {QueryId::kCovariance,
-       {"scan_matrix", "column_means", "syrk_centered", "extract_upper"},
+       {"scan_matrix", "column_means", "syrk_centered", "extract_upper",
+        "partition_upper"},
        {"quantile", "threshold_join"}},
       {QueryId::kBiclustering, {"scan_matrix"}, {"cheng_church"}},
       {QueryId::kSvd, {"scan_matrix"}, {"truncated_svd"}},
@@ -495,6 +496,33 @@ TEST(FoldTest, PlansRetainOnlyWhatExecuteReads) {
       ASSERT_TRUE((*plan)->Execute(TinyParams(), &ctx).ok());
       EXPECT_EQ(tracker.used(), 0) << "Q1 execute pinned an arena";
     }
+  }
+}
+
+/// No plan pins the tables snapshot it was compiled from: execute ops read
+/// only retained values and what their closures resolved at compile, so a
+/// reload can free the old dataset while plans of its epoch still serve.
+TEST(FoldTest, PlansDoNotPinTheirTables) {
+  MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
+  ExecContext ctx;
+  ctx.set_memory(&tracker);
+  auto tables = std::make_shared<engine::ColumnarTables>();
+  ASSERT_TRUE(
+      engine::LoadColumnarTables(TinyData(), &tracker, tables.get()).ok());
+  const std::weak_ptr<const engine::ColumnarTables> weak = tables;
+  std::vector<std::shared_ptr<plan::CompiledPlan>> plans;
+  for (const QueryId q : core::kAllQueries) {
+    auto plan = plan::CompileQuery(tables, q, TinyParams(), &tracker, &ctx);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    plans.push_back(std::move(plan).ValueOrDie());
+  }
+  tables.reset();
+  EXPECT_TRUE(weak.expired()) << "a plan still holds its tables";
+  for (const auto& plan : plans) {
+    SCOPED_TRACE(core::QueryName(plan->query()));
+    auto r = plan->Execute(TinyParams(), &ctx);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(BitwiseEqual(*r, LegacyAnswer(plan->query(), TinyParams())));
   }
 }
 
@@ -738,6 +766,28 @@ TEST(ShapeKeyTest, SeededBoundParamSweepSharesOnePlan) {
     EXPECT_EQ(delta.executes, 8);
   }
   EXPECT_EQ(engine.cached_plans(), 5);
+}
+
+/// The quantile's end points on the shared Q2 plan: q = 0 selects the
+/// smallest pair, q = 1 clamps to the largest (so no pair is above it).
+TEST(ShapeKeyTest, QuantileEndpointsShareOnePlan) {
+  plan::PlanEngine engine;
+  ASSERT_TRUE(engine.LoadDataset(TinyData()).ok());
+  ExecContext ctx;
+  engine.PrepareContext(&ctx);
+  for (const double q : {0.0, 1.0}) {
+    SCOPED_TRACE(q);
+    QueryParams p = TinyParams();
+    p.covariance_quantile = q;
+    auto planned = engine.RunQuery(QueryId::kCovariance, p, &ctx);
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    EXPECT_TRUE(
+        BitwiseEqual(*planned, LegacyAnswer(QueryId::kCovariance, p)));
+    if (q == 1.0) {
+      EXPECT_EQ(planned->covariance.pairs_above, 0);
+    }
+  }
+  EXPECT_EQ(engine.cached_plans(), 1);
 }
 
 }  // namespace

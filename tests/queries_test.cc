@@ -101,6 +101,30 @@ TEST(CovarianceThresholdJoinTest, MetaLookupFailurePropagates) {
   EXPECT_FALSE(s.ok());
 }
 
+TEST(CovarianceThresholdJoinTest, ChargesTheQuantileCopy) {
+  // The upper triangle and the copy the quantile selects on are live at
+  // once, so the tracker must see both.
+  const int64_t n = 64;
+  linalg::Matrix cov(n, n);
+  Rng rng(11);
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = i + 1; j < n; ++j) {
+      cov(i, j) = cov(j, i) = rng.Uniform(-1.0, 1.0);
+    }
+  }
+  std::vector<int64_t> ids(static_cast<size_t>(n));
+  for (int64_t g = 0; g < n; ++g) ids[static_cast<size_t>(g)] = 100 + g;
+  MemoryTracker tracker(MemoryTracker::kUnlimited, "Q2Join");
+  ExecContext ctx;
+  ctx.set_memory(&tracker);
+  auto s = CovarianceThresholdJoin(cov, 9, ids, ConstantMeta(5, 100), 0.9,
+                                   &ctx);
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  const int64_t num_pairs = n * (n - 1) / 2;
+  EXPECT_GE(tracker.peak(), 2 * num_pairs * 8);
+  EXPECT_EQ(tracker.used(), 0);
+}
+
 TEST(CovarianceThresholdJoinTest, GeneIdMismatchInAnalytics) {
   linalg::Matrix x(5, 3);
   auto s = CovarianceAnalytics(linalg::MatrixView(x), {1, 2},  // Wrong size.

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "stats/normal.h"
@@ -158,21 +162,124 @@ TEST(QuantileTest, RejectsBadInput) {
   EXPECT_FALSE(Quantile({1.0}, -0.1).ok());
 }
 
-TEST(SampledQuantileTest, FullCopyWhenSmall) {
-  const std::vector<double> v = {1, 2, 3, 4, 5};
-  auto q = SampledQuantile(v.data(), 5, 0.5, 100, 1);
-  ASSERT_TRUE(q.ok());
-  EXPECT_DOUBLE_EQ(*q, 3.0);
+/// PartitionedQuantile over PartitionForQuantile's buckets, as Q2's plan
+/// runs it: partition once, then select.
+Result<double> PartitionedSelect(const std::vector<double>& v, double q) {
+  const auto n = static_cast<int64_t>(v.size());
+  std::vector<double> buckets(v.size());
+  std::vector<double> scratch(v.size());
+  std::vector<int64_t> ends(static_cast<size_t>(QuantileBuckets(n)));
+  PartitionForQuantile(v.data(), n, buckets.data(), ends.data());
+  return PartitionedQuantile(buckets.data(), ends.data(), n, q,
+                             scratch.data());
 }
 
-TEST(SampledQuantileTest, SampleApproximatesTrueQuantile) {
-  Rng rng(77);
-  std::vector<double> v(200000);
-  for (auto& x : v) x = rng.Uniform();
-  auto q = SampledQuantile(v.data(), static_cast<int64_t>(v.size()), 0.9,
-                           20000, 7);
-  ASSERT_TRUE(q.ok());
-  EXPECT_NEAR(*q, 0.9, 0.02);
+uint64_t Bits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+/// The partitioned select returns Quantile's bits. The one exception is a
+/// selected rank on a tie between -0.0 and +0.0, which nth_element itself
+/// leaves unspecified: there the two need only compare equal.
+void ExpectSameAsQuantile(const std::vector<double>& v, double q) {
+  SCOPED_TRACE("n=" + std::to_string(v.size()) + " q=" + std::to_string(q));
+  const Result<double> want = Quantile(v, q);
+  const Result<double> got = PartitionedSelect(v, q);
+  ASSERT_EQ(got.ok(), want.ok());
+  if (!want.ok()) return;
+  const bool has_neg_zero = std::any_of(v.begin(), v.end(), [](double x) {
+    return Bits(x) == Bits(-0.0);
+  });
+  const bool has_pos_zero = std::any_of(v.begin(), v.end(), [](double x) {
+    return Bits(x) == Bits(0.0);
+  });
+  if (*want == 0.0 && has_neg_zero && has_pos_zero) {
+    EXPECT_EQ(*got, *want);
+  } else {
+    EXPECT_EQ(Bits(*got), Bits(*want)) << *got << " vs " << *want;
+  }
+}
+
+TEST(QuantileTest, PartitionedSelectMatchesQuantile) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double min_normal = std::numeric_limits<double>::min();
+  const std::vector<double> qs = {0.0, 0.5, 1.0 - std::ldexp(1.0, -53), 1.0};
+
+  // Every value shares its sign, exponent and top mantissa bits, so one
+  // bucket holds them all (at the capped bucket count: n > 2^14).
+  const int64_t n = 20000;
+  std::vector<double> one_bucket;
+  for (int64_t i = 0; i < n; ++i) {
+    one_bucket.push_back(1.0 + std::ldexp(static_cast<double>(i % 37), -52));
+  }
+  std::vector<int64_t> ends(static_cast<size_t>(QuantileBuckets(n)));
+  std::vector<double> buckets(static_cast<size_t>(n));
+  PartitionForQuantile(one_bucket.data(), n, buckets.data(), ends.data());
+  ASSERT_EQ(std::count_if(ends.begin(), ends.end(),
+                          [n](int64_t e) { return e > 0 && e < n; }),
+            0)
+      << "the one-bucket case spans several buckets";
+
+  const std::vector<std::vector<double>> cases = {
+      // Ties straddling floor(q * n) for q = 0.5 (rank 5 of 10).
+      {5, 9, 5, 1, 5, 3, 5, 8, 5, 2},
+      // All equal.
+      {3.25, 3.25, 3.25, 3.25, 3.25, 3.25, 3.25},
+      // One element.
+      {42.0},
+      // Mixed signs.
+      {-3, 2, -1.5, 0.0, 7, -0.25, 4, -1e300, 1e-300},
+      // Infinities.
+      {inf, -inf, 1, -1, inf, 0.5, -inf},
+      // Subnormals around both zeros.
+      {tiny, -tiny, 2 * tiny, min_normal / 2, -min_normal / 4, 0.0,
+       min_normal, -0.0},
+      // Signed zeros: the selected rank lands on the -0.0/+0.0 tie.
+      {-0.0, 0.0, -0.0, 1.0, -1.0, 0.0},
+      // A lone -0.0 at the selected rank keeps its sign bit.
+      {1.0, -0.0, -1.0},
+      one_bucket,
+  };
+  for (const auto& v : cases) {
+    for (const double q : qs) ExpectSameAsQuantile(v, q);
+  }
+
+  const double specials[] = {0.0, -0.0, inf, -inf, tiny, -tiny};
+  Rng rng(20261017);
+  for (int draw = 0; draw < 200; ++draw) {
+    // Every tenth array is past the 2^14-bucket cap.
+    std::vector<double> v(static_cast<size_t>(
+        draw % 10 == 0 ? rng.UniformInt(20000, 40000)
+                       : rng.UniformInt(1, 3000)));
+    const int64_t distinct = rng.UniformInt(1, 400);
+    for (double& x : v) {
+      switch (rng.UniformInt(0, 9)) {
+        case 0:  // Few distinct values: long ties.
+          x = static_cast<double>(rng.UniformInt(0, distinct)) / 8.0;
+          break;
+        case 1:
+          x = specials[rng.UniformInt(0, 5)];
+          break;
+        default:  // Both signs over 80 binades.
+          x = std::ldexp(rng.Gaussian(),
+                         static_cast<int>(rng.UniformInt(-40, 40)));
+      }
+    }
+    for (const double q : qs) ExpectSameAsQuantile(v, q);
+    ExpectSameAsQuantile(v, rng.Uniform());
+  }
+}
+
+TEST(QuantileTest, PartitionedSelectRejectsWhatQuantileRejects) {
+  EXPECT_FALSE(PartitionedSelect({}, 0.5).ok());
+  for (const double q :
+       {-0.1, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_FALSE(Quantile({1.0, 2.0}, q).ok()) << q;
+    EXPECT_FALSE(PartitionedSelect({1.0, 2.0}, q).ok()) << q;
+  }
 }
 
 // --- Wilcoxon -----------------------------------------------------------------------
