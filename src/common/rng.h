@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string_view>
 
 namespace genbase {
@@ -14,6 +15,20 @@ inline uint64_t SplitMix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
+}
+
+/// \brief One hash-combine step: folds `v` into the accumulator `h` through
+/// SplitMix64, so nearby values (quantile 0.90 vs 0.95) land far apart.
+inline uint64_t HashMix(uint64_t h, uint64_t v) {
+  return SplitMix64(h ^ (v + 0x9e3779b97f4a7c15ULL));
+}
+
+/// \brief HashMix over a double's bit pattern.
+inline uint64_t HashMix(uint64_t h, double d) {
+  uint64_t bits = 0;
+  static_assert(sizeof(bits) == sizeof(d), "double must be 64-bit");
+  std::memcpy(&bits, &d, sizeof(bits));
+  return HashMix(h, bits);
 }
 
 /// \brief Derives a seed from a string tag plus numeric salts (FNV-1a over

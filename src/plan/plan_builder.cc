@@ -1,7 +1,6 @@
 #include "plan/plan_builder.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -40,18 +39,6 @@ std::vector<int64_t> GatherIds(const std::vector<int64_t>& ids,
   out.reserve(selection.size());
   for (int64_t i : selection) out.push_back(ids[static_cast<size_t>(i)]);
   return out;
-}
-
-/// Mixes one shape field into a ShapeFingerprint accumulator (SplitMix64,
-/// so nearby values land far apart).
-uint64_t MixShape(uint64_t h, uint64_t v) {
-  return SplitMix64(h ^ (v + 0x9e3779b97f4a7c15ULL));
-}
-
-uint64_t MixShape(uint64_t h, double d) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return MixShape(h, bits);
 }
 
 /// Keeps only the matched microarray rows of a compile-time join, without
@@ -500,17 +487,17 @@ uint64_t ShapeFingerprint(QueryId query, const QueryParams& params) {
   switch (query) {
     case QueryId::kRegression:
     case QueryId::kSvd:
-      h = MixShape(h, static_cast<uint64_t>(params.function_threshold));
+      h = HashMix(h, static_cast<uint64_t>(params.function_threshold));
       break;
     case QueryId::kCovariance:
-      h = MixShape(h, static_cast<uint64_t>(params.disease_id));
+      h = HashMix(h, static_cast<uint64_t>(params.disease_id));
       break;
     case QueryId::kBiclustering:
-      h = MixShape(h, static_cast<uint64_t>(params.gender));
-      h = MixShape(h, static_cast<uint64_t>(params.max_age));
+      h = HashMix(h, static_cast<uint64_t>(params.gender));
+      h = HashMix(h, static_cast<uint64_t>(params.max_age));
       break;
     case QueryId::kStatistics:
-      h = MixShape(h, params.sample_fraction);
+      h = HashMix(h, params.sample_fraction);
       break;
   }
   return h;

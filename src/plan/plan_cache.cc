@@ -13,69 +13,58 @@ static_assert(sizeof(PlanKey) == 24,
 
 genbase::Result<std::shared_ptr<CompiledPlan>> PlanCache::GetOrCompile(
     const PlanKey& key, const Compiler& compile, bool* cache_hit) {
+  if (cache_hit != nullptr) *cache_hit = false;
   for (;;) {
-    std::shared_ptr<Slot> slot;
-    bool leader = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (key.epoch > epoch_) {
-        slots_.clear();  // Every slot is keyed to the older epoch_.
-        epoch_ = key.epoch;
-      }
-      if (key.epoch == epoch_) {
-        auto it = slots_.find(key);
-        if (it == slots_.end()) {
-          slot = std::make_shared<Slot>();
-          slots_.emplace(key, slot);
-          leader = true;
-        } else {
-          slot = it->second;
-        }
-      }
+    std::unique_lock<std::mutex> lock(mu_);
+    if (key.epoch > epoch_) {
+      plans_.clear();  // Every plan is keyed to the older epoch_.
+      epoch_ = key.epoch;
+      ++evictions_;
     }
-    if (slot == nullptr) {
+    if (key.epoch < epoch_) {
       // A straggler on an evicted epoch: serve it, but never re-cache it.
-      if (cache_hit != nullptr) *cache_hit = false;
+      lock.unlock();
       return compile();
     }
-    if (leader) {
+    auto it = plans_.find(key);
+    if (it != plans_.end()) {
+      if (cache_hit != nullptr) *cache_hit = true;
+      return it->second;
+    }
+    Flights::Ticket ticket = flights_.Join(key);
+    const uint64_t evictions = evictions_;
+    lock.unlock();
+
+    if (ticket.leader()) {
       auto result = compile();
-      {
-        std::lock_guard<std::mutex> lock(slot->mu);
-        if (result.ok()) slot->plan = *result;
-        slot->done = true;
+      if (result.ok()) {
+        lock.lock();
+        // A newer epoch or Clear() evicted this key mid-compile: the plan
+        // still answers this flight, but must not re-enter the cache.
+        if (evictions_ == evictions) plans_.emplace(key, *result);
+        lock.unlock();
+        ticket.Publish(*result);
       }
-      if (!result.ok()) {
-        // Release the slot so the next requester retries the compile.
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = slots_.find(key);
-        if (it != slots_.end() && it->second == slot) slots_.erase(it);
-      }
-      slot->cv.notify_all();
-      if (cache_hit != nullptr) *cache_hit = false;
+      // A failed compile's ticket closes unpublished: its waiters retry.
       return result;
     }
-    {
-      std::unique_lock<std::mutex> lock(slot->mu);
-      slot->cv.wait(lock, [&slot] { return slot->done; });
-      if (slot->plan != nullptr) {
-        if (cache_hit != nullptr) *cache_hit = true;
-        return slot->plan;
-      }
+    std::shared_ptr<CompiledPlan> plan;
+    if (ticket.Wait(std::nullopt, &plan) == Flights::WaitResult::kServed) {
+      if (cache_hit != nullptr) *cache_hit = true;
+      return plan;
     }
-    // Leader failed and released the slot; loop to retry (possibly
-    // becoming the new leader).
   }
 }
 
 void PlanCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  slots_.clear();
+  plans_.clear();
+  ++evictions_;
 }
 
 int64_t PlanCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(slots_.size());
+  return static_cast<int64_t>(plans_.size());
 }
 
 }  // namespace genbase::plan

@@ -1,7 +1,6 @@
 #ifndef GENBASE_PLAN_PLAN_CACHE_H_
 #define GENBASE_PLAN_PLAN_CACHE_H_
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -9,6 +8,8 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "common/rng.h"
+#include "common/single_flight.h"
 #include "common/status.h"
 #include "core/queries.h"
 #include "plan/compiled_plan.h"
@@ -34,24 +35,24 @@ struct PlanKey {
 
 struct PlanKeyHash {
   size_t operator()(const PlanKey& k) const {
-    uint64_t h = static_cast<uint64_t>(k.query) * 0x9e3779b97f4a7c15ULL;
-    h ^= k.shape_fingerprint + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    h ^= k.epoch + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    return static_cast<size_t>(h);
+    const uint64_t h =
+        HashMix(static_cast<uint64_t>(k.query), k.shape_fingerprint);
+    return static_cast<size_t>(HashMix(h, k.epoch));
   }
 };
 
 /// \brief Single-flight compiled-plan cache. The first thread to request a
-/// key compiles; concurrent requesters for the same key block on the slot
-/// until the leader finishes and then share the compiled plan (one compile
-/// per key, ever). A failed compile releases the slot so the next
-/// requester retries instead of caching the error forever.
+/// key compiles; concurrent requesters for the same key wait on its flight
+/// and then share the compiled plan (one compile per key, ever). A failed
+/// compile is not cached: its waiters retry it.
 ///
 /// The cache holds plans of one dataset epoch: the newest it has been asked
 /// for. A request for a newer epoch evicts every older plan first (one scan
 /// per epoch advance, not per request); a straggler still asking for an
 /// older epoch gets a fresh uncached compile, so an old epoch's plans (and
-/// the tables they pin) never re-enter the cache.
+/// the tables they pin) never re-enter the cache. Neither does a compile
+/// that an epoch advance or Clear() evicted while it ran: it is returned
+/// to its callers but not cached.
 class PlanCache {
  public:
   using Compiler =
@@ -67,16 +68,20 @@ class PlanCache {
   int64_t size() const;
 
  private:
-  struct Slot {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    std::shared_ptr<CompiledPlan> plan;  ///< Null if the compile failed.
-  };
+  using Flights =
+      SingleFlight<PlanKey, std::shared_ptr<CompiledPlan>, PlanKeyHash>;
 
   mutable std::mutex mu_;
-  std::unordered_map<PlanKey, std::shared_ptr<Slot>, PlanKeyHash> slots_;
-  uint64_t epoch_ = 0;  ///< Every slot's key has this epoch.
+  /// Finished plans; every key has epoch_.
+  std::unordered_map<PlanKey, std::shared_ptr<CompiledPlan>, PlanKeyHash>
+      plans_;
+  uint64_t epoch_ = 0;
+  /// Bumped by every eviction (epoch advance or Clear). A compile that saw
+  /// a different count when it joined returns its plan uncached.
+  uint64_t evictions_ = 0;
+  /// Joined only under mu_, and a leader caches before it publishes, so a
+  /// requester finds either the plan or its open flight.
+  Flights flights_;
 };
 
 }  // namespace genbase::plan

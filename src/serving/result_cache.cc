@@ -1,27 +1,8 @@
 #include "serving/result_cache.h"
 
-#include <cstring>
-
 #include "common/rng.h"
 
 namespace genbase::serving {
-
-namespace {
-
-/// FNV-1a style accumulation through SplitMix64 so nearby values (quantile
-/// 0.90 vs 0.95) land far apart.
-uint64_t MixInto(uint64_t h, uint64_t v) {
-  return SplitMix64(h ^ (v + 0x9e3779b97f4a7c15ULL));
-}
-
-uint64_t MixDouble(uint64_t h, double d) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(d), "double must be 64-bit");
-  std::memcpy(&bits, &d, sizeof(bits));
-  return MixInto(h, bits);
-}
-
-}  // namespace
 
 // Tripwire: FingerprintParams must mix EVERY field of QueryParams — a field
 // it misses would make two different parameter sets share a cache key and
@@ -35,24 +16,24 @@ static_assert(sizeof(core::QueryParams) == 72,
 
 uint64_t FingerprintParams(const core::QueryParams& params) {
   uint64_t h = SeedFromTag("serving/params");
-  h = MixInto(h, static_cast<uint64_t>(params.function_threshold));
-  h = MixInto(h, static_cast<uint64_t>(params.disease_id));
-  h = MixDouble(h, params.covariance_quantile);
-  h = MixInto(h, static_cast<uint64_t>(params.max_age));
-  h = MixInto(h, static_cast<uint64_t>(params.gender));
-  h = MixDouble(h, params.bicluster_delta_fraction);
-  h = MixInto(h, static_cast<uint64_t>(params.bicluster_count));
-  h = MixInto(h, static_cast<uint64_t>(params.svd_rank));
-  h = MixDouble(h, params.sample_fraction);
-  h = MixDouble(h, params.significance);
+  h = HashMix(h, static_cast<uint64_t>(params.function_threshold));
+  h = HashMix(h, static_cast<uint64_t>(params.disease_id));
+  h = HashMix(h, params.covariance_quantile);
+  h = HashMix(h, static_cast<uint64_t>(params.max_age));
+  h = HashMix(h, static_cast<uint64_t>(params.gender));
+  h = HashMix(h, params.bicluster_delta_fraction);
+  h = HashMix(h, static_cast<uint64_t>(params.bicluster_count));
+  h = HashMix(h, static_cast<uint64_t>(params.svd_rank));
+  h = HashMix(h, params.sample_fraction);
+  h = HashMix(h, params.significance);
   return h;
 }
 
 size_t CacheKeyHash::operator()(const CacheKey& k) const {
-  uint64_t h = MixInto(k.params_fingerprint,
+  uint64_t h = HashMix(k.params_fingerprint,
                        static_cast<uint64_t>(k.query) * 131 +
                            static_cast<uint64_t>(k.size));
-  h = MixInto(h, k.epoch);
+  h = HashMix(h, k.epoch);
   return static_cast<size_t>(h);
 }
 

@@ -33,6 +33,12 @@ void ChargeModeledGlue(core::CellResult* cell, double seconds,
   }
 }
 
+/// A cell the serving tier may hand out (cache it, publish it to a flight):
+/// a supported query that finished without error inside its budget.
+bool Servable(const core::CellResult& cell) {
+  return cell.supported && cell.status.ok() && !cell.infinite;
+}
+
 }  // namespace
 
 ServingStack::ServingStack(const ServingOptions& options,
@@ -218,8 +224,8 @@ ServeResult ServingStack::Serve(
   double fallback_wait_s = 0.0;
   double fallback_cpu_s = 0.0;
   if (options_.cache_enabled && options_.single_flight) {
-    std::shared_ptr<SingleFlightTable::Flight> flight;
-    if (flights_.Join(key, &flight) == SingleFlightTable::Role::kLeader) {
+    auto ticket = flights_.Join(key);
+    if (ticket.leader()) {
       flight_leaders_->Inc();
       // Double-check before executing: a previous flight on this key may
       // have published between this op's miss and its join, in which case
@@ -228,15 +234,22 @@ ServeResult ServingStack::Serve(
       // is not double-counted in the hit-ratio stats.
       core::QueryResult cached;
       if (cache_.Peek(key, &cached)) {
-        flights_.Publish(key, flight, /*ok=*/true, cached);
+        ticket.Publish(cached);
         ServeResult result = ServedFromTier(query, size, std::move(cached),
                                             0.0, options,
                                             /*coalesced=*/false);
         result.stale_tripwire = stale_tripwire;
         return result;
       }
-      ServeResult result = ExecuteMiss(key, query, size, options, ctx,
-                                       start_deadline, flight, op_id);
+      ServeResult result =
+          ExecuteMiss(key, query, size, options, ctx, start_deadline, op_id);
+      // Followers may be served the result even when the epoch guard
+      // skipped the cache insert: they joined the same key (same epoch
+      // view), so the hand-off is exactly as correct as the leader's own
+      // answer. An unservable result (error, INF, shed) is not published:
+      // the ticket closes as a failure and the followers fend for
+      // themselves.
+      if (Servable(result.cell)) ticket.Publish(result.cell.result);
       result.stale_tripwire = stale_tripwire;
       return result;
     }
@@ -248,11 +261,10 @@ ServeResult ServingStack::Serve(
     const double flight_cpu_begin = obs::Profiler::CpuBegin();
     WallTimer wait_timer;
     core::QueryResult flown;
-    const SingleFlightTable::WaitResult wait =
-        SingleFlightTable::Wait(flight.get(), start_deadline, &flown);
+    const auto wait = ticket.Wait(start_deadline, &flown);
     const double flight_cpu_s = obs::Profiler::CpuDelta(flight_cpu_begin);
     switch (wait) {
-      case SingleFlightTable::WaitResult::kServed: {
+      case Flights::WaitResult::kServed: {
         flight_coalesced_served_->Inc();
         // The flight wait is queueing, reported in admission_wait_s like an
         // admission-queue wait (the runner folds it into latency and the
@@ -267,7 +279,7 @@ ServeResult ServingStack::Serve(
         result.stale_tripwire = stale_tripwire;
         return result;
       }
-      case SingleFlightTable::WaitResult::kTimeout: {
+      case Flights::WaitResult::kTimeout: {
         flight_shed_wait_timeout_->Inc();
         ServeResult result =
             Shed(query, size, AdmissionOutcome::kShedTimeout,
@@ -277,7 +289,7 @@ ServeResult ServingStack::Serve(
         result.stale_tripwire = stale_tripwire;
         return result;
       }
-      case SingleFlightTable::WaitResult::kLeaderFailed:
+      case Flights::WaitResult::kLeaderFailed:
         // The leader had nothing servable (error/INF/shed). Execute solo:
         // failures are op-specific (a timeout there does not mean one
         // here), and re-joining a flight could chain waits unboundedly.
@@ -288,8 +300,8 @@ ServeResult ServingStack::Serve(
     }
   }
 
-  ServeResult result = ExecuteMiss(key, query, size, options, ctx,
-                                   start_deadline, /*flight=*/nullptr, op_id);
+  ServeResult result =
+      ExecuteMiss(key, query, size, options, ctx, start_deadline, op_id);
   result.stale_tripwire = stale_tripwire;
   result.admission_wait_s += fallback_wait_s;
   result.stages[obs::RequestStage::kFlight] += fallback_wait_s;
@@ -301,7 +313,6 @@ ServeResult ServingStack::ExecuteMiss(
     const CacheKey& key, core::QueryId query, core::DatasetSize size,
     const core::DriverOptions& options, ExecContext* ctx,
     std::optional<std::chrono::steady_clock::time_point> start_deadline,
-    const std::shared_ptr<SingleFlightTable::Flight>& flight,
     uint64_t op_id) {
   ServeResult result;
   bool admitted_heavy = false;
@@ -320,9 +331,6 @@ ServeResult ServingStack::ExecuteMiss(
                   admission_wait_s);
     result.stages[obs::RequestStage::kQueue] = admission_wait_s;
     result.stages.Cpu(obs::RequestStage::kQueue) = queue_cpu_s;
-    if (flight != nullptr) {
-      flights_.Publish(key, flight, /*ok=*/false, core::QueryResult{});
-    }
     return result;
   }
   result.admission_wait_s = admission_wait_s;
@@ -447,9 +455,7 @@ ServeResult ServingStack::ExecuteMiss(
   // Interim verdict only — retry_successes_ is counted below from the
   // final verdict, after the retry/hedge overhead and network charges have
   // had their chance to flip the cell to DeadlineExceeded.
-  const bool interim_servable = result.cell.supported &&
-                                result.cell.status.ok() &&
-                                !result.cell.infinite;
+  const bool interim_servable = Servable(result.cell);
 
   // Hedged request: cheap classes only, and only when the served attempt
   // came back slow — over the class's service EWMA threshold, or from a
@@ -475,10 +481,7 @@ ServeResult ServingStack::ExecuteMiss(
       uint64_t hedge_epoch = 0;
       const core::CellResult hedge_cell = run_attempt(
           result.shard, attempt, "hedge ", &hedge_shard, &hedge_epoch);
-      const bool hedge_servable = hedge_cell.supported &&
-                                  hedge_cell.status.ok() &&
-                                  !hedge_cell.infinite;
-      if (hedge_servable && hedge_cell.total_s < result.cell.total_s) {
+      if (Servable(hedge_cell) && hedge_cell.total_s < result.cell.total_s) {
         hedge_wins_->Inc();
         overhead_s += result.cell.total_s;
         result.cell = hedge_cell;
@@ -518,8 +521,7 @@ ServeResult ServingStack::ExecuteMiss(
   result.stages[obs::RequestStage::kDispatch] =
       result.cell.total_s - exec_stage_s;
   result.stages[obs::RequestStage::kExecute] = exec_stage_s;
-  const bool servable = result.cell.supported && result.cell.status.ok() &&
-                        !result.cell.infinite;
+  const bool servable = Servable(result.cell);
   // A retry success is an op that failed at least once yet is ultimately
   // served — judged on the final cell, so an op the overhead charges pushed
   // past its deadline never counts as a success.
@@ -537,12 +539,6 @@ ServeResult ServingStack::ExecuteMiss(
     // entry; that window is microseconds and costs memory, not
     // correctness.)
     cache_.Insert(key, result.cell.result);
-  }
-  if (flight != nullptr) {
-    // Followers may be served the result even when the epoch guard skipped
-    // the cache insert: they joined the same key (same epoch view), so the
-    // hand-off is exactly as correct as the leader's own answer.
-    flights_.Publish(key, flight, servable, result.cell.result);
   }
   return result;
 }

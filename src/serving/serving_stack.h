@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cluster/sim_cluster.h"
+#include "common/single_flight.h"
 #include "common/status.h"
 #include "core/datasets.h"
 #include "core/driver.h"
@@ -20,7 +21,6 @@
 #include "serving/faults.h"
 #include "serving/result_cache.h"
 #include "serving/shard_router.h"
-#include "serving/single_flight.h"
 
 namespace genbase::serving {
 
@@ -141,24 +141,24 @@ class ServingStack {
   ServingCounters counters() const;
 
  private:
+  using Flights = SingleFlight<CacheKey, core::QueryResult, CacheKeyHash>;
+
   ServingStack(const ServingOptions& options,
                std::unique_ptr<ShardRouter> router);
 
   /// The miss path: admission, shard execution (with bounded retries and
-  /// optional hedging), network model, cache insert, and — when `flight` is
-  /// set — the leader's publish. `start_deadline` is computed once per op
-  /// in Serve: a follower that falls back here after a failed flight must
-  /// not get a fresh budget, and the retry loop spends the same budget (see
-  /// tests/serving_test FollowerFallbackKeepsDeadline). `op_id` is the op's
-  /// sequence number — the injector's when one is attached, the stack's own
-  /// otherwise — seeding deterministic fault draws and backoff jitter.
+  /// optional hedging), network model and cache insert. `start_deadline` is
+  /// computed once per op in Serve: a follower that falls back here after a
+  /// failed flight must not get a fresh budget, and the retry loop spends
+  /// the same budget (see tests/serving_test FollowerFallbackKeepsDeadline).
+  /// `op_id` is the op's sequence number — the injector's when one is
+  /// attached, the stack's own otherwise — seeding deterministic fault
+  /// draws and backoff jitter.
   ServeResult ExecuteMiss(const CacheKey& key, core::QueryId query,
                           core::DatasetSize size,
                           const core::DriverOptions& options, ExecContext* ctx,
                           std::optional<std::chrono::steady_clock::time_point>
                               start_deadline,
-                          const std::shared_ptr<SingleFlightTable::Flight>&
-                              flight,
                           uint64_t op_id);
 
   std::optional<std::chrono::steady_clock::time_point> StartDeadline(
@@ -180,7 +180,10 @@ class ServingStack {
 
   ServingOptions options_;
   ResultCache cache_;
-  SingleFlightTable flights_;
+  /// Concurrent misses on one key: one leader executes, followers wait for
+  /// its servable result. Keys carry the dataset epoch, so a flight never
+  /// hands a follower another generation's result.
+  Flights flights_;
   AdmissionController admission_;
   std::unique_ptr<ShardRouter> router_;
   cluster::NetworkModel net_;

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <optional>
+#include <string>
 #include <thread>
 
 #include "common/csv.h"
@@ -11,6 +13,7 @@
 #include "common/logging.h"
 #include "common/memory_tracker.h"
 #include "common/rng.h"
+#include "common/single_flight.h"
 #include "common/spill.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -203,6 +206,72 @@ TEST(ThreadPoolTest, SubmitAndWait) {
   }
   pool.Wait();
   EXPECT_EQ(count.load(), 50);
+}
+
+// --- SingleFlight ------------------------------------------------------------
+
+using IntFlights = SingleFlight<int, std::string>;
+
+TEST(SingleFlightTest, FirstJoinLeadsFollowersAreServed) {
+  IntFlights flights;
+  IntFlights::Ticket leader = flights.Join(7);
+  ASSERT_TRUE(leader.leader());
+  IntFlights::Ticket follower = flights.Join(7);
+  ASSERT_FALSE(follower.leader());
+  EXPECT_EQ(flights.open_flights(), 1);
+
+  std::string served;
+  std::thread waiter([&] {
+    ASSERT_EQ(follower.Wait(std::nullopt, &served),
+              IntFlights::WaitResult::kServed);
+  });
+  leader.Publish("result 7");
+  waiter.join();
+  EXPECT_EQ(served, "result 7");
+  // The flight closed: the next miss on the key opens a fresh one.
+  EXPECT_EQ(flights.open_flights(), 0);
+  EXPECT_TRUE(flights.Join(7).leader());
+}
+
+TEST(SingleFlightTest, FailedLeaderAndDeadlineAreDistinguished) {
+  IntFlights flights;
+  std::optional<IntFlights::Ticket> leader(flights.Join(8));
+  ASSERT_TRUE(leader->leader());
+  IntFlights::Ticket follower = flights.Join(8);
+  ASSERT_FALSE(follower.leader());
+
+  // Deadline passes before any publish.
+  EXPECT_EQ(follower.Wait(std::chrono::steady_clock::now() +
+                              std::chrono::milliseconds(10),
+                          nullptr),
+            IntFlights::WaitResult::kTimeout);
+
+  leader.reset();
+  EXPECT_EQ(follower.Wait(std::nullopt, nullptr),
+            IntFlights::WaitResult::kLeaderFailed);
+}
+
+TEST(SingleFlightTest, LeaderDestroyedUnpublishedWakesFollowersAsFailed) {
+  IntFlights flights;
+  std::optional<IntFlights::Ticket> leader(flights.Join(9));
+  ASSERT_TRUE(leader->leader());
+  IntFlights::Ticket follower = flights.Join(9);
+  ASSERT_FALSE(follower.leader());
+
+  std::atomic<bool> started{false};
+  std::optional<IntFlights::WaitResult> result;
+  std::thread waiter([&] {
+    started.store(true);
+    result = follower.Wait(std::nullopt, nullptr);
+  });
+  while (!started.load()) std::this_thread::yield();
+  // Give the follower time to block, so the close has a waiter to wake.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  leader.reset();  // An error path that never reaches Publish.
+  waiter.join();
+  EXPECT_EQ(result, IntFlights::WaitResult::kLeaderFailed);
+  EXPECT_EQ(flights.open_flights(), 0);
+  EXPECT_TRUE(flights.Join(9).leader());
 }
 
 // --- ExecContext ------------------------------------------------------------

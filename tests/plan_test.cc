@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -639,6 +643,134 @@ TEST(PlanCacheTest, EpochAdvanceLeavesOnlyCurrentEpochPlans) {
   ASSERT_TRUE(get(QueryId::kRegression, /*epoch=*/2, &hit).ok());
   EXPECT_TRUE(hit);
   EXPECT_EQ(cache.size(), 1);
+}
+
+/// Callers queued behind a compile that fails are not handed its error:
+/// they retry, one of them compiles, and the rest share that plan.
+TEST(PlanCacheTest, FailedCompileIsRetriedByItsFollowers) {
+  MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
+  plan::PlanCache cache;
+  const plan::PlanKey key{QueryId::kRegression, /*shape_fingerprint=*/0,
+                          /*epoch=*/1};
+  constexpr int kCallers = 4;
+  std::atomic<int> compiles{0};
+  std::atomic<int> started{0};
+  std::atomic<bool> gate_open{false};
+  // The first compile waits at the gate, then fails; later ones succeed.
+  const auto compile = [&]() -> Result<std::shared_ptr<plan::CompiledPlan>> {
+    if (compiles.fetch_add(1) == 0) {
+      while (!gate_open.load()) std::this_thread::yield();
+      return Status::Internal("injected compile failure");
+    }
+    ExecContext ctx;
+    ctx.set_memory(&tracker);
+    return plan::CompileQuery(TinyTables(), key.query, TinyParams(),
+                              &tracker, &ctx);
+  };
+
+  std::vector<Status> statuses(kCallers);
+  std::vector<std::shared_ptr<plan::CompiledPlan>> plans(kCallers);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      started.fetch_add(1);
+      bool hit = false;
+      auto r = cache.GetOrCompile(key, compile, &hit);
+      statuses[static_cast<size_t>(t)] = r.status();
+      if (r.ok()) plans[static_cast<size_t>(t)] = *r;
+    });
+  }
+  while (started.load() < kCallers) std::this_thread::yield();
+  // Give the callers time to queue behind the gated compile. A caller that
+  // arrives after the failure leads the retry itself, so the outcome below
+  // holds on every schedule.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  gate_open.store(true);
+  for (auto& caller : callers) caller.join();
+
+  int errors = 0;
+  std::set<const plan::CompiledPlan*> distinct;
+  for (int t = 0; t < kCallers; ++t) {
+    if (!statuses[static_cast<size_t>(t)].ok()) {
+      ++errors;
+    } else {
+      distinct.insert(plans[static_cast<size_t>(t)].get());
+    }
+  }
+  EXPECT_EQ(errors, 1);
+  EXPECT_EQ(distinct.size(), 1u);
+  EXPECT_EQ(distinct.count(nullptr), 0u);
+  EXPECT_EQ(compiles.load(), 2);
+  EXPECT_EQ(cache.size(), 1);
+}
+
+/// A compile that a newer epoch or Clear() evicts while it runs still
+/// answers its caller, but its plan never enters the cache.
+TEST(PlanCacheTest, CompileOutlivingItsEvictionIsNotCached) {
+  MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
+  const auto compile = [&](QueryId q) {
+    ExecContext ctx;
+    ctx.set_memory(&tracker);
+    return plan::CompileQuery(TinyTables(), q, TinyParams(), &tracker, &ctx);
+  };
+  const plan::PlanKey key{QueryId::kRegression, /*shape_fingerprint=*/0,
+                          /*epoch=*/1};
+  // Compiles `key` on another thread and runs `evict` while that compile is
+  // in progress. True if the compiling caller got its plan.
+  const auto compile_across = [&](plan::PlanCache* cache,
+                                  const std::function<void()>& evict) {
+    std::atomic<bool> compiling{false};
+    std::atomic<bool> evicted{false};
+    bool served = false;
+    std::thread caller([&] {
+      bool hit = true;
+      auto r = cache->GetOrCompile(
+          key,
+          [&] {
+            compiling.store(true);
+            while (!evicted.load()) std::this_thread::yield();
+            return compile(key.query);
+          },
+          &hit);
+      served = r.ok() && *r != nullptr && !hit;
+    });
+    while (!compiling.load()) std::this_thread::yield();
+    evict();
+    evicted.store(true);
+    caller.join();
+    return served;
+  };
+
+  {
+    // A request for a newer epoch evicts the compiling one.
+    plan::PlanCache cache;
+    const plan::PlanKey newer{QueryId::kCovariance, /*shape_fingerprint=*/0,
+                              /*epoch=*/2};
+    const auto get_newer = [&](bool* hit) {
+      return cache.GetOrCompile(
+          newer, [&] { return compile(newer.query); }, hit);
+    };
+    bool hit = true;
+    ASSERT_TRUE(compile_across(&cache, [&] {
+      ASSERT_TRUE(get_newer(&hit).ok());
+    }));
+    EXPECT_FALSE(hit);
+    EXPECT_EQ(cache.size(), 1) << "an evicted epoch's plan was cached";
+    ASSERT_TRUE(get_newer(&hit).ok());
+    EXPECT_TRUE(hit);
+  }
+  {
+    // Clear() (a dataset unload) evicts it without an epoch change.
+    plan::PlanCache cache;
+    ASSERT_TRUE(compile_across(&cache, [&] { cache.Clear(); }));
+    EXPECT_EQ(cache.size(), 0) << "a plan compiled across Clear() was cached";
+    bool hit = true;
+    ASSERT_TRUE(
+        cache.GetOrCompile(key, [&] { return compile(key.query); }, &hit)
+            .ok());
+    EXPECT_FALSE(hit);
+    EXPECT_EQ(cache.size(), 1);
+  }
 }
 
 TEST(PlanEngineTest, ServesAllQueriesThroughRunQuery) {

@@ -455,53 +455,6 @@ TEST(ServingStackTest, OverloadShedsAndAccountsSeparately) {
 
 // --- single flight ----------------------------------------------------------
 
-TEST(SingleFlightTest, FirstJoinLeadsFollowersAreServed) {
-  SingleFlightTable table;
-  const CacheKey key = KeyWithFingerprint(7);
-  std::shared_ptr<SingleFlightTable::Flight> leader_flight;
-  ASSERT_EQ(table.Join(key, &leader_flight),
-            SingleFlightTable::Role::kLeader);
-  std::shared_ptr<SingleFlightTable::Flight> follower_flight;
-  ASSERT_EQ(table.Join(key, &follower_flight),
-            SingleFlightTable::Role::kFollower);
-  ASSERT_EQ(leader_flight, follower_flight);
-  EXPECT_EQ(table.open_flights(), 1);
-
-  core::QueryResult served;
-  std::thread follower([&] {
-    ASSERT_EQ(SingleFlightTable::Wait(follower_flight.get(), std::nullopt,
-                                      &served),
-              SingleFlightTable::WaitResult::kServed);
-  });
-  table.Publish(key, leader_flight, /*ok=*/true, SvdResultWithValues(3, 2.0));
-  follower.join();
-  EXPECT_DOUBLE_EQ(served.svd.singular_values[0], 6.0);
-  // The flight closed: the next miss on the key opens a fresh one.
-  EXPECT_EQ(table.open_flights(), 0);
-  std::shared_ptr<SingleFlightTable::Flight> next;
-  EXPECT_EQ(table.Join(key, &next), SingleFlightTable::Role::kLeader);
-  table.Publish(key, next, /*ok=*/false, core::QueryResult{});
-}
-
-TEST(SingleFlightTest, FailedLeaderAndDeadlineAreDistinguished) {
-  SingleFlightTable table;
-  const CacheKey key = KeyWithFingerprint(8);
-  std::shared_ptr<SingleFlightTable::Flight> flight;
-  ASSERT_EQ(table.Join(key, &flight), SingleFlightTable::Role::kLeader);
-
-  // Deadline passes before any publish.
-  EXPECT_EQ(SingleFlightTable::Wait(
-                flight.get(),
-                std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(10),
-                nullptr),
-            SingleFlightTable::WaitResult::kTimeout);
-
-  table.Publish(key, flight, /*ok=*/false, core::QueryResult{});
-  EXPECT_EQ(SingleFlightTable::Wait(flight.get(), std::nullopt, nullptr),
-            SingleFlightTable::WaitResult::kLeaderFailed);
-}
-
 TEST(ServingStackTest, ConcurrentMissesOnOneKeyRunOneCompute) {
   ServingOptions options = CacheOnlyOptions(2);
   options.single_flight = true;

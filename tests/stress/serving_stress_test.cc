@@ -26,12 +26,12 @@
 
 #include "common/check.h"
 #include "common/exec_context.h"
+#include "common/single_flight.h"
 #include "core/generator.h"
 #include "engine/engines.h"
 #include "serving/admission.h"
 #include "serving/result_cache.h"
 #include "serving/serving_stack.h"
-#include "serving/single_flight.h"
 #include "tests/stress/stress_util.h"
 
 namespace genbase::serving {
@@ -143,7 +143,8 @@ TEST(ServingStressTest, SingleFlightPublishRacesInvalidation) {
   // has exactly one leader per key; the leader publishes a result tagged
   // with the key's epoch, and every served follower must observe exactly
   // that tag (torn or cross-flight hand-off would break it).
-  SingleFlightTable flights;
+  using Flights = SingleFlight<CacheKey, core::QueryResult, CacheKeyHash>;
+  Flights flights;
   ResultCache cache(/*max_entries=*/64, /*max_bytes=*/1 << 20);
 
   constexpr int kThreads = 8;
@@ -159,8 +160,8 @@ TEST(ServingStressTest, SingleFlightPublishRacesInvalidation) {
       const CacheKey key{core::QueryId::kSvd,
                          static_cast<uint64_t>(t % kKeys),
                          core::DatasetSize::kSmall, epoch};
-      std::shared_ptr<SingleFlightTable::Flight> flight;
-      if (flights.Join(key, &flight) == SingleFlightTable::Role::kLeader) {
+      Flights::Ticket ticket = flights.Join(key);
+      if (ticket.leader()) {
         leaders.fetch_add(1, std::memory_order_relaxed);
         core::QueryResult result;
         result.query = core::QueryId::kSvd;
@@ -169,13 +170,12 @@ TEST(ServingStressTest, SingleFlightPublishRacesInvalidation) {
             static_cast<double>(epoch),
             static_cast<double>(key.params_fingerprint)};
         cache.Insert(key, result);
-        flights.Publish(key, flight, /*ok=*/true, result);
+        ticket.Publish(result);
       } else {
         core::QueryResult out;
         const auto deadline = std::chrono::steady_clock::now() +
                               std::chrono::seconds(30);
-        if (SingleFlightTable::Wait(flight.get(), deadline, &out) ==
-            SingleFlightTable::WaitResult::kServed) {
+        if (ticket.Wait(deadline, &out) == Flights::WaitResult::kServed) {
           served.fetch_add(1, std::memory_order_relaxed);
           if (out.svd.singular_values.size() != 2 ||
               out.svd.singular_values[0] != static_cast<double>(epoch) ||
