@@ -2,15 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "core/generator.h"
 #include "engine/engines.h"
 #include "obs/trace.h"
+#include "plan/plan_engine.h"
+#include "serving/faults.h"
 #include "serving/serving_stack.h"
 #include "workload/latency_histogram.h"
 #include "workload/report.h"
@@ -605,6 +610,118 @@ TEST(WorkloadRunnerTest, TraceSamplingIsDeterministicAcrossRuns) {
       // Same seed, same schedule, same hash: the sampled set is identical.
       EXPECT_EQ(first_ids, ids);
     }
+  }
+}
+
+// --- report counter blocks -----------------------------------------------------
+
+std::vector<std::string> Keys(const json::Value& object) {
+  std::vector<std::string> keys;
+  for (const auto& member : object.object) keys.push_back(member.first);
+  return keys;
+}
+
+TEST(WorkloadReportTest, CounterBlocksCoverOnlyTheMeasuredPhase) {
+  // One client, so the schedule, the fault ticks and every retry draw are
+  // deterministic. The crash fires during the six warm-up ops and the
+  // recover inside the measured phase: a report that leaked warm-up counts
+  // would show the crash too.
+  auto script = serving::FaultScript::Parse(
+      "seed 7\n@3 crash 1\n@9 recover 1\n@0..200 error * 0.2\n");
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
+  auto injector = serving::FaultInjector::Create(*script);
+  ASSERT_TRUE(injector.ok()) << injector.status().ToString();
+  serving::ServingOptions options;
+  options.shards = 2;
+  options.cache_enabled = true;
+  options.single_flight = true;
+  options.admission.max_inflight = 2;
+  options.retry.max_attempts = 4;
+  options.retry.initial_backoff_s = 0.0;
+  options.fault_injector = injector->get();
+  auto stack = serving::ServingStack::Create(options, plan::CreatePlanStore,
+                                             TinyData());
+  ASSERT_TRUE(stack.ok()) << stack.status().ToString();
+
+  WorkloadSpec spec;
+  spec.name = "report-blocks";
+  spec.params = TinyParams();
+  spec.size = core::DatasetSize::kSmall;
+  spec.clients = 1;
+  spec.warmup_ops = 6;
+  spec.measured_ops = 40;
+  spec.param_variants = 3;
+  WorkloadRunner runner(spec);
+  auto report = runner.Run(stack->get(), TinyData());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  auto doc = json::Parse(report->ToJson());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const json::Value* serving = doc->Find("serving");
+  ASSERT_NE(serving, nullptr);
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(Keys(*serving),
+            (Names{"cache", "admission", "single_flight", "retry", "faults",
+                   "stale_hits", "reloads", "shards"}));
+  const json::Value& cache = *serving->Find("cache");
+  EXPECT_EQ(Keys(cache),
+            (Names{"hits", "misses", "hit_ratio", "insertions", "evictions",
+                   "invalidated", "rejected_oversize", "entries", "bytes"}));
+  const json::Value& admission = *serving->Find("admission");
+  EXPECT_EQ(Keys(admission),
+            (Names{"admitted", "shed_queue_full", "shed_timeout",
+                   "shed_brownout", "peak_queue", "current_limit",
+                   "shed_by_class"}));
+  // One client under a two-slot limit never sheds.
+  EXPECT_EQ(Keys(*admission.Find("shed_by_class")), Names{});
+  EXPECT_EQ(Keys(*serving->Find("single_flight")),
+            (Names{"leaders", "coalesced", "coalesced_served",
+                   "follower_fallbacks", "shed_wait_timeout"}));
+  const json::Value& retry = *serving->Find("retry");
+  EXPECT_EQ(Keys(retry),
+            (Names{"retries", "retry_successes", "retry_deadline_giveups",
+                   "hedges", "hedge_wins"}));
+  const json::Value& faults = *serving->Find("faults");
+  EXPECT_EQ(Keys(faults),
+            (Names{"crashes", "recoveries", "latency_spikes",
+                   "transient_errors", "reload_failures"}));
+  const json::Value& shards = *serving->Find("shards");
+  ASSERT_EQ(shards.array.size(), 2u);
+  for (const json::Value& shard : shards.array) {
+    EXPECT_EQ(Keys(shard), (Names{"ops", "errors", "infs", "busy_s",
+                                  "breaker_opens", "health"}));
+  }
+  const json::Value* plan = doc->Find("plan");
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(Keys(*plan), (Names{"compiles", "cache_hits", "executes",
+                                "compile_ns", "peak_mismatches",
+                                "peak_bytes"}));
+
+  EXPECT_EQ(faults.NumberOr("crashes", -1), 0);
+  EXPECT_EQ(faults.NumberOr("recoveries", -1), 1);
+  EXPECT_EQ(cache.NumberOr("hits", -1) + cache.NumberOr("misses", -1), 40);
+  double shard_ops = 0;
+  double shard_errors = 0;
+  for (const json::Value& shard : shards.array) {
+    shard_ops += shard.NumberOr("ops", -1);
+    shard_errors += shard.NumberOr("errors", -1);
+  }
+  // Every admitted miss runs one attempt plus its retries; every shard
+  // error is an injected transient one (the crashed shard is routed
+  // around).
+  EXPECT_EQ(shard_ops, admission.NumberOr("admitted", -1) +
+                           retry.NumberOr("retries", -1));
+  EXPECT_EQ(faults.NumberOr("transient_errors", -1), shard_errors);
+
+  testing::internal::CaptureStdout();
+  report->Print();
+  std::fflush(stdout);
+  const std::string text = testing::internal::GetCapturedStdout();
+  for (const char* line : {"  serving: ", "  single-flight: ",
+                           "  fault tolerance: ", "    shard 0: ",
+                           "    shard 1: ", "  plan: "}) {
+    EXPECT_NE(text.find(std::string("\n") + line), std::string::npos)
+        << line << "\n" << text;
   }
 }
 
