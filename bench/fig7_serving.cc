@@ -148,8 +148,7 @@ void RegisterCacheShardSweep() {
                   return;
                 }
                 state.counters["qps"] = report->achieved_qps();
-                state.counters["hit_pct"] =
-                    report->serving.cache.hit_ratio() * 100;
+                state.counters["hit_pct"] = report->cache_hit_ratio() * 100;
                 Reports()[RunKey(engine.key, shards, variants, 0)] =
                     std::move(report).ValueOrDie();
               }
@@ -238,7 +237,7 @@ std::string CacheCell(const workload::WorkloadReport& r) {
   std::snprintf(buf, sizeof(buf), "%sqps %s hit=%.0f%%",
                 workload::FormatQps(r.achieved_qps()).c_str(),
                 workload::FormatMillis(r.total.latency.Percentile(99)).c_str(),
-                r.serving.cache.hit_ratio() * 100);
+                r.cache_hit_ratio() * 100);
   return buf;
 }
 

@@ -163,11 +163,11 @@ void RegisterChurnSweep() {
               return;
             }
             state.counters["reloads"] =
-                static_cast<double>(report->serving.reloads);
+                report->counters.Change("serving_stack_reloads_total");
             state.counters["invalidated"] =
-                static_cast<double>(report->serving.cache.invalidated);
+                report->counters.Change("serving_cache_invalidated_total");
             state.counters["stale"] =
-                static_cast<double>(report->serving.stale_hits);
+                report->counters.Change("serving_stack_stale_hits_total");
             Reports()[RunKey(engine.key, "churn")] =
                 std::move(report).ValueOrDie();
           }
@@ -250,9 +250,9 @@ void RegisterStampedeSweep() {
               }
               state.counters["goodput"] = report->real_goodput_qps();
               state.counters["coalesced"] =
-                  static_cast<double>(report->serving.flight.coalesced);
-              state.counters["limit"] = static_cast<double>(
-                  report->serving.admission.current_limit);
+                  report->counters.Change("serving_flight_coalesced_total");
+              state.counters["limit"] =
+                  report->counters.End("serving_admission_limit");
               Reports()[RunKey(engine.key,
                                coalesce ? "stampede_sf" : "stampede_raw")] =
                   std::move(report).ValueOrDie();
@@ -270,9 +270,12 @@ std::string ChurnCell(const workload::WorkloadReport& r) {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "%sqps rl=%lld inv=%lld stale=%lld",
                 workload::FormatQps(r.achieved_qps()).c_str(),
-                static_cast<long long>(r.serving.reloads),
-                static_cast<long long>(r.serving.cache.invalidated),
-                static_cast<long long>(r.serving.stale_hits));
+                static_cast<long long>(
+                    r.counters.Change("serving_stack_reloads_total")),
+                static_cast<long long>(
+                    r.counters.Change("serving_cache_invalidated_total")),
+                static_cast<long long>(
+                    r.counters.Change("serving_stack_stale_hits_total")));
   return buf;
 }
 
@@ -281,13 +284,12 @@ std::string StampedeCell(const workload::WorkloadReport& r) {
   std::snprintf(buf, sizeof(buf), "%s/%sqps coal=%lld exec=%lld lim=%lld",
                 workload::FormatQps(r.real_goodput_qps()).c_str(),
                 workload::FormatQps(r.offered_qps).c_str(),
-                static_cast<long long>(r.serving.flight.coalesced),
-                static_cast<long long>([&r] {
-                  int64_t ops = 0;
-                  for (const auto& s : r.serving.shards) ops += s.ops;
-                  return ops;
-                }()),
-                static_cast<long long>(r.serving.admission.current_limit));
+                static_cast<long long>(
+                    r.counters.Change("serving_flight_coalesced_total")),
+                static_cast<long long>(
+                    r.counters.Change("serving_shard_ops_total")),
+                static_cast<long long>(
+                    r.counters.End("serving_admission_limit")));
   return buf;
 }
 
@@ -342,15 +344,17 @@ int64_t PrintFigure() {
   int64_t gate_misses = 0;
   for (const auto& [key, report] : Reports()) {
     failures += report.total.errors + report.total.verify_failures;
-    stale += report.serving.stale_hits;
+    stale += static_cast<int64_t>(
+        report.counters.Change("serving_stack_stale_hits_total"));
     if (key.find("/churn") != std::string::npos &&
-        report.serving.reloads < 1) {
+        report.counters.Change("serving_stack_reloads_total") < 1) {
       std::printf("# GATE: %s saw no reload inside the measured window\n",
                   key.c_str());
       ++gate_misses;
     }
     if (key.find("/stampede_sf") != std::string::npos) {
-      coalesced_sf += report.serving.flight.coalesced;
+      coalesced_sf += static_cast<int64_t>(
+          report.counters.Change("serving_flight_coalesced_total"));
     }
   }
   if (coalesced_sf < 1) {

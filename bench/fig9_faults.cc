@@ -407,9 +407,12 @@ std::string FaultCell(const workload::WorkloadReport& r) {
                 "%sqps avail=%.3f rt=%lld hg=%lld stale=%lld",
                 workload::FormatQps(r.achieved_qps()).c_str(),
                 CheapAvailability(r),
-                static_cast<long long>(r.serving.retry.retries),
-                static_cast<long long>(r.serving.retry.hedges),
-                static_cast<long long>(r.serving.stale_hits));
+                static_cast<long long>(
+                    r.counters.Change("serving_retries_total")),
+                static_cast<long long>(
+                    r.counters.Change("serving_hedges_total")),
+                static_cast<long long>(
+                    r.counters.Change("serving_stack_stale_hits_total")));
   return buf;
 }
 
@@ -442,7 +445,8 @@ int64_t PrintFigure() {
     if (key.rfind("determinism", 0) != 0) {
       failures += report.total.errors + report.total.verify_failures;
     }
-    stale += report.serving.stale_hits;
+    stale += static_cast<int64_t>(
+        report.counters.Change("serving_stack_stale_hits_total"));
   }
 
   const auto find = [](const char* key) -> const workload::WorkloadReport* {
@@ -500,8 +504,9 @@ int64_t PrintFigure() {
   // if it were stuck down it would show zero ops in the healed window,
   // deterministically. (Idle high-index shards are fine: JSQ breaks ties
   // low, so a lightly loaded smoke run may never spill onto them.)
-  if (healed != nullptr && healed->serving.shards.size() > 1 &&
-      healed->serving.shards[1].ops < 1) {
+  if (healed != nullptr && healed->shards > 1 &&
+      healed->counters.Change("serving_shard_ops_total", {{"shard", "1"}}) <
+          1) {
     std::printf(
         "# GATE: recovery_healed: recovered shard 1 served no ops\n");
     ++gate_misses;
@@ -510,11 +515,12 @@ int64_t PrintFigure() {
   // layer (zero op-level errors counted in `failures` above) and the retry
   // counters must show the work actually happened.
   if (transient != nullptr) {
-    if (transient->serving.retry.retries < 1 ||
-        Gates().transient_injected < 1) {
+    const double retries =
+        transient->counters.Change("serving_retries_total");
+    if (retries < 1 || Gates().transient_injected < 1) {
       std::printf("# GATE: transient_retry injected/retried nothing "
                   "(retries=%lld injected=%lld)\n",
-                  static_cast<long long>(transient->serving.retry.retries),
+                  static_cast<long long>(retries),
                   static_cast<long long>(Gates().transient_injected));
       ++gate_misses;
     }

@@ -359,8 +359,9 @@ int RunPlanGates() {
   PlanBench& b = PlanBench::Get();
   genbase::ExecContext ctx;
   b.engine.PrepareContext(&ctx);
-  const int64_t mismatches_before =
-      genbase::plan::PlanStatsSnapshot::Capture().peak_mismatches;
+  const genbase::obs::Counter* mismatches =
+      genbase::plan::PlanMetrics::Get().peak_mismatches;
+  const int64_t mismatches_before = mismatches->Value();
   for (const auto q : genbase::core::kAllQueries) {
     auto plan = b.engine.CompileForTest(q, PlanParams(), &ctx);
     if (!plan.ok()) {
@@ -378,9 +379,7 @@ int RunPlanGates() {
       ++failures;
     }
   }
-  const int64_t guard_hits =
-      genbase::plan::PlanStatsSnapshot::Capture().peak_mismatches -
-      mismatches_before;
+  const int64_t guard_hits = mismatches->Value() - mismatches_before;
   if (guard_hits != 0) {
     std::fprintf(stderr, "GATE FAIL: %lld plan guard words overwritten\n",
                  static_cast<long long>(guard_hits));

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/check.h"
+
 namespace genbase::obs {
 
 namespace {
@@ -323,6 +325,95 @@ std::string MetricsRegistry::ToJson() const {
   out.append(counters).append("},\"gauges\":{").append(gauges);
   out.append("},\"histograms\":{").append(histograms).append("}}");
   return out;
+}
+
+MetricsWindow::MetricsWindow(std::vector<std::string> instances)
+    : instances_(std::move(instances)), stopped_(false) {
+  Capture(/*at_start=*/true);
+}
+
+void MetricsWindow::Capture(bool at_start) {
+  for (MetricSample& s : MetricsRegistry::Global().Snapshot()) {
+    if (s.kind == MetricSample::Kind::kHistogram) continue;
+    const auto instance =
+        std::find_if(s.labels.begin(), s.labels.end(),
+                     [](const auto& label) { return label.first == "instance"; });
+    if (instance != s.labels.end() &&
+        std::find(instances_.begin(), instances_.end(), instance->second) ==
+            instances_.end()) {
+      continue;
+    }
+    Series& series = series_[MetricKey(s.name, s.labels)];
+    (at_start ? series.start : series.end) = s.value;
+    if (series.name.empty()) {
+      series.name = std::move(s.name);
+      series.labels = std::move(s.labels);
+    }
+  }
+}
+
+void MetricsWindow::Stop() {
+  GENBASE_CHECK(!stopped_);
+  Capture(/*at_start=*/false);
+  stopped_ = true;
+}
+
+template <typename Read>
+double MetricsWindow::Sum(const std::string& name, const Labels& labels,
+                          Read read) const {
+  if (!stopped_ || !Has(name)) {
+    std::fprintf(stderr, "MetricsWindow: cannot read '%s'\n", name.c_str());
+  }
+  GENBASE_CHECK(stopped_ && Has(name));
+  double total = 0.0;
+  for (const auto& [key, series] : series_) {
+    if (series.name != name) continue;
+    const bool matches = std::all_of(
+        labels.begin(), labels.end(), [&series](const auto& label) {
+          return std::find(series.labels.begin(), series.labels.end(),
+                           label) != series.labels.end();
+        });
+    if (matches) total += read(series);
+  }
+  return total;
+}
+
+double MetricsWindow::Change(const std::string& name,
+                             const Labels& labels) const {
+  return Sum(name, labels,
+             [](const Series& s) { return s.end - s.start; });
+}
+
+double MetricsWindow::End(const std::string& name,
+                          const Labels& labels) const {
+  return Sum(name, labels, [](const Series& s) { return s.end; });
+}
+
+bool MetricsWindow::Has(const std::string& name) const {
+  return std::any_of(series_.begin(), series_.end(), [&name](const auto& kv) {
+    return kv.second.name == name;
+  });
+}
+
+std::vector<std::string> MetricsWindow::LabelValues(
+    const std::string& name, const std::string& key) const {
+  std::vector<std::string> values;
+  for (const auto& [unused, series] : series_) {
+    if (series.name != name) continue;
+    for (const auto& [k, v] : series.labels) {
+      if (k == key && std::find(values.begin(), values.end(), v) ==
+                          values.end()) {
+        values.push_back(v);
+      }
+    }
+  }
+  // Shorter first, then lexicographic: numeric order for the non-negative
+  // integer ids (shard, class) these labels carry.
+  std::sort(values.begin(), values.end(),
+            [](const std::string& a, const std::string& b) {
+              return a.size() != b.size() ? a.size() < b.size() : a < b;
+            });
+  return values;
 }
 
 }  // namespace genbase::obs

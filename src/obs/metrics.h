@@ -176,6 +176,58 @@ class MetricsRegistry {
 /// registry and its exporters so tests can address instruments by key.
 std::string MetricKey(const std::string& name, const Labels& labels);
 
+/// \brief What the global registry's counters and gauges did between two
+/// snapshots: one taken at construction, one at Stop(). The window keeps
+/// the instruments whose `instance` label is in `instances` plus the
+/// process-wide ones that carry no `instance` label (plan_*,
+/// execute_perf_*); histograms are not kept.
+///
+/// Reads address instruments by name and a label subset, summing every
+/// kept instrument of that name whose labels include the subset (an empty
+/// subset sums them all). Reading a name the window does not hold fails a
+/// GENBASE_CHECK, so a misspelt name fails loudly instead of reading 0; so
+/// does reading before Stop().
+class MetricsWindow {
+ public:
+  /// An empty window: holds no instruments and is already stopped.
+  MetricsWindow() = default;
+  explicit MetricsWindow(std::vector<std::string> instances);
+
+  /// Takes the end snapshot. Call once.
+  void Stop();
+
+  /// End minus start. An instrument first registered inside the window
+  /// counts from 0. Use for counters and for gauges that accumulate.
+  double Change(const std::string& name, const Labels& labels = {}) const;
+  /// The value at Stop(): for levels and high-water marks.
+  double End(const std::string& name, const Labels& labels = {}) const;
+  bool Has(const std::string& name) const;
+  /// Distinct values of label `key` on instruments named `name`, in
+  /// numeric order ("2" before "10"); empty when there are none.
+  std::vector<std::string> LabelValues(const std::string& name,
+                                       const std::string& key) const;
+
+ private:
+  struct Series {
+    std::string name;
+    Labels labels;
+    double start = 0.0;
+    double end = 0.0;
+  };
+
+  /// Snapshots the kept instruments into `start` (or `end`) of series_.
+  void Capture(bool at_start);
+  /// Sums `read(series)` over the series named `name` whose labels
+  /// include `labels`.
+  template <typename Read>
+  double Sum(const std::string& name, const Labels& labels, Read read) const;
+
+  std::vector<std::string> instances_;
+  /// Keyed by MetricKey, so Stop() pairs each end value with its start.
+  std::map<std::string, Series> series_;
+  bool stopped_ = true;
+};
+
 }  // namespace genbase::obs
 
 #endif  // GENBASE_OBS_METRICS_H_

@@ -80,38 +80,50 @@ int64_t SampleProcessRss() {
 
 namespace {
 
-/// Lock-free process-wide execute-perf accumulator. Individual fields are
-/// relaxed and independently updated, so a snapshot is not an atomic cut
-/// across fields — acceptable for the monotone before/after-phase deltas the
-/// reports take, where per-field drift is bounded by one in-flight request.
-struct PerfAccumulator {
-  std::atomic<int64_t> cycles{0};
-  std::atomic<int64_t> instructions{0};
-  std::atomic<int64_t> cache_references{0};
-  std::atomic<int64_t> cache_misses{0};
-  std::atomic<int64_t> branch_misses{0};
-  std::atomic<int64_t> samples{0};
+/// The execute-stage hardware-counter totals, process-wide registry
+/// counters registered on first use.
+struct ExecutePerfCounters {
+  Counter* cycles;
+  Counter* instructions;
+  Counter* cache_references;
+  Counter* cache_misses;
+  Counter* branch_misses;
+  Counter* scopes;
 };
 
-PerfAccumulator& ExecuteAccumulator() {
-  static PerfAccumulator acc;
-  return acc;
+const ExecutePerfCounters& PerfTotals() {
+  static const ExecutePerfCounters totals = [] {
+    auto& reg = MetricsRegistry::Global();
+    return ExecutePerfCounters{
+        reg.GetCounter("execute_perf_cycles_total"),
+        reg.GetCounter("execute_perf_instructions_total"),
+        reg.GetCounter("execute_perf_cache_references_total"),
+        reg.GetCounter("execute_perf_cache_misses_total"),
+        reg.GetCounter("execute_perf_branch_misses_total"),
+        reg.GetCounter("execute_perf_scopes_total")};
+  }();
+  return totals;
 }
 
 }  // namespace
 
-ExecutePerfTotals ExecutePerfSnapshot() {
-  PerfAccumulator& acc = ExecuteAccumulator();
-  ExecutePerfTotals t;
-  t.samples = acc.samples.load(std::memory_order_relaxed);
-  t.reading.valid = t.samples > 0;
-  t.reading.cycles = acc.cycles.load(std::memory_order_relaxed);
-  t.reading.instructions = acc.instructions.load(std::memory_order_relaxed);
-  t.reading.cache_references =
-      acc.cache_references.load(std::memory_order_relaxed);
-  t.reading.cache_misses = acc.cache_misses.load(std::memory_order_relaxed);
-  t.reading.branch_misses = acc.branch_misses.load(std::memory_order_relaxed);
-  return t;
+PerfReading ExecutePerf(const MetricsWindow& window, int64_t* scopes) {
+  PerfReading r;
+  *scopes = 0;
+  // The counters register with the first scope that reads valid hardware
+  // counters; a window from before then has nothing to read.
+  if (!window.Has("execute_perf_scopes_total")) return r;
+  const auto change = [&window](const char* name) {
+    return static_cast<int64_t>(window.Change(name));
+  };
+  *scopes = change("execute_perf_scopes_total");
+  r.valid = *scopes > 0;
+  r.cycles = change("execute_perf_cycles_total");
+  r.instructions = change("execute_perf_instructions_total");
+  r.cache_references = change("execute_perf_cache_references_total");
+  r.cache_misses = change("execute_perf_cache_misses_total");
+  r.branch_misses = change("execute_perf_branch_misses_total");
+  return r;
 }
 
 ScopedExecutePerf::ScopedExecutePerf() {
@@ -127,14 +139,13 @@ ScopedExecutePerf::~ScopedExecutePerf() {
   const PerfReading end = ThreadPerfCounters()->Read();
   if (!end.valid) return;
   const PerfReading d = end - begin_;
-  PerfAccumulator& acc = ExecuteAccumulator();
-  acc.cycles.fetch_add(d.cycles, std::memory_order_relaxed);
-  acc.instructions.fetch_add(d.instructions, std::memory_order_relaxed);
-  acc.cache_references.fetch_add(d.cache_references,
-                                 std::memory_order_relaxed);
-  acc.cache_misses.fetch_add(d.cache_misses, std::memory_order_relaxed);
-  acc.branch_misses.fetch_add(d.branch_misses, std::memory_order_relaxed);
-  acc.samples.fetch_add(1, std::memory_order_relaxed);
+  const ExecutePerfCounters& totals = PerfTotals();
+  totals.cycles->Inc(d.cycles);
+  totals.instructions->Inc(d.instructions);
+  totals.cache_references->Inc(d.cache_references);
+  totals.cache_misses->Inc(d.cache_misses);
+  totals.branch_misses->Inc(d.branch_misses);
+  totals.scopes->Inc();
 }
 
 }  // namespace genbase::obs

@@ -7,6 +7,8 @@
 
 namespace genbase::obs {
 
+class MetricsWindow;
+
 /// \brief Process-global resource-profiling switch. When enabled, the
 /// request path additionally captures per-stage thread-CPU time
 /// (CLOCK_THREAD_CPUTIME_ID next to every stage's wall clock), per-request
@@ -43,32 +45,20 @@ int64_t SampleProcessRss();
 
 /// --- execute-stage hardware counters -----------------------------------------
 
-/// \brief Process-wide accumulation of hardware-counter deltas attributed to
-/// the execute stage, summed across client threads. Monotone, like the
-/// registry counters: report writers snapshot before/after a measured phase
-/// and subtract. `samples` counts scopes that contributed valid readings —
-/// zero means counters were unavailable and the derived rates are
-/// meaningless (exported as null).
-struct ExecutePerfTotals {
-  PerfReading reading;
-  int64_t samples = 0;
-
-  ExecutePerfTotals operator-(const ExecutePerfTotals& other) const {
-    ExecutePerfTotals d;
-    d.reading = reading - other.reading;
-    d.reading.valid = samples - other.samples > 0;
-    d.samples = samples - other.samples;
-    return d;
-  }
-};
-
-ExecutePerfTotals ExecutePerfSnapshot();
+/// Hardware-counter totals the execute stage accumulated inside `window`
+/// (summed across client threads), rebuilt from the six
+/// `execute_perf_*_total` registry counters ScopedExecutePerf adds to.
+/// `*scopes` receives the number of scopes that contributed a valid
+/// reading; the reading is valid only when that is nonzero — zero means
+/// counters were unavailable and the derived rates are meaningless
+/// (exported as null).
+PerfReading ExecutePerf(const MetricsWindow& window, int64_t* scopes);
 
 /// \brief RAII hardware-counter scope for the execute stage: reads the
-/// calling thread's counter group on entry and exit, accumulates the delta
-/// into the process totals. Inert (one atomic load) when profiling is
-/// disabled, and silently contributes nothing when counters are
-/// unavailable — degradation, never failure.
+/// calling thread's counter group on entry and exit, and adds the delta to
+/// the `execute_perf_*_total` registry counters. Inert (one atomic load)
+/// when profiling is disabled, and silently contributes nothing when
+/// counters are unavailable — degradation, never failure.
 class ScopedExecutePerf {
  public:
   ScopedExecutePerf();

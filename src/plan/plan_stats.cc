@@ -23,27 +23,4 @@ PlanMetrics& PlanMetrics::Get() {
   return metrics;
 }
 
-PlanStatsSnapshot PlanStatsSnapshot::Capture() {
-  const PlanMetrics& m = PlanMetrics::Get();
-  PlanStatsSnapshot s;
-  s.compiles = m.compiles->Value();
-  s.cache_hits = m.cache_hits->Value();
-  s.executes = m.executes->Value();
-  s.compile_ns = m.compile_ns->Value();
-  s.peak_mismatches = m.peak_mismatches->Value();
-  s.peak_bytes = m.peak_bytes->Value();
-  return s;
-}
-
-PlanStatsSnapshot PlanStatsSnapshot::operator-(
-    const PlanStatsSnapshot& rhs) const {
-  PlanStatsSnapshot d = *this;
-  d.compiles -= rhs.compiles;
-  d.cache_hits -= rhs.cache_hits;
-  d.executes -= rhs.executes;
-  d.compile_ns -= rhs.compile_ns;
-  d.peak_mismatches -= rhs.peak_mismatches;
-  return d;
-}
-
 }  // namespace genbase::plan

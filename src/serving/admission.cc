@@ -46,9 +46,10 @@ int AdaptiveNextLimit(const AdmissionOptions& options, int current_limit,
   return std::clamp(next, lo, hi);
 }
 
-AdmissionController::AdmissionController(AdmissionOptions options)
+AdmissionController::AdmissionController(AdmissionOptions options,
+                                         const std::string& instance)
     : options_(options),
-      instance_(obs::MetricsRegistry::NextInstanceId("admission")),
+      instance_(instance),
       // Adaptive mode starts low and probes up: under-admitting briefly at
       // startup only queues work, while over-admitting puts every service
       // time past target before the first adjustment can react.
@@ -289,21 +290,6 @@ void AdmissionController::SetCapacityFactor(double factor) {
                                                 std::memory_order_relaxed);
   // Recovering capacity can unblock heavy waiters whose cap just grew back.
   if (factor > prev) slot_free_.notify_all();
-}
-
-AdmissionStats AdmissionController::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  AdmissionStats s;
-  s.admitted = admitted_->Value();
-  s.shed_queue_full = shed_queue_full_->Value();
-  s.shed_timeout = shed_timeout_->Value();
-  s.shed_brownout = shed_brownout_->Value();
-  s.peak_queue = static_cast<int64_t>(peak_queue_gauge_->Value());
-  s.current_limit = limit_;
-  for (const auto& [class_id, counter] : shed_by_class_) {
-    s.shed_by_class[class_id] = counter->Value();
-  }
-  return s;
 }
 
 int AdmissionController::current_limit() const {

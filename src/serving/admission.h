@@ -11,7 +11,6 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "serving/counters.h"
 
 namespace genbase::serving {
 
@@ -133,7 +132,9 @@ int AdaptiveNextLimit(const AdmissionOptions& options, int current_limit,
 /// granularity (milliseconds+), never in a hot loop.
 class AdmissionController {
  public:
-  explicit AdmissionController(AdmissionOptions options);
+  /// `instance` labels this controller's serving_admission_* registry
+  /// instruments.
+  AdmissionController(AdmissionOptions options, const std::string& instance);
 
   /// Blocks until an execution slot is granted, the queue rejects the
   /// arrival, or `start_deadline` passes. `waited_s` (optional) receives
@@ -159,7 +160,6 @@ class AdmissionController {
     return options_.max_inflight > 0 || options_.adaptive;
   }
   const AdmissionOptions& options() const { return options_; }
-  AdmissionStats stats() const;
 
   /// Brown-out wiring: the serving stack pushes the router's serving
   /// capacity fraction (healthy=1, degraded=0.5, down=0 per shard, averaged)
@@ -225,9 +225,11 @@ class AdmissionController {
   /// brown-out engages by one op.
   std::atomic<double> capacity_factor_{1.0};
 
-  /// Live counters are registry instruments (serving_admission_* with this
-  /// instance's label), incremented under mu_ so stats() snapshots stay
-  /// exact and mutually consistent.
+  /// Registry instruments (serving_admission_* with this instance's label),
+  /// updated under mu_. shed_brownout_ attributes a subset of
+  /// shed_queue_full_: heavy arrivals shed because a brown-out shrank the
+  /// heavy slot cap. peak_queue_gauge_ is a high-water mark and
+  /// limit_gauge_ the live concurrency limit.
   obs::Counter* admitted_;
   obs::Counter* shed_queue_full_;
   obs::Counter* shed_timeout_;

@@ -219,7 +219,8 @@ FaultInjector::FaultInjector(FaultScript script)
           if (!p.actions.empty()) return true;
         }
         return false;
-      }()) {
+      }()),
+      instance_(obs::MetricsRegistry::NextInstanceId("faults")) {
   int max_shard = 0;
   for (const FaultPhase& p : script_.phases) {
     for (const FaultAction& a : p.actions) {
@@ -232,11 +233,10 @@ FaultInjector::FaultInjector(FaultScript script)
   }
   reload_armed_.assign(shard_state_.size(), false);
   auto& reg = obs::MetricsRegistry::Global();
-  const std::string instance = obs::MetricsRegistry::NextInstanceId("faults");
   for (int k = 0; k < static_cast<int>(FaultKind::kNumFaultKinds); ++k) {
     injected_by_kind_[k] = reg.GetCounter(
         "serving_fault_injected_total",
-        {{"instance", instance},
+        {{"instance", instance_},
          {"kind", FaultKindName(static_cast<FaultKind>(k))}});
   }
 }

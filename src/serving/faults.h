@@ -166,6 +166,9 @@ class FaultInjector {
   int64_t injected(FaultKind kind) const;
   int64_t injected_total() const;
 
+  /// The `instance` label of this injector's registry counters.
+  const std::string& metric_instance() const { return instance_; }
+
   uint64_t seed() const { return script_.seed; }
 
  private:
@@ -195,6 +198,7 @@ class FaultInjector {
 
   const FaultScript script_;
   const bool enabled_;
+  const std::string instance_;
 
   std::atomic<uint64_t> op_counter_{0};
   /// Op index of the next unapplied event (relaxed-read fast path; ~UINT64

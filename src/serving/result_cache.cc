@@ -63,11 +63,11 @@ int64_t ApproxResultBytes(const core::QueryResult& result) {
   return bytes;
 }
 
-ResultCache::ResultCache(int64_t max_entries, int64_t max_bytes)
+ResultCache::ResultCache(int64_t max_entries, int64_t max_bytes,
+                         const std::string& instance)
     : max_entries_(max_entries), max_bytes_(max_bytes) {
   auto& reg = obs::MetricsRegistry::Global();
-  const obs::Labels labels{
-      {"instance", obs::MetricsRegistry::NextInstanceId("cache")}};
+  const obs::Labels labels{{"instance", instance}};
   hits_ = reg.GetCounter("serving_cache_hits_total", labels);
   misses_ = reg.GetCounter("serving_cache_misses_total", labels);
   insertions_ = reg.GetCounter("serving_cache_insertions_total", labels);
@@ -174,20 +174,6 @@ void ResultCache::Clear() {
   index_.clear();
   bytes_ = 0;
   UpdateGaugesLocked();
-}
-
-CacheStats ResultCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  CacheStats s;
-  s.hits = hits_->Value();
-  s.misses = misses_->Value();
-  s.insertions = insertions_->Value();
-  s.evictions = evictions_->Value();
-  s.invalidated = invalidated_->Value();
-  s.rejected_oversize = rejected_oversize_->Value();
-  s.entries = static_cast<int64_t>(lru_.size());
-  s.bytes = bytes_;
-  return s;
 }
 
 }  // namespace genbase::serving

@@ -4,12 +4,12 @@
 #include <cstdint>
 #include <list>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 
 #include "core/datasets.h"
 #include "core/queries.h"
 #include "obs/metrics.h"
-#include "serving/counters.h"
 
 namespace genbase::serving {
 
@@ -54,9 +54,16 @@ int64_t ApproxResultBytes(const core::QueryResult& result);
 /// bound evicts from the cold end. A single mutex guards the structure:
 /// operations behind it are O(1) and the cached work itself is milliseconds
 /// to seconds, so lock contention is never the bottleneck.
+///
+/// Counts go to the registry as serving_cache_* instruments labelled
+/// `instance`. Every entry that enters the cache leaves through exactly one
+/// of evictions (LRU/byte pressure) or invalidated (Clear / epoch
+/// invalidation), so `entries == insertions - evictions - invalidated`
+/// always reconciles; oversize rejects never became entries.
 class ResultCache {
  public:
-  ResultCache(int64_t max_entries, int64_t max_bytes);
+  ResultCache(int64_t max_entries, int64_t max_bytes,
+              const std::string& instance);
 
   /// On hit, copies the cached result into `out` (if non-null), refreshes
   /// recency, and counts a hit; on miss counts a miss. `entry_epoch` (if
@@ -89,8 +96,6 @@ class ResultCache {
   /// accounting (insertions - evictions - invalidated == entries) holds.
   void Clear();
 
-  CacheStats stats() const;
-
  private:
   struct Entry {
     CacheKey key;
@@ -114,10 +119,8 @@ class ResultCache {
   std::unordered_map<CacheKey, std::list<Entry>::iterator, CacheKeyHash> index_;
   int64_t bytes_ = 0;
 
-  /// Live counters are registry instruments (serving_cache_* with this
-  /// instance's label) so every export path sees them; they are only
-  /// incremented under mu_, so stats() — also under mu_ — reads an exact,
-  /// mutually consistent snapshot despite the relaxed atomics underneath.
+  /// Registry instruments (serving_cache_* with this instance's label),
+  /// updated under mu_ together with the structure they describe.
   obs::Counter* hits_;
   obs::Counter* misses_;
   obs::Counter* insertions_;

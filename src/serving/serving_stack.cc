@@ -42,17 +42,18 @@ bool Servable(const core::CellResult& cell) {
 }  // namespace
 
 ServingStack::ServingStack(const ServingOptions& options,
+                           const std::string& instance,
                            std::unique_ptr<ShardRouter> router)
     : options_(options),
-      cache_(options.cache_max_entries, options.cache_max_bytes),
-      admission_(options.admission),
+      cache_(options.cache_max_entries, options.cache_max_bytes, instance),
+      admission_(options.admission, instance),
       router_(std::move(router)),
-      epoch_(router_->dataset_epoch()) {
+      epoch_(router_->dataset_epoch()),
+      instance_(instance) {
   const auto& c = core::SimConfig::Get();
   net_ = cluster::NetworkModel{c.net_bandwidth_bytes_per_s, c.net_latency_s};
   auto& reg = obs::MetricsRegistry::Global();
-  const obs::Labels labels{
-      {"instance", obs::MetricsRegistry::NextInstanceId("stack")}};
+  const obs::Labels labels{{"instance", instance}};
   stale_hits_ = reg.GetCounter("serving_stack_stale_hits_total", labels);
   reloads_ = reg.GetCounter("serving_stack_reloads_total", labels);
   flight_leaders_ = reg.GetCounter("serving_flight_leaders_total", labels);
@@ -74,14 +75,24 @@ ServingStack::ServingStack(const ServingOptions& options,
 genbase::Result<std::unique_ptr<ServingStack>> ServingStack::Create(
     const ServingOptions& options, const ShardRouter::EngineFactory& factory,
     const core::GenBaseData& data) {
-  GENBASE_ASSIGN_OR_RETURN(std::unique_ptr<ShardRouter> router,
-                           ShardRouter::Create(options.shards, factory, data));
+  const std::string instance = obs::MetricsRegistry::NextInstanceId("stack");
+  GENBASE_ASSIGN_OR_RETURN(
+      std::unique_ptr<ShardRouter> router,
+      ShardRouter::Create(options.shards, factory, data, instance));
   if (options.fault_injector != nullptr) {
     router->SetFaultInjector(options.fault_injector);
   }
   return std::unique_ptr<ServingStack>(
       // lint:allow(raw-new-delete): make_unique cannot reach the private ctor; owned immediately
-      new ServingStack(options, std::move(router)));
+      new ServingStack(options, instance, std::move(router)));
+}
+
+std::vector<std::string> ServingStack::metric_instances() const {
+  std::vector<std::string> instances{instance_};
+  if (options_.fault_injector != nullptr) {
+    instances.push_back(options_.fault_injector->metric_instance());
+  }
+  return instances;
 }
 
 genbase::Status ServingStack::ReloadDataset(const core::GenBaseData& data) {
@@ -170,6 +181,10 @@ ServeResult ServingStack::Serve(
   FaultInjector* const faults = options_.fault_injector;
   if (faults != nullptr && faults->enabled()) {
     op_id = faults->OnServe();
+    // The tick may have crashed, recovered or slowed a shard; republish
+    // health now so the gauge and the brown-out below see it even when this
+    // op never reaches the router (a cache hit).
+    router_->RefreshHealth();
   }
   // Brown-out wiring: publish the router's serving-capacity fraction to
   // admission so a degraded fleet sheds heavy classes first. A relaxed
@@ -541,34 +556,6 @@ ServeResult ServingStack::ExecuteMiss(
     cache_.Insert(key, result.cell.result);
   }
   return result;
-}
-
-ServingCounters ServingStack::counters() const {
-  ServingCounters c;
-  c.cache = cache_.stats();
-  c.admission = admission_.stats();
-  c.shards = router_->stats();
-  c.flight.leaders = flight_leaders_->Value();
-  c.flight.coalesced = flight_coalesced_->Value();
-  c.flight.coalesced_served = flight_coalesced_served_->Value();
-  c.flight.follower_fallbacks = flight_follower_fallbacks_->Value();
-  c.flight.shed_wait_timeout = flight_shed_wait_timeout_->Value();
-  c.stale_hits = stale_hits_->Value();
-  c.reloads = reloads_->Value();
-  c.retry.retries = retries_->Value();
-  c.retry.retry_successes = retry_successes_->Value();
-  c.retry.retry_deadline_giveups = retry_deadline_giveups_->Value();
-  c.retry.hedges = hedges_->Value();
-  c.retry.hedge_wins = hedge_wins_->Value();
-  if (options_.fault_injector != nullptr) {
-    const FaultInjector& f = *options_.fault_injector;
-    c.faults.crashes = f.injected(FaultKind::kCrash);
-    c.faults.recoveries = f.injected(FaultKind::kRecover);
-    c.faults.latency_spikes = f.injected(FaultKind::kLatencySpike);
-    c.faults.transient_errors = f.injected(FaultKind::kTransientError);
-    c.faults.reload_failures = f.injected(FaultKind::kReloadFailure);
-  }
-  return c;
 }
 
 }  // namespace genbase::serving

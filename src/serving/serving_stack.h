@@ -17,7 +17,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serving/admission.h"
-#include "serving/counters.h"
 #include "serving/faults.h"
 #include "serving/result_cache.h"
 #include "serving/shard_router.h"
@@ -138,12 +137,16 @@ class ServingStack {
     return epoch_.load(std::memory_order_acquire);
   }
 
-  ServingCounters counters() const;
+  /// The `instance` label values of this stack's registry instruments: the
+  /// one its cache, admission controller, router and flight/retry counters
+  /// share, plus the attached fault injector's. Open an obs::MetricsWindow
+  /// over these to read what the stack counted.
+  std::vector<std::string> metric_instances() const;
 
  private:
   using Flights = SingleFlight<CacheKey, core::QueryResult, CacheKeyHash>;
 
-  ServingStack(const ServingOptions& options,
+  ServingStack(const ServingOptions& options, const std::string& instance,
                std::unique_ptr<ShardRouter> router);
 
   /// The miss path: admission, shard execution (with bounded retries and
@@ -193,10 +196,12 @@ class ServingStack {
   /// Per-Serve sequence for retry jitter when no injector supplies op ids.
   std::atomic<uint64_t> op_seq_{0};
 
-  /// Registry instruments (serving_flight_* / serving_stack_* with this
-  /// instance's label); Inc is atomic, so unlike the mutex-guarded layers
-  /// these are plain concurrent counters — exactly what the atomics they
-  /// replaced were.
+  /// Registry instance label value shared by every component above.
+  const std::string instance_;
+  /// Registry counters with this instance's label. stale_hits_ counts
+  /// serves whose cached entry came from another epoch than the op's:
+  /// epoch keying makes that impossible, so it is a tripwire that fig8
+  /// gates on staying zero.
   obs::Counter* stale_hits_;
   obs::Counter* reloads_;
   obs::Counter* flight_leaders_;

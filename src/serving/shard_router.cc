@@ -5,8 +5,22 @@
 
 namespace genbase::serving {
 
+const char* ShardHealthName(ShardHealth health) {
+  switch (health) {
+    case ShardHealth::kHealthy:
+      return "healthy";
+    case ShardHealth::kDegraded:
+      return "degraded";
+    case ShardHealth::kDown:
+      return "down";
+    default:
+      return "unknown";
+  }
+}
+
 genbase::Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
-    int shards, const EngineFactory& factory, const core::GenBaseData& data) {
+    int shards, const EngineFactory& factory, const core::GenBaseData& data,
+    const std::string& instance) {
   if (shards < 1) {
     return genbase::Status::InvalidArgument(
         "shard router: shard count must be >= 1");
@@ -15,7 +29,6 @@ genbase::Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
   auto router = std::unique_ptr<ShardRouter>(new ShardRouter());
   router->shards_.reserve(static_cast<size_t>(shards));
   auto& reg = obs::MetricsRegistry::Global();
-  const std::string instance = obs::MetricsRegistry::NextInstanceId("router");
   for (int s = 0; s < shards; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->engine = factory();
@@ -69,6 +82,11 @@ void ShardRouter::RecomputeCapacityLocked() {
   }
   capacity_fraction_.store(weight / static_cast<double>(shards_.size()),
                            std::memory_order_relaxed);
+}
+
+void ShardRouter::RefreshHealth() {
+  std::lock_guard<std::mutex> lock(mu_);
+  RecomputeCapacityLocked();
 }
 
 int ShardRouter::AcquireShard(int exclude) {
@@ -313,24 +331,6 @@ uint64_t ShardRouter::dataset_epoch() const {
     have_serving = true;
   }
   return have_serving ? min_serving : min_all;
-}
-
-std::vector<ShardStats> ShardRouter::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<ShardStats> out;
-  out.reserve(shards_.size());
-  for (int s = 0; s < static_cast<int>(shards_.size()); ++s) {
-    const Shard& shard = *shards_[static_cast<size_t>(s)];
-    ShardStats stats;
-    stats.ops = shard.ops->Value();
-    stats.errors = shard.errors->Value();
-    stats.infs = shard.infs->Value();
-    stats.busy_s = shard.busy_s->Value();
-    stats.breaker_opens = shard.breaker_opens->Value();
-    stats.health = EffectiveHealthLocked(s);
-    out.push_back(stats);
-  }
-  return out;
 }
 
 }  // namespace genbase::serving

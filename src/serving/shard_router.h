@@ -15,10 +15,23 @@
 #include "core/driver.h"
 #include "core/engine.h"
 #include "obs/metrics.h"
-#include "serving/counters.h"
 #include "serving/faults.h"
 
 namespace genbase::serving {
+
+/// \brief Per-shard serving health, as routing sees it. Healthy shards get
+/// plain join-shortest-queue traffic; degraded shards (latency-spike window
+/// or a half-open circuit breaker) are deprioritized but still probed; down
+/// shards (injected crash, failed reload, open breaker) are routed around
+/// entirely while any alternative exists. Published as the
+/// serving_shard_health gauge.
+enum class ShardHealth {
+  kHealthy = 0,
+  kDegraded = 1,
+  kDown = 2,
+};
+
+const char* ShardHealthName(ShardHealth health);
 
 /// \brief Fans operations across N data-parallel engine shards.
 ///
@@ -42,9 +55,11 @@ class ShardRouter {
   using EngineFactory = std::function<std::unique_ptr<core::Engine>()>;
 
   /// Builds `shards` engine instances via `factory` and loads `data` into
-  /// each. Fails if any shard fails to load.
+  /// each. Fails if any shard fails to load. `instance` labels the router's
+  /// serving_shard_* registry instruments (one series per shard).
   static genbase::Result<std::unique_ptr<ShardRouter>> Create(
-      int shards, const EngineFactory& factory, const core::GenBaseData& data);
+      int shards, const EngineFactory& factory, const core::GenBaseData& data,
+      const std::string& instance);
 
   int shards() const { return static_cast<int>(shards_.size()); }
   std::string engine_name() const { return shards_[0]->engine->name(); }
@@ -113,7 +128,11 @@ class ShardRouter {
     return capacity_fraction_.load(std::memory_order_relaxed);
   }
 
-  std::vector<ShardStats> stats() const;
+  /// Republishes the capacity fraction and the serving_shard_health gauges.
+  /// Routing does this on every acquire, result and reload; the serving
+  /// stack also calls it after an injector tick, which can crash, recover
+  /// or slow a shard without any op being routed (a cache hit).
+  void RefreshHealth();
 
   /// Error-rate circuit breaker: this many consecutive non-timeout errors
   /// open a shard's breaker (health -> down); after kBreakerCooldownOps
@@ -137,7 +156,8 @@ class ShardRouter {
     int consecutive_errors = 0;      ///< Breaker input; guarded by mu_.
     uint64_t breaker_open_until = 0; ///< acquire_seq_ tick; 0 = not open.
     /// Registry instruments (serving_shard_* with instance + shard labels),
-    /// incremented under router mu_ so stats() snapshots stay exact.
+    /// updated under router mu_. busy_s is a gauge that accumulates the
+    /// per-op total (measured + modeled) seconds.
     obs::Counter* ops = nullptr;
     obs::Counter* errors = nullptr;
     obs::Counter* infs = nullptr;

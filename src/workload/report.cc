@@ -3,8 +3,25 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
+
+#include "obs/profiler.h"
+#include "serving/faults.h"
+#include "serving/shard_router.h"
 
 namespace genbase::workload {
+
+namespace {
+
+/// Injected faults (of `labels`' kind) in `counters`; 0 when the stack ran
+/// without an injector, which leaves the instrument out of the window.
+double Injected(const obs::MetricsWindow& counters, const obs::Labels& labels) {
+  return counters.Has("serving_fault_injected_total")
+             ? counters.Change("serving_fault_injected_total", labels)
+             : 0.0;
+}
+
+}  // namespace
 
 std::string FormatSeconds(double s) {
   char buf[32];
@@ -106,6 +123,13 @@ std::string WorkloadReport::Summary() const {
   return buf;
 }
 
+double WorkloadReport::cache_hit_ratio() const {
+  if (!has_serving) return 0.0;
+  const double hits = counters.Change("serving_cache_hits_total");
+  const double probes = hits + counters.Change("serving_cache_misses_total");
+  return probes == 0 ? 0.0 : hits / probes;
+}
+
 std::string WorkloadReport::GridCell() const {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "%sqps %s/%s/%s",
@@ -168,17 +192,17 @@ void WorkloadReport::Print() const {
       }
     }
     std::printf("\n");
-    if (execute_perf.reading.valid) {
+    int64_t scopes = 0;
+    const obs::PerfReading perf = obs::ExecutePerf(counters, &scopes);
+    if (perf.valid) {
       std::printf("  execute perf: ipc=%.2f cache-miss=%.1f%% "
                   "branch-miss/kinst=%.2f (%lld scopes)\n",
-                  execute_perf.reading.ipc(),
-                  execute_perf.reading.cache_miss_rate() * 100.0,
-                  execute_perf.reading.instructions > 0
-                      ? 1e3 * execute_perf.reading.branch_misses /
-                            static_cast<double>(
-                                execute_perf.reading.instructions)
+                  perf.ipc(), perf.cache_miss_rate() * 100.0,
+                  perf.instructions > 0
+                      ? 1e3 * perf.branch_misses /
+                            static_cast<double>(perf.instructions)
                       : 0.0,
-                  static_cast<long long>(execute_perf.samples));
+                  static_cast<long long>(scopes));
     } else if (profiled) {
       std::printf("  execute perf: counters unavailable "
                   "(perf_event_open denied or no PMU)\n");
@@ -194,76 +218,94 @@ void WorkloadReport::Print() const {
                 FormatMillis(total.queue_delay.Percentile(99)).c_str(),
                 FormatMillis(total.queue_delay.max()).c_str());
   }
+  // Counter values for printf: changes over the measured phase, or levels
+  // at its end.
+  const auto count = [this](const char* name, const obs::Labels& labels = {}) {
+    return static_cast<long long>(counters.Change(name, labels));
+  };
+  const auto level = [this](const char* name, const obs::Labels& labels = {}) {
+    return static_cast<long long>(counters.End(name, labels));
+  };
   if (has_serving) {
     std::printf("  serving: cache hit=%lld miss=%lld (ratio %.2f, "
                 "%lld entries, %lld evicted, %lld invalidated, "
                 "%lld oversize)  admitted=%lld "
                 "shed=%lld+%lld peakq=%lld limit=%lld\n",
-                static_cast<long long>(serving.cache.hits),
-                static_cast<long long>(serving.cache.misses),
-                serving.cache.hit_ratio(),
-                static_cast<long long>(serving.cache.entries),
-                static_cast<long long>(serving.cache.evictions),
-                static_cast<long long>(serving.cache.invalidated),
-                static_cast<long long>(serving.cache.rejected_oversize),
-                static_cast<long long>(serving.admission.admitted),
-                static_cast<long long>(serving.admission.shed_queue_full),
-                static_cast<long long>(serving.admission.shed_timeout),
-                static_cast<long long>(serving.admission.peak_queue),
-                static_cast<long long>(serving.admission.current_limit));
+                count("serving_cache_hits_total"),
+                count("serving_cache_misses_total"), cache_hit_ratio(),
+                level("serving_cache_entries"),
+                count("serving_cache_evictions_total"),
+                count("serving_cache_invalidated_total"),
+                count("serving_cache_rejected_oversize_total"),
+                count("serving_admission_admitted_total"),
+                count("serving_admission_shed_queue_full_total"),
+                count("serving_admission_shed_timeout_total"),
+                level("serving_admission_peak_queue"),
+                level("serving_admission_limit"));
     // Churn/stampede lines only when those layers saw traffic: the classic
     // closed-loop figures stay byte-stable otherwise.
-    if (serving.flight.leaders > 0 || serving.flight.coalesced > 0) {
+    const long long leaders = count("serving_flight_leaders_total");
+    const long long coalesced = count("serving_flight_coalesced_total");
+    if (leaders > 0 || coalesced > 0) {
       std::printf("  single-flight: leaders=%lld coalesced=%lld "
                   "(served=%lld, fallbacks=%lld, shed=%lld)\n",
-                  static_cast<long long>(serving.flight.leaders),
-                  static_cast<long long>(serving.flight.coalesced),
-                  static_cast<long long>(serving.flight.coalesced_served),
-                  static_cast<long long>(serving.flight.follower_fallbacks),
-                  static_cast<long long>(serving.flight.shed_wait_timeout));
+                  leaders, coalesced,
+                  count("serving_flight_coalesced_served_total"),
+                  count("serving_flight_follower_fallbacks_total"),
+                  count("serving_flight_shed_wait_timeout_total"));
     }
-    if (!serving.admission.shed_by_class.empty()) {
+    const std::vector<std::string> classes =
+        counters.LabelValues("serving_admission_shed_total", "class");
+    if (!classes.empty()) {
       std::printf("  shed by class:");
-      for (const auto& [class_id, shed] : serving.admission.shed_by_class) {
+      for (const std::string& class_id : classes) {
         std::printf(" %s=%lld",
-                    core::QueryName(static_cast<core::QueryId>(class_id)),
-                    static_cast<long long>(shed));
+                    core::QueryName(static_cast<core::QueryId>(
+                        std::stoi(class_id))),
+                    count("serving_admission_shed_total",
+                          {{"class", class_id}}));
       }
       std::printf("\n");
     }
-    if (serving.reloads > 0 || serving.stale_hits > 0) {
+    const long long reloads = count("serving_stack_reloads_total");
+    const long long stale_hits = count("serving_stack_stale_hits_total");
+    if (reloads > 0 || stale_hits > 0) {
       std::printf("  churn: reloads=%lld stale_hits=%lld (must be 0)\n",
-                  static_cast<long long>(serving.reloads),
-                  static_cast<long long>(serving.stale_hits));
+                  reloads, stale_hits);
     }
     // Fault-tolerance line only when that machinery actually engaged — the
     // no-injector, no-retry configurations stay byte-stable.
-    if (serving.retry.retries > 0 || serving.retry.hedges > 0 ||
-        serving.retry.retry_deadline_giveups > 0 ||
-        serving.admission.shed_brownout > 0 || serving.faults.total() > 0) {
+    const long long retries = count("serving_retries_total");
+    const long long hedges = count("serving_hedges_total");
+    const long long giveups = count("serving_retry_deadline_giveups_total");
+    const long long brownout = count("serving_admission_shed_brownout_total");
+    const auto injected = static_cast<long long>(Injected(counters, {}));
+    if (retries > 0 || hedges > 0 || giveups > 0 || brownout > 0 ||
+        injected > 0) {
       std::printf("  fault tolerance: retries=%lld (recovered=%lld, "
                   "giveups=%lld) hedges=%lld (wins=%lld) "
                   "shed_brownout=%lld injected=%lld\n",
-                  static_cast<long long>(serving.retry.retries),
-                  static_cast<long long>(serving.retry.retry_successes),
-                  static_cast<long long>(serving.retry.retry_deadline_giveups),
-                  static_cast<long long>(serving.retry.hedges),
-                  static_cast<long long>(serving.retry.hedge_wins),
-                  static_cast<long long>(serving.admission.shed_brownout),
-                  static_cast<long long>(serving.faults.total()));
+                  retries, count("serving_retry_successes_total"), giveups,
+                  hedges, count("serving_hedge_wins_total"), brownout,
+                  injected);
     }
-    for (size_t s = 0; s < serving.shards.size(); ++s) {
-      const serving::ShardStats& st = serving.shards[s];
-      std::printf("    shard %zu: ops=%lld busy=%ss err=%lld inf=%lld", s,
-                  static_cast<long long>(st.ops),
-                  FormatSeconds(st.busy_s).c_str(),
-                  static_cast<long long>(st.errors),
-                  static_cast<long long>(st.infs));
-      if (st.breaker_opens > 0 ||
-          st.health != serving::ShardHealth::kHealthy) {
+    for (const std::string& shard :
+         counters.LabelValues("serving_shard_ops_total", "shard")) {
+      const obs::Labels labels{{"shard", shard}};
+      std::printf("    shard %s: ops=%lld busy=%ss err=%lld inf=%lld",
+                  shard.c_str(), count("serving_shard_ops_total", labels),
+                  FormatSeconds(counters.Change("serving_shard_busy_seconds",
+                                                labels))
+                      .c_str(),
+                  count("serving_shard_errors_total", labels),
+                  count("serving_shard_infs_total", labels));
+      const long long breaker_opens =
+          count("serving_shard_breaker_opens_total", labels);
+      const auto health = static_cast<serving::ShardHealth>(
+          level("serving_shard_health", labels));
+      if (breaker_opens > 0 || health != serving::ShardHealth::kHealthy) {
         std::printf(" health=%s breaker_opens=%lld",
-                    serving::ShardHealthName(st.health),
-                    static_cast<long long>(st.breaker_opens));
+                    serving::ShardHealthName(health), breaker_opens);
       }
       std::printf("\n");
     }
@@ -271,11 +313,13 @@ void WorkloadReport::Print() const {
   if (has_plan) {
     std::printf("  plan: compiles=%lld hits=%lld executes=%lld "
                 "compile=%s peak=%.0fB%s\n",
-                static_cast<long long>(plan.compiles),
-                static_cast<long long>(plan.cache_hits),
-                static_cast<long long>(plan.executes),
-                FormatMillis(plan.compile_ns * 1e-9).c_str(), plan.peak_bytes,
-                plan.peak_mismatches > 0 ? "  GUARD OVERWRITTEN" : "");
+                count("plan_compiles_total"), count("plan_cache_hits_total"),
+                count("plan_executes_total"),
+                FormatMillis(counters.Change("plan_compile_ns_total") * 1e-9)
+                    .c_str(),
+                counters.End("plan_peak_bytes"),
+                count("plan_peak_mismatch_total") > 0 ? "  GUARD OVERWRITTEN"
+                                                      : "");
   }
   std::printf("  %-14s %7s %6s %5s %5s %5s %9s %9s %9s  %9s %9s %9s\n",
               "query", "ops", "err", "inf", "bad", "shed", "p50", "p95",
@@ -409,6 +453,102 @@ void AppendOpStats(std::string* out, const OpStats& stats) {
   out->push_back('}');
 }
 
+/// How a counter-block value reads its instrument: the change over the
+/// measured phase (counters, and gauges that accumulate) or the level at
+/// its end (gauges, high-water marks).
+enum class Read { kChange, kEnd };
+
+/// One value of a counter block: its JSON key and the registry instrument
+/// it reads.
+struct CounterRow {
+  const char* key;
+  const char* instrument;
+  Read read;
+};
+
+constexpr CounterRow kCacheProbeRows[] = {
+    {"hits", "serving_cache_hits_total", Read::kChange},
+    {"misses", "serving_cache_misses_total", Read::kChange},
+};
+constexpr CounterRow kCacheRows[] = {
+    {"insertions", "serving_cache_insertions_total", Read::kChange},
+    {"evictions", "serving_cache_evictions_total", Read::kChange},
+    {"invalidated", "serving_cache_invalidated_total", Read::kChange},
+    {"rejected_oversize", "serving_cache_rejected_oversize_total",
+     Read::kChange},
+    {"entries", "serving_cache_entries", Read::kEnd},
+    {"bytes", "serving_cache_bytes", Read::kEnd},
+};
+constexpr CounterRow kAdmissionRows[] = {
+    {"admitted", "serving_admission_admitted_total", Read::kChange},
+    {"shed_queue_full", "serving_admission_shed_queue_full_total",
+     Read::kChange},
+    {"shed_timeout", "serving_admission_shed_timeout_total", Read::kChange},
+    {"shed_brownout", "serving_admission_shed_brownout_total", Read::kChange},
+    {"peak_queue", "serving_admission_peak_queue", Read::kEnd},
+    {"current_limit", "serving_admission_limit", Read::kEnd},
+};
+constexpr CounterRow kFlightRows[] = {
+    {"leaders", "serving_flight_leaders_total", Read::kChange},
+    {"coalesced", "serving_flight_coalesced_total", Read::kChange},
+    {"coalesced_served", "serving_flight_coalesced_served_total",
+     Read::kChange},
+    {"follower_fallbacks", "serving_flight_follower_fallbacks_total",
+     Read::kChange},
+    {"shed_wait_timeout", "serving_flight_shed_wait_timeout_total",
+     Read::kChange},
+};
+constexpr CounterRow kRetryRows[] = {
+    {"retries", "serving_retries_total", Read::kChange},
+    {"retry_successes", "serving_retry_successes_total", Read::kChange},
+    {"retry_deadline_giveups", "serving_retry_deadline_giveups_total",
+     Read::kChange},
+    {"hedges", "serving_hedges_total", Read::kChange},
+    {"hedge_wins", "serving_hedge_wins_total", Read::kChange},
+};
+constexpr CounterRow kStackRows[] = {
+    {"stale_hits", "serving_stack_stale_hits_total", Read::kChange},
+    {"reloads", "serving_stack_reloads_total", Read::kChange},
+};
+/// Read with a {"shard", N} label.
+constexpr CounterRow kShardRows[] = {
+    {"ops", "serving_shard_ops_total", Read::kChange},
+    {"errors", "serving_shard_errors_total", Read::kChange},
+    {"infs", "serving_shard_infs_total", Read::kChange},
+    {"busy_s", "serving_shard_busy_seconds", Read::kChange},
+    {"breaker_opens", "serving_shard_breaker_opens_total", Read::kChange},
+};
+constexpr CounterRow kPlanRows[] = {
+    {"compiles", "plan_compiles_total", Read::kChange},
+    {"cache_hits", "plan_cache_hits_total", Read::kChange},
+    {"executes", "plan_executes_total", Read::kChange},
+    {"compile_ns", "plan_compile_ns_total", Read::kChange},
+    {"peak_mismatches", "plan_peak_mismatch_total", Read::kChange},
+    {"peak_bytes", "plan_peak_bytes", Read::kEnd},
+};
+/// serving_fault_injected_total, by its `kind` label.
+constexpr std::pair<const char*, serving::FaultKind> kFaultKeys[] = {
+    {"crashes", serving::FaultKind::kCrash},
+    {"recoveries", serving::FaultKind::kRecover},
+    {"latency_spikes", serving::FaultKind::kLatencySpike},
+    {"transient_errors", serving::FaultKind::kTransientError},
+    {"reload_failures", serving::FaultKind::kReloadFailure},
+};
+
+/// Appends `"key":value` for each row, comma-separated. Counts are
+/// integral doubles, which %.17g prints exactly as an integer.
+template <size_t N>
+void AppendRows(std::string* out, const obs::MetricsWindow& counters,
+                const CounterRow (&rows)[N], const obs::Labels& labels = {}) {
+  for (size_t i = 0; i < N; ++i) {
+    if (i > 0) out->push_back(',');
+    AppendKv(out, rows[i].key,
+             rows[i].read == Read::kChange
+                 ? counters.Change(rows[i].instrument, labels)
+                 : counters.End(rows[i].instrument, labels));
+  }
+}
+
 }  // namespace
 
 std::string WorkloadReport::ToJson() const {
@@ -448,9 +588,9 @@ std::string WorkloadReport::ToJson() const {
     // Counter JSON carries its own null fields when counters were
     // unavailable; the samples count distinguishes "no scopes ran" from
     // "scopes ran but the PMU was closed".
-    std::string perf = execute_perf.reading.ToJson();
-    perf.insert(perf.size() - 1,
-                ",\"samples\":" + std::to_string(execute_perf.samples));
+    int64_t scopes = 0;
+    std::string perf = obs::ExecutePerf(counters, &scopes).ToJson();
+    perf.insert(perf.size() - 1, ",\"samples\":" + std::to_string(scopes));
     out.append(perf);
   } else {
     out.append("null");
@@ -470,113 +610,55 @@ std::string WorkloadReport::ToJson() const {
   out.push_back('}');
   if (has_serving) {
     out.append(",\"serving\":{\"cache\":{");
-    AppendKv(&out, "hits", serving.cache.hits);
+    AppendRows(&out, counters, kCacheProbeRows);
     out.push_back(',');
-    AppendKv(&out, "misses", serving.cache.misses);
+    AppendKv(&out, "hit_ratio", cache_hit_ratio());
     out.push_back(',');
-    AppendKv(&out, "hit_ratio", serving.cache.hit_ratio());
-    out.push_back(',');
-    AppendKv(&out, "insertions", serving.cache.insertions);
-    out.push_back(',');
-    AppendKv(&out, "evictions", serving.cache.evictions);
-    out.push_back(',');
-    AppendKv(&out, "invalidated", serving.cache.invalidated);
-    out.push_back(',');
-    AppendKv(&out, "rejected_oversize", serving.cache.rejected_oversize);
-    out.push_back(',');
-    AppendKv(&out, "entries", serving.cache.entries);
-    out.push_back(',');
-    AppendKv(&out, "bytes", serving.cache.bytes);
+    AppendRows(&out, counters, kCacheRows);
     out.append("},\"admission\":{");
-    AppendKv(&out, "admitted", serving.admission.admitted);
-    out.push_back(',');
-    AppendKv(&out, "shed_queue_full", serving.admission.shed_queue_full);
-    out.push_back(',');
-    AppendKv(&out, "shed_timeout", serving.admission.shed_timeout);
-    out.push_back(',');
-    AppendKv(&out, "shed_brownout", serving.admission.shed_brownout);
-    out.push_back(',');
-    AppendKv(&out, "peak_queue", serving.admission.peak_queue);
-    out.push_back(',');
-    AppendKv(&out, "current_limit", serving.admission.current_limit);
+    AppendRows(&out, counters, kAdmissionRows);
     out.append(",\"shed_by_class\":{");
     bool first_class = true;
-    for (const auto& [class_id, shed] : serving.admission.shed_by_class) {
+    for (const std::string& class_id :
+         counters.LabelValues("serving_admission_shed_total", "class")) {
       if (!first_class) out.push_back(',');
       first_class = false;
-      out.push_back('"');
-      out.append(core::QueryName(static_cast<core::QueryId>(class_id)));
-      out.append("\":");
-      out.append(std::to_string(shed));
+      AppendKv(&out,
+               core::QueryName(static_cast<core::QueryId>(std::stoi(class_id))),
+               counters.Change("serving_admission_shed_total",
+                               {{"class", class_id}}));
     }
     out.append("}},\"single_flight\":{");
-    AppendKv(&out, "leaders", serving.flight.leaders);
-    out.push_back(',');
-    AppendKv(&out, "coalesced", serving.flight.coalesced);
-    out.push_back(',');
-    AppendKv(&out, "coalesced_served", serving.flight.coalesced_served);
-    out.push_back(',');
-    AppendKv(&out, "follower_fallbacks", serving.flight.follower_fallbacks);
-    out.push_back(',');
-    AppendKv(&out, "shed_wait_timeout", serving.flight.shed_wait_timeout);
+    AppendRows(&out, counters, kFlightRows);
     out.append("},\"retry\":{");
-    AppendKv(&out, "retries", serving.retry.retries);
-    out.push_back(',');
-    AppendKv(&out, "retry_successes", serving.retry.retry_successes);
-    out.push_back(',');
-    AppendKv(&out, "retry_deadline_giveups",
-             serving.retry.retry_deadline_giveups);
-    out.push_back(',');
-    AppendKv(&out, "hedges", serving.retry.hedges);
-    out.push_back(',');
-    AppendKv(&out, "hedge_wins", serving.retry.hedge_wins);
+    AppendRows(&out, counters, kRetryRows);
     out.append("},\"faults\":{");
-    AppendKv(&out, "crashes", serving.faults.crashes);
-    out.push_back(',');
-    AppendKv(&out, "recoveries", serving.faults.recoveries);
-    out.push_back(',');
-    AppendKv(&out, "latency_spikes", serving.faults.latency_spikes);
-    out.push_back(',');
-    AppendKv(&out, "transient_errors", serving.faults.transient_errors);
-    out.push_back(',');
-    AppendKv(&out, "reload_failures", serving.faults.reload_failures);
+    for (const auto& [key, kind] : kFaultKeys) {
+      if (key != kFaultKeys[0].first) out.push_back(',');
+      AppendKv(&out, key,
+               Injected(counters, {{"kind", serving::FaultKindName(kind)}}));
+    }
     out.append("},");
-    AppendKv(&out, "stale_hits", serving.stale_hits);
-    out.push_back(',');
-    AppendKv(&out, "reloads", serving.reloads);
+    AppendRows(&out, counters, kStackRows);
     out.append(",\"shards\":[");
-    for (size_t s = 0; s < serving.shards.size(); ++s) {
-      if (s > 0) out.push_back(',');
+    bool first_shard = true;
+    for (const std::string& shard :
+         counters.LabelValues("serving_shard_ops_total", "shard")) {
+      if (!first_shard) out.push_back(',');
+      first_shard = false;
+      const obs::Labels labels{{"shard", shard}};
       out.push_back('{');
-      AppendKv(&out, "ops", serving.shards[s].ops);
-      out.push_back(',');
-      AppendKv(&out, "errors", serving.shards[s].errors);
-      out.push_back(',');
-      AppendKv(&out, "infs", serving.shards[s].infs);
-      out.push_back(',');
-      AppendKv(&out, "busy_s", serving.shards[s].busy_s);
-      out.push_back(',');
-      AppendKv(&out, "breaker_opens", serving.shards[s].breaker_opens);
+      AppendRows(&out, counters, kShardRows, labels);
       out.append(",\"health\":\"");
-      out.append(serving::ShardHealthName(serving.shards[s].health));
-      out.push_back('"');
-      out.push_back('}');
+      out.append(serving::ShardHealthName(static_cast<serving::ShardHealth>(
+          static_cast<int>(counters.End("serving_shard_health", labels)))));
+      out.append("\"}");
     }
     out.append("]}");
   }
   if (has_plan) {
     out.append(",\"plan\":{");
-    AppendKv(&out, "compiles", plan.compiles);
-    out.push_back(',');
-    AppendKv(&out, "cache_hits", plan.cache_hits);
-    out.push_back(',');
-    AppendKv(&out, "executes", plan.executes);
-    out.push_back(',');
-    AppendKv(&out, "compile_ns", plan.compile_ns);
-    out.push_back(',');
-    AppendKv(&out, "peak_mismatches", plan.peak_mismatches);
-    out.push_back(',');
-    AppendKv(&out, "peak_bytes", plan.peak_bytes);
+    AppendRows(&out, counters, kPlanRows);
     out.push_back('}');
   }
   out.push_back('}');

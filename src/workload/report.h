@@ -6,10 +6,8 @@
 #include <vector>
 
 #include "core/queries.h"
-#include "obs/profiler.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
-#include "plan/plan_stats.h"
-#include "serving/counters.h"
 #include "workload/latency_histogram.h"
 #include "workload/workload_spec.h"
 
@@ -103,27 +101,25 @@ struct WorkloadReport {
   /// goodput can be read against load. 0 for closed-loop runs.
   double offered_qps = 0.0;
 
-  /// Set when the run went through a ServingStack; `serving` then holds the
-  /// measured-phase delta of cache/admission/shard counters.
-  bool has_serving = false;
-  serving::ServingCounters serving;
+  /// What the registry counted over the measured phase: the serving
+  /// stack's instruments (when the run went through one) plus the
+  /// process-wide plan_* and execute_perf_* counters. Print and ToJson
+  /// read every counter block from it by instrument name.
+  obs::MetricsWindow counters;
 
-  /// Set when static query plans executed during the measured phase (the
-  /// planned column store); `plan` then holds the measured-phase delta of
-  /// the plan_* counters (compiles, cache hits, executes, compile ns,
-  /// reused bytes) plus the current peak gauges.
+  /// Set when the run went through a ServingStack: the serving_* counters
+  /// are then in `counters`.
+  bool has_serving = false;
+
+  /// Set when static query plans compiled or executed during the measured
+  /// phase (the planned column store).
   bool has_plan = false;
-  plan::PlanStatsSnapshot plan;
 
   /// True when obs::Profiler was enabled for the measured phase: stage CPU
-  /// sums, allocation deltas and `execute_perf` carry data. When false those
-  /// fields export as null/absent rather than as misleading zeros.
+  /// sums, allocation deltas and the execute-stage hardware counters carry
+  /// data. When false those fields export as null/absent rather than as
+  /// misleading zeros.
   bool profiled = false;
-
-  /// Hardware-counter delta attributed to the execute stage over the
-  /// measured phase (sum across client threads). reading.valid is false when
-  /// perf_event_open was unavailable — exported as nulls.
-  obs::ExecutePerfTotals execute_perf;
 
   double wall_seconds = 0.0;  ///< Measured-phase wall time (real clock).
   OpStats total;
@@ -162,6 +158,10 @@ struct WorkloadReport {
     return wall_seconds > 0 ? successes / wall_seconds : 0.0;
   }
   int64_t failed_ops() const { return total.errors + total.infs; }
+
+  /// Result-cache hits over probes in the measured phase (0 without probes
+  /// or without a serving stack).
+  double cache_hit_ratio() const;
 
   /// One-line summary: "SciDB mixed x4: 118 qps p50=28ms p95=61ms p99=74ms".
   std::string Summary() const;

@@ -461,23 +461,18 @@ genbase::Result<WorkloadReport> WorkloadRunner::RunScheduled(
 
   if (warmup_end > 0) run_phase(0, warmup_end, /*record=*/false);
 
-  // Serving counters over the measured phase only: warm-up legitimately
-  // warms the cache, but its hits/misses are not part of the measurement.
-  serving::ServingCounters counters_at_measure_start;
-  if (stack != nullptr) counters_at_measure_start = stack->counters();
-
-  // Plan counters likewise: warm-up compiles the plans; the measured phase
-  // should mostly show cache hits and executes.
-  const plan::PlanStatsSnapshot plan_at_measure_start =
-      plan::PlanStatsSnapshot::Capture();
+  // Counters over the measured phase only: warm-up legitimately warms the
+  // cache and compiles the plans, but its counts are not part of the
+  // measurement. PlanMetrics::Get() registers plan_* so the window holds
+  // them even when no plan runs.
+  plan::PlanMetrics::Get();
+  obs::MetricsWindow counters(stack != nullptr
+                                  ? stack->metric_instances()
+                                  : std::vector<std::string>{});
 
   if (on_measure_start_) on_measure_start_();
 
-  // Execute-stage hardware counters over the measured phase only (the
-  // accumulator is process-global and monotone, so warm-up work subtracts
-  // out). RSS snapshot on both edges for the gauges.
-  const obs::ExecutePerfTotals perf_at_measure_start =
-      obs::ExecutePerfSnapshot();
+  // RSS snapshot on both edges for the gauges.
   if (obs::Profiler::Enabled()) obs::SampleProcessRss();
 
   WallTimer wall;
@@ -490,6 +485,7 @@ genbase::Result<WorkloadReport> WorkloadRunner::RunScheduled(
   // so spans survive the pool threads this run used.
   FlushTailKept(&clients);
   obs::Tracer::Global().Collect();
+  counters.Stop();
 
   WorkloadReport report;
   report.engine = engine_name;
@@ -502,20 +498,13 @@ genbase::Result<WorkloadReport> WorkloadRunner::RunScheduled(
   report.kernel_backend = simd::BackendName(simd::ActiveBackend());
   report.wall_seconds = wall_seconds;
   report.profiled = obs::Profiler::Enabled();
-  if (report.profiled) {
-    report.execute_perf =
-        obs::ExecutePerfSnapshot() - perf_at_measure_start;
-  }
   if (open_loop) report.offered_qps = spec_.arrival_rate_qps;
-  if (stack != nullptr) {
-    report.has_serving = true;
-    report.serving =
-        serving::CountersDelta(stack->counters(), counters_at_measure_start);
-  }
-  report.plan = plan::PlanStatsSnapshot::Capture() - plan_at_measure_start;
+  report.has_serving = stack != nullptr;
   // Plan counters are process-global; only claim them when this run's
   // engine actually executed planned queries during the measured phase.
-  report.has_plan = report.plan.executes > 0 || report.plan.compiles > 0;
+  report.has_plan = counters.Change("plan_executes_total") > 0 ||
+                    counters.Change("plan_compiles_total") > 0;
+  report.counters = std::move(counters);
   for (const ClientState& state : clients) {
     report.total.MergeFrom(state.total);
     for (const auto& [query, stats] : state.per_query) {

@@ -99,7 +99,7 @@ class WorkloadRunner {
   }
 
   /// Invoked immediately before the measured phase starts issuing ops
-  /// (after warm-up and after the serving-counter baseline snapshot).
+  /// (after warm-up and after the measured-phase counter window opens).
   /// Reload-while-serving benches use it to launch dataset churn that is
   /// guaranteed to land inside the measured window — and inside the
   /// measured counter delta — rather than racing the warm-up.

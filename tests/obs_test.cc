@@ -115,6 +115,108 @@ TEST(HistogramTest, QuantileExtremesExactMiddleBucketed) {
   EXPECT_NEAR(snap.Quantile(0.99), 0.99, 0.99 * 0.06);
 }
 
+// --- metrics window ------------------------------------------------------------
+
+/// Each case registers its own instance, so registrations from other cases
+/// in this process never leak into its window.
+Labels Instance(const std::string& id) { return {{"instance", id}}; }
+
+TEST(MetricsWindowTest, CountersSubtract) {
+  const std::string id = MetricsRegistry::NextInstanceId("window");
+  Counter* c = MetricsRegistry::Global().GetCounter("window_test_ops_total",
+                                                    Instance(id));
+  c->Inc(5);
+  MetricsWindow window({id});
+  c->Inc(3);
+  window.Stop();
+  EXPECT_EQ(window.Change("window_test_ops_total"), 3);
+  EXPECT_EQ(window.End("window_test_ops_total"), 8);
+}
+
+TEST(MetricsWindowTest, InstrumentRegisteredInsideTheWindowCountsFromZero) {
+  const std::string id = MetricsRegistry::NextInstanceId("window");
+  MetricsWindow window({id});
+  MetricsRegistry::Global()
+      .GetCounter("window_test_late_total", Instance(id))
+      ->Inc(4);
+  window.Stop();
+  EXPECT_TRUE(window.Has("window_test_late_total"));
+  EXPECT_EQ(window.Change("window_test_late_total"), 4);
+}
+
+TEST(MetricsWindowTest, EndReadsAGaugeAtStop) {
+  const std::string id = MetricsRegistry::NextInstanceId("window");
+  Gauge* g = MetricsRegistry::Global().GetGauge("window_test_level",
+                                                Instance(id));
+  g->Set(10);
+  MetricsWindow window({id});
+  g->Set(7);
+  window.Stop();
+  g->Set(1);  // After Stop: not seen.
+  EXPECT_EQ(window.End("window_test_level"), 7);
+}
+
+TEST(MetricsWindowTest, ChangeReadsAnAccumulatingGauge) {
+  const std::string id = MetricsRegistry::NextInstanceId("window");
+  Gauge* g = MetricsRegistry::Global().GetGauge("window_test_busy_seconds",
+                                                Instance(id));
+  g->Add(1.5);
+  MetricsWindow window({id});
+  g->Add(2.25);
+  window.Stop();
+  EXPECT_DOUBLE_EQ(window.Change("window_test_busy_seconds"), 2.25);
+}
+
+TEST(MetricsWindowTest, OutOfScopeInstanceIsIgnored) {
+  auto& reg = MetricsRegistry::Global();
+  const std::string in = MetricsRegistry::NextInstanceId("window");
+  const std::string out = MetricsRegistry::NextInstanceId("window");
+  Counter* mine = reg.GetCounter("window_test_scoped_total", Instance(in));
+  Counter* other = reg.GetCounter("window_test_scoped_total", Instance(out));
+  // No instance label: process-wide, always in scope.
+  Counter* global = reg.GetCounter("window_test_process_total");
+  MetricsWindow window({in});
+  mine->Inc(2);
+  other->Inc(100);
+  global->Inc(3);
+  window.Stop();
+  EXPECT_EQ(window.Change("window_test_scoped_total"), 2);
+  EXPECT_EQ(window.Change("window_test_process_total"), 3);
+  // A name registered only under another instance is not in the window.
+  reg.GetCounter("window_test_foreign_total", Instance(out));
+  MetricsWindow scoped({in});
+  scoped.Stop();
+  EXPECT_FALSE(scoped.Has("window_test_foreign_total"));
+}
+
+TEST(MetricsWindowTest, LabelSubsetsSumAndLabelValuesAreNumeric) {
+  const std::string id = MetricsRegistry::NextInstanceId("window");
+  MetricsWindow window({id});
+  for (const char* shard : {"10", "2", "1"}) {
+    MetricsRegistry::Global()
+        .GetCounter("window_test_shard_ops_total",
+                    {{"instance", id}, {"shard", shard}})
+        ->Inc(std::stoi(shard));
+  }
+  window.Stop();
+  EXPECT_EQ(window.LabelValues("window_test_shard_ops_total", "shard"),
+            (std::vector<std::string>{"1", "2", "10"}));
+  EXPECT_EQ(window.Change("window_test_shard_ops_total", {{"shard", "10"}}),
+            10);
+  EXPECT_EQ(window.Change("window_test_shard_ops_total"), 13);
+  EXPECT_TRUE(window.LabelValues("window_test_shard_ops_total", "class")
+                  .empty());
+}
+
+TEST(MetricsWindowDeathTest, ReadingAnUnregisteredNameDies) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  MetricsWindow window({MetricsRegistry::NextInstanceId("window")});
+  window.Stop();
+  EXPECT_FALSE(window.Has("window_test_misspelt_total"));
+  EXPECT_DEATH(window.Change("window_test_misspelt_total"),
+               "cannot read 'window_test_misspelt_total'");
+}
+
 // --- trace ids + sampling ----------------------------------------------------
 
 TEST(TraceSamplingTest, TraceIdsAreDeterministic) {

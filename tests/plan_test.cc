@@ -22,6 +22,7 @@
 #include "core/generator.h"
 #include "core/queries.h"
 #include "engine/engine_util.h"
+#include "obs/metrics.h"
 #include "plan/arena.h"
 #include "plan/compiled_plan.h"
 #include "plan/memory_planner.h"
@@ -316,7 +317,7 @@ TEST(PlanLayoutTest, WritePastAValueFailsTheRun) {
                                      nullptr);
   };
   const auto mismatches = [] {
-    return plan::PlanStatsSnapshot::Capture().peak_mismatches;
+    return plan::PlanMetrics::Get().peak_mismatches->Value();
   };
   MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
 
@@ -379,14 +380,15 @@ TEST_P(PlannedQueryTest, GuardsStayIntact) {
   MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
   ExecContext ctx;
   ctx.set_memory(&tracker);
-  const int64_t before = plan::PlanStatsSnapshot::Capture().peak_mismatches;
+  const obs::Counter* guard_hits = plan::PlanMetrics::Get().peak_mismatches;
+  const int64_t before = guard_hits->Value();
   auto plan = plan::CompileQuery(TinyTables(), q, TinyParams(), &tracker,
                                  &ctx);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   // Execute twice: the second run reuses the pooled arena and its guards.
   ASSERT_TRUE((*plan)->Execute(TinyParams(), &ctx).ok());
   ASSERT_TRUE((*plan)->Execute(TinyParams(), &ctx).ok());
-  EXPECT_EQ(plan::PlanStatsSnapshot::Capture().peak_mismatches, before)
+  EXPECT_EQ(guard_hits->Value(), before)
       << (*plan)->DumpAllocationPlan();
 }
 
@@ -878,7 +880,7 @@ TEST(ShapeKeyTest, SeededBoundParamSweepSharesOnePlan) {
     SCOPED_TRACE(core::QueryName(q));
     auto shared = engine.CompileForTest(q, TinyParams(), &ctx);
     ASSERT_TRUE(shared.ok());
-    const plan::PlanStatsSnapshot before = plan::PlanStatsSnapshot::Capture();
+    obs::MetricsWindow window(std::vector<std::string>{});
     for (int draw = 0; draw < 8; ++draw) {
       QueryParams p = TinyParams();
       p.covariance_quantile = rng.Uniform(0.5, 0.99);
@@ -891,11 +893,10 @@ TEST(ShapeKeyTest, SeededBoundParamSweepSharesOnePlan) {
       EXPECT_TRUE(BitwiseEqual(*planned, LegacyAnswer(q, p)))
           << "draw " << draw;
     }
-    const plan::PlanStatsSnapshot delta =
-        plan::PlanStatsSnapshot::Capture() - before;
-    EXPECT_EQ(delta.compiles, 0);
-    EXPECT_EQ(delta.cache_hits, 8);
-    EXPECT_EQ(delta.executes, 8);
+    window.Stop();
+    EXPECT_EQ(window.Change("plan_compiles_total"), 0);
+    EXPECT_EQ(window.Change("plan_cache_hits_total"), 8);
+    EXPECT_EQ(window.Change("plan_executes_total"), 8);
   }
   EXPECT_EQ(engine.cached_plans(), 5);
 }

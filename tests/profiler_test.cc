@@ -98,35 +98,39 @@ TEST_F(ProfilerTest, InvalidPerfReadingSerializesAsNulls) {
 
 TEST_F(ProfilerTest, ExecutePerfScopeAccumulatesOrStaysSilent) {
   Profiler::SetEnabled(true);
-  const ExecutePerfTotals before = ExecutePerfSnapshot();
+  MetricsWindow window(std::vector<std::string>{});
   {
     ScopedExecutePerf scope;
     volatile double sink = 0;
     for (int i = 0; i < 100000; ++i) sink += i;
   }
-  const ExecutePerfTotals delta = ExecutePerfSnapshot() - before;
+  window.Stop();
+  int64_t scopes = -1;
+  const PerfReading delta = ExecutePerf(window, &scopes);
   if (ThreadPerfCounters()->available()) {
-    EXPECT_EQ(delta.samples, 1);
-    EXPECT_TRUE(delta.reading.valid);
-    EXPECT_GT(delta.reading.cycles, 0);
-    EXPECT_GT(delta.reading.instructions, 0);
+    EXPECT_EQ(scopes, 1);
+    EXPECT_TRUE(delta.valid);
+    EXPECT_GT(delta.cycles, 0);
+    EXPECT_GT(delta.instructions, 0);
   } else {
-    EXPECT_EQ(delta.samples, 0);
-    EXPECT_FALSE(delta.reading.valid);
+    EXPECT_EQ(scopes, 0);
+    EXPECT_FALSE(delta.valid);
   }
 }
 
 TEST_F(ProfilerTest, ExecutePerfScopeInertWhenDisabled) {
   Profiler::SetEnabled(false);
-  const ExecutePerfTotals before = ExecutePerfSnapshot();
+  MetricsWindow window(std::vector<std::string>{});
   {
     ScopedExecutePerf scope;
     volatile double sink = 0;
     for (int i = 0; i < 100000; ++i) sink += i;
   }
-  const ExecutePerfTotals delta = ExecutePerfSnapshot() - before;
-  EXPECT_EQ(delta.samples, 0);
-  EXPECT_FALSE(delta.reading.valid);
+  window.Stop();
+  int64_t scopes = -1;
+  const PerfReading delta = ExecutePerf(window, &scopes);
+  EXPECT_EQ(scopes, 0);
+  EXPECT_FALSE(delta.valid);
 }
 
 }  // namespace

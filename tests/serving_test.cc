@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "core/generator.h"
 #include "core/verify.h"
 #include "engine/engines.h"
+#include "obs/metrics.h"
 #include "serving/admission.h"
 #include "serving/faults.h"
 #include "serving/result_cache.h"
@@ -47,6 +49,29 @@ core::DriverOptions TinyOptions() {
   options.timeout_seconds = 30.0;
   options.params = TinyParams();
   return options;
+}
+
+/// A fresh registry instance label, so each test's components count alone.
+std::string NewInstance() {
+  return obs::MetricsRegistry::NextInstanceId("test");
+}
+
+/// A stopped window over `instances`: End() reads each instrument's total
+/// since its (fresh) instance was created.
+obs::MetricsWindow CountersNow(std::vector<std::string> instances) {
+  obs::MetricsWindow window(std::move(instances));
+  window.Stop();
+  return window;
+}
+
+ShardHealth Health(const obs::MetricsWindow& counters, int shard) {
+  return static_cast<ShardHealth>(static_cast<int>(counters.End(
+      "serving_shard_health", {{"shard", std::to_string(shard)}})));
+}
+
+double ShardOps(const obs::MetricsWindow& counters, int shard) {
+  return counters.End("serving_shard_ops_total",
+                      {{"shard", std::to_string(shard)}});
 }
 
 // --- params fingerprint -----------------------------------------------------
@@ -103,7 +128,8 @@ CacheKey KeyWithFingerprint(uint64_t fp) {
 }
 
 TEST(ResultCacheTest, HitRefreshesRecencyAndEvictionIsLru) {
-  ResultCache cache(/*max_entries=*/2, /*max_bytes=*/1 << 20);
+  const std::string instance = NewInstance();
+  ResultCache cache(/*max_entries=*/2, /*max_bytes=*/1 << 20, instance);
   core::QueryResult out;
   EXPECT_FALSE(cache.Lookup(KeyWithFingerprint(1), &out));  // Miss.
   cache.Insert(KeyWithFingerprint(1), SvdResultWithValues(3, 1.0));
@@ -117,38 +143,43 @@ TEST(ResultCacheTest, HitRefreshesRecencyAndEvictionIsLru) {
   EXPECT_TRUE(cache.Lookup(KeyWithFingerprint(3), &out));
   EXPECT_DOUBLE_EQ(out.svd.singular_values[0], 9.0);
 
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 2);
-  EXPECT_EQ(stats.insertions, 3);
-  EXPECT_EQ(stats.evictions, 1);
-  EXPECT_EQ(stats.hits, 3);
-  EXPECT_EQ(stats.misses, 2);
-  EXPECT_NEAR(stats.hit_ratio(), 3.0 / 5.0, 1e-12);
+  const obs::MetricsWindow stats = CountersNow({instance});
+  EXPECT_EQ(stats.End("serving_cache_entries"), 2);
+  EXPECT_EQ(stats.End("serving_cache_insertions_total"), 3);
+  EXPECT_EQ(stats.End("serving_cache_evictions_total"), 1);
+  const double hits = stats.End("serving_cache_hits_total");
+  const double misses = stats.End("serving_cache_misses_total");
+  EXPECT_EQ(hits, 3);
+  EXPECT_EQ(misses, 2);
+  EXPECT_NEAR(hits / (hits + misses), 3.0 / 5.0, 1e-12);
 }
 
 TEST(ResultCacheTest, ByteBoundEvictsAndTracksBytes) {
   const int64_t one = ApproxResultBytes(SvdResultWithValues(64, 1.0));
-  ResultCache cache(/*max_entries=*/16, /*max_bytes=*/one + one / 2);
+  const std::string instance = NewInstance();
+  ResultCache cache(/*max_entries=*/16, /*max_bytes=*/one + one / 2,
+                    instance);
   cache.Insert(KeyWithFingerprint(1), SvdResultWithValues(64, 1.0));
-  EXPECT_EQ(cache.stats().bytes, one);
+  EXPECT_EQ(CountersNow({instance}).End("serving_cache_bytes"), one);
   cache.Insert(KeyWithFingerprint(2), SvdResultWithValues(64, 2.0));
   // Both do not fit; the older entry is evicted.
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 1);
-  EXPECT_EQ(stats.evictions, 1);
-  EXPECT_EQ(stats.bytes, one);
+  const obs::MetricsWindow stats = CountersNow({instance});
+  EXPECT_EQ(stats.End("serving_cache_entries"), 1);
+  EXPECT_EQ(stats.End("serving_cache_evictions_total"), 1);
+  EXPECT_EQ(stats.End("serving_cache_bytes"), one);
   core::QueryResult out;
   EXPECT_FALSE(cache.Lookup(KeyWithFingerprint(1), &out));
   EXPECT_TRUE(cache.Lookup(KeyWithFingerprint(2), &out));
 }
 
 TEST(ResultCacheTest, OversizedValueIsCountedAsRejected) {
-  ResultCache cache(/*max_entries=*/4, /*max_bytes=*/64);
+  const std::string instance = NewInstance();
+  ResultCache cache(/*max_entries=*/4, /*max_bytes=*/64, instance);
   cache.Insert(KeyWithFingerprint(1), SvdResultWithValues(64, 1.0));
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 0);
-  EXPECT_EQ(stats.insertions, 0);
-  EXPECT_EQ(stats.rejected_oversize, 1);
+  const obs::MetricsWindow stats = CountersNow({instance});
+  EXPECT_EQ(stats.End("serving_cache_entries"), 0);
+  EXPECT_EQ(stats.End("serving_cache_insertions_total"), 0);
+  EXPECT_EQ(stats.End("serving_cache_rejected_oversize_total"), 1);
 }
 
 CacheKey KeyWithEpoch(uint64_t fp, uint64_t epoch) {
@@ -158,7 +189,7 @@ CacheKey KeyWithEpoch(uint64_t fp, uint64_t epoch) {
 }
 
 TEST(ResultCacheTest, EpochIsPartOfTheKey) {
-  ResultCache cache(/*max_entries=*/8, /*max_bytes=*/1 << 20);
+  ResultCache cache(/*max_entries=*/8, /*max_bytes=*/1 << 20, NewInstance());
   cache.Insert(KeyWithEpoch(1, 1), SvdResultWithValues(3, 1.0));
   core::QueryResult out;
   // Same (query, fingerprint, size), later epoch: a distinct key — the
@@ -170,7 +201,8 @@ TEST(ResultCacheTest, EpochIsPartOfTheKey) {
 }
 
 TEST(ResultCacheTest, InvalidateEpochsBelowRemovesExactlyOldEpochs) {
-  ResultCache cache(/*max_entries=*/16, /*max_bytes=*/1 << 20);
+  const std::string instance = NewInstance();
+  ResultCache cache(/*max_entries=*/16, /*max_bytes=*/1 << 20, instance);
   cache.Insert(KeyWithEpoch(1, 1), SvdResultWithValues(3, 1.0));
   cache.Insert(KeyWithEpoch(2, 1), SvdResultWithValues(3, 2.0));
   cache.Insert(KeyWithEpoch(3, 2), SvdResultWithValues(3, 3.0));
@@ -180,31 +212,36 @@ TEST(ResultCacheTest, InvalidateEpochsBelowRemovesExactlyOldEpochs) {
   EXPECT_FALSE(cache.Lookup(KeyWithEpoch(2, 1), &out));
   EXPECT_TRUE(cache.Lookup(KeyWithEpoch(3, 2), &out));
 
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.invalidated, 2);
-  EXPECT_EQ(stats.evictions, 0);
-  EXPECT_EQ(stats.entries, 1);
+  const obs::MetricsWindow stats = CountersNow({instance});
+  EXPECT_EQ(stats.End("serving_cache_invalidated_total"), 2);
+  EXPECT_EQ(stats.End("serving_cache_evictions_total"), 0);
+  EXPECT_EQ(stats.End("serving_cache_entries"), 1);
   // The removal accounting reconciles.
-  EXPECT_EQ(stats.entries,
-            stats.insertions - stats.evictions - stats.invalidated);
+  EXPECT_EQ(stats.End("serving_cache_entries"),
+            stats.End("serving_cache_insertions_total") -
+                stats.End("serving_cache_evictions_total") -
+                stats.End("serving_cache_invalidated_total"));
 }
 
 TEST(ResultCacheTest, ClearCountsRemovedEntriesAsInvalidated) {
-  ResultCache cache(/*max_entries=*/16, /*max_bytes=*/1 << 20);
+  const std::string instance = NewInstance();
+  ResultCache cache(/*max_entries=*/16, /*max_bytes=*/1 << 20, instance);
   cache.Insert(KeyWithFingerprint(1), SvdResultWithValues(3, 1.0));
   cache.Insert(KeyWithFingerprint(2), SvdResultWithValues(3, 2.0));
   cache.Clear();
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 0);
-  EXPECT_EQ(stats.invalidated, 2);
-  EXPECT_EQ(stats.entries,
-            stats.insertions - stats.evictions - stats.invalidated);
+  const obs::MetricsWindow stats = CountersNow({instance});
+  EXPECT_EQ(stats.End("serving_cache_entries"), 0);
+  EXPECT_EQ(stats.End("serving_cache_invalidated_total"), 2);
+  EXPECT_EQ(stats.End("serving_cache_entries"),
+            stats.End("serving_cache_insertions_total") -
+                stats.End("serving_cache_evictions_total") -
+                stats.End("serving_cache_invalidated_total"));
 }
 
 // --- admission controller ---------------------------------------------------
 
 TEST(AdmissionTest, DisabledControllerAdmitsEverything) {
-  AdmissionController ac(AdmissionOptions{});
+  AdmissionController ac(AdmissionOptions{}, NewInstance());
   EXPECT_FALSE(ac.enabled());
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(ac.Admit(std::nullopt), AdmissionOutcome::kAdmitted);
@@ -215,17 +252,18 @@ TEST(AdmissionTest, FullQueueShedsOnArrival) {
   AdmissionOptions options;
   options.max_inflight = 1;
   options.max_queue = 0;
-  AdmissionController ac(options);
+  const std::string instance = NewInstance();
+  AdmissionController ac(options, instance);
   EXPECT_EQ(ac.Admit(std::nullopt), AdmissionOutcome::kAdmitted);
   // Slot busy and no queue slots: immediate shed, no blocking.
   EXPECT_EQ(ac.Admit(std::nullopt), AdmissionOutcome::kShedQueueFull);
   ac.Release();
   EXPECT_EQ(ac.Admit(std::nullopt), AdmissionOutcome::kAdmitted);
   ac.Release();
-  const AdmissionStats stats = ac.stats();
-  EXPECT_EQ(stats.admitted, 2);
-  EXPECT_EQ(stats.shed_queue_full, 1);
-  EXPECT_EQ(stats.shed_timeout, 0);
+  const obs::MetricsWindow stats = CountersNow({instance});
+  EXPECT_EQ(stats.End("serving_admission_admitted_total"), 2);
+  EXPECT_EQ(stats.End("serving_admission_shed_queue_full_total"), 1);
+  EXPECT_EQ(stats.End("serving_admission_shed_timeout_total"), 0);
 }
 
 TEST(AdmissionTest, QueuedOpShedsAtItsStartDeadline) {
@@ -233,7 +271,8 @@ TEST(AdmissionTest, QueuedOpShedsAtItsStartDeadline) {
   options.max_inflight = 1;
   options.max_queue = 4;
   options.max_queue_delay_s = 1.0;  // Policy enabled; deadline passed in.
-  AdmissionController ac(options);
+  const std::string instance = NewInstance();
+  AdmissionController ac(options, instance);
   ASSERT_EQ(ac.Admit(std::nullopt), AdmissionOutcome::kAdmitted);
   double waited = 0;
   const auto outcome = ac.Admit(
@@ -242,14 +281,16 @@ TEST(AdmissionTest, QueuedOpShedsAtItsStartDeadline) {
   EXPECT_EQ(outcome, AdmissionOutcome::kShedTimeout);
   EXPECT_GE(waited, 0.02);
   ac.Release();
-  EXPECT_EQ(ac.stats().shed_timeout, 1);
+  EXPECT_EQ(CountersNow({instance}).End("serving_admission_shed_timeout_total"),
+            1);
 }
 
 TEST(AdmissionTest, WaiterIsAdmittedWhenSlotFrees) {
   AdmissionOptions options;
   options.max_inflight = 1;
   options.max_queue = 4;
-  AdmissionController ac(options);
+  const std::string instance = NewInstance();
+  AdmissionController ac(options, instance);
   ASSERT_EQ(ac.Admit(std::nullopt), AdmissionOutcome::kAdmitted);
   AdmissionOutcome waiter_outcome = AdmissionOutcome::kShedTimeout;
   double waited = 0;
@@ -262,10 +303,12 @@ TEST(AdmissionTest, WaiterIsAdmittedWhenSlotFrees) {
   EXPECT_EQ(waiter_outcome, AdmissionOutcome::kAdmitted);
   EXPECT_GE(waited, 0.01);
   ac.Release();
-  const AdmissionStats stats = ac.stats();
-  EXPECT_EQ(stats.admitted, 2);
-  EXPECT_EQ(stats.shed(), 0);
-  EXPECT_GE(stats.peak_queue, 1);
+  const obs::MetricsWindow stats = CountersNow({instance});
+  EXPECT_EQ(stats.End("serving_admission_admitted_total"), 2);
+  EXPECT_EQ(stats.End("serving_admission_shed_queue_full_total") +
+                stats.End("serving_admission_shed_timeout_total"),
+            0);
+  EXPECT_GE(stats.End("serving_admission_peak_queue"), 1);
 }
 
 TEST(AdmissionTest, StaleArrivalShedsWithoutQueueing) {
@@ -273,7 +316,7 @@ TEST(AdmissionTest, StaleArrivalShedsWithoutQueueing) {
   options.max_inflight = 1;
   options.max_queue = 4;
   options.max_queue_delay_s = 0.01;
-  AdmissionController ac(options);
+  AdmissionController ac(options, NewInstance());
   ASSERT_EQ(ac.Admit(std::nullopt), AdmissionOutcome::kAdmitted);
   // Deadline already in the past (client dispatched the op late): shed
   // immediately rather than occupying a queue slot.
@@ -317,11 +360,13 @@ TEST(ServingStackTest, CacheHitReturnsTheIdenticalResult) {
   EXPECT_GT(second.cell.total_s, 0.0);
   EXPECT_GT(second.cell.modeled_s, 0.0);
 
-  const ServingCounters counters = (*stack)->counters();
-  EXPECT_EQ(counters.cache.hits, 1);
-  EXPECT_EQ(counters.cache.misses, 1);
-  ASSERT_EQ(counters.shards.size(), 1u);
-  EXPECT_EQ(counters.shards[0].ops, 1);
+  const obs::MetricsWindow counters =
+      CountersNow((*stack)->metric_instances());
+  EXPECT_EQ(counters.End("serving_cache_hits_total"), 1);
+  EXPECT_EQ(counters.End("serving_cache_misses_total"), 1);
+  ASSERT_EQ(counters.LabelValues("serving_shard_ops_total", "shard").size(),
+            1u);
+  EXPECT_EQ(ShardOps(counters, 0), 1);
 }
 
 TEST(ServingStackTest, DistinctParamsAreDistinctCacheKeys) {
@@ -337,7 +382,9 @@ TEST(ServingStackTest, DistinctParamsAreDistinctCacheKeys) {
   const auto r = (*stack)->Serve(core::QueryId::kRegression,
                                  core::DatasetSize::kSmall, b, &ctx);
   EXPECT_FALSE(r.cache_hit);
-  EXPECT_EQ((*stack)->counters().cache.misses, 2);
+  EXPECT_EQ(CountersNow((*stack)->metric_instances())
+                .End("serving_cache_misses_total"),
+            2);
 }
 
 workload::WorkloadSpec SmokeSpec() {
@@ -385,10 +432,9 @@ TEST(ServingStackTest, ShardedRunMatchesSingleInstanceResults) {
     EXPECT_EQ(stats.ops, reports[4].per_query.at(query).ops);
   }
   // The 4-shard run spread ops over shards, and the merge accounts for all.
-  int64_t shard_ops = 0;
-  for (const auto& s : reports[4].serving.shards) shard_ops += s.ops;
-  EXPECT_EQ(shard_ops, 24);
-  EXPECT_GT(reports[4].serving.shards.size(), 1u);
+  const obs::MetricsWindow& four = reports[4].counters;
+  EXPECT_EQ(four.Change("serving_shard_ops_total"), 24);
+  EXPECT_GT(four.LabelValues("serving_shard_ops_total", "shard").size(), 1u);
 }
 
 TEST(ServingStackTest, CachedWorkloadRunVerifiesAndCountsHits) {
@@ -406,8 +452,10 @@ TEST(ServingStackTest, CachedWorkloadRunVerifiesAndCountsHits) {
   EXPECT_EQ(report->total.ops, 24);
   // Every measured op probed the cache; repeats beyond the <= 5*3 distinct
   // keys must hit.
-  EXPECT_EQ(report->serving.cache.hits + report->serving.cache.misses, 24);
-  EXPECT_GT(report->serving.cache.hits, 0);
+  EXPECT_EQ(report->counters.Change("serving_cache_hits_total") +
+                report->counters.Change("serving_cache_misses_total"),
+            24);
+  EXPECT_GT(report->counters.Change("serving_cache_hits_total"), 0);
 }
 
 TEST(ServingStackTest, OverloadShedsAndAccountsSeparately) {
@@ -449,7 +497,10 @@ TEST(ServingStackTest, OverloadShedsAndAccountsSeparately) {
   EXPECT_EQ(report->total.queue_delay.count(),
             report->total.latency.count());
   // Stack-level and runner-level shed accounting agree.
-  EXPECT_EQ(report->serving.admission.shed(), report->total.shed());
+  EXPECT_EQ(
+      report->counters.Change("serving_admission_shed_queue_full_total") +
+          report->counters.Change("serving_admission_shed_timeout_total"),
+      report->total.shed());
   EXPECT_EQ(report->has_serving, true);
 }
 
@@ -481,22 +532,22 @@ TEST(ServingStackTest, ConcurrentMissesOnOneKeyRunOneCompute) {
   // However the threads interleaved (leader + followers, or stragglers that
   // hit the already-populated cache), the engines ran the query exactly
   // once, and every caller got that one correct result.
-  const ServingCounters counters = (*stack)->counters();
-  int64_t executed = 0;
-  for (const auto& shard : counters.shards) executed += shard.ops;
-  EXPECT_EQ(executed, 1);
+  const obs::MetricsWindow counters =
+      CountersNow((*stack)->metric_instances());
+  EXPECT_EQ(counters.End("serving_shard_ops_total"), 1);
   // Usually exactly one flight; a straggler that misses, then joins after
   // the publish, opens a second flight but is answered by the leader's
   // double-check peek — never by a second execution (asserted above).
-  EXPECT_GE(counters.flight.leaders, 1);
-  EXPECT_EQ(counters.flight.coalesced, counters.flight.coalesced_served);
+  EXPECT_GE(counters.End("serving_flight_leaders_total"), 1);
+  EXPECT_EQ(counters.End("serving_flight_coalesced_total"),
+            counters.End("serving_flight_coalesced_served_total"));
   for (const auto& result : results) {
     ASSERT_FALSE(result.shed);
     ASSERT_TRUE(result.cell.status.ok()) << result.cell.status.ToString();
     EXPECT_TRUE(core::CompareQueryResults(results[0].cell.result,
                                           result.cell.result).ok());
   }
-  EXPECT_EQ(counters.stale_hits, 0);
+  EXPECT_EQ(counters.End("serving_stack_stale_hits_total"), 0);
 }
 
 // --- adaptive admission -----------------------------------------------------
@@ -575,7 +626,7 @@ TEST(AdaptiveAdmissionTest, HeavyClassIsLearnedFromServiceTimes) {
   options.adaptive = true;
   options.min_inflight = 4;
   options.heavy_service_factor = 4.0;
-  AdmissionController ac(options);
+  AdmissionController ac(options, NewInstance());
   ASSERT_TRUE(ac.enabled());
 
   constexpr int kCheap = 1;
@@ -602,7 +653,8 @@ TEST(AdaptiveAdmissionTest, CheapOpsAreNotShedBehindHeavyOnes) {
   options.min_inflight = 4;       // Limit stays 4 (no adjustments yet).
   options.heavy_share = 0.5;      // Heavy ops may hold 2 of the 4 slots.
   options.adjust_interval = 1000; // Keep the limit fixed for the test.
-  AdmissionController ac(options);
+  const std::string instance = NewInstance();
+  AdmissionController ac(options, instance);
 
   constexpr int kCheap = 1;
   constexpr int kHeavy = 3;
@@ -640,51 +692,8 @@ TEST(AdaptiveAdmissionTest, CheapOpsAreNotShedBehindHeavyOnes) {
   ac.Release(kCheap, 0.001, cheap_heavy);
   ac.Release(kHeavy, 0.050, h1);
   ac.Release(kHeavy, 0.050, h2);
-  EXPECT_EQ(ac.stats().shed_timeout, 1);
-}
-
-// --- counters delta ---------------------------------------------------------
-
-TEST(CountersDeltaTest, MismatchedShardVectorLengthsAreHandled) {
-  ServingCounters now;
-  now.shards.resize(4);
-  for (size_t s = 0; s < 4; ++s) {
-    now.shards[s].ops = 10 + static_cast<int64_t>(s);
-  }
-  now.cache.hits = 7;
-  now.flight.coalesced = 3;
-  now.stale_hits = 0;
-  now.reloads = 2;
-  now.admission.shed_by_class = {{1, 5}, {2, 3}};
-
-  ServingCounters since;
-  since.shards.resize(2);  // e.g. counters captured before a resize.
-  since.shards[0].ops = 4;
-  since.shards[1].ops = 5;
-  since.cache.hits = 2;
-  since.flight.coalesced = 1;
-  since.reloads = 1;
-  since.admission.shed_by_class = {{1, 2}};
-
-  const ServingCounters d = CountersDelta(now, since);
-  ASSERT_EQ(d.shards.size(), 4u);
-  EXPECT_EQ(d.shards[0].ops, 6);   // 10 - 4.
-  EXPECT_EQ(d.shards[1].ops, 6);   // 11 - 5.
-  EXPECT_EQ(d.shards[2].ops, 12);  // No baseline: cumulative value kept.
-  EXPECT_EQ(d.shards[3].ops, 13);
-  EXPECT_EQ(d.cache.hits, 5);
-  EXPECT_EQ(d.flight.coalesced, 2);
-  EXPECT_EQ(d.reloads, 1);
-  // Per-class shed counts subtract per key; classes with no baseline keep
-  // their cumulative value.
-  EXPECT_EQ(d.admission.shed_by_class.at(1), 3);
-  EXPECT_EQ(d.admission.shed_by_class.at(2), 3);
-
-  // The reverse shape (baseline longer than current) must not read past
-  // the shorter vector either.
-  const ServingCounters r = CountersDelta(since, now);
-  ASSERT_EQ(r.shards.size(), 2u);
-  EXPECT_EQ(r.shards[0].ops, -6);
+  EXPECT_EQ(CountersNow({instance}).End("serving_admission_shed_timeout_total"),
+            1);
 }
 
 // --- reload / epochs through the stack --------------------------------------
@@ -719,13 +728,15 @@ TEST(ServingStackTest, ReloadInvalidatesCacheAndAdvancesEpoch) {
                                      &ctx);
   EXPECT_TRUE(third.cache_hit);
 
-  const ServingCounters counters = (*stack)->counters();
-  EXPECT_EQ(counters.reloads, 1);
-  EXPECT_EQ(counters.cache.invalidated, 1);
-  EXPECT_EQ(counters.stale_hits, 0);
-  EXPECT_EQ(counters.cache.entries, counters.cache.insertions -
-                                        counters.cache.evictions -
-                                        counters.cache.invalidated);
+  const obs::MetricsWindow counters =
+      CountersNow((*stack)->metric_instances());
+  EXPECT_EQ(counters.End("serving_stack_reloads_total"), 1);
+  EXPECT_EQ(counters.End("serving_cache_invalidated_total"), 1);
+  EXPECT_EQ(counters.End("serving_stack_stale_hits_total"), 0);
+  EXPECT_EQ(counters.End("serving_cache_entries"),
+            counters.End("serving_cache_insertions_total") -
+                counters.End("serving_cache_evictions_total") -
+                counters.End("serving_cache_invalidated_total"));
 }
 
 /// Wraps a real engine but fails DoLoadDataset while the shared failure
@@ -796,7 +807,9 @@ TEST(ServingStackTest, FailedReloadHealsOnRetry) {
                                       core::DatasetSize::kSmall,
                                       TinyOptions(), &ctx);
   EXPECT_TRUE(second.cache_hit);
-  EXPECT_EQ((*stack)->counters().stale_hits, 0);
+  EXPECT_EQ(CountersNow((*stack)->metric_instances())
+                .End("serving_stack_stale_hits_total"),
+            0);
 }
 
 TEST(ServingStackTest, ReloadWhileServingStaysCorrect) {
@@ -831,8 +844,8 @@ TEST(ServingStackTest, ReloadWhileServingStaysCorrect) {
   EXPECT_EQ(report->total.errors, 0);
   EXPECT_EQ(report->total.verify_failures, 0);
   EXPECT_EQ(report->total.shed(), 0);
-  EXPECT_EQ(report->serving.stale_hits, 0);
-  EXPECT_GE(report->serving.reloads, 1);
+  EXPECT_EQ(report->counters.Change("serving_stack_stale_hits_total"), 0);
+  EXPECT_GE(report->counters.Change("serving_stack_reloads_total"), 1);
 }
 
 // --- fault scripts and retry policy -----------------------------------------
@@ -1092,7 +1105,9 @@ TEST(ShardRouterTest, CrashedShardIsRoutedAroundUntilRecovery) {
   ASSERT_TRUE(script.ok());
   auto injector = FaultInjector::Create(*script);
   ASSERT_TRUE(injector.ok());
-  auto router = ShardRouter::Create(2, engine::CreateSciDb, TinyData());
+  const std::string instance = NewInstance();
+  auto router =
+      ShardRouter::Create(2, engine::CreateSciDb, TinyData(), instance);
   ASSERT_TRUE(router.ok()) << router.status().ToString();
   (*router)->SetFaultInjector(injector->get());
   ExecContext ctx;
@@ -1108,10 +1123,10 @@ TEST(ShardRouterTest, CrashedShardIsRoutedAroundUntilRecovery) {
     EXPECT_TRUE(cell.status.ok()) << cell.status.ToString();
   }
   EXPECT_EQ((*router)->capacity_fraction(), 0.5);
-  const auto stats = (*router)->stats();
-  EXPECT_EQ(stats[0].health, ShardHealth::kDown);
-  EXPECT_EQ(stats[0].ops, 0);
-  EXPECT_EQ(stats[1].ops, 3);
+  const obs::MetricsWindow stats = CountersNow({instance});
+  EXPECT_EQ(Health(stats, 0), ShardHealth::kDown);
+  EXPECT_EQ(ShardOps(stats, 0), 0);
+  EXPECT_EQ(ShardOps(stats, 1), 3);
 
   (*injector)->OnServe();  // Op 5: recover.
   const int healed = (*router)->AcquireShard();
@@ -1128,7 +1143,9 @@ TEST(ShardRouterTest, AllShardsDownFailsFastInsteadOfHanging) {
   ASSERT_TRUE(script.ok());
   auto injector = FaultInjector::Create(*script);
   ASSERT_TRUE(injector.ok());
-  auto router = ShardRouter::Create(2, engine::CreateSciDb, TinyData());
+  const std::string instance = NewInstance();
+  auto router =
+      ShardRouter::Create(2, engine::CreateSciDb, TinyData(), instance);
   ASSERT_TRUE(router.ok());
   (*router)->SetFaultInjector(injector->get());
   ExecContext ctx;
@@ -1142,7 +1159,10 @@ TEST(ShardRouterTest, AllShardsDownFailsFastInsteadOfHanging) {
   // the caller's retry budget stays spendable on a recovery.
   EXPECT_FALSE(cell.status.ok());
   EXPECT_EQ((*router)->capacity_fraction(), 0.0);
-  EXPECT_EQ((*router)->stats()[static_cast<size_t>(s)].errors, 1);
+  EXPECT_EQ(CountersNow({instance})
+                .End("serving_shard_errors_total",
+                     {{"shard", std::to_string(s)}}),
+            1);
   EXPECT_EQ((*injector)->injected(FaultKind::kCrash), 2);
 }
 
@@ -1154,7 +1174,9 @@ TEST(ShardRouterTest, BreakerOpensGoesHalfOpenAndClosesOnSuccess) {
   ASSERT_TRUE(script.ok());
   auto injector = FaultInjector::Create(*script);
   ASSERT_TRUE(injector.ok());
-  auto router = ShardRouter::Create(2, engine::CreateSciDb, TinyData());
+  const std::string instance = NewInstance();
+  auto router =
+      ShardRouter::Create(2, engine::CreateSciDb, TinyData(), instance);
   ASSERT_TRUE(router.ok());
   (*router)->SetFaultInjector(injector->get());
   ExecContext ctx;
@@ -1169,9 +1191,10 @@ TEST(ShardRouterTest, BreakerOpensGoesHalfOpenAndClosesOnSuccess) {
         TinyOptions(), &ctx, nullptr, op, 1);
     EXPECT_FALSE(cell.status.ok());
   }
-  const auto opened = (*router)->stats();
-  EXPECT_EQ(opened[0].health, ShardHealth::kDown);
-  EXPECT_EQ(opened[0].breaker_opens, 1);
+  const obs::MetricsWindow opened = CountersNow({instance});
+  EXPECT_EQ(Health(opened, 0), ShardHealth::kDown);
+  EXPECT_EQ(opened.End("serving_shard_breaker_opens_total", {{"shard", "0"}}),
+            1);
   EXPECT_EQ((*router)->capacity_fraction(), 0.5);
 
   // The cooldown clock is fleet-wide acquires. Serve the cooldown's worth
@@ -1187,7 +1210,7 @@ TEST(ShardRouterTest, BreakerOpensGoesHalfOpenAndClosesOnSuccess) {
         TinyOptions(), &ctx, nullptr, op, 1);
     EXPECT_TRUE(cell.status.ok());
   }
-  EXPECT_EQ((*router)->stats()[0].health, ShardHealth::kDegraded);
+  EXPECT_EQ(Health(CountersNow({instance}), 0), ShardHealth::kDegraded);
 
   // One successful probe closes the breaker for good.
   const uint64_t op = (*injector)->OnServe();
@@ -1197,9 +1220,10 @@ TEST(ShardRouterTest, BreakerOpensGoesHalfOpenAndClosesOnSuccess) {
       probe, core::QueryId::kStatistics, core::DatasetSize::kSmall,
       TinyOptions(), &ctx, nullptr, op, 1);
   EXPECT_TRUE(cell.status.ok());
-  const auto healed = (*router)->stats();
-  EXPECT_EQ(healed[0].health, ShardHealth::kHealthy);
-  EXPECT_EQ(healed[0].breaker_opens, 1);
+  const obs::MetricsWindow healed = CountersNow({instance});
+  EXPECT_EQ(Health(healed, 0), ShardHealth::kHealthy);
+  EXPECT_EQ(healed.End("serving_shard_breaker_opens_total", {{"shard", "0"}}),
+            1);
   EXPECT_EQ((*router)->capacity_fraction(), 1.0);
 }
 
@@ -1211,7 +1235,8 @@ TEST(AdaptiveAdmissionTest, BrownOutShedsHeavyArrivalsAndSparesCheap) {
   options.min_inflight = 4;
   options.heavy_share = 0.5;
   options.adjust_interval = 1000;  // Keep the limit fixed for the test.
-  AdmissionController ac(options);
+  const std::string instance = NewInstance();
+  AdmissionController ac(options, instance);
   constexpr int kCheap = 1;
   constexpr int kHeavy = 3;
   // Teach the class model: cheap at ~1ms, heavy at ~50ms.
@@ -1236,9 +1261,10 @@ TEST(AdaptiveAdmissionTest, BrownOutShedsHeavyArrivalsAndSparesCheap) {
             AdmissionOutcome::kAdmitted);
   EXPECT_FALSE(heavy);
   ac.Release(kCheap, 0.001, heavy);
-  const AdmissionStats browned = ac.stats();
-  EXPECT_EQ(browned.shed_brownout, 1);
-  EXPECT_EQ(browned.shed_queue_full, 1);  // Attribution is a subset count.
+  const obs::MetricsWindow browned = CountersNow({instance});
+  EXPECT_EQ(browned.End("serving_admission_shed_brownout_total"), 1);
+  // Attribution is a subset count.
+  EXPECT_EQ(browned.End("serving_admission_shed_queue_full_total"), 1);
 
   // Mild degradation — one slow shard in a 32-fleet (31.5/32 = 0.984) —
   // stays above the brown-out threshold: heavy arrivals queue and admit
@@ -1256,7 +1282,9 @@ TEST(AdaptiveAdmissionTest, BrownOutShedsHeavyArrivalsAndSparesCheap) {
             AdmissionOutcome::kAdmitted);
   EXPECT_TRUE(heavy);
   ac.Release(kHeavy, 0.050, heavy);
-  EXPECT_EQ(ac.stats().shed_brownout, 1);
+  EXPECT_EQ(
+      CountersNow({instance}).End("serving_admission_shed_brownout_total"),
+      1);
 }
 
 // --- fault tolerance through the stack ---------------------------------------
@@ -1288,19 +1316,20 @@ TEST(ServingStackTest, RetriesRecoverFromInjectedTransientErrors) {
     errors += result.cell.status.ok() ? 0 : 1;
     retried_ops += result.retries > 0 ? 1 : 0;
   }
-  const ServingCounters counters = (*stack)->counters();
+  const obs::MetricsWindow counters =
+      CountersNow((*stack)->metric_instances());
   // A 40% per-attempt error rate against a 6-attempt budget: every op
   // recovers. Deterministic — the draws are pure in (seed, op, attempt,
   // shard), so this can never flake.
   EXPECT_EQ(errors, 0);
   EXPECT_GT(retried_ops, 0);
-  EXPECT_EQ(counters.retry.retry_successes, retried_ops);
+  EXPECT_EQ(counters.End("serving_retry_successes_total"), retried_ops);
   // No deadline configured, no op exhausted its attempts: every injected
   // failure was paid for with exactly one retry.
-  EXPECT_EQ(counters.retry.retries,
+  EXPECT_EQ(counters.End("serving_retries_total"),
             (*injector)->injected(FaultKind::kTransientError));
-  EXPECT_EQ(counters.retry.retry_deadline_giveups, 0);
-  EXPECT_EQ(counters.faults.transient_errors,
+  EXPECT_EQ(counters.End("serving_retry_deadline_giveups_total"), 0);
+  EXPECT_EQ(counters.End("serving_fault_injected_total", {{"kind", "error"}}),
             (*injector)->injected(FaultKind::kTransientError));
 }
 
@@ -1333,9 +1362,10 @@ TEST(ServingStackTest, RetryBudgetIsBoundedByTheStartDeadline) {
   EXPECT_FALSE(result.shed);
   EXPECT_FALSE(result.cell.status.ok());
   EXPECT_EQ(result.retries, 0);
-  const ServingCounters counters = (*stack)->counters();
-  EXPECT_EQ(counters.retry.retries, 0);
-  EXPECT_EQ(counters.retry.retry_deadline_giveups, 1);
+  const obs::MetricsWindow counters =
+      CountersNow((*stack)->metric_instances());
+  EXPECT_EQ(counters.End("serving_retries_total"), 0);
+  EXPECT_EQ(counters.End("serving_retry_deadline_giveups_total"), 1);
 }
 
 TEST(ServingStackTest, InjectedReloadFailureQuarantinesThenHeals) {
@@ -1361,7 +1391,8 @@ TEST(ServingStackTest, InjectedReloadFailureQuarantinesThenHeals) {
   // stays pinned to the old generation, and shard 0 is quarantined.
   EXPECT_FALSE((*stack)->ReloadDataset(TinyData()).ok());
   EXPECT_EQ((*stack)->current_epoch(), epoch0);
-  EXPECT_EQ((*stack)->counters().shards[0].health, ShardHealth::kDown);
+  EXPECT_EQ(Health(CountersNow((*stack)->metric_instances()), 0),
+            ShardHealth::kDown);
 
   // The fleet keeps serving through the window: old-generation cache
   // entries are still valid (the epoch never moved), and new work routes
@@ -1380,12 +1411,42 @@ TEST(ServingStackTest, InjectedReloadFailureQuarantinesThenHeals) {
   // epoch, and heals the quarantined shard — with zero stale hits anywhere.
   ASSERT_TRUE((*stack)->ReloadDataset(TinyData()).ok());
   EXPECT_EQ((*stack)->current_epoch(), epoch0 + 1);
-  const ServingCounters counters = (*stack)->counters();
-  EXPECT_EQ(counters.shards[0].health, ShardHealth::kHealthy);
-  EXPECT_EQ(counters.stale_hits, 0);
-  EXPECT_EQ(counters.reloads, 1);  // Only completed rolls count.
-  EXPECT_EQ(counters.faults.reload_failures, 1);
+  const obs::MetricsWindow counters =
+      CountersNow((*stack)->metric_instances());
+  EXPECT_EQ(Health(counters, 0), ShardHealth::kHealthy);
+  EXPECT_EQ(counters.End("serving_stack_stale_hits_total"), 0);
+  // Only completed rolls count.
+  EXPECT_EQ(counters.End("serving_stack_reloads_total"), 1);
+  EXPECT_EQ(counters.End("serving_fault_injected_total",
+                         {{"kind", "reload-fail"}}),
+            1);
   EXPECT_EQ((*injector)->injected(FaultKind::kReloadFailure), 1);
+}
+
+TEST(ServingStackTest, HealthGaugeFollowsAFaultAppliedOnACacheHit) {
+  // The second serve is a cache hit, so it never reaches the router; its
+  // injector tick crashes shard 0 all the same, and the published health
+  // must say so.
+  auto script = FaultScript::Parse("seed 5\n@2 crash 0\n");
+  ASSERT_TRUE(script.ok());
+  auto injector = FaultInjector::Create(*script);
+  ASSERT_TRUE(injector.ok());
+  ServingOptions options = CacheOnlyOptions(2);
+  options.fault_injector = injector->get();
+  auto stack = ServingStack::Create(options, engine::CreateSciDb, TinyData());
+  ASSERT_TRUE(stack.ok());
+  ExecContext ctx;
+  const auto miss = (*stack)->Serve(core::QueryId::kRegression,
+                                    core::DatasetSize::kSmall, TinyOptions(),
+                                    &ctx);
+  ASSERT_FALSE(miss.cache_hit);
+  const auto hit = (*stack)->Serve(core::QueryId::kRegression,
+                                   core::DatasetSize::kSmall, TinyOptions(),
+                                   &ctx);
+  ASSERT_TRUE(hit.cache_hit);
+  EXPECT_EQ((*injector)->injected(FaultKind::kCrash), 1);
+  EXPECT_EQ(Health(CountersNow((*stack)->metric_instances()), 0),
+            ShardHealth::kDown);
 }
 
 /// Wraps a real engine but parks RunQuery on a gate and fails it while
@@ -1474,7 +1535,8 @@ TEST(ServingStackTest, FollowerFallbackKeepsTheOriginalDeadline) {
                                       core::DatasetSize::kSmall, TinyOptions(),
                                       &follower_ctx);
   });
-  while ((*stack)->counters().flight.coalesced == 0) {
+  while (CountersNow((*stack)->metric_instances())
+             .End("serving_flight_coalesced_total") == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // Burn ~80% of the follower's budget on the gate, then fail the leader.
@@ -1496,20 +1558,20 @@ TEST(ServingStackTest, FollowerFallbackKeepsTheOriginalDeadline) {
   EXPECT_FALSE(follower_result.cache_hit);
   EXPECT_EQ(follower_result.retries, 0);
 
-  const ServingCounters counters = (*stack)->counters();
-  EXPECT_EQ(counters.flight.leaders, 1);
-  EXPECT_EQ(counters.flight.coalesced, 1);
-  EXPECT_EQ(counters.flight.follower_fallbacks, 1);
+  const obs::MetricsWindow counters =
+      CountersNow((*stack)->metric_instances());
+  EXPECT_EQ(counters.End("serving_flight_leaders_total"), 1);
+  EXPECT_EQ(counters.End("serving_flight_coalesced_total"), 1);
+  EXPECT_EQ(counters.End("serving_flight_follower_fallbacks_total"), 1);
   // Every follower is accounted exactly once across the three outcomes.
-  EXPECT_EQ(counters.flight.coalesced,
-            counters.flight.coalesced_served +
-                counters.flight.follower_fallbacks +
-                counters.flight.shed_wait_timeout);
-  EXPECT_EQ(counters.retry.retries, 0);
-  EXPECT_EQ(counters.retry.retry_deadline_giveups, 2);
-  int64_t executed = 0;
-  for (const auto& shard : counters.shards) executed += shard.ops;
-  EXPECT_EQ(executed, 2);  // One leader attempt + one follower fallback.
+  EXPECT_EQ(counters.End("serving_flight_coalesced_total"),
+            counters.End("serving_flight_coalesced_served_total") +
+                counters.End("serving_flight_follower_fallbacks_total") +
+                counters.End("serving_flight_shed_wait_timeout_total"));
+  EXPECT_EQ(counters.End("serving_retries_total"), 0);
+  EXPECT_EQ(counters.End("serving_retry_deadline_giveups_total"), 2);
+  // One leader attempt + one follower fallback.
+  EXPECT_EQ(counters.End("serving_shard_ops_total"), 2);
 }
 
 }  // namespace

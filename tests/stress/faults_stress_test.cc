@@ -28,6 +28,7 @@
 #include "common/exec_context.h"
 #include "core/generator.h"
 #include "engine/engines.h"
+#include "obs/metrics.h"
 #include "serving/faults.h"
 #include "serving/serving_stack.h"
 #include "tests/stress/stress_util.h"
@@ -157,38 +158,43 @@ TEST(FaultsStressTest, CrashRecoverScriptRacesStampedeAndReloads) {
   }
   EXPECT_TRUE(final_reload.ok()) << final_reload.ToString();
 
-  const ServingCounters counters = (*stack)->counters();
-  EXPECT_EQ(counters.stale_hits, 0);
+  obs::MetricsWindow counters((*stack)->metric_instances());
+  counters.Stop();
+  EXPECT_EQ(counters.End("serving_stack_stale_hits_total"), 0);
   // A successful full roll heals every quarantined shard.
-  for (const ShardStats& shard : counters.shards) {
-    EXPECT_EQ(shard.health, ShardHealth::kHealthy);
+  for (const std::string& shard :
+       counters.LabelValues("serving_shard_health", "shard")) {
+    EXPECT_EQ(counters.End("serving_shard_health", {{"shard", shard}}),
+              static_cast<double>(ShardHealth::kHealthy))
+        << "shard " << shard;
   }
   // Cache reconciliation survives eviction + epoch invalidation racing
   // retried inserts.
-  EXPECT_EQ(counters.cache.entries,
-            counters.cache.insertions - counters.cache.evictions -
-                counters.cache.invalidated);
-  EXPECT_EQ(counters.cache.hits + counters.cache.misses,
+  EXPECT_EQ(counters.End("serving_cache_entries"),
+            counters.End("serving_cache_insertions_total") -
+                counters.End("serving_cache_evictions_total") -
+                counters.End("serving_cache_invalidated_total"));
+  EXPECT_EQ(counters.End("serving_cache_hits_total") +
+                counters.End("serving_cache_misses_total"),
             int64_t{kClients} * kOpsPerClient);
   // Single-flight bookkeeping: every follower resolved exactly one way.
-  EXPECT_EQ(counters.flight.coalesced,
-            counters.flight.coalesced_served +
-                counters.flight.follower_fallbacks +
-                counters.flight.shed_wait_timeout);
+  EXPECT_EQ(counters.End("serving_flight_coalesced_total"),
+            counters.End("serving_flight_coalesced_served_total") +
+                counters.End("serving_flight_follower_fallbacks_total") +
+                counters.End("serving_flight_shed_wait_timeout_total"));
   // Failed-attempt reconciliation: every failed execute attempt (injected
   // transient, crashed-shard fail-fast, quarantined-shard fail-fast) was
   // either retried or surfaced as the op's error — none vanished. Hedging
   // is off, so shard errors have no third consumer.
-  int64_t shard_errors = 0;
-  for (const ShardStats& shard : counters.shards) {
-    shard_errors += shard.errors;
-  }
-  EXPECT_EQ(shard_errors, counters.retry.retries + errors.load());
-  EXPECT_LE(counters.retry.retry_successes, counters.retry.retries);
+  EXPECT_EQ(counters.End("serving_shard_errors_total"),
+            counters.End("serving_retries_total") + errors.load());
+  EXPECT_LE(counters.End("serving_retry_successes_total"),
+            counters.End("serving_retries_total"));
   // Reload failures reconcile one-to-one with consumed reload-fail arms.
-  EXPECT_EQ(counters.faults.reload_failures,
-            reload_failures.load() + final_reload_failures);
-  EXPECT_EQ(counters.faults.transient_errors,
+  EXPECT_EQ(
+      counters.End("serving_fault_injected_total", {{"kind", "reload-fail"}}),
+      reload_failures.load() + final_reload_failures);
+  EXPECT_EQ(counters.End("serving_fault_injected_total", {{"kind", "error"}}),
             (*injector)->injected(FaultKind::kTransientError));
   EXPECT_EQ((*injector)->injected(FaultKind::kCrash), 2);
   EXPECT_EQ((*injector)->injected(FaultKind::kRecover), 2);

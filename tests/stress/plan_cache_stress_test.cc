@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "core/generator.h"
 #include "core/queries.h"
 #include "engine/engine_util.h"
+#include "obs/metrics.h"
 #include "plan/plan_engine.h"
 #include "plan/plan_stats.h"
 #include "tests/bitwise_result.h"
@@ -77,7 +79,7 @@ core::QueryResult LegacyAnswer(QueryId q, const QueryParams& params) {
 TEST(PlanCacheStressTest, StampedeCompilesOnce) {
   plan::PlanEngine engine;
   ASSERT_TRUE(engine.LoadDataset(TinyData()).ok());
-  const plan::PlanStatsSnapshot before = plan::PlanStatsSnapshot::Capture();
+  obs::MetricsWindow window(std::vector<std::string>{});
 
   constexpr int kThreads = 8;
   std::atomic<int> successes{0};
@@ -88,13 +90,13 @@ TEST(PlanCacheStressTest, StampedeCompilesOnce) {
     if (r.ok()) successes.fetch_add(1, std::memory_order_relaxed);
   });
 
-  const plan::PlanStatsSnapshot delta =
-      plan::PlanStatsSnapshot::Capture() - before;
+  window.Stop();
   EXPECT_EQ(successes.load(std::memory_order_relaxed), kThreads);
-  EXPECT_EQ(delta.compiles, 1) << "single-flight leaked extra compiles";
-  EXPECT_EQ(delta.cache_hits, kThreads - 1);
-  EXPECT_EQ(delta.executes, kThreads);
-  EXPECT_EQ(delta.peak_mismatches, 0);
+  EXPECT_EQ(window.Change("plan_compiles_total"), 1)
+      << "single-flight leaked extra compiles";
+  EXPECT_EQ(window.Change("plan_cache_hits_total"), kThreads - 1);
+  EXPECT_EQ(window.Change("plan_executes_total"), kThreads);
+  EXPECT_EQ(window.Change("plan_peak_mismatch_total"), 0);
   EXPECT_EQ(engine.cached_plans(), 1);
 }
 
@@ -111,7 +113,8 @@ TEST(PlanCacheStressTest, ConcurrentExecutionsShareOnePlan) {
   ASSERT_TRUE(plan.ok());
   auto expected = (*plan)->Execute(TinyParams(), &warm_ctx);
   ASSERT_TRUE(expected.ok());
-  const plan::PlanStatsSnapshot before = plan::PlanStatsSnapshot::Capture();
+  const obs::Counter* guard_hits = plan::PlanMetrics::Get().peak_mismatches;
+  const int64_t before = guard_hits->Value();
 
   constexpr int kThreads = 8;
   constexpr int kRoundsPerThread = 16;
@@ -129,8 +132,7 @@ TEST(PlanCacheStressTest, ConcurrentExecutionsShareOnePlan) {
     }
   });
   EXPECT_EQ(mismatches.load(std::memory_order_relaxed), 0);
-  EXPECT_EQ((plan::PlanStatsSnapshot::Capture() - before).peak_mismatches,
-            0);
+  EXPECT_EQ(guard_hits->Value() - before, 0);
   EXPECT_EQ(engine.cached_plans(), 1);
 }
 
@@ -259,7 +261,7 @@ TEST(PlanCacheStressTest, QueryTrafficRacesReloads) {
     }
   }
   EXPECT_EQ(engine.cached_plans(), kShapesPerEpoch);
-  EXPECT_EQ(plan::PlanStatsSnapshot::Capture().peak_mismatches, 0);
+  EXPECT_EQ(plan::PlanMetrics::Get().peak_mismatches->Value(), 0);
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include "common/single_flight.h"
 #include "core/generator.h"
 #include "engine/engines.h"
+#include "obs/metrics.h"
 #include "serving/admission.h"
 #include "serving/result_cache.h"
 #include "serving/serving_stack.h"
@@ -122,18 +123,22 @@ TEST(ServingStressTest, StampedeRacesReloadWithoutStaleness) {
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(served.load(), int64_t{kClients} * kOpsPerClient);
 
-  const ServingCounters counters = (*stack)->counters();
+  obs::MetricsWindow counters((*stack)->metric_instances());
+  counters.Stop();
   // Reconciliation must survive eviction + epoch invalidation racing
   // inserts from in-flight misses of the previous generation.
-  EXPECT_EQ(counters.cache.entries,
-            counters.cache.insertions - counters.cache.evictions -
-                counters.cache.invalidated);
-  EXPECT_EQ(counters.cache.hits + counters.cache.misses,
+  EXPECT_EQ(counters.End("serving_cache_entries"),
+            counters.End("serving_cache_insertions_total") -
+                counters.End("serving_cache_evictions_total") -
+                counters.End("serving_cache_invalidated_total"));
+  EXPECT_EQ(counters.End("serving_cache_hits_total") +
+                counters.End("serving_cache_misses_total"),
             int64_t{kClients} * kOpsPerClient);
-  EXPECT_GE(counters.reloads, kReloads);
+  EXPECT_GE(counters.End("serving_stack_reloads_total"), kReloads);
   // Single-flight bookkeeping: every coalesced follower was either served
   // by its leader or fell back / timed out — never more serves than joins.
-  EXPECT_LE(counters.flight.coalesced_served, counters.flight.coalesced);
+  EXPECT_LE(counters.End("serving_flight_coalesced_served_total"),
+            counters.End("serving_flight_coalesced_total"));
   EXPECT_TRUE(churn_done.load());
 }
 
@@ -145,7 +150,8 @@ TEST(ServingStressTest, SingleFlightPublishRacesInvalidation) {
   // that tag (torn or cross-flight hand-off would break it).
   using Flights = SingleFlight<CacheKey, core::QueryResult, CacheKeyHash>;
   Flights flights;
-  ResultCache cache(/*max_entries=*/64, /*max_bytes=*/1 << 20);
+  const std::string instance = obs::MetricsRegistry::NextInstanceId("stress");
+  ResultCache cache(/*max_entries=*/64, /*max_bytes=*/1 << 20, instance);
 
   constexpr int kThreads = 8;
   constexpr int kRounds = 200;
@@ -199,9 +205,12 @@ TEST(ServingStressTest, SingleFlightPublishRacesInvalidation) {
   EXPECT_GE(leaders.load(), int64_t{kRounds} * kKeys);
   EXPECT_EQ(leaders.load() + served.load(), int64_t{kRounds} * kThreads);
 
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.entries,
-            stats.insertions - stats.evictions - stats.invalidated);
+  obs::MetricsWindow stats({instance});
+  stats.Stop();
+  EXPECT_EQ(stats.End("serving_cache_entries"),
+            stats.End("serving_cache_insertions_total") -
+                stats.End("serving_cache_evictions_total") -
+                stats.End("serving_cache_invalidated_total"));
 }
 
 TEST(ServingStressTest, AdaptiveAdmissionChurnsWithoutLeakingSlots) {
@@ -213,7 +222,8 @@ TEST(ServingStressTest, AdaptiveAdmissionChurnsWithoutLeakingSlots) {
   options.max_queue = 16;
   options.max_queue_delay_s = 0.25;
   options.target_queue_delay_s = 0.001;
-  AdmissionController admission(options);
+  const std::string instance = obs::MetricsRegistry::NextInstanceId("stress");
+  AdmissionController admission(options, instance);
 
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 300;
@@ -265,11 +275,14 @@ TEST(ServingStressTest, AdaptiveAdmissionChurnsWithoutLeakingSlots) {
   EXPECT_EQ(admitted.load() + shed.load(),
             int64_t{kThreads} * kOpsPerThread);
 
-  const AdmissionStats stats = admission.stats();
-  EXPECT_EQ(stats.admitted, admitted.load());
-  EXPECT_EQ(stats.shed_queue_full + stats.shed_timeout, shed.load());
-  EXPECT_GE(stats.current_limit, options.min_inflight);
-  EXPECT_LE(stats.current_limit, options.max_inflight_cap);
+  obs::MetricsWindow stats({instance});
+  stats.Stop();
+  EXPECT_EQ(stats.End("serving_admission_admitted_total"), admitted.load());
+  EXPECT_EQ(stats.End("serving_admission_shed_queue_full_total") +
+                stats.End("serving_admission_shed_timeout_total"),
+            shed.load());
+  EXPECT_GE(stats.End("serving_admission_limit"), options.min_inflight);
+  EXPECT_LE(stats.End("serving_admission_limit"), options.max_inflight_cap);
 
   // No leaked slots: with all ops released, a full batch of min_inflight
   // admissions must go straight through (no waiting on phantom inflight).

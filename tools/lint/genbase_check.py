@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """genbase_check: repo-specific lint invariants for src/.
 
-Five rules, each encoding a convention the concurrent serving/obs stack
+Seven rules, each encoding a convention the concurrent serving/obs stack
 depends on but that neither the compiler nor clang-tidy enforces:
 
   atomic-memory-order   Every std::atomic load/store/RMW names an explicit
@@ -45,6 +45,14 @@ depends on but that neither the compiler nor clang-tidy enforces:
                         layout's memory accounting and the guard check.
                         The arena's own backing allocation and per-plan
                         statics carry inline waivers.
+  metric-name           Every "serving_..." or "plan_..." string literal
+                        that is a bare identifier, anywhere under src/,
+                        bench/ or tests/ (whatever roots are scanned), must
+                        name an instrument some GetCounter/GetGauge call
+                        under src/ registers. Reports, gates and tests read
+                        counters by registry name through
+                        obs::MetricsWindow; a misspelt name would fail only
+                        at run time, and only on the path that reads it.
 
 Waivers: a finding on line N is waived by a comment on line N or N-1 of the
 form
@@ -70,6 +78,7 @@ RULES = (
     "no-bare-assert",
     "fault-hook-guard",
     "plan-arena-alloc",
+    "metric-name",
 )
 
 ATOMIC_METHODS = (
@@ -364,6 +373,54 @@ def check_plan_arena_alloc(path, code):
             "allocation")
 
 
+METRIC_LITERAL_RE = re.compile(r"^(?:serving|plan)_[a-z0-9_]+$")
+REGISTER_CALL_RE = re.compile(r"\bGet(?:Counter|Gauge)\s*\(\s*\"")
+# A string literal in comment/string-blanked code: quotes around blanks.
+BLANKED_LITERAL_RE = re.compile(r"\"[ ]*\"")
+METRIC_NAME_DIRS = ("src", "bench", "tests")
+
+
+def source_files(root):
+    return sorted(root.rglob("*.h")) + sorted(root.rglob("*.cc"))
+
+
+def registered_metric_names(src_root):
+    """Names passed as a literal first argument to GetCounter/GetGauge."""
+    names = set()
+    for path in source_files(src_root):
+        text = path.read_text(encoding="utf-8")
+        code, _ = strip_comments_and_strings(text)
+        for m in REGISTER_CALL_RE.finditer(code):
+            end = code.find("\"", m.end())
+            names.add(text[m.end():end])
+    return names
+
+
+def check_metric_names(repo):
+    """Flags serving_*/plan_* name literals no registration call defines.
+
+    Reads the literals' text from the original source at the positions the
+    blanked code keeps for them, so literals inside comments never count.
+    """
+    registered = registered_metric_names(repo / "src")
+    for d in METRIC_NAME_DIRS:
+        for path in source_files(repo / d):
+            text = path.read_text(encoding="utf-8")
+            code, waivers = strip_comments_and_strings(text)
+            for m in BLANKED_LITERAL_RE.finditer(code):
+                name = text[m.start() + 1:m.end() - 1]
+                if not METRIC_LITERAL_RE.match(name) or name in registered:
+                    continue
+                line = line_of(code, m.start())
+                waiver = waivers.get(line) or waivers.get(line - 1)
+                if waiver and waiver[0] == "metric-name":
+                    continue
+                yield Finding(
+                    str(path), line, "metric-name",
+                    f"'{name}' names no instrument registered under src/ "
+                    "(GetCounter/GetGauge) — misspelt or renamed?")
+
+
 def scan_file(path):
     text = path.read_text(encoding="utf-8")
     code, waivers = strip_comments_and_strings(text)
@@ -400,8 +457,7 @@ def main():
     files = []
     for root in (args.roots or ["src"]):
         root_path = (repo / root) if not Path(root).is_absolute() else Path(root)
-        files.extend(sorted(root_path.rglob("*.h")))
-        files.extend(sorted(root_path.rglob("*.cc")))
+        files.extend(source_files(root_path))
 
     all_findings = []
     all_waivers = []
@@ -416,6 +472,7 @@ def main():
                     (str(path), ln, rule, f"unknown rule '{rule}'"))
         findings, _ = scan_file(path)
         all_findings.extend(findings)
+    all_findings.extend(check_metric_names(repo))
 
     if args.list_waivers:
         for path, ln, rule, why in all_waivers:
