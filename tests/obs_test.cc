@@ -468,14 +468,33 @@ TEST(TraceExportRoundTripTest, SlowQueryJsonlParsesPerLine) {
   }
   ASSERT_EQ(lines.size(), 2u);
 
+  // The JSONL schema, pinned key by key and in order: readers of the log
+  // (and diffs between two runs' logs) depend on it.
+  using Names = std::vector<std::string>;
+  const auto keys = [](const json::Value& object) {
+    Names names;
+    for (const auto& member : object.object) names.push_back(member.first);
+    return names;
+  };
+  const Names stage_names{"queue",    "cache",   "flight",
+                          "dispatch", "execute", "verify"};
+
   auto first = json::Parse(lines[0]);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   const json::Value rec = std::move(first).ValueOrDie();
+  EXPECT_EQ(keys(rec),
+            (Names{"trace_id", "workload", "query", "variant", "class_id",
+                   "start_s", "latency_s", "stages_s", "stages_cpu_s",
+                   "alloc_delta_bytes", "shed", "stale_tripwire",
+                   "deadline_missed", "verify_failed", "retries", "hedged",
+                   "slowest"}));
   const json::Value* stages = rec.Find("stages_s");
   ASSERT_NE(stages, nullptr);
+  EXPECT_EQ(keys(*stages), stage_names);
   EXPECT_NEAR(stages->NumberOr("execute", 0), 0.030, 1e-9);
   const json::Value* cpu = rec.Find("stages_cpu_s");
   ASSERT_NE(cpu, nullptr);
+  EXPECT_EQ(keys(*cpu), stage_names);
   EXPECT_NEAR(cpu->NumberOr("execute", 0), 0.025, 1e-9);
   const json::Value* alloc = rec.Find("alloc_delta_bytes");
   ASSERT_NE(alloc, nullptr);
@@ -485,6 +504,11 @@ TEST(TraceExportRoundTripTest, SlowQueryJsonlParsesPerLine) {
   auto second = json::Parse(lines[1]);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   const json::Value rec2 = std::move(second).ValueOrDie();
+  EXPECT_EQ(keys(rec2),
+            (Names{"trace_id", "workload", "query", "variant", "class_id",
+                   "start_s", "latency_s", "stages_s", "alloc_delta_bytes",
+                   "shed", "stale_tripwire", "deadline_missed",
+                   "verify_failed", "retries", "hedged", "slowest"}));
   // No CPU attribution recorded -> the object is absent entirely, and the
   // unknown alloc delta round-trips as null, not -1.
   EXPECT_EQ(rec2.Find("stages_cpu_s"), nullptr);
