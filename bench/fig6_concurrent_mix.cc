@@ -20,7 +20,6 @@
 
 #include "bench/bench_util.h"
 #include "common/check.h"
-#include "core/config.h"
 #include "core/reference.h"
 #include "engine/engines.h"
 #include "workload/report.h"
@@ -48,7 +47,6 @@ workload::WorkloadSpec MixSpec(int clients) {
   spec.clients = clients;
   spec.warmup_ops = 2 * clients;
   spec.measured_ops = 60;
-  spec.timeout_seconds = core::SimConfig::Get().timeout_seconds;
   spec.seed = 42;
   spec.verify = true;
   return spec;

@@ -32,7 +32,6 @@
 #include "bench/bench_util.h"
 #include "common/check.h"
 #include "common/sanitizers.h"
-#include "core/config.h"
 #include "core/reference.h"
 #include "engine/engines.h"
 #include "obs/profiler.h"
@@ -64,7 +63,6 @@ workload::WorkloadSpec BaseSpec(int param_variants) {
   spec.warmup_ops = 5;
   spec.measured_ops = 40;
   spec.param_variants = param_variants;
-  spec.timeout_seconds = core::SimConfig::Get().timeout_seconds;
   spec.seed = 42;
   spec.verify = true;
   return spec;

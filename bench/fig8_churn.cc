@@ -37,7 +37,6 @@
 
 #include "bench/bench_util.h"
 #include "common/check.h"
-#include "core/config.h"
 #include "core/reference.h"
 #include "engine/engines.h"
 #include "obs/trace.h"
@@ -66,7 +65,6 @@ workload::WorkloadSpec BaseSpec(int param_variants) {
   spec.warmup_ops = 10;
   spec.measured_ops = 48;
   spec.param_variants = param_variants;
-  spec.timeout_seconds = core::SimConfig::Get().timeout_seconds;
   spec.seed = 43;
   spec.verify = true;
   return spec;

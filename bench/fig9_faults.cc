@@ -17,7 +17,7 @@
 //       while the retry counters show the recovery work.
 //   (d) brown-out: latency spikes degrade 2 of 4 shards; adaptive admission
 //       sheds heavy classes first (capacity-scaled heavy cap) while cheap
-//       traffic keeps serving, hedging its slow attempts onto clean shards.
+//       traffic keeps serving.
 //   (e) reload healing: an armed mid-roll reload failure quarantines shard
 //       0; serving continues on the replicas and the next successful reload
 //       heals the fleet — with zero stale hits throughout.
@@ -44,7 +44,6 @@
 #include "bench/bench_util.h"
 #include "common/check.h"
 #include "common/sanitizers.h"
-#include "core/config.h"
 #include "core/reference.h"
 #include "engine/engines.h"
 #include "obs/trace.h"
@@ -72,7 +71,6 @@ workload::WorkloadSpec BaseSpec(const char* name) {
   spec.warmup_ops = 10;
   spec.measured_ops = 48;
   spec.param_variants = 1;
-  spec.timeout_seconds = core::SimConfig::Get().timeout_seconds;
   spec.seed = 47;
   spec.verify = true;
   return spec;
@@ -187,7 +185,6 @@ serving::ServingOptions FaultOptions(serving::FaultInjector* injector,
   options.fault_injector = injector;
   options.retry.max_attempts = 6;
   options.retry.initial_backoff_s = 0.0002;
-  options.retry.backoff_multiplier = 2.0;
   options.retry.max_backoff_s = 0.002;
   return options;
 }
@@ -309,8 +306,6 @@ void RegisterCells() {
       // room for every client, the only shed path left is the brown-out
       // heavy cap — the mechanism under test.
       options.admission.max_queue = 16;
-      options.retry.hedge_cheap = true;
-      options.retry.hedge_threshold_factor = 3.0;
       RunCell("brownout", BaseSpec("faults-brownout"), options);
       Gates().spikes_injected =
           injector->injected(serving::FaultKind::kLatencySpike);
@@ -404,13 +399,11 @@ bool SkipBandGates() {
 std::string FaultCell(const workload::WorkloadReport& r) {
   char buf[128];
   std::snprintf(buf, sizeof(buf),
-                "%sqps avail=%.3f rt=%lld hg=%lld stale=%lld",
+                "%sqps avail=%.3f rt=%lld stale=%lld",
                 workload::FormatQps(r.achieved_qps()).c_str(),
                 CheapAvailability(r),
                 static_cast<long long>(
                     r.counters.Change("serving_retries_total")),
-                static_cast<long long>(
-                    r.counters.Change("serving_hedges_total")),
                 static_cast<long long>(
                     r.counters.Change("serving_stack_stale_hits_total")));
   return buf;
@@ -429,7 +422,7 @@ int64_t PrintFigure() {
     }
     workload::PrintGrid(
         "Figure 9: fault injection + failover (goodput, cheap availability, "
-        "retries, hedges, stale hits)",
+        "retries, stale hits)",
         "scenario", scenarios, {ServingEngines().front().display}, cells);
   }
   for (const auto& [key, report] : Reports()) report.Print();

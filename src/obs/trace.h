@@ -115,7 +115,6 @@ struct SlowQueryRecord {
   bool deadline_missed = false;
   bool verify_failed = false;
   int retries = 0;       ///< Extra execute attempts (fault-tolerance path).
-  bool hedged = false;   ///< A duplicate (hedged) attempt was issued.
   bool slowest = false;  ///< Kept because it was in the slowest-N set.
 };
 
@@ -256,6 +255,17 @@ class ScopedSpan {
 /// `dur_s` are in tracer-anchor seconds.
 void EmitChildSpan(const char* name, double start_s, double dur_s,
                    std::string_view detail = {});
+
+/// Bridges one op's PhaseClock breakdown under the current span as three
+/// sequential child spans — data_management, analytics, glue — laid end to
+/// end from `start_s`. The clock records phase *sums*, not intervals, so
+/// the children are an attribution view (their order is synthetic), but
+/// their widths are the paper's Figure 2/4 split for exactly this op.
+/// `dm_s` excludes glue (PhaseClock nests glue inside data management). A
+/// zero-width phase is still emitted, so every bridged span has the same
+/// three children. No-op when the current trace is unsampled.
+void EmitPhaseSpans(double start_s, double dm_s, double analytics_s,
+                    double glue_s);
 
 /// True when the current thread is inside a sampled trace — lets callers
 /// skip work (string formatting, PhaseClock bridging) that only feeds spans.

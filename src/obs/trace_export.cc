@@ -146,8 +146,6 @@ std::string SlowQueryJsonl(const std::vector<SlowQueryRecord>& records) {
     out.append(r.verify_failed ? "true" : "false");
     out.append(",\"retries\":");
     out.append(std::to_string(r.retries));
-    out.append(",\"hedged\":");
-    out.append(r.hedged ? "true" : "false");
     out.append(",\"slowest\":");
     out.append(r.slowest ? "true" : "false");
     out.append("}\n");

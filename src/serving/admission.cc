@@ -86,12 +86,11 @@ obs::Counter* AdmissionController::ShedCounterLocked(int class_id) {
 bool AdmissionController::IsHeavyLocked(int class_id) const {
   if (!options_.adaptive) return false;
   // The classification is the *streak*, not the instantaneous ratio: a
-  // class acts heavy only after `heavy_streak` consecutive completions
-  // above the threshold (hysteresis — see AdmissionOptions). The streak is
-  // maintained in Release, where the EWMAs update.
+  // class acts heavy only after kHeavyStreak consecutive completions
+  // above the threshold (hysteresis). The streak is maintained in Release,
+  // where the EWMAs update.
   auto it = classes_.find(class_id);
-  return it != classes_.end() &&
-         it->second.heavy_streak >= std::max(1, options_.heavy_streak);
+  return it != classes_.end() && it->second.heavy_streak >= kHeavyStreak;
 }
 
 bool AdmissionController::SampleRatioHeavyLocked(int class_id,
@@ -122,19 +121,18 @@ bool AdmissionController::SampleRatioHeavyLocked(int class_id,
     }
   }
   return have_min && min_ewma > 0 &&
-         sample_s > options_.heavy_service_factor * min_ewma;
+         sample_s > kHeavyServiceFactor * min_ewma;
 }
 
 int AdmissionController::HeavyCapLocked() const {
   const double factor = capacity_factor_.load(std::memory_order_relaxed);
-  const int cap = static_cast<int>(limit_ * options_.heavy_share *
-                                   std::clamp(factor, 0.0, 1.0));
+  const int cap =
+      static_cast<int>(limit_ * kHeavyShare * std::clamp(factor, 0.0, 1.0));
   // Above the brown-out threshold heavy classes always keep one slot (mild
   // degradation shrinks the cap proportionally at most); in a brown-out
   // the cap may shrink to zero — heavy arrivals are then shed on arrival
   // (see Admit) so cheap traffic inherits the surviving capacity.
-  return factor >= options_.brownout_shed_factor ? std::max(1, cap)
-                                                 : std::max(0, cap);
+  return factor >= kBrownoutShedFactor ? std::max(1, cap) : std::max(0, cap);
 }
 
 int AdmissionController::MaxQueueLocked() const {
@@ -163,7 +161,7 @@ AdmissionOutcome AdmissionController::Admit(
   std::unique_lock<std::mutex> lock(mu_);
   // Backlog sample for the target-delay controller: the queue depth this
   // arrival finds ahead of it.
-  queue_ewma_ += options_.ewma_alpha * (waiting_ - queue_ewma_);
+  queue_ewma_ += kEwmaAlpha * (waiting_ - queue_ewma_);
   // A stale arrival is shed outright — free slot or not. The deadline
   // models the instant the op's client gave up; executing past it would be
   // wasted work counted as goodput.
@@ -184,8 +182,9 @@ AdmissionOutcome AdmissionController::Admit(
     // shrunken capacity, which is exactly the priority inversion graceful
     // degradation exists to prevent. Milder degradation keeps the normal
     // queueing path: the cap shrinks proportionally, nothing cliffs.
-    if (heavy && capacity_factor_.load(std::memory_order_relaxed) <
-                     options_.brownout_shed_factor) {
+    if (heavy &&
+        capacity_factor_.load(std::memory_order_relaxed) <
+            kBrownoutShedFactor) {
       shed_queue_full_->Inc();
       shed_brownout_->Inc();
       ShedCounterLocked(class_id)->Inc();
@@ -239,30 +238,30 @@ void AdmissionController::Release(int class_id, double service_s,
     if (was_heavy) --heavy_inflight_;
     if (service_s >= 0) {
       // Winsorized updates: a sample contributes at most
-      // service_outlier_cap x the current estimate, so one scheduler-stall
+      // kServiceOutlierCap x the current estimate, so one scheduler-stall
       // outlier cannot reclassify a class or collapse the adaptive limit;
       // sustained slowness still compounds through the cap.
-      const double cap = options_.service_outlier_cap;
       ClassStat& stat = classes_[class_id];
       double sample = service_s;
-      if (cap > 1.0 && stat.completions > 0 && stat.service_ewma_s > 0) {
-        sample = std::min(sample, cap * stat.service_ewma_s);
+      if (stat.completions > 0 && stat.service_ewma_s > 0) {
+        sample = std::min(sample, kServiceOutlierCap * stat.service_ewma_s);
       }
-      stat.service_ewma_s = stat.completions == 0
-                                ? sample
-                                : stat.service_ewma_s +
-                                      options_.ewma_alpha *
-                                          (sample - stat.service_ewma_s);
+      stat.service_ewma_s =
+          stat.completions == 0
+              ? sample
+              : stat.service_ewma_s +
+                    kEwmaAlpha * (sample - stat.service_ewma_s);
       ++stat.completions;
       double global_sample = service_s;
-      if (cap > 1.0 && service_samples_ > 0 && service_ewma_s_ > 0) {
-        global_sample = std::min(global_sample, cap * service_ewma_s_);
+      if (service_samples_ > 0 && service_ewma_s_ > 0) {
+        global_sample =
+            std::min(global_sample, kServiceOutlierCap * service_ewma_s_);
       }
-      service_ewma_s_ = service_samples_ == 0
-                            ? global_sample
-                            : service_ewma_s_ +
-                                  options_.ewma_alpha *
-                                      (global_sample - service_ewma_s_);
+      service_ewma_s_ =
+          service_samples_ == 0
+              ? global_sample
+              : service_ewma_s_ +
+                    kEwmaAlpha * (global_sample - service_ewma_s_);
       ++service_samples_;
       // Hysteresis input: consecutive above-threshold samples.
       stat.heavy_streak =

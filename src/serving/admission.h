@@ -14,6 +14,43 @@
 
 namespace genbase::serving {
 
+// --- adaptive-mode constants ----------------------------------------------
+/// A class is heavy when its service EWMA exceeds this factor times the
+/// cheapest observed class's EWMA.
+inline constexpr double kHeavyServiceFactor = 4.0;
+/// Share of the current limit heavy-class ops may occupy (floor 1 slot).
+inline constexpr double kHeavyShare = 0.5;
+/// EWMA smoothing for service times and queue waits.
+inline constexpr double kEwmaAlpha = 0.2;
+/// Winsorized service-EWMA update: one completion may contribute a sample
+/// of at most this factor x the current estimate. A scheduler stall on an
+/// oversubscribed host yields a wall-clock service sample tens of times the
+/// true mean; unclamped, a single such outlier moves a cheap class's EWMA
+/// across the kHeavyServiceFactor threshold (alpha 0.2 against a 4x bar)
+/// and a brown-out then sheds traffic that was never heavy. Persistent
+/// slowness still crosses the cap in a few completions (the estimate
+/// compounds by up to this factor each update).
+inline constexpr double kServiceOutlierCap = 4.0;
+/// Brown-out engagement threshold: graceful degradation turns on only when
+/// the published capacity factor (see SetCapacityFactor) drops below this
+/// fraction — the heavy-class slot cap then loses its one-slot floor and
+/// heavy arrivals that cannot start immediately are shed instead of
+/// queued. Mild degradation above the threshold (one slow shard in a large
+/// fleet, 31.5/32 = 0.984) only shrinks the cap proportionally; heavy
+/// traffic still queues normally, so there is no shed-on-arrival cliff the
+/// moment the factor dips under 1.0. Engages once the fleet has lost >= 10%
+/// serving capacity.
+inline constexpr double kBrownoutShedFactor = 0.9;
+/// Classification hysteresis: a class is treated as heavy only after this
+/// many consecutive *samples* observed above the kHeavyServiceFactor
+/// threshold. The streak judges fresh samples, not the class EWMA: an EWMA
+/// inflated by one stall burst stays above the threshold for several
+/// completions while it decays, which would hand the streak exactly the
+/// consecutive hits hysteresis exists to demand. With samples, the first
+/// normal-speed completion resets the streak; a genuinely heavy class
+/// accumulates it within its first few completions.
+inline constexpr int kHeavyStreak = 3;
+
 /// \brief Admission policy. Defaults leave admission disabled (everything
 /// admitted instantly), so a stack can be configured as a pure cache/router.
 ///
@@ -23,11 +60,11 @@ namespace genbase::serving {
 ///    observed service times by a target-delay controller — it tracks the
 ///    slot count at which the measured backlog drains within
 ///    `target_queue_delay_s` (see AdaptiveNextLimit) — and per-query-class
-///    service-time EWMAs classify operations as cheap or heavy. Heavy classes (observed mean
-///    service > `heavy_service_factor` x the cheapest class) may hold at
-///    most `heavy_share` of the execution slots, so a burst of biclustering
-///    runs can saturate its share while cheap lookups still find a slot
-///    instead of being shed behind it.
+///    service-time EWMAs classify operations as cheap or heavy. Heavy
+///    classes (observed mean service > kHeavyServiceFactor x the cheapest
+///    class) may hold at most kHeavyShare of the execution slots, so a
+///    burst of biclustering runs can saturate its share while cheap lookups
+///    still find a slot instead of being shed behind it.
 struct AdmissionOptions {
   /// Static mode: operations allowed to execute concurrently. <= 0 disables
   /// admission control unless `adaptive` is set.
@@ -53,43 +90,6 @@ struct AdmissionOptions {
   int max_inflight_cap = 64;
   /// Completed operations between limit adjustments.
   int adjust_interval = 16;
-  /// A class is heavy when its service EWMA exceeds this factor times the
-  /// cheapest observed class's EWMA.
-  double heavy_service_factor = 4.0;
-  /// Share of the current limit heavy-class ops may occupy (floor 1 slot).
-  double heavy_share = 0.5;
-  /// EWMA smoothing for service times and queue waits.
-  double ewma_alpha = 0.2;
-  /// Winsorized service-EWMA update: one completion may contribute a
-  /// sample of at most this factor x the current estimate. A scheduler
-  /// stall on an oversubscribed host yields a wall-clock service sample
-  /// tens of times the true mean; unclamped, a single such outlier moves
-  /// a cheap class's EWMA across the heavy_service_factor threshold
-  /// (alpha 0.2 against a 4x bar) and a brown-out then sheds traffic that
-  /// was never heavy. Persistent slowness still crosses the cap in a few
-  /// completions (the estimate compounds by up to this factor each
-  /// update). <= 1 disables the clamp.
-  double service_outlier_cap = 4.0;
-  /// Brown-out engagement threshold: graceful degradation turns on only
-  /// when the published capacity factor (see SetCapacityFactor) drops
-  /// below this fraction — the heavy-class slot cap then loses its
-  /// one-slot floor and heavy arrivals that cannot start immediately are
-  /// shed instead of queued. Mild degradation above the threshold (one
-  /// slow shard in a large fleet, 31.5/32 = 0.984) only shrinks the cap
-  /// proportionally; heavy traffic still queues normally, so there is no
-  /// shed-on-arrival cliff the moment the factor dips under 1.0. The
-  /// default engages once the fleet has lost >= 10% serving capacity.
-  double brownout_shed_factor = 0.9;
-  /// Classification hysteresis: a class is treated as heavy only after
-  /// this many consecutive *samples* observed above the
-  /// heavy_service_factor threshold. The streak judges fresh samples,
-  /// not the class EWMA: an EWMA inflated by one stall burst stays above
-  /// the threshold for several completions while it decays, which would
-  /// hand the streak exactly the consecutive hits hysteresis exists to
-  /// demand. With samples, the first normal-speed completion resets the
-  /// streak; a genuinely heavy class accumulates it within its first few
-  /// completions.
-  int heavy_streak = 3;
 };
 
 enum class AdmissionOutcome {
@@ -164,7 +164,7 @@ class AdmissionController {
   /// Brown-out wiring: the serving stack pushes the router's serving
   /// capacity fraction (healthy=1, degraded=0.5, down=0 per shard, averaged)
   /// here. Below 1.0 the heavy-class slot cap shrinks proportionally;
-  /// below `brownout_shed_factor` the cap additionally loses its one-slot
+  /// below kBrownoutShedFactor the cap additionally loses its one-slot
   /// floor and heavy arrivals that cannot start are shed immediately
   /// instead of queueing — heavy classes pay for the lost capacity first,
   /// so cheap Q1 traffic keeps its SLO through the brown-out. 1.0 (the
@@ -189,7 +189,7 @@ class AdmissionController {
     double service_ewma_s = 0.0;
     int64_t completions = 0;
     /// Consecutive winsorized samples above the heavy threshold (see
-    /// AdmissionOptions::heavy_streak).
+    /// kHeavyStreak).
     int heavy_streak = 0;
   };
 

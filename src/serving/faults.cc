@@ -194,7 +194,7 @@ double RetryBackoffSeconds(const RetryPolicy& policy, uint64_t seed,
   // Multiply stepwise with an early cap so huge attempt numbers cannot
   // overflow to inf before the clamp.
   for (int i = 1; i < attempt && base < policy.max_backoff_s; ++i) {
-    base *= policy.backoff_multiplier;
+    base *= kRetryBackoffMultiplier;
   }
   base = std::min(base, policy.max_backoff_s);
   const double jitter = 0.5 + 0.5 * UnitDraw(seed ^ (op * kOpSalt) ^

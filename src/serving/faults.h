@@ -80,31 +80,25 @@ struct FaultScript {
   static genbase::Result<FaultScript> Parse(std::string_view text);
 };
 
-/// \brief Bounded retry/hedging knobs for the serving stack's miss path.
-/// Pure data; the backoff math lives in the free functions below so its
-/// determinism, cap, and deadline-budget properties are testable without a
-/// stack or a clock.
+/// Growth of the retry backoff base per attempt (exponential backoff).
+inline constexpr double kRetryBackoffMultiplier = 2.0;
+
+/// \brief Bounded retry knobs for the serving stack's miss path. Pure data;
+/// the backoff math lives in the free functions below so its determinism,
+/// cap, and deadline-budget properties are testable without a stack or a
+/// clock.
 struct RetryPolicy {
   /// Total execute attempts per op (1 = retries disabled, the default).
   int max_attempts = 1;
   double initial_backoff_s = 0.001;
-  double backoff_multiplier = 2.0;
   double max_backoff_s = 0.050;
-  /// Sequential hedging for cheap query classes: when an attempt's total
-  /// (real + modeled) exceeds hedge_threshold_factor x the class's observed
-  /// service EWMA, one extra attempt runs on a different shard and the
-  /// faster result wins. Heavy classes never hedge — duplicating their work
-  /// is exactly the overload hedging exists to dodge.
-  bool hedge_cheap = false;
-  double hedge_threshold_factor = 3.0;
-
-  bool enabled() const { return max_attempts > 1 || hedge_cheap; }
 };
 
 /// Backoff before retry number `attempt` (1-based: the wait between attempt
-/// N and attempt N+1 passes attempt=N). Exponential in `attempt`, capped at
-/// max_backoff_s, with deterministic jitter in [0.5, 1.0] x the capped base
-/// derived from (seed, op, attempt) — a pure function, identical across runs.
+/// N and attempt N+1 passes attempt=N). Exponential in `attempt` (base
+/// x kRetryBackoffMultiplier per step), capped at max_backoff_s, with
+/// deterministic jitter in [0.5, 1.0] x the capped base derived from
+/// (seed, op, attempt) — a pure function, identical across runs.
 double RetryBackoffSeconds(const RetryPolicy& policy, uint64_t seed,
                            uint64_t op, int attempt);
 

@@ -16,14 +16,18 @@ namespace {
 /// Modeled wire size of one request: query id + parameter struct + framing.
 constexpr int64_t kRequestBytes = 256;
 
-/// Folds modeled network seconds into a cell the same way the engines fold
-/// their own virtual costs: glue time, reported inside DM totals, counted
-/// against the op's budget.
-void ChargeModeledGlue(core::CellResult* cell, double seconds,
-                       double timeout_seconds) {
+/// Folds serving-tier glue into a cell the same way the engines fold their
+/// own costs: glue time, reported inside DM totals, counted against the
+/// op's budget. `modeled_s` is virtual time (network model, injected
+/// spikes, a failed attempt's modeled share) and also lands in the cell's
+/// modeled seconds; `measured_s` is real time the op spent (a failed
+/// attempt's measured share, backoff sleeps) and does not.
+void ChargeGlue(core::CellResult* cell, double measured_s, double modeled_s,
+                double timeout_seconds) {
+  const double seconds = measured_s + modeled_s;
   cell->glue_s += seconds;
   cell->dm_s += seconds;
-  cell->modeled_s += seconds;
+  cell->modeled_s += modeled_s;
   cell->total_s += seconds;
   if (!cell->infinite && cell->status.ok() &&
       cell->total_s > timeout_seconds) {
@@ -68,8 +72,6 @@ ServingStack::ServingStack(const ServingOptions& options,
   retry_successes_ = reg.GetCounter("serving_retry_successes_total", labels);
   retry_deadline_giveups_ =
       reg.GetCounter("serving_retry_deadline_giveups_total", labels);
-  hedges_ = reg.GetCounter("serving_hedges_total", labels);
-  hedge_wins_ = reg.GetCounter("serving_hedge_wins_total", labels);
 }
 
 genbase::Result<std::unique_ptr<ServingStack>> ServingStack::Create(
@@ -140,12 +142,10 @@ ServeResult ServingStack::ServedFromTier(core::QueryId query,
   cell.result = std::move(result);
   cell.total_s = spent_s;
   cell.dm_s = cell.total_s;
-  if (options_.model_network) {
-    ChargeModeledGlue(&cell,
-                      net_.TransferSeconds(kRequestBytes) +
-                          net_.TransferSeconds(ApproxResultBytes(cell.result)),
-                      options.timeout_seconds);
-  }
+  ChargeGlue(&cell, /*measured_s=*/0.0,
+             net_.TransferSeconds(kRequestBytes) +
+                 net_.TransferSeconds(ApproxResultBytes(cell.result)),
+             options.timeout_seconds);
   // Stage accounting: the real lookup time is the cache stage, the modeled
   // round trip is the dispatch stage — together they are the whole cell.
   served.stages[obs::RequestStage::kCache] = spent_s;
@@ -366,83 +366,58 @@ ServeResult ServingStack::ExecuteMiss(
                                          std::chrono::steady_clock::now())
         .count();
   };
-  // Injected-spike snapshot for the most recent attempt, captured inside
-  // run_attempt at execution time. The hedge decision reads this snapshot
-  // rather than the injector's live state: a spike window that opens or
-  // closes between the attempt and the hedge check must not change what
-  // counts as a slow attempt, or hedge counters drift across replays of
-  // the same fault seed.
-  double attempt_spike_s = 0.0;
-  // One execute attempt on one shard: dispatch span (acquire), execute span
-  // (engine run + PhaseClock child spans), injected latency spike charged
-  // as modeled glue. `exclude` routes the attempt away from a shard a
-  // previous attempt failed on (or, for a hedge, the primary's shard).
-  const auto run_attempt = [&](int exclude, int attempt, const char* label,
-                               int* shard_out, uint64_t* epoch_out) {
-    attempt_spike_s = 0.0;
+
+  uint64_t data_epoch = 0;
+  // What the op paid beyond its final answer, charged onto the final cell
+  // so latency accounting never loses it: each failed attempt's cell split
+  // into its measured and modeled shares, plus the real backoff sleeps.
+  double overhead_measured_s = 0.0;
+  double overhead_modeled_s = 0.0;
+  for (int attempt = 1;; ++attempt) {
+    // One execute attempt on one shard: dispatch span (acquire), execute
+    // span (engine run + phase child spans), injected latency spike charged
+    // as modeled glue. result.shard is -1 on the first attempt and the
+    // failed attempt's shard on a retry, which AcquireShard routes away
+    // from.
     {
       obs::ScopedSpan dispatch_span("dispatch");
       const double dispatch_cpu_begin = obs::Profiler::CpuBegin();
-      *shard_out = router_->AcquireShard(exclude);
+      result.shard = router_->AcquireShard(result.shard);
       // The modeled network round trip added below is the dispatch stage's
       // wall time; the shard acquire is its only real CPU.
       result.stages.Cpu(obs::RequestStage::kDispatch) +=
           obs::Profiler::CpuDelta(dispatch_cpu_begin);
       if (dispatch_span.active()) {
-        dispatch_span.SetDetail(std::string(label) + "shard " +
-                                std::to_string(*shard_out));
+        dispatch_span.SetDetail(std::string(attempt == 1 ? "" : "retry ") +
+                                "shard " + std::to_string(result.shard));
       }
     }
-    core::CellResult cell;
     {
       obs::ScopedSpan exec_span("execute");
       obs::ScopedExecutePerf exec_perf;
       const double exec_cpu_begin = obs::Profiler::CpuBegin();
       const double exec_start =
           exec_span.active() ? obs::Tracer::Global().NowSeconds() : 0.0;
-      cell = router_->RunOnShard(*shard_out, query, size, options, ctx,
-                                 epoch_out, op_id, attempt);
+      data_epoch = 0;
+      result.cell = router_->RunOnShard(result.shard, query, size, options,
+                                        ctx, &data_epoch, op_id, attempt);
       result.stages.Cpu(obs::RequestStage::kExecute) +=
           obs::Profiler::CpuDelta(exec_cpu_begin);
       if (exec_span.active()) {
-        // Bridge the PhaseClock breakdown as child spans: a sequential
-        // data-management / analytics / glue layout under the execute span.
-        // The clock records phase *sums*, not intervals, so the children are
-        // an attribution view (their order is synthetic), but their widths
-        // are the paper's Figure 2/4 split for exactly this op.
-        double t = exec_start;
-        const double dm = std::max(0.0, cell.dm_s - cell.glue_s);
-        obs::EmitChildSpan("data_management", t, dm);
-        t += dm;
-        obs::EmitChildSpan("analytics", t, cell.analytics_s);
-        t += cell.analytics_s;
-        obs::EmitChildSpan("glue", t, cell.glue_s);
+        obs::EmitPhaseSpans(
+            exec_start, std::max(0.0, result.cell.dm_s - result.cell.glue_s),
+            result.cell.analytics_s, result.cell.glue_s);
       }
     }
     if (faults != nullptr && faults->enabled()) {
       // Slow-shard brown-out: the injected spike is virtual time, folded in
       // exactly like the network model so totals and deadlines see it.
-      attempt_spike_s = faults->ShardLatencySeconds(*shard_out);
-      if (attempt_spike_s > 0.0 && cell.status.ok()) {
-        ChargeModeledGlue(&cell, attempt_spike_s, options.timeout_seconds);
+      const double spike_s = faults->ShardLatencySeconds(result.shard);
+      if (spike_s > 0.0 && result.cell.status.ok()) {
+        ChargeGlue(&result.cell, /*measured_s=*/0.0, spike_s,
+                   options.timeout_seconds);
       }
     }
-    return cell;
-  };
-
-  uint64_t data_epoch = 0;
-  // Failed attempts' cell time, backoff sleeps, and losing hedge attempts:
-  // real cost this op paid beyond its final answer, charged onto the final
-  // cell as modeled glue so latency accounting never loses it.
-  double overhead_s = 0.0;
-  int attempt = 1;
-  int previous_shard = -1;
-  bool any_attempt_failed = false;
-  for (;;) {
-    data_epoch = 0;
-    result.cell = run_attempt(previous_shard, attempt,
-                              attempt == 1 ? "" : "retry ", &result.shard,
-                              &data_epoch);
     // Retry transient failures only: unsupported queries fail identically
     // everywhere and INF (timeout/OOM) already consumed the op's budget.
     const bool retryable = result.cell.supported && !result.cell.infinite &&
@@ -456,91 +431,49 @@ ServeResult ServingStack::ExecuteMiss(
       if (attempt < retry.max_attempts) retry_deadline_giveups_->Inc();
       break;
     }
-    any_attempt_failed = true;
-    overhead_s += result.cell.total_s;
+    overhead_modeled_s += result.cell.modeled_s;
+    overhead_measured_s += result.cell.total_s - result.cell.modeled_s;
     if (backoff_s > 0.0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff_s));
-      overhead_s += backoff_s;
+      overhead_measured_s += backoff_s;
     }
     retries_->Inc();
     ++result.retries;
-    previous_shard = result.shard;
-    ++attempt;
-  }
-  // Interim verdict only — retry_successes_ is counted below from the
-  // final verdict, after the retry/hedge overhead and network charges have
-  // had their chance to flip the cell to DeadlineExceeded.
-  const bool interim_servable = Servable(result.cell);
-
-  // Hedged request: cheap classes only, and only when the served attempt
-  // came back slow — over the class's service EWMA threshold, or from a
-  // shard inside an injected latency-spike window (over threshold by
-  // construction). Sequential backup-request style: one extra attempt on a
-  // different shard, faster cell wins, loser's time becomes overhead.
-  if (retry.hedge_cheap && interim_servable && router_->shards() > 1 &&
-      !admitted_heavy && admission_.enabled() &&
-      remaining_budget_s() > 0.0) {
-    const double class_ewma_s =
-        admission_.ClassServiceEwma(static_cast<int>(query));
-    const double real_s =
-        std::max(0.0, result.cell.total_s - result.cell.modeled_s);
-    const bool slow =
-        attempt_spike_s > 0.0 ||
-        (class_ewma_s > 0.0 &&
-         real_s > retry.hedge_threshold_factor * class_ewma_s);
-    if (slow) {
-      hedges_->Inc();
-      result.hedged = true;
-      ++attempt;
-      int hedge_shard = -1;
-      uint64_t hedge_epoch = 0;
-      const core::CellResult hedge_cell = run_attempt(
-          result.shard, attempt, "hedge ", &hedge_shard, &hedge_epoch);
-      if (Servable(hedge_cell) && hedge_cell.total_s < result.cell.total_s) {
-        hedge_wins_->Inc();
-        overhead_s += result.cell.total_s;
-        result.cell = hedge_cell;
-        result.shard = hedge_shard;
-        data_epoch = hedge_epoch;
-      } else {
-        overhead_s += hedge_cell.total_s;
-      }
-    }
   }
 
   // Real slot-holding seconds feed the adaptive service-time model; the
-  // modeled share never occupied an execution slot. (The retry/hedge
-  // overhead is charged below, after this read, so it stays out of the
-  // service EWMA — it is queueing-shaped cost, not service time.)
+  // modeled share never occupied an execution slot. (The retry overhead is
+  // charged below, after this read, so it stays out of the service EWMA —
+  // it is queueing-shaped cost, not service time.)
   admission_.Release(static_cast<int>(query),
                      std::max(0.0, result.cell.total_s -
                                        result.cell.modeled_s),
                      admitted_heavy);
 
   const double exec_stage_s = result.cell.total_s;
-  if (overhead_s > 0.0) {
-    ChargeModeledGlue(&result.cell, overhead_s, options.timeout_seconds);
+  if (result.retries > 0) {
+    ChargeGlue(&result.cell, overhead_measured_s, overhead_modeled_s,
+               options.timeout_seconds);
   }
-  if (options_.model_network) {
-    const int64_t reply_bytes = result.cell.status.ok()
-                                    ? ApproxResultBytes(result.cell.result)
-                                    : kRequestBytes;
-    ChargeModeledGlue(&result.cell,
-                      net_.TransferSeconds(kRequestBytes) +
-                          net_.TransferSeconds(reply_bytes),
-                      options.timeout_seconds);
-  }
-  // Stage accounting: retry/hedge overhead plus the modeled round trip are
-  // the dispatch stage; the served attempt's cell (engine work, real +
+  const int64_t reply_bytes = result.cell.status.ok()
+                                  ? ApproxResultBytes(result.cell.result)
+                                  : kRequestBytes;
+  ChargeGlue(&result.cell, /*measured_s=*/0.0,
+             net_.TransferSeconds(kRequestBytes) +
+                 net_.TransferSeconds(reply_bytes),
+             options.timeout_seconds);
+  // Stage accounting: retry overhead plus the modeled round trip are the
+  // dispatch stage; the served attempt's cell (engine work, real +
   // modeled) is the execute stage.
   result.stages[obs::RequestStage::kDispatch] =
       result.cell.total_s - exec_stage_s;
   result.stages[obs::RequestStage::kExecute] = exec_stage_s;
   const bool servable = Servable(result.cell);
   // A retry success is an op that failed at least once yet is ultimately
-  // served — judged on the final cell, so an op the overhead charges pushed
-  // past its deadline never counts as a success.
-  if (any_attempt_failed && servable) retry_successes_->Inc();
+  // served — judged on the final cell, after the overhead and network
+  // charges, so an op they pushed past its deadline never counts as a
+  // success.
+  if (result.retries > 0 && servable) retry_successes_->Inc();
   if (options_.cache_enabled && servable && data_epoch == key.epoch &&
       key.epoch == epoch_.load(std::memory_order_acquire)) {
     // Two epoch guards close the reload races. data_epoch == key.epoch: an

@@ -40,18 +40,11 @@ struct ServingOptions {
   /// Defaults keep admission disabled (nothing is shed).
   AdmissionOptions admission;
 
-  /// Charge the cluster/ interconnect model (SimConfig GbE) for the
-  /// client-to-server round trip: request dispatch plus result return. This
-  /// is virtual time, folded into per-op totals the same way every other
-  /// modeled cost is, and it gives cache hits a realistic network-bound
-  /// floor instead of a free 0s.
-  bool model_network = true;
-
-  /// Bounded retries (exponential backoff, deterministic jitter) and
-  /// optional cheap-class hedging on the miss path. Defaults disable both.
-  /// The retry budget is the op's single start deadline — computed once per
-  /// Serve and shared with the single-flight fallback path, so retries,
-  /// hedges, and follower fallbacks all drain one clock.
+  /// Bounded retries (exponential backoff, deterministic jitter) on the
+  /// miss path. The default disables them. The retry budget is the op's
+  /// single start deadline — computed once per Serve and shared with the
+  /// single-flight fallback path, so retries and follower fallbacks drain
+  /// one clock.
   RetryPolicy retry;
 
   /// Fault injector replayed against this stack (non-owning; must outlive
@@ -82,10 +75,8 @@ struct ServeResult {
   /// recompute — see Serve — but the runner tail-keeps the trace).
   bool stale_tripwire = false;
   /// Extra execute attempts this op needed after failures (0 = first try
-  /// served). The runner tail-keeps any op that retried or hedged.
+  /// served). The runner tail-keeps any op that retried.
   int retries = 0;
-  /// A hedged (duplicate) attempt was issued for this op.
-  bool hedged = false;
 };
 
 /// \brief The serving layer: result cache, then single-flight coalescing,
@@ -149,10 +140,10 @@ class ServingStack {
   ServingStack(const ServingOptions& options, const std::string& instance,
                std::unique_ptr<ShardRouter> router);
 
-  /// The miss path: admission, shard execution (with bounded retries and
-  /// optional hedging), network model and cache insert. `start_deadline` is
-  /// computed once per op in Serve: a follower that falls back here after a
-  /// failed flight must not get a fresh budget, and the retry loop spends
+  /// The miss path: admission, shard execution (with bounded retries),
+  /// network model and cache insert. `start_deadline` is computed once per
+  /// op in Serve: a follower that falls back here after a failed flight
+  /// must not get a fresh budget, and the retry loop spends
   /// the same budget (see tests/serving_test FollowerFallbackKeepsDeadline).
   /// `op_id` is the op's sequence number — the injector's when one is
   /// attached, the stack's own otherwise — seeding deterministic fault
@@ -189,6 +180,11 @@ class ServingStack {
   Flights flights_;
   AdmissionController admission_;
   std::unique_ptr<ShardRouter> router_;
+  /// The cluster/ interconnect model (SimConfig GbE), charged for every
+  /// served op's client-to-server round trip: request dispatch plus result
+  /// return. This is virtual time, folded into per-op totals the same way
+  /// every other modeled cost is, and it gives cache hits a realistic
+  /// network-bound floor instead of a free 0s.
   cluster::NetworkModel net_;
 
   std::atomic<uint64_t> epoch_;
@@ -212,8 +208,6 @@ class ServingStack {
   obs::Counter* retries_;
   obs::Counter* retry_successes_;
   obs::Counter* retry_deadline_giveups_;
-  obs::Counter* hedges_;
-  obs::Counter* hedge_wins_;
 };
 
 }  // namespace genbase::serving

@@ -43,9 +43,8 @@ const char* ShardHealthName(ShardHealth health);
 /// which keeps a 1-shard router byte-identical to the direct engine path).
 ///
 /// Because every shard holds the full dataset, any shard's answer equals the
-/// single-instance answer — the router's merge step combines per-shard
-/// *statistics*, never partial results, and per-op verification against
-/// core/reference stays exact. Row-partitioned placement, where a query
+/// single-instance answer — the router never merges partial results, and
+/// per-op verification against core/reference stays exact. Row-partitioned placement, where a query
 /// fans out over data slices (core/datasets dims partitioned via
 /// cluster::PartitionRows) and partial results merge through distributed
 /// kernels, is what cluster::ClusterEngine models; pairing it with this
@@ -77,15 +76,15 @@ class ShardRouter {
   /// degraded shards (latency spike, half-open breaker) are deprioritized
   /// but still probed, and ties go to the lowest id (a 1-shard healthy
   /// router stays byte-identical to the direct engine path). `exclude`
-  /// (>= 0) asks for a different shard than a failed or hedged attempt
-  /// used, honored whenever any other shard is available. If every shard is
+  /// (>= 0) asks for a different shard than a failed attempt used, honored
+  /// whenever any other shard is available. If every shard is
   /// down, the least-loaded one is returned anyway — RunOnShard then fails
   /// fast instead of this call deadlocking. Only when every shard is
   /// draining (single-shard mid-reload) does this block.
   int AcquireShard(int exclude = -1);
 
   /// Executes one operation on shard `s` through core::RunCellWithContext
-  /// (the timed, timeout-enforcing path), updates that shard's stats and
+  /// (the timed, timeout-enforcing path), updates that shard's counters and
   /// breaker state, and releases it. `data_epoch` (optional) receives the
   /// generation of the dataset this shard holds (see dataset_epoch) —
   /// stable across the run, because reloads drain a shard before touching

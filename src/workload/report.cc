@@ -276,18 +276,14 @@ void WorkloadReport::Print() const {
     // Fault-tolerance line only when that machinery actually engaged — the
     // no-injector, no-retry configurations stay byte-stable.
     const long long retries = count("serving_retries_total");
-    const long long hedges = count("serving_hedges_total");
     const long long giveups = count("serving_retry_deadline_giveups_total");
     const long long brownout = count("serving_admission_shed_brownout_total");
     const auto injected = static_cast<long long>(Injected(counters, {}));
-    if (retries > 0 || hedges > 0 || giveups > 0 || brownout > 0 ||
-        injected > 0) {
+    if (retries > 0 || giveups > 0 || brownout > 0 || injected > 0) {
       std::printf("  fault tolerance: retries=%lld (recovered=%lld, "
-                  "giveups=%lld) hedges=%lld (wins=%lld) "
-                  "shed_brownout=%lld injected=%lld\n",
+                  "giveups=%lld) shed_brownout=%lld injected=%lld\n",
                   retries, count("serving_retry_successes_total"), giveups,
-                  hedges, count("serving_hedge_wins_total"), brownout,
-                  injected);
+                  brownout, injected);
     }
     for (const std::string& shard :
          counters.LabelValues("serving_shard_ops_total", "shard")) {
@@ -503,8 +499,6 @@ constexpr CounterRow kRetryRows[] = {
     {"retry_successes", "serving_retry_successes_total", Read::kChange},
     {"retry_deadline_giveups", "serving_retry_deadline_giveups_total",
      Read::kChange},
-    {"hedges", "serving_hedges_total", Read::kChange},
-    {"hedge_wins", "serving_hedge_wins_total", Read::kChange},
 };
 constexpr CounterRow kStackRows[] = {
     {"stale_hits", "serving_stack_stale_hits_total", Read::kChange},

@@ -14,6 +14,7 @@
 #include "common/simd.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "core/config.h"
 #include "core/driver.h"
 #include "core/queries.h"
 #include "core/reference.h"
@@ -93,10 +94,9 @@ void RecordOutcome(const WorkloadRunner::OpOutcome& outcome, bool mismatched,
 }
 
 /// Tail-based keep, per-client half: remember every flagged request (shed /
-/// stale tripwire / deadline miss / verify failure / retried / hedged) up to
-/// a small cap, and
-/// the client's slowest successful requests, so interesting tails survive
-/// even when head sampling skipped them.
+/// stale tripwire / deadline miss / verify failure / retried) up to a small
+/// cap, and the client's slowest successful requests, so interesting tails
+/// survive even when head sampling skipped them.
 void KeepTailCandidates(const WorkloadRunner::OpOutcome& outcome,
                         bool mismatched, const ScheduledOp& op,
                         uint64_t trace_id, double start_s,
@@ -107,8 +107,7 @@ void KeepTailCandidates(const WorkloadRunner::OpOutcome& outcome,
                       (!cell.supported || !cell.status.ok());
   const bool succeeded = !outcome.shed && !cell.infinite && !failed;
   const bool flagged = outcome.shed || outcome.stale_tripwire ||
-                       deadline_missed || mismatched || outcome.retries > 0 ||
-                       outcome.hedged;
+                       deadline_missed || mismatched || outcome.retries > 0;
   if (!flagged && !succeeded) return;
   const double e2e_s = outcome.queue_delay_s + cell.total_s +
                        outcome.stages[obs::RequestStage::kVerify];
@@ -128,7 +127,6 @@ void KeepTailCandidates(const WorkloadRunner::OpOutcome& outcome,
     rec.deadline_missed = deadline_missed;
     rec.verify_failed = mismatched;
     rec.retries = outcome.retries;
-    rec.hedged = outcome.hedged;
     return rec;
   };
   if (flagged) {
@@ -266,19 +264,10 @@ genbase::Result<WorkloadReport> WorkloadRunner::Run(
         outcome.stages.Cpu(obs::RequestStage::kExecute) =
             obs::Profiler::CpuDelta(exec_cpu_begin);
         if (span.active()) {
-          // PhaseClock bridge: the cell's phase split as sequential child
-          // spans (dm excludes glue, which PhaseClock nests inside it).
-          double t = exec_start_s;
-          const auto emit = [&t](const char* name, double dur_s) {
-            if (dur_s > 0) {
-              obs::EmitChildSpan(name, t, dur_s);
-              t += dur_s;
-            }
-          };
-          emit("data_management",
-               std::max(0.0, outcome.cell.dm_s - outcome.cell.glue_s));
-          emit("analytics", outcome.cell.analytics_s);
-          emit("glue", outcome.cell.glue_s);
+          obs::EmitPhaseSpans(
+              exec_start_s,
+              std::max(0.0, outcome.cell.dm_s - outcome.cell.glue_s),
+              outcome.cell.analytics_s, outcome.cell.glue_s);
         }
         return outcome;
       });
@@ -306,7 +295,6 @@ genbase::Result<WorkloadReport> WorkloadRunner::Run(
         outcome.stages = served.stages;
         outcome.stale_tripwire = served.stale_tripwire;
         outcome.retries = served.retries;
-        outcome.hedged = served.hedged;
         return outcome;
       });
 }
@@ -316,12 +304,13 @@ genbase::Result<WorkloadReport> WorkloadRunner::RunScheduled(
     const std::vector<ScheduledOp>& schedule, const Executor& exec) {
   const size_t warmup_end = static_cast<size_t>(spec_.warmup_ops);
 
-  // Per-variant driver options, precomputed once.
+  // Per-variant driver options, precomputed once. Every op's budget is the
+  // run's INF cutoff (GENBASE_TIMEOUT).
   std::vector<core::DriverOptions> variant_options(
       static_cast<size_t>(spec_.param_variants));
   for (int v = 0; v < spec_.param_variants; ++v) {
     variant_options[static_cast<size_t>(v)].timeout_seconds =
-        spec_.timeout_seconds;
+        core::SimConfig::Get().timeout_seconds;
     variant_options[static_cast<size_t>(v)].params =
         VariantParams(spec_.params, v);
   }
@@ -339,19 +328,9 @@ genbase::Result<WorkloadReport> WorkloadRunner::RunScheduled(
     for (int c = 0; c < spec_.clients; ++c) {
       ClientState* state = &clients[c];
       pool.Submit([&, state] {
-        bool first_op = true;
         for (;;) {
           const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
           if (i >= end) return;
-          // Closed-loop think time separates a completion from the *next*
-          // issue, so it is paid after claiming more work — never as a
-          // trailing sleep that would pad the measured wall time.
-          if (!first_op && spec_.model == ClientModel::kClosedLoop &&
-              spec_.think_time_s > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(spec_.think_time_s));
-          }
-          first_op = false;
           const ScheduledOp& op = schedule[i];
           std::optional<Clock::time_point> arrival;
           double dispatch_lag_s = 0.0;

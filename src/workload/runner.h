@@ -74,7 +74,6 @@ class WorkloadRunner {
     int64_t alloc_delta_bytes = -1;
     bool stale_tripwire = false;  ///< Served stale past the tripwire age.
     int retries = 0;              ///< Extra execute attempts after failures.
-    bool hedged = false;          ///< A duplicate (hedged) attempt ran.
   };
 
   explicit WorkloadRunner(WorkloadSpec spec);

@@ -31,14 +31,6 @@ genbase::Status WorkloadSpec::Validate() const {
     return genbase::Status::InvalidArgument(
         "workload: warmup_ops must be >= 0");
   }
-  if (timeout_seconds <= 0) {
-    return genbase::Status::InvalidArgument(
-        "workload: timeout_seconds must be positive");
-  }
-  if (think_time_s < 0) {
-    return genbase::Status::InvalidArgument(
-        "workload: think_time_s must be >= 0");
-  }
   if (model != ClientModel::kClosedLoop && arrival_rate_qps <= 0) {
     return genbase::Status::InvalidArgument(
         "workload: open-loop models need arrival_rate_qps > 0");

@@ -13,8 +13,7 @@ namespace genbase::workload {
 
 /// \brief How clients issue operations.
 ///  * kClosedLoop: each client issues the next operation as soon as the
-///    previous one finishes, after an optional fixed think time — the
-///    classic "N concurrent users" model.
+///    previous one finishes — the classic "N concurrent users" model.
 ///  * kOpenLoopPoisson: operations arrive on a Poisson process at
 ///    `arrival_rate_qps` (aggregate), independent of completion times —
 ///    models internet-facing traffic where users do not wait for each other.
@@ -32,8 +31,9 @@ struct QueryMixEntry {
 
 /// \brief Full description of a concurrent benchmark workload: what to run
 /// (query mix + params + dataset size), how to run it (client model, client
-/// count, think time / arrival rate), and how much of it (warm-up and
-/// measured operation budgets).
+/// count, arrival rate), and how much of it (warm-up and measured operation
+/// budgets). Every op's time budget is the run's INF cutoff,
+/// core::SimConfig's timeout_seconds (GENBASE_TIMEOUT).
 ///
 /// Everything that shapes the *operation sequence* is derived from `seed`
 /// through common/rng, so two runs of the same spec execute the identical
@@ -50,8 +50,6 @@ struct WorkloadSpec {
 
   ClientModel model = ClientModel::kClosedLoop;
   int clients = 4;
-  /// Closed loop: fixed pause between a completion and the next issue.
-  double think_time_s = 0.0;
   /// Open loop: aggregate target arrival rate (operations per second).
   double arrival_rate_qps = 50.0;
 
@@ -59,9 +57,6 @@ struct WorkloadSpec {
   int warmup_ops = 0;
   /// Measured operations. The run executes exactly this many.
   int measured_ops = 100;
-
-  /// Per-operation time budget (the paper's INF cutoff).
-  double timeout_seconds = 40.0;
 
   /// Number of distinct parameter variants ops draw from (>= 1). Variant 0
   /// is `params` itself; variant v > 0 is VariantParams(params, v). With V

@@ -486,7 +486,7 @@ TEST(TraceExportRoundTripTest, SlowQueryJsonlParsesPerLine) {
             (Names{"trace_id", "workload", "query", "variant", "class_id",
                    "start_s", "latency_s", "stages_s", "stages_cpu_s",
                    "alloc_delta_bytes", "shed", "stale_tripwire",
-                   "deadline_missed", "verify_failed", "retries", "hedged",
+                   "deadline_missed", "verify_failed", "retries",
                    "slowest"}));
   const json::Value* stages = rec.Find("stages_s");
   ASSERT_NE(stages, nullptr);
@@ -508,7 +508,7 @@ TEST(TraceExportRoundTripTest, SlowQueryJsonlParsesPerLine) {
             (Names{"trace_id", "workload", "query", "variant", "class_id",
                    "start_s", "latency_s", "stages_s", "alloc_delta_bytes",
                    "shed", "stale_tripwire", "deadline_missed",
-                   "verify_failed", "retries", "hedged", "slowest"}));
+                   "verify_failed", "retries", "slowest"}));
   // No CPU attribution recorded -> the object is absent entirely, and the
   // unknown alloc delta round-trips as null, not -1.
   EXPECT_EQ(rec2.Find("stages_cpu_s"), nullptr);

@@ -625,7 +625,6 @@ TEST(AdaptiveAdmissionTest, HeavyClassIsLearnedFromServiceTimes) {
   AdmissionOptions options;
   options.adaptive = true;
   options.min_inflight = 4;
-  options.heavy_service_factor = 4.0;
   AdmissionController ac(options, NewInstance());
   ASSERT_TRUE(ac.enabled());
 
@@ -650,8 +649,9 @@ TEST(AdaptiveAdmissionTest, HeavyClassIsLearnedFromServiceTimes) {
 TEST(AdaptiveAdmissionTest, CheapOpsAreNotShedBehindHeavyOnes) {
   AdmissionOptions options;
   options.adaptive = true;
-  options.min_inflight = 4;       // Limit stays 4 (no adjustments yet).
-  options.heavy_share = 0.5;      // Heavy ops may hold 2 of the 4 slots.
+  // Limit stays 4 (no adjustments yet): with kHeavyShare = 0.5 heavy ops
+  // may hold 2 of the 4 slots.
+  options.min_inflight = 4;
   options.adjust_interval = 1000; // Keep the limit fixed for the test.
   const std::string instance = NewInstance();
   AdmissionController ac(options, instance);
@@ -946,7 +946,6 @@ TEST(RetryPolicyTest, BackoffIsDeterministicJitteredAndCapped) {
   RetryPolicy policy;
   policy.max_attempts = 8;
   policy.initial_backoff_s = 0.001;
-  policy.backoff_multiplier = 2.0;
   policy.max_backoff_s = 0.010;
   for (int attempt = 1; attempt <= 12; ++attempt) {
     // Pure in (seed, op, attempt): identical across calls and runs.
@@ -955,7 +954,7 @@ TEST(RetryPolicyTest, BackoffIsDeterministicJitteredAndCapped) {
     // Exponential base, capped, with jitter in [0.5, 1.0] x the base.
     double base = policy.initial_backoff_s;
     for (int i = 1; i < attempt && base < policy.max_backoff_s; ++i) {
-      base *= policy.backoff_multiplier;
+      base *= kRetryBackoffMultiplier;
     }
     base = std::min(base, policy.max_backoff_s);
     EXPECT_GE(backoff, 0.5 * base) << attempt;
@@ -1233,7 +1232,6 @@ TEST(AdaptiveAdmissionTest, BrownOutShedsHeavyArrivalsAndSparesCheap) {
   AdmissionOptions options;
   options.adaptive = true;
   options.min_inflight = 4;
-  options.heavy_share = 0.5;
   options.adjust_interval = 1000;  // Keep the limit fixed for the test.
   const std::string instance = NewInstance();
   AdmissionController ac(options, instance);
@@ -1331,6 +1329,42 @@ TEST(ServingStackTest, RetriesRecoverFromInjectedTransientErrors) {
   EXPECT_EQ(counters.End("serving_retry_deadline_giveups_total"), 0);
   EXPECT_EQ(counters.End("serving_fault_injected_total", {{"kind", "error"}}),
             (*injector)->injected(FaultKind::kTransientError));
+}
+
+TEST(ServingStackTest, RetryBackoffIsChargedAsMeasuredTime) {
+  auto script = FaultScript::Parse("seed 21\n@0..100000 error * 0.4\n");
+  ASSERT_TRUE(script.ok());
+  auto injector = FaultInjector::Create(*script);
+  ASSERT_TRUE(injector.ok());
+
+  ServingOptions options;
+  options.shards = 2;
+  options.cache_enabled = false;  // A hit never reaches the fault machinery.
+  options.retry.max_attempts = 6;
+  // Pinned 5ms base: with jitter in [0.5, 1.0] every sleep is >= 2.5ms.
+  options.retry.initial_backoff_s = 0.005;
+  options.retry.max_backoff_s = 0.005;
+  options.fault_injector = injector->get();
+  auto stack = ServingStack::Create(options, engine::CreateSciDb, TinyData());
+  ASSERT_TRUE(stack.ok());
+
+  ExecContext ctx;
+  int retried_ops = 0;
+  for (int i = 0; i < 12; ++i) {
+    const auto result = (*stack)->Serve(core::QueryId::kStatistics,
+                                        core::DatasetSize::kSmall,
+                                        TinyOptions(), &ctx);
+    if (result.retries == 0) continue;
+    ++retried_ops;
+    // Backoff sleeps are real seconds the op's client waited: they land in
+    // the cell's measured share, never in its modeled seconds.
+    const core::CellResult& cell = result.cell;
+    EXPECT_GE(cell.total_s - cell.modeled_s, 0.0025 * result.retries)
+        << "op " << i << " retries=" << result.retries
+        << " total=" << cell.total_s << " modeled=" << cell.modeled_s;
+  }
+  // Deterministic draws (seed 21, same as the recovery test above).
+  EXPECT_GT(retried_ops, 0);
 }
 
 TEST(ServingStackTest, RetryBudgetIsBoundedByTheStartDeadline) {

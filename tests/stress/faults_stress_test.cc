@@ -9,7 +9,7 @@
 //   * no interleaving of crash/failover/retry/reload ever serves a
 //     cross-epoch (stale) result — the tripwire must stay silent,
 //   * every op is accounted exactly once (served or errored; nothing lost
-//     inside the retry/hedge/fallback plumbing),
+//     inside the retry/fallback plumbing),
 //   * failed execute attempts reconcile: per-shard errors equal retries
 //     plus client-observed errors,
 //   * failed reloads reconcile one-to-one with consumed reload-fail arms,
@@ -85,7 +85,6 @@ TEST(FaultsStressTest, CrashRecoverScriptRacesStampedeAndReloads) {
   options.cache_enabled = true;
   options.cache_max_entries = 16;  // Small: eviction churns alongside.
   options.single_flight = true;
-  options.model_network = false;
   options.retry.max_attempts = 6;
   options.retry.initial_backoff_s = 50e-6;
   options.retry.max_backoff_s = 400e-6;
@@ -184,8 +183,7 @@ TEST(FaultsStressTest, CrashRecoverScriptRacesStampedeAndReloads) {
                 counters.End("serving_flight_shed_wait_timeout_total"));
   // Failed-attempt reconciliation: every failed execute attempt (injected
   // transient, crashed-shard fail-fast, quarantined-shard fail-fast) was
-  // either retried or surfaced as the op's error — none vanished. Hedging
-  // is off, so shard errors have no third consumer.
+  // either retried or surfaced as the op's error — none vanished.
   EXPECT_EQ(counters.End("serving_shard_errors_total"),
             counters.End("serving_retries_total") + errors.load());
   EXPECT_LE(counters.End("serving_retry_successes_total"),

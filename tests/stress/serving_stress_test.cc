@@ -69,7 +69,6 @@ TEST(ServingStressTest, StampedeRacesReloadWithoutStaleness) {
   options.cache_enabled = true;
   options.cache_max_entries = 16;  // Small: eviction churns alongside.
   options.single_flight = true;
-  options.model_network = false;
   auto stack =
       ServingStack::Create(options, engine::CreateSciDb, TinyData());
   ASSERT_TRUE(stack.ok()) << stack.status().ToString();

@@ -679,8 +679,8 @@ TEST(WorkloadReportTest, CounterBlocksCoverOnlyTheMeasuredPhase) {
                    "follower_fallbacks", "shed_wait_timeout"}));
   const json::Value& retry = *serving->Find("retry");
   EXPECT_EQ(Keys(retry),
-            (Names{"retries", "retry_successes", "retry_deadline_giveups",
-                   "hedges", "hedge_wins"}));
+            (Names{"retries", "retry_successes",
+                   "retry_deadline_giveups"}));
   const json::Value& faults = *serving->Find("faults");
   EXPECT_EQ(Keys(faults),
             (Names{"crashes", "recoveries", "latency_spikes",
