@@ -1,13 +1,16 @@
 #include "bench/bench_util.h"
 
+#include <benchmark/benchmark.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <map>
-#include <mutex>
+#include <utility>
 
 #include "common/check.h"
+#include "common/sanitizers.h"
 #include "common/simd.h"
 #include "core/config.h"
 #include "core/generator.h"
@@ -66,7 +69,7 @@ core::CellResult RunOnCached(const std::string& cache_key,
                          DefaultDriverOptions());
   }
   cell.nodes = nodes;
-  RecordCell(cell);
+  Cells().push_back(cell);
   return cell;
 }
 
@@ -113,10 +116,6 @@ core::CellResult RunClusterCell(const cluster::ClusterEngineOptions& options,
       query, size, options.nodes);
 }
 
-void RecordCell(const core::CellResult& cell) { Cells().push_back(cell); }
-
-const std::vector<core::CellResult>& RecordedCells() { return Cells(); }
-
 const core::CellResult* FindCell(const std::string& engine,
                                  core::QueryId query, core::DatasetSize size,
                                  int nodes) {
@@ -134,8 +133,6 @@ std::string CellDisplay(const std::string& engine, core::QueryId query,
   const core::CellResult* c = FindCell(engine, query, size, nodes);
   return c == nullptr ? "?" : c->Display();
 }
-
-std::string FormatSeconds(double s) { return workload::FormatSeconds(s); }
 
 const std::vector<ServingEngineSpec>& ServingEngines() {
   static const auto* engines = new std::vector<ServingEngineSpec>{
@@ -166,10 +163,6 @@ std::string ExtractFlagValue(int* argc, char** argv, const std::string& flag) {
   *argc = out;
   argv[out] = nullptr;  // Keep the argv null-termination guarantee.
   return value;
-}
-
-std::string ExtractJsonPath(int* argc, char** argv) {
-  return ExtractFlagValue(argc, argv, "--json");
 }
 
 namespace {
@@ -207,7 +200,11 @@ std::string IsoUtcNow() {
   return buf;
 }
 
-}  // namespace
+struct RunStamp {
+  std::string git_sha;
+  std::string kernel_backend;
+  std::string timestamp;
+};
 
 const RunStamp& CurrentRunStamp() {
   static const RunStamp* stamp = [] {
@@ -220,6 +217,8 @@ const RunStamp& CurrentRunStamp() {
   return *stamp;
 }
 
+}  // namespace
+
 std::string StampJson() {
   const RunStamp& s = CurrentRunStamp();
   // All three fields are shell-safe strings (hex sha, backend identifier,
@@ -228,6 +227,75 @@ std::string StampJson() {
          s.kernel_backend + "\",\"timestamp\":\"" + s.timestamp + "\"}";
 }
 
+void PrintBanner(const char* figure) {
+  const auto& c = core::SimConfig::Get();
+  std::printf("# GenBase reproduction — %s\n", figure);
+  std::printf(
+      "# scale=%.3g (paper dims x scale), timeout=%.0fs (paper: 7200s)\n",
+      c.scale, c.timeout_seconds);
+  for (core::DatasetSize s : kBenchSizes) {
+    const core::DatasetDims d = core::DimsFor(s, c.scale);
+    std::printf("#   %-6s: %lld genes x %lld patients (paper: %s)\n",
+                core::DatasetSizeName(s),
+                static_cast<long long>(d.genes),
+                static_cast<long long>(d.patients),
+                s == core::DatasetSize::kSmall    ? "5k x 5k"
+                : s == core::DatasetSize::kMedium ? "15k x 20k"
+                                                  : "30k x 40k");
+  }
+  std::printf(
+      "# modeled constants: net=%.0fMB/s lat=%.0fus, MR job=%.2gs, "
+      "UDF call=%.1gms, plpython cell=%.3gns, Phi gemm x%.2g bw x%.2g "
+      "pcie=%.0fGB/s\n",
+      c.net_bandwidth_bytes_per_s / 1e6, c.net_latency_s * 1e6,
+      c.mr_job_startup_s, c.udf_invocation_overhead_s * 1e3,
+      c.interpreted_cell_overhead_s * 1e9, c.phi_gemm_speedup,
+      c.phi_bandwidth_speedup, c.phi_transfer_bytes_per_s / 1e9);
+}
+
+// --- workload figures --------------------------------------------------------
+
+workload::WorkloadSpec ServingMixSpec(const std::string& name, uint64_t seed) {
+  workload::WorkloadSpec spec;
+  spec.name = name;
+  spec.mix = {
+      {core::QueryId::kRegression, 30},
+      {core::QueryId::kCovariance, 20},
+      {core::QueryId::kBiclustering, 5},
+      {core::QueryId::kSvd, 15},
+      {core::QueryId::kStatistics, 30},
+  };
+  spec.size = core::DatasetSize::kSmall;
+  spec.model = workload::ClientModel::kClosedLoop;
+  spec.seed = seed;
+  spec.verify = true;
+  return spec;
+}
+
+workload::WorkloadRunner::TruthTable& SmallDataTruths() {
+  static auto* truths = new workload::WorkloadRunner::TruthTable();
+  return *truths;
+}
+
+std::map<std::string, workload::WorkloadReport>& Reports() {
+  static auto* reports = new std::map<std::string, workload::WorkloadReport>();
+  return *reports;
+}
+
+namespace {
+
+/// Observability dump destinations for a figure run (empty = skip).
+struct ObsDumpPaths {
+  std::string trace_path;    ///< Chrome trace_event JSON (+ .slow.jsonl).
+  std::string metrics_path;  ///< MetricsRegistry JSON snapshot.
+  std::string profile_path;  ///< Folded flame-graph stacks (PROFILE_*.folded).
+};
+
+/// Strips `--trace=PATH` / `--metrics=PATH` / `--profile=PATH`. When
+/// --metrics is absent, falls back to the GENBASE_METRICS_JSON environment
+/// variable. `--profile=` additionally enables obs::Profiler for the run
+/// and, unless GENBASE_TRACE_SAMPLE pinned a rate, raises trace sampling to
+/// 1.0 so the folded output aggregates every request.
 ObsDumpPaths ExtractObsPaths(int* argc, char** argv) {
   ObsDumpPaths paths;
   paths.trace_path = ExtractFlagValue(argc, argv, "--trace");
@@ -249,6 +317,11 @@ ObsDumpPaths ExtractObsPaths(int* argc, char** argv) {
   return paths;
 }
 
+/// Drains the global tracer once into the trace path (Chrome trace JSON,
+/// stamped) plus the slow-query log next to it (.slow.jsonl), folds the same
+/// spans into the profile path's flame-graph stacks, and snapshots the
+/// global metrics registry into the metrics path (wrapped with the stamp).
+/// Empty paths skip; short writes are errors.
 genbase::Status WriteObsDumps(const ObsDumpPaths& paths) {
   obs::Tracer& tracer = obs::Tracer::Global();
   if (!paths.trace_path.empty() || !paths.profile_path.empty()) {
@@ -304,9 +377,11 @@ genbase::Status WriteObsDumps(const ObsDumpPaths& paths) {
   return genbase::Status::OK();
 }
 
-genbase::Status WriteJsonReports(
-    const std::string& path, const std::string& figure,
-    const std::vector<workload::WorkloadReport>& reports) {
+/// Dumps Reports() as one machine-readable JSON document
+/// (`{"figure":…,"stamp":…,"config":{scale,timeout},"reports":[…]}`); no-op
+/// for an empty path.
+genbase::Status WriteJsonReports(const std::string& path,
+                                 const std::string& figure) {
   if (path.empty()) return genbase::Status::OK();
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -319,8 +394,10 @@ genbase::Status WriteJsonReports(
                "\"timeout_seconds\":%.17g},\"reports\":[",
                figure.c_str(), StampJson().c_str(), c.scale,
                c.timeout_seconds);
-  for (size_t i = 0; i < reports.size(); ++i) {
-    std::fprintf(f, "%s%s", i == 0 ? "" : ",", reports[i].ToJson().c_str());
+  const char* sep = "";
+  for (const auto& [key, report] : Reports()) {
+    std::fprintf(f, "%s%s", sep, report.ToJson().c_str());
+    sep = ",";
   }
   std::fprintf(f, "]}\n");
   // A truncated artifact that CI happily uploads is worse than a failed
@@ -331,46 +408,88 @@ genbase::Status WriteJsonReports(
                                     path);
   }
   std::printf("# json report written to %s (%zu runs)\n", path.c_str(),
-              reports.size());
+              Reports().size());
   return genbase::Status::OK();
 }
 
-int FigureExitCode(const std::string& json_path, const std::string& figure,
-                   const std::vector<workload::WorkloadReport>& reports,
-                   int64_t verification_failures) {
-  const genbase::Status json =
-      WriteJsonReports(json_path, figure, reports);
-  if (!json.ok()) {
-    std::fprintf(stderr, "%s\n", json.ToString().c_str());
-    return 1;
-  }
-  return verification_failures == 0 ? 0 : 1;
+/// Cells whose body returned an error in this process.
+int& FailedCells() {
+  static int failed = 0;
+  return failed;
 }
 
-void PrintBanner(const char* figure) {
-  const auto& c = core::SimConfig::Get();
-  std::printf("# GenBase reproduction — %s\n", figure);
-  std::printf(
-      "# scale=%.3g (paper dims x scale), timeout=%.0fs (paper: 7200s)\n",
-      c.scale, c.timeout_seconds);
-  for (core::DatasetSize s : kBenchSizes) {
-    const core::DatasetDims d = core::DimsFor(s, c.scale);
-    std::printf("#   %-6s: %lld genes x %lld patients (paper: %s)\n",
-                core::DatasetSizeName(s),
-                static_cast<long long>(d.genes),
-                static_cast<long long>(d.patients),
-                s == core::DatasetSize::kSmall    ? "5k x 5k"
-                : s == core::DatasetSize::kMedium ? "15k x 20k"
-                                                  : "30k x 40k");
+}  // namespace
+
+void RegisterCell(const std::string& name,
+                  std::function<genbase::Status()> body) {
+  benchmark::RegisterBenchmark(
+      name.c_str(),
+      [name, body = std::move(body)](benchmark::State& state) {
+        for (auto _ : state) {
+          const genbase::Status status = body();
+          if (status.ok()) continue;
+          std::printf("# cell failed to run: %s: %s\n", name.c_str(),
+                      status.ToString().c_str());
+          ++FailedCells();
+          state.SkipWithError(status.ToString().c_str());
+        }
+      })
+      ->Iterations(1)
+      ->Unit(benchmark::kMillisecond);
+}
+
+genbase::Result<workload::WorkloadReport> RunStack(
+    const ServingEngineSpec& engine, const workload::WorkloadSpec& spec,
+    const serving::ServingOptions& options) {
+  const core::GenBaseData& data = CachedData(core::DatasetSize::kSmall);
+  GENBASE_ASSIGN_OR_RETURN(
+      auto stack, serving::ServingStack::Create(options, engine.factory, data));
+  workload::WorkloadRunner runner(spec);
+  runner.set_truths(&SmallDataTruths());
+  return runner.Run(stack.get(), data);
+}
+
+Capacity MeasuredCapacity(const std::string& key, const std::string& cell) {
+  const auto it = Reports().find(key);
+  if (it == Reports().end() || it->second.real_goodput_qps() <= 0) {
+    const Capacity fallback;
+    std::printf(
+        "# warning: reference cell %s missing; %s offered load uses "
+        "fallback capacity %.0f qps, not measured capacity\n",
+        key.c_str(), cell.c_str(), fallback.goodput_qps);
+    return fallback;
   }
-  std::printf(
-      "# modeled constants: net=%.0fMB/s lat=%.0fus, MR job=%.2gs, "
-      "UDF call=%.1gms, plpython cell=%.3gns, Phi gemm x%.2g bw x%.2g "
-      "pcie=%.0fGB/s\n",
-      c.net_bandwidth_bytes_per_s / 1e6, c.net_latency_s * 1e6,
-      c.mr_job_startup_s, c.udf_invocation_overhead_s * 1e3,
-      c.interpreted_cell_overhead_s * 1e9, c.phi_gemm_speedup,
-      c.phi_bandwidth_speedup, c.phi_transfer_bytes_per_s / 1e9);
+  return {it->second.real_goodput_qps(), it->second.total.latency.mean()};
+}
+
+bool SkipOverheadGates() {
+  if (genbase::kUnderSanitizer) return true;
+  const char* env = std::getenv("GENBASE_SKIP_OVERHEAD_GATES");
+  return env != nullptr && env[0] != '\0' && env[0] != '0';
+}
+
+int RunWorkloadFigure(int argc, char** argv, const char* banner,
+                      const char* figure,
+                      const std::function<void()>& register_cells,
+                      const std::function<int64_t()>& print) {
+  PrintBanner(banner);
+  const std::string json_path = ExtractFlagValue(&argc, argv, "--json");
+  const ObsDumpPaths obs_paths = ExtractObsPaths(&argc, argv);
+  register_cells();
+  benchmark::Initialize(&argc, argv);
+  benchmark::RunSpecifiedBenchmarks();
+  int64_t failures = print();
+  if (FailedCells() > 0) {
+    std::printf("# %d cell(s) failed to run\n", FailedCells());
+    failures += FailedCells();
+  }
+  genbase::Status written = WriteObsDumps(obs_paths);
+  if (written.ok()) written = WriteJsonReports(json_path, figure);
+  if (!written.ok()) {
+    std::fprintf(stderr, "%s\n", written.ToString().c_str());
+    return 1;
+  }
+  return failures == 0 ? 0 : 1;
 }
 
 }  // namespace genbase::bench

@@ -1,16 +1,22 @@
 #ifndef GENBASE_BENCH_BENCH_UTIL_H_
 #define GENBASE_BENCH_BENCH_UTIL_H_
 
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster_engine.h"
+#include "common/status.h"
 #include "core/datasets.h"
 #include "core/driver.h"
 #include "core/engine.h"
+#include "serving/serving_stack.h"
 #include "workload/report.h"
+#include "workload/runner.h"
+#include "workload/workload_spec.h"
 
 namespace genbase::bench {
 
@@ -33,11 +39,6 @@ core::CellResult RunSingleNodeCell(
 core::CellResult RunClusterCell(const cluster::ClusterEngineOptions& options,
                                 core::QueryId query, core::DatasetSize size);
 
-/// Global collector so bench binaries can print paper-shaped grids after
-/// google-benchmark has run all registered cells.
-void RecordCell(const core::CellResult& cell);
-const std::vector<core::CellResult>& RecordedCells();
-
 /// Looks up a recorded cell's display string; "?" if absent.
 std::string CellDisplay(const std::string& engine, core::QueryId query,
                         core::DatasetSize size, int nodes = 1);
@@ -54,7 +55,7 @@ void PrintBanner(const char* figure);
 /// is the subset of the paper's single-node configs that implement all five
 /// queries natively: the serving scenario assumes full functionality, and a
 /// mixed stream against Postgres/Hadoop configs would report errors, not
-/// latency. Shared by fig6 and fig7 so the two figures cannot drift apart.
+/// latency. Shared by fig6–fig9 so the figures cannot drift apart.
 struct ServingEngineSpec {
   const char* key;
   const char* display;
@@ -67,66 +68,78 @@ const std::vector<ServingEngineSpec>& ServingEngines();
 /// returns the value ("" when the flag is absent).
 std::string ExtractFlagValue(int* argc, char** argv, const std::string& flag);
 
-/// ExtractFlagValue for the shared `--json=PATH` report flag.
-std::string ExtractJsonPath(int* argc, char** argv);
-
-/// \brief Provenance stamped into every BENCH_/TRACE_/METRICS_ artifact so
-/// the bench-history doctor can order runs and attribute regressions to a
-/// commit and kernel variant.
-struct RunStamp {
-  std::string git_sha;         ///< GENBASE_GIT_SHA, else `git rev-parse`.
-  std::string kernel_backend;  ///< simd::BackendName of the active backend.
-  std::string timestamp;       ///< ISO-8601 UTC at stamp time.
-};
-
-/// The current process's stamp (computed once).
-const RunStamp& CurrentRunStamp();
-
-/// The stamp as a JSON object: `{"git_sha":...,"kernel_backend":...,
-/// "timestamp":...}`.
+/// Provenance stamped into every BENCH_/TRACE_/METRICS_ artifact so the
+/// bench-history doctor can order runs and attribute regressions to a commit
+/// and kernel variant: `{"git_sha":...,"kernel_backend":...,"timestamp":...}`
+/// (GENBASE_GIT_SHA else `git rev-parse`, the active simd backend, ISO-8601
+/// UTC), computed once per process.
 std::string StampJson();
 
-/// Observability dump destinations for a figure run (empty = skip).
-struct ObsDumpPaths {
-  std::string trace_path;    ///< Chrome trace_event JSON (+ .slow.jsonl).
-  std::string metrics_path;  ///< MetricsRegistry JSON snapshot.
-  std::string profile_path;  ///< Folded flame-graph stacks (PROFILE_*.folded).
+// --- workload figures (fig6–fig9) -------------------------------------------
+//
+// One harness for the serving figures: one Q1–Q5 mix, one shared truth
+// table, one report map, one cell runner and one exit path, so a change to
+// how cells are measured is a one-place edit.
+
+/// The serving figures' interactive-skewed mix — cheap lookups dominate,
+/// heavy analytics (biclustering, SVD) arrive as a background trickle — on
+/// the small dataset, closed loop, every served op verified. Each figure
+/// sets its own clients, op counts and variants.
+workload::WorkloadSpec ServingMixSpec(const std::string& name, uint64_t seed);
+
+/// The process's ground truths on the small dataset: every workload-figure
+/// runner shares it (all figure specs use the default params), so each
+/// (query, variant) truth is computed once per process.
+workload::WorkloadRunner::TruthTable& SmallDataTruths();
+
+/// The figure's reports by cell key; the grids, the gates and `--json` read
+/// them in key order.
+std::map<std::string, workload::WorkloadReport>& Reports();
+
+/// Registers google-benchmark cell `name`, which runs `body` once. A body
+/// that returns an error prints `# cell failed to run` and fails the figure
+/// (see RunWorkloadFigure); a cell that --benchmark_filter leaves out never
+/// runs and fails nothing.
+void RegisterCell(const std::string& name,
+                  std::function<genbase::Status()> body);
+
+/// Builds a fresh serving stack of `engine` on the small dataset and runs
+/// `spec` through it on SmallDataTruths().
+genbase::Result<workload::WorkloadReport> RunStack(
+    const ServingEngineSpec& engine, const workload::WorkloadSpec& spec,
+    const serving::ServingOptions& options);
+
+/// What a closed-loop reference cell measured, in real-clock terms: arrivals
+/// are real-time, so an offered rate must be a multiple of what the server
+/// absorbs on the same clock (modeled seconds never occupy a slot).
+struct Capacity {
+  double goodput_qps = 20.0;
+  double mean_latency_s = 0.05;
 };
 
-/// Strips the shared `--trace=PATH` / `--metrics=PATH` / `--profile=PATH`
-/// flags (call before benchmark::Initialize, like ExtractJsonPath). When
-/// --metrics is absent, falls back to the GENBASE_METRICS_JSON environment
-/// variable. `--profile=` additionally enables obs::Profiler for the run
-/// and, unless GENBASE_TRACE_SAMPLE pinned a rate, raises trace sampling to
-/// 1.0 so the folded output aggregates every request.
-ObsDumpPaths ExtractObsPaths(int* argc, char** argv);
+/// The capacity of the reference cell stored under Reports()[key]. When it
+/// is missing (filtered out, or it failed) `cell`'s "Nx capacity" labels
+/// would reflect the placeholder above rather than a measurement, so this
+/// prints a warning naming both.
+Capacity MeasuredCapacity(const std::string& key, const std::string& cell);
 
-/// Writes the requested observability artifacts: drains the global tracer
-/// once into `trace_path` (Chrome trace JSON, stamped) plus the slow-query
-/// log next to it (trace path with a .slow.jsonl suffix), folds the same
-/// spans into `profile_path` flame-graph stacks, and snapshots the global
-/// metrics registry into `metrics_path` (wrapped with the stamp). Empty
-/// paths skip; short writes are errors.
-genbase::Status WriteObsDumps(const ObsDumpPaths& paths);
+/// Relative-throughput gates (instrumentation on vs off, goodput bands)
+/// measure a sanitizer, not the product, under one: true under ASan/TSan and
+/// when GENBASE_SKIP_OVERHEAD_GATES is set (the UBSan-only preset, which has
+/// no detection macro). Correctness gates never skip.
+bool SkipOverheadGates();
 
-/// Dumps workload reports as one machine-readable JSON document
-/// (`{"figure":…,"config":{scale,timeout},"reports":[…]}`), so perf
-/// trajectory can be captured into BENCH_*.json artifacts. No-op ("" path)
-/// when the caller ran without --json.
-genbase::Status WriteJsonReports(
-    const std::string& path, const std::string& figure,
-    const std::vector<workload::WorkloadReport>& reports);
-
-/// Shared workload-figure epilogue: dumps `reports` via WriteJsonReports
-/// and converts (verification failures, dump status) into the process exit
-/// code — nonzero on any failure, so CI smoke steps gate on end-to-end
-/// correctness. One definition keeps fig6/fig7 exit policy in lockstep.
-int FigureExitCode(const std::string& json_path, const std::string& figure,
-                   const std::vector<workload::WorkloadReport>& reports,
-                   int64_t verification_failures);
-
-/// Formats seconds with the paper's INF convention.
-std::string FormatSeconds(double s);
+/// The workload figures' `main`: prints the banner, strips `--json=PATH`
+/// and the observability flags (--trace/--metrics/--profile; see README),
+/// registers the cells, runs google-benchmark, then `print` (grids, report
+/// lines and gates; returns the failure count). Writes the observability
+/// dumps and, with --json, every report in Reports() as one stamped JSON
+/// document. Exits nonzero on any failure, any cell that failed to run, or
+/// a failed write — so CI smoke steps gate on end-to-end correctness.
+int RunWorkloadFigure(int argc, char** argv, const char* banner,
+                      const char* figure,
+                      const std::function<void()>& register_cells,
+                      const std::function<int64_t()>& print);
 
 inline constexpr core::DatasetSize kBenchSizes[] = {
     core::DatasetSize::kSmall, core::DatasetSize::kMedium,

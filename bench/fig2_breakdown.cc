@@ -42,9 +42,9 @@ void RegisterCells() {
               const core::CellResult cell = RunSingleNodeCell(
                   spec.key, spec.factory, core::QueryId::kRegression, size);
               state.SetIterationTime(std::max(cell.total_s, 1e-9));
-              state.SetLabel("dm=" + FormatSeconds(cell.dm_s) +
+              state.SetLabel("dm=" + workload::FormatSeconds(cell.dm_s) +
                              " analytics=" +
-                             FormatSeconds(cell.analytics_s));
+                             workload::FormatSeconds(cell.analytics_s));
             }
           })
           ->UseManualTime()
@@ -84,7 +84,7 @@ void PrintFigure() {
         } else if (!cell->status.ok()) {
           row.push_back("ERR");
         } else {
-          row.push_back(FormatSeconds(cell->*panel.field));
+          row.push_back(workload::FormatSeconds(cell->*panel.field));
         }
       }
       cells.push_back(std::move(row));

@@ -41,9 +41,9 @@ void RegisterCells() {
                   RunClusterCell(options, core::QueryId::kRegression,
                                  core::DatasetSize::kLarge);
               state.SetIterationTime(std::max(cell.total_s, 1e-9));
-              state.SetLabel("dm=" + FormatSeconds(cell.dm_s) +
+              state.SetLabel("dm=" + workload::FormatSeconds(cell.dm_s) +
                              " analytics=" +
-                             FormatSeconds(cell.analytics_s));
+                             workload::FormatSeconds(cell.analytics_s));
             }
           })
           ->UseManualTime()
@@ -80,7 +80,7 @@ void PrintFigure() {
         if (cell == nullptr || !cell->status.ok()) {
           row.push_back(cell != nullptr && cell->infinite ? "INF" : "n/a");
         } else {
-          row.push_back(FormatSeconds(cell->*panel.field));
+          row.push_back(workload::FormatSeconds(cell->*panel.field));
         }
       }
       cells.push_back(std::move(row));

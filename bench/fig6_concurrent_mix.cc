@@ -9,19 +9,12 @@
 // mix) is a pure function of the spec seed, and every completed operation's
 // result is verified against core/reference ground truth.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
-#include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/check.h"
-#include "core/reference.h"
-#include "engine/engines.h"
 #include "workload/report.h"
 #include "workload/runner.h"
 
@@ -31,48 +24,15 @@ namespace {
 constexpr int kClientCounts[] = {4, 8};
 
 workload::WorkloadSpec MixSpec(int clients) {
-  workload::WorkloadSpec spec;
-  spec.name = "mixed-q1q5";
-  // Interactive-skewed mix: cheap lookups dominate, heavy analytics
-  // (biclustering, SVD) arrive as a background trickle.
-  spec.mix = {
-      {core::QueryId::kRegression, 30},
-      {core::QueryId::kCovariance, 20},
-      {core::QueryId::kBiclustering, 5},
-      {core::QueryId::kSvd, 15},
-      {core::QueryId::kStatistics, 30},
-  };
-  spec.size = core::DatasetSize::kSmall;
-  spec.model = workload::ClientModel::kClosedLoop;
+  workload::WorkloadSpec spec = ServingMixSpec("mixed-q1q5", 42);
   spec.clients = clients;
   spec.warmup_ops = 2 * clients;
   spec.measured_ops = 60;
-  spec.seed = 42;
-  spec.verify = true;
   return spec;
 }
 
-std::map<std::pair<std::string, int>, workload::WorkloadReport>& Reports() {
-  static auto* reports =
-      new std::map<std::pair<std::string, int>, workload::WorkloadReport>();
-  return *reports;
-}
-
-// Ground truth depends only on (query, data, params) — compute the five
-// reference results once and share them across all grid cells.
-const std::map<core::QueryId, core::QueryResult>& SharedTruths() {
-  static const auto* truths = [] {
-    auto* map = new std::map<core::QueryId, core::QueryResult>();
-    const core::QueryParams params = MixSpec(1).params;
-    for (core::QueryId q : core::kAllQueries) {
-      auto truth = core::RunReferenceQuery(
-          q, CachedData(core::DatasetSize::kSmall), params);
-      GENBASE_CHECK(truth.ok());
-      map->emplace(q, std::move(truth).ValueOrDie());
-    }
-    return map;
-  }();
-  return *truths;
+std::string RunKey(const char* engine, int clients) {
+  return std::string(engine) + "/c" + std::to_string(clients);
 }
 
 void RegisterRuns() {
@@ -80,27 +40,15 @@ void RegisterRuns() {
     for (int clients : kClientCounts) {
       const std::string name = std::string("fig6/") + spec.key + "/clients:" +
                                std::to_string(clients);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [spec, clients](benchmark::State& state) {
-            for (auto _ : state) {
-              auto engine = spec.factory();
-              workload::WorkloadRunner runner(MixSpec(clients));
-              runner.set_ground_truth(SharedTruths());
-              auto report =
-                  runner.Run(engine.get(),
-                             CachedData(core::DatasetSize::kSmall));
-              if (!report.ok()) {
-                state.SkipWithError(report.status().ToString().c_str());
-                return;
-              }
-              state.counters["qps"] = report->achieved_qps();
-              state.counters["p99_ms"] =
-                  report->total.latency.Percentile(99) * 1e3;
-              Reports()[{spec.key, clients}] = std::move(report).ValueOrDie();
-            }
-          })
-          ->Iterations(1)->Unit(benchmark::kMillisecond);
+      RegisterCell(name, [spec, clients]() -> genbase::Status {
+        auto engine = spec.factory();
+        workload::WorkloadRunner runner(MixSpec(clients));
+        runner.set_truths(&SmallDataTruths());
+        GENBASE_ASSIGN_OR_RETURN(
+            Reports()[RunKey(spec.key, clients)],
+            runner.Run(engine.get(), CachedData(core::DatasetSize::kSmall)));
+        return genbase::Status::OK();
+      });
     }
   }
 }
@@ -115,7 +63,7 @@ int64_t PrintFigure() {
     x_values.push_back(std::to_string(clients) + " clients");
     std::vector<std::string> row;
     for (const auto& spec : ServingEngines()) {
-      auto it = Reports().find({spec.key, clients});
+      auto it = Reports().find(RunKey(spec.key, clients));
       row.push_back(it == Reports().end() ? "?" : it->second.GridCell());
     }
     cells.push_back(std::move(row));
@@ -140,23 +88,7 @@ int64_t PrintFigure() {
 }  // namespace genbase::bench
 
 int main(int argc, char** argv) {
-  genbase::bench::PrintBanner(
-      "Figure 6: concurrent mixed workload (serving view)");
-  const std::string json_path = genbase::bench::ExtractJsonPath(&argc, argv);
-  const genbase::bench::ObsDumpPaths obs_paths =
-      genbase::bench::ExtractObsPaths(&argc, argv);
-  genbase::bench::RegisterRuns();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  const int64_t failures = genbase::bench::PrintFigure();
-  std::vector<genbase::workload::WorkloadReport> reports;
-  for (const auto& [key, report] : genbase::bench::Reports()) {
-    reports.push_back(report);
-  }
-  const genbase::Status obs = genbase::bench::WriteObsDumps(obs_paths);
-  if (!obs.ok()) {
-    std::fprintf(stderr, "%s\n", obs.ToString().c_str());
-    return 1;
-  }
-  return genbase::bench::FigureExitCode(json_path, "fig6", reports, failures);
+  return genbase::bench::RunWorkloadFigure(
+      argc, argv, "Figure 6: concurrent mixed workload (serving view)", "fig6",
+      genbase::bench::RegisterRuns, genbase::bench::PrintFigure);
 }

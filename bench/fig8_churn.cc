@@ -22,14 +22,10 @@
 // observed inside a measured window, and at least one coalesced miss in the
 // single-flight stampede cells.
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
-#include <map>
-#include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -37,8 +33,6 @@
 
 #include "bench/bench_util.h"
 #include "common/check.h"
-#include "core/reference.h"
-#include "engine/engines.h"
 #include "obs/trace.h"
 #include "serving/serving_stack.h"
 #include "workload/report.h"
@@ -50,62 +44,16 @@ namespace {
 constexpr double kStampedeLoadMultiplier = 4.0;
 
 workload::WorkloadSpec BaseSpec(int param_variants) {
-  workload::WorkloadSpec spec;
-  spec.name = "churn-mix";
-  spec.mix = {
-      {core::QueryId::kRegression, 30},
-      {core::QueryId::kCovariance, 20},
-      {core::QueryId::kBiclustering, 5},
-      {core::QueryId::kSvd, 15},
-      {core::QueryId::kStatistics, 30},
-  };
-  spec.size = core::DatasetSize::kSmall;
-  spec.model = workload::ClientModel::kClosedLoop;
+  workload::WorkloadSpec spec = ServingMixSpec("churn-mix", 43);
   spec.clients = 8;
   spec.warmup_ops = 10;
   spec.measured_ops = 48;
   spec.param_variants = param_variants;
-  spec.seed = 43;
-  spec.verify = true;
   return spec;
-}
-
-std::map<std::string, workload::WorkloadReport>& Reports() {
-  static auto* reports = new std::map<std::string, workload::WorkloadReport>();
-  return *reports;
 }
 
 std::string RunKey(const char* engine, const char* scenario) {
   return std::string(engine) + "/" + scenario;
-}
-
-// Ground truth shared across every cell (one dataset, one spec family).
-const std::map<workload::WorkloadRunner::TruthKey, core::QueryResult>&
-SharedTruths() {
-  static const auto* truths = [] {
-    auto* map =
-        new std::map<workload::WorkloadRunner::TruthKey, core::QueryResult>();
-    const core::GenBaseData& data = CachedData(core::DatasetSize::kSmall);
-    std::set<workload::WorkloadRunner::TruthKey> pairs;
-    for (int variants : {1, 2}) {
-      const workload::WorkloadSpec spec = BaseSpec(variants);
-      const auto schedule = workload::BuildSchedule(spec);
-      for (size_t i = static_cast<size_t>(spec.warmup_ops);
-           i < schedule.size(); ++i) {
-        pairs.insert({schedule[i].query, schedule[i].variant});
-      }
-    }
-    for (const auto& [query, variant] : pairs) {
-      auto truth = core::RunReferenceQuery(
-          query, data,
-          workload::VariantParams(BaseSpec(1).params, variant));
-      GENBASE_CHECK(truth.ok());
-      map->emplace(std::make_pair(query, variant),
-                   std::move(truth).ValueOrDie());
-    }
-    return map;
-  }();
-  return *truths;
 }
 
 // --- (a) reload under load ---------------------------------------------------
@@ -113,65 +61,46 @@ SharedTruths() {
 void RegisterChurnSweep() {
   for (const auto& engine : ServingEngines()) {
     const std::string name = std::string("fig8a/") + engine.key + "/churn";
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [engine](benchmark::State& state) {
-          for (auto _ : state) {
-            const core::GenBaseData& data =
-                CachedData(core::DatasetSize::kSmall);
-            serving::ServingOptions options;
-            options.shards = 2;
-            options.cache_enabled = true;
-            options.single_flight = true;
-            auto stack = serving::ServingStack::Create(options, engine.factory,
-                                                       data);
-            if (!stack.ok()) {
-              state.SkipWithError(stack.status().ToString().c_str());
-              return;
-            }
-            serving::ServingStack* s = stack.ValueOrDie().get();
+    RegisterCell(name, [engine]() -> genbase::Status {
+      const core::GenBaseData& data = CachedData(core::DatasetSize::kSmall);
+      serving::ServingOptions options;
+      options.shards = 2;
+      options.cache_enabled = true;
+      options.single_flight = true;
+      GENBASE_ASSIGN_OR_RETURN(
+          auto stack,
+          serving::ServingStack::Create(options, engine.factory, data));
+      serving::ServingStack* s = stack.get();
 
-            // Churn: one synchronous reload at measure start (after the
-            // counter baseline snapshot, so it is inside the measured delta
-            // by construction — the warm cache is invalidated under the
-            // measurement's nose), then a background thread — spawned from
-            // the same hook, so it neither runs nor spins during warm-up —
-            // keeps rolling reloads while ops are in flight. Reloads carry
-            // the same data — epochs still advance, entries still
-            // invalidate — so reference truths stay valid for every op.
-            std::atomic<bool> stop{false};
-            std::thread churn;
+      // Churn: one synchronous reload at measure start (after the counter
+      // baseline snapshot, so it is inside the measured delta by
+      // construction — the warm cache is invalidated under the
+      // measurement's nose), then a background thread — spawned from the
+      // same hook, so it neither runs nor spins during warm-up — keeps
+      // rolling reloads while ops are in flight. Reloads carry the same
+      // data — epochs still advance, entries still invalidate — so
+      // reference truths stay valid for every op.
+      std::atomic<bool> stop{false};
+      std::thread churn;
 
-            workload::WorkloadRunner runner(BaseSpec(2));
-            runner.set_ground_truth_variants(SharedTruths());
-            runner.set_on_measure_start([&churn, &stop, s, &data] {
-              GENBASE_CHECK(s->ReloadDataset(data).ok());
-              churn = std::thread([&stop, s, &data] {
-                while (!stop.load(std::memory_order_acquire)) {
-                  GENBASE_CHECK(s->ReloadDataset(data).ok());
-                  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-                }
-              });
-            });
-            auto report = runner.Run(s, data);
-            stop.store(true, std::memory_order_release);
-            if (churn.joinable()) churn.join();
-            if (!report.ok()) {
-              state.SkipWithError(report.status().ToString().c_str());
-              return;
-            }
-            state.counters["reloads"] =
-                report->counters.Change("serving_stack_reloads_total");
-            state.counters["invalidated"] =
-                report->counters.Change("serving_cache_invalidated_total");
-            state.counters["stale"] =
-                report->counters.Change("serving_stack_stale_hits_total");
-            Reports()[RunKey(engine.key, "churn")] =
-                std::move(report).ValueOrDie();
+      workload::WorkloadRunner runner(BaseSpec(2));
+      runner.set_truths(&SmallDataTruths());
+      runner.set_on_measure_start([&churn, &stop, s, &data] {
+        GENBASE_CHECK(s->ReloadDataset(data).ok());
+        churn = std::thread([&stop, s, &data] {
+          while (!stop.load(std::memory_order_acquire)) {
+            GENBASE_CHECK(s->ReloadDataset(data).ok());
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
           }
-        })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+        });
+      });
+      auto report = runner.Run(s, data);
+      stop.store(true, std::memory_order_release);
+      if (churn.joinable()) churn.join();
+      GENBASE_ASSIGN_OR_RETURN(Reports()[RunKey(engine.key, "churn")],
+                               std::move(report));
+      return genbase::Status::OK();
+    });
   }
 }
 
@@ -182,82 +111,44 @@ void RegisterStampedeSweep() {
     for (bool coalesce : {false, true}) {
       const std::string name = std::string("fig8b/") + engine.key +
                                "/single_flight:" + (coalesce ? "on" : "off");
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [engine, coalesce](benchmark::State& state) {
-            for (auto _ : state) {
-              // Capacity reference: the churn cell's closed-loop goodput
-              // (benchmark ordering guarantees fig8a already ran). Offered
-              // load is a multiple of what this engine actually serves, so
-              // 4x means the same stress for every engine.
-              auto it = Reports().find(RunKey(engine.key, "churn"));
-              const bool have_reference =
-                  it != Reports().end() && it->second.real_goodput_qps() > 0;
-              if (!have_reference) {
-                std::printf(
-                    "# warning: fig8a reference cell missing; fig8b/%s "
-                    "offered load uses fallback capacity 20 qps, not "
-                    "measured capacity\n",
-                    engine.key);
-              }
-              const double capacity =
-                  have_reference ? it->second.real_goodput_qps() : 20.0;
-              const double mean_service =
-                  have_reference ? it->second.total.latency.mean() : 0.05;
+      RegisterCell(name, [engine, coalesce]() -> genbase::Status {
+        // Capacity reference: the churn cell's closed-loop goodput
+        // (benchmark ordering guarantees fig8a already ran). Offered load is
+        // a multiple of what this engine actually serves, so 4x means the
+        // same stress for every engine.
+        const Capacity capacity = MeasuredCapacity(
+            RunKey(engine.key, "churn"), std::string("fig8b/") + engine.key);
 
-              // Cold cache + one parameter variant: the whole fleet wants
-              // the same five keys at once. No warm-up — the stampede IS
-              // the measurement.
-              workload::WorkloadSpec spec = BaseSpec(1);
-              spec.model = workload::ClientModel::kOpenLoopPoisson;
-              spec.arrival_rate_qps = capacity * kStampedeLoadMultiplier;
-              spec.clients = 12;
-              spec.warmup_ops = 0;
+        // Cold cache + one parameter variant: the whole fleet wants the same
+        // five keys at once. No warm-up — the stampede IS the measurement.
+        workload::WorkloadSpec spec = BaseSpec(1);
+        spec.model = workload::ClientModel::kOpenLoopPoisson;
+        spec.arrival_rate_qps = capacity.goodput_qps * kStampedeLoadMultiplier;
+        spec.clients = 12;
+        spec.warmup_ops = 0;
 
-              serving::ServingOptions options;
-              options.shards = 2;
-              options.cache_enabled = true;
-              options.single_flight = coalesce;
-              // Adaptive admission: the controller learns per-query-class
-              // service times and derives the inflight limit from the
-              // observed queue delay against a target of ~2x the measured
-              // closed-loop mean — no hand-tuned max_inflight anywhere.
-              options.admission.adaptive = true;
-              options.admission.target_queue_delay_s =
-                  std::clamp(2 * mean_service, 0.001, 5.0);
-              options.admission.min_inflight = 1;
-              options.admission.max_inflight_cap = 16;
-              options.admission.adjust_interval = 8;
-              options.admission.max_queue_delay_s =
-                  std::clamp(4 * mean_service, 0.002, 5.0);
-
-              auto stack = serving::ServingStack::Create(
-                  options, engine.factory,
-                  CachedData(core::DatasetSize::kSmall));
-              if (!stack.ok()) {
-                state.SkipWithError(stack.status().ToString().c_str());
-                return;
-              }
-              workload::WorkloadRunner runner(spec);
-              runner.set_ground_truth_variants(SharedTruths());
-              auto report = runner.Run(stack.ValueOrDie().get(),
-                                       CachedData(core::DatasetSize::kSmall));
-              if (!report.ok()) {
-                state.SkipWithError(report.status().ToString().c_str());
-                return;
-              }
-              state.counters["goodput"] = report->real_goodput_qps();
-              state.counters["coalesced"] =
-                  report->counters.Change("serving_flight_coalesced_total");
-              state.counters["limit"] =
-                  report->counters.End("serving_admission_limit");
-              Reports()[RunKey(engine.key,
-                               coalesce ? "stampede_sf" : "stampede_raw")] =
-                  std::move(report).ValueOrDie();
-            }
-          })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+        serving::ServingOptions options;
+        options.shards = 2;
+        options.cache_enabled = true;
+        options.single_flight = coalesce;
+        // Adaptive admission: the controller learns per-query-class service
+        // times and derives the inflight limit from the observed queue delay
+        // against a target of ~2x the measured closed-loop mean — no
+        // hand-tuned max_inflight anywhere.
+        options.admission.adaptive = true;
+        options.admission.target_queue_delay_s =
+            std::clamp(2 * capacity.mean_latency_s, 0.001, 5.0);
+        options.admission.min_inflight = 1;
+        options.admission.max_inflight_cap = 16;
+        options.admission.adjust_interval = 8;
+        options.admission.max_queue_delay_s =
+            std::clamp(4 * capacity.mean_latency_s, 0.002, 5.0);
+        GENBASE_ASSIGN_OR_RETURN(
+            Reports()[RunKey(engine.key,
+                             coalesce ? "stampede_sf" : "stampede_raw")],
+            RunStack(engine, spec, options));
+        return genbase::Status::OK();
+      });
     }
   }
 }
@@ -382,25 +273,14 @@ int64_t PrintFigure() {
 }  // namespace genbase::bench
 
 int main(int argc, char** argv) {
-  genbase::bench::PrintBanner(
+  return genbase::bench::RunWorkloadFigure(
+      argc, argv,
       "Figure 8: serving under churn — epoch invalidation, single-flight, "
-      "adaptive admission");
-  const std::string json_path = genbase::bench::ExtractJsonPath(&argc, argv);
-  const genbase::bench::ObsDumpPaths obs_paths =
-      genbase::bench::ExtractObsPaths(&argc, argv);
-  genbase::bench::RegisterChurnSweep();
-  genbase::bench::RegisterStampedeSweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  const int64_t failures = genbase::bench::PrintFigure();
-  std::vector<genbase::workload::WorkloadReport> reports;
-  for (const auto& [key, report] : genbase::bench::Reports()) {
-    reports.push_back(report);
-  }
-  const genbase::Status obs = genbase::bench::WriteObsDumps(obs_paths);
-  if (!obs.ok()) {
-    std::fprintf(stderr, "%s\n", obs.ToString().c_str());
-    return 1;
-  }
-  return genbase::bench::FigureExitCode(json_path, "fig8", reports, failures);
+      "adaptive admission",
+      "fig8",
+      [] {
+        genbase::bench::RegisterChurnSweep();
+        genbase::bench::RegisterStampedeSweep();
+      },
+      genbase::bench::PrintFigure);
 }

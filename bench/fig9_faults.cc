@@ -29,23 +29,14 @@
 // (skipped under sanitizers like fig7's overhead gates), and log equality
 // for (f).
 
-#include <benchmark/benchmark.h>
-
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/check.h"
-#include "common/sanitizers.h"
-#include "core/reference.h"
-#include "engine/engines.h"
 #include "obs/trace.h"
 #include "serving/faults.h"
 #include "serving/serving_stack.h"
@@ -56,23 +47,10 @@ namespace genbase::bench {
 namespace {
 
 workload::WorkloadSpec BaseSpec(const char* name) {
-  workload::WorkloadSpec spec;
-  spec.name = name;
-  spec.mix = {
-      {core::QueryId::kRegression, 30},
-      {core::QueryId::kCovariance, 20},
-      {core::QueryId::kBiclustering, 5},
-      {core::QueryId::kSvd, 15},
-      {core::QueryId::kStatistics, 30},
-  };
-  spec.size = core::DatasetSize::kSmall;
-  spec.model = workload::ClientModel::kClosedLoop;
+  workload::WorkloadSpec spec = ServingMixSpec(name, 47);
   spec.clients = 8;
   spec.warmup_ops = 10;
   spec.measured_ops = 48;
-  spec.param_variants = 1;
-  spec.seed = 47;
-  spec.verify = true;
   return spec;
 }
 
@@ -115,11 +93,6 @@ double StrictCheapAvailability(const workload::WorkloadReport& r) {
   return 1.0;
 }
 
-std::map<std::string, workload::WorkloadReport>& Reports() {
-  static auto* reports = new std::map<std::string, workload::WorkloadReport>();
-  return *reports;
-}
-
 /// Cross-cell gate inputs the benchmark lambdas stash for PrintFigure.
 /// Injection totals are read off the injector itself, not the report's
 /// measured-phase counter delta: a fault applied during warm-up (a crash at
@@ -133,34 +106,10 @@ struct GateState {
   int64_t spikes_injected = 0;
   std::string determinism_log_a;
   std::string determinism_log_b;
-  int64_t gate_misses = 0;  ///< In-cell structural failures (setup errors).
 };
 GateState& Gates() {
   static auto* gates = new GateState();
   return *gates;
-}
-
-// Ground truth shared across every cell (one dataset, one spec family).
-const std::map<workload::WorkloadRunner::TruthKey, core::QueryResult>&
-SharedTruths() {
-  static const auto* truths = [] {
-    auto* map =
-        new std::map<workload::WorkloadRunner::TruthKey, core::QueryResult>();
-    const core::GenBaseData& data = CachedData(core::DatasetSize::kSmall);
-    const workload::WorkloadSpec spec = BaseSpec("truths");
-    const auto schedule = workload::BuildSchedule(spec);
-    std::set<workload::WorkloadRunner::TruthKey> pairs;
-    for (const auto& op : schedule) pairs.insert({op.query, op.variant});
-    for (const auto& [query, variant] : pairs) {
-      auto truth = core::RunReferenceQuery(
-          query, data, workload::VariantParams(spec.params, variant));
-      GENBASE_CHECK(truth.ok());
-      map->emplace(std::make_pair(query, variant),
-                   std::move(truth).ValueOrDie());
-    }
-    return map;
-  }();
-  return *truths;
 }
 
 std::unique_ptr<serving::FaultInjector> MakeInjector(const char* script_text) {
@@ -189,212 +138,160 @@ serving::ServingOptions FaultOptions(serving::FaultInjector* injector,
   return options;
 }
 
-/// Runs one workload through a freshly built stack; a setup failure prints
-/// a GATE line and counts as a gate miss.
-bool RunCell(const char* key, const workload::WorkloadSpec& spec,
-             const serving::ServingOptions& options) {
-  const core::GenBaseData& data = CachedData(core::DatasetSize::kSmall);
-  auto stack = serving::ServingStack::Create(
-      options, ServingEngines().front().factory, data);
-  if (!stack.ok()) {
-    std::printf("# GATE: %s stack create failed: %s\n", key,
-                stack.status().ToString().c_str());
-    ++Gates().gate_misses;
-    return false;
-  }
-  workload::WorkloadRunner runner(spec);
-  runner.set_ground_truth_variants(SharedTruths());
-  auto report = runner.Run(stack.ValueOrDie().get(), data);
-  if (!report.ok()) {
-    std::printf("# GATE: %s run failed: %s\n", key,
-                report.status().ToString().c_str());
-    ++Gates().gate_misses;
-    return false;
-  }
-  Reports()[key] = std::move(report).ValueOrDie();
-  return true;
+/// Runs one workload through a freshly built stack of the first serving
+/// engine and stores its report under `key`.
+genbase::Status RunCell(const char* key, const workload::WorkloadSpec& spec,
+                        const serving::ServingOptions& options) {
+  GENBASE_ASSIGN_OR_RETURN(Reports()[key],
+                           RunStack(ServingEngines().front(), spec, options));
+  return genbase::Status::OK();
 }
 
 // --- cells -------------------------------------------------------------------
 
 void RegisterCells() {
-  benchmark::RegisterBenchmark("fig9/baseline", [](benchmark::State& state) {
-    for (auto _ : state) {
-      serving::ServingOptions options =
-          FaultOptions(nullptr, /*cache_enabled=*/false);
-      RunCell("baseline", BaseSpec("faults-baseline"), options);
-    }
-  })->Iterations(1)->Unit(benchmark::kMillisecond);
+  RegisterCell("fig9/baseline", [] {
+    return RunCell("baseline", BaseSpec("faults-baseline"),
+                   FaultOptions(nullptr, /*cache_enabled=*/false));
+  });
 
-  benchmark::RegisterBenchmark("fig9/crash_failover",
-                               [](benchmark::State& state) {
-    for (auto _ : state) {
-      auto injector = MakeInjector("seed 901\n@0 crash 1\n");
-      RunCell("crash_failover", BaseSpec("faults-crash"),
-              FaultOptions(injector.get(), /*cache_enabled=*/false));
-      Gates().crash_injected =
-          injector->injected(serving::FaultKind::kCrash);
-    }
-  })->Iterations(1)->Unit(benchmark::kMillisecond);
+  RegisterCell("fig9/crash_failover", []() -> genbase::Status {
+    auto injector = MakeInjector("seed 901\n@0 crash 1\n");
+    GENBASE_RETURN_NOT_OK(
+        RunCell("crash_failover", BaseSpec("faults-crash"),
+                FaultOptions(injector.get(), /*cache_enabled=*/false)));
+    Gates().crash_injected = injector->injected(serving::FaultKind::kCrash);
+    return genbase::Status::OK();
+  });
 
-  benchmark::RegisterBenchmark("fig9/recovery", [](benchmark::State& state) {
-    for (auto _ : state) {
-      // One injector, one stack, three measured runs; AdvancePhase moves the
-      // script between them so each phase's op indices start at that run's
-      // first Serve.
-      auto injector = MakeInjector(
-          "seed 902\n"
-          "phase pre\n"
-          "phase fault\n@0 crash 1\n"
-          "phase healed\n@0 recover 1\n");
-      const core::GenBaseData& data = CachedData(core::DatasetSize::kSmall);
-      auto stack = serving::ServingStack::Create(
-          FaultOptions(injector.get(), /*cache_enabled=*/false),
-          ServingEngines().front().factory, data);
-      if (!stack.ok()) {
-        state.SkipWithError(stack.status().ToString().c_str());
-        return;
-      }
-      const char* phases[] = {"recovery_pre", "recovery_fault",
-                              "recovery_healed"};
-      const char* specs[] = {"faults-recovery-pre", "faults-recovery-fault",
-                             "faults-recovery-healed"};
-      for (int phase = 0; phase < 3; ++phase) {
-        workload::WorkloadRunner runner(BaseSpec(specs[phase]));
-        runner.set_ground_truth_variants(SharedTruths());
-        auto report = runner.Run(stack.ValueOrDie().get(), data);
-        if (!report.ok()) {
-          state.SkipWithError(report.status().ToString().c_str());
-          return;
-        }
-        Reports()[phases[phase]] = std::move(report).ValueOrDie();
-        if (phase < 2) injector->AdvancePhase();
-      }
+  RegisterCell("fig9/recovery", []() -> genbase::Status {
+    // One injector, one stack, three measured runs; AdvancePhase moves the
+    // script between them so each phase's op indices start at that run's
+    // first Serve.
+    auto injector = MakeInjector(
+        "seed 902\n"
+        "phase pre\n"
+        "phase fault\n@0 crash 1\n"
+        "phase healed\n@0 recover 1\n");
+    const core::GenBaseData& data = CachedData(core::DatasetSize::kSmall);
+    GENBASE_ASSIGN_OR_RETURN(
+        auto stack,
+        serving::ServingStack::Create(
+            FaultOptions(injector.get(), /*cache_enabled=*/false),
+            ServingEngines().front().factory, data));
+    const char* phases[] = {"recovery_pre", "recovery_fault",
+                            "recovery_healed"};
+    const char* specs[] = {"faults-recovery-pre", "faults-recovery-fault",
+                           "faults-recovery-healed"};
+    for (int phase = 0; phase < 3; ++phase) {
+      workload::WorkloadRunner runner(BaseSpec(specs[phase]));
+      runner.set_truths(&SmallDataTruths());
+      GENBASE_ASSIGN_OR_RETURN(Reports()[phases[phase]],
+                               runner.Run(stack.get(), data));
+      if (phase < 2) injector->AdvancePhase();
     }
-  })->Iterations(1)->Unit(benchmark::kMillisecond);
+    return genbase::Status::OK();
+  });
 
-  benchmark::RegisterBenchmark("fig9/transient_retry",
-                               [](benchmark::State& state) {
-    for (auto _ : state) {
-      auto injector = MakeInjector("seed 903\n@0..100000 error * 0.2\n");
-      RunCell("transient_retry", BaseSpec("faults-transient"),
-              FaultOptions(injector.get(), /*cache_enabled=*/false));
-      Gates().transient_injected =
-          injector->injected(serving::FaultKind::kTransientError);
-    }
-  })->Iterations(1)->Unit(benchmark::kMillisecond);
+  RegisterCell("fig9/transient_retry", []() -> genbase::Status {
+    auto injector = MakeInjector("seed 903\n@0..100000 error * 0.2\n");
+    GENBASE_RETURN_NOT_OK(
+        RunCell("transient_retry", BaseSpec("faults-transient"),
+                FaultOptions(injector.get(), /*cache_enabled=*/false)));
+    Gates().transient_injected =
+        injector->injected(serving::FaultKind::kTransientError);
+    return genbase::Status::OK();
+  });
 
-  benchmark::RegisterBenchmark("fig9/brownout", [](benchmark::State& state) {
-    for (auto _ : state) {
-      auto injector = MakeInjector(
-          "seed 904\n"
-          "@0..100000 latency 1 0.02\n"
-          "@0..100000 latency 2 0.02\n");
+  RegisterCell("fig9/brownout", []() -> genbase::Status {
+    auto injector = MakeInjector(
+        "seed 904\n"
+        "@0..100000 latency 1 0.02\n"
+        "@0..100000 latency 2 0.02\n");
+    serving::ServingOptions options =
+        FaultOptions(injector.get(), /*cache_enabled=*/false);
+    // Adaptive admission is the brown-out actor: the capacity fraction
+    // (2 healthy + 2 degraded of 4 = 0.75) shrinks the heavy-class cap, so
+    // biclustering/SVD shed first while the cheap mix keeps its slots.
+    options.admission.adaptive = true;
+    options.admission.min_inflight = 2;
+    options.admission.max_inflight_cap = 16;
+    options.admission.adjust_interval = 8;
+    // Fixed queue bound deeper than the client count: the default 2x-limit
+    // bound can collapse below the closed-loop population when a scheduler
+    // stall shrinks the adaptive limit, queue-full-shedding a *cheap*
+    // arrival and flaking the >=99% availability gate. With room for every
+    // client, the only shed path left is the brown-out heavy cap — the
+    // mechanism under test.
+    options.admission.max_queue = 16;
+    GENBASE_RETURN_NOT_OK(
+        RunCell("brownout", BaseSpec("faults-brownout"), options));
+    Gates().spikes_injected =
+        injector->injected(serving::FaultKind::kLatencySpike);
+    return genbase::Status::OK();
+  });
+
+  RegisterCell("fig9/reload_heal", []() -> genbase::Status {
+    auto injector = MakeInjector("seed 905\n@0 reload-fail 0\n");
+    const core::GenBaseData& data = CachedData(core::DatasetSize::kSmall);
+    GENBASE_ASSIGN_OR_RETURN(
+        auto stack,
+        serving::ServingStack::Create(
+            FaultOptions(injector.get(), /*cache_enabled=*/true),
+            ServingEngines().front().factory, data));
+    serving::ServingStack* s = stack.get();
+    // Quarantine window: the reload fails on shard 0 at measure start, the
+    // whole measured run serves from the surviving replicas.
+    workload::WorkloadRunner runner(BaseSpec("faults-reload-window"));
+    runner.set_truths(&SmallDataTruths());
+    runner.set_on_measure_start([s, &data] {
+      Gates().reload_first_failed = !s->ReloadDataset(data).ok();
+    });
+    GENBASE_ASSIGN_OR_RETURN(Reports()["reload_window"], runner.Run(s, data));
+    // Heal: the next roll succeeds everywhere (the armed failure was
+    // consumed), shard 0 rejoins, and a full run verifies clean serving.
+    Gates().reload_second_ok = s->ReloadDataset(data).ok();
+    workload::WorkloadRunner healed_runner(BaseSpec("faults-reload-healed"));
+    healed_runner.set_truths(&SmallDataTruths());
+    GENBASE_ASSIGN_OR_RETURN(Reports()["reload_healed"],
+                             healed_runner.Run(s, data));
+    Gates().reload_injected =
+        injector->injected(serving::FaultKind::kReloadFailure);
+    return genbase::Status::OK();
+  });
+
+  RegisterCell("fig9/determinism", []() -> genbase::Status {
+    // Single client, cache off: every op executes, the shard sequence is a
+    // pure function of the schedule, so the two replays must emit
+    // byte-identical event logs.
+    constexpr const char* kScript =
+        "seed 906\n"
+        "@3 crash 1\n"
+        "@20 recover 1\n"
+        "@0..40 error * 0.4\n";
+    std::string logs[2];
+    for (int run = 0; run < 2; ++run) {
+      auto injector = MakeInjector(kScript);
+      workload::WorkloadSpec spec = BaseSpec("faults-determinism");
+      spec.clients = 1;
+      spec.warmup_ops = 0;
+      spec.measured_ops = 32;
+      spec.verify = false;
       serving::ServingOptions options =
           FaultOptions(injector.get(), /*cache_enabled=*/false);
-      // Adaptive admission is the brown-out actor: the capacity fraction
-      // (2 healthy + 2 degraded of 4 = 0.75) shrinks the heavy-class cap,
-      // so biclustering/SVD shed first while the cheap mix keeps its slots.
-      options.admission.adaptive = true;
-      options.admission.min_inflight = 2;
-      options.admission.max_inflight_cap = 16;
-      options.admission.adjust_interval = 8;
-      // Fixed queue bound deeper than the client count: the default
-      // 2x-limit bound can collapse below the closed-loop population when
-      // a scheduler stall shrinks the adaptive limit, queue-full-shedding
-      // a *cheap* arrival and flaking the >=99% availability gate. With
-      // room for every client, the only shed path left is the brown-out
-      // heavy cap — the mechanism under test.
-      options.admission.max_queue = 16;
-      RunCell("brownout", BaseSpec("faults-brownout"), options);
-      Gates().spikes_injected =
-          injector->injected(serving::FaultKind::kLatencySpike);
+      options.shards = 2;
+      GENBASE_RETURN_NOT_OK(RunCell(run == 0 ? "determinism_a"
+                                             : "determinism_b",
+                                    spec, options));
+      logs[run] = injector->EventLog();
     }
-  })->Iterations(1)->Unit(benchmark::kMillisecond);
-
-  benchmark::RegisterBenchmark("fig9/reload_heal",
-                               [](benchmark::State& state) {
-    for (auto _ : state) {
-      auto injector = MakeInjector("seed 905\n@0 reload-fail 0\n");
-      const core::GenBaseData& data = CachedData(core::DatasetSize::kSmall);
-      auto stack = serving::ServingStack::Create(
-          FaultOptions(injector.get(), /*cache_enabled=*/true),
-          ServingEngines().front().factory, data);
-      if (!stack.ok()) {
-        state.SkipWithError(stack.status().ToString().c_str());
-        return;
-      }
-      serving::ServingStack* s = stack.ValueOrDie().get();
-      // Quarantine window: the reload fails on shard 0 at measure start, the
-      // whole measured run serves from the surviving replicas.
-      workload::WorkloadRunner runner(BaseSpec("faults-reload-window"));
-      runner.set_ground_truth_variants(SharedTruths());
-      runner.set_on_measure_start([s, &data] {
-        Gates().reload_first_failed = !s->ReloadDataset(data).ok();
-      });
-      auto window = runner.Run(s, data);
-      if (!window.ok()) {
-        state.SkipWithError(window.status().ToString().c_str());
-        return;
-      }
-      Reports()["reload_window"] = std::move(window).ValueOrDie();
-      // Heal: the next roll succeeds everywhere (the armed failure was
-      // consumed), shard 0 rejoins, and a full run verifies clean serving.
-      Gates().reload_second_ok = s->ReloadDataset(data).ok();
-      workload::WorkloadRunner healed_runner(BaseSpec("faults-reload-healed"));
-      healed_runner.set_ground_truth_variants(SharedTruths());
-      auto healed = healed_runner.Run(s, data);
-      if (!healed.ok()) {
-        state.SkipWithError(healed.status().ToString().c_str());
-        return;
-      }
-      Reports()["reload_healed"] = std::move(healed).ValueOrDie();
-      Gates().reload_injected =
-          injector->injected(serving::FaultKind::kReloadFailure);
-    }
-  })->Iterations(1)->Unit(benchmark::kMillisecond);
-
-  benchmark::RegisterBenchmark("fig9/determinism",
-                               [](benchmark::State& state) {
-    for (auto _ : state) {
-      // Single client, cache off: every op executes, the shard sequence is
-      // a pure function of the schedule, so the two replays must emit
-      // byte-identical event logs.
-      constexpr const char* kScript =
-          "seed 906\n"
-          "@3 crash 1\n"
-          "@20 recover 1\n"
-          "@0..40 error * 0.4\n";
-      std::string logs[2];
-      for (int run = 0; run < 2; ++run) {
-        auto injector = MakeInjector(kScript);
-        workload::WorkloadSpec spec = BaseSpec("faults-determinism");
-        spec.clients = 1;
-        spec.warmup_ops = 0;
-        spec.measured_ops = 32;
-        spec.verify = false;
-        serving::ServingOptions options =
-            FaultOptions(injector.get(), /*cache_enabled=*/false);
-        options.shards = 2;
-        if (!RunCell(run == 0 ? "determinism_a" : "determinism_b", spec,
-                     options)) {
-          return;
-        }
-        logs[run] = injector->EventLog();
-      }
-      Gates().determinism_log_a = logs[0];
-      Gates().determinism_log_b = logs[1];
-    }
-  })->Iterations(1)->Unit(benchmark::kMillisecond);
+    Gates().determinism_log_a = logs[0];
+    Gates().determinism_log_b = logs[1];
+    return genbase::Status::OK();
+  });
 }
 
 // --- figure output + gates ---------------------------------------------------
-
-bool SkipBandGates() {
-  if (genbase::kUnderSanitizer) return true;
-  const char* env = std::getenv("GENBASE_SKIP_OVERHEAD_GATES");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
 
 std::string FaultCell(const workload::WorkloadReport& r) {
   char buf[128];
@@ -429,7 +326,7 @@ int64_t PrintFigure() {
 
   int64_t failures = 0;
   int64_t stale = 0;
-  int64_t gate_misses = Gates().gate_misses;
+  int64_t gate_misses = 0;
   for (const auto& [key, report] : Reports()) {
     // The determinism replays run a deliberately harsh script (40% error
     // probability over 2 shards, one of them crashed for half the window)
@@ -467,7 +364,7 @@ int64_t PrintFigure() {
   }
   // Throughput bands (modeled-clock goodput, stable at smoke scale; still
   // skipped under sanitizers, which distort the real-seconds share).
-  if (!SkipBandGates()) {
+  if (!SkipOverheadGates()) {
     if (baseline != nullptr && crash != nullptr &&
         crash->achieved_qps() < 0.5 * baseline->achieved_qps()) {
       std::printf(
@@ -577,24 +474,9 @@ int64_t PrintFigure() {
 }  // namespace genbase::bench
 
 int main(int argc, char** argv) {
-  genbase::bench::PrintBanner(
+  return genbase::bench::RunWorkloadFigure(
+      argc, argv,
       "Figure 9: deterministic fault injection — failover, retries, "
-      "brown-out degradation");
-  const std::string json_path = genbase::bench::ExtractJsonPath(&argc, argv);
-  const genbase::bench::ObsDumpPaths obs_paths =
-      genbase::bench::ExtractObsPaths(&argc, argv);
-  genbase::bench::RegisterCells();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  const int64_t failures = genbase::bench::PrintFigure();
-  std::vector<genbase::workload::WorkloadReport> reports;
-  for (const auto& [key, report] : genbase::bench::Reports()) {
-    reports.push_back(report);
-  }
-  const genbase::Status obs = genbase::bench::WriteObsDumps(obs_paths);
-  if (!obs.ok()) {
-    std::fprintf(stderr, "%s\n", obs.ToString().c_str());
-    return 1;
-  }
-  return genbase::bench::FigureExitCode(json_path, "fig9", reports, failures);
+      "brown-out degradation",
+      "fig9", genbase::bench::RegisterCells, genbase::bench::PrintFigure);
 }

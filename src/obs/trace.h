@@ -37,9 +37,9 @@ const char* RequestStageName(RequestStage stage);
 
 /// \brief Seconds spent in each stage of one request. The stack fills this
 /// for every request (sampled or not — six doubles), so per-stage
-/// histograms stay exact while traces stay sampled. Invariants kept by the
-/// serving stack: queue + flight == queue_delay, cache + dispatch +
-/// execute == cell.total_s; verify is added by the runner.
+/// histograms stay exact while traces stay sampled. queue + flight is the
+/// request's queueing delay (Queued()); the serving stack keeps cache +
+/// dispatch + execute == cell.total_s; verify is added by the runner.
 ///
 /// When the resource profiler is enabled (see obs/profiler.h), `cpu` holds
 /// the thread-CPU seconds (CLOCK_THREAD_CPUTIME_ID) spent inside each
@@ -58,6 +58,10 @@ struct StageSeconds {
   double& Cpu(RequestStage stage) { return cpu[static_cast<int>(stage)]; }
   double Cpu(RequestStage stage) const {
     return cpu[static_cast<int>(stage)];
+  }
+  /// Seconds spent waiting: admission queue plus single-flight wait.
+  double Queued() const {
+    return (*this)[RequestStage::kQueue] + (*this)[RequestStage::kFlight];
   }
   double Sum() const {
     double t = 0;

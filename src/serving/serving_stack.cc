@@ -155,11 +155,10 @@ ServeResult ServingStack::ServedFromTier(core::QueryId query,
 
 ServeResult ServingStack::Shed(core::QueryId query, core::DatasetSize size,
                                AdmissionOutcome outcome,
-                               const std::string& detail, double waited_s) {
+                               const std::string& detail) {
   ServeResult result;
   result.shed = true;
   result.admission = outcome;
-  result.admission_wait_s = waited_s;
   core::CellResult& cell = result.cell;
   cell.engine = router_->engine_name();
   cell.query = query;
@@ -234,8 +233,8 @@ ServeResult ServingStack::Serve(
   }
 
   // Flight wait a follower carries into a solo fallback (leader failed):
-  // real queueing this op experienced, folded into its admission_wait_s and
-  // flight stage below rather than dropped.
+  // real queueing this op experienced, folded into its flight stage below
+  // rather than dropped.
   double fallback_wait_s = 0.0;
   double fallback_cpu_s = 0.0;
   if (options_.cache_enabled && options_.single_flight) {
@@ -281,25 +280,24 @@ ServeResult ServingStack::Serve(
     switch (wait) {
       case Flights::WaitResult::kServed: {
         flight_coalesced_served_->Inc();
-        // The flight wait is queueing, reported in admission_wait_s like an
+        // The flight wait is queueing, reported in the flight stage like an
         // admission-queue wait (the runner folds it into latency and the
         // queue-delay histogram) — not in the cell's own seconds, which
         // would double-count it.
         ServeResult result = ServedFromTier(query, size, std::move(flown),
                                             /*spent_s=*/0.0, options,
                                             /*coalesced=*/true);
-        result.admission_wait_s = wait_timer.Seconds();
-        result.stages[obs::RequestStage::kFlight] = result.admission_wait_s;
+        result.stages[obs::RequestStage::kFlight] = wait_timer.Seconds();
         result.stages.Cpu(obs::RequestStage::kFlight) = flight_cpu_s;
         result.stale_tripwire = stale_tripwire;
         return result;
       }
       case Flights::WaitResult::kTimeout: {
         flight_shed_wait_timeout_->Inc();
-        ServeResult result =
-            Shed(query, size, AdmissionOutcome::kShedTimeout,
-                 "waiting on coalesced flight", wait_timer.Seconds());
-        result.stages[obs::RequestStage::kFlight] = result.admission_wait_s;
+        const double waited_s = wait_timer.Seconds();
+        ServeResult result = Shed(query, size, AdmissionOutcome::kShedTimeout,
+                                  "waiting on coalesced flight");
+        result.stages[obs::RequestStage::kFlight] = waited_s;
         result.stages.Cpu(obs::RequestStage::kFlight) = flight_cpu_s;
         result.stale_tripwire = stale_tripwire;
         return result;
@@ -318,7 +316,6 @@ ServeResult ServingStack::Serve(
   ServeResult result =
       ExecuteMiss(key, query, size, options, ctx, start_deadline, op_id);
   result.stale_tripwire = stale_tripwire;
-  result.admission_wait_s += fallback_wait_s;
   result.stages[obs::RequestStage::kFlight] += fallback_wait_s;
   result.stages.Cpu(obs::RequestStage::kFlight) += fallback_cpu_s;
   return result;
@@ -342,13 +339,11 @@ ServeResult ServingStack::ExecuteMiss(
     queue_cpu_s = obs::Profiler::CpuDelta(queue_cpu_begin);
   }
   if (result.admission != AdmissionOutcome::kAdmitted) {
-    result = Shed(query, size, result.admission, "by admission control",
-                  admission_wait_s);
+    result = Shed(query, size, result.admission, "by admission control");
     result.stages[obs::RequestStage::kQueue] = admission_wait_s;
     result.stages.Cpu(obs::RequestStage::kQueue) = queue_cpu_s;
     return result;
   }
-  result.admission_wait_s = admission_wait_s;
   result.stages[obs::RequestStage::kQueue] = admission_wait_s;
   result.stages.Cpu(obs::RequestStage::kQueue) = queue_cpu_s;
 

@@ -64,12 +64,12 @@ struct ServeResult {
   /// Served from another op's in-flight computation (single-flight
   /// follower). Reported with cache_hit set: it is a serving-tier answer.
   bool coalesced = false;
-  int shard = -1;               ///< Executing shard; -1 for hits and sheds.
-  double admission_wait_s = 0;  ///< Time queued (admission or flight wait).
-  /// Seconds by request stage, filled for every op (sampled or not).
-  /// Invariants: queue + flight == admission_wait_s, and cache + dispatch +
-  /// execute == cell.total_s (verify is added by the workload runner), so
-  /// per-stage histograms always sum consistently with end-to-end latency.
+  int shard = -1;  ///< Executing shard; -1 for hits and sheds.
+  /// Seconds by request stage, filled for every op (sampled or not). The
+  /// time queued (admission or flight wait) is stages.Queued(), and cache +
+  /// dispatch + execute == cell.total_s (verify is added by the workload
+  /// runner), so per-stage histograms always sum consistently with
+  /// end-to-end latency.
   obs::StageSeconds stages;
   /// The stale-hit tripwire fired on this op's lookup (it was healed by a
   /// recompute — see Serve — but the runner tail-keeps the trace).
@@ -167,10 +167,10 @@ class ServingStack {
                              const core::DriverOptions& options,
                              bool coalesced);
 
-  /// Builds the cell for a shed op (admission or flight-wait deadline).
+  /// Builds the cell for a shed op (admission or flight-wait deadline); the
+  /// caller records the wait in the op's queue or flight stage.
   ServeResult Shed(core::QueryId query, core::DatasetSize size,
-                   AdmissionOutcome outcome, const std::string& detail,
-                   double waited_s);
+                   AdmissionOutcome outcome, const std::string& detail);
 
   ServingOptions options_;
   ResultCache cache_;

@@ -80,14 +80,15 @@ void RecordOutcome(const WorkloadRunner::OpOutcome& outcome, bool mismatched,
       // unsupported/errored op completes in ~0s and an INF op's time is
       // censored by the budget — recording either would drag p50 down or
       // up artificially. Failures are visible in their own counters.
-      stats->latency.Record(outcome.queue_delay_s + cell.total_s);
-      stats->queue_delay.Record(outcome.queue_delay_s);
+      const double queued_s = outcome.stages.Queued();
+      stats->latency.Record(queued_s + cell.total_s);
+      stats->queue_delay.Record(queued_s);
       for (int s = 0; s < obs::kNumRequestStages; ++s) {
         stats->stage[s].Record(outcome.stages.s[s]);
         stats->stage_wall_s[s] += outcome.stages.s[s];
         stats->stage_cpu_s[s] += outcome.stages.cpu[s];
       }
-      stats->e2e_latency.Record(outcome.queue_delay_s + cell.total_s +
+      stats->e2e_latency.Record(queued_s + cell.total_s +
                                 outcome.stages[obs::RequestStage::kVerify]);
     }
   }
@@ -109,7 +110,7 @@ void KeepTailCandidates(const WorkloadRunner::OpOutcome& outcome,
   const bool flagged = outcome.shed || outcome.stale_tripwire ||
                        deadline_missed || mismatched || outcome.retries > 0;
   if (!flagged && !succeeded) return;
-  const double e2e_s = outcome.queue_delay_s + cell.total_s +
+  const double e2e_s = outcome.stages.Queued() + cell.total_s +
                        outcome.stages[obs::RequestStage::kVerify];
   const auto make_record = [&] {
     obs::SlowQueryRecord rec;
@@ -222,25 +223,24 @@ genbase::Status WorkloadRunner::EnsureTruths(
   if (!spec_.verify) return genbase::Status::OK();
   // Ground truth once per distinct (query, variant) in the measured phase
   // (warm-up results are discarded, so they need no truth), skipping pairs
-  // the caller already provided via set_ground_truth*.
+  // the table already holds — from an earlier run sharing it (set_truths).
+  TruthTable& table = truths();
   for (size_t i = static_cast<size_t>(spec_.warmup_ops); i < schedule.size();
        ++i) {
     const TruthKey key{schedule[i].query, schedule[i].variant};
-    if (truths_.count(key) != 0) continue;
+    if (table.count(key) != 0) continue;
     auto truth = core::RunReferenceQuery(
         key.first, data, VariantParams(spec_.params, key.second));
     if (!truth.ok()) return truth.status();
-    truths_.emplace(key, std::move(truth).ValueOrDie());
+    table.emplace(key, std::move(truth).ValueOrDie());
   }
   return genbase::Status::OK();
 }
 
 genbase::Result<WorkloadReport> WorkloadRunner::Run(
-    core::Engine* engine, const core::GenBaseData& data, bool already_loaded) {
+    core::Engine* engine, const core::GenBaseData& data) {
   GENBASE_RETURN_NOT_OK(spec_.Validate());
-  if (!already_loaded) {
-    GENBASE_RETURN_NOT_OK(engine->LoadDataset(data));
-  }
+  GENBASE_RETURN_NOT_OK(engine->LoadDataset(data));
   const std::vector<ScheduledOp> schedule = BuildSchedule(spec_);
   GENBASE_RETURN_NOT_OK(EnsureTruths(data, schedule));
 
@@ -291,7 +291,6 @@ genbase::Result<WorkloadReport> WorkloadRunner::Run(
         outcome.shed = served.shed;
         outcome.shed_timeout =
             served.admission == serving::AdmissionOutcome::kShedTimeout;
-        outcome.queue_delay_s = served.admission_wait_s;
         outcome.stages = served.stages;
         outcome.stale_tripwire = served.stale_tripwire;
         outcome.retries = served.retries;
@@ -316,6 +315,8 @@ genbase::Result<WorkloadReport> WorkloadRunner::RunScheduled(
   }
 
   const bool open_loop = spec_.model != ClientModel::kClosedLoop;
+  // Read-only from here on: EnsureTruths filled it before any client ran.
+  const TruthTable& table = truths();
   std::vector<ClientState> clients(spec_.clients);
   ThreadPool pool(spec_.clients);
 
@@ -385,11 +386,10 @@ genbase::Result<WorkloadReport> WorkloadRunner::RunScheduled(
               outcome.alloc_delta_bytes =
                   alloc_tracker->reserved_total() - alloc_before;
             }
-            outcome.queue_delay_s += dispatch_lag_s;
-            // Dispatch lag is queueing the op's client really saw; fold it
-            // into the queue stage so queue + flight == queue_delay holds.
+            // Dispatch lag is queueing the op's client really saw: part of
+            // its queue stage, so it counts in stages.Queued().
             outcome.stages[obs::RequestStage::kQueue] += dispatch_lag_s;
-            if (record) {
+            if (record && spec_.verify) {
               // Verification runs here — inside the trace, on the client
               // thread — so it is timed as the request's verify stage and
               // shows up as a span instead of vanishing into bookkeeping.
@@ -397,9 +397,9 @@ genbase::Result<WorkloadReport> WorkloadRunner::RunScheduled(
               const bool verifiable = !outcome.shed && !cell.infinite &&
                                       cell.supported && cell.status.ok();
               const auto it = verifiable
-                                  ? truths_.find({op.query, op.variant})
-                                  : truths_.end();
-              if (it != truths_.end()) {
+                                  ? table.find({op.query, op.variant})
+                                  : table.end();
+              if (it != table.end()) {
                 obs::ScopedSpan verify_span("verify");
                 const double verify_cpu_begin = obs::Profiler::CpuBegin();
                 const auto verify_start = Clock::now();

@@ -49,22 +49,22 @@ namespace genbase::workload {
 /// pair in the measured schedule is computed once through core/reference and
 /// every served operation's result — cached or executed — is compared
 /// against it (core/verify tolerances); mismatches are tallied as
-/// verify_failures.
+/// verify_failures. With `spec.verify` off, no result is compared.
 class WorkloadRunner {
  public:
   /// Ground truth is keyed by (query, param-variant index).
   using TruthKey = std::pair<core::QueryId, int>;
+  using TruthTable = std::map<TruthKey, core::QueryResult>;
 
   /// One executed (or shed) operation, as consumed by the record step.
   struct OpOutcome {
     core::CellResult cell;
     bool shed = false;
     bool shed_timeout = false;  ///< vs queue-full, when shed.
-    double queue_delay_s = 0.0; ///< Dispatch lag + admission wait.
     /// Per-stage seconds. queue/cache/flight/dispatch/execute are filled by
     /// the executor; the runner adds the dispatch-lag share of queue and the
-    /// verify stage, preserving queue + flight == queue_delay_s and
-    /// Sum() == queue_delay_s + cell.total_s + verify.
+    /// verify stage. The op's queueing delay is stages.Queued(), so
+    /// Sum() == Queued() + cell.total_s + verify.
     obs::StageSeconds stages;
     /// MemoryTracker reservation activity (monotone reserved-total delta on
     /// the op's ExecContext tracker) across the op; -1 when profiling is off
@@ -80,22 +80,14 @@ class WorkloadRunner {
 
   const WorkloadSpec& spec() const { return spec_; }
 
-  /// Installs precomputed ground truth for the base params (variant 0).
-  /// Truth depends only on (query, data, params), so callers sweeping one
-  /// dataset across many engines/client counts (bench/fig6) compute it once
-  /// and share it; without this, Run recomputes the reference for every
-  /// invocation.
-  void set_ground_truth(std::map<core::QueryId, core::QueryResult> truths) {
-    for (auto& [query, truth] : truths) {
-      truths_[{query, 0}] = std::move(truth);
-    }
-  }
-
-  /// As above for variant-keyed truths (callers sweeping param_variants).
-  void set_ground_truth_variants(
-      std::map<TruthKey, core::QueryResult> truths) {
-    for (auto& [key, truth] : truths) truths_[key] = std::move(truth);
-  }
+  /// Keeps ground truth in `table` (non-owning; must outlive every Run)
+  /// instead of the runner's own. Run adds the measured schedule's missing
+  /// (query, variant) truths to it before any client thread starts and only
+  /// reads it after, so runners that run one after another share one table
+  /// and compute each truth once. A truth depends on (query, data, params):
+  /// share a table only among runners over one dataset with one
+  /// `spec.params`.
+  void set_truths(TruthTable* table) { shared_truths_ = table; }
 
   /// Invoked immediately before the measured phase starts issuing ops
   /// (after warm-up and after the measured-phase counter window opens).
@@ -106,14 +98,12 @@ class WorkloadRunner {
     on_measure_start_ = std::move(hook);
   }
 
-  /// Loads `data` into `engine` (unless `already_loaded`), runs the warm-up
-  /// and measured phases directly against the engine, and returns the
-  /// aggregated report. Returns a non-OK status only for spec/load/reference
-  /// failures; per-operation failures are reported in the WorkloadReport
-  /// counters.
+  /// Loads `data` into `engine`, runs the warm-up and measured phases
+  /// directly against the engine, and returns the aggregated report. Returns
+  /// a non-OK status only for spec/load/reference failures; per-operation
+  /// failures are reported in the WorkloadReport counters.
   genbase::Result<WorkloadReport> Run(core::Engine* engine,
-                                      const core::GenBaseData& data,
-                                      bool already_loaded = false);
+                                      const core::GenBaseData& data);
 
   /// Runs the workload through a serving stack (whose shards were loaded at
   /// ServingStack::Create). `data` is used only to compute missing reference
@@ -128,6 +118,11 @@ class WorkloadRunner {
       std::optional<std::chrono::steady_clock::time_point> scheduled_arrival,
       ExecContext* ctx)>;
 
+  /// The table set by set_truths, else the runner's own.
+  TruthTable& truths() {
+    return shared_truths_ != nullptr ? *shared_truths_ : own_truths_;
+  }
+
   genbase::Status EnsureTruths(const core::GenBaseData& data,
                                const std::vector<ScheduledOp>& schedule);
 
@@ -138,7 +133,8 @@ class WorkloadRunner {
       const Executor& exec);
 
   WorkloadSpec spec_;
-  std::map<TruthKey, core::QueryResult> truths_;
+  TruthTable own_truths_;
+  TruthTable* shared_truths_ = nullptr;
   std::function<void()> on_measure_start_;
 };
 

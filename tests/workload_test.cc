@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -465,6 +466,76 @@ TEST(WorkloadRunnerTest, OpenLoopLatencyIsCoordinatedOmissionCorrected) {
             report->total.queue_delay.max());
   EXPECT_GE(report->total.latency.sum(),
             report->total.queue_delay.sum());
+}
+
+// --- shared truth tables ----------------------------------------------------
+
+TEST(WorkloadRunnerTest, VerifyOffComparesNothing) {
+  // Every installed truth is wrong (an empty result matches no query), so
+  // any comparison would count a failure and spend verify-stage time.
+  WorkloadRunner::TruthTable wrong;
+  for (core::QueryId q : core::kAllQueries) {
+    wrong[{q, 0}] = core::QueryResult();
+  }
+  auto spec = SmokeSpec();
+  spec.verify = false;
+  WorkloadRunner runner(spec);
+  runner.set_truths(&wrong);
+  auto engine = engine::CreateColumnStoreUdf();
+  auto report = runner.Run(engine.get(), TinyData());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->total.errors, 0);
+  EXPECT_EQ(report->total.verify_failures, 0);
+  const int verify = static_cast<int>(obs::RequestStage::kVerify);
+  EXPECT_EQ(report->total.stage_wall_s[verify], 0.0);
+  EXPECT_EQ(report->total.stage[verify].sum(), 0.0);
+  EXPECT_EQ(wrong.size(), std::size(core::kAllQueries));  // Nothing added.
+}
+
+TEST(WorkloadRunnerTest, RunnersSharingATruthTableComputeEachTruthOnce) {
+  auto spec = SmokeSpec();
+  spec.param_variants = 2;
+  std::set<WorkloadRunner::TruthKey> measured_keys;
+  const std::vector<ScheduledOp> schedule = BuildSchedule(spec);
+  for (size_t i = static_cast<size_t>(spec.warmup_ops); i < schedule.size();
+       ++i) {
+    measured_keys.insert({schedule[i].query, schedule[i].variant});
+  }
+
+  WorkloadRunner::TruthTable table;
+  {
+    auto engine = engine::CreateSciDb();
+    WorkloadRunner runner(spec);
+    runner.set_truths(&table);
+    auto report = runner.Run(engine.get(), TinyData());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->total.verify_failures, 0);
+  }
+  std::set<WorkloadRunner::TruthKey> table_keys;
+  for (const auto& [key, truth] : table) table_keys.insert(key);
+  EXPECT_EQ(table_keys, measured_keys);
+
+  // Corrupt one truth: a second runner that reads the table (rather than
+  // recomputing it) fails exactly the measured ops with that key.
+  const WorkloadRunner::TruthKey corrupted = table.begin()->first;
+  table[corrupted] = core::QueryResult();
+  int64_t corrupted_ops = 0;
+  for (size_t i = static_cast<size_t>(spec.warmup_ops); i < schedule.size();
+       ++i) {
+    if (WorkloadRunner::TruthKey{schedule[i].query, schedule[i].variant} ==
+        corrupted) {
+      ++corrupted_ops;
+    }
+  }
+  ASSERT_GT(corrupted_ops, 0);
+  auto engine = engine::CreateSciDb();
+  WorkloadRunner runner(spec);
+  runner.set_truths(&table);
+  auto report = runner.Run(engine.get(), TinyData());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->total.errors, 0);
+  EXPECT_EQ(table.size(), measured_keys.size());
+  EXPECT_EQ(report->total.verify_failures, corrupted_ops);
 }
 
 // --- tracing + per-stage breakdown ------------------------------------------
