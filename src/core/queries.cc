@@ -256,10 +256,9 @@ genbase::Result<BiclusterSummary> BiclusterAnalytics(
   return s;
 }
 
-genbase::Result<SvdSummary> SvdAnalytics(const linalg::MatrixView& x,
-                                         int rank,
-                                         linalg::KernelQuality quality,
-                                         ExecContext* ctx) {
+genbase::Result<SvdSummary> SvdAnalytics(
+    const linalg::MatrixView& x, int rank, linalg::KernelQuality quality,
+    ExecContext* ctx, const linalg::LanczosState* prefix) {
   SvdSummary s;
   s.rows = x.rows;
   s.cols = x.cols;
@@ -267,11 +266,32 @@ genbase::Result<SvdSummary> SvdAnalytics(const linalg::MatrixView& x,
   linalg::SvdOptions opt;
   opt.rank = s.rank;
   opt.quality = quality;
+  linalg::LanczosState state;
+  // Rank 0 stops at the first step, before the rank-1 run does.
+  if (prefix != nullptr && s.rank >= 1) state = *prefix;
   GENBASE_ASSIGN_OR_RETURN(linalg::SvdResult svd,
-                           linalg::TruncatedSvd(x, opt, ctx));
+                           linalg::TruncatedSingularValues(x, opt, &state,
+                                                           ctx));
   s.iterations = svd.lanczos_iterations;
   s.singular_values = std::move(svd.singular_values);
   return s;
+}
+
+genbase::Result<linalg::LanczosState> SvdPrefix(const linalg::MatrixView& x,
+                                                linalg::KernelQuality quality,
+                                                ExecContext* ctx) {
+  linalg::LanczosState state;
+  if (x.rows == 0 || x.cols == 0) return state;
+  linalg::SvdOptions opt;
+  opt.rank = 1;
+  opt.quality = quality;
+  GENBASE_RETURN_NOT_OK(
+      linalg::TruncatedSingularValues(x, opt, &state, ctx).status());
+  // The run reserved its basis for its iteration cap.
+  state.basis.shrink_to_fit();
+  state.alpha.shrink_to_fit();
+  state.beta.shrink_to_fit();
+  return state;
 }
 
 genbase::Result<StatsSummary> StatsAnalytics(

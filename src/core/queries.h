@@ -9,6 +9,7 @@
 #include "common/exec_context.h"
 #include "common/status.h"
 #include "linalg/covariance.h"
+#include "linalg/lanczos.h"
 #include "linalg/matrix.h"
 
 namespace genbase::core {
@@ -187,11 +188,21 @@ genbase::Result<BiclusterSummary> BiclusterAnalytics(
     ExecContext* ctx,
     std::function<genbase::Status()> pass_hook = nullptr);
 
-/// Q4 analytics: truncated SVD, rank = min(rank, cols).
-genbase::Result<SvdSummary> SvdAnalytics(const linalg::MatrixView& x,
-                                         int rank,
-                                         linalg::KernelQuality quality,
-                                         ExecContext* ctx);
+/// Q4 analytics: the top min(rank, cols) singular values of x (no U, no
+/// V), by Lanczos on x's Gram operator. With `prefix` (SvdPrefix of the same
+/// x and quality), the run continues a copy of that stopped state instead
+/// of starting over, with the same answer and iteration count, bit for bit.
+genbase::Result<SvdSummary> SvdAnalytics(
+    const linalg::MatrixView& x, int rank, linalg::KernelQuality quality,
+    ExecContext* ctx, const linalg::LanczosState* prefix = nullptr);
+
+/// The rank-1 run of SvdAnalytics on x, stopped, holding only what it
+/// wrote (an empty state for an empty x). It is a bitwise prefix of every
+/// rank's run: only the stopping rule reads the rank, and no rank >= 1
+/// stops before rank 1 does.
+genbase::Result<linalg::LanczosState> SvdPrefix(const linalg::MatrixView& x,
+                                                linalg::KernelQuality quality,
+                                                ExecContext* ctx);
 
 /// Q5 analytics: Wilcoxon rank-sum per GO term over per-gene scores.
 /// memberships[t] lists gene indices (0..genes-1) belonging to term t.

@@ -11,139 +11,121 @@ namespace genbase::linalg {
 
 namespace {
 
+/// A residual norm this small means the basis spans an invariant subspace.
+constexpr double kBreakdown = 1e-300;
+
+/// Step m = s->iterations() of the recurrence: appends v_m (the seeded start
+/// vector when m = 0, else w / ||w||), applies the operator to it and
+/// orthogonalizes the new residual w.
+genbase::Status Step(const LinearOperator& op, uint64_t seed,
+                     bool reorthogonalize, LanczosState* s,
+                     ExecContext* ctx) {
+  if (ctx != nullptr) GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
+  const int64_t n = op.n;
+  const int j = s->iterations();
+  s->basis.resize(static_cast<size_t>((j + 1) * n));
+  double* vj = s->basis.data() + j * n;
+  if (j == 0) {
+    Rng rng(seed);
+    for (int64_t i = 0; i < n; ++i) vj[i] = rng.Gaussian();
+    Scal(1.0 / Nrm2(vj, n), vj, n);
+    s->w.assign(static_cast<size_t>(n), 0.0);
+  } else {
+    s->beta.push_back(s->w_norm);
+    for (int64_t i = 0; i < n; ++i) vj[i] = s->w[i] / s->w_norm;
+  }
+  double* w = s->w.data();
+  GENBASE_RETURN_NOT_OK(op.apply(vj, w));
+  const double a_j = Dot(vj, w, n);
+  s->alpha.push_back(a_j);
+  // w -= alpha_j v_j + beta_{j-1} v_{j-1}.
+  Axpy(-a_j, vj, w, n);
+  if (j > 0) Axpy(-s->beta[j - 1], vj - n, w, n);
+  if (reorthogonalize) {
+    // Two-pass modified Gram-Schmidt against the whole stored basis.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (int i = 0; i <= j; ++i) {
+        const double* vi = s->basis.data() + i * n;
+        const double c = Dot(vi, w, n);
+        if (c != 0.0) Axpy(-c, vi, w, n);
+      }
+    }
+  }
+  s->w_norm = Nrm2(w, n);
+  return genbase::Status::OK();
+}
+
 genbase::Result<LanczosResult> LanczosImpl(const LinearOperator& op,
                                            const LanczosOptions& options,
                                            bool reorthogonalize,
+                                           LanczosState* state,
                                            ExecContext* ctx) {
   const int64_t n = op.n;
   if (n <= 0) return Status::InvalidArgument("operator dimension must be > 0");
-  const int k = std::min<int>(options.num_eigenpairs, static_cast<int>(n));
-  const int max_iter =
-      options.max_iterations > 0
-          ? std::min<int>(options.max_iterations, static_cast<int>(n))
-          : std::min<int64_t>(n, 2 * k + 120);
-
-  // Lanczos basis, one row per iteration (row-major keeps reorth contiguous).
-  Matrix basis(max_iter, n);
-  std::vector<double> alpha, beta;
-  alpha.reserve(max_iter);
-  beta.reserve(max_iter);
-
-  Rng rng(options.seed);
-  std::vector<double> v(static_cast<size_t>(n));
-  for (auto& x : v) x = rng.Gaussian();
-  {
-    const double nv = Nrm2(v.data(), n);
-    Scal(1.0 / nv, v.data(), n);
+  if (options.num_eigenpairs < 0) {
+    return Status::InvalidArgument("num_eigenpairs must be >= 0");
   }
-  std::copy(v.begin(), v.end(), basis.Row(0));
+  LanczosState fresh;
+  LanczosState& s = state != nullptr ? *state : fresh;
+  if (s.iterations() > 0 && static_cast<int64_t>(s.w.size()) != n) {
+    return Status::InvalidArgument("Lanczos state is for another dimension");
+  }
+  const int k = static_cast<int>(std::min<int64_t>(options.num_eigenpairs, n));
+  const int max_iter = static_cast<int>(std::min<int64_t>(n, 2 * k + 120));
+  s.basis.reserve(static_cast<size_t>(max_iter * n));
 
-  std::vector<double> w(static_cast<size_t>(n), 0.0);
-  std::vector<double> theta;      // Ritz values of T_j, ascending.
-  Matrix s;                       // Eigenvectors of T_j.
-  int j = 0;
+  // A resumed state is tested before its next step, as the run that wrote
+  // it would have been tested at that m had it asked for this k.
+  std::vector<double> theta, e, last_row;
   bool converged = false;
-
-  for (j = 0; j < max_iter; ++j) {
-    if (ctx != nullptr) {
-      Status st = ctx->CheckBudgets();
-      if (!st.ok()) return st;
-    }
-    const double* vj = basis.Row(j);
-    GENBASE_RETURN_NOT_OK(op.apply(vj, w.data()));
-    const double a_j = Dot(vj, w.data(), n);
-    alpha.push_back(a_j);
-    // w -= alpha_j v_j + beta_{j-1} v_{j-1}.
-    Axpy(-a_j, vj, w.data(), n);
-    if (j > 0) Axpy(-beta[j - 1], basis.Row(j - 1), w.data(), n);
-    if (reorthogonalize) {
-      // Two-pass modified Gram-Schmidt against the whole stored basis.
-      for (int pass = 0; pass < 2; ++pass) {
-        for (int i = 0; i <= j; ++i) {
-          const double c = Dot(basis.Row(i), w.data(), n);
-          if (c != 0.0) Axpy(-c, basis.Row(i), w.data(), n);
-        }
-      }
-    }
-    double b_j = Nrm2(w.data(), n);
-
-    // Convergence test on the projected (tridiagonal) problem.
-    const int m = j + 1;
-    if (m >= k || b_j <= 1e-300) {
-      std::vector<double> d(alpha.begin(), alpha.end());
-      std::vector<double> e(beta.begin(), beta.end());
+  for (;;) {
+    const int m = s.iterations();
+    if (m > 0 && (m >= k || s.w_norm <= kBreakdown)) {
+      // Convergence test on the projected (tridiagonal) problem T_m.
+      theta.assign(s.alpha.begin(), s.alpha.end());
+      e.assign(s.beta.begin(), s.beta.end());
       e.resize(static_cast<size_t>(m), 0.0);
-      Matrix z(m, m);
-      for (int i = 0; i < m; ++i) z(i, i) = 1.0;
-      GENBASE_RETURN_NOT_OK(SymmetricTridiagonalEigen(&d, &e, &z));
-      // Residual bound for Ritz pair i: |beta_j * z(m-1, i)|.
-      bool all_ok = m >= k;
-      for (int i = 0; i < k && all_ok; ++i) {
+      GENBASE_RETURN_NOT_OK(
+          SymmetricTridiagonalEigenLastRow(&theta, &e, &last_row));
+      // Residual bound for Ritz pair i: |beta_m * z(m-1, i)|.
+      converged = m >= k;
+      for (int i = 0; i < k && converged; ++i) {
         const int col = m - 1 - i;  // Largest eigenvalues at the end.
-        const double resid = std::fabs(b_j * z(m - 1, col));
-        const double scale = std::max(1e-30, std::fabs(d[col]));
-        if (resid > options.tolerance * scale) all_ok = false;
+        const double resid = std::fabs(s.w_norm * last_row[col]);
+        const double scale = std::max(1e-30, std::fabs(theta[col]));
+        if (resid > options.tolerance * scale) converged = false;
       }
-      if (all_ok || b_j <= 1e-300 || j + 1 == max_iter) {
-        theta = std::move(d);
-        s = std::move(z);
-        converged = all_ok;
-        ++j;
-        break;
-      }
+      if (converged || s.w_norm <= kBreakdown || m >= max_iter) break;
     }
-
-    if (b_j <= 1e-300) {
-      // Invariant subspace hit before k pairs: restart with a fresh random
-      // direction orthogonal to the basis.
-      for (auto& x : w) x = rng.Gaussian();
-      for (int i = 0; i <= j; ++i) {
-        const double c = Dot(basis.Row(i), w.data(), n);
-        Axpy(-c, basis.Row(i), w.data(), n);
-      }
-      b_j = Nrm2(w.data(), n);
-      if (b_j <= 1e-300) {
-        ++j;
-        break;  // Whole space exhausted.
-      }
-    }
-    beta.push_back(b_j);
-    if (j + 1 < max_iter) {
-      double* vnext = basis.Row(j + 1);
-      for (int64_t i = 0; i < n; ++i) vnext[i] = w[i] / b_j;
-    }
+    GENBASE_RETURN_NOT_OK(Step(op, options.seed, reorthogonalize, &s, ctx));
   }
 
-  const int m = std::min<int>(j, static_cast<int>(alpha.size()));
-  if (theta.empty()) {
-    std::vector<double> d(alpha.begin(), alpha.begin() + m);
-    std::vector<double> e(beta.begin(),
-                          beta.begin() + std::max(0, m - 1));
+  const int m = s.iterations();
+  LanczosResult result;
+  result.iterations = m;
+  result.converged = converged;
+  const int found = std::min(k, m);
+  result.eigenvalues.resize(found);
+  for (int i = 0; i < found; ++i) {
+    result.eigenvalues[i] = theta[m - 1 - i];  // Descending.
+  }
+  if (options.compute_vectors) {
+    // The Ritz vectors need every row of T_m's eigenvectors: solve it again
+    // with the full z (the eigenvalues come out the same, bit for bit).
+    std::vector<double> d(s.alpha.begin(), s.alpha.end());
+    e.assign(s.beta.begin(), s.beta.end());
     e.resize(static_cast<size_t>(m), 0.0);
     Matrix z(m, m);
     for (int i = 0; i < m; ++i) z(i, i) = 1.0;
     GENBASE_RETURN_NOT_OK(SymmetricTridiagonalEigen(&d, &e, &z));
-    theta = std::move(d);
-    s = std::move(z);
-  }
-
-  LanczosResult result;
-  result.iterations = m;
-  result.converged = converged;
-  const int found = std::min<int>(k, static_cast<int>(theta.size()));
-  result.eigenvalues.resize(found);
-  for (int i = 0; i < found; ++i) {
-    result.eigenvalues[i] = theta[theta.size() - 1 - i];  // Descending.
-  }
-  if (options.compute_vectors) {
     result.eigenvectors = Matrix(n, found);
-    // Ritz vector i = sum_r basis[r] * s(r, col_i).
+    // Ritz vector i = sum_r basis[r] * z(r, col_i).
     for (int i = 0; i < found; ++i) {
-      const int col = static_cast<int>(theta.size()) - 1 - i;
+      const int col = m - 1 - i;
       for (int r = 0; r < m; ++r) {
-        const double c = s(r, col);
+        const double c = z(r, col);
         if (c == 0.0) continue;
-        const double* br = basis.Row(r);
+        const double* br = s.basis.data() + r * n;
         for (int64_t t = 0; t < n; ++t) result.eigenvectors(t, i) += c * br[t];
       }
       // Normalize (defensive; should already be unit norm).
@@ -162,16 +144,23 @@ genbase::Result<LanczosResult> LanczosImpl(const LinearOperator& op,
 
 }  // namespace
 
+int64_t LanczosState::bytes() const {
+  return static_cast<int64_t>((basis.capacity() + alpha.capacity() +
+                               beta.capacity() + w.capacity()) *
+                              sizeof(double));
+}
+
 genbase::Result<LanczosResult> LanczosLargestEigenpairs(
-    const LinearOperator& op, const LanczosOptions& options,
-    ExecContext* ctx) {
-  return LanczosImpl(op, options, /*reorthogonalize=*/true, ctx);
+    const LinearOperator& op, const LanczosOptions& options, ExecContext* ctx,
+    LanczosState* state) {
+  return LanczosImpl(op, options, /*reorthogonalize=*/true, state, ctx);
 }
 
 genbase::Result<LanczosResult> LanczosNoReorth(const LinearOperator& op,
                                                const LanczosOptions& options,
-                                               ExecContext* ctx) {
-  return LanczosImpl(op, options, /*reorthogonalize=*/false, ctx);
+                                               ExecContext* ctx,
+                                               LanczosState* state) {
+  return LanczosImpl(op, options, /*reorthogonalize=*/false, state, ctx);
 }
 
 }  // namespace genbase::linalg

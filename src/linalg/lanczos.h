@@ -19,7 +19,6 @@ struct LinearOperator {
 
 struct LanczosOptions {
   int num_eigenpairs = 50;     ///< k: the paper's Query 4 asks for 50.
-  int max_iterations = 0;      ///< 0 = auto (min(n, 2k + 120)).
   double tolerance = 1e-10;    ///< Residual tolerance relative to |theta|.
   uint64_t seed = 42;          ///< Starting-vector seed (deterministic).
   bool compute_vectors = true;
@@ -32,6 +31,21 @@ struct LanczosResult {
   bool converged = false;
 };
 
+/// \brief Everything the Lanczos recurrence reads to take its next step:
+/// the state after m steps, with m = iterations(). A run stops in this
+/// state, and a run started from it continues the same recurrence.
+struct LanczosState {
+  std::vector<double> basis;  ///< v_0 .. v_{m-1}, m rows of n, row-major.
+  std::vector<double> alpha;  ///< The m diagonal entries of T_m.
+  std::vector<double> beta;   ///< Its m-1 off-diagonal entries.
+  std::vector<double> w;      ///< The residual after step m (length n).
+  double w_norm = 0.0;        ///< ||w||: the residual bound's beta_m.
+
+  int iterations() const { return static_cast<int>(alpha.size()); }
+  /// Heap bytes the state holds (vector capacities).
+  int64_t bytes() const;
+};
+
 /// \brief Lanczos iteration with full reorthogonalization for the largest
 /// eigenpairs of a symmetric positive semidefinite operator.
 ///
@@ -41,16 +55,25 @@ struct LanczosResult {
 /// (two-pass modified Gram-Schmidt against the stored basis) keeps the basis
 /// orthogonal at the cost of O(iter * n) extra work per step; the ablation
 /// bench compares against selective reorthogonalization.
+///
+/// The run stops at the first m >= k where the top-k Ritz pairs of T_m meet
+/// the tolerance, where the residual vanishes (||w|| <= 1e-300: an
+/// invariant subspace), or at m = min(n, 2k + 120). Only this test reads k.
+/// With `state`, the run starts from `*state` instead of the seeded vector
+/// (an empty state is a fresh start) and leaves its stopped state there; the
+/// state must come from a run of the same operator, seed and tolerance. On
+/// error, `*state` is unusable.
 genbase::Result<LanczosResult> LanczosLargestEigenpairs(
     const LinearOperator& op, const LanczosOptions& options,
-    ExecContext* ctx = nullptr);
+    ExecContext* ctx = nullptr, LanczosState* state = nullptr);
 
 /// \brief Variant without reorthogonalization (classic three-term recurrence
 /// only). Converges on easy spectra, loses orthogonality on clustered ones;
 /// exists for the ablation study.
 genbase::Result<LanczosResult> LanczosNoReorth(const LinearOperator& op,
                                                const LanczosOptions& options,
-                                               ExecContext* ctx = nullptr);
+                                               ExecContext* ctx = nullptr,
+                                               LanczosState* state = nullptr);
 
 }  // namespace genbase::linalg
 

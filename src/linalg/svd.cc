@@ -7,16 +7,22 @@
 
 namespace genbase::linalg {
 
-genbase::Result<SvdResult> TruncatedSvd(const MatrixView& a,
-                                        const SvdOptions& options,
-                                        ExecContext* ctx) {
+namespace {
+
+/// Lanczos on the Gram operator y = A^T (A x) of `a`, from `state` (null: a
+/// fresh run).
+genbase::Result<LanczosResult> GramLanczos(const MatrixView& a,
+                                           const SvdOptions& options,
+                                           bool compute_vectors,
+                                           LanczosState* state,
+                                           ExecContext* ctx) {
   const int64_t m = a.rows;
   const int64_t n = a.cols;
   if (m == 0 || n == 0) return Status::InvalidArgument("empty matrix in SVD");
   ThreadPool* pool = ctx != nullptr ? ctx->pool() : nullptr;
   const bool tuned = options.quality == KernelQuality::kTuned;
 
-  // Gram operator: y = A^T (A x); temp buffer reused across applications.
+  // Temp buffer reused across applications.
   std::vector<double> tmp(static_cast<size_t>(m));
   LinearOperator op;
   op.n = n;
@@ -45,30 +51,63 @@ genbase::Result<SvdResult> TruncatedSvd(const MatrixView& a,
   lopt.num_eigenpairs = std::min<int>(options.rank, static_cast<int>(n));
   lopt.tolerance = options.tolerance;
   lopt.seed = options.seed;
-  lopt.compute_vectors = true;
+  lopt.compute_vectors = compute_vectors;
+  return options.reorthogonalize
+             ? LanczosLargestEigenpairs(op, lopt, ctx, state)
+             : LanczosNoReorth(op, lopt, ctx, state);
+}
+
+/// sigma_i = sqrt(lambda_i), with rounding noise below zero clamped.
+std::vector<double> SingularValues(const std::vector<double>& eigenvalues) {
+  std::vector<double> sigma;
+  sigma.reserve(eigenvalues.size());
+  for (double lambda : eigenvalues) {
+    sigma.push_back(std::sqrt(std::max(0.0, lambda)));
+  }
+  return sigma;
+}
+
+}  // namespace
+
+genbase::Result<SvdResult> TruncatedSvd(const MatrixView& a,
+                                        const SvdOptions& options,
+                                        ExecContext* ctx) {
   GENBASE_ASSIGN_OR_RETURN(
       LanczosResult lr,
-      options.reorthogonalize ? LanczosLargestEigenpairs(op, lopt, ctx)
-                              : LanczosNoReorth(op, lopt, ctx));
+      GramLanczos(a, options, /*compute_vectors=*/true, nullptr, ctx));
+  const int64_t m = a.rows;
+  const int64_t n = a.cols;
+  ThreadPool* pool = ctx != nullptr ? ctx->pool() : nullptr;
 
   SvdResult out;
   out.lanczos_iterations = lr.iterations;
+  out.singular_values = SingularValues(lr.eigenvalues);
   const int k = static_cast<int>(lr.eigenvalues.size());
-  out.singular_values.resize(k);
   out.v = std::move(lr.eigenvectors);
   out.u = Matrix(m, k);
   std::vector<double> av(static_cast<size_t>(m));
   std::vector<double> vcol(static_cast<size_t>(n));
   for (int i = 0; i < k; ++i) {
-    const double lambda = std::max(0.0, lr.eigenvalues[i]);
-    const double sigma = std::sqrt(lambda);
-    out.singular_values[i] = sigma;
+    const double sigma = out.singular_values[i];
     for (int64_t t = 0; t < n; ++t) vcol[t] = out.v(t, i);
     Gemv(a, vcol.data(), av.data(), pool);
     if (sigma > 1e-12) {
       for (int64_t t = 0; t < m; ++t) out.u(t, i) = av[t] / sigma;
     }
   }
+  return out;
+}
+
+genbase::Result<SvdResult> TruncatedSingularValues(const MatrixView& a,
+                                                   const SvdOptions& options,
+                                                   LanczosState* state,
+                                                   ExecContext* ctx) {
+  GENBASE_ASSIGN_OR_RETURN(
+      LanczosResult lr,
+      GramLanczos(a, options, /*compute_vectors=*/false, state, ctx));
+  SvdResult out;
+  out.lanczos_iterations = lr.iterations;
+  out.singular_values = SingularValues(lr.eigenvalues);
   return out;
 }
 

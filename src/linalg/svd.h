@@ -35,6 +35,15 @@ genbase::Result<SvdResult> TruncatedSvd(const MatrixView& a,
                                         const SvdOptions& options,
                                         ExecContext* ctx = nullptr);
 
+/// \brief The singular values and iteration count of TruncatedSvd(a,
+/// options), bit for bit, without U or V: the same Lanczos run with no Ritz
+/// vectors. The run starts from and leaves its stopped state in `*state`
+/// (LanczosLargestEigenpairs); an empty state is a fresh run.
+genbase::Result<SvdResult> TruncatedSingularValues(const MatrixView& a,
+                                                   const SvdOptions& options,
+                                                   LanczosState* state,
+                                                   ExecContext* ctx = nullptr);
+
 }  // namespace genbase::linalg
 
 #endif  // GENBASE_LINALG_SVD_H_

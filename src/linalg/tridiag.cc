@@ -9,21 +9,20 @@ namespace {
 
 double Hypot2(double a, double b) { return std::hypot(a, b); }
 
-}  // namespace
-
-genbase::Status SymmetricTridiagonalEigen(std::vector<double>* diag,
-                                          std::vector<double>* off,
-                                          Matrix* z) {
+/// The QL sweeps and the ascending sort, carrying `z_rows` rows of n
+/// eigenvector entries (row-major at `z`). A rotation updates each row of z
+/// on its own, so a subset of an identity's rows ends exactly as those rows
+/// of the full z do.
+genbase::Status TridiagonalQl(std::vector<double>* diag,
+                              const std::vector<double>& off, double* z,
+                              int64_t z_rows) {
   const int64_t n = static_cast<int64_t>(diag->size());
   if (n == 0) return Status::OK();
-  if (static_cast<int64_t>(off->size()) < n) {
+  if (static_cast<int64_t>(off.size()) < n) {
     return Status::InvalidArgument("off-diagonal vector too short");
   }
-  if (z != nullptr && (z->rows() != n || z->cols() != n)) {
-    return Status::InvalidArgument("eigenvector matrix must be n x n");
-  }
   std::vector<double>& d = *diag;
-  std::vector<double> e(off->begin(), off->end());
+  std::vector<double> e(off.begin(), off.end());
   // Shift e so e[i] couples d[i] and d[i+1]; e[n-1] = 0 sentinel.
   e.resize(static_cast<size_t>(n));
   e[static_cast<size_t>(n - 1)] = 0.0;
@@ -47,7 +46,7 @@ genbase::Status SymmetricTridiagonalEigen(std::vector<double>* diag,
         g = d[m] - d[l] + e[l] / (g + (g >= 0 ? std::fabs(r) : -std::fabs(r)));
         double s = 1.0, c = 1.0, p = 0.0;
         for (int64_t i = m - 1; i >= l; --i) {
-          double f = s * e[i];
+          const double f = s * e[i];
           const double b = c * e[i];
           r = Hypot2(f, g);
           e[i + 1] = r;
@@ -63,12 +62,11 @@ genbase::Status SymmetricTridiagonalEigen(std::vector<double>* diag,
           p = s * r;
           d[i + 1] = g + p;
           g = c * r - b;
-          if (z != nullptr) {
-            for (int64_t k = 0; k < n; ++k) {
-              f = (*z)(k, i + 1);
-              (*z)(k, i + 1) = s * (*z)(k, i) + c * f;
-              (*z)(k, i) = c * (*z)(k, i) - s * f;
-            }
+          for (int64_t k = 0; k < z_rows; ++k) {
+            double* zk = z + k * n;
+            const double zf = zk[i + 1];
+            zk[i + 1] = s * zk[i] + c * zf;
+            zk[i] = c * zk[i] - s * zf;
           }
         }
         if (r == 0.0 && m - 1 >= l) continue;
@@ -79,22 +77,41 @@ genbase::Status SymmetricTridiagonalEigen(std::vector<double>* diag,
     } while (m != l);
   }
 
-  // Sort ascending, permuting eigenvectors alongside.
+  // Sort ascending, permuting eigenvector columns alongside.
   std::vector<int64_t> order(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) order[static_cast<size_t>(i)] = i;
   std::sort(order.begin(), order.end(),
             [&](int64_t a, int64_t b) { return d[a] < d[b]; });
-  std::vector<double> sorted_d(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) sorted_d[i] = d[order[i]];
-  if (z != nullptr) {
-    Matrix sorted_z(n, n);
-    for (int64_t j = 0; j < n; ++j) {
-      for (int64_t i = 0; i < n; ++i) sorted_z(i, j) = (*z)(i, order[j]);
-    }
-    *z = std::move(sorted_z);
+  std::vector<double> sorted(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) sorted[i] = d[order[i]];
+  d.swap(sorted);
+  for (int64_t k = 0; k < z_rows; ++k) {
+    double* zk = z + k * n;
+    for (int64_t j = 0; j < n; ++j) sorted[j] = zk[order[j]];
+    std::copy(sorted.begin(), sorted.end(), zk);
   }
-  d = std::move(sorted_d);
   return Status::OK();
+}
+
+}  // namespace
+
+genbase::Status SymmetricTridiagonalEigen(std::vector<double>* diag,
+                                          std::vector<double>* off,
+                                          Matrix* z) {
+  const int64_t n = static_cast<int64_t>(diag->size());
+  if (z != nullptr && n > 0 && (z->rows() != n || z->cols() != n)) {
+    return Status::InvalidArgument("eigenvector matrix must be n x n");
+  }
+  return TridiagonalQl(diag, *off, z != nullptr ? z->data() : nullptr,
+                       z != nullptr ? n : 0);
+}
+
+genbase::Status SymmetricTridiagonalEigenLastRow(
+    std::vector<double>* diag, std::vector<double>* off,
+    std::vector<double>* last_row) {
+  last_row->assign(diag->size(), 0.0);
+  if (!last_row->empty()) last_row->back() = 1.0;  // Row n-1 of identity.
+  return TridiagonalQl(diag, *off, last_row->data(), 1);
 }
 
 }  // namespace genbase::linalg

@@ -20,6 +20,16 @@ genbase::Status SymmetricTridiagonalEigen(std::vector<double>* diag,
                                           std::vector<double>* off,
                                           Matrix* z = nullptr);
 
+/// \brief The same solve, tracking only the last row of the eigenvector
+/// matrix: on success `last_row` (resized to n) holds row n-1 of the z an
+/// identity-started SymmetricTridiagonalEigen returns, and diag its
+/// eigenvalues, both bit for bit. Each QL rotation updates each row of z on
+/// its own, so the one row costs O(n) per sweep instead of O(n^2). This is
+/// all a Lanczos residual bound reads.
+genbase::Status SymmetricTridiagonalEigenLastRow(std::vector<double>* diag,
+                                                 std::vector<double>* off,
+                                                 std::vector<double>* last_row);
+
 }  // namespace genbase::linalg
 
 #endif  // GENBASE_LINALG_TRIDIAG_H_

@@ -79,6 +79,13 @@ class ExecFrame {
 
   bool params_read() const { return params_read_; }
 
+  /// A folded op that keeps state for an execute op outside the arena (in
+  /// that op's closure, sized only once the folded op ran) charges its
+  /// bytes here; Build reserves them with the plan's retained bytes.
+  /// Folding frames only.
+  void ChargeRetained(int64_t bytes);
+  int64_t charged_retained() const { return charged_retained_; }
+
  private:
   double* Address(int value_id) const;
 
@@ -89,6 +96,7 @@ class ExecFrame {
   const PlanStatics* statics_;
   const core::QueryParams* params_;
   bool params_read_ = false;
+  int64_t charged_retained_ = 0;
 };
 
 /// Kernel work of one op: reads its inputs from the frame, writes its
@@ -110,10 +118,11 @@ class CompiledPlan {
  public:
   /// Splits `graph`'s ops (with `ops[i]` running op i) into folded and
   /// execute ops, lays out their values, runs the folded ops against
-  /// `statics`, and keeps the retained region. Reserves
-  /// `retained_static_bytes` on `tracker` for what execute-op closures
-  /// captured from the statics. Fails with Internal if a folded op reads
-  /// params or overwrites a guard word.
+  /// `statics`, and keeps the retained region. Then reserves on `tracker`
+  /// `retained_static_bytes` for what execute-op closures captured from the
+  /// statics, plus what the folded ops charged (ExecFrame::ChargeRetained).
+  /// Fails with Internal if a folded op reads params or overwrites a guard
+  /// word.
   static genbase::Result<std::shared_ptr<CompiledPlan>> Build(
       core::QueryId query, PlanGraph graph, std::vector<OpFn> ops,
       const PlanStatics& statics, int64_t retained_static_bytes,
@@ -142,8 +151,9 @@ class CompiledPlan {
   /// Every value's region and slot.
   const MemoryLayout& layout() const { return layout_; }
 
-  /// Tracker bytes the plan holds between executions: the retained region
-  /// plus what execute ops captured from the statics.
+  /// Tracker bytes the plan holds between executions: the retained region,
+  /// what execute ops captured from the statics and what folded ops kept
+  /// outside the arena.
   int64_t retained_bytes() const { return retained_bytes_; }
 
   int64_t compile_ns() const { return compile_ns_; }
@@ -155,8 +165,10 @@ class CompiledPlan {
  private:
   friend class ExecFrame;
 
-  genbase::Status RunFolded(const std::vector<OpFn>& ops,
-                            const PlanStatics& statics, ExecContext* ctx);
+  /// Returns the bytes the folded ops charged with ChargeRetained.
+  genbase::Result<int64_t> RunFolded(const std::vector<OpFn>& ops,
+                                     const PlanStatics& statics,
+                                     ExecContext* ctx);
 
   /// A guarded arena for `region`, or none when the region is empty.
   genbase::Result<std::unique_ptr<PlanArena>> NewArena(Region region) const;

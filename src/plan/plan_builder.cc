@@ -1,6 +1,7 @@
 #include "plan/plan_builder.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -402,13 +403,34 @@ GraphParts BuildSvdGraph(const PlanStatics& st) {
   const int v_x = p.graph.AddValue("x", {rows, cols});
   p.Add({OpKind::kScan, "scan_matrix", {}, {v_x}},
         ScanMatrix(v_x, rows, cols));
+  // Only the Lanczos stopping rule reads svd_rank, so the rank-1 run is
+  // folded and truncated_svd continues a copy of its stopped state. That
+  // is exact: the recurrence never reads k, and no rank k >= 1 stops before
+  // the rank-1 run does — top-k convergence at iteration m implies top-1
+  // convergence at m, max_iter(k) = min(n, 2k + 120) >= max_iter(1), and a
+  // b_j <= 1e-300 breakdown stops every rank at the same m. The
+  // continuation first runs the rank-k test at the retained iteration and
+  // steps on only if it fails. The state, sized by where the run stopped,
+  // lives outside the arena; it is read-only once the compile returns.
+  auto prefix = std::make_shared<linalg::LanczosState>();
+  p.Add({OpKind::kSvdHelper, "lanczos_prefix", {v_x}, {}},
+        [v_x, prefix](ExecFrame* f, ExecContext* ctx,
+                      QueryResult*) -> genbase::Status {
+          GENBASE_ASSIGN_OR_RETURN(
+              *prefix, core::SvdPrefix(f->View(v_x),
+                                       linalg::KernelQuality::kTuned, ctx));
+          f->ChargeRetained(prefix->bytes());
+          return genbase::Status::OK();
+        });
   p.Add({OpKind::kSvdHelper, "truncated_svd", {v_x}, {}, kReadsParams},
-        [v_x](ExecFrame* f, ExecContext* ctx,
-              QueryResult* out) -> genbase::Status {
+        [v_x, prefix = std::shared_ptr<const linalg::LanczosState>(prefix)](
+            ExecFrame* f, ExecContext* ctx,
+            QueryResult* out) -> genbase::Status {
           GENBASE_ASSIGN_OR_RETURN(
               out->svd,
               core::SvdAnalytics(f->View(v_x), f->params().svd_rank,
-                                 linalg::KernelQuality::kTuned, ctx));
+                                 linalg::KernelQuality::kTuned, ctx,
+                                 prefix.get()));
           return genbase::Status::OK();
         });
   return p;

@@ -22,7 +22,7 @@ enum class OpKind {
   kJoin,             ///< Threshold pass + metadata join (Q2 summary).
   kGemm,             ///< Dense least-squares solve (Q1, QR-backed).
   kSyrkCentered,     ///< C = centered(A)^T centered(A) / (m-1) (Q2).
-  kSvdHelper,        ///< Truncated Lanczos SVD (Q4 summary).
+  kSvdHelper,        ///< Lanczos SVD steps (Q4: rank-1 prefix, summary).
   kWilcoxonRank,     ///< Rank-sum tests over GO terms (Q5 summary).
   kChengChurchStep,  ///< Cheng-Church biclustering (Q3 summary).
   kColumnMeans,      ///< Column mean vector (Q2).

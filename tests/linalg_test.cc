@@ -16,9 +16,12 @@
 #include "linalg/randomized_svd.h"
 #include "linalg/svd.h"
 #include "linalg/tridiag.h"
+#include "bitwise_result.h"  // Same directory.
 
 namespace genbase::linalg {
 namespace {
+
+using testutil::BitEq;
 
 Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed,
                     double scale = 1.0) {
@@ -369,6 +372,47 @@ TEST(TridiagTest, MatchesJacobiOnRandomTridiagonal) {
   }
 }
 
+/// The last-row solve against the full-z solve of the same (d, e): the
+/// eigenvalues and row n-1 of z, bit for bit.
+void ExpectLastRowMatchesFull(std::vector<double> d, std::vector<double> e) {
+  const auto n = static_cast<int64_t>(d.size());
+  std::vector<double> d_last = d, e_last = e, last_row;
+  Matrix z(n, n);
+  for (int64_t i = 0; i < n; ++i) z(i, i) = 1.0;
+  ASSERT_TRUE(SymmetricTridiagonalEigen(&d, &e, &z).ok());
+  ASSERT_TRUE(
+      SymmetricTridiagonalEigenLastRow(&d_last, &e_last, &last_row).ok());
+  EXPECT_TRUE(BitEq(d_last, d));
+  EXPECT_TRUE(BitEq(last_row, std::vector<double>(z.Row(n - 1),
+                                                  z.Row(n - 1) + n)));
+}
+
+TEST(TridiagTest, LastRowModeMatchesFullZBitwise) {
+  for (const int64_t n : {2, 3, 7, 16, 40}) {
+    for (const uint64_t seed : {1, 2, 3}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " seed=" << seed);
+      Rng rng(seed * 1000 + static_cast<uint64_t>(n));
+      std::vector<double> d(static_cast<size_t>(n));
+      std::vector<double> e(static_cast<size_t>(n), 0.0);
+      for (auto& v : d) v = rng.Gaussian();
+      for (int64_t i = 0; i + 1 < n; ++i) e[i] = rng.Gaussian();
+      ExpectLastRowMatchesFull(d, e);
+    }
+  }
+  // n = 1.
+  ExpectLastRowMatchesFull({2.5}, {0.0});
+  // Zero off-diagonals: no rotation runs, only the sort.
+  ExpectLastRowMatchesFull({3.0, -1.0, 2.0, 0.0, 2.0}, {0.0, 0.0, 0.0, 0.0, 0.0});
+  // Repeated eigenvalues: a constant diagonal, two identical blocks split by
+  // a zero coupling, and Wilkinson's W21+ (pairs equal to ~1e-14).
+  ExpectLastRowMatchesFull({4.0, 4.0, 4.0, 4.0}, {0.0, 0.0, 0.0, 0.0});
+  ExpectLastRowMatchesFull({1.0, 2.0, 1.0, 1.0, 2.0, 1.0},
+                           {1.0, 1.0, 0.0, 1.0, 1.0, 0.0});
+  std::vector<double> wd(21), we(21, 1.0);
+  for (int i = 0; i < 21; ++i) wd[i] = std::fabs(10.0 - i);
+  ExpectLastRowMatchesFull(wd, we);
+}
+
 // --- Jacobi ----------------------------------------------------------------------
 
 TEST(JacobiTest, EigenEquationHolds) {
@@ -467,6 +511,146 @@ TEST(LanczosTest, DeterministicForSeed) {
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1->eigenvalues, r2->eigenvalues);
+}
+
+/// y = A^T (A x), as Query 4 runs Lanczos.
+LinearOperator GramOperator(const Matrix& a) {
+  LinearOperator op;
+  op.n = a.cols();
+  op.apply = [&a, tmp = std::vector<double>(static_cast<size_t>(a.rows()))](
+                 const double* x, double* y) mutable {
+    Gemv(MatrixView(a), x, tmp.data());
+    GemvTranspose(MatrixView(a), tmp.data(), y);
+    return genbase::Status::OK();
+  };
+  return op;
+}
+
+::testing::AssertionResult SameRun(const LanczosResult& fresh,
+                                   const LanczosResult& continued) {
+  if (fresh.iterations != continued.iterations) {
+    return ::testing::AssertionFailure()
+           << "iterations " << fresh.iterations << " vs "
+           << continued.iterations;
+  }
+  if (fresh.converged != continued.converged) {
+    return ::testing::AssertionFailure() << "converged differs";
+  }
+  if (!BitEq(fresh.eigenvalues, continued.eigenvalues)) {
+    return ::testing::AssertionFailure() << "eigenvalues differ";
+  }
+  const auto flat = [](const Matrix& m) {
+    return std::vector<double>(m.data(), m.data() + m.size());
+  };
+  if (fresh.eigenvectors.rows() != continued.eigenvectors.rows() ||
+      !BitEq(flat(fresh.eigenvectors), flat(continued.eigenvectors))) {
+    return ::testing::AssertionFailure() << "Ritz vectors differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Continues a copy of `from` at k and runs k fresh; both must agree bit
+/// for bit. Returns the continued state.
+LanczosState ExpectContinuesExactly(const LinearOperator& op,
+                                    LanczosOptions opt, int k,
+                                    const LanczosState& from) {
+  opt.num_eigenpairs = k;
+  LanczosState state = from;
+  auto fresh = LanczosLargestEigenpairs(op, opt);
+  auto continued = LanczosLargestEigenpairs(op, opt, nullptr, &state);
+  EXPECT_TRUE(fresh.ok() && continued.ok());
+  if (fresh.ok() && continued.ok()) {
+    EXPECT_TRUE(SameRun(*fresh, *continued)) << "k=" << k;
+    EXPECT_EQ(state.iterations(), fresh->iterations);
+  }
+  return state;
+}
+
+/// The rank-1 run's stopped state, continued at every k from 1 to n.
+LanczosState ExpectEveryRankContinuesExactly(const Matrix& a,
+                                             double tolerance) {
+  const LinearOperator op = GramOperator(a);
+  LanczosOptions opt;
+  opt.num_eigenpairs = 1;
+  opt.tolerance = tolerance;
+  LanczosState prefix;
+  EXPECT_TRUE(LanczosLargestEigenpairs(op, opt, nullptr, &prefix).ok());
+  for (int k = 1; k <= op.n; ++k) ExpectContinuesExactly(op, opt, k, prefix);
+  return prefix;
+}
+
+TEST(LanczosContinueTest, RandomMatrixEveryRank) {
+  const LanczosState prefix =
+      ExpectEveryRankContinuesExactly(RandomMatrix(60, 30, 90), 1e-10);
+  EXPECT_LT(prefix.iterations(), 30) << "rank 1 should stop early";
+}
+
+TEST(LanczosContinueTest, ZeroResidualStopsEveryRankAtOnce) {
+  // Rank 0: the first residual is exactly 0, so every rank stops on the
+  // b_j <= 1e-300 rule at m = 1, ranks above 1 unconverged.
+  const LanczosState prefix =
+      ExpectEveryRankContinuesExactly(Matrix(12, 8), 1e-10);
+  EXPECT_EQ(prefix.iterations(), 1);
+  EXPECT_EQ(prefix.w_norm, 0.0);
+  LanczosOptions opt;
+  opt.num_eigenpairs = 3;
+  auto r = LanczosLargestEigenpairs(GramOperator(Matrix(12, 8)), opt);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->iterations, 1);
+  EXPECT_FALSE(r->converged);
+}
+
+TEST(LanczosContinueTest, RankDeficientEveryRank) {
+  // Rank 3 of 20 columns: the residual collapses to rounding noise after
+  // three steps.
+  Matrix a(40, 20);
+  GENBASE_CHECK_OK(Gemm(MatrixView(RandomMatrix(40, 3, 91)),
+                        MatrixView(RandomMatrix(3, 20, 92)), &a));
+  ExpectEveryRankContinuesExactly(a, 1e-10);
+}
+
+TEST(LanczosContinueTest, IterationCapAtNEveryRank) {
+  // n = 20 < 122, so max_iter = n for every rank; with a zero tolerance no
+  // Ritz pair converges and every run stops at the cap.
+  const LanczosState prefix =
+      ExpectEveryRankContinuesExactly(RandomMatrix(50, 20, 93), 0.0);
+  EXPECT_EQ(prefix.iterations(), 20);
+}
+
+TEST(LanczosContinueTest, SingleColumn) {
+  const LanczosState prefix =
+      ExpectEveryRankContinuesExactly(RandomMatrix(5, 1, 94), 1e-10);
+  EXPECT_EQ(prefix.iterations(), 1);
+}
+
+TEST(LanczosContinueTest, ChainOfContinuations) {
+  const Matrix a = RandomMatrix(60, 30, 95);
+  const LinearOperator op = GramOperator(a);
+  LanczosOptions opt;
+  LanczosState state;
+  for (const int k : {2, 5, 12}) {
+    state = ExpectContinuesExactly(op, opt, k, state);
+  }
+}
+
+TEST(LanczosTest, RejectsNegativeRank) {
+  LanczosOptions opt;
+  opt.num_eigenpairs = -1;
+  auto r = LanczosLargestEigenpairs(GramOperator(RandomMatrix(10, 6, 97)), opt);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(LanczosContinueTest, RejectsStateOfAnotherDimension) {
+  LanczosOptions opt;
+  opt.num_eigenpairs = 1;
+  LanczosState state;
+  ASSERT_TRUE(LanczosLargestEigenpairs(GramOperator(RandomMatrix(10, 6, 96)),
+                                       opt, nullptr, &state)
+                  .ok());
+  EXPECT_FALSE(LanczosLargestEigenpairs(GramOperator(RandomMatrix(10, 7, 96)),
+                                        opt, nullptr, &state)
+                   .ok());
 }
 
 // --- Covariance --------------------------------------------------------------------

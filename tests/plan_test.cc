@@ -432,12 +432,12 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, PlannedQueryTest,
 /// from the builders' reads_params declarations so a misdeclared op (or a
 /// fold rule change) fails here:
 ///
-///   query         folded at compile           left at execute
-///   regression    scan_design, least_squares  -
-///   covariance    scan .. partition_upper     quantile, threshold_join
-///   biclustering  scan_matrix                 cheng_church
-///   svd           scan_matrix                 truncated_svd
-///   statistics    aggregate_scores, wilcoxon  count_significant
+///   query         folded at compile            left at execute
+///   regression    scan_design, least_squares   -
+///   covariance    scan .. partition_upper      quantile, threshold_join
+///   biclustering  scan_matrix                  cheng_church
+///   svd           scan_matrix, lanczos_prefix  truncated_svd
+///   statistics    aggregate_scores, wilcoxon   count_significant
 
 struct FoldSplit {
   QueryId query;
@@ -453,7 +453,7 @@ std::vector<FoldSplit> FoldTable() {
         "partition_upper"},
        {"quantile", "threshold_join"}},
       {QueryId::kBiclustering, {"scan_matrix"}, {"cheng_church"}},
-      {QueryId::kSvd, {"scan_matrix"}, {"truncated_svd"}},
+      {QueryId::kSvd, {"scan_matrix", "lanczos_prefix"}, {"truncated_svd"}},
       {QueryId::kStatistics, {"aggregate_scores", "wilcoxon"},
        {"count_significant"}},
   };
@@ -503,6 +503,44 @@ TEST(FoldTest, PlansRetainOnlyWhatExecuteReads) {
       EXPECT_EQ(tracker.used(), 0) << "Q1 execute pinned an arena";
     }
   }
+}
+
+/// Q4 folds the rank-1 Lanczos run and each execute continues a copy of
+/// its stopped state: every rank the plan's x admits, on one shared plan,
+/// answers as legacy does, bit for bit (iterations included). The state
+/// beside x holds only what that run wrote — m basis rows, not a slot for
+/// the iteration cap — and is charged to the tracker.
+TEST(FoldTest, SvdPlanServesEveryRankFromOnePrefix) {
+  MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
+  ExecContext ctx;
+  ctx.set_memory(&tracker);
+  auto plan = plan::CompileQuery(TinyTables(), QueryId::kSvd, TinyParams(),
+                                 &tracker, &ctx);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const TensorSpec x = (*plan)->graph().values()[0].spec;
+  ASSERT_GT(x.cols, 2);
+  for (int rank = 0; rank <= x.cols; ++rank) {
+    QueryParams p = TinyParams();
+    p.svd_rank = rank;
+    auto r = (*plan)->Execute(p, &ctx);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(BitwiseEqual(*r, LegacyAnswer(QueryId::kSvd, p)))
+        << "svd_rank " << rank;
+  }
+  EXPECT_EQ(tracker.used(), (*plan)->retained_bytes());
+
+  ExecContext legacy_ctx;
+  auto inputs = engine::PrepareInputsColumnar(*TinyTables(), QueryId::kSvd,
+                                              TinyParams(), &legacy_ctx);
+  ASSERT_TRUE(inputs.ok());
+  auto prefix = core::SvdPrefix(linalg::MatrixView(inputs->x),
+                                linalg::KernelQuality::kTuned, nullptr);
+  ASSERT_TRUE(prefix.ok());
+  const int64_t m = prefix->iterations();
+  EXPECT_EQ(prefix->bytes(), ((m + 1) * x.cols + 2 * m - 1) * 8);
+  const int64_t arena =
+      (*plan)->layout().bytes(Region::kRetained) + plan::kSlotAlignment;
+  EXPECT_EQ((*plan)->retained_bytes(), arena + prefix->bytes());
 }
 
 /// No plan pins the tables snapshot it was compiled from: execute ops read

@@ -8,6 +8,8 @@
 #include "core/reference.h"
 #include "engine/engine_util.h"
 #include "linalg/blas.h"
+#include "linalg/svd.h"
+#include "bitwise_result.h"  // Same directory.
 
 namespace genbase::core {
 namespace {
@@ -145,6 +147,36 @@ TEST(SvdAnalyticsTest, RankClampedToColumns) {
   EXPECT_EQ(s->rank, 6);
   EXPECT_EQ(s->singular_values.size(), 6u);
   EXPECT_GT(s->iterations, 0);
+}
+
+TEST(SvdAnalyticsTest, ValuesMatchTruncatedSvdBitwise) {
+  Rng rng(5);
+  linalg::Matrix x(40, 12);
+  for (int64_t i = 0; i < x.size(); ++i) x.data()[i] = rng.Gaussian();
+  const linalg::MatrixView view(x);
+  for (const auto quality :
+       {linalg::KernelQuality::kTuned, linalg::KernelQuality::kNaive}) {
+    auto prefix = SvdPrefix(view, quality, nullptr);
+    ASSERT_TRUE(prefix.ok());
+    for (const int rank : {0, 1, 3, 6, 12, 50}) {
+      SCOPED_TRACE(rank);
+      auto s = SvdAnalytics(view, rank, quality, nullptr);
+      ASSERT_TRUE(s.ok());
+      linalg::SvdOptions opt;
+      opt.rank = s->rank;
+      opt.quality = quality;
+      auto full = linalg::TruncatedSvd(view, opt);
+      ASSERT_TRUE(full.ok());
+      EXPECT_TRUE(testutil::BitEq(s->singular_values, full->singular_values));
+      EXPECT_EQ(s->iterations, full->lanczos_iterations);
+      // Continuing the rank-1 prefix gives the same answer.
+      auto continued = SvdAnalytics(view, rank, quality, nullptr, &*prefix);
+      ASSERT_TRUE(continued.ok());
+      EXPECT_TRUE(
+          testutil::BitEq(continued->singular_values, s->singular_values));
+      EXPECT_EQ(continued->iterations, s->iterations);
+    }
+  }
 }
 
 // --- StatsAnalytics ------------------------------------------------------------------
