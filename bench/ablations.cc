@@ -1,4 +1,4 @@
-// Ablations for the design choices DESIGN.md calls out:
+// Ablations for the modeling choices core::SimConfig documents:
 //   1. Tuned (blocked, parallel) vs naive GEMM — the quantitative basis for
 //      the Mahout-quality kernel model.
 //   2. CSV round trip vs in-process UDF transfer — the two glue mechanisms

@@ -304,20 +304,20 @@ int64_t RunProfilerGates() {
     any_profiled = true;
     for (int s = 0; s < obs::kNumRequestStages; ++s) {
       if (report.total.stage_cpu_s[s] >
-          report.total.stage_wall_s[s] * (1.0 + 1e-9) + 1e-9) {
+          report.total.stage[s].sum() * (1.0 + 1e-9) + 1e-9) {
         std::printf("# cpu/wall gate FAIL: %s stage %s cpu %.6fs > wall "
                     "%.6fs\n",
                     key.c_str(),
                     obs::RequestStageName(static_cast<obs::RequestStage>(s)),
                     report.total.stage_cpu_s[s],
-                    report.total.stage_wall_s[s]);
+                    report.total.stage[s].sum());
         ++ratio_failures;
       }
     }
     if (report.offered_qps > 0) {
       overload_queue_wall_s +=
-          report.total.stage_wall_s[static_cast<int>(
-              obs::RequestStage::kQueue)];
+          report.total.stage[static_cast<int>(obs::RequestStage::kQueue)]
+              .sum();
       overload_queue_cpu_s +=
           report.total.stage_cpu_s[static_cast<int>(
               obs::RequestStage::kQueue)];

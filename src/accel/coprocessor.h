@@ -25,7 +25,7 @@ KernelClass KernelClassFor(core::QueryId query);
 /// ratios, derated) while the decisive structural effects — transfer
 /// amortization with data size, device memory capacity, communication not
 /// accelerating — are computed from the actual workload sizes. Constants
-/// live in core::SimConfig; DESIGN.md documents the substitution.
+/// live in core::SimConfig, whose comments document each substitution.
 class Coprocessor {
  public:
   Coprocessor();  // From SimConfig.

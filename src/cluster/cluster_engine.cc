@@ -169,20 +169,18 @@ genbase::Result<std::vector<linalg::Matrix>> ClusterEngine::LocalBlocks(
     NodeData& nd = *node_data_[static_cast<size_t>(node)];
     if (options_.array_native) {
       // SciDB: dimension-aligned selections + chunked submatrix gather.
-      using relational::ColumnPredicate;
-      using storage::Value;
+      const engine::Selection sel =
+          engine::SelectionFor(query, params, dims_);
+      GENBASE_ASSIGN_OR_RETURN(
+          std::vector<int64_t> selected,
+          relational::FilterColumns(
+              sel.on_genes ? nd.tables.genes : nd.tables.patients,
+              sel.predicates, ctx));
       std::vector<int64_t> local_rows;
       std::vector<int64_t> cols;
-      if (query == QueryId::kRegression || query == QueryId::kSvd) {
-        GENBASE_ASSIGN_OR_RETURN(
-            std::vector<int64_t> gene_sel,
-            relational::FilterColumns(
-                nd.tables.genes,
-                {ColumnPredicate::Lt(GeneCols::kFunction,
-                                     Value::Int(params.function_threshold))},
-                ctx));
+      if (sel.on_genes) {
         const auto& gids = nd.tables.genes.IntColumn(GeneCols::kGeneId);
-        for (int64_t i : gene_sel) cols.push_back(gids[i]);
+        for (int64_t i : selected) cols.push_back(gids[i]);
         std::sort(cols.begin(), cols.end());
         local_rows.resize(static_cast<size_t>(nd.patients.size()));
         for (int64_t i = 0; i < nd.patients.size(); ++i) local_rows[i] = i;
@@ -191,20 +189,7 @@ genbase::Result<std::vector<linalg::Matrix>> ClusterEngine::LocalBlocks(
               nd.tables.patients.DoubleColumn(PatientCols::kDrugResponse);
         }
       } else {
-        std::vector<ColumnPredicate> preds;
-        if (query == QueryId::kCovariance) {
-          preds = {ColumnPredicate::Eq(PatientCols::kDiseaseId,
-                                       Value::Int(params.disease_id))};
-        } else {
-          preds = {ColumnPredicate::Eq(PatientCols::kGender,
-                                       Value::Int(params.gender)),
-                   ColumnPredicate::Lt(PatientCols::kAge,
-                                       Value::Int(params.max_age))};
-        }
-        GENBASE_ASSIGN_OR_RETURN(
-            std::vector<int64_t> patient_sel,
-            relational::FilterColumns(nd.tables.patients, preds, ctx));
-        local_rows = patient_sel;  // Positions == local array rows.
+        local_rows = std::move(selected);  // Positions == local array rows.
         cols.resize(static_cast<size_t>(dims_.genes));
         for (int64_t g = 0; g < dims_.genes; ++g) cols[g] = g;
       }

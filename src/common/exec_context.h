@@ -75,7 +75,6 @@ class ExecContext {
                 std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                     std::chrono::duration<double>(seconds));
   }
-  void ClearDeadline() { deadline_.reset(); }
 
   /// Returns the context to a fresh state so one context can be reused
   /// across operations (the workload runner keeps one per client thread).

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -51,6 +52,12 @@ class Value {
 /// Parses one JSON document (surrounding whitespace allowed, trailing
 /// garbage rejected). Errors carry a byte offset.
 genbase::Result<Value> Parse(const std::string& text);
+
+/// Appends `s` as the body of a JSON string (no surrounding quotes): `"`
+/// and `\` are backslash-escaped, newline and tab as \n and \t, other
+/// control characters as \u00XX; everything else, UTF-8 included, passes
+/// through. The one escaper behind every artifact this repo writes.
+void AppendEscaped(std::string* out, std::string_view s);
 
 }  // namespace genbase::json
 

@@ -32,15 +32,6 @@ const char* BackendName(Backend backend) {
   return "?";
 }
 
-bool CompiledWithAvx2Support() {
-#if (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-  return true;
-#else
-  return false;
-#endif
-}
-
 bool CpuSupportsAvx2() {
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))

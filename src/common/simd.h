@@ -15,9 +15,6 @@ enum class Backend { kScalar, kSimd };
 /// "scalar" / "simd" — the strings reports and BENCH_*.json carry.
 const char* BackendName(Backend backend);
 
-/// True when this build can emit AVX2+FMA code paths at all (x86 gcc/clang).
-bool CompiledWithAvx2Support();
-
 /// Runtime CPUID check: does this machine execute AVX2+FMA?
 bool CpuSupportsAvx2();
 

@@ -44,20 +44,6 @@ class ThreadCpuTimer {
   double start_;
 };
 
-/// \brief Adds the elapsed wall seconds to *sink on destruction.
-class ScopedWallTimer {
- public:
-  explicit ScopedWallTimer(double* sink) : sink_(sink) {}
-  ~ScopedWallTimer() { *sink_ += timer_.Seconds(); }
-
-  ScopedWallTimer(const ScopedWallTimer&) = delete;
-  ScopedWallTimer& operator=(const ScopedWallTimer&) = delete;
-
- private:
-  double* sink_;
-  WallTimer timer_;
-};
-
 }  // namespace genbase
 
 #endif  // GENBASE_COMMON_TIMER_H_

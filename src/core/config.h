@@ -10,14 +10,13 @@ namespace genbase::core {
 /// Two kinds of numbers live here:
 ///  1. *Workload* knobs (scale, timeout) — set from the environment:
 ///       GENBASE_SCALE    linear scale factor on paper dataset dims
-///                        (default 0.1; 1.0 = the paper's literal sizes)
+///                        (default 0.08; 1.0 = the paper's literal sizes)
 ///       GENBASE_TIMEOUT  per-query-cell time budget in seconds
-///                        (default 20; the paper used 7200)
+///                        (default 40; the paper used 7200)
 ///  2. *Model* constants — the few costs that are simulated rather than
 ///     incurred, because the hardware does not exist in this environment
 ///     (cluster interconnect, coprocessor, JVM startup). Every such constant
-///     is documented here and surfaced in bench output; DESIGN.md explains
-///     each substitution.
+///     is documented here, next to its field, and surfaced in bench output.
 struct SimConfig {
   // --- workload ------------------------------------------------------------
   double scale = 0.08;

@@ -334,6 +334,13 @@ genbase::Result<StatsSummary> StatsRankTests(
   std::vector<bool> mask(static_cast<size_t>(count), false);
   for (const auto& members : memberships) {
     if (ctx != nullptr) GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
+    for (int64_t g : members) {
+      if (g < 0 || g >= count) {
+        return Status::InvalidArgument(
+            "GO member " + std::to_string(g) + " is not a score position (" +
+            std::to_string(count) + " scores)");
+      }
+    }
     if (members.empty() ||
         static_cast<int64_t>(members.size()) == count) {
       continue;  // Test undefined when a group is empty.

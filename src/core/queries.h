@@ -223,6 +223,7 @@ genbase::Result<StatsSummary> StatsAnalytics(
 /// term with both groups non-empty. Writes the tested terms' two-sided
 /// p-values, in term order, to p_values[0, terms_tested) (room for
 /// memberships.size()) and fills genes_ranked, terms_tested and z_abs_sum.
+/// Members are score positions: one outside [0, count) is InvalidArgument.
 genbase::Result<StatsSummary> StatsRankTests(
     const double* gene_scores, int64_t count,
     const std::vector<std::vector<int64_t>>& memberships, double* p_values,

@@ -214,42 +214,14 @@ genbase::Status LoadColumnarTables(const core::GenBaseData& data,
 namespace {
 
 using core::GeneCols;
-using core::GoCols;
 using core::MicroarrayCols;
 using core::PatientCols;
+using core::QueryId;
 using relational::ColumnPredicate;
 using relational::DenseMapping;
-using relational::FilterColumns;
-using relational::HashJoinIndicesFiltered;
 using relational::JoinIndex;
 using relational::MakeDenseMapping;
-
-/// Restructures matched microarray triples (by join index) into a dense
-/// matrix: the relational -> array conversion every non-array engine pays.
-genbase::Result<linalg::Matrix> RestructureJoined(
-    const storage::ColumnTable& microarray, const JoinIndex& join,
-    const DenseMapping& row_map, const DenseMapping& col_map,
-    ExecContext* ctx) {
-  MemoryTracker* tracker = ctx != nullptr ? ctx->memory() : nullptr;
-  GENBASE_ASSIGN_OR_RETURN(
-      linalg::Matrix m,
-      linalg::Matrix::Create(row_map.size(), col_map.size(), tracker));
-  const auto& pid = microarray.IntColumn(MicroarrayCols::kPatientId);
-  const auto& gid = microarray.IntColumn(MicroarrayCols::kGeneId);
-  const auto& expr = microarray.DoubleColumn(MicroarrayCols::kExpr);
-  for (size_t k = 0; k < join.right.size(); ++k) {
-    if (ctx != nullptr && (k & 262143) == 0) {
-      GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
-    }
-    const int64_t row = join.right[k];
-    const auto rit = row_map.index.find(pid[static_cast<size_t>(row)]);
-    if (rit == row_map.index.end()) continue;
-    const auto cit = col_map.index.find(gid[static_cast<size_t>(row)]);
-    if (cit == col_map.index.end()) continue;
-    m(rit->second, cit->second) = expr[static_cast<size_t>(row)];
-  }
-  return m;
-}
+using storage::Value;
 
 std::vector<int64_t> GatherIds(const std::vector<int64_t>& ids,
                                const std::vector<int64_t>& selection) {
@@ -259,135 +231,208 @@ std::vector<int64_t> GatherIds(const std::vector<int64_t>& ids,
   return out;
 }
 
-}  // namespace
-
-genbase::Result<QueryInputs> PrepareInputsColumnar(
-    const ColumnarTables& tables, core::QueryId query,
-    const core::QueryParams& params, ExecContext* ctx) {
-  using storage::Value;
-  QueryInputs in;
-  ScopedPhase dm(ctx, Phase::kDataManagement);
-  MemoryTracker* tracker = ctx != nullptr ? ctx->memory() : nullptr;
-
-  switch (query) {
-    case core::QueryId::kRegression:
-    case core::QueryId::kSvd: {
-      // Filter genes by function, join with microarray, restructure.
-      GENBASE_ASSIGN_OR_RETURN(
-          std::vector<int64_t> gene_sel,
-          FilterColumns(tables.genes,
-                        {ColumnPredicate::Lt(
-                            GeneCols::kFunction,
-                            Value::Int(params.function_threshold))},
-                        ctx));
-      in.col_ids = GatherIds(tables.genes.IntColumn(GeneCols::kGeneId),
-                             gene_sel);
-      GENBASE_ASSIGN_OR_RETURN(
-          JoinIndex join,
-          HashJoinIndicesFiltered(tables.genes, GeneCols::kGeneId, gene_sel,
-                                  tables.microarray, MicroarrayCols::kGeneId,
-                                  ctx, tracker));
-      in.row_ids = tables.patients.IntColumn(PatientCols::kPatientId);
-      std::sort(in.row_ids.begin(), in.row_ids.end());
-      const DenseMapping row_map = MakeDenseMapping(in.row_ids);
-      const DenseMapping col_map = MakeDenseMapping(in.col_ids);
-      in.col_ids = col_map.ids;
-      GENBASE_ASSIGN_OR_RETURN(
-          in.x, RestructureJoined(tables.microarray, join, row_map, col_map,
-                                  ctx));
-      if (query == core::QueryId::kRegression) {
-        // Project the drug response aligned to the row mapping.
-        in.y.assign(static_cast<size_t>(row_map.size()), 0.0);
-        const auto& pid = tables.patients.IntColumn(PatientCols::kPatientId);
-        const auto& resp =
-            tables.patients.DoubleColumn(PatientCols::kDrugResponse);
-        for (size_t i = 0; i < pid.size(); ++i) {
-          const auto it = row_map.index.find(pid[i]);
-          if (it != row_map.index.end()) {
-            in.y[static_cast<size_t>(it->second)] = resp[i];
-          }
-        }
-      }
-      return in;
-    }
-    case core::QueryId::kCovariance:
-    case core::QueryId::kBiclustering: {
-      std::vector<ColumnPredicate> preds;
-      if (query == core::QueryId::kCovariance) {
-        preds = {ColumnPredicate::Eq(PatientCols::kDiseaseId,
-                                     Value::Int(params.disease_id))};
-      } else {
-        preds = {
-            ColumnPredicate::Eq(PatientCols::kGender,
-                                Value::Int(params.gender)),
-            ColumnPredicate::Lt(PatientCols::kAge,
-                                Value::Int(params.max_age))};
-      }
-      GENBASE_ASSIGN_OR_RETURN(std::vector<int64_t> patient_sel,
-                               FilterColumns(tables.patients, preds, ctx));
-      in.row_ids = GatherIds(
-          tables.patients.IntColumn(PatientCols::kPatientId), patient_sel);
-      GENBASE_ASSIGN_OR_RETURN(
-          JoinIndex join,
-          HashJoinIndicesFiltered(tables.patients, PatientCols::kPatientId,
-                                  patient_sel, tables.microarray,
-                                  MicroarrayCols::kPatientId, ctx, tracker));
-      in.col_ids = tables.genes.IntColumn(GeneCols::kGeneId);
-      std::sort(in.col_ids.begin(), in.col_ids.end());
-      const DenseMapping row_map = MakeDenseMapping(in.row_ids);
-      const DenseMapping col_map = MakeDenseMapping(in.col_ids);
-      in.row_ids = row_map.ids;
-      GENBASE_ASSIGN_OR_RETURN(
-          in.x, RestructureJoined(tables.microarray, join, row_map, col_map,
-                                  ctx));
-      if (query == core::QueryId::kCovariance) {
-        in.meta = MakeColumnarMetaLookup(tables.genes);
-      }
-      return in;
-    }
-    case core::QueryId::kStatistics: {
-      const int64_t k =
-          core::SampleCount(tables.dims.patients, params.sample_fraction);
-      GENBASE_ASSIGN_OR_RETURN(
-          std::vector<int64_t> patient_sel,
-          FilterColumns(tables.patients,
-                        {ColumnPredicate::Lt(PatientCols::kPatientId,
-                                             Value::Int(k))},
-                        ctx));
-      in.sample_count = static_cast<int64_t>(patient_sel.size());
-      GENBASE_ASSIGN_OR_RETURN(
-          JoinIndex join,
-          HashJoinIndicesFiltered(tables.patients, PatientCols::kPatientId,
-                                  patient_sel, tables.microarray,
-                                  MicroarrayCols::kPatientId, ctx, tracker));
-      // Mean expression per gene over the sample (vectorized aggregate).
-      const DenseMapping gene_map = MakeDenseMapping(
-          tables.genes.IntColumn(GeneCols::kGeneId));
-      in.scores.assign(static_cast<size_t>(gene_map.size()), 0.0);
-      const auto& gid = tables.microarray.IntColumn(MicroarrayCols::kGeneId);
-      const auto& expr =
-          tables.microarray.DoubleColumn(MicroarrayCols::kExpr);
-      for (size_t idx = 0; idx < join.right.size(); ++idx) {
-        if (ctx != nullptr && (idx & 262143) == 0) {
-          GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
-        }
-        const int64_t row = join.right[idx];
-        const auto it = gene_map.index.find(gid[static_cast<size_t>(row)]);
-        if (it != gene_map.index.end()) {
-          in.scores[static_cast<size_t>(it->second)] +=
-              expr[static_cast<size_t>(row)];
-        }
-      }
-      const double inv = in.sample_count > 0
-                             ? 1.0 / static_cast<double>(in.sample_count)
-                             : 0.0;
-      for (auto& s : in.scores) s *= inv;
-      in.memberships =
-          BuildMembershipsColumnar(tables.ontology, tables.dims.go_terms);
-      return in;
+/// Id -> dense index of a DenseMapping for the per-matched-row loops: a
+/// direct-address table when the (sorted) ids span a compact range, as the
+/// generated tables' dense ids do, else the mapping's hash index. -1 when
+/// the id is not mapped.
+class IndexLookup {
+ public:
+  explicit IndexLookup(const DenseMapping& map) : map_(&map) {
+    if (map.ids.empty()) return;
+    const uint64_t span = static_cast<uint64_t>(map.ids.back()) -
+                          static_cast<uint64_t>(map.ids.front());
+    if (span >= static_cast<uint64_t>(4 * map.size() + 1024)) return;
+    base_ = map.ids.front();
+    table_.assign(static_cast<size_t>(span) + 1, -1);
+    for (int64_t i = 0; i < map.size(); ++i) {
+      table_[static_cast<size_t>(static_cast<uint64_t>(
+          map.ids[static_cast<size_t>(i)]) - static_cast<uint64_t>(base_))] =
+          i;
     }
   }
-  return genbase::Status::InvalidArgument("unknown query");
+
+  int64_t operator()(int64_t id) const {
+    if (table_.empty()) {
+      const auto it = map_->index.find(id);
+      return it == map_->index.end() ? -1 : it->second;
+    }
+    const uint64_t off =
+        static_cast<uint64_t>(id) - static_cast<uint64_t>(base_);
+    return off < table_.size() ? table_[static_cast<size_t>(off)] : -1;
+  }
+
+ private:
+  const DenseMapping* map_;
+  int64_t base_ = 0;
+  std::vector<int64_t> table_;
+};
+
+}  // namespace
+
+Selection SelectionFor(QueryId query, const core::QueryParams& params,
+                       const core::DatasetDims& dims) {
+  switch (query) {
+    case QueryId::kRegression:
+    case QueryId::kSvd:
+      return {true,
+              {ColumnPredicate::Lt(GeneCols::kFunction,
+                                   Value::Int(params.function_threshold))}};
+    case QueryId::kCovariance:
+      return {false,
+              {ColumnPredicate::Eq(PatientCols::kDiseaseId,
+                                   Value::Int(params.disease_id))}};
+    case QueryId::kBiclustering:
+      return {false,
+              {ColumnPredicate::Eq(PatientCols::kGender,
+                                   Value::Int(params.gender)),
+               ColumnPredicate::Lt(PatientCols::kAge,
+                                   Value::Int(params.max_age))}};
+    case QueryId::kStatistics:
+      return {false,
+              {ColumnPredicate::Lt(
+                  PatientCols::kPatientId,
+                  Value::Int(core::SampleCount(dims.patients,
+                                               params.sample_fraction)))}};
+  }
+  return {};
+}
+
+genbase::Result<JoinedAccess> BuildJoinedAccess(
+    const ColumnarTables& tables, QueryId query,
+    const core::QueryParams& params, ExecContext* ctx,
+    MemoryTracker* tracker) {
+  const Selection sel = SelectionFor(query, params, tables.dims);
+  const storage::ColumnTable& side =
+      sel.on_genes ? tables.genes : tables.patients;
+  const int side_key = sel.on_genes ? GeneCols::kGeneId
+                                    : PatientCols::kPatientId;
+  GENBASE_ASSIGN_OR_RETURN(
+      std::vector<int64_t> selected,
+      relational::FilterColumns(side, sel.predicates, ctx));
+  GENBASE_ASSIGN_OR_RETURN(
+      JoinIndex join,
+      relational::HashJoinIndicesFiltered(
+          side, side_key, selected, tables.microarray,
+          sel.on_genes ? MicroarrayCols::kGeneId
+                       : MicroarrayCols::kPatientId,
+          ctx, tracker));
+  JoinedAccess a;
+  // Keep only the matched microarray rows (the join's left side is never
+  // read), without spare capacity: a plan holds them while it compiles.
+  join.right.shrink_to_fit();
+  a.matched_rows = std::move(join.right);
+  const auto& patient_ids = tables.patients.IntColumn(PatientCols::kPatientId);
+  const auto& gene_ids = tables.genes.IntColumn(GeneCols::kGeneId);
+  a.col_map = MakeDenseMapping(
+      sel.on_genes ? GatherIds(gene_ids, selected) : gene_ids);
+
+  if (query == QueryId::kStatistics) {
+    a.sample_count = static_cast<int64_t>(selected.size());
+    a.memberships =
+        BuildMembershipsColumnar(tables.ontology, tables.dims.go_terms);
+    // Gene ids -> score positions; the map is monotone, so each term's
+    // members stay sorted and unique.
+    const IndexLookup position_of(a.col_map);
+    for (auto& members : a.memberships) {
+      size_t kept = 0;
+      for (const int64_t id : members) {
+        const int64_t pos = position_of(id);
+        if (pos >= 0) members[kept++] = pos;
+      }
+      members.resize(kept);
+    }
+    return a;
+  }
+  a.row_map = MakeDenseMapping(
+      sel.on_genes ? patient_ids : GatherIds(patient_ids, selected));
+  if (query == QueryId::kRegression) {
+    a.y.assign(static_cast<size_t>(a.row_map.size()), 0.0);
+    const auto& resp = tables.patients.DoubleColumn(PatientCols::kDrugResponse);
+    for (size_t i = 0; i < patient_ids.size(); ++i) {
+      const auto it = a.row_map.index.find(patient_ids[i]);
+      if (it != a.row_map.index.end()) {
+        a.y[static_cast<size_t>(it->second)] = resp[i];
+      }
+    }
+  }
+  return a;
+}
+
+genbase::Status ScatterJoined(const ColumnarTables& tables,
+                              const JoinedAccess& access, double* data,
+                              int64_t num_cols, int64_t col_offset,
+                              ExecContext* ctx) {
+  const auto& pid = tables.microarray.IntColumn(MicroarrayCols::kPatientId);
+  const auto& gid = tables.microarray.IntColumn(MicroarrayCols::kGeneId);
+  const auto& expr = tables.microarray.DoubleColumn(MicroarrayCols::kExpr);
+  const IndexLookup row_of(access.row_map);
+  const IndexLookup col_of(access.col_map);
+  for (size_t k = 0; k < access.matched_rows.size(); ++k) {
+    if (ctx != nullptr && (k & 262143) == 0) {
+      GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
+    }
+    const auto row = static_cast<size_t>(access.matched_rows[k]);
+    const int64_t r = row_of(pid[row]);
+    if (r < 0) continue;
+    const int64_t c = col_of(gid[row]);
+    if (c < 0) continue;
+    data[r * num_cols + col_offset + c] = expr[row];
+  }
+  return genbase::Status::OK();
+}
+
+genbase::Status AggregateScores(const ColumnarTables& tables,
+                                const JoinedAccess& access, double* scores,
+                                ExecContext* ctx) {
+  const int64_t genes = access.col_map.size();
+  std::fill_n(scores, static_cast<size_t>(genes), 0.0);
+  const auto& gid = tables.microarray.IntColumn(MicroarrayCols::kGeneId);
+  const auto& expr = tables.microarray.DoubleColumn(MicroarrayCols::kExpr);
+  const IndexLookup gene_of(access.col_map);
+  for (size_t k = 0; k < access.matched_rows.size(); ++k) {
+    if (ctx != nullptr && (k & 262143) == 0) {
+      GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
+    }
+    const auto row = static_cast<size_t>(access.matched_rows[k]);
+    const int64_t g = gene_of(gid[row]);
+    if (g >= 0) scores[g] += expr[row];
+  }
+  const double inv = access.sample_count > 0
+                         ? 1.0 / static_cast<double>(access.sample_count)
+                         : 0.0;
+  for (int64_t g = 0; g < genes; ++g) scores[g] *= inv;
+  return genbase::Status::OK();
+}
+
+genbase::Result<QueryInputs> PrepareInputsColumnar(
+    const ColumnarTables& tables, QueryId query,
+    const core::QueryParams& params, ExecContext* ctx) {
+  ScopedPhase dm(ctx, Phase::kDataManagement);
+  MemoryTracker* tracker = ctx != nullptr ? ctx->memory() : nullptr;
+  GENBASE_ASSIGN_OR_RETURN(
+      JoinedAccess access,
+      BuildJoinedAccess(tables, query, params, ctx, tracker));
+  QueryInputs in;
+  if (query == QueryId::kStatistics) {
+    in.scores.resize(static_cast<size_t>(access.col_map.size()));
+    GENBASE_RETURN_NOT_OK(
+        AggregateScores(tables, access, in.scores.data(), ctx));
+    in.memberships = std::move(access.memberships);
+    in.sample_count = access.sample_count;
+    return in;
+  }
+  GENBASE_ASSIGN_OR_RETURN(
+      in.x, linalg::Matrix::Create(access.row_map.size(),
+                                   access.col_map.size(), tracker));
+  GENBASE_RETURN_NOT_OK(ScatterJoined(tables, access, in.x.data(),
+                                      in.x.cols(), /*col_offset=*/0, ctx));
+  in.row_ids = std::move(access.row_map.ids);
+  in.col_ids = std::move(access.col_map.ids);
+  in.y = std::move(access.y);
+  if (query == QueryId::kCovariance) {
+    in.meta = MakeColumnarMetaLookup(tables.genes);
+  }
+  return in;
 }
 
 }  // namespace genbase::engine

@@ -9,6 +9,8 @@
 #include "core/datasets.h"
 #include "core/queries.h"
 #include "linalg/matrix.h"
+#include "relational/col_ops.h"
+#include "relational/restructure.h"
 #include "storage/column_store.h"
 
 namespace genbase::engine {
@@ -23,7 +25,7 @@ struct QueryInputs {
   std::vector<int64_t> col_ids;    ///< Gene ids backing x's columns.
   std::vector<double> y;           ///< Q1 target (drug response).
   std::vector<double> scores;      ///< Q5 per-gene scores.
-  std::vector<std::vector<int64_t>> memberships;  ///< Q5 GO memberships.
+  std::vector<std::vector<int64_t>> memberships;  ///< Q5: score positions.
   core::GeneMetaLookup meta;       ///< Q2 metadata join access path.
   int64_t sample_count = 0;        ///< Q5 sampled patients.
 };
@@ -53,7 +55,9 @@ genbase::Result<linalg::Matrix> UdfTransferMatrix(
     const linalg::MatrixView& m, ExecContext* ctx, int64_t chunk_rows);
 
 /// \brief Builds GO memberships (term -> sorted unique gene ids) from a
-/// columnar ontology table by a vectorized pass.
+/// columnar ontology table by a vectorized pass. Q5's rank tests read
+/// members as score positions, so only an engine whose gene ids are its
+/// score positions (the array engines) passes these ids on unmapped.
 std::vector<std::vector<int64_t>> BuildMembershipsColumnar(
     const storage::ColumnTable& ontology, int64_t num_terms);
 
@@ -77,10 +81,74 @@ genbase::Status LoadColumnarTables(const core::GenBaseData& data,
                                    MemoryTracker* tracker,
                                    ColumnarTables* out);
 
-/// \brief The full vectorized data-management pipeline for one query
-/// (filter -> hash join -> gather -> restructure), timed into
-/// Phase::kDataManagement. Used by the R and column-store engines; the row
-/// store and array engines implement their own pipelines.
+/// \brief One query's row selection: the conjunction that filters one
+/// dimension table before its survivors join the microarray.
+struct Selection {
+  bool on_genes = false;  ///< Filters the gene table, else the patient table.
+  std::vector<relational::ColumnPredicate> predicates;
+};
+
+/// The one copy of the five selections:
+///
+///   Q1, Q4  genes     function < function_threshold
+///   Q2      patients  disease_id == disease_id
+///   Q3      patients  gender == gender, age < max_age
+///   Q5      patients  patient_id < SampleCount(dims.patients,
+///                                              sample_fraction)
+///
+/// Reads only the shape params (plan::ShapeFingerprint).
+Selection SelectionFor(core::QueryId query, const core::QueryParams& params,
+                       const core::DatasetDims& dims);
+
+/// \brief A query's columnar access paths: what its selection and hash join
+/// matched, and how entity ids map to dense positions. Built from the shape
+/// params only, so a plan builds it once per compile and the column store
+/// once per run, and both restructure from the same access.
+struct JoinedAccess {
+  /// Microarray rows the join matched, in microarray order.
+  std::vector<int64_t> matched_rows;
+  /// Patient id -> matrix row (Q1-Q4): every patient for Q1/Q4, the
+  /// selected ones for Q2/Q3.
+  relational::DenseMapping row_map;
+  /// Gene id -> matrix column (Q1-Q4) or score position (Q5): the selected
+  /// genes for Q1/Q4, every gene otherwise.
+  relational::DenseMapping col_map;
+  std::vector<double> y;    ///< Q1: drug response by matrix row.
+  int64_t sample_count = 0;  ///< Q5: patients in the sample.
+  /// Q5: term -> sorted col_map positions of its member genes (members
+  /// with no gene row are dropped).
+  std::vector<std::vector<int64_t>> memberships;
+};
+
+/// Selection -> hash join -> dense mappings (plus Q1's aligned response
+/// and Q5's memberships). The join's hash table is charged to `tracker`.
+genbase::Result<JoinedAccess> BuildJoinedAccess(
+    const ColumnarTables& tables, core::QueryId query,
+    const core::QueryParams& params, ExecContext* ctx,
+    MemoryTracker* tracker);
+
+/// Scatters the matched triples into a row-major buffer of `num_cols`
+/// columns: the expression of (patient, gene) lands at row
+/// row_map(patient), column col_offset + col_map(gene) (Q1 shifts by one
+/// for its intercept). Cells no triple names keep their value, so `data`
+/// starts zeroed.
+genbase::Status ScatterJoined(const ColumnarTables& tables,
+                              const JoinedAccess& access, double* data,
+                              int64_t num_cols, int64_t col_offset,
+                              ExecContext* ctx);
+
+/// Q5's scores: each gene's mean expression over the sample, at its
+/// col_map position (`scores` holds col_map.size() values; overwritten).
+genbase::Status AggregateScores(const ColumnarTables& tables,
+                                const JoinedAccess& access, double* scores,
+                                ExecContext* ctx);
+
+/// \brief The full vectorized data-management pipeline for one query,
+/// timed into Phase::kDataManagement: BuildJoinedAccess, then the matrix
+/// scatter (Q1-Q4) or the score aggregate (Q5), plus Q2's metadata lookup.
+/// Used by the R and column-store engines and the cluster engine's
+/// relational path; the row store and array engines implement their own
+/// pipelines.
 genbase::Result<QueryInputs> PrepareInputsColumnar(
     const ColumnarTables& tables, core::QueryId query,
     const core::QueryParams& params, ExecContext* ctx);

@@ -9,8 +9,9 @@ namespace genbase::engine {
 namespace {
 
 /// R's memory budget: calibrated as a multiple of the medium dataset's dense
-/// size (see DESIGN.md). With the default factor, small and medium runs fit
-/// and the large dataset exhausts the budget, matching the paper's Figure 1.
+/// size (core::SimConfig::r_memory_budget_vs_medium). With the default
+/// factor, small and medium runs fit and the large dataset exhausts the
+/// budget, matching the paper's Figure 1.
 int64_t RBudgetBytes() {
   const auto& config = core::SimConfig::Get();
   const core::DatasetDims medium =

@@ -11,9 +11,7 @@ namespace {
 using core::GeneCols;
 using core::MicroarrayCols;
 using core::PatientCols;
-using relational::ColumnPredicate;
 using relational::FilterColumns;
-using storage::Value;
 }  // namespace
 
 SciDbEngine::SciDbEngine() : tracker_(MemoryTracker::kUnlimited, "SciDB") {}
@@ -64,9 +62,7 @@ genbase::Result<QueryInputs> SciDbEngine::PrepareInputs(
       GENBASE_ASSIGN_OR_RETURN(
           std::vector<int64_t> gene_sel,
           FilterColumns(meta_->genes,
-                        {ColumnPredicate::Lt(
-                            GeneCols::kFunction,
-                            Value::Int(params.function_threshold))},
+                        SelectionFor(query, params, meta_->dims).predicates,
                         ctx));
       // Dimension-aligned: selected positions ARE the array coordinates.
       in.col_ids.reserve(gene_sel.size());
@@ -87,18 +83,11 @@ genbase::Result<QueryInputs> SciDbEngine::PrepareInputs(
     }
     case core::QueryId::kCovariance:
     case core::QueryId::kBiclustering: {
-      std::vector<ColumnPredicate> preds;
-      if (query == core::QueryId::kCovariance) {
-        preds = {ColumnPredicate::Eq(PatientCols::kDiseaseId,
-                                     Value::Int(params.disease_id))};
-      } else {
-        preds = {ColumnPredicate::Eq(PatientCols::kGender,
-                                     Value::Int(params.gender)),
-                 ColumnPredicate::Lt(PatientCols::kAge,
-                                     Value::Int(params.max_age))};
-      }
-      GENBASE_ASSIGN_OR_RETURN(std::vector<int64_t> patient_sel,
-                               FilterColumns(meta_->patients, preds, ctx));
+      GENBASE_ASSIGN_OR_RETURN(
+          std::vector<int64_t> patient_sel,
+          FilterColumns(meta_->patients,
+                        SelectionFor(query, params, meta_->dims).predicates,
+                        ctx));
       const auto& pids = meta_->patients.IntColumn(PatientCols::kPatientId);
       in.row_ids.reserve(patient_sel.size());
       for (int64_t i : patient_sel) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common/check.h"
+#include "common/json.h"
 
 namespace genbase::obs {
 
@@ -39,13 +40,6 @@ void AtomicMaxDouble(std::atomic<double>* a, double v) {
   double cur = a->load(std::memory_order_relaxed);
   while (v > cur &&
          !a->compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void AppendEscapedValue(std::string* out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
   }
 }
 
@@ -133,7 +127,7 @@ std::string MetricKey(const std::string& name, const Labels& labels) {
   for (size_t i = 0; i < sorted.size(); ++i) {
     if (i > 0) key.push_back(',');
     key.append(sorted[i].first).append("=\"");
-    AppendEscapedValue(&key, sorted[i].second);
+    json::AppendEscaped(&key, sorted[i].second);
     key.push_back('"');
   }
   key.push_back('}');
@@ -244,53 +238,13 @@ std::vector<MetricSample> MetricsRegistry::Snapshot() const {
   return out;
 }
 
-std::string MetricsRegistry::PrometheusText() const {
-  const std::vector<MetricSample> samples = Snapshot();
-  std::string out;
-  out.reserve(4096);
-  std::string last_name;
-  for (const MetricSample& s : samples) {
-    const std::string key = MetricKey(s.name, s.labels);
-    if (s.name != last_name) {
-      out.append("# TYPE ").append(s.name).append(" ");
-      out.append(s.kind == MetricSample::Kind::kCounter   ? "counter"
-                 : s.kind == MetricSample::Kind::kGauge ? "gauge"
-                                                          : "summary");
-      out.push_back('\n');
-      last_name = s.name;
-    }
-    if (s.kind == MetricSample::Kind::kHistogram) {
-      for (double q : {0.5, 0.9, 0.99}) {
-        Labels with_q = s.labels;
-        with_q.emplace_back("quantile", FormatDouble(q));
-        out.append(MetricKey(s.name, with_q))
-            .append(" ")
-            .append(FormatDouble(s.hist.Quantile(q)))
-            .push_back('\n');
-      }
-      out.append(MetricKey(s.name + "_count", s.labels))
-          .append(" ")
-          .append(FormatDouble(static_cast<double>(s.hist.count)))
-          .push_back('\n');
-      out.append(MetricKey(s.name + "_sum", s.labels))
-          .append(" ")
-          .append(FormatDouble(s.hist.sum))
-          .push_back('\n');
-    } else {
-      out.append(key).append(" ").append(FormatDouble(s.value)).push_back(
-          '\n');
-    }
-  }
-  return out;
-}
-
 std::string MetricsRegistry::ToJson() const {
   const std::vector<MetricSample> samples = Snapshot();
   std::string counters, gauges, histograms;
   for (const MetricSample& s : samples) {
     const std::string key = MetricKey(s.name, s.labels);
     std::string entry = "\"";
-    AppendEscapedValue(&entry, key);
+    json::AppendEscaped(&entry, key);
     entry.append("\":");
     switch (s.kind) {
       case MetricSample::Kind::kCounter:

@@ -123,8 +123,8 @@ struct MetricSample {
 /// cell) distinguish themselves with an `instance` label
 /// (NextInstanceId).
 ///
-/// Exports: Snapshot() for programmatic access, PrometheusText() for the
-/// text exposition format, ToJson() for METRICS_*.json artifacts.
+/// Exports: Snapshot() for programmatic access, ToJson() for METRICS_*.json
+/// artifacts.
 class MetricsRegistry {
  public:
   static MetricsRegistry& Global();
@@ -140,10 +140,6 @@ class MetricsRegistry {
 
   /// All instruments, sorted by (name, labels) — deterministic export order.
   std::vector<MetricSample> Snapshot() const;
-
-  /// Prometheus text exposition format (counters/gauges; histograms as
-  /// summary quantiles plus _count/_sum).
-  std::string PrometheusText() const;
 
   /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}
   /// keyed by "name{k=\"v\",...}".

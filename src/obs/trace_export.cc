@@ -9,36 +9,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/json.h"
+
 namespace genbase::obs {
 
 namespace {
-
-void AppendEscaped(std::string* out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
 
 std::string Hex(uint64_t v) {
   char buf[20];
@@ -68,7 +43,7 @@ std::string ChromeTraceJson(const std::vector<Span>& spans,
     if (!first) out.push_back(',');
     first = false;
     out.append("{\"name\":\"");
-    AppendEscaped(&out, span.name);
+    json::AppendEscaped(&out, span.name);
     out.append("\",\"cat\":\"request\",\"ph\":\"X\",\"ts\":");
     out.append(Num(span.start_s * 1e6));
     out.append(",\"dur\":");
@@ -84,7 +59,7 @@ std::string ChromeTraceJson(const std::vector<Span>& spans,
     if (span.synthetic) out.append(",\"synthetic\":true");
     if (span.detail[0] != '\0') {
       out.append(",\"detail\":\"");
-      AppendEscaped(&out, span.detail);
+      json::AppendEscaped(&out, span.detail);
       out.push_back('"');
     }
     out.append("}}");
@@ -99,9 +74,9 @@ std::string SlowQueryJsonl(const std::vector<SlowQueryRecord>& records) {
     out.append("{\"trace_id\":\"");
     out.append(Hex(r.trace_id));
     out.append("\",\"workload\":\"");
-    AppendEscaped(&out, r.workload);
+    json::AppendEscaped(&out, r.workload);
     out.append("\",\"query\":\"");
-    AppendEscaped(&out, r.query);
+    json::AppendEscaped(&out, r.query);
     out.append("\",\"variant\":");
     out.append(std::to_string(r.variant));
     out.append(",\"class_id\":");

@@ -19,26 +19,17 @@
 #include "plan/arena.h"
 #include "plan/memory_planner.h"
 #include "plan/plan_graph.h"
-#include "relational/restructure.h"
 
 namespace genbase::plan {
 
 /// \brief Compile-time state of one plan: the dataset snapshot it is built
-/// against plus the relational access paths (filters, join matches, dense
-/// mappings) its folded ops read. Built from the shape params only
-/// (ShapeFingerprint) and released when compilation returns; an op that
-/// runs at execute captures whatever of it that op still needs.
+/// against plus the columnar access paths (engine::BuildJoinedAccess) its
+/// folded ops read. Built from the shape params only (ShapeFingerprint) and
+/// released when compilation returns; an op that runs at execute captures
+/// whatever of it that op still needs.
 struct PlanStatics {
   std::shared_ptr<const engine::ColumnarTables> tables;
-  /// Microarray rows the compile-time hash join matched (the join index's
-  /// right side; its left side is never read).
-  std::vector<int64_t> matched_rows;
-  relational::DenseMapping row_map;  ///< Patient id -> matrix row.
-  relational::DenseMapping col_map;  ///< Gene id -> matrix column / score.
-  // lint:allow(plan-arena-alloc): compile-time static (statics reservation).
-  std::vector<double> y;
-  std::vector<std::vector<int64_t>> memberships;
-  int64_t sample_count = 0;
+  engine::JoinedAccess access;
 };
 
 class CompiledPlan;

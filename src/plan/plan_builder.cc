@@ -6,225 +6,38 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/datasets.h"
-#include "core/reference.h"
 #include "linalg/blas.h"
 #include "linalg/covariance.h"
-#include "relational/col_ops.h"
-#include "relational/restructure.h"
 #include "stats/quantile.h"
-#include "storage/types.h"
 
 namespace genbase::plan {
 
 namespace {
 
-using core::GeneCols;
-using core::MicroarrayCols;
-using core::PatientCols;
 using core::QueryId;
 using core::QueryParams;
 using core::QueryResult;
 using engine::ColumnarTables;
-using relational::ColumnPredicate;
-using relational::DenseMapping;
-using relational::FilterColumns;
-using relational::HashJoinIndicesFiltered;
-using relational::JoinIndex;
-using relational::MakeDenseMapping;
-using storage::Value;
-
-std::vector<int64_t> GatherIds(const std::vector<int64_t>& ids,
-                               const std::vector<int64_t>& selection) {
-  std::vector<int64_t> out;
-  out.reserve(selection.size());
-  for (int64_t i : selection) out.push_back(ids[static_cast<size_t>(i)]);
-  return out;
-}
-
-/// Keeps only the matched microarray rows of a compile-time join, without
-/// spare capacity.
-std::vector<int64_t> MatchedRows(JoinIndex join) {
-  join.right.shrink_to_fit();
-  return std::move(join.right);
-}
+using engine::JoinedAccess;
 
 /// Approximate footprint of one DenseMapping id -> index hash entry
 /// (~3 words).
 constexpr int64_t kHashEntryBytes = 24;
 
-/// Approximate resident footprint of the compile-time statics, charged to
-/// the engine tracker while the plan compiles (id vectors, matched rows,
-/// dense mappings, Q5 memberships).
-int64_t StaticsBytes(const PlanStatics& st) {
+/// Approximate resident footprint of the compile-time access paths,
+/// charged to the engine tracker while the plan compiles (matched rows,
+/// Q1's response, dense mappings, Q5 memberships).
+int64_t StaticsBytes(const JoinedAccess& a) {
   int64_t bytes = 0;
-  bytes += static_cast<int64_t>(st.matched_rows.size()) * 8;
-  bytes += static_cast<int64_t>(st.y.size()) * 8;
+  bytes += static_cast<int64_t>(a.matched_rows.size()) * 8;
+  bytes += static_cast<int64_t>(a.y.size()) * 8;
   // DenseMapping: sorted ids plus a hash entry per id.
-  bytes += static_cast<int64_t>(st.row_map.ids.size() +
-                                st.col_map.ids.size()) *
+  bytes += static_cast<int64_t>(a.row_map.ids.size() + a.col_map.ids.size()) *
            (8 + kHashEntryBytes);
-  for (const auto& m : st.memberships) {
+  for (const auto& m : a.memberships) {
     bytes += static_cast<int64_t>(m.size()) * 8;
   }
   return bytes;
-}
-
-/// Id -> dense index of a DenseMapping for the per-matched-row loops: a
-/// direct-address table when the (sorted) ids span a compact range, as the
-/// generated tables' dense ids do, else the mapping's hash index. -1 when
-/// the id is not mapped.
-class IndexLookup {
- public:
-  explicit IndexLookup(const DenseMapping& map) : map_(&map) {
-    if (map.ids.empty()) return;
-    const uint64_t span = static_cast<uint64_t>(map.ids.back()) -
-                          static_cast<uint64_t>(map.ids.front());
-    if (span >= static_cast<uint64_t>(4 * map.size() + 1024)) return;
-    base_ = map.ids.front();
-    table_.assign(static_cast<size_t>(span) + 1, -1);
-    for (int64_t i = 0; i < map.size(); ++i) {
-      table_[static_cast<size_t>(static_cast<uint64_t>(
-          map.ids[static_cast<size_t>(i)]) - static_cast<uint64_t>(base_))] =
-          i;
-    }
-  }
-
-  int64_t operator()(int64_t id) const {
-    if (table_.empty()) {
-      const auto it = map_->index.find(id);
-      return it == map_->index.end() ? -1 : it->second;
-    }
-    const uint64_t off =
-        static_cast<uint64_t>(id) - static_cast<uint64_t>(base_);
-    return off < table_.size() ? table_[static_cast<size_t>(off)] : -1;
-  }
-
- private:
-  const DenseMapping* map_;
-  int64_t base_ = 0;
-  std::vector<int64_t> table_;
-};
-
-/// Zero + scatter of the joined microarray triples into a dense arena
-/// matrix at `data` (the planned twin of engine_util's RestructureJoined;
-/// `col_offset` shifts gene columns right for Q1's intercept column).
-genbase::Status ScatterJoined(const PlanStatics& st, double* data,
-                              int64_t num_cols, int64_t col_offset,
-                              ExecContext* ctx) {
-  const auto& pid =
-      st.tables->microarray.IntColumn(MicroarrayCols::kPatientId);
-  const auto& gid = st.tables->microarray.IntColumn(MicroarrayCols::kGeneId);
-  const auto& expr =
-      st.tables->microarray.DoubleColumn(MicroarrayCols::kExpr);
-  const IndexLookup row_of(st.row_map);
-  const IndexLookup col_of(st.col_map);
-  for (size_t k = 0; k < st.matched_rows.size(); ++k) {
-    if (ctx != nullptr && (k & 262143) == 0) {
-      GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
-    }
-    const auto row = static_cast<size_t>(st.matched_rows[k]);
-    const int64_t r = row_of(pid[row]);
-    if (r < 0) continue;
-    const int64_t c = col_of(gid[row]);
-    if (c < 0) continue;
-    data[r * num_cols + col_offset + c] = expr[row];
-  }
-  return genbase::Status::OK();
-}
-
-/// Builds the relational statics shared by Q1-Q4 (filter -> hash join ->
-/// dense row/col mappings), replicating PrepareInputsColumnar's choices
-/// exactly so planned matrices hold the same bits as legacy ones.
-genbase::Result<PlanStatics> BuildMatrixStatics(
-    std::shared_ptr<const ColumnarTables> tables, QueryId query,
-    const QueryParams& params, MemoryTracker* tracker, ExecContext* ctx) {
-  PlanStatics st;
-  st.tables = std::move(tables);
-  const ColumnarTables& t = *st.tables;
-  if (query == QueryId::kRegression || query == QueryId::kSvd) {
-    GENBASE_ASSIGN_OR_RETURN(
-        std::vector<int64_t> gene_sel,
-        FilterColumns(t.genes,
-                      {ColumnPredicate::Lt(
-                          GeneCols::kFunction,
-                          Value::Int(params.function_threshold))},
-                      ctx));
-    st.col_map =
-        MakeDenseMapping(GatherIds(t.genes.IntColumn(GeneCols::kGeneId),
-                                   gene_sel));
-    GENBASE_ASSIGN_OR_RETURN(
-        JoinIndex join,
-        HashJoinIndicesFiltered(t.genes, GeneCols::kGeneId, gene_sel,
-                                t.microarray, MicroarrayCols::kGeneId, ctx,
-                                tracker));
-    st.matched_rows = MatchedRows(std::move(join));
-    st.row_map =
-        MakeDenseMapping(t.patients.IntColumn(PatientCols::kPatientId));
-    if (query == QueryId::kRegression) {
-      st.y.assign(static_cast<size_t>(st.row_map.size()), 0.0);
-      const auto& pid = t.patients.IntColumn(PatientCols::kPatientId);
-      const auto& resp = t.patients.DoubleColumn(PatientCols::kDrugResponse);
-      for (size_t i = 0; i < pid.size(); ++i) {
-        const auto it = st.row_map.index.find(pid[i]);
-        if (it != st.row_map.index.end()) {
-          st.y[static_cast<size_t>(it->second)] = resp[i];
-        }
-      }
-    }
-    return st;
-  }
-  // Q2/Q3: patient-side filter.
-  std::vector<ColumnPredicate> preds;
-  if (query == QueryId::kCovariance) {
-    preds = {ColumnPredicate::Eq(PatientCols::kDiseaseId,
-                                 Value::Int(params.disease_id))};
-  } else {
-    preds = {ColumnPredicate::Eq(PatientCols::kGender,
-                                 Value::Int(params.gender)),
-             ColumnPredicate::Lt(PatientCols::kAge,
-                                 Value::Int(params.max_age))};
-  }
-  GENBASE_ASSIGN_OR_RETURN(std::vector<int64_t> patient_sel,
-                           FilterColumns(t.patients, preds, ctx));
-  st.row_map = MakeDenseMapping(
-      GatherIds(t.patients.IntColumn(PatientCols::kPatientId), patient_sel));
-  GENBASE_ASSIGN_OR_RETURN(
-      JoinIndex join,
-      HashJoinIndicesFiltered(t.patients, PatientCols::kPatientId,
-                              patient_sel, t.microarray,
-                              MicroarrayCols::kPatientId, ctx, tracker));
-  st.matched_rows = MatchedRows(std::move(join));
-  st.col_map = MakeDenseMapping(t.genes.IntColumn(GeneCols::kGeneId));
-  return st;
-}
-
-genbase::Result<PlanStatics> BuildStatsStatics(
-    std::shared_ptr<const ColumnarTables> tables, const QueryParams& params,
-    MemoryTracker* tracker, ExecContext* ctx) {
-  PlanStatics st;
-  st.tables = std::move(tables);
-  const ColumnarTables& t = *st.tables;
-  const int64_t k =
-      core::SampleCount(t.dims.patients, params.sample_fraction);
-  GENBASE_ASSIGN_OR_RETURN(
-      std::vector<int64_t> patient_sel,
-      FilterColumns(t.patients,
-                    {ColumnPredicate::Lt(PatientCols::kPatientId,
-                                         Value::Int(k))},
-                    ctx));
-  st.sample_count = static_cast<int64_t>(patient_sel.size());
-  GENBASE_ASSIGN_OR_RETURN(
-      JoinIndex join,
-      HashJoinIndicesFiltered(t.patients, PatientCols::kPatientId,
-                              patient_sel, t.microarray,
-                              MicroarrayCols::kPatientId, ctx, tracker));
-  st.matched_rows = MatchedRows(std::move(join));
-  // The per-gene aggregate target mapping (gene id -> dense index).
-  st.col_map = MakeDenseMapping(t.genes.IntColumn(GeneCols::kGeneId));
-  st.memberships =
-      engine::BuildMembershipsColumnar(t.ontology, t.dims.go_terms);
-  return st;
 }
 
 /// Tag for OpDef::reads_params in the builders below.
@@ -247,32 +60,36 @@ struct GraphParts {
 OpFn ScanMatrix(int v_x, int64_t rows, int64_t cols) {
   return [v_x, rows, cols](ExecFrame* f, ExecContext* ctx,
                            QueryResult*) -> genbase::Status {
+    const PlanStatics& st = f->statics();
     double* d = f->Data(v_x);
     std::fill_n(d, static_cast<size_t>(rows * cols), 0.0);
-    return ScatterJoined(f->statics(), d, cols, /*col_offset=*/0, ctx);
+    return engine::ScatterJoined(*st.tables, st.access, d, cols,
+                                 /*col_offset=*/0, ctx);
   };
 }
 
-GraphParts BuildRegressionGraph(const PlanStatics& st) {
+GraphParts BuildRegressionGraph(const JoinedAccess& a) {
   GraphParts p;
-  const int64_t rows = st.row_map.size();
-  const int64_t cd = st.col_map.size() + 1;  // Intercept column first.
+  const int64_t rows = a.row_map.size();
+  const int64_t cd = a.col_map.size() + 1;  // Intercept column first.
   const int v_design = p.graph.AddValue("design", {rows, cd});
   p.Add({OpKind::kScan, "scan_design", {}, {v_design}},
         [v_design, rows, cd](ExecFrame* f, ExecContext* ctx,
                              QueryResult*) -> genbase::Status {
+          const PlanStatics& st = f->statics();
           double* d = f->Data(v_design);
           std::fill_n(d, static_cast<size_t>(rows * cd), 0.0);
           for (int64_t i = 0; i < rows; ++i) d[i * cd] = 1.0;
-          return ScatterJoined(f->statics(), d, cd, /*col_offset=*/1, ctx);
+          return engine::ScatterJoined(*st.tables, st.access, d, cd,
+                                       /*col_offset=*/1, ctx);
         });
   p.Add({OpKind::kGemm, "least_squares", {v_design}, {}},
         [v_design](ExecFrame* f, ExecContext* ctx,
                    QueryResult* out) -> genbase::Status {
           GENBASE_ASSIGN_OR_RETURN(
               out->regression,
-              core::RegressionAnalytics(f->View(v_design), f->statics().y,
-                                        ctx));
+              core::RegressionAnalytics(f->View(v_design),
+                                        f->statics().access.y, ctx));
           return genbase::Status::OK();
         });
   return p;
@@ -280,8 +97,9 @@ GraphParts BuildRegressionGraph(const PlanStatics& st) {
 
 genbase::Result<GraphParts> BuildCovarianceGraph(const PlanStatics& st) {
   GraphParts p;
-  const int64_t rows = st.row_map.size();
-  const int64_t cols = st.col_map.size();
+  const std::vector<int64_t>& gene_ids = st.access.col_map.ids;
+  const int64_t rows = st.access.row_map.size();
+  const auto cols = static_cast<int64_t>(gene_ids.size());
   if (rows < 2) {
     return genbase::Status::InvalidArgument(
         "covariance needs at least 2 samples");
@@ -293,7 +111,7 @@ genbase::Result<GraphParts> BuildCovarianceGraph(const PlanStatics& st) {
   std::vector<int64_t> function(static_cast<size_t>(cols));
   std::vector<int64_t> length(static_cast<size_t>(cols));
   for (size_t g = 0; g < function.size(); ++g) {
-    GENBASE_RETURN_NOT_OK(meta(st.col_map.ids[g], &function[g], &length[g]));
+    GENBASE_RETURN_NOT_OK(meta(gene_ids[g], &function[g], &length[g]));
   }
   const int64_t num_pairs = cols * (cols - 1) / 2;
   const int v_x = p.graph.AddValue("x", {rows, cols});
@@ -375,10 +193,10 @@ genbase::Result<GraphParts> BuildCovarianceGraph(const PlanStatics& st) {
   return p;
 }
 
-GraphParts BuildBiclusterGraph(const PlanStatics& st) {
+GraphParts BuildBiclusterGraph(const JoinedAccess& a) {
   GraphParts p;
-  const int64_t rows = st.row_map.size();
-  const int64_t cols = st.col_map.size();
+  const int64_t rows = a.row_map.size();
+  const int64_t cols = a.col_map.size();
   const int v_x = p.graph.AddValue("x", {rows, cols});
   p.Add({OpKind::kScan, "scan_matrix", {}, {v_x}},
         ScanMatrix(v_x, rows, cols));
@@ -396,10 +214,10 @@ GraphParts BuildBiclusterGraph(const PlanStatics& st) {
   return p;
 }
 
-GraphParts BuildSvdGraph(const PlanStatics& st) {
+GraphParts BuildSvdGraph(const JoinedAccess& a) {
   GraphParts p;
-  const int64_t rows = st.row_map.size();
-  const int64_t cols = st.col_map.size();
+  const int64_t rows = a.row_map.size();
+  const int64_t cols = a.col_map.size();
   const int v_x = p.graph.AddValue("x", {rows, cols});
   p.Add({OpKind::kScan, "scan_matrix", {}, {v_x}},
         ScanMatrix(v_x, rows, cols));
@@ -436,47 +254,28 @@ GraphParts BuildSvdGraph(const PlanStatics& st) {
   return p;
 }
 
-GraphParts BuildStatsGraph(const PlanStatics& st) {
+GraphParts BuildStatsGraph(const JoinedAccess& a) {
   GraphParts p;
-  const int64_t genes = st.col_map.size();
-  const auto terms = static_cast<int64_t>(st.memberships.size());
+  const int64_t genes = a.col_map.size();
+  const auto terms = static_cast<int64_t>(a.memberships.size());
   const int v_scores = p.graph.AddValue("scores", {genes, 1});
   const int v_p = p.graph.AddValue("p_values", {terms, 1});
   p.Add({OpKind::kScan, "aggregate_scores", {}, {v_scores}},
-        [v_scores, genes](ExecFrame* f, ExecContext* ctx,
-                          QueryResult*) -> genbase::Status {
+        [v_scores](ExecFrame* f, ExecContext* ctx,
+                   QueryResult*) -> genbase::Status {
           const PlanStatics& st = f->statics();
-          double* scores = f->Data(v_scores);
-          std::fill_n(scores, static_cast<size_t>(genes), 0.0);
-          const auto& gid =
-              st.tables->microarray.IntColumn(MicroarrayCols::kGeneId);
-          const auto& expr =
-              st.tables->microarray.DoubleColumn(MicroarrayCols::kExpr);
-          const IndexLookup gene_of(st.col_map);
-          for (size_t idx = 0; idx < st.matched_rows.size(); ++idx) {
-            if (ctx != nullptr && (idx & 262143) == 0) {
-              GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
-            }
-            const auto row = static_cast<size_t>(st.matched_rows[idx]);
-            const int64_t g = gene_of(gid[row]);
-            if (g >= 0) scores[g] += expr[row];
-          }
-          const double inv =
-              st.sample_count > 0
-                  ? 1.0 / static_cast<double>(st.sample_count)
-                  : 0.0;
-          for (int64_t g = 0; g < genes; ++g) scores[g] *= inv;
-          return genbase::Status::OK();
+          return engine::AggregateScores(*st.tables, st.access,
+                                         f->Data(v_scores), ctx);
         });
   p.Add({OpKind::kWilcoxonRank, "wilcoxon", {v_scores}, {v_p}},
         [v_scores, v_p, genes](ExecFrame* f, ExecContext* ctx,
                                QueryResult* out) -> genbase::Status {
-          const PlanStatics& st = f->statics();
+          const JoinedAccess& a = f->statics().access;
           GENBASE_ASSIGN_OR_RETURN(
               out->stats,
-              core::StatsRankTests(f->In(v_scores), genes, st.memberships,
+              core::StatsRankTests(f->In(v_scores), genes, a.memberships,
                                    f->Data(v_p), ctx));
-          out->stats.samples = st.sample_count;
+          out->stats.samples = a.sample_count;
           return genbase::Status::OK();
         });
   // terms_tested comes with the folded result every execute starts from.
@@ -493,7 +292,7 @@ GraphParts BuildStatsGraph(const PlanStatics& st) {
 }  // namespace
 
 // Tripwire: every QueryParams field is classified, per query, as shape
-// (mixed in below because the statics builders or graph shapes read it) or
+// (mixed in below because the selection or graph shapes read it) or
 // bound at execute (read by op closures through ExecFrame::params()). A
 // field added without a decision would either be ignored by the plan key
 // while it changes the plan (wrong answers from a shared plan) or never
@@ -528,38 +327,34 @@ uint64_t ShapeFingerprint(QueryId query, const QueryParams& params) {
 genbase::Result<std::shared_ptr<CompiledPlan>> CompileQuery(
     std::shared_ptr<const ColumnarTables> tables, QueryId query,
     const QueryParams& params, MemoryTracker* tracker, ExecContext* ctx) {
-  // Relational prep once, at compile time; charged while compiling and
+  // The access paths once, at compile time; charged while compiling and
   // released with the statics when this returns.
   PlanStatics statics;
-  if (query == QueryId::kStatistics) {
-    GENBASE_ASSIGN_OR_RETURN(
-        statics, BuildStatsStatics(std::move(tables), params, tracker, ctx));
-  } else {
-    GENBASE_ASSIGN_OR_RETURN(
-        statics,
-        BuildMatrixStatics(std::move(tables), query, params, tracker, ctx));
-  }
+  GENBASE_ASSIGN_OR_RETURN(
+      statics.access,
+      engine::BuildJoinedAccess(*tables, query, params, ctx, tracker));
+  statics.tables = std::move(tables);
   GENBASE_ASSIGN_OR_RETURN(
       ScopedReservation statics_reservation,
-      ScopedReservation::Acquire(tracker, StaticsBytes(statics)));
+      ScopedReservation::Acquire(tracker, StaticsBytes(statics.access)));
 
   GraphParts parts;
   switch (query) {
     case QueryId::kRegression:
-      parts = BuildRegressionGraph(statics);
+      parts = BuildRegressionGraph(statics.access);
       break;
     case QueryId::kCovariance: {
       GENBASE_ASSIGN_OR_RETURN(parts, BuildCovarianceGraph(statics));
       break;
     }
     case QueryId::kBiclustering:
-      parts = BuildBiclusterGraph(statics);
+      parts = BuildBiclusterGraph(statics.access);
       break;
     case QueryId::kSvd:
-      parts = BuildSvdGraph(statics);
+      parts = BuildSvdGraph(statics.access);
       break;
     case QueryId::kStatistics:
-      parts = BuildStatsGraph(statics);
+      parts = BuildStatsGraph(statics.access);
       break;
   }
   return CompiledPlan::Build(query, std::move(parts.graph),

@@ -14,8 +14,8 @@
 namespace genbase::plan {
 
 /// \brief Fingerprint of the QueryParams fields that give `query`'s plan its
-/// shape: the fields the statics builders (filters, joins, mappings) and the
-/// graph's buffer shapes read. Every other field is bound at execute through
+/// shape: the fields its selection (engine::SelectionFor) and the graph's
+/// buffer shapes read. Every other field is bound at execute through
 /// ExecFrame::params(), so one compiled plan serves every params value that
 /// agrees on these:
 ///
@@ -30,8 +30,9 @@ uint64_t ShapeFingerprint(core::QueryId query,
                           const core::QueryParams& params);
 
 /// \brief Compiles one query against a dataset snapshot into a static plan:
-/// runs the relational prep (filters, hash joins, dense mappings) once,
-/// builds the operator DAG with exact buffer shapes, and hands it to
+/// builds the query's columnar access paths (engine::BuildJoinedAccess:
+/// selection, hash join, dense mappings) once, builds the operator DAG with
+/// exact buffer shapes, and hands it to
 /// CompiledPlan::Build, which runs every op that reads no bound param
 /// (folding) and plans the rest. Only the shape fields of `params` (see
 /// ShapeFingerprint) are read; the result executes any number of times,
@@ -39,8 +40,9 @@ uint64_t ShapeFingerprint(core::QueryId query,
 /// with zero per-run planning or allocation beyond one arena grab.
 ///
 /// Planned execution is bitwise identical to the legacy
-/// PrepareInputsColumnar + RunStandardAnalytics path: every operator runs
-/// the same kernel entry points in the same order (property-tested).
+/// PrepareInputsColumnar + RunStandardAnalytics path: both restructure
+/// through the same access paths, and every operator runs the same kernel
+/// entry points in the same order (property-tested).
 genbase::Result<std::shared_ptr<CompiledPlan>> CompileQuery(
     std::shared_ptr<const engine::ColumnarTables> tables,
     core::QueryId query, const core::QueryParams& params,

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/json.h"
 #include "obs/profiler.h"
 #include "serving/faults.h"
 #include "serving/shard_router.h"
@@ -93,7 +94,6 @@ void OpStats::MergeFrom(const OpStats& other) {
   queue_delay.Merge(other.queue_delay);
   for (int s = 0; s < obs::kNumRequestStages; ++s) {
     stage[s].Merge(other.stage[s]);
-    stage_wall_s[s] += other.stage_wall_s[s];
     stage_cpu_s[s] += other.stage_cpu_s[s];
   }
   e2e_latency.Merge(other.e2e_latency);
@@ -182,10 +182,10 @@ void WorkloadReport::Print() const {
   if (profiled && total.e2e_latency.count() > 0) {
     std::printf("  stages cpu/wall:");
     for (int s = 0; s < obs::kNumRequestStages; ++s) {
-      if (total.stage_wall_s[s] > 0) {
+      if (total.stage[s].sum() > 0) {
         std::printf(" %s=%.2f",
                     obs::RequestStageName(static_cast<obs::RequestStage>(s)),
-                    total.stage_cpu_s[s] / total.stage_wall_s[s]);
+                    total.stage_cpu_s[s] / total.stage[s].sum());
       } else {
         std::printf(" %s=-",
                     obs::RequestStageName(static_cast<obs::RequestStage>(s)));
@@ -339,27 +339,9 @@ void WorkloadReport::Print() const {
 
 /// --- JSON ---------------------------------------------------------------------
 /// Hand-rolled emitter: every name is a known ASCII literal and the only
-/// string values are engine/workload names, so escaping is limited to the
-/// characters that could actually break the document.
+/// string values are engine/workload names, escaped by json::AppendEscaped.
 
 namespace {
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out->append(buf);
-    } else {
-      out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
 
 void AppendKv(std::string* out, const char* key, double value) {
   char buf[64];
@@ -435,7 +417,7 @@ void AppendOpStats(std::string* out, const OpStats& stats) {
   for (int s = 0; s < obs::kNumRequestStages; ++s) {
     if (s > 0) out->push_back(',');
     AppendKv(out, obs::RequestStageName(static_cast<obs::RequestStage>(s)),
-             stats.stage_wall_s[s]);
+             stats.stage[s].sum());
   }
   out->append("},\"stage_cpu_s\":{");
   for (int s = 0; s < obs::kNumRequestStages; ++s) {
@@ -548,14 +530,13 @@ void AppendRows(std::string* out, const obs::MetricsWindow& counters,
 std::string WorkloadReport::ToJson() const {
   std::string out;
   out.reserve(2048);
-  out.push_back('{');
-  out.append("\"engine\":");
-  AppendEscaped(&out, engine);
-  out.append(",\"workload\":");
-  AppendEscaped(&out, workload_name);
-  out.append(",\"model\":");
-  AppendEscaped(&out, ClientModelName(model));
-  out.push_back(',');
+  out.append("{\"engine\":\"");
+  json::AppendEscaped(&out, engine);
+  out.append("\",\"workload\":\"");
+  json::AppendEscaped(&out, workload_name);
+  out.append("\",\"model\":\"");
+  json::AppendEscaped(&out, ClientModelName(model));
+  out.append("\",");
   AppendKv(&out, "clients", static_cast<int64_t>(clients));
   out.push_back(',');
   AppendKv(&out, "shards", static_cast<int64_t>(shards));
@@ -563,9 +544,9 @@ std::string WorkloadReport::ToJson() const {
   AppendKv(&out, "param_variants", static_cast<int64_t>(param_variants));
   out.push_back(',');
   AppendKv(&out, "seed", static_cast<int64_t>(seed));
-  out.append(",\"kernel_backend\":");
-  AppendEscaped(&out, kernel_backend);
-  out.push_back(',');
+  out.append(",\"kernel_backend\":\"");
+  json::AppendEscaped(&out, kernel_backend);
+  out.append("\",");
   AppendKv(&out, "wall_seconds", wall_seconds);
   out.push_back(',');
   AppendKv(&out, "modeled_wall_seconds", modeled_wall_seconds());

@@ -62,11 +62,10 @@ struct OpStats {
   /// queue_delay, cache + dispatch + execute == the cell total, and verify
   /// is the runner's reference check.
   LatencyHistogram stage[obs::kNumRequestStages];
-  /// Summed per-stage wall and thread-CPU seconds over successful ops, for
-  /// the profiler's cpu/wall attribution (ratio of sums — stable where a
-  /// per-op ratio distribution would be noise). CPU sums stay zero unless
-  /// the run was profiled (obs::Profiler); wall sums always fill.
-  double stage_wall_s[obs::kNumRequestStages] = {0, 0, 0, 0, 0, 0};
+  /// Summed per-stage thread-CPU seconds over successful ops, for the
+  /// profiler's cpu/wall attribution against stage[s].sum() (ratio of
+  /// sums — stable where a per-op ratio distribution would be noise). Stays
+  /// zero unless the run was profiled (obs::Profiler).
   double stage_cpu_s[obs::kNumRequestStages] = {0, 0, 0, 0, 0, 0};
   /// End-to-end per-op latency including verification: latency + verify.
   LatencyHistogram e2e_latency;

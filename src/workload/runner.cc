@@ -85,7 +85,6 @@ void RecordOutcome(const WorkloadRunner::OpOutcome& outcome, bool mismatched,
       stats->queue_delay.Record(queued_s);
       for (int s = 0; s < obs::kNumRequestStages; ++s) {
         stats->stage[s].Record(outcome.stages.s[s]);
-        stats->stage_wall_s[s] += outcome.stages.s[s];
         stats->stage_cpu_s[s] += outcome.stages.cpu[s];
       }
       stats->e2e_latency.Record(queued_s + cell.total_s +

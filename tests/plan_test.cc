@@ -82,17 +82,23 @@ std::shared_ptr<const engine::ColumnarTables> TinyTables() {
   return *tables;
 }
 
-/// The legacy column-store answer for `q` under `params` on TinyTables().
-QueryResult LegacyAnswer(QueryId q, const QueryParams& params) {
+/// The legacy column-store answer for `q` under `params` on `tables`.
+QueryResult LegacyAnswer(QueryId q, const QueryParams& params,
+                         const engine::ColumnarTables& tables) {
   MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTestLegacy");
   ExecContext ctx;
   ctx.set_memory(&tracker);
-  auto inputs = engine::PrepareInputsColumnar(*TinyTables(), q, params, &ctx);
+  auto inputs = engine::PrepareInputsColumnar(tables, q, params, &ctx);
   GENBASE_CHECK(inputs.ok());
   auto legacy = engine::RunStandardAnalytics(
       q, std::move(*inputs), params, linalg::KernelQuality::kTuned, &ctx);
   GENBASE_CHECK(legacy.ok());
   return std::move(legacy).ValueOrDie();
+}
+
+/// The legacy answer on TinyTables().
+QueryResult LegacyAnswer(QueryId q, const QueryParams& params) {
+  return LegacyAnswer(q, params, *TinyTables());
 }
 
 /// --- randomized DAGs for layout property tests ------------------------------
@@ -421,6 +427,68 @@ TEST_P(PlannedQueryTest, AllocationPlanIsAlignedAndDumps) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllQueries, PlannedQueryTest,
+                         ::testing::ValuesIn(core::kAllQueries),
+                         [](const auto& info) {
+                           return std::string(core::QueryName(info.param));
+                         });
+
+/// --- sparse ids ---------------------------------------------------------------
+/// Real cohort tables do not number their genes and patients 0..n-1. The
+/// columnar path maps ids to dense positions (Q5's GO members included), so
+/// spreading the ids out, in order, changes no answer, and plan == legacy
+/// still holds. Spread ids also take the id lookup's hash path, which the
+/// generator's dense ids never reach.
+
+/// A copy of TinyData()'s tables with gene ids g -> 1000g + 7 and, with
+/// `spread_patients`, patient ids p -> 1000p.
+std::shared_ptr<const engine::ColumnarTables> SparseIdTables(
+    bool spread_patients) {
+  static MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTestSparse");
+  auto t = std::make_shared<engine::ColumnarTables>();
+  GENBASE_CHECK(engine::LoadColumnarTables(TinyData(), &tracker, t.get()).ok());
+  const auto spread = [](std::vector<int64_t>& ids, int64_t scale,
+                         int64_t shift) {
+    for (int64_t& id : ids) id = scale * id + shift;
+  };
+  spread(t->microarray.MutableIntColumn(core::MicroarrayCols::kGeneId), 1000,
+         7);
+  spread(t->genes.MutableIntColumn(core::GeneCols::kGeneId), 1000, 7);
+  spread(t->ontology.MutableIntColumn(core::GoCols::kGeneId), 1000, 7);
+  if (spread_patients) {
+    spread(t->microarray.MutableIntColumn(core::MicroarrayCols::kPatientId),
+           1000, 0);
+    spread(t->patients.MutableIntColumn(core::PatientCols::kPatientId), 1000,
+           0);
+  }
+  return t;
+}
+
+class SparseIdTest : public ::testing::TestWithParam<QueryId> {};
+
+TEST_P(SparseIdTest, SpreadIdsKeepEveryAnswer) {
+  const QueryId q = GetParam();
+  const QueryResult dense = LegacyAnswer(q, TinyParams());
+  for (const bool spread_patients : {false, true}) {
+    // Q5 samples the patients with id < k: spreading them changes the
+    // sample itself.
+    if (spread_patients && q == QueryId::kStatistics) continue;
+    SCOPED_TRACE(spread_patients ? "gene and patient ids" : "gene ids");
+    const auto tables = SparseIdTables(spread_patients);
+    const QueryResult legacy = LegacyAnswer(q, TinyParams(), *tables);
+    EXPECT_TRUE(BitwiseEqual(legacy, dense));
+
+    MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
+    ExecContext ctx;
+    ctx.set_memory(&tracker);
+    auto plan = plan::CompileQuery(tables, q, TinyParams(), &tracker, &ctx);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto planned = (*plan)->Execute(TinyParams(), &ctx);
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    EXPECT_TRUE(BitwiseEqual(*planned, legacy));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllQueries, SparseIdTest,
                          ::testing::ValuesIn(core::kAllQueries),
                          [](const auto& info) {
                            return std::string(core::QueryName(info.param));

@@ -231,6 +231,19 @@ TEST(StatsAnalyticsTest, RankTestsThenCountEqualsStatsAnalytics) {
   }
 }
 
+TEST(StatsAnalyticsTest, MemberOutsideTheScoresIsRejected) {
+  // Members are score positions; a gene id that is not one must fail the
+  // query, not index past the group mask.
+  const std::vector<double> scores = {1, 2, 3, 4, 5};
+  for (const int64_t member : {int64_t{5}, int64_t{-1}, int64_t{7007}}) {
+    SCOPED_TRACE(member);
+    const std::vector<std::vector<int64_t>> memberships = {{1, member}};
+    auto s = StatsAnalytics(scores, memberships, 0.05, nullptr);
+    ASSERT_FALSE(s.ok());
+    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 // --- resource-failure injection through the real query pipelines -----------------------
 
 TEST(ResourceInjectionTest, BiclusterWorkingCopyRespectsBudget) {

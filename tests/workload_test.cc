@@ -487,7 +487,6 @@ TEST(WorkloadRunnerTest, VerifyOffComparesNothing) {
   ASSERT_EQ(report->total.errors, 0);
   EXPECT_EQ(report->total.verify_failures, 0);
   const int verify = static_cast<int>(obs::RequestStage::kVerify);
-  EXPECT_EQ(report->total.stage_wall_s[verify], 0.0);
   EXPECT_EQ(report->total.stage[verify].sum(), 0.0);
   EXPECT_EQ(wrong.size(), std::size(core::kAllQueries));  // Nothing added.
 }

@@ -43,8 +43,9 @@ depends on but that neither the compiler nor clang-tidy enforces:
                         the region sizes account for every byte; a
                         buffer allocated elsewhere escapes both the
                         layout's memory accounting and the guard check.
-                        The arena's own backing allocation and per-plan
-                        statics carry inline waivers.
+                        Only the arena's own backing allocation carries
+                        an inline waiver: compile-time access paths live
+                        in engine::JoinedAccess, outside src/plan/.
   metric-name           Every "serving_..." or "plan_..." string literal
                         that is a bare identifier, anywhere under src/,
                         bench/ or tests/ (whatever roots are scanned), must
@@ -359,8 +360,8 @@ def check_plan_arena_alloc(path, code):
     The plan subsystem's whole point is that execution scratch is placed by
     the static memory planner into one arena with exact peak accounting; a
     Matrix / vector<double> / raw double[] allocated in an operator body is
-    memory the planner cannot see. Statics built once per compile (and the
-    arena's own backing store) are waived inline.
+    memory the planner cannot see. Only the arena's own backing store is
+    waived inline.
     """
     norm = str(path).replace("\\", "/")
     if "src/plan/" not in norm:
