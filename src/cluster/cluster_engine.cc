@@ -122,9 +122,18 @@ genbase::Status ClusterEngine::DoLoadDataset(const core::GenBaseData& data) {
       const auto& gid = data.microarray.IntColumn(MicroarrayCols::kGeneId);
       const auto& expr = data.microarray.DoubleColumn(MicroarrayCols::kExpr);
       for (int64_t i = row_begin; i < row_end; ++i) {
-        nd->expression.Set(pid[static_cast<size_t>(i)] - nd->patients.begin,
-                           gid[static_cast<size_t>(i)],
-                           expr[static_cast<size_t>(i)]);
+        const int64_t r = pid[static_cast<size_t>(i)] - nd->patients.begin;
+        const int64_t c = gid[static_cast<size_t>(i)];
+        // Ids are the local array's coordinates: one outside it fails the
+        // load.
+        if (!nd->expression.Contains(r, c)) {
+          return genbase::Status::InvalidArgument(
+              options_.name + ": (patient, gene) id (" +
+              std::to_string(pid[static_cast<size_t>(i)]) + ", " +
+              std::to_string(c) + ") is not a coordinate of node " +
+              std::to_string(node) + "'s array");
+        }
+        nd->expression.Set(r, c, expr[static_cast<size_t>(i)]);
       }
     } else {
       GENBASE_RETURN_NOT_OK(SliceTable(data.microarray, row_begin, row_end,
@@ -427,9 +436,14 @@ genbase::Result<core::QueryResult> ClusterEngine::RunQuery(
           const auto& expr =
               nd.tables.microarray.DoubleColumn(MicroarrayCols::kExpr);
           for (size_t i = 0; i < pid.size(); ++i) {
-            if (pid[i] < k) {
-              sums[static_cast<size_t>(gid[i])] += expr[i];
+            if (pid[i] >= k) continue;
+            // Gene ids index the score vector.
+            if (gid[i] < 0 || gid[i] >= dims_.genes) {
+              return genbase::Status::InvalidArgument(
+                  options_.name + ": gene id " + std::to_string(gid[i]) +
+                  " is not a score position");
             }
+            sums[static_cast<size_t>(gid[i])] += expr[i];
           }
         }
         return genbase::Status::OK();

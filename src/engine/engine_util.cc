@@ -304,27 +304,35 @@ genbase::Result<JoinedAccess> BuildJoinedAccess(
   const Selection sel = SelectionFor(query, params, tables.dims);
   const storage::ColumnTable& side =
       sel.on_genes ? tables.genes : tables.patients;
-  const int side_key = sel.on_genes ? GeneCols::kGeneId
-                                    : PatientCols::kPatientId;
   GENBASE_ASSIGN_OR_RETURN(
       std::vector<int64_t> selected,
       relational::FilterColumns(side, sel.predicates, ctx));
-  GENBASE_ASSIGN_OR_RETURN(
-      JoinIndex join,
-      relational::HashJoinIndicesFiltered(
-          side, side_key, selected, tables.microarray,
-          sel.on_genes ? MicroarrayCols::kGeneId
-                       : MicroarrayCols::kPatientId,
-          ctx, tracker));
-  JoinedAccess a;
-  // Keep only the matched microarray rows (the join's left side is never
-  // read), without spare capacity: a plan holds them while it compiles.
-  join.right.shrink_to_fit();
-  a.matched_rows = std::move(join.right);
   const auto& patient_ids = tables.patients.IntColumn(PatientCols::kPatientId);
   const auto& gene_ids = tables.genes.IntColumn(GeneCols::kGeneId);
-  a.col_map = MakeDenseMapping(
-      sel.on_genes ? GatherIds(gene_ids, selected) : gene_ids);
+  JoinedAccess a;
+  // The selected dimension maps only its survivors (Q5's sample needs no
+  // patient mapping), the other one every id.
+  DenseMapping& selected_map = sel.on_genes ? a.col_map : a.row_map;
+  DenseMapping& full_map = sel.on_genes ? a.row_map : a.col_map;
+  if (query != QueryId::kStatistics) {
+    selected_map = MakeDenseMapping(
+        GatherIds(sel.on_genes ? gene_ids : patient_ids, selected));
+  }
+  {
+    GENBASE_ASSIGN_OR_RETURN(
+        JoinIndex join,
+        relational::HashJoinIndicesFiltered(
+            side, sel.on_genes ? GeneCols::kGeneId : PatientCols::kPatientId,
+            selected, tables.microarray,
+            sel.on_genes ? MicroarrayCols::kGeneId
+                         : MicroarrayCols::kPatientId,
+            ctx, tracker));
+    // Keep only the matched microarray rows (the join's left side is never
+    // read), without spare capacity: a plan holds them while it compiles.
+    join.right.shrink_to_fit();
+    a.matched_rows = std::move(join.right);
+  }
+  full_map = MakeDenseMapping(sel.on_genes ? patient_ids : gene_ids);
 
   if (query == QueryId::kStatistics) {
     a.sample_count = static_cast<int64_t>(selected.size());
@@ -343,8 +351,6 @@ genbase::Result<JoinedAccess> BuildJoinedAccess(
     }
     return a;
   }
-  a.row_map = MakeDenseMapping(
-      sel.on_genes ? patient_ids : GatherIds(patient_ids, selected));
   if (query == QueryId::kRegression) {
     a.y.assign(static_cast<size_t>(a.row_map.size()), 0.0);
     const auto& resp = tables.patients.DoubleColumn(PatientCols::kDrugResponse);

@@ -27,6 +27,12 @@ genbase::Status SciDbEngine::DoLoadDataset(const core::GenBaseData& data) {
   const auto& gid = ma.IntColumn(MicroarrayCols::kGeneId);
   const auto& expr = ma.DoubleColumn(MicroarrayCols::kExpr);
   for (size_t i = 0; i < pid.size(); ++i) {
+    // Ids are the array's coordinates: one outside it fails the load.
+    if (!expression_.Contains(pid[i], gid[i])) {
+      return genbase::Status::InvalidArgument(
+          "SciDB: (patient, gene) id (" + std::to_string(pid[i]) + ", " +
+          std::to_string(gid[i]) + ") is not an array coordinate");
+    }
     expression_.Set(pid[i], gid[i], expr[i]);
   }
   auto meta = std::make_unique<ColumnarTables>();

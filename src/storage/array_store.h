@@ -33,6 +33,11 @@ class ChunkedArray2D {
   int64_t chunk_rows() const { return chunk_grid_rows_; }
   int64_t chunk_cols() const { return chunk_grid_cols_; }
 
+  /// Whether (r, c) is a cell of the array; Get and Set assume it is.
+  bool Contains(int64_t r, int64_t c) const {
+    return r >= 0 && r < rows_ && c >= 0 && c < cols_;
+  }
+
   double Get(int64_t r, int64_t c) const {
     const Chunk& ch = ChunkAt(r / chunk_, c / chunk_);
     return ch.data[(r % chunk_) * chunk_ + (c % chunk_)];
