@@ -5,11 +5,12 @@ namespace genbase::simd {
 
 /// \brief Which kernel backend the linear-algebra hot paths run on.
 ///
-/// kScalar keeps the portable blocked loops the repo shipped with; kSimd
-/// routes Dot/Axpy/Gemv and the packed Gemm/Syrk macro-kernel through the
-/// AVX2+FMA micro-kernels when the CPU has them, and through packed scalar
-/// micro-kernels otherwise (so one binary runs everywhere and the packed
-/// code paths are exercised even on non-x86 hosts).
+/// The backend selects only the micro-kernel set; every kernel runs the same
+/// algorithm under both. kSimd routes Dot/Axpy/Gemv and the packed BLAS-3
+/// macro-kernel through the AVX2+FMA micro-kernels when the CPU has them,
+/// and through the portable scalar micro-kernels otherwise. kScalar forces
+/// the portable set, which is what a host without AVX2 runs (so one binary
+/// runs everywhere and that path is exercised even on AVX2 hosts).
 enum class Backend { kScalar, kSimd };
 
 /// "scalar" / "simd" — the strings reports and BENCH_*.json carry.

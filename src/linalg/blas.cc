@@ -2,18 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <mutex>
 #include <vector>
 
-#include "common/simd.h"
 #include "linalg/kernels.h"
 
 namespace genbase::linalg {
 
 namespace {
-constexpr int64_t kTile = 64;  // Legacy scalar-path blocking.
-
 /// Packed-path macro blocking: depth panels of kKc are packed once per
 /// (column panel, depth) pair; each worker packs its own kMc-row block of
 /// the left operand; B panels are capped at kNc columns so the shared pack
@@ -113,26 +109,7 @@ void GemvTranspose(const MatrixView& a, const double* x, double* y,
 
 namespace {
 
-/// --- legacy scalar-blocked path (Backend::kScalar) --------------------------
-
-/// Multiplies the (i0..i1, k0..k1) block of A by the (k0..k1, j0..j1) block
-/// of B into C. Inner loops are i-k-j so B rows stream contiguously.
-void GemmBlock(const MatrixView& a, const MatrixView& b, double* c,
-               int64_t c_stride, int64_t i0, int64_t i1, int64_t j0,
-               int64_t j1, int64_t k0, int64_t k1) {
-  for (int64_t i = i0; i < i1; ++i) {
-    const double* arow = a.data + i * a.stride;
-    double* crow = c + i * c_stride;
-    for (int64_t k = k0; k < k1; ++k) {
-      const double aik = arow[k];
-      if (aik == 0.0) continue;
-      const double* brow = b.data + k * b.stride;
-      for (int64_t j = j0; j < j1; ++j) crow[j] += aik * brow[j];
-    }
-  }
-}
-
-/// --- packed register-blocked path (Backend::kSimd) --------------------------
+/// --- packed register-blocked BLAS-3 path ------------------------------------
 
 /// Packs the kc x nc panel of B (rows k0.., cols j0..) into kMicroCols-wide
 /// strips, zero-padding the last strip. With `bias`, bias[j] is subtracted
@@ -285,15 +262,12 @@ genbase::Status PackedGemm(int64_t m, int64_t n, int64_t kdim,
   return worker_status;
 }
 
-void MirrorUpperToLower(Matrix* c) {
-  const int64_t n = c->rows();
+/// Copies the upper triangle of the row-major n x n buffer `c` into its
+/// lower triangle.
+void MirrorUpperToLower(double* c, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = i + 1; j < n; ++j) (*c)(j, i) = (*c)(i, j);
+    for (int64_t j = i + 1; j < n; ++j) c[j * n + i] = c[i * n + j];
   }
-}
-
-bool UsePackedPath() {
-  return simd::ActiveBackend() == simd::Backend::kSimd;
 }
 
 }  // namespace
@@ -304,41 +278,9 @@ genbase::Status Gemm(const MatrixView& a, const MatrixView& b, Matrix* c,
     return Status::InvalidArgument("gemm shape mismatch");
   }
   c->Fill(0.0);
-  if (UsePackedPath()) {
-    return PackedGemm(a.rows, b.cols, a.cols, a.data, a.stride,
-                      /*a_trans=*/false, nullptr, b.data, b.stride, nullptr,
-                      c->data(), c->cols(), /*upper_only=*/false, pool, ctx);
-  }
-  const int64_t row_blocks = (a.rows + kTile - 1) / kTile;
-  Status worker_status = Status::OK();
-  std::mutex status_mu;
-  auto body = [&](int64_t blo, int64_t bhi) {
-    for (int64_t bi = blo; bi < bhi; ++bi) {
-      if (ctx != nullptr) {
-        Status st = ctx->CheckBudgets();
-        if (!st.ok()) {
-          std::lock_guard<std::mutex> lock(status_mu);
-          worker_status = st;
-          return;
-        }
-      }
-      const int64_t i0 = bi * kTile;
-      const int64_t i1 = std::min(a.rows, i0 + kTile);
-      for (int64_t k0 = 0; k0 < a.cols; k0 += kTile) {
-        const int64_t k1 = std::min(a.cols, k0 + kTile);
-        for (int64_t j0 = 0; j0 < b.cols; j0 += kTile) {
-          const int64_t j1 = std::min(b.cols, j0 + kTile);
-          GemmBlock(a, b, c->data(), c->cols(), i0, i1, j0, j1, k0, k1);
-        }
-      }
-    }
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && row_blocks > 1) {
-    pool->ParallelFor(0, row_blocks, body);
-  } else {
-    body(0, row_blocks);
-  }
-  return worker_status;
+  return PackedGemm(a.rows, b.cols, a.cols, a.data, a.stride,
+                    /*a_trans=*/false, nullptr, b.data, b.stride, nullptr,
+                    c->data(), c->cols(), /*upper_only=*/false, pool, ctx);
 }
 
 genbase::Status GemmTransposeA(const MatrixView& a, const MatrixView& b,
@@ -349,46 +291,9 @@ genbase::Status GemmTransposeA(const MatrixView& a, const MatrixView& b,
     return Status::InvalidArgument("gemmTa shape mismatch");
   }
   c->Fill(0.0);
-  if (UsePackedPath()) {
-    return PackedGemm(a.cols, b.cols, a.rows, a.data, a.stride,
-                      /*a_trans=*/true, nullptr, b.data, b.stride, nullptr,
-                      c->data(), c->cols(), /*upper_only=*/false, pool, ctx);
-  }
-  // Legacy path: sum over rows of A/B of outer products, parallelized over
-  // column blocks of C to avoid races.
-  const int64_t col_blocks = (a.cols + kTile - 1) / kTile;
-  Status worker_status = Status::OK();
-  std::mutex status_mu;
-  auto body = [&](int64_t blo, int64_t bhi) {
-    for (int64_t bj = blo; bj < bhi; ++bj) {
-      if (ctx != nullptr) {
-        Status st = ctx->CheckBudgets();
-        if (!st.ok()) {
-          std::lock_guard<std::mutex> lock(status_mu);
-          worker_status = st;
-          return;
-        }
-      }
-      const int64_t r0 = bj * kTile;  // Rows of C == columns of A.
-      const int64_t r1 = std::min(a.cols, r0 + kTile);
-      for (int64_t k = 0; k < a.rows; ++k) {
-        const double* arow = a.data + k * a.stride;
-        const double* brow = b.data + k * b.stride;
-        for (int64_t r = r0; r < r1; ++r) {
-          const double w = arow[r];
-          if (w == 0.0) continue;
-          double* crow = c->Row(r);
-          for (int64_t j = 0; j < b.cols; ++j) crow[j] += w * brow[j];
-        }
-      }
-    }
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && col_blocks > 1) {
-    pool->ParallelFor(0, col_blocks, body);
-  } else {
-    body(0, col_blocks);
-  }
-  return worker_status;
+  return PackedGemm(a.cols, b.cols, a.rows, a.data, a.stride,
+                    /*a_trans=*/true, nullptr, b.data, b.stride, nullptr,
+                    c->data(), c->cols(), /*upper_only=*/false, pool, ctx);
 }
 
 genbase::Status Syrk(const MatrixView& a, Matrix* c, ThreadPool* pool,
@@ -397,56 +302,11 @@ genbase::Status Syrk(const MatrixView& a, Matrix* c, ThreadPool* pool,
     return Status::InvalidArgument("syrk shape mismatch");
   }
   c->Fill(0.0);
-  if (UsePackedPath()) {
-    GENBASE_RETURN_NOT_OK(PackedGemm(
-        a.cols, a.cols, a.rows, a.data, a.stride, /*a_trans=*/true, nullptr,
-        a.data, a.stride, nullptr, c->data(), c->cols(),
-        /*upper_only=*/true, pool, ctx));
-    MirrorUpperToLower(c);
-    return Status::OK();
-  }
-  const int64_t n = a.cols;
-  const int64_t blocks = (n + kTile - 1) / kTile;
-  // Upper-triangle block list so work is balanced across the pool.
-  std::vector<std::pair<int64_t, int64_t>> tasks;
-  for (int64_t bi = 0; bi < blocks; ++bi) {
-    for (int64_t bj = bi; bj < blocks; ++bj) tasks.emplace_back(bi, bj);
-  }
-  Status worker_status = Status::OK();
-  std::mutex status_mu;
-  auto body = [&](int64_t lo, int64_t hi) {
-    for (int64_t t = lo; t < hi; ++t) {
-      if (ctx != nullptr) {
-        Status st = ctx->CheckBudgets();
-        if (!st.ok()) {
-          std::lock_guard<std::mutex> lock(status_mu);
-          worker_status = st;
-          return;
-        }
-      }
-      const int64_t i0 = tasks[t].first * kTile;
-      const int64_t i1 = std::min(n, i0 + kTile);
-      const int64_t j0 = tasks[t].second * kTile;
-      const int64_t j1 = std::min(n, j0 + kTile);
-      for (int64_t k = 0; k < a.rows; ++k) {
-        const double* arow = a.data + k * a.stride;
-        for (int64_t i = i0; i < i1; ++i) {
-          const double w = arow[i];
-          if (w == 0.0) continue;
-          double* crow = c->Row(i);
-          const int64_t jstart = std::max(j0, i);
-          for (int64_t j = jstart; j < j1; ++j) crow[j] += w * arow[j];
-        }
-      }
-    }
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && tasks.size() > 1) {
-    pool->ParallelFor(0, static_cast<int64_t>(tasks.size()), body);
-  } else {
-    body(0, static_cast<int64_t>(tasks.size()));
-  }
-  if (!worker_status.ok()) return worker_status;
-  MirrorUpperToLower(c);
+  GENBASE_RETURN_NOT_OK(PackedGemm(
+      a.cols, a.cols, a.rows, a.data, a.stride, /*a_trans=*/true, nullptr,
+      a.data, a.stride, nullptr, c->data(), c->cols(),
+      /*upper_only=*/true, pool, ctx));
+  MirrorUpperToLower(c->data(), a.cols);
   return Status::OK();
 }
 
@@ -455,16 +315,7 @@ genbase::Status SyrkCentered(const MatrixView& a, const double* col_means,
   if (c->rows() != a.cols || c->cols() != a.cols) {
     return Status::InvalidArgument("syrk shape mismatch");
   }
-  c->Fill(0.0);
-  // Always the packed path: centering rides along in the pack, so the
-  // centered operand is only ever materialized kKc x kNc at a time. The
-  // micro-kernel still dispatches on the active backend.
-  GENBASE_RETURN_NOT_OK(PackedGemm(
-      a.cols, a.cols, a.rows, a.data, a.stride, /*a_trans=*/true, col_means,
-      a.data, a.stride, col_means, c->data(), c->cols(),
-      /*upper_only=*/true, pool, ctx));
-  MirrorUpperToLower(c);
-  return Status::OK();
+  return SyrkCentered(a, col_means, c->data(), pool, ctx);
 }
 
 genbase::Status SyrkCentered(const MatrixView& a, const double* col_means,
@@ -474,9 +325,7 @@ genbase::Status SyrkCentered(const MatrixView& a, const double* col_means,
   GENBASE_RETURN_NOT_OK(PackedGemm(
       n, n, a.rows, a.data, a.stride, /*a_trans=*/true, col_means, a.data,
       a.stride, col_means, c, n, /*upper_only=*/true, pool, ctx));
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = i + 1; j < n; ++j) c[j * n + i] = c[i * n + j];
-  }
+  MirrorUpperToLower(c, n);
   return Status::OK();
 }
 

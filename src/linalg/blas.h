@@ -28,20 +28,20 @@ void GemvTranspose(const MatrixView& a, const double* x, double* y,
 
 /// BLAS-3 -------------------------------------------------------------------
 ///
-/// All BLAS-3 entry points dispatch on simd::ActiveBackend(): kScalar keeps
-/// the original cache-blocked loops, kSimd routes through a packed,
-/// register-blocked macro-kernel (GotoBLAS-style panel packing over the
-/// kernels.h micro-tiles, AVX2+FMA where the CPU has it). Both variants are
-/// bitwise-deterministic across thread counts: every C element is owned by
-/// one task and loop orders are fixed.
+/// Every BLAS-3 entry point below runs one packed, register-blocked
+/// macro-kernel (GotoBLAS-style panel packing over the kernels.h
+/// micro-tiles). simd::ActiveBackend() picks only the micro-tile set: the
+/// AVX2+FMA tiles where the CPU has them under kSimd, the portable scalar
+/// tiles otherwise. Results are bitwise-deterministic across thread counts:
+/// every C element is owned by one task and loop orders are fixed.
 
-/// C = A * B with cache-blocked tiles, parallel over row blocks. This is the
-/// "tuned linear algebra package" path (stands in for BLAS/MKL in the paper's
-/// SciDB/Madlib-C++ configurations).
+/// C = A * B, parallel over row blocks. This is the "tuned linear algebra
+/// package" path (stands in for BLAS/MKL in the paper's SciDB/Madlib-C++
+/// configurations).
 genbase::Status Gemm(const MatrixView& a, const MatrixView& b, Matrix* c,
                      ThreadPool* pool = nullptr, ExecContext* ctx = nullptr);
 
-/// C = A^T * B, blocked and parallel.
+/// C = A^T * B, packing A's columns as the left operand.
 genbase::Status GemmTransposeA(const MatrixView& a, const MatrixView& b,
                                Matrix* c, ThreadPool* pool = nullptr,
                                ExecContext* ctx = nullptr);
@@ -59,8 +59,8 @@ genbase::Status SyrkCentered(const MatrixView& a, const double* col_means,
                              ExecContext* ctx = nullptr);
 
 /// Raw-buffer SyrkCentered: `c` points at an a.cols x a.cols row-major
-/// buffer in externally planned storage (the static-plan arena). Identical
-/// kernel path to the Matrix overload, so results are bitwise identical.
+/// buffer in externally planned storage (the static-plan arena). The Matrix
+/// overload runs this one, so results are bitwise identical.
 genbase::Status SyrkCentered(const MatrixView& a, const double* col_means,
                              double* c, ThreadPool* pool = nullptr,
                              ExecContext* ctx = nullptr);

@@ -46,6 +46,12 @@ double MaxAbsDiff(const Matrix& a, const Matrix& b) {
   return worst;
 }
 
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(double)) == 0;
+}
+
 /// Unblocked, unvectorized oracles.
 double DotRef(const double* x, const double* y, int64_t n) {
   double s = 0.0;
@@ -221,6 +227,40 @@ TEST_P(BackendTest, SyrkCenteredMatchesMaterializedCentering) {
         SyrkCentered(MatrixView(a), means.data(), &fused, &pool).ok());
     const Matrix want = SyrkRef(MatrixView(centered));
     EXPECT_LT(MaxAbsDiff(fused, want), 1e-9);
+  }
+}
+
+/// Every BLAS-3 entry point runs the one packed macro-kernel under either
+/// backend, so two entries that describe the same product agree to the bit.
+/// 400 rows exceed the kKc = 256 packing depth: the sum spans two panels.
+TEST_P(BackendTest, Blas3EntriesShareThePackedPath) {
+  ThreadPool pool(3);
+  const struct {
+    int64_t rows, cols;
+  } kCases[] = {{1, 1}, {9, 17}, {37, 29}, {100, 44}, {400, 190}};
+  for (const auto& s : kCases) {
+    const Matrix a = RandomMatrix(s.rows, s.cols, 2300 + s.rows);
+    const std::vector<double> zeros(static_cast<size_t>(s.cols), 0.0);
+    Matrix syrk(s.cols, s.cols);
+    Matrix centered(s.cols, s.cols);
+    ASSERT_TRUE(Syrk(MatrixView(a), &syrk, &pool).ok());
+    ASSERT_TRUE(
+        SyrkCentered(MatrixView(a), zeros.data(), &centered, &pool).ok());
+    EXPECT_TRUE(SameBits(syrk, centered))
+        << "Syrk vs SyrkCentered, rows=" << s.rows << " cols=" << s.cols;
+
+    const Matrix b = RandomMatrix(s.rows, 23, 2400 + s.rows);
+    Matrix at(s.cols, s.rows);
+    for (int64_t i = 0; i < s.rows; ++i) {
+      for (int64_t j = 0; j < s.cols; ++j) at(j, i) = a(i, j);
+    }
+    Matrix transposed(s.cols, 23);
+    Matrix plain(s.cols, 23);
+    ASSERT_TRUE(
+        GemmTransposeA(MatrixView(a), MatrixView(b), &transposed, &pool).ok());
+    ASSERT_TRUE(Gemm(MatrixView(at), MatrixView(b), &plain, &pool).ok());
+    EXPECT_TRUE(SameBits(transposed, plain))
+        << "GemmTransposeA vs Gemm, rows=" << s.rows << " cols=" << s.cols;
   }
 }
 
