@@ -134,6 +134,34 @@ std::string CellDisplay(const std::string& engine, core::QueryId query,
   return c == nullptr ? "?" : c->Display();
 }
 
+std::string CellFieldDisplay(const core::CellResult* cell,
+                             double core::CellResult::*field) {
+  if (cell == nullptr || !cell->supported) return "n/a";
+  if (cell->infinite) return "INF";
+  if (!cell->status.ok()) return "ERR";
+  return workload::FormatSeconds(cell->*field);
+}
+
+int RunPaperFigure(int argc, char** argv, const char* banner,
+                   const std::function<void()>& register_cells,
+                   const std::function<void()>& print) {
+  PrintBanner(banner);
+  register_cells();
+  benchmark::Initialize(&argc, argv);
+  benchmark::RunSpecifiedBenchmarks();
+  print();
+  int failed = 0;
+  for (const core::CellResult& c : Cells()) {
+    if (!c.supported || c.infinite || c.status.ok()) continue;
+    std::printf("# cell failed: %s/%s/%s nodes=%d: %s\n", c.engine.c_str(),
+                core::QueryName(c.query), core::DatasetSizeName(c.size),
+                c.nodes, c.status.ToString().c_str());
+    ++failed;
+  }
+  if (failed > 0) std::printf("# %d cell(s) failed\n", failed);
+  return failed == 0 ? 0 : 1;
+}
+
 const std::vector<ServingEngineSpec>& ServingEngines() {
   static const auto* engines = new std::vector<ServingEngineSpec>{
       {"scidb", "SciDB", engine::CreateSciDb},

@@ -51,6 +51,25 @@ const core::CellResult* FindCell(const std::string& engine,
 /// Prints the workload banner (scale, dims, timeout, model constants).
 void PrintBanner(const char* figure);
 
+// --- paper figures (fig1–fig5, table1) ---------------------------------------
+
+/// Grid text for one phase field of a recorded cell: its seconds
+/// (workload::FormatSeconds), "n/a" when the cell is absent or its engine
+/// does not implement the query, "INF" on a timeout or memory failure (the
+/// paper's horizontal lines), "ERR" on any other failure.
+std::string CellFieldDisplay(const core::CellResult* cell,
+                             double core::CellResult::*field);
+
+/// The paper figures' `main`: prints the banner, registers the cells, runs
+/// google-benchmark, then `print` (grids and derived tables). Exits nonzero
+/// when a recorded cell failed — supported, not INF and not OK — naming
+/// each one, so an engine that starts failing fails the figure instead of
+/// only showing ERR in a grid. A cell that --benchmark_filter leaves out is
+/// never recorded and fails nothing.
+int RunPaperFigure(int argc, char** argv, const char* banner,
+                   const std::function<void()>& register_cells,
+                   const std::function<void()>& print);
+
 /// One serving-scenario engine configuration. The lineup (ServingEngines)
 /// is the subset of the paper's single-node configs that implement all five
 /// queries natively: the serving scenario assumes full functionality, and a

@@ -121,10 +121,7 @@ void PrintFigure() {
 }  // namespace genbase::bench
 
 int main(int argc, char** argv) {
-  genbase::bench::PrintBanner("Figure 1: single-node overall performance");
-  genbase::bench::RegisterCells();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  genbase::bench::PrintFigure();
-  return 0;
+  return genbase::bench::RunPaperFigure(
+      argc, argv, "Figure 1: single-node overall performance",
+      genbase::bench::RegisterCells, genbase::bench::PrintFigure);
 }

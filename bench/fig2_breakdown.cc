@@ -75,17 +75,9 @@ void PrintFigure() {
     for (core::DatasetSize s : kBenchSizes) {
       std::vector<std::string> row;
       for (const auto& spec : kEngines) {
-        const auto* cell =
-            FindCell(spec.display, core::QueryId::kRegression, s);
-        if (cell == nullptr || !cell->supported) {
-          row.push_back("n/a");
-        } else if (cell->infinite) {
-          row.push_back("INF");
-        } else if (!cell->status.ok()) {
-          row.push_back("ERR");
-        } else {
-          row.push_back(workload::FormatSeconds(cell->*panel.field));
-        }
+        row.push_back(CellFieldDisplay(
+            FindCell(spec.display, core::QueryId::kRegression, s),
+            panel.field));
       }
       cells.push_back(std::move(row));
     }
@@ -108,11 +100,8 @@ void PrintFigure() {
 }  // namespace genbase::bench
 
 int main(int argc, char** argv) {
-  genbase::bench::PrintBanner(
-      "Figure 2: regression DM vs analytics breakdown (single node)");
-  genbase::bench::RegisterCells();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  genbase::bench::PrintFigure();
-  return 0;
+  return genbase::bench::RunPaperFigure(
+      argc, argv,
+      "Figure 2: regression DM vs analytics breakdown (single node)",
+      genbase::bench::RegisterCells, genbase::bench::PrintFigure);
 }

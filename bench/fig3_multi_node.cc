@@ -113,11 +113,7 @@ void PrintFigure() {
 }  // namespace genbase::bench
 
 int main(int argc, char** argv) {
-  genbase::bench::PrintBanner(
-      "Figure 3: multi-node overall performance, large dataset");
-  genbase::bench::RegisterCells();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  genbase::bench::PrintFigure();
-  return 0;
+  return genbase::bench::RunPaperFigure(
+      argc, argv, "Figure 3: multi-node overall performance, large dataset",
+      genbase::bench::RegisterCells, genbase::bench::PrintFigure);
 }

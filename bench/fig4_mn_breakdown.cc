@@ -75,13 +75,10 @@ void PrintFigure() {
       std::vector<std::string> row;
       for (const auto& [display, factory] : kSystems) {
         (void)factory;
-        const auto* cell = FindCell(display, core::QueryId::kRegression,
-                                    core::DatasetSize::kLarge, nodes);
-        if (cell == nullptr || !cell->status.ok()) {
-          row.push_back(cell != nullptr && cell->infinite ? "INF" : "n/a");
-        } else {
-          row.push_back(workload::FormatSeconds(cell->*panel.field));
-        }
+        row.push_back(CellFieldDisplay(
+            FindCell(display, core::QueryId::kRegression,
+                     core::DatasetSize::kLarge, nodes),
+            panel.field));
       }
       cells.push_back(std::move(row));
     }
@@ -93,11 +90,8 @@ void PrintFigure() {
 }  // namespace genbase::bench
 
 int main(int argc, char** argv) {
-  genbase::bench::PrintBanner(
-      "Figure 4: multi-node regression DM vs analytics, large dataset");
-  genbase::bench::RegisterCells();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  genbase::bench::PrintFigure();
-  return 0;
+  return genbase::bench::RunPaperFigure(
+      argc, argv,
+      "Figure 4: multi-node regression DM vs analytics, large dataset",
+      genbase::bench::RegisterCells, genbase::bench::PrintFigure);
 }

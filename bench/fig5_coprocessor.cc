@@ -103,11 +103,8 @@ void PrintFigure() {
 }  // namespace genbase::bench
 
 int main(int argc, char** argv) {
-  genbase::bench::PrintBanner(
-      "Figure 5: SciDB vs SciDB + Xeon Phi coprocessor (single node)");
-  genbase::bench::RegisterCells();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  genbase::bench::PrintFigure();
-  return 0;
+  return genbase::bench::RunPaperFigure(
+      argc, argv,
+      "Figure 5: SciDB vs SciDB + Xeon Phi coprocessor (single node)",
+      genbase::bench::RegisterCells, genbase::bench::PrintFigure);
 }

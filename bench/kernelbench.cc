@@ -9,10 +9,11 @@
 // reference engine's residue FLOPs — is deterministic and enforced on every
 // run. With --baseline the run additionally becomes the CI perf gate and
 // exits nonzero when (a) any kernel regressed > 15% against the committed
-// baseline ns, or (b) the SIMD Gemm/Syrk variants are < 2x the scalar path
-// (AVX2 hosts). Gate (b) is machine-independent by construction; the
-// absolute baseline (a) is committed with headroom and refreshed when the
-// CI runner generation changes (see bench/baselines/kernels_ci.json).
+// baseline ns, or (b) the SIMD Gemm/Syrk variants are < 2x the scalar
+// backend on the same packed path (AVX2 hosts). Gate (b) is
+// machine-independent by construction; the absolute baseline (a) is
+// committed with headroom and refreshed when the CI runner generation
+// changes (see bench/baselines/kernels_ci.json).
 
 #include <benchmark/benchmark.h>
 
@@ -32,7 +33,6 @@
 #include "common/exec_context.h"
 #include "common/memory_tracker.h"
 #include "common/rng.h"
-#include "common/sanitizers.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
 #include "core/generator.h"
@@ -430,12 +430,6 @@ int RunPlanGates() {
 /// must not run slower than the per-run prepare+analytics path it replaces
 /// (>10% grace). Clock-dependent, so CI (--baseline) mode only; sanitizer
 /// builds skip it — instrumentation taxes the two paths asymmetrically.
-bool SkipOverheadGates() {
-  if (genbase::kUnderSanitizer) return true;
-  const char* env = std::getenv("GENBASE_SKIP_OVERHEAD_GATES");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
 int RunPlanSpeedGates() {
   int failures = 0;
   for (const auto q : genbase::core::kAllQueries) {
@@ -684,7 +678,7 @@ int main(int argc, char** argv) {
   failures += RunPlanGates();
 
   if (!baseline_path.empty()) {
-    if (SkipOverheadGates()) {
+    if (genbase::bench::SkipOverheadGates()) {
       std::printf("# plan speed gates skipped (sanitizer build or "
                   "GENBASE_SKIP_OVERHEAD_GATES)\n");
     } else {

@@ -116,10 +116,7 @@ void PrintTable() {
 }  // namespace genbase::bench
 
 int main(int argc, char** argv) {
-  genbase::bench::PrintBanner("Table 1: Phi analytics speedup, multi-node");
-  genbase::bench::RegisterCells();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  genbase::bench::PrintTable();
-  return 0;
+  return genbase::bench::RunPaperFigure(
+      argc, argv, "Table 1: Phi analytics speedup, multi-node",
+      genbase::bench::RegisterCells, genbase::bench::PrintTable);
 }

@@ -153,8 +153,8 @@ void ClusterEngine::DoUnloadDataset() {
 
 void ClusterEngine::PrepareContext(ExecContext* ctx) {
   ctx->set_memory(&tracker_);
-  // Per-node execution is single threaded (SimConfig node_threads); the
-  // parallelism across nodes lives in the virtual-time cluster.
+  // Per-node execution is hard-coded to one thread; the parallelism across
+  // nodes lives in the virtual-time cluster.
   ctx->set_pool(nullptr);
 }
 

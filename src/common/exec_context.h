@@ -20,8 +20,6 @@ namespace genbase {
 enum class Phase { kDataManagement = 0, kAnalytics = 1, kGlue = 2 };
 inline constexpr int kNumPhases = 3;
 
-const char* PhaseName(Phase phase);
-
 class ScopedPhase;
 
 /// \brief Accumulates measured wall seconds plus modeled virtual seconds per

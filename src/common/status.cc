@@ -20,8 +20,6 @@ const char* StatusCodeName(StatusCode code) {
       return "IOError";
     case StatusCode::kNotFound:
       return "NotFound";
-    case StatusCode::kAlreadyExists:
-      return "AlreadyExists";
     case StatusCode::kInternal:
       return "Internal";
   }

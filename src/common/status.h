@@ -21,7 +21,6 @@ enum class StatusCode {
   kNotSupported,
   kIOError,
   kNotFound,
-  kAlreadyExists,
   kInternal,
 };
 
@@ -58,9 +57,6 @@ class Status {
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
   }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
-  }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
   }
@@ -73,7 +69,6 @@ class Status {
   bool IsDeadlineExceeded() const {
     return code_ == StatusCode::kDeadlineExceeded;
   }
-  bool IsNotSupported() const { return code_ == StatusCode::kNotSupported; }
 
   /// True for the failure classes the benchmark reports as INF (the paper's
   /// horizontal lines): memory exhaustion and timeout.

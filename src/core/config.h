@@ -43,15 +43,11 @@ struct SimConfig {
   // --- Hadoop model ---------------------------------------------------------
   /// Virtual per-MapReduce-job startup latency (JVM spinup + scheduling).
   double mr_job_startup_s = 2.0;
-  /// Number of map tasks per job (controls spill granularity).
-  int mr_tasks_per_job = 4;
 
   // --- cluster model (Figures 3/4) -------------------------------------------
   /// Gigabit-Ethernet-class interconnect.
   double net_bandwidth_bytes_per_s = 125e6;
   double net_latency_s = 200e-6;
-  /// Per-node intra-node thread budget for multi-node engines.
-  int node_threads = 1;
 
   // --- coprocessor model (Figure 5, Table 1) --------------------------------
   /// Device:host throughput ratio for GEMM-bound kernels (Xeon Phi 5110P vs

@@ -71,15 +71,15 @@ std::string QueryResult::ToString() const {
   return buf;
 }
 
-genbase::Result<RegressionSummary> RegressionAnalytics(
-    linalg::Matrix design_with_intercept, const std::vector<double>& y,
-    ExecContext* ctx) {
+namespace {
+
+/// The Q1 summary of a fit on a rows x cols design matrix (intercept
+/// included); both RegressionAnalytics overloads end here.
+RegressionSummary SummarizeFit(int64_t rows, int64_t cols,
+                               const linalg::LeastSquaresFit& fit) {
   RegressionSummary s;
-  s.rows = design_with_intercept.rows();
-  s.predictors = design_with_intercept.cols() - 1;
-  GENBASE_ASSIGN_OR_RETURN(
-      linalg::LeastSquaresFit fit,
-      linalg::LeastSquaresQr(std::move(design_with_intercept), y, ctx));
+  s.rows = rows;
+  s.predictors = cols - 1;
   s.r_squared = fit.r_squared;
   double l2 = 0.0;
   for (double c : fit.coefficients) l2 += c * c;
@@ -90,23 +90,27 @@ genbase::Result<RegressionSummary> RegressionAnalytics(
   return s;
 }
 
+}  // namespace
+
+genbase::Result<RegressionSummary> RegressionAnalytics(
+    linalg::Matrix design_with_intercept, const std::vector<double>& y,
+    ExecContext* ctx) {
+  const int64_t rows = design_with_intercept.rows();
+  const int64_t cols = design_with_intercept.cols();
+  GENBASE_ASSIGN_OR_RETURN(
+      linalg::LeastSquaresFit fit,
+      linalg::LeastSquaresQr(std::move(design_with_intercept), y, ctx));
+  return SummarizeFit(rows, cols, fit);
+}
+
 genbase::Result<RegressionSummary> RegressionAnalytics(
     const linalg::MatrixView& design_with_intercept,
     const std::vector<double>& y, ExecContext* ctx) {
-  RegressionSummary s;
-  s.rows = design_with_intercept.rows;
-  s.predictors = design_with_intercept.cols - 1;
   GENBASE_ASSIGN_OR_RETURN(
       linalg::LeastSquaresFit fit,
       linalg::LeastSquaresQr(design_with_intercept, y, ctx));
-  s.r_squared = fit.r_squared;
-  double l2 = 0.0;
-  for (double c : fit.coefficients) l2 += c * c;
-  s.coef_l2 = std::sqrt(l2);
-  const size_t head = std::min<size_t>(8, fit.coefficients.size());
-  s.coef_head.assign(fit.coefficients.begin(),
-                     fit.coefficients.begin() + head);
-  return s;
+  return SummarizeFit(design_with_intercept.rows, design_with_intercept.cols,
+                      fit);
 }
 
 genbase::Result<CovarianceSummary> CovarianceAnalytics(

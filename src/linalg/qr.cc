@@ -15,27 +15,12 @@ namespace genbase::linalg {
 // seconds (contiguous). The sweeps run on the runtime-dispatched BLAS-1
 // kernels (Dot/Axpy), so they vectorize under simd::Backend::kSimd.
 
-genbase::Result<HouseholderQr> HouseholderQr::Factor(Matrix a,
-                                                     ExecContext* ctx) {
-  const int64_t m = a.rows();
-  const int64_t n = a.cols();
-  if (m < n) {
-    return Status::InvalidArgument("QR requires rows >= cols, got " +
-                                   std::to_string(m) + " x " +
-                                   std::to_string(n));
-  }
-  MemoryTracker* tracker = ctx != nullptr ? ctx->memory() : nullptr;
-  GENBASE_ASSIGN_OR_RETURN(Matrix qrt, Matrix::Create(n, m, tracker));
-  for (int64_t i = 0; i < m; ++i) {
-    const double* row = a.Row(i);
-    for (int64_t j = 0; j < n; ++j) qrt(j, i) = row[j];
-  }
-  a = Matrix();  // Release the input copy early.
-  return FactorPacked(std::move(qrt), m, n, ctx);
-}
+namespace {
 
-genbase::Result<HouseholderQr> HouseholderQr::Factor(const MatrixView& a,
-                                                     ExecContext* ctx) {
+/// Checks rows >= cols and copies `a` into the n x m transposed layout the
+/// Householder loop runs on, charged to the context's tracker.
+genbase::Result<Matrix> PackTransposed(const MatrixView& a,
+                                       ExecContext* ctx) {
   const int64_t m = a.rows;
   const int64_t n = a.cols;
   if (m < n) {
@@ -49,13 +34,53 @@ genbase::Result<HouseholderQr> HouseholderQr::Factor(const MatrixView& a,
     const double* row = a.data + i * a.stride;
     for (int64_t j = 0; j < n; ++j) qrt(j, i) = row[j];
   }
-  return FactorPacked(std::move(qrt), m, n, ctx);
+  return qrt;
+}
+
+/// Q^T b, the R solve and the fit statistics: the tail both LeastSquaresQr
+/// overloads share once the design matrix is factored.
+genbase::Result<LeastSquaresFit> SolveFactored(const HouseholderQr& qr,
+                                               const std::vector<double>& b) {
+  const int64_t m = qr.rows();
+  const int64_t n = qr.cols();
+  // Total sum of squares for R^2.
+  double mean_b = 0.0;
+  for (double v : b) mean_b += v;
+  mean_b /= static_cast<double>(m);
+  double tss = 0.0;
+  for (double v : b) tss += (v - mean_b) * (v - mean_b);
+
+  std::vector<double> qtb = b;
+  qr.ApplyQTranspose(qtb.data());
+  LeastSquaresFit fit;
+  fit.coefficients.resize(static_cast<size_t>(n));
+  GENBASE_RETURN_NOT_OK(qr.SolveR(qtb.data(), fit.coefficients.data()));
+  double rss = 0.0;
+  for (int64_t i = n; i < m; ++i) rss += qtb[i] * qtb[i];
+  fit.residual_norm = std::sqrt(rss);
+  fit.r_squared = tss > 0 ? 1.0 - rss / tss : 0.0;
+  return fit;
+}
+
+}  // namespace
+
+genbase::Result<HouseholderQr> HouseholderQr::Factor(Matrix a,
+                                                     ExecContext* ctx) {
+  GENBASE_ASSIGN_OR_RETURN(Matrix qrt, PackTransposed(MatrixView(a), ctx));
+  a = Matrix();  // Release the input copy before the Householder loop.
+  return FactorPacked(std::move(qrt), ctx);
+}
+
+genbase::Result<HouseholderQr> HouseholderQr::Factor(const MatrixView& a,
+                                                     ExecContext* ctx) {
+  GENBASE_ASSIGN_OR_RETURN(Matrix qrt, PackTransposed(a, ctx));
+  return FactorPacked(std::move(qrt), ctx);
 }
 
 genbase::Result<HouseholderQr> HouseholderQr::FactorPacked(Matrix qrt,
-                                                           int64_t m,
-                                                           int64_t n,
                                                            ExecContext* ctx) {
+  const int64_t n = qrt.rows();
+  const int64_t m = qrt.cols();
   ThreadPool* pool = ctx != nullptr ? ctx->pool() : nullptr;
   std::vector<double> tau(static_cast<size_t>(n), 0.0);
   for (int64_t k = 0; k < n; ++k) {
@@ -168,57 +193,22 @@ Matrix HouseholderQr::R() const {
 genbase::Result<LeastSquaresFit> LeastSquaresQr(Matrix a,
                                                 const std::vector<double>& b,
                                                 ExecContext* ctx) {
-  const int64_t m = a.rows();
-  const int64_t n = a.cols();
-  if (static_cast<int64_t>(b.size()) != m) {
+  if (static_cast<int64_t>(b.size()) != a.rows()) {
     return Status::InvalidArgument("rhs length mismatch");
   }
-  // Total sum of squares for R^2 before b is transformed.
-  double mean_b = 0.0;
-  for (double v : b) mean_b += v;
-  mean_b /= static_cast<double>(m);
-  double tss = 0.0;
-  for (double v : b) tss += (v - mean_b) * (v - mean_b);
-
   GENBASE_ASSIGN_OR_RETURN(HouseholderQr qr,
                            HouseholderQr::Factor(std::move(a), ctx));
-  std::vector<double> qtb = b;
-  qr.ApplyQTranspose(qtb.data());
-  LeastSquaresFit fit;
-  fit.coefficients.resize(static_cast<size_t>(n));
-  GENBASE_RETURN_NOT_OK(qr.SolveR(qtb.data(), fit.coefficients.data()));
-  double rss = 0.0;
-  for (int64_t i = n; i < m; ++i) rss += qtb[i] * qtb[i];
-  fit.residual_norm = std::sqrt(rss);
-  fit.r_squared = tss > 0 ? 1.0 - rss / tss : 0.0;
-  return fit;
+  return SolveFactored(qr, b);
 }
 
 genbase::Result<LeastSquaresFit> LeastSquaresQr(const MatrixView& a,
                                                 const std::vector<double>& b,
                                                 ExecContext* ctx) {
-  const int64_t m = a.rows;
-  const int64_t n = a.cols;
-  if (static_cast<int64_t>(b.size()) != m) {
+  if (static_cast<int64_t>(b.size()) != a.rows) {
     return Status::InvalidArgument("rhs length mismatch");
   }
-  double mean_b = 0.0;
-  for (double v : b) mean_b += v;
-  mean_b /= static_cast<double>(m);
-  double tss = 0.0;
-  for (double v : b) tss += (v - mean_b) * (v - mean_b);
-
   GENBASE_ASSIGN_OR_RETURN(HouseholderQr qr, HouseholderQr::Factor(a, ctx));
-  std::vector<double> qtb = b;
-  qr.ApplyQTranspose(qtb.data());
-  LeastSquaresFit fit;
-  fit.coefficients.resize(static_cast<size_t>(n));
-  GENBASE_RETURN_NOT_OK(qr.SolveR(qtb.data(), fit.coefficients.data()));
-  double rss = 0.0;
-  for (int64_t i = n; i < m; ++i) rss += qtb[i] * qtb[i];
-  fit.residual_norm = std::sqrt(rss);
-  fit.r_squared = tss > 0 ? 1.0 - rss / tss : 0.0;
-  return fit;
+  return SolveFactored(qr, b);
 }
 
 }  // namespace genbase::linalg

@@ -54,10 +54,9 @@ class HouseholderQr {
   HouseholderQr(Matrix qrt, std::vector<double> tau)
       : qrt_(std::move(qrt)), tau_(std::move(tau)) {}
 
-  /// Householder loop over a pre-packed transposed matrix; the single code
-  /// path behind both Factor overloads.
-  static genbase::Result<HouseholderQr> FactorPacked(Matrix qrt, int64_t m,
-                                                     int64_t n,
+  /// Householder loop over a pre-packed transposed (n x m) matrix; the
+  /// single code path behind both Factor overloads.
+  static genbase::Result<HouseholderQr> FactorPacked(Matrix qrt,
                                                      ExecContext* ctx);
 
   Matrix qrt_;

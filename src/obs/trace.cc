@@ -235,8 +235,4 @@ void EmitPhaseSpans(double start_s, double dm_s, double analytics_s,
   EmitChildSpan("glue", start_s + dm_s + analytics_s, glue_s);
 }
 
-bool CurrentTraceSampled() { return g_tls.sampled; }
-
-uint64_t CurrentTraceId() { return g_tls.trace_id; }
-
 }  // namespace genbase::obs

@@ -271,13 +271,6 @@ void EmitChildSpan(const char* name, double start_s, double dur_s,
 void EmitPhaseSpans(double start_s, double dm_s, double analytics_s,
                     double glue_s);
 
-/// True when the current thread is inside a sampled trace — lets callers
-/// skip work (string formatting, PhaseClock bridging) that only feeds spans.
-bool CurrentTraceSampled();
-
-/// Trace id of the current thread's installed trace (0 when none).
-uint64_t CurrentTraceId();
-
 }  // namespace genbase::obs
 
 #endif  // GENBASE_OBS_TRACE_H_

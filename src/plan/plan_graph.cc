@@ -2,36 +2,6 @@
 
 namespace genbase::plan {
 
-const char* OpKindName(OpKind kind) {
-  switch (kind) {
-    case OpKind::kScan:
-      return "scan";
-    case OpKind::kSelect:
-      return "select";
-    case OpKind::kJoin:
-      return "join";
-    case OpKind::kGemm:
-      return "gemm";
-    case OpKind::kSyrkCentered:
-      return "syrk_centered";
-    case OpKind::kSvdHelper:
-      return "svd_helper";
-    case OpKind::kWilcoxonRank:
-      return "wilcoxon_rank";
-    case OpKind::kChengChurchStep:
-      return "cheng_church_step";
-    case OpKind::kColumnMeans:
-      return "column_means";
-    case OpKind::kQuantile:
-      return "quantile";
-    case OpKind::kCount:
-      return "count";
-    case OpKind::kPartition:
-      return "partition";
-  }
-  return "?";
-}
-
 const char* OpSpanName(OpKind kind) {
   switch (kind) {
     case OpKind::kScan:

@@ -32,8 +32,6 @@ enum class OpKind {
 };
 inline constexpr int kNumOpKinds = 12;
 
-const char* OpKindName(OpKind kind);
-
 /// Static-storage span name for the per-op execute trace spans
 /// (obs::Span::name must outlive the tracer rings).
 const char* OpSpanName(OpKind kind);

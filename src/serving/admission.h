@@ -172,9 +172,6 @@ class AdmissionController {
   /// cheap (a relaxed atomic exchange) so the stack may call it every
   /// serve.
   void SetCapacityFactor(double factor);
-  double capacity_factor() const {
-    return capacity_factor_.load(std::memory_order_relaxed);
-  }
 
   /// Current concurrency limit (fixed in static mode; the controller's live
   /// value in adaptive mode).

@@ -156,7 +156,6 @@ struct WorkloadReport {
         served_ops() - total.errors - total.infs;
     return wall_seconds > 0 ? successes / wall_seconds : 0.0;
   }
-  int64_t failed_ops() const { return total.errors + total.infs; }
 
   /// Result-cache hits over probes in the measured phase (0 without probes
   /// or without a serving stack).

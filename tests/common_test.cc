@@ -10,7 +10,6 @@
 #include "common/csv.h"
 #include "common/exec_context.h"
 #include "common/json.h"
-#include "common/logging.h"
 #include "common/memory_tracker.h"
 #include "common/rng.h"
 #include "common/single_flight.h"
@@ -481,56 +480,6 @@ TEST(MemoryTrackerTest, LabelledTrackerExportsGauges) {
   EXPECT_EQ(used, 768);
   EXPECT_EQ(peak, 1024);
   EXPECT_EQ(budget, 4096);
-}
-
-// --- log rate limiting and log-to-metrics bridge -----------------------------
-
-int64_t LevelCount(const char* name, const char* level) {
-  return obs::MetricsRegistry::Global()
-      .GetCounter(name, {{"level", level}})
-      ->Value();
-}
-
-TEST(LoggingTest, WarningsFeedLogMessagesTotal) {
-  const LogLevel saved = GlobalLogLevel();
-  SetGlobalLogLevel(LogLevel::kWarning);
-  const int64_t before = LevelCount("log_messages_total", "warning");
-  GENBASE_LOG(Warning) << "bridge probe";
-  EXPECT_EQ(LevelCount("log_messages_total", "warning"), before + 1);
-  // A message below the threshold is dropped before the bridge.
-  const int64_t info_before = LevelCount("log_messages_total", "info");
-  GENBASE_LOG(Info) << "dropped";
-  EXPECT_EQ(LevelCount("log_messages_total", "info"), info_before);
-  SetGlobalLogLevel(saved);
-}
-
-TEST(LoggingTest, LogEveryNEmitsFirstAndEveryNth) {
-  const LogLevel saved = GlobalLogLevel();
-  SetGlobalLogLevel(LogLevel::kWarning);
-  const int64_t emitted_before = LevelCount("log_messages_total", "warning");
-  const int64_t supp_before =
-      LevelCount("log_messages_suppressed_total", "warning");
-  for (int i = 0; i < 10; ++i) {
-    GENBASE_LOG_EVERY_N(Warning, 4) << "rate-limited probe " << i;
-  }
-  // Occurrences 0, 4 and 8 emit; the other seven are suppressed-but-counted.
-  EXPECT_EQ(LevelCount("log_messages_total", "warning"), emitted_before + 3);
-  EXPECT_EQ(LevelCount("log_messages_suppressed_total", "warning"),
-            supp_before + 7);
-  SetGlobalLogLevel(saved);
-}
-
-TEST(LoggingTest, LogEveryNBelowThresholdNeverTicks) {
-  const LogLevel saved = GlobalLogLevel();
-  SetGlobalLogLevel(LogLevel::kError);
-  const int64_t supp_before =
-      LevelCount("log_messages_suppressed_total", "warning");
-  for (int i = 0; i < 5; ++i) {
-    GENBASE_LOG_EVERY_N(Warning, 2) << "should not tick";
-  }
-  EXPECT_EQ(LevelCount("log_messages_suppressed_total", "warning"),
-            supp_before);
-  SetGlobalLogLevel(saved);
 }
 
 // --- json parser -------------------------------------------------------------
