@@ -4,6 +4,10 @@
 // trajectory of the hot kernels is a tracked number.
 //
 //   kernelbench [--json=BENCH_kernels.json] [--baseline=FILE]
+//               [--benchmark_repetitions=N]
+//
+// With N repetitions every number below (summary, gates, JSON) is the
+// median of each kernel's N times, and the console lists their range.
 //
 // The Cheng–Church FLOP gate — incremental engine must spend < 1/5 of the
 // reference engine's residue FLOPs — is deterministic and enforced on every
@@ -81,16 +85,32 @@ std::vector<double> RandomVector(int64_t n, uint64_t seed) {
   return v;
 }
 
-/// Captured per-benchmark mean real time (ns/iteration), keyed by name.
+/// Every repetition's real time (ns/iteration), keyed by name.
+std::map<std::string, std::vector<double>>& Samples() {
+  static std::map<std::string, std::vector<double>> s;
+  return s;
+}
+
+/// Per-benchmark median of Samples() (ns/iteration), keyed by name: what
+/// the summary, the gates and the JSON read.
 std::map<std::string, double>& Results() {
   static std::map<std::string, double> r;
   return r;
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
 class CaptureReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
+      // With --benchmark_repetitions, the _mean/_median/_stddev/_cv rows
+      // would land on the kernel's own name below: keep only repetitions.
+      if (run.run_type == Run::RT_Aggregate || run.iterations <= 0) continue;
       // Strip the "/min_time:…" decoration so names match registration.
       std::string name = run.benchmark_name();
       const size_t cut = name.find("/min_time");
@@ -98,14 +118,31 @@ class CaptureReporter : public benchmark::ConsoleReporter {
       // real_accumulated_time is unit-independent (seconds over all
       // iterations) — GetAdjustedRealTime would be scaled by the display
       // unit.
-      if (run.iterations > 0) {
-        Results()[name] =
-            1e9 * run.real_accumulated_time / static_cast<double>(run.iterations);
-      }
+      std::vector<double>& samples = Samples()[name];
+      samples.push_back(1e9 * run.real_accumulated_time /
+                        static_cast<double>(run.iterations));
+      Results()[name] = Median(samples);
     }
     ConsoleReporter::ReportRuns(runs);
   }
 };
+
+/// One line per repeated benchmark: its median and the range of its
+/// repetitions. Prints nothing for single runs.
+void PrintSpread() {
+  bool header = false;
+  for (const auto& [name, samples] : Samples()) {
+    if (samples.size() < 2) continue;
+    if (!header) {
+      std::printf("\n--- medians over repetitions [min, max] ---\n");
+      header = true;
+    }
+    const auto [lo, hi] = std::minmax_element(samples.begin(), samples.end());
+    std::printf("  %-32s %12.1f us  [%.1f, %.1f]  n=%zu\n", name.c_str(),
+                1e-3 * Results()[name], 1e-3 * *lo, 1e-3 * *hi,
+                samples.size());
+  }
+}
 
 /// Scoped backend override for one benchmark body.
 class ScopedBackend {
@@ -140,11 +177,7 @@ std::string KernelOf(const std::string& name) {
 
 /// Matches queries.cc: delta as a fraction of the full-matrix MSR.
 double CcDelta(const Matrix& m) {
-  std::vector<int64_t> rows(static_cast<size_t>(m.rows()));
-  std::vector<int64_t> cols(static_cast<size_t>(m.cols()));
-  for (int64_t i = 0; i < m.rows(); ++i) rows[static_cast<size_t>(i)] = i;
-  for (int64_t j = 0; j < m.cols(); ++j) cols[static_cast<size_t>(j)] = j;
-  return 0.05 * MeanSquaredResidue(MatrixView(m), rows, cols);
+  return 0.05 * MeanSquaredResidue(MatrixView(m));
 }
 
 void RegisterAll(ThreadPool* pool) {
@@ -624,6 +657,7 @@ int main(int argc, char** argv) {
   RegisterPlanBenches();
   CaptureReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
+  PrintSpread();
 
   const ResidueAccounting acc = CountResidueWork();
   const std::map<std::string, genbase::obs::PerfReading> perf =

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 
 #include "common/rng.h"
@@ -125,6 +126,38 @@ void RemoveIndices(std::vector<T>* v, const std::vector<size_t>& positions) {
 constexpr int64_t kStatsFlops = 2;    // two accumulations per cell
 constexpr int64_t kResidueFlops = 5;  // 3 adds + 1 mul + 1 accumulate
 
+std::vector<int64_t> Iota(int64_t n) {
+  std::vector<int64_t> v(static_cast<size_t>(n));
+  std::iota(v.begin(), v.end(), 0);
+  return v;
+}
+
+/// Whether ChengChurch rejects `m`: smaller than the minimum bicluster, or
+/// empty (a zero minimum admits an empty matrix, which has no range).
+bool TooSmall(const linalg::MatrixView& m, const ChengChurchOptions& options) {
+  return m.rows < std::max<int64_t>(1, options.min_rows) ||
+         m.cols < std::max<int64_t>(1, options.min_cols);
+}
+
+/// The minimum and maximum of a non-empty matrix, with std::min's and
+/// std::max's comparisons (a NaN never replaces a bound) but no references,
+/// so both bounds stay in registers.
+void Range(const linalg::MatrixView& m, double* lo, double* hi) {
+  double l = m(0, 0), h = m(0, 0);
+  for (int64_t i = 0; i < m.rows; ++i) {
+    const double* row = m.data + i * m.stride;
+    for (int64_t j = 0; j < m.cols; ++j) {
+      const double v = row[j];
+      l = v < l ? v : l;
+      h = h < v ? v : h;
+    }
+  }
+  *lo = l;
+  *hi = h;
+}
+
+}  // namespace
+
 /// --- incremental residue engine ---------------------------------------------
 
 /// The state the incremental impl maintains for the live submatrix: a packed
@@ -156,6 +189,35 @@ class IncrementalCluster {
     std::iota(row_ids_.begin(), row_ids_.end(), 0);
     std::iota(col_ids_.begin(), col_ids_.end(), 0);
     Refresh();
+  }
+
+  /// Re-lays the live block at `stride` in room for `rows` rows and empties
+  /// the scratch, which every pass rewrites before reading it. (|I|, |J|)
+  /// packs a state to keep; the input's (rows, cols) restores the
+  /// constructor's layout, which node addition needs.
+  void Relayout(int64_t stride, int64_t rows) {
+    std::vector<double> pw(static_cast<size_t>(rows * stride));
+    for (int64_t i = 0; i < nrows_; ++i) {
+      std::memcpy(pw.data() + i * stride, pw_.data() + i * stride_,
+                  static_cast<size_t>(ncols_) * sizeof(double));
+    }
+    pw_ = std::move(pw);
+    stride_ = stride;
+    for (auto* v : {&row_mean_, &col_mean_, &d_row_, &d_col_, &tmp_row_,
+                    &tmp_col_}) {
+      v->clear();
+    }
+  }
+
+  /// Heap bytes held (every vector's capacity; all elements are 8 bytes).
+  int64_t bytes() const {
+    size_t n = pw_.capacity() + row_ids_.capacity() + col_ids_.capacity();
+    for (const auto* v : {&row_sum_, &row_sq_, &col_sum_, &col_sq_, &v_, &w_,
+                          &row_mean_, &col_mean_, &d_row_, &d_col_, &tmp_row_,
+                          &tmp_col_}) {
+      n += v->capacity();
+    }
+    return static_cast<int64_t>(n * sizeof(double));
   }
 
   int64_t nrows() const { return nrows_; }
@@ -457,6 +519,8 @@ class IncrementalCluster {
       tmp_col_;
 };
 
+namespace {
+
 /// Cross-check: recompute stats from scratch on the live index sets and
 /// compare against the incremental engine's view.
 genbase::Status CrossCheck(const IncrementalCluster& inc, double h,
@@ -496,63 +560,82 @@ genbase::Status CrossCheck(const IncrementalCluster& inc, double h,
   return genbase::Status::OK();
 }
 
-/// One bicluster extraction with the incremental engine. `wv` is the masked
-/// working matrix.
-genbase::Result<Bicluster> ExtractIncremental(
-    const linalg::MatrixView& wv, const ChengChurchOptions& options,
-    ExecContext* ctx) {
+/// Phase 1 of an incremental extraction: multiple node deletion while the
+/// matrix is large, until H <= delta or a round deletes nothing. Returns
+/// the smallest H it tested.
+genbase::Result<double> MultipleNodeDeletion(const ChengChurchOptions& options,
+                                             ExecContext* ctx,
+                                             IncrementalCluster* inc) {
   ThreadPool* pool = ctx != nullptr ? ctx->pool() : nullptr;
-  IncrementalCluster inc(wv, options.counters);
-
-  // Phase 1: multiple node deletion while the matrix is large.
+  double min_h = std::numeric_limits<double>::infinity();
   for (;;) {
     if (ctx != nullptr) GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
     if (options.pass_hook) GENBASE_RETURN_NOT_OK(options.pass_hook());
     CountIteration(options.counters);
-    const double h = inc.H();
+    const double h = inc->H();
+    min_h = std::min(min_h, h);
     if (options.cross_check) {
-      GENBASE_RETURN_NOT_OK(CrossCheck(inc, h, nullptr, nullptr));
+      GENBASE_RETURN_NOT_OK(CrossCheck(*inc, h, nullptr, nullptr));
     }
     if (h <= options.delta) break;
     bool changed = false;
-    if (inc.nrows() > 100) {
-      const std::vector<double>& d = inc.RowResiduesFast(pool);
+    if (inc->nrows() > 100) {
+      const std::vector<double>& d = inc->RowResiduesFast(pool);
       if (options.cross_check) {
-        GENBASE_RETURN_NOT_OK(CrossCheck(inc, h, &d, nullptr));
+        GENBASE_RETURN_NOT_OK(CrossCheck(*inc, h, &d, nullptr));
       }
       std::vector<size_t> to_remove;
-      for (int64_t i = 0; i < inc.nrows(); ++i) {
+      for (int64_t i = 0; i < inc->nrows(); ++i) {
         if (d[i] > options.alpha * h &&
-            inc.nrows() - static_cast<int64_t>(to_remove.size()) >
+            inc->nrows() - static_cast<int64_t>(to_remove.size()) >
                 options.min_rows) {
           to_remove.push_back(static_cast<size_t>(i));
         }
       }
       if (!to_remove.empty()) {
-        inc.RemoveRows(std::move(to_remove));
+        inc->RemoveRows(std::move(to_remove));
         changed = true;
       }
     }
-    if (inc.ncols() > 100) {
-      const double h2 = inc.H();
-      const std::vector<double>& d = inc.ColResiduesFast(pool);
+    if (inc->ncols() > 100) {
+      const double h2 = inc->H();
+      const std::vector<double>& d = inc->ColResiduesFast(pool);
       if (options.cross_check) {
-        GENBASE_RETURN_NOT_OK(CrossCheck(inc, h2, nullptr, &d));
+        GENBASE_RETURN_NOT_OK(CrossCheck(*inc, h2, nullptr, &d));
       }
       std::vector<size_t> to_remove;
-      for (int64_t j = 0; j < inc.ncols(); ++j) {
+      for (int64_t j = 0; j < inc->ncols(); ++j) {
         if (d[j] > options.alpha * h2 &&
-            inc.ncols() - static_cast<int64_t>(to_remove.size()) >
+            inc->ncols() - static_cast<int64_t>(to_remove.size()) >
                 options.min_cols) {
           to_remove.push_back(static_cast<size_t>(j));
         }
       }
       if (!to_remove.empty()) {
-        inc.RemoveCols(std::move(to_remove));
+        inc->RemoveCols(std::move(to_remove));
         changed = true;
       }
     }
     if (!changed) break;  // Fall through to single deletion.
+  }
+  return min_h;
+}
+
+/// One bicluster extraction with the incremental engine. `wv` is the masked
+/// working matrix. With `after_deletion` (a packed state of this `wv` that
+/// phase 1 left, which a run of these options would reach), the
+/// extraction continues a copy of it from phase 2.
+genbase::Result<Bicluster> ExtractIncremental(
+    const linalg::MatrixView& wv, const ChengChurchOptions& options,
+    ExecContext* ctx, const IncrementalCluster* after_deletion) {
+  ThreadPool* pool = ctx != nullptr ? ctx->pool() : nullptr;
+  IncrementalCluster inc = after_deletion != nullptr
+                               ? *after_deletion
+                               : IncrementalCluster(wv, options.counters);
+  if (after_deletion != nullptr) {
+    inc.Relayout(wv.cols, wv.rows);
+  } else {
+    GENBASE_RETURN_NOT_OK(MultipleNodeDeletion(options, ctx, &inc).status());
   }
 
   // Phase 2: single node deletion until H <= delta. Stats update in
@@ -809,12 +892,47 @@ double MeanSquaredResidue(const linalg::MatrixView& m,
   return Msr(m, s, rows, cols);
 }
 
-genbase::Result<std::vector<Bicluster>> ChengChurch(
+double MeanSquaredResidue(const linalg::MatrixView& m) {
+  return MeanSquaredResidue(m, Iota(m.rows), Iota(m.cols));
+}
+
+int64_t ChengChurchState::bytes() const {
+  return first != nullptr ? first->bytes() : 0;
+}
+
+genbase::Result<ChengChurchState> ChengChurchPrefix(
     const linalg::MatrixView& data, const ChengChurchOptions& options,
     ExecContext* ctx) {
-  if (data.rows < options.min_rows || data.cols < options.min_cols) {
+  ChengChurchState state;
+  state.full_msr = MeanSquaredResidue(data);
+  if (TooSmall(data, options)) return state;  // ChengChurch rejects it.
+  Range(data, &state.lo, &state.hi);
+  ChengChurchOptions deletion;
+  deletion.delta = -std::numeric_limits<double>::infinity();
+  deletion.alpha = options.alpha;
+  deletion.min_rows = options.min_rows;
+  deletion.min_cols = options.min_cols;
+  IncrementalCluster inc(data, nullptr);
+  GENBASE_ASSIGN_OR_RETURN(state.min_h,
+                           MultipleNodeDeletion(deletion, ctx, &inc));
+  if (inc.nrows() < data.rows || inc.ncols() < data.cols) {
+    inc.Relayout(inc.ncols(), inc.nrows());
+    // A copy holds no spare capacity.
+    state.first = std::make_shared<IncrementalCluster>(inc);
+  }
+  return state;
+}
+
+genbase::Result<std::vector<Bicluster>> ChengChurch(
+    const linalg::MatrixView& data, const ChengChurchOptions& options,
+    ExecContext* ctx, const ChengChurchState* prefix) {
+  if (TooSmall(data, options)) {
     return Status::InvalidArgument("matrix smaller than minimum bicluster");
   }
+  const bool use_prefix = prefix != nullptr &&
+                          options.impl == ChengChurchImpl::kIncremental &&
+                          !options.pass_hook && options.counters == nullptr &&
+                          !options.cross_check;
   // Working copy: masking replaces found cells with noise.
   GENBASE_ASSIGN_OR_RETURN(
       linalg::Matrix work,
@@ -824,20 +942,27 @@ genbase::Result<std::vector<Bicluster>> ChengChurch(
     std::copy(data.data + i * data.stride, data.data + i * data.stride +
               data.cols, work.Row(i));
   }
-  double lo = work(0, 0), hi = work(0, 0);
-  for (int64_t i = 0; i < work.size(); ++i) {
-    lo = std::min(lo, work.data()[i]);
-    hi = std::max(hi, work.data()[i]);
+  double lo = 0.0, hi = 0.0;
+  if (use_prefix) {
+    lo = prefix->lo;
+    hi = prefix->hi;
+  } else {
+    Range(linalg::MatrixView(work), &lo, &hi);
   }
   Rng mask_rng(options.mask_seed);
   std::vector<Bicluster> found;
 
   for (int b = 0; b < options.max_biclusters; ++b) {
     linalg::MatrixView wv(work);
+    const IncrementalCluster* after_deletion =
+        use_prefix && b == 0 && options.delta < prefix->min_h
+            ? prefix->first.get()
+            : nullptr;
     GENBASE_ASSIGN_OR_RETURN(
-        Bicluster bc, options.impl == ChengChurchImpl::kIncremental
-                          ? ExtractIncremental(wv, options, ctx)
-                          : ExtractReference(wv, options, ctx));
+        Bicluster bc,
+        options.impl == ChengChurchImpl::kIncremental
+            ? ExtractIncremental(wv, options, ctx, after_deletion)
+            : ExtractReference(wv, options, ctx));
     bc.mean_squared_residue = MeanSquaredResidue(wv, bc.rows, bc.cols);
     // Mask the found bicluster with uniform noise so the next pass finds a
     // different one (the Cheng & Church masking step).

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/exec_context.h"
@@ -74,6 +75,39 @@ double MeanSquaredResidue(const linalg::MatrixView& m,
                           const std::vector<int64_t>& rows,
                           const std::vector<int64_t>& cols);
 
+/// H of the whole matrix: the overload above over every row and column.
+double MeanSquaredResidue(const linalg::MatrixView& m);
+
+/// The incremental engine's state for one extraction (cheng_church.cc).
+class IncrementalCluster;
+
+/// \brief What ChengChurch computes on one matrix before it reads delta,
+/// max_biclusters or mask_seed (see ChengChurchPrefix).
+struct ChengChurchState {
+  double full_msr = 0.0;  ///< H of the whole input.
+  double lo = 0.0;        ///< The input's minimum and maximum: the range
+  double hi = 0.0;        ///< the masking noise is drawn from.
+  /// The first extraction after multiple node deletion ran to its end,
+  /// holding only its live block; null when the deletion removed nothing
+  /// (a run then repeats its one round) or the input is smaller than the
+  /// minimum bicluster.
+  std::shared_ptr<const IncrementalCluster> first;
+  double min_h = 0.0;  ///< The smallest H that deletion tested.
+
+  /// Heap bytes `first` holds.
+  int64_t bytes() const;
+};
+
+/// \brief The part of ChengChurch(data, options) that reads neither delta,
+/// max_biclusters nor mask_seed: the input's H and range, and the first
+/// extraction's multiple node deletion run until a round deletes nothing.
+/// That deletion removes nodes by alpha * H alone and delta can only stop
+/// it early, so a run whose delta is below min_h reaches `first` exactly.
+/// Reads options' alpha, min_rows and min_cols, and no hook or counters.
+genbase::Result<ChengChurchState> ChengChurchPrefix(
+    const linalg::MatrixView& data, const ChengChurchOptions& options,
+    ExecContext* ctx = nullptr);
+
 /// \brief Cheng & Church biclustering: multiple node deletion, single node
 /// deletion, then node addition; successive biclusters are found after
 /// masking previous ones with random noise. This is GenBase Query 3's
@@ -87,9 +121,16 @@ double MeanSquaredResidue(const linalg::MatrixView& m,
 /// round (the incremental engine scans rows/cols in packed order, the
 /// reference in original order); both always honor delta/alpha and the
 /// floors.
+///
+/// With `prefix` (ChengChurchPrefix of the same data, alpha, min_rows and
+/// min_cols), the run takes the masking range from it, and when delta <
+/// prefix->min_h its first extraction continues a copy of prefix->first
+/// (if any) instead of starting over, with the same answer bit for bit. A
+/// run with a pass_hook, counters, cross_check or the reference impl
+/// ignores the prefix: those see every pass.
 genbase::Result<std::vector<Bicluster>> ChengChurch(
     const linalg::MatrixView& data, const ChengChurchOptions& options,
-    ExecContext* ctx = nullptr);
+    ExecContext* ctx = nullptr, const ChengChurchState* prefix = nullptr);
 
 }  // namespace genbase::bicluster
 

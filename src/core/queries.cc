@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "bicluster/cheng_church.h"
 #include "linalg/qr.h"
 #include "linalg/svd.h"
 #include "stats/quantile.h"
@@ -162,9 +161,16 @@ genbase::Status CovarianceExtractUpper(const linalg::MatrixView& cov,
 
 namespace {
 
+/// Columns per compaction block of the join: the block's qualifying
+/// columns fit in a local array, so the join allocates nothing per call.
+constexpr int64_t kJoinBlock = 256;
+
 /// The one threshold pass + metadata join, in upper-triangle order (so the
-/// checksums sum in the same order on every path). `resolve(g)` runs before
-/// a qualifying pair reads function[g] and length[g].
+/// checksums sum in the same order on every path). Each block of a row is
+/// first compacted to its qualifying columns without a branch, then summed
+/// in column order. A pair qualifies when !(c <= threshold), so a NaN
+/// qualifies. `resolve(g)` runs before a qualifying pair reads function[g]
+/// and length[g].
 template <typename Resolve>
 genbase::Result<CovarianceSummary> JoinLoop(
     const double* upper, int64_t genes, int64_t samples, double threshold,
@@ -174,22 +180,41 @@ genbase::Result<CovarianceSummary> JoinLoop(
   s.samples = samples;
   s.genes = genes;
   s.threshold = threshold;
-  int64_t k = 0;
+  int64_t pairs = 0;
+  double cov_sum = 0.0;
+  double meta_sum = 0.0;
+  int64_t hits[kJoinBlock] = {};  // A block's qualifying pairs, by offset.
+  const double* row = upper;      // Pairs (i, i+1), (i, i+2), ...
   for (int64_t i = 0; i < genes; ++i) {
     if (ctx != nullptr && (i & 255) == 0) {
       GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
     }
-    for (int64_t j = i + 1; j < genes; ++j) {
-      const double c = upper[k++];
-      if (c <= threshold) continue;
-      ++s.pairs_above;
-      s.cov_checksum += c;
+    const int64_t len = genes - 1 - i;
+    for (int64_t lo = 0; lo < len; lo += kJoinBlock) {
+      const int64_t hi = std::min(len, lo + kJoinBlock);
+      int64_t n = 0;
+      for (int64_t t = lo; t < hi; ++t) {
+        hits[n] = t;
+        n += !(row[t] <= threshold);
+      }
+      if (n == 0) continue;
       GENBASE_RETURN_NOT_OK(resolve(i));
-      GENBASE_RETURN_NOT_OK(resolve(j));
-      s.meta_checksum += static_cast<double>(function[i] + function[j]) +
-                         1e-3 * static_cast<double>(length[i] + length[j]);
+      const int64_t fi = function[i];
+      const int64_t li = length[i];
+      for (int64_t h = 0; h < n; ++h) {
+        const int64_t j = i + 1 + hits[h];
+        cov_sum += row[hits[h]];
+        GENBASE_RETURN_NOT_OK(resolve(j));
+        meta_sum += static_cast<double>(fi + function[j]) +
+                    1e-3 * static_cast<double>(li + length[j]);
+      }
+      pairs += n;
     }
+    row += len;
   }
+  s.pairs_above = pairs;
+  s.cov_checksum = cov_sum;
+  s.meta_checksum = meta_sum;
   return s;
 }
 
@@ -223,41 +248,62 @@ genbase::Result<CovarianceSummary> CovarianceJoinPass(
                   length.data(), resolve, ctx);
 }
 
+namespace {
+
+/// Q3's Cheng-Church options before delta and the count are set.
+bicluster::ChengChurchOptions BiclusterOptions() {
+  bicluster::ChengChurchOptions opt;
+  opt.min_rows = 4;
+  opt.min_cols = 4;
+  return opt;
+}
+
+/// Charges the row and column index vectors that H(x) builds to the run's
+/// tracker, so per-op alloc_delta_bytes stays exact even for Q3's setup.
+genbase::Result<ScopedReservation> ReserveIndexes(const linalg::MatrixView& x,
+                                                  ExecContext* ctx) {
+  return ScopedReservation::Acquire(
+      ctx != nullptr ? ctx->memory() : nullptr,
+      (x.rows + x.cols) * static_cast<int64_t>(sizeof(int64_t)));
+}
+
+}  // namespace
+
 genbase::Result<BiclusterSummary> BiclusterAnalytics(
     const linalg::MatrixView& x, double delta_fraction, int count,
-    ExecContext* ctx, std::function<genbase::Status()> pass_hook) {
+    ExecContext* ctx, std::function<genbase::Status()> pass_hook,
+    const bicluster::ChengChurchState* prefix) {
   BiclusterSummary s;
   s.matrix_rows = x.rows;
   s.matrix_cols = x.cols;
-  // Index temporaries charged to the run's tracker so per-op
-  // alloc_delta_bytes stays exact even for Q3's setup vectors.
-  MemoryTracker* tracker = ctx != nullptr ? ctx->memory() : nullptr;
-  GENBASE_ASSIGN_OR_RETURN(
-      auto index_reservation,
-      ScopedReservation::Acquire(
-          tracker, (x.rows + x.cols) * static_cast<int64_t>(sizeof(int64_t))));
-  std::vector<int64_t> all_rows(static_cast<size_t>(x.rows));
-  std::vector<int64_t> all_cols(static_cast<size_t>(x.cols));
-  for (int64_t i = 0; i < x.rows; ++i) all_rows[i] = i;
-  for (int64_t j = 0; j < x.cols; ++j) all_cols[j] = j;
-  const double full_msr =
-      bicluster::MeanSquaredResidue(x, all_rows, all_cols);
-  s.delta = delta_fraction * full_msr;
+  // Without a prefix the index reservation stays held through the run.
+  ScopedReservation index_reservation;
+  if (prefix != nullptr) {
+    s.delta = delta_fraction * prefix->full_msr;
+  } else {
+    GENBASE_ASSIGN_OR_RETURN(index_reservation, ReserveIndexes(x, ctx));
+    s.delta = delta_fraction * bicluster::MeanSquaredResidue(x);
+  }
 
-  bicluster::ChengChurchOptions opt;
+  bicluster::ChengChurchOptions opt = BiclusterOptions();
   opt.delta = s.delta;
   opt.max_biclusters = count;
-  opt.min_rows = 4;
-  opt.min_cols = 4;
   opt.pass_hook = std::move(pass_hook);
   GENBASE_ASSIGN_OR_RETURN(std::vector<bicluster::Bicluster> found,
-                           bicluster::ChengChurch(x, opt, ctx));
+                           bicluster::ChengChurch(x, opt, ctx, prefix));
   for (const auto& b : found) {
     s.biclusters.push_back({static_cast<int64_t>(b.rows.size()),
                             static_cast<int64_t>(b.cols.size()),
                             b.mean_squared_residue});
   }
   return s;
+}
+
+genbase::Result<bicluster::ChengChurchState> BiclusterPrefix(
+    const linalg::MatrixView& x, ExecContext* ctx) {
+  GENBASE_ASSIGN_OR_RETURN(ScopedReservation index_reservation,
+                           ReserveIndexes(x, ctx));
+  return bicluster::ChengChurchPrefix(x, BiclusterOptions(), ctx);
 }
 
 genbase::Result<SvdSummary> SvdAnalytics(
@@ -292,9 +338,10 @@ genbase::Result<linalg::LanczosState> SvdPrefix(const linalg::MatrixView& x,
   GENBASE_RETURN_NOT_OK(
       linalg::TruncatedSingularValues(x, opt, &state, ctx).status());
   // The run reserved its basis for its iteration cap.
-  state.basis.shrink_to_fit();
-  state.alpha.shrink_to_fit();
-  state.beta.shrink_to_fit();
+  for (auto* v : {&state.basis, &state.alpha, &state.beta, &state.theta,
+                 &state.last_row}) {
+    v->shrink_to_fit();
+  }
   return state;
 }
 

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "bicluster/cheng_church.h"
 #include "common/exec_context.h"
 #include "common/status.h"
 #include "linalg/covariance.h"
@@ -182,11 +183,18 @@ genbase::Result<CovarianceSummary> CovarianceJoinPass(
 
 /// Q3 analytics: Cheng-Church with delta = fraction * MSR(full matrix).
 /// `pass_hook` (optional) is invoked once per algorithm pass; engines whose
-/// analytics interface has per-invocation overhead charge it there.
+/// analytics interface has per-invocation overhead charge it there. With
+/// `prefix` (BiclusterPrefix of the same x), the run reads H(x) from it and
+/// passes it on to ChengChurch, with the same answer bit for bit.
 genbase::Result<BiclusterSummary> BiclusterAnalytics(
     const linalg::MatrixView& x, double delta_fraction, int count,
-    ExecContext* ctx,
-    std::function<genbase::Status()> pass_hook = nullptr);
+    ExecContext* ctx, std::function<genbase::Status()> pass_hook = nullptr,
+    const bicluster::ChengChurchState* prefix = nullptr);
+
+/// Q3's first part, which reads no parameter: ChengChurchPrefix of x under
+/// Q3's options.
+genbase::Result<bicluster::ChengChurchState> BiclusterPrefix(
+    const linalg::MatrixView& x, ExecContext* ctx);
 
 /// Q4 analytics: the top min(rank, cols) singular values of x (no U, no
 /// V), by Lanczos on x's Gram operator. With `prefix` (SvdPrefix of the same

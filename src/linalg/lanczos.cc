@@ -76,17 +76,22 @@ genbase::Result<LanczosResult> LanczosImpl(const LinearOperator& op,
 
   // A resumed state is tested before its next step, as the run that wrote
   // it would have been tested at that m had it asked for this k.
-  std::vector<double> theta, e, last_row;
+  std::vector<double> e;
+  const std::vector<double>& theta = s.theta;
+  const std::vector<double>& last_row = s.last_row;
   bool converged = false;
   for (;;) {
     const int m = s.iterations();
     if (m > 0 && (m >= k || s.w_norm <= kBreakdown)) {
-      // Convergence test on the projected (tridiagonal) problem T_m.
-      theta.assign(s.alpha.begin(), s.alpha.end());
-      e.assign(s.beta.begin(), s.beta.end());
-      e.resize(static_cast<size_t>(m), 0.0);
-      GENBASE_RETURN_NOT_OK(
-          SymmetricTridiagonalEigenLastRow(&theta, &e, &last_row));
+      // Convergence test on the projected (tridiagonal) problem T_m, solved
+      // unless the state's last test already solved this T_m.
+      if (static_cast<int>(s.theta.size()) != m) {
+        s.theta.assign(s.alpha.begin(), s.alpha.end());
+        e.assign(s.beta.begin(), s.beta.end());
+        e.resize(static_cast<size_t>(m), 0.0);
+        GENBASE_RETURN_NOT_OK(
+            SymmetricTridiagonalEigenLastRow(&s.theta, &e, &s.last_row));
+      }
       // Residual bound for Ritz pair i: |beta_m * z(m-1, i)|.
       converged = m >= k;
       for (int i = 0; i < k && converged; ++i) {
@@ -146,7 +151,8 @@ genbase::Result<LanczosResult> LanczosImpl(const LinearOperator& op,
 
 int64_t LanczosState::bytes() const {
   return static_cast<int64_t>((basis.capacity() + alpha.capacity() +
-                               beta.capacity() + w.capacity()) *
+                               beta.capacity() + w.capacity() +
+                               theta.capacity() + last_row.capacity()) *
                               sizeof(double));
 }
 

@@ -40,6 +40,12 @@ struct LanczosState {
   std::vector<double> beta;   ///< Its m-1 off-diagonal entries.
   std::vector<double> w;      ///< The residual after step m (length n).
   double w_norm = 0.0;        ///< ||w||: the residual bound's beta_m.
+  /// The last convergence test's Ritz values of T_m (ascending) and last
+  /// eigenvector row. They describe the current T_m only while their
+  /// length equals iterations(); a continued run's first test at the same
+  /// m reads them instead of solving T_m again.
+  std::vector<double> theta;
+  std::vector<double> last_row;
 
   int iterations() const { return static_cast<int>(alpha.size()); }
   /// Heap bytes the state holds (vector capacities).

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 
 #include "bicluster/cheng_church.h"
 #include "common/rng.h"
@@ -205,6 +207,172 @@ TEST(ChengChurchTest, RejectsTooSmallMatrix) {
   Matrix m(1, 1);
   ChengChurchOptions opt;
   EXPECT_FALSE(ChengChurch(MatrixView(m), opt).ok());
+}
+
+TEST(ChengChurchTest, RejectsEmptyMatrixEvenWithZeroMinimums) {
+  Matrix m(0, 5);
+  ChengChurchOptions opt;
+  opt.min_rows = 0;
+  opt.min_cols = 0;
+  auto found = ChengChurch(MatrixView(m), opt);
+  ASSERT_FALSE(found.ok());
+  EXPECT_EQ(found.status().code(), StatusCode::kInvalidArgument);
+  auto prefix = ChengChurchPrefix(MatrixView(m), opt);
+  ASSERT_TRUE(prefix.ok());
+  EXPECT_EQ(prefix->first, nullptr);
+}
+
+// --- ChengChurchPrefix -----------------------------------------------------------
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+::testing::AssertionResult SameBiclusters(const std::vector<Bicluster>& a,
+                                          const std::vector<Bicluster>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << a.size() << " vs " << b.size() << " biclusters";
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].rows != b[i].rows || a[i].cols != b[i].cols ||
+        !SameBits(a[i].mean_squared_residue, b[i].mean_squared_residue)) {
+      return ::testing::AssertionFailure() << "bicluster " << i << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Q3's options: GenBase runs Cheng-Church with 4 x 4 minimum biclusters.
+ChengChurchOptions Q3Options() {
+  ChengChurchOptions opt;
+  opt.min_rows = 4;
+  opt.min_cols = 4;
+  return opt;
+}
+
+/// Multiple node deletion runs only on more than 100 rows or columns:
+/// 80 x 400 is Q3's shape at GENBASE_SCALE 0.08 (columns only), 120 x 160
+/// deletes both. For each, deltas on both sides of the prefix's guard and
+/// Q3's fractions of H(full), at 0, 1 and 3 biclusters: a run with the
+/// prefix answers as one without, bit for bit.
+TEST(ChengChurchPrefixTest, ContinuesExactlyOnBothSidesOfTheGuard) {
+  struct Shape {
+    int64_t rows, cols;
+  };
+  for (const Shape shape : {Shape{80, 400}, Shape{120, 160}}) {
+    for (const uint64_t seed : {31, 32, 33}) {
+      SCOPED_TRACE(testing::Message() << shape.rows << "x" << shape.cols
+                                      << " seed " << seed);
+      const Matrix m = PlantedMatrix(shape.rows, shape.cols, 12, 30, seed);
+      const MatrixView v(m);
+      ChengChurchOptions opt = Q3Options();
+      auto prefix = ChengChurchPrefix(v, opt);
+      ASSERT_TRUE(prefix.ok()) << prefix.status().ToString();
+      ASSERT_NE(prefix->first, nullptr);
+      EXPECT_TRUE(SameBits(prefix->full_msr, MeanSquaredResidue(v)));
+      std::vector<double> deltas = {prefix->min_h,
+                                    std::nextafter(prefix->min_h, 0.0)};
+      for (const double f : {0.05, 0.2, 0.35, 0.6, 0.9, 1.5}) {
+        deltas.push_back(f * prefix->full_msr);
+      }
+      int resumed = 0;
+      for (const double delta : deltas) {
+        resumed += delta < prefix->min_h;
+        for (const int count : {0, 1, 3}) {
+          opt.delta = delta;
+          opt.max_biclusters = count;
+          auto plain = ChengChurch(v, opt);
+          auto continued = ChengChurch(v, opt, nullptr, &*prefix);
+          ASSERT_TRUE(plain.ok() && continued.ok());
+          EXPECT_TRUE(SameBiclusters(*plain, *continued))
+              << "delta " << delta << " (min_h " << prefix->min_h
+              << ") count " << count;
+        }
+      }
+      EXPECT_GT(resumed, 0);
+      EXPECT_LT(resumed, static_cast<int>(deltas.size()));
+    }
+  }
+}
+
+/// The prefix keeps the live block multiple node deletion left, not a copy
+/// of the input, and keeps no block when the deletion removed nothing (as
+/// on at most 100 x 100, where it never runs).
+TEST(ChengChurchPrefixTest, KeepsOnlyTheLiveBlock) {
+  // 300 noise columns beside an additive 80 x 100 block: deletion drops
+  // some of them, and a full-stride copy would hold 80 x 400 doubles.
+  const Matrix wide = MajorityCoherentMatrix(80, 400, 80, 100, 34);
+  auto p = ChengChurchPrefix(MatrixView(wide), Q3Options());
+  ASSERT_TRUE(p.ok());
+  EXPECT_GT(p->bytes(), 0);
+  EXPECT_LT(p->bytes(), 80 * 400 * 8);
+
+  const Matrix small = PlantedMatrix(20, 100, 6, 10, 35);
+  auto q = ChengChurchPrefix(MatrixView(small), Q3Options());
+  ASSERT_TRUE(q.ok());
+  EXPECT_EQ(q->first, nullptr);
+  EXPECT_EQ(q->bytes(), 0);
+  for (const double f : {0.2, 0.35, 1.5}) {
+    ChengChurchOptions opt = Q3Options();
+    opt.delta = f * q->full_msr;
+    auto plain = ChengChurch(MatrixView(small), opt);
+    auto with = ChengChurch(MatrixView(small), opt, nullptr, &*q);
+    ASSERT_TRUE(plain.ok() && with.ok());
+    EXPECT_TRUE(SameBiclusters(*plain, *with)) << "fraction " << f;
+  }
+
+  Matrix tiny(3, 3);
+  auto none = ChengChurchPrefix(MatrixView(tiny), Q3Options());
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(none->first, nullptr);
+  EXPECT_EQ(none->bytes(), 0);
+  EXPECT_FALSE(ChengChurch(MatrixView(tiny), Q3Options(), nullptr, &*none)
+                   .ok());
+}
+
+/// A pass hook, counters and the cross-check see every pass: given a
+/// prefix, such a run takes it for nothing and counts what a run without
+/// one counts.
+TEST(ChengChurchPrefixTest, HooksCountersAndCrossCheckSeeEveryPass) {
+  const Matrix m = PlantedMatrix(80, 400, 12, 30, 36);
+  const MatrixView v(m);
+  ChengChurchOptions opt = Q3Options();
+  auto prefix = ChengChurchPrefix(v, opt);
+  ASSERT_TRUE(prefix.ok());
+  opt.delta = 0.5 * prefix->min_h;  // Below the guard: resumable.
+  opt.max_biclusters = 2;
+  const auto plain = ChengChurch(v, opt);
+  ASSERT_TRUE(plain.ok());
+
+  int calls[2] = {0, 0};
+  for (int with_prefix = 0; with_prefix < 2; ++with_prefix) {
+    ChengChurchOptions hooked = opt;
+    hooked.pass_hook = [&calls, with_prefix]() {
+      ++calls[with_prefix];
+      return genbase::Status::OK();
+    };
+    auto r = ChengChurch(v, hooked, nullptr,
+                         with_prefix ? &*prefix : nullptr);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(SameBiclusters(*r, *plain));
+  }
+  EXPECT_EQ(calls[0], calls[1]);
+
+  ChengChurchCounters counted[2];
+  for (int with_prefix = 0; with_prefix < 2; ++with_prefix) {
+    ChengChurchOptions c = opt;
+    c.counters = &counted[with_prefix];
+    auto r = ChengChurch(v, c, nullptr, with_prefix ? &*prefix : nullptr);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(SameBiclusters(*r, *plain));
+  }
+  EXPECT_EQ(counted[0].iterations, counted[1].iterations);
+  EXPECT_EQ(counted[0].residue_flops, counted[1].residue_flops);
+
+  ChengChurchOptions checked = opt;
+  checked.cross_check = true;
+  auto r = ChengChurch(v, checked, nullptr, &*prefix);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(SameBiclusters(*r, *plain));
 }
 
 }  // namespace

@@ -503,7 +503,8 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, SparseIdTest,
 ///   query         folded at compile            left at execute
 ///   regression    scan_design, least_squares   -
 ///   covariance    scan .. partition_upper      quantile, threshold_join
-///   biclustering  scan_matrix                  cheng_church
+///   biclustering  scan_matrix,                 cheng_church
+///                 bicluster_prefix
 ///   svd           scan_matrix, lanczos_prefix  truncated_svd
 ///   statistics    aggregate_scores, wilcoxon   count_significant
 
@@ -520,7 +521,8 @@ std::vector<FoldSplit> FoldTable() {
        {"scan_matrix", "column_means", "syrk_centered", "extract_upper",
         "partition_upper"},
        {"quantile", "threshold_join"}},
-      {QueryId::kBiclustering, {"scan_matrix"}, {"cheng_church"}},
+      {QueryId::kBiclustering, {"scan_matrix", "bicluster_prefix"},
+       {"cheng_church"}},
       {QueryId::kSvd, {"scan_matrix", "lanczos_prefix"}, {"truncated_svd"}},
       {QueryId::kStatistics, {"aggregate_scores", "wilcoxon"},
        {"count_significant"}},
@@ -577,7 +579,8 @@ TEST(FoldTest, PlansRetainOnlyWhatExecuteReads) {
 /// its stopped state: every rank the plan's x admits, on one shared plan,
 /// answers as legacy does, bit for bit (iterations included). The state
 /// beside x holds only what that run wrote — m basis rows, not a slot for
-/// the iteration cap — and is charged to the tracker.
+/// the iteration cap, plus its last test's m Ritz values and last row — and
+/// is charged to the tracker.
 TEST(FoldTest, SvdPlanServesEveryRankFromOnePrefix) {
   MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
   ExecContext ctx;
@@ -605,10 +608,57 @@ TEST(FoldTest, SvdPlanServesEveryRankFromOnePrefix) {
                                 linalg::KernelQuality::kTuned, nullptr);
   ASSERT_TRUE(prefix.ok());
   const int64_t m = prefix->iterations();
-  EXPECT_EQ(prefix->bytes(), ((m + 1) * x.cols + 2 * m - 1) * 8);
+  EXPECT_EQ(prefix->bytes(), ((m + 1) * x.cols + 4 * m - 1) * 8);
   const int64_t arena =
       (*plan)->layout().bytes(Region::kRetained) + plan::kSlotAlignment;
   EXPECT_EQ((*plan)->retained_bytes(), arena + prefix->bytes());
+}
+
+/// Q3 at GENBASE_SCALE 0.08, where x is 80 x 400 and the folded multiple
+/// node deletion has columns to delete: at delta fractions on both sides
+/// of the prefix's guard and 0, 1 or 3 biclusters, one shared plan answers
+/// as legacy does, bit for bit.
+TEST(FoldTest, BiclusterPlanMatchesLegacyAtServingShape) {
+  auto data = core::GenerateDataset(DatasetSize::kSmall, 0.08);
+  ASSERT_TRUE(data.ok());
+  MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
+  auto tables = std::make_shared<engine::ColumnarTables>();
+  ASSERT_TRUE(engine::LoadColumnarTables(*data, &tracker, tables.get()).ok());
+  ExecContext ctx;
+  ctx.set_memory(&tracker);
+  const QueryParams base;
+  auto plan = plan::CompileQuery(tables, QueryId::kBiclustering, base,
+                                 &tracker, &ctx);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_GT((*plan)->graph().values()[0].spec.cols, 100);
+
+  ExecContext legacy_ctx;
+  auto inputs = engine::PrepareInputsColumnar(
+      *tables, QueryId::kBiclustering, base, &legacy_ctx);
+  ASSERT_TRUE(inputs.ok());
+  auto prefix = core::BiclusterPrefix(linalg::MatrixView(inputs->x), nullptr);
+  ASSERT_TRUE(prefix.ok());
+  // The fold keeps the live block deletion left, not a copy of x.
+  EXPECT_LT(prefix->bytes(), inputs->x.size() * 8);
+  const double guard = prefix->min_h / prefix->full_msr;
+  int resumed = 0;
+  const std::vector<double> fractions = {0.999 * guard, 1.001 * guard, 0.2,
+                                         0.35, 0.6};
+  for (const double f : fractions) {
+    resumed += f * prefix->full_msr < prefix->min_h;
+    for (const int count : {0, 1, 3}) {
+      QueryParams p = base;
+      p.bicluster_delta_fraction = f;
+      p.bicluster_count = count;
+      auto r = (*plan)->Execute(p, &ctx);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_TRUE(
+          BitwiseEqual(*r, LegacyAnswer(QueryId::kBiclustering, p, *tables)))
+          << "fraction " << f << " count " << count;
+    }
+  }
+  EXPECT_GT(resumed, 0);
+  EXPECT_LT(resumed, static_cast<int>(fractions.size()));
 }
 
 /// No plan pins the tables snapshot it was compiled from: execute ops read

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/generator.h"
@@ -133,6 +136,188 @@ TEST(CovarianceThresholdJoinTest, GeneIdMismatchInAnalytics) {
                                ConstantMeta(0, 0), 0.9,
                                linalg::KernelQuality::kTuned, nullptr);
   EXPECT_FALSE(s.ok());
+}
+
+// --- CovarianceJoinPass against a pair-at-a-time oracle --------------------------
+
+/// Q2's join stated one pair at a time, in upper-triangle order: a pair
+/// qualifies unless c <= threshold (so a NaN qualifies), adds c to the
+/// covariance checksum and both genes' metadata to the meta checksum, and
+/// looks a gene's metadata up when a qualifying pair first reads it; a
+/// failed lookup fails the join.
+genbase::Result<CovarianceSummary> PairAtATimeJoin(
+    const std::vector<double>& upper, int64_t genes, int64_t samples,
+    double threshold, const std::vector<int64_t>& gene_ids,
+    const GeneMetaLookup& meta) {
+  CovarianceSummary s;
+  s.samples = samples;
+  s.genes = genes;
+  s.threshold = threshold;
+  std::vector<int64_t> function(static_cast<size_t>(genes));
+  std::vector<int64_t> length(static_cast<size_t>(genes));
+  std::vector<bool> known(static_cast<size_t>(genes), false);
+  const auto read = [&](int64_t g) -> genbase::Status {
+    const auto idx = static_cast<size_t>(g);
+    if (known[idx]) return genbase::Status::OK();
+    known[idx] = true;
+    return meta(gene_ids[idx], &function[idx], &length[idx]);
+  };
+  size_t k = 0;
+  for (int64_t i = 0; i < genes; ++i) {
+    for (int64_t j = i + 1; j < genes; ++j) {
+      const double c = upper[k++];
+      if (c <= threshold) continue;
+      ++s.pairs_above;
+      s.cov_checksum += c;
+      GENBASE_RETURN_NOT_OK(read(i));
+      GENBASE_RETURN_NOT_OK(read(j));
+      s.meta_checksum += static_cast<double>(function[i] + function[j]) +
+                         1e-3 * static_cast<double>(length[i] + length[j]);
+    }
+  }
+  return s;
+}
+
+/// Bit for bit, except that any NaN checksum matches any NaN: C++ leaves
+/// to the compiler which operand's NaN an addition of two NaNs returns, so
+/// a sum that meets both an Inf - Inf NaN and a NaN input may end with
+/// either sign.
+::testing::AssertionResult SameJoin(const CovarianceSummary& a,
+                                    const CovarianceSummary& b) {
+  const auto same_sum = [](double x, double y) {
+    return testutil::BitEq(x, y) || (std::isnan(x) && std::isnan(y));
+  };
+  if (a.samples != b.samples || a.genes != b.genes ||
+      a.pairs_above != b.pairs_above ||
+      !testutil::BitEq(a.threshold, b.threshold) ||
+      !same_sum(a.cov_checksum, b.cov_checksum) ||
+      !same_sum(a.meta_checksum, b.meta_checksum)) {
+    return ::testing::AssertionFailure()
+           << "pairs " << a.pairs_above << " vs " << b.pairs_above
+           << ", cov " << a.cov_checksum << " vs " << b.cov_checksum
+           << ", meta " << a.meta_checksum << " vs " << b.meta_checksum;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// A seeded upper triangle salted with the values the join must classify
+/// exactly: ties with the threshold, NaN, +-Inf, -0.0 and +0.0.
+std::vector<double> SaltedUpper(int64_t genes, double threshold,
+                                uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> upper(static_cast<size_t>(genes * (genes - 1) / 2));
+  for (double& c : upper) c = rng.Gaussian();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double salt[] = {threshold, threshold, std::nan(""), inf, -inf,
+                         -0.0, 0.0};
+  for (size_t n = 0; n < 7 * 8 && !upper.empty(); ++n) {
+    const auto at = rng.UniformInt(0, static_cast<int64_t>(upper.size()) - 1);
+    upper[static_cast<size_t>(at)] = salt[n % 7];
+  }
+  return upper;
+}
+
+/// Gene metadata by id (1000 + 3g for column g), recording each lookup;
+/// the id `fail_id` fails its lookup.
+struct RecordingMeta {
+  std::vector<int64_t> ids;
+  std::vector<int64_t> function;
+  std::vector<int64_t> length;
+  int64_t fail_id = -1;
+  std::vector<int64_t> looked_up;
+
+  explicit RecordingMeta(int64_t genes) {
+    Rng rng(static_cast<uint64_t>(genes) + 77);
+    for (int64_t g = 0; g < genes; ++g) {
+      ids.push_back(1000 + 3 * g);
+      function.push_back(rng.UniformInt(0, 499));
+      length.push_back(rng.UniformInt(100, 9000));
+    }
+  }
+
+  GeneMetaLookup Lookup() {
+    return [this](int64_t id, int64_t* f, int64_t* l) -> genbase::Status {
+      looked_up.push_back(id);
+      if (id == fail_id) return genbase::Status::NotFound("no gene " +
+                                                          std::to_string(id));
+      const auto g = static_cast<size_t>((id - 1000) / 3);
+      *f = function[g];
+      *l = length[g];
+      return genbase::Status::OK();
+    };
+  }
+};
+
+/// Both CovarianceJoinPass overloads against the oracle, bit for bit, on 0,
+/// 1, 2 and seeded gene counts (600 genes spans three compaction blocks of
+/// a row), at thresholds that tie salted values, at +-0, +-Inf and NaN.
+TEST(CovarianceJoinPassTest, MatchesPairAtATimeOracle) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const int64_t genes : {0, 1, 2, 17, 300, 600}) {
+    for (const double threshold : {0.7, 0.0, -0.0, -1.3, inf, -inf,
+                                   std::nan("")}) {
+      SCOPED_TRACE(testing::Message() << genes << " genes, threshold "
+                                      << threshold);
+      const std::vector<double> upper =
+          SaltedUpper(genes, threshold, 500 + static_cast<uint64_t>(genes));
+      RecordingMeta want_meta(genes);
+      auto want = PairAtATimeJoin(upper, genes, 9, threshold, want_meta.ids,
+                                  want_meta.Lookup());
+      ASSERT_TRUE(want.ok());
+
+      auto arrays = CovarianceJoinPass(upper.data(), genes, 9, threshold,
+                                       want_meta.function.data(),
+                                       want_meta.length.data(), nullptr);
+      ASSERT_TRUE(arrays.ok());
+      EXPECT_TRUE(SameJoin(*arrays, *want));
+
+      RecordingMeta got_meta(genes);
+      auto lookup = CovarianceJoinPass(upper.data(), genes, 9, threshold,
+                                       got_meta.ids, got_meta.Lookup(),
+                                       nullptr);
+      ASSERT_TRUE(lookup.ok());
+      EXPECT_TRUE(SameJoin(*lookup, *want));
+      EXPECT_EQ(got_meta.looked_up, want_meta.looked_up);
+    }
+  }
+}
+
+/// A failed lookup fails the lookup overload with its own status, after the
+/// same lookups the oracle makes; a gene no qualifying pair reads is never
+/// looked up.
+TEST(CovarianceJoinPassTest, FailedLookupReturnsItsError) {
+  const int64_t genes = 300;
+  const double inf = std::numeric_limits<double>::infinity();
+  // Above +Inf only NaN qualifies: pairs (5, 9) and (40, 290).
+  std::vector<double> upper(static_cast<size_t>(genes * (genes - 1) / 2),
+                            1.0);
+  const auto at = [genes](int64_t i, int64_t j) {
+    return static_cast<size_t>(i * genes - i * (i + 1) / 2 + (j - i - 1));
+  };
+  upper[at(5, 9)] = std::nan("");
+  upper[at(40, 290)] = std::nan("");
+  for (const int64_t bad : {290, 7}) {
+    SCOPED_TRACE(bad);
+    RecordingMeta want_meta(genes);
+    want_meta.fail_id = want_meta.ids[static_cast<size_t>(bad)];
+    auto want = PairAtATimeJoin(upper, genes, 4, inf, want_meta.ids,
+                                want_meta.Lookup());
+    RecordingMeta got_meta(genes);
+    got_meta.fail_id = want_meta.fail_id;
+    auto got = CovarianceJoinPass(upper.data(), genes, 4, inf, got_meta.ids,
+                                  got_meta.Lookup(), nullptr);
+    EXPECT_EQ(got_meta.looked_up, want_meta.looked_up);
+    ASSERT_EQ(got.ok(), want.ok());
+    if (bad == 290) {
+      ASSERT_FALSE(got.ok());
+      EXPECT_EQ(got.status().ToString(), want.status().ToString());
+      EXPECT_EQ(got.status().code(), StatusCode::kNotFound);
+    } else {
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->pairs_above, 2);
+      EXPECT_TRUE(SameJoin(*got, *want));
+    }
+  }
 }
 
 // --- SvdAnalytics --------------------------------------------------------------------
