@@ -6,6 +6,7 @@
 #include "common/timer.h"
 #include "linalg/blas.h"
 #include "linalg/lanczos.h"
+#include "linalg/svd.h"
 
 namespace genbase::cluster {
 
@@ -198,7 +199,6 @@ genbase::Result<DistributedSvdResult> DistributedTruncatedSvd(
     int rank, linalg::KernelQuality quality, uint64_t seed,
     ExecContext* ctx) {
   const int64_t n = a_blocks[0].cols();
-  const bool tuned = quality == linalg::KernelQuality::kTuned;
 
   // Per-node temp for A_i v.
   int64_t max_rows = 0;
@@ -216,24 +216,8 @@ genbase::Result<DistributedSvdResult> DistributedTruncatedSvd(
         cluster->Compute([&](int node) -> genbase::Status {
           const auto& b = a_blocks[static_cast<size_t>(node)];
           if (b.rows() == 0) return genbase::Status::OK();
-          const linalg::MatrixView view(b);
-          if (tuned) {
-            linalg::Gemv(view, x, tmp.data());
-            linalg::GemvTranspose(view, tmp.data(), partial.data());
-          } else {
-            for (int64_t i = 0; i < b.rows(); ++i) {
-              double s = 0;
-              for (int64_t j = 0; j < n; ++j) s += view(i, j) * x[j];
-              tmp[static_cast<size_t>(i)] = s;
-            }
-            for (int64_t j = 0; j < n; ++j) {
-              double s = 0;
-              for (int64_t i = 0; i < b.rows(); ++i) {
-                s += view(i, j) * tmp[static_cast<size_t>(i)];
-              }
-              partial[static_cast<size_t>(j)] = s;
-            }
-          }
+          linalg::GramApply(linalg::MatrixView(b), quality, x, tmp.data(),
+                            partial.data());
           for (int64_t j = 0; j < n; ++j) y[j] += partial[j];
           return genbase::Status::OK();
         }));

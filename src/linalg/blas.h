@@ -68,7 +68,7 @@ genbase::Status SyrkCentered(const MatrixView& a, const double* col_means,
 /// Deliberately unoptimized ijk triple loop with column-strided access to B,
 /// single threaded. This is the "Mahout: no sophisticated linear algebra
 /// package" path the paper blames for Hadoop's analytics numbers. Kept
-/// correct but slow on purpose; the ablation bench quantifies the gap.
+/// correct but slow on purpose; tests use it as the Gemm oracle.
 genbase::Status GemmNaive(const MatrixView& a, const MatrixView& b, Matrix* c,
                           ExecContext* ctx = nullptr);
 

@@ -10,8 +10,7 @@ namespace genbase::linalg {
 
 /// \brief Full eigen decomposition of a dense symmetric matrix via the
 /// cyclic Jacobi rotation method. O(n^3) per sweep — used as the trusted
-/// reference oracle in tests (Lanczos, covariance spectra) and for the small
-/// projected problems where robustness matters more than speed.
+/// reference oracle in tests (Lanczos, covariance spectra).
 ///
 /// On success `values` are ascending and `vectors` columns are the matching
 /// orthonormal eigenvectors.

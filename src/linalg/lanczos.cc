@@ -17,8 +17,7 @@ constexpr double kBreakdown = 1e-300;
 /// Step m = s->iterations() of the recurrence: appends v_m (the seeded start
 /// vector when m = 0, else w / ||w||), applies the operator to it and
 /// orthogonalizes the new residual w.
-genbase::Status Step(const LinearOperator& op, uint64_t seed,
-                     bool reorthogonalize, LanczosState* s,
+genbase::Status Step(const LinearOperator& op, uint64_t seed, LanczosState* s,
                      ExecContext* ctx) {
   if (ctx != nullptr) GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
   const int64_t n = op.n;
@@ -41,25 +40,30 @@ genbase::Status Step(const LinearOperator& op, uint64_t seed,
   // w -= alpha_j v_j + beta_{j-1} v_{j-1}.
   Axpy(-a_j, vj, w, n);
   if (j > 0) Axpy(-s->beta[j - 1], vj - n, w, n);
-  if (reorthogonalize) {
-    // Two-pass modified Gram-Schmidt against the whole stored basis.
-    for (int pass = 0; pass < 2; ++pass) {
-      for (int i = 0; i <= j; ++i) {
-        const double* vi = s->basis.data() + i * n;
-        const double c = Dot(vi, w, n);
-        if (c != 0.0) Axpy(-c, vi, w, n);
-      }
+  // Two-pass modified Gram-Schmidt against the whole stored basis.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int i = 0; i <= j; ++i) {
+      const double* vi = s->basis.data() + i * n;
+      const double c = Dot(vi, w, n);
+      if (c != 0.0) Axpy(-c, vi, w, n);
     }
   }
   s->w_norm = Nrm2(w, n);
   return genbase::Status::OK();
 }
 
-genbase::Result<LanczosResult> LanczosImpl(const LinearOperator& op,
-                                           const LanczosOptions& options,
-                                           bool reorthogonalize,
-                                           LanczosState* state,
-                                           ExecContext* ctx) {
+}  // namespace
+
+int64_t LanczosState::bytes() const {
+  return static_cast<int64_t>((basis.capacity() + alpha.capacity() +
+                               beta.capacity() + w.capacity() +
+                               theta.capacity() + last_row.capacity()) *
+                              sizeof(double));
+}
+
+genbase::Result<LanczosResult> LanczosLargestEigenpairs(
+    const LinearOperator& op, const LanczosOptions& options, ExecContext* ctx,
+    LanczosState* state) {
   const int64_t n = op.n;
   if (n <= 0) return Status::InvalidArgument("operator dimension must be > 0");
   if (options.num_eigenpairs < 0) {
@@ -102,7 +106,7 @@ genbase::Result<LanczosResult> LanczosImpl(const LinearOperator& op,
       }
       if (converged || s.w_norm <= kBreakdown || m >= max_iter) break;
     }
-    GENBASE_RETURN_NOT_OK(Step(op, options.seed, reorthogonalize, &s, ctx));
+    GENBASE_RETURN_NOT_OK(Step(op, options.seed, &s, ctx));
   }
 
   const int m = s.iterations();
@@ -145,28 +149,6 @@ genbase::Result<LanczosResult> LanczosImpl(const LinearOperator& op,
     }
   }
   return result;
-}
-
-}  // namespace
-
-int64_t LanczosState::bytes() const {
-  return static_cast<int64_t>((basis.capacity() + alpha.capacity() +
-                               beta.capacity() + w.capacity() +
-                               theta.capacity() + last_row.capacity()) *
-                              sizeof(double));
-}
-
-genbase::Result<LanczosResult> LanczosLargestEigenpairs(
-    const LinearOperator& op, const LanczosOptions& options, ExecContext* ctx,
-    LanczosState* state) {
-  return LanczosImpl(op, options, /*reorthogonalize=*/true, state, ctx);
-}
-
-genbase::Result<LanczosResult> LanczosNoReorth(const LinearOperator& op,
-                                               const LanczosOptions& options,
-                                               ExecContext* ctx,
-                                               LanczosState* state) {
-  return LanczosImpl(op, options, /*reorthogonalize=*/false, state, ctx);
 }
 
 }  // namespace genbase::linalg

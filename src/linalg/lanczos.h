@@ -59,8 +59,7 @@ struct LanczosState {
 /// which is a power method that can iteratively find the largest eigenvalues
 /// of symmetric positive semidefinite matrices." Full reorthogonalization
 /// (two-pass modified Gram-Schmidt against the stored basis) keeps the basis
-/// orthogonal at the cost of O(iter * n) extra work per step; the ablation
-/// bench compares against selective reorthogonalization.
+/// orthogonal at the cost of O(iter * n) extra work per step.
 ///
 /// The run stops at the first m >= k where the top-k Ritz pairs of T_m meet
 /// the tolerance, where the residual vanishes (||w|| <= 1e-300: an
@@ -72,14 +71,6 @@ struct LanczosState {
 genbase::Result<LanczosResult> LanczosLargestEigenpairs(
     const LinearOperator& op, const LanczosOptions& options,
     ExecContext* ctx = nullptr, LanczosState* state = nullptr);
-
-/// \brief Variant without reorthogonalization (classic three-term recurrence
-/// only). Converges on easy spectra, loses orthogonality on clustered ones;
-/// exists for the ablation study.
-genbase::Result<LanczosResult> LanczosNoReorth(const LinearOperator& op,
-                                               const LanczosOptions& options,
-                                               ExecContext* ctx = nullptr,
-                                               LanczosState* state = nullptr);
 
 }  // namespace genbase::linalg
 

@@ -41,7 +41,8 @@ class HouseholderQr {
   /// numerically singular R.
   genbase::Status SolveR(const double* b, double* x) const;
 
-  /// Returns the thin Q (m x n) explicitly; used by tests and TSQR.
+  /// Returns the thin Q (m x n) explicitly; tests check the factorization
+  /// through it (TSQR reads only R).
   Matrix ThinQ() const;
 
   /// Returns the R factor (n x n).

@@ -20,29 +20,13 @@ genbase::Result<LanczosResult> GramLanczos(const MatrixView& a,
   const int64_t n = a.cols;
   if (m == 0 || n == 0) return Status::InvalidArgument("empty matrix in SVD");
   ThreadPool* pool = ctx != nullptr ? ctx->pool() : nullptr;
-  const bool tuned = options.quality == KernelQuality::kTuned;
 
   // Temp buffer reused across applications.
   std::vector<double> tmp(static_cast<size_t>(m));
   LinearOperator op;
   op.n = n;
   op.apply = [&](const double* x, double* y) -> genbase::Status {
-    if (tuned) {
-      Gemv(a, x, tmp.data(), pool);
-      GemvTranspose(a, tmp.data(), y, pool);
-    } else {
-      // Naive path: no parallelism, no unrolled dot products.
-      for (int64_t i = 0; i < m; ++i) {
-        double s = 0;
-        for (int64_t j = 0; j < n; ++j) s += a(i, j) * x[j];
-        tmp[static_cast<size_t>(i)] = s;
-      }
-      for (int64_t j = 0; j < n; ++j) {
-        double s = 0;
-        for (int64_t i = 0; i < m; ++i) s += a(i, j) * tmp[i];
-        y[j] = s;
-      }
-    }
+    GramApply(a, options.quality, x, tmp.data(), y, pool);
     if (ctx != nullptr) return ctx->CheckBudgets();
     return genbase::Status::OK();
   };
@@ -52,9 +36,7 @@ genbase::Result<LanczosResult> GramLanczos(const MatrixView& a,
   lopt.tolerance = options.tolerance;
   lopt.seed = options.seed;
   lopt.compute_vectors = compute_vectors;
-  return options.reorthogonalize
-             ? LanczosLargestEigenpairs(op, lopt, ctx, state)
-             : LanczosNoReorth(op, lopt, ctx, state);
+  return LanczosLargestEigenpairs(op, lopt, ctx, state);
 }
 
 /// sigma_i = sqrt(lambda_i), with rounding noise below zero clamped.
@@ -68,6 +50,26 @@ std::vector<double> SingularValues(const std::vector<double>& eigenvalues) {
 }
 
 }  // namespace
+
+void GramApply(const MatrixView& a, KernelQuality quality, const double* x,
+               double* tmp, double* y, ThreadPool* pool) {
+  if (quality == KernelQuality::kTuned) {
+    Gemv(a, x, tmp, pool);
+    GemvTranspose(a, tmp, y, pool);
+    return;
+  }
+  // Naive path: no parallelism, no unrolled dot products.
+  for (int64_t i = 0; i < a.rows; ++i) {
+    double s = 0;
+    for (int64_t j = 0; j < a.cols; ++j) s += a(i, j) * x[j];
+    tmp[i] = s;
+  }
+  for (int64_t j = 0; j < a.cols; ++j) {
+    double s = 0;
+    for (int64_t i = 0; i < a.rows; ++i) s += a(i, j) * tmp[i];
+    y[j] = s;
+  }
+}
 
 genbase::Result<SvdResult> TruncatedSvd(const MatrixView& a,
                                         const SvdOptions& options,

@@ -5,6 +5,7 @@
 
 #include "common/exec_context.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "linalg/covariance.h"
 #include "linalg/lanczos.h"
 #include "linalg/matrix.h"
@@ -24,8 +25,13 @@ struct SvdOptions {
   double tolerance = 1e-9;
   uint64_t seed = 42;
   KernelQuality quality = KernelQuality::kTuned;
-  bool reorthogonalize = true;
 };
+
+/// \brief The Gram operator y = A^T (A x), through `tmp` (a.rows entries).
+/// kTuned runs Gemv then GemvTranspose on `pool`; kNaive runs two plain
+/// single-threaded loops (Mahout's hand-rolled kernels) and ignores `pool`.
+void GramApply(const MatrixView& a, KernelQuality quality, const double* x,
+               double* tmp, double* y, ThreadPool* pool = nullptr);
 
 /// \brief Computes the top-k singular triplets of A via Lanczos on the
 /// Gram operator v -> A^T (A v) (never formed explicitly). sigma_i =

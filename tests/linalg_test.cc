@@ -13,7 +13,6 @@
 #include "linalg/lanczos.h"
 #include "linalg/matrix.h"
 #include "linalg/qr.h"
-#include "linalg/randomized_svd.h"
 #include "linalg/svd.h"
 #include "linalg/tridiag.h"
 #include "bitwise_result.h"  // Same directory.
@@ -770,79 +769,6 @@ TEST(SvdTest, NaiveQualityMatchesTuned) {
     EXPECT_NEAR(tuned->singular_values[i], naive->singular_values[i],
                 1e-8 * (tuned->singular_values[0] + 1));
   }
-}
-
-// --- Randomized SVD (approximate-algorithm extension, paper Section 6.3) ------------
-
-/// Low-rank signal + small noise: the regime randomized sketching targets.
-Matrix LowRankPlusNoise(int64_t m, int64_t n, int rank, uint64_t seed) {
-  Rng rng(seed);
-  Matrix left(m, rank), right(rank, n);
-  for (int64_t i = 0; i < left.size(); ++i) left.data()[i] = rng.Gaussian();
-  for (int64_t i = 0; i < right.size(); ++i) {
-    right.data()[i] = rng.Gaussian();
-  }
-  Matrix out(m, n);
-  GENBASE_CHECK_OK(Gemm(MatrixView(left), MatrixView(right), &out));
-  for (int64_t i = 0; i < out.size(); ++i) {
-    out.data()[i] += rng.Gaussian(0.0, 0.01);
-  }
-  return out;
-}
-
-TEST(RandomizedSvdTest, MatchesLanczosOnLowRankSignal) {
-  Matrix a = LowRankPlusNoise(120, 60, 8, 200);
-  SvdOptions exact_opt;
-  exact_opt.rank = 8;
-  auto exact = TruncatedSvd(MatrixView(a), exact_opt);
-  ASSERT_TRUE(exact.ok());
-  RandomizedSvdOptions opt;
-  opt.rank = 8;
-  auto approx = RandomizedSvd(MatrixView(a), opt);
-  ASSERT_TRUE(approx.ok());
-  const double scale = exact->singular_values[0];
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_NEAR(approx->singular_values[i], exact->singular_values[i],
-                1e-3 * scale)
-        << "sigma_" << i;
-  }
-}
-
-TEST(RandomizedSvdTest, ReconstructionCapturesSignal) {
-  Matrix a = LowRankPlusNoise(80, 40, 5, 201);
-  RandomizedSvdOptions opt;
-  opt.rank = 5;
-  auto svd = RandomizedSvd(MatrixView(a), opt);
-  ASSERT_TRUE(svd.ok());
-  // || A - U S V^T ||_F must be on the order of the injected noise.
-  double err = 0, total = 0;
-  for (int64_t i = 0; i < a.rows(); ++i) {
-    for (int64_t j = 0; j < a.cols(); ++j) {
-      double acc = 0;
-      for (int t = 0; t < 5; ++t) {
-        acc += svd->u(i, t) * svd->singular_values[t] * svd->v(j, t);
-      }
-      err += (a(i, j) - acc) * (a(i, j) - acc);
-      total += a(i, j) * a(i, j);
-    }
-  }
-  EXPECT_LT(std::sqrt(err / total), 0.02);
-}
-
-TEST(RandomizedSvdTest, DeterministicForSeed) {
-  Matrix a = LowRankPlusNoise(50, 30, 4, 202);
-  RandomizedSvdOptions opt;
-  opt.rank = 4;
-  auto r1 = RandomizedSvd(MatrixView(a), opt);
-  auto r2 = RandomizedSvd(MatrixView(a), opt);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r1->singular_values, r2->singular_values);
-}
-
-TEST(RandomizedSvdTest, RejectsEmpty) {
-  Matrix a;
-  EXPECT_FALSE(RandomizedSvd(MatrixView(a), RandomizedSvdOptions()).ok());
 }
 
 // --- Matrix memory accounting --------------------------------------------------------
