@@ -14,6 +14,8 @@
 #include "common/simd.h"
 #include "core/config.h"
 #include "core/generator.h"
+#include "core/reference.h"
+#include "core/verify.h"
 #include "engine/engines.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -46,6 +48,25 @@ std::vector<core::CellResult>& Cells() {
   return *cells;
 }
 
+/// The core/reference answer for (query, size) on CachedData(size) at the
+/// figures' default params, computed once per process.
+const genbase::Result<core::QueryResult>& ReferenceTruth(
+    core::QueryId query, core::DatasetSize size) {
+  static auto* truths =
+      new std::map<std::pair<core::QueryId, core::DatasetSize>,
+                   genbase::Result<core::QueryResult>>();
+  const auto key = std::make_pair(query, size);
+  auto it = truths->find(key);
+  if (it == truths->end()) {
+    it = truths
+             ->emplace(key, core::RunReferenceQuery(
+                                query, CachedData(size),
+                                DefaultDriverOptions().params))
+             .first;
+  }
+  return it->second;
+}
+
 core::CellResult RunOnCached(const std::string& cache_key,
                              const std::function<std::unique_ptr<
                                  core::Engine>()>& factory,
@@ -67,6 +88,20 @@ core::CellResult RunOnCached(const std::string& cache_key,
   } else {
     cell = core::RunCell(slot.engine.get(), query, size,
                          DefaultDriverOptions());
+  }
+  // An answer that differs from core/reference, or one that cannot be
+  // checked, fails the cell: the grid shows ERR and the figure exits 1.
+  if (cell.status.ok()) {
+    const auto& truth = ReferenceTruth(query, size);
+    if (!truth.ok()) {
+      cell.status = genbase::Status::Internal("core/reference failed: " +
+                                              truth.status().ToString());
+    } else if (const genbase::Status diff =
+                   core::CompareQueryResults(*truth, cell.result);
+               !diff.ok()) {
+      cell.status = genbase::Status::Internal(
+          "answer differs from core/reference: " + diff.message());
+    }
   }
   cell.nodes = nodes;
   Cells().push_back(cell);

@@ -29,7 +29,9 @@ core::DriverOptions DefaultDriverOptions();
 /// Runs one (engine, query, size) cell. The engine instance is cached and
 /// loaded once per (key, size); a failed load (e.g. R on the large dataset)
 /// is reported as INF for every query — the paper's semantics for systems
-/// that cannot hold the data.
+/// that cannot hold the data. An OK answer is compared with the
+/// core/reference answer for (query, size), computed once per process; a
+/// mismatch, or a failed reference run, makes the cell an error.
 core::CellResult RunSingleNodeCell(
     const std::string& engine_key,
     const std::function<std::unique_ptr<core::Engine>()>& factory,
@@ -87,11 +89,11 @@ const std::vector<ServingEngineSpec>& ServingEngines();
 /// returns the value ("" when the flag is absent).
 std::string ExtractFlagValue(int* argc, char** argv, const std::string& flag);
 
-/// Provenance stamped into every BENCH_/TRACE_/METRICS_ artifact so the
-/// bench-history doctor can order runs and attribute regressions to a commit
-/// and kernel variant: `{"git_sha":...,"kernel_backend":...,"timestamp":...}`
-/// (GENBASE_GIT_SHA else `git rev-parse`, the active simd backend, ISO-8601
-/// UTC), computed once per process.
+/// Provenance stamped into every BENCH_/TRACE_/METRICS_ artifact, which
+/// attributes it to a commit and kernel backend:
+/// `{"git_sha":...,"kernel_backend":...,"timestamp":...}` (GENBASE_GIT_SHA
+/// else `git rev-parse`, the active simd backend, ISO-8601 UTC), computed
+/// once per process.
 std::string StampJson();
 
 // --- workload figures (fig6–fig9) -------------------------------------------

@@ -1,8 +1,11 @@
 // Kernel microbenchmark suite: times dot/gemv/gemm/syrk/covariance and the
 // Cheng–Church residue engines across GenBase-shaped sizes, for scalar vs
 // SIMD vs threaded variants, plus the naive covariance kernel and the two
-// glue transfers the engine models rest on, and emits BENCH_kernels.json so
-// the perf trajectory of the hot kernels is a tracked number.
+// glue transfers the engine models rest on, and the serving stack's
+// result-cache hit and miss paths (serve/hit, serve/miss: the paths
+// perfbench's serving_hot and serving_churn run), and emits
+// BENCH_kernels.json so the perf trajectory of the hot kernels is a tracked
+// number.
 //
 //   kernelbench [--json=BENCH_kernels.json] [--baseline=FILE]
 //               [--benchmark_repetitions=N]
@@ -16,8 +19,9 @@
 // planned engine's tracked peak within 1.5x the legacy path's, both read
 // on an engine of their own. With --baseline the run additionally becomes
 // the CI perf gate and exits nonzero when (a) any kernel regressed > 15%
-// against the committed baseline ns, (b) the SIMD Gemm/Syrk variants are
-// < 2x the scalar backend on the same packed path (AVX2 hosts), (d) the
+// against the committed baseline ns (serve/* included: CI's real-time
+// regression watch on the serving paths), (b) the SIMD Gemm/Syrk variants
+// are < 2x the scalar backend on the same packed path (AVX2 hosts), (d) the
 // naive covariance (KernelQuality::kNaive, the Mahout model) is < 4x
 // covariance/scalar, (e) the CSV round trip (+R glue) is < 100x the
 // in-process UDF transfer (+UDF glue), or a cached plan executes > 10%
@@ -55,6 +59,7 @@
 #include "plan/plan_builder.h"
 #include "plan/plan_engine.h"
 #include "plan/plan_stats.h"
+#include "serving/serving_stack.h"
 
 namespace {
 
@@ -376,6 +381,75 @@ genbase::Result<genbase::core::QueryResult> RunLegacyQuery(
       genbase::linalg::KernelQuality::kTuned, ctx);
 }
 
+/// --- serving paths ----------------------------------------------------------
+/// serve/hit times one Serve() answered by the result cache (every op of
+/// perfbench's serving_hot); serve/miss times one that misses, leads its
+/// flight, executes the cached plan, inserts and evicts (serving_churn's
+/// miss path). Each row owns a default stack (1 shard, result cache and
+/// single flight on) over the planned column store, loaded with the
+/// kPlanScale dataset on the row's first run.
+struct ServeBench {
+  genbase::core::QueryId query;
+  std::vector<genbase::core::DriverOptions> keys;
+  std::unique_ptr<genbase::serving::ServingStack> stack;
+  size_t next = 0;
+
+  ServeBench(genbase::core::QueryId q,
+             std::vector<genbase::core::DriverOptions> k)
+      : query(q), keys(std::move(k)) {
+    auto data = genbase::core::GenerateDataset(
+        genbase::core::DatasetSize::kSmall, kPlanScale);
+    GENBASE_CHECK(data.ok());
+    auto created = genbase::serving::ServingStack::Create(
+        genbase::serving::ServingOptions{}, genbase::plan::CreatePlanStore,
+        *data);
+    GENBASE_CHECK(created.ok());
+    stack = std::move(created).ValueOrDie();
+  }
+
+  /// Serves the next key in turn.
+  genbase::serving::ServeResult ServeNext(genbase::ExecContext* ctx) {
+    const genbase::core::DriverOptions& options = keys[next++ % keys.size()];
+    return stack->Serve(query, genbase::core::DatasetSize::kSmall, options,
+                        ctx);
+  }
+
+  /// One untimed serve (on the row's first run it compiles the plan), then
+  /// the timed loop: every op must be OK, and a cache hit exactly when
+  /// `hit`.
+  void Time(benchmark::State& state, bool hit) {
+    ScopedBackend sb(kSimd);
+    genbase::ExecContext ctx;
+    GENBASE_CHECK(ServeNext(&ctx).cell.status.ok());
+    for (auto _ : state) {
+      genbase::serving::ServeResult r = ServeNext(&ctx);
+      GENBASE_CHECK(r.cell.status.ok() && r.cache_hit == hit);
+      benchmark::DoNotOptimize(r);
+    }
+  }
+};
+
+genbase::core::DriverOptions ServeOptions(double significance) {
+  genbase::core::DriverOptions options;
+  options.params = PlanParams();
+  options.params.significance = significance;
+  return options;
+}
+
+/// Twice the cache's entries, served in turn, so each key has been evicted
+/// by the time it comes round again. They differ only in `significance`,
+/// which is bound at execute (outside plan::ShapeFingerprint), so every op
+/// runs the one cached plan.
+std::vector<genbase::core::DriverOptions> MissKeys() {
+  const int64_t n = 2 * genbase::serving::ServingOptions{}.cache_max_entries;
+  std::vector<genbase::core::DriverOptions> keys;
+  for (int64_t i = 0; i < n; ++i) {
+    keys.push_back(ServeOptions(0.005 + 0.045 * static_cast<double>(i) /
+                                            static_cast<double>(n)));
+  }
+  return keys;
+}
+
 void RegisterPlanBenches() {
   auto reg = [](const std::string& name, auto fn) {
     benchmark::RegisterBenchmark(name.c_str(), fn)
@@ -421,6 +495,17 @@ void RegisterPlanBenches() {
       }
     });
   }
+
+  reg("serve/hit", [](benchmark::State& state) {
+    static auto* b = new ServeBench(genbase::core::QueryId::kRegression,
+                                    {ServeOptions(PlanParams().significance)});
+    b->Time(state, /*hit=*/true);
+  });
+  reg("serve/miss", [](benchmark::State& state) {
+    static auto* b =
+        new ServeBench(genbase::core::QueryId::kStatistics, MissKeys());
+    b->Time(state, /*hit=*/false);
+  });
 }
 
 /// Deterministic plan gates, enforced on every run (no clock involved):

@@ -15,8 +15,8 @@ namespace genbase::json {
 /// \brief Minimal JSON document model, sized for this repo's own artifacts:
 /// BENCH_*.json reports, TRACE_*.json span dumps and METRICS_*.json
 /// snapshots are all emitted by hand-rolled printers here, and the
-/// bench-history doctor plus the exporter round-trip tests need to read them
-/// back without growing a third-party dependency. Standard JSON only —
+/// exporter round-trip tests need to read them back without growing a
+/// third-party dependency. Standard JSON only —
 /// no comments, no trailing commas, UTF-8 passed through uninterpreted
 /// (\uXXXX escapes above ASCII are preserved verbatim as text).
 class Value {
@@ -42,8 +42,7 @@ class Value {
   const Value* Find(const std::string& key) const;
 
   /// Member `key` as a number / string, with a default when the member is
-  /// absent or has the wrong type — the doctor reads loosely-versioned
-  /// artifacts, so absence must be cheap to handle.
+  /// absent or has the wrong type.
   double NumberOr(const std::string& key, double fallback) const;
   std::string StringOr(const std::string& key,
                        const std::string& fallback) const;
