@@ -354,9 +354,8 @@ struct ObsDumpPaths {
   std::string profile_path;  ///< Folded flame-graph stacks (PROFILE_*.folded).
 };
 
-/// Strips `--trace=PATH` / `--metrics=PATH` / `--profile=PATH`. When
-/// --metrics is absent, falls back to the GENBASE_METRICS_JSON environment
-/// variable. `--profile=` additionally enables obs::Profiler for the run
+/// Strips `--trace=PATH` / `--metrics=PATH` / `--profile=PATH`.
+/// `--profile=` additionally enables obs::Profiler for the run
 /// and, unless GENBASE_TRACE_SAMPLE pinned a rate, raises trace sampling to
 /// 1.0 so the folded output aggregates every request.
 ObsDumpPaths ExtractObsPaths(int* argc, char** argv) {
@@ -364,11 +363,6 @@ ObsDumpPaths ExtractObsPaths(int* argc, char** argv) {
   paths.trace_path = ExtractFlagValue(argc, argv, "--trace");
   paths.metrics_path = ExtractFlagValue(argc, argv, "--metrics");
   paths.profile_path = ExtractFlagValue(argc, argv, "--profile");
-  if (paths.metrics_path.empty()) {
-    if (const char* env = std::getenv("GENBASE_METRICS_JSON")) {
-      paths.metrics_path = env;
-    }
-  }
   if (!paths.profile_path.empty()) {
     obs::Profiler::SetEnabled(true);
     // The folded output aggregates spans, so profile runs want them all —

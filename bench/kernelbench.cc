@@ -35,9 +35,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -46,6 +46,7 @@
 #include "bicluster/synthetic.h"
 #include "common/check.h"
 #include "common/exec_context.h"
+#include "common/json.h"
 #include "common/memory_tracker.h"
 #include "common/rng.h"
 #include "common/simd.h"
@@ -690,24 +691,29 @@ std::map<std::string, genbase::obs::PerfReading> ProfileKernels() {
   return out;
 }
 
-/// Baseline files keep one kernel per line: `"gemm/scalar":{"ns":123.4},`.
-std::map<std::string, double> ParseBaseline(const std::string& path,
-                                            bool* ok) {
-  std::map<std::string, double> out;
+/// Each row's ceiling, `kernels.<row>.ns`, from a baseline file. Fails when
+/// the file cannot be read, does not parse, or names no row.
+genbase::Result<std::map<std::string, double>> ParseBaseline(
+    const std::string& path) {
   std::ifstream in(path);
-  *ok = in.good();
-  std::string line;
-  while (std::getline(in, line)) {
-    const size_t name_start = line.find('"');
-    if (name_start == std::string::npos) continue;
-    const size_t name_end = line.find('"', name_start + 1);
-    if (name_end == std::string::npos) continue;
-    const std::string name =
-        line.substr(name_start + 1, name_end - name_start - 1);
-    if (name.find('/') == std::string::npos) continue;  // Not a kernel row.
-    const size_t ns_key = line.find("\"ns\":", name_end);
-    if (ns_key == std::string::npos) continue;
-    out[name] = std::strtod(line.c_str() + ns_key + 5, nullptr);
+  if (!in.good()) return genbase::Status::IOError("cannot open " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  GENBASE_ASSIGN_OR_RETURN(const genbase::json::Value doc,
+                           genbase::json::Parse(text.str()));
+  std::map<std::string, double> out;
+  if (const genbase::json::Value* kernels = doc.Find("kernels")) {
+    for (const auto& [name, row] : kernels->object) {
+      const genbase::json::Value* ns = row.Find("ns");
+      if (ns == nullptr || !ns->is_number()) {
+        return genbase::Status::InvalidArgument("kernels." + name +
+                                                ".ns is not a number");
+      }
+      out[name] = ns->number;
+    }
+  }
+  if (out.empty()) {
+    return genbase::Status::InvalidArgument("no kernels.<row>.ns rows");
   }
   return out;
 }
@@ -901,15 +907,16 @@ int main(int argc, char** argv) {
         ++failures;
       }
     }
-    bool baseline_ok = false;
-    const std::map<std::string, double> baseline =
-        ParseBaseline(baseline_path, &baseline_ok);
-    if (!baseline_ok || baseline.empty()) {
-      std::fprintf(stderr, "GATE FAIL: cannot read baseline %s\n",
-                   baseline_path.c_str());
+    const auto baseline = ParseBaseline(baseline_path);
+    if (!baseline.ok()) {
+      std::fprintf(stderr, "GATE FAIL: cannot read baseline %s: %s\n",
+                   baseline_path.c_str(),
+                   baseline.status().ToString().c_str());
       ++failures;
     }
-    for (const auto& [name, base_ns] : baseline) {
+    const std::map<std::string, double> ceilings =
+        baseline.ok() ? *baseline : std::map<std::string, double>{};
+    for (const auto& [name, base_ns] : ceilings) {
       const auto it = Results().find(name);
       if (it == Results().end()) {
         std::fprintf(stderr, "GATE FAIL: baseline kernel %s not measured\n",
@@ -927,7 +934,7 @@ int main(int argc, char** argv) {
     }
     if (failures == 0) {
       std::printf("# baseline gate passed (%zu kernels within 15%%)\n",
-                  baseline.size());
+                  ceilings.size());
     }
   }
 

@@ -283,19 +283,6 @@ genbase::Status Gemm(const MatrixView& a, const MatrixView& b, Matrix* c,
                     c->data(), c->cols(), /*upper_only=*/false, pool, ctx);
 }
 
-genbase::Status GemmTransposeA(const MatrixView& a, const MatrixView& b,
-                               Matrix* c, ThreadPool* pool,
-                               ExecContext* ctx) {
-  // C[n x p] = A^T[n x m] * B[m x p].
-  if (a.rows != b.rows || c->rows() != a.cols || c->cols() != b.cols) {
-    return Status::InvalidArgument("gemmTa shape mismatch");
-  }
-  c->Fill(0.0);
-  return PackedGemm(a.cols, b.cols, a.rows, a.data, a.stride,
-                    /*a_trans=*/true, nullptr, b.data, b.stride, nullptr,
-                    c->data(), c->cols(), /*upper_only=*/false, pool, ctx);
-}
-
 genbase::Status Syrk(const MatrixView& a, Matrix* c, ThreadPool* pool,
                      ExecContext* ctx) {
   if (c->rows() != a.cols || c->cols() != a.cols) {

@@ -41,11 +41,6 @@ void GemvTranspose(const MatrixView& a, const double* x, double* y,
 genbase::Status Gemm(const MatrixView& a, const MatrixView& b, Matrix* c,
                      ThreadPool* pool = nullptr, ExecContext* ctx = nullptr);
 
-/// C = A^T * B, packing A's columns as the left operand.
-genbase::Status GemmTransposeA(const MatrixView& a, const MatrixView& b,
-                               Matrix* c, ThreadPool* pool = nullptr,
-                               ExecContext* ctx = nullptr);
-
 /// C = A^T * A exploiting symmetry (computes upper triangle, mirrors).
 genbase::Status Syrk(const MatrixView& a, Matrix* c,
                      ThreadPool* pool = nullptr, ExecContext* ctx = nullptr);

@@ -1,5 +1,6 @@
 #include "obs/profiler.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -27,6 +28,12 @@ std::atomic<bool>& EnabledFlag() {
   return flag;
 }
 
+/// Thread-CPU seconds on CLOCK_THREAD_CPUTIME_ID, or -1 when profiling is
+/// off.
+double CpuBegin() {
+  return Profiler::Enabled() ? ThreadCpuTimer::Now() : -1.0;
+}
+
 }  // namespace
 
 bool Profiler::Enabled() {
@@ -35,17 +42,6 @@ bool Profiler::Enabled() {
 
 void Profiler::SetEnabled(bool enabled) {
   EnabledFlag().store(enabled, std::memory_order_relaxed);
-}
-
-double Profiler::CpuBegin() {
-  if (!Enabled()) return -1.0;
-  return ThreadCpuTimer::Now();
-}
-
-double Profiler::CpuDelta(double begin) {
-  if (begin < 0.0) return 0.0;
-  const double d = ThreadCpuTimer::Now() - begin;
-  return d > 0.0 ? d : 0.0;
 }
 
 int64_t ReadRssBytes() {
@@ -146,6 +142,28 @@ ScopedExecutePerf::~ScopedExecutePerf() {
   totals.cache_misses->Inc(d.cache_misses);
   totals.branch_misses->Inc(d.branch_misses);
   totals.scopes->Inc();
+}
+
+StageScope::StageScope(RequestStage stage, StageSeconds* stages)
+    : span_(RequestStageName(stage)),
+      cpu_s_(&stages->Cpu(stage)) {
+  if (stage == RequestStage::kExecute) perf_.emplace();
+  cpu_begin_ = CpuBegin();
+}
+
+StageScope::~StageScope() {
+  if (cpu_begin_ >= 0.0) {
+    *cpu_s_ += std::max(0.0, ThreadCpuTimer::Now() - cpu_begin_);
+  }
+}
+
+void StageScope::EmitPhases(double dm_s, double analytics_s, double glue_s) {
+  if (!span_.active()) return;
+  const double start_s = span_.start_s();
+  const double data_s = std::max(0.0, dm_s - glue_s);
+  EmitChildSpan("data_management", start_s, data_s);
+  EmitChildSpan("analytics", start_s + data_s, analytics_s);
+  EmitChildSpan("glue", start_s + data_s + analytics_s, glue_s);
 }
 
 }  // namespace genbase::obs

@@ -2,8 +2,11 @@
 #define GENBASE_OBS_PROFILER_H_
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "obs/perf_counters.h"
+#include "obs/trace.h"
 
 namespace genbase::obs {
 
@@ -23,12 +26,6 @@ class Profiler {
  public:
   static bool Enabled();
   static void SetEnabled(bool enabled);
-
-  /// Thread-CPU clock reading for stage attribution: seconds on
-  /// CLOCK_THREAD_CPUTIME_ID, or a negative sentinel when profiling is
-  /// disabled (CpuDelta then reports 0 — callers never branch themselves).
-  static double CpuBegin();
-  static double CpuDelta(double begin);
 };
 
 /// --- process memory ----------------------------------------------------------
@@ -70,6 +67,42 @@ class ScopedExecutePerf {
  private:
   bool active_ = false;
   PerfReading begin_;
+};
+
+/// --- request stages ----------------------------------------------------------
+
+/// \brief RAII scope of one request stage: opens the span named
+/// RequestStageName(stage) and, when profiling is on, adds the thread-CPU
+/// seconds spent inside it to `stages->cpu`. The execute stage also reads
+/// the hardware counters (ScopedExecutePerf) and bridges the cell's phase
+/// split under its span (EmitPhases). The stage's wall seconds stay with
+/// the caller, since each stage defines its own (see RequestStage).
+class StageScope {
+ public:
+  StageScope(RequestStage stage, StageSeconds* stages);
+  ~StageScope();
+
+  StageScope(const StageScope&) = delete;
+  StageScope& operator=(const StageScope&) = delete;
+
+  bool active() const { return span_.active(); }
+  void SetDetail(std::string_view d) { span_.SetDetail(d); }
+
+  /// Bridges the served cell's PhaseClock sums (`dm_s` includes glue, as
+  /// the cell reports it) under the span as three child spans —
+  /// data_management (without glue), analytics, glue — laid end to end
+  /// from the span's start. The clock records phase *sums*, not intervals,
+  /// so the children are an attribution view (their order is synthetic),
+  /// but their widths are the paper's Figure 2/4 split for exactly this op.
+  /// A zero-width phase is still emitted, so every bridged span has the
+  /// same three children. No-op when the trace is unsampled.
+  void EmitPhases(double dm_s, double analytics_s, double glue_s);
+
+ private:
+  ScopedSpan span_;
+  std::optional<ScopedExecutePerf> perf_;
+  double* cpu_s_;
+  double cpu_begin_ = -1.0;  ///< Negative when profiling is off.
 };
 
 }  // namespace genbase::obs

@@ -228,11 +228,4 @@ void EmitChildSpan(const char* name, double start_s, double dur_s,
   Tracer::Global().Record(span);
 }
 
-void EmitPhaseSpans(double start_s, double dm_s, double analytics_s,
-                    double glue_s) {
-  EmitChildSpan("data_management", start_s, dm_s);
-  EmitChildSpan("analytics", start_s + dm_s, analytics_s);
-  EmitChildSpan("glue", start_s + dm_s + analytics_s, glue_s);
-}
-
 }  // namespace genbase::obs

@@ -240,6 +240,7 @@ class ScopedSpan {
 
   bool active() const { return active_; }
   uint64_t span_id() const { return span_id_; }
+  double start_s() const { return start_s_; }
   void SetDetail(std::string_view d) {
     if (active_) detail_.SetDetail(d);
   }
@@ -259,17 +260,6 @@ class ScopedSpan {
 /// `dur_s` are in tracer-anchor seconds.
 void EmitChildSpan(const char* name, double start_s, double dur_s,
                    std::string_view detail = {});
-
-/// Bridges one op's PhaseClock breakdown under the current span as three
-/// sequential child spans — data_management, analytics, glue — laid end to
-/// end from `start_s`. The clock records phase *sums*, not intervals, so
-/// the children are an attribution view (their order is synthetic), but
-/// their widths are the paper's Figure 2/4 split for exactly this op.
-/// `dm_s` excludes glue (PhaseClock nests glue inside data management). A
-/// zero-width phase is still emitted, so every bridged span has the same
-/// three children. No-op when the current trace is unsampled.
-void EmitPhaseSpans(double start_s, double dm_s, double analytics_s,
-                    double glue_s);
 
 }  // namespace genbase::obs
 

@@ -167,13 +167,4 @@ int64_t ResultCache::InvalidateEpochsBelow(uint64_t epoch) {
   return removed;
 }
 
-void ResultCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  invalidated_->Inc(static_cast<int64_t>(lru_.size()));
-  lru_.clear();
-  index_.clear();
-  bytes_ = 0;
-  UpdateGaugesLocked();
-}
-
 }  // namespace genbase::serving

@@ -92,10 +92,6 @@ class ResultCache {
   /// reclamation plus accounting, not a correctness gate.
   int64_t InvalidateEpochsBelow(uint64_t epoch);
 
-  /// Drops all entries, counting them as invalidated so the removal
-  /// accounting (insertions - evictions - invalidated == entries) holds.
-  void Clear();
-
  private:
   struct Entry {
     CacheKey key;

@@ -126,16 +126,14 @@ ServingStack::StartDeadline(
   return scheduled_arrival.value_or(std::chrono::steady_clock::now()) + budget;
 }
 
-ServeResult ServingStack::ServedFromTier(core::QueryId query,
-                                         core::DatasetSize size,
-                                         core::QueryResult result,
-                                         double spent_s,
-                                         const core::DriverOptions& options,
-                                         bool coalesced) {
-  ServeResult served;
-  served.cache_hit = true;
-  served.coalesced = coalesced;
-  core::CellResult& cell = served.cell;
+void ServingStack::ServedFromTier(ServeResult* served, core::QueryId query,
+                                  core::DatasetSize size,
+                                  core::QueryResult result, double spent_s,
+                                  const core::DriverOptions& options,
+                                  bool coalesced) {
+  served->cache_hit = true;
+  served->coalesced = coalesced;
+  core::CellResult& cell = served->cell;
   cell.engine = router_->engine_name();
   cell.query = query;
   cell.size = size;
@@ -148,25 +146,22 @@ ServeResult ServingStack::ServedFromTier(core::QueryId query,
              options.timeout_seconds);
   // Stage accounting: the real lookup time is the cache stage, the modeled
   // round trip is the dispatch stage — together they are the whole cell.
-  served.stages[obs::RequestStage::kCache] = spent_s;
-  served.stages[obs::RequestStage::kDispatch] = cell.total_s - spent_s;
-  return served;
+  served->stages[obs::RequestStage::kCache] = spent_s;
+  served->stages[obs::RequestStage::kDispatch] = cell.total_s - spent_s;
 }
 
-ServeResult ServingStack::Shed(core::QueryId query, core::DatasetSize size,
-                               AdmissionOutcome outcome,
-                               const std::string& detail) {
-  ServeResult result;
-  result.shed = true;
-  result.admission = outcome;
-  core::CellResult& cell = result.cell;
+void ServingStack::Shed(ServeResult* served, core::QueryId query,
+                        core::DatasetSize size, AdmissionOutcome outcome,
+                        const std::string& detail) {
+  served->shed = true;
+  served->admission = outcome;
+  core::CellResult& cell = served->cell;
   cell.engine = router_->engine_name();
   cell.query = query;
   cell.size = size;
   cell.status = genbase::Status::Cancelled("shed " + detail + " (" +
                                            AdmissionOutcomeName(outcome) +
                                            ")");
-  return result;
 }
 
 ServeResult ServingStack::Serve(
@@ -199,10 +194,13 @@ ServeResult ServingStack::Serve(
   const std::optional<std::chrono::steady_clock::time_point> start_deadline =
       StartDeadline(scheduled_arrival);
 
-  bool stale_tripwire = false;
+  // The op's one result: every branch below fills it in place, so stages a
+  // branch records (a miss's cache CPU, a fallback's flight wait) and the
+  // stale tripwire carry through to whichever branch serves the op.
+  ServeResult served;
+  bool hit = false;
   if (options_.cache_enabled) {
-    obs::ScopedSpan cache_span("cache");
-    const double cache_cpu_begin = obs::Profiler::CpuBegin();
+    obs::StageScope cache_stage(obs::RequestStage::kCache, &served.stages);
     WallTimer lookup_timer;
     core::QueryResult cached;
     uint64_t entry_epoch = 0;
@@ -214,29 +212,24 @@ ServeResult ServingStack::Serve(
       // trips, count it AND fall through to the miss path — the invariant
       // is that a stale result is never served, so the detector must heal
       // (one recompute) rather than hand out old-generation data.
-      if (entry_epoch == key.epoch) {
+      hit = entry_epoch == key.epoch;
+      if (hit) {
         // Hit: answered at the serving tier. The op costs the lookup
         // (real) plus the modeled request/response round trip — no engine
         // work.
-        cache_span.SetDetail("hit");
-        ServeResult served = ServedFromTier(query, size, std::move(cached),
-                                            lookup_timer.Seconds(), options,
-                                            /*coalesced=*/false);
-        served.stages.Cpu(obs::RequestStage::kCache) =
-            obs::Profiler::CpuDelta(cache_cpu_begin);
-        return served;
+        cache_stage.SetDetail("hit");
+        ServedFromTier(&served, query, size, std::move(cached),
+                       lookup_timer.Seconds(), options, /*coalesced=*/false);
+      } else {
+        stale_hits_->Inc();
+        served.stale_tripwire = true;
+        cache_stage.SetDetail("stale-tripwire");
       }
-      stale_hits_->Inc();
-      stale_tripwire = true;
-      cache_span.SetDetail("stale-tripwire");
     }
   }
+  // Returned only once the cache stage has closed and added its CPU.
+  if (hit) return served;
 
-  // Flight wait a follower carries into a solo fallback (leader failed):
-  // real queueing this op experienced, folded into its flight stage below
-  // rather than dropped.
-  double fallback_wait_s = 0.0;
-  double fallback_cpu_s = 0.0;
   if (options_.cache_enabled && options_.single_flight) {
     auto ticket = flights_.Join(key);
     if (ticket.leader()) {
@@ -249,104 +242,80 @@ ServeResult ServingStack::Serve(
       core::QueryResult cached;
       if (cache_.Peek(key, &cached)) {
         ticket.Publish(cached);
-        ServeResult result = ServedFromTier(query, size, std::move(cached),
-                                            0.0, options,
-                                            /*coalesced=*/false);
-        result.stale_tripwire = stale_tripwire;
-        return result;
+        ServedFromTier(&served, query, size, std::move(cached), 0.0, options,
+                       /*coalesced=*/false);
+        return served;
       }
-      ServeResult result =
-          ExecuteMiss(key, query, size, options, ctx, start_deadline, op_id);
+      ExecuteMiss(&served, key, query, size, options, ctx, start_deadline,
+                  op_id);
       // Followers may be served the result even when the epoch guard
       // skipped the cache insert: they joined the same key (same epoch
       // view), so the hand-off is exactly as correct as the leader's own
       // answer. An unservable result (error, INF, shed) is not published:
       // the ticket closes as a failure and the followers fend for
       // themselves.
-      if (Servable(result.cell)) ticket.Publish(result.cell.result);
-      result.stale_tripwire = stale_tripwire;
-      return result;
+      if (Servable(served.cell)) ticket.Publish(served.cell.result);
+      return served;
     }
     // Follower: the identical computation is already running — wait for its
     // result instead of stampeding the engines. Bounded by the same start
-    // deadline admission would apply: past it, the op's client is gone.
+    // deadline admission would apply: past it, the op's client is gone. The
+    // wait is queueing, recorded in the flight stage like an admission-queue
+    // wait (the runner folds it into latency and the queue-delay histogram)
+    // — not in the cell's own seconds, which would double-count it.
     flight_coalesced_->Inc();
-    obs::ScopedSpan flight_span("flight");
-    const double flight_cpu_begin = obs::Profiler::CpuBegin();
-    WallTimer wait_timer;
     core::QueryResult flown;
-    const auto wait = ticket.Wait(start_deadline, &flown);
-    const double flight_cpu_s = obs::Profiler::CpuDelta(flight_cpu_begin);
+    Flights::WaitResult wait;
+    {
+      obs::StageScope flight_stage(obs::RequestStage::kFlight, &served.stages);
+      WallTimer wait_timer;
+      wait = ticket.Wait(start_deadline, &flown);
+      served.stages[obs::RequestStage::kFlight] = wait_timer.Seconds();
+    }
     switch (wait) {
-      case Flights::WaitResult::kServed: {
+      case Flights::WaitResult::kServed:
         flight_coalesced_served_->Inc();
-        // The flight wait is queueing, reported in the flight stage like an
-        // admission-queue wait (the runner folds it into latency and the
-        // queue-delay histogram) — not in the cell's own seconds, which
-        // would double-count it.
-        ServeResult result = ServedFromTier(query, size, std::move(flown),
-                                            /*spent_s=*/0.0, options,
-                                            /*coalesced=*/true);
-        result.stages[obs::RequestStage::kFlight] = wait_timer.Seconds();
-        result.stages.Cpu(obs::RequestStage::kFlight) = flight_cpu_s;
-        result.stale_tripwire = stale_tripwire;
-        return result;
-      }
-      case Flights::WaitResult::kTimeout: {
+        ServedFromTier(&served, query, size, std::move(flown),
+                       /*spent_s=*/0.0, options, /*coalesced=*/true);
+        return served;
+      case Flights::WaitResult::kTimeout:
         flight_shed_wait_timeout_->Inc();
-        const double waited_s = wait_timer.Seconds();
-        ServeResult result = Shed(query, size, AdmissionOutcome::kShedTimeout,
-                                  "waiting on coalesced flight");
-        result.stages[obs::RequestStage::kFlight] = waited_s;
-        result.stages.Cpu(obs::RequestStage::kFlight) = flight_cpu_s;
-        result.stale_tripwire = stale_tripwire;
-        return result;
-      }
+        Shed(&served, query, size, AdmissionOutcome::kShedTimeout,
+             "waiting on coalesced flight");
+        return served;
       case Flights::WaitResult::kLeaderFailed:
-        // The leader had nothing servable (error/INF/shed). Execute solo:
-        // failures are op-specific (a timeout there does not mean one
-        // here), and re-joining a flight could chain waits unboundedly.
+        // The leader had nothing servable (error/INF/shed). Execute solo,
+        // keeping the flight wait: failures are op-specific (a timeout
+        // there does not mean one here), and re-joining a flight could
+        // chain waits unboundedly.
         flight_follower_fallbacks_->Inc();
-        fallback_wait_s = wait_timer.Seconds();
-        fallback_cpu_s = flight_cpu_s;
         break;
     }
   }
 
-  ServeResult result =
-      ExecuteMiss(key, query, size, options, ctx, start_deadline, op_id);
-  result.stale_tripwire = stale_tripwire;
-  result.stages[obs::RequestStage::kFlight] += fallback_wait_s;
-  result.stages.Cpu(obs::RequestStage::kFlight) += fallback_cpu_s;
-  return result;
+  ExecuteMiss(&served, key, query, size, options, ctx, start_deadline, op_id);
+  return served;
 }
 
-ServeResult ServingStack::ExecuteMiss(
-    const CacheKey& key, core::QueryId query, core::DatasetSize size,
-    const core::DriverOptions& options, ExecContext* ctx,
+void ServingStack::ExecuteMiss(
+    ServeResult* served, const CacheKey& key, core::QueryId query,
+    core::DatasetSize size, const core::DriverOptions& options,
+    ExecContext* ctx,
     std::optional<std::chrono::steady_clock::time_point> start_deadline,
     uint64_t op_id) {
-  ServeResult result;
   bool admitted_heavy = false;
-  double admission_wait_s = 0.0;
-  double queue_cpu_s = 0.0;
   {
-    obs::ScopedSpan queue_span("queue");
-    const double queue_cpu_begin = obs::Profiler::CpuBegin();
-    result.admission =
-        admission_.Admit(start_deadline, &admission_wait_s,
-                         static_cast<int>(query), &admitted_heavy);
-    queue_cpu_s = obs::Profiler::CpuDelta(queue_cpu_begin);
+    obs::StageScope queue_stage(obs::RequestStage::kQueue, &served->stages);
+    served->admission = admission_.Admit(
+        start_deadline, &served->stages[obs::RequestStage::kQueue],
+        static_cast<int>(query), &admitted_heavy);
   }
-  if (result.admission != AdmissionOutcome::kAdmitted) {
-    result = Shed(query, size, result.admission, "by admission control");
-    result.stages[obs::RequestStage::kQueue] = admission_wait_s;
-    result.stages.Cpu(obs::RequestStage::kQueue) = queue_cpu_s;
-    return result;
+  if (served->admission != AdmissionOutcome::kAdmitted) {
+    Shed(served, query, size, served->admission, "by admission control");
+    return;
   }
-  result.stages[obs::RequestStage::kQueue] = admission_wait_s;
-  result.stages.Cpu(obs::RequestStage::kQueue) = queue_cpu_s;
 
+  core::CellResult& cell = served->cell;
   FaultInjector* const faults = options_.fault_injector;
   const RetryPolicy& retry = options_.retry;
   const uint64_t jitter_seed = faults != nullptr ? faults->seed() : 0;
@@ -369,54 +338,43 @@ ServeResult ServingStack::ExecuteMiss(
   double overhead_measured_s = 0.0;
   double overhead_modeled_s = 0.0;
   for (int attempt = 1;; ++attempt) {
-    // One execute attempt on one shard: dispatch span (acquire), execute
-    // span (engine run + phase child spans), injected latency spike charged
-    // as modeled glue. result.shard is -1 on the first attempt and the
-    // failed attempt's shard on a retry, which AcquireShard routes away
+    // One execute attempt on one shard: dispatch stage (acquire), execute
+    // stage (engine run + phase child spans), injected latency spike
+    // charged as modeled glue. served->shard is -1 on the first attempt and
+    // the failed attempt's shard on a retry, which AcquireShard routes away
     // from.
     {
-      obs::ScopedSpan dispatch_span("dispatch");
-      const double dispatch_cpu_begin = obs::Profiler::CpuBegin();
-      result.shard = router_->AcquireShard(result.shard);
       // The modeled network round trip added below is the dispatch stage's
       // wall time; the shard acquire is its only real CPU.
-      result.stages.Cpu(obs::RequestStage::kDispatch) +=
-          obs::Profiler::CpuDelta(dispatch_cpu_begin);
-      if (dispatch_span.active()) {
-        dispatch_span.SetDetail(std::string(attempt == 1 ? "" : "retry ") +
-                                "shard " + std::to_string(result.shard));
+      obs::StageScope dispatch_stage(obs::RequestStage::kDispatch,
+                                     &served->stages);
+      served->shard = router_->AcquireShard(served->shard);
+      if (dispatch_stage.active()) {
+        dispatch_stage.SetDetail(std::string(attempt == 1 ? "" : "retry ") +
+                                 "shard " + std::to_string(served->shard));
       }
     }
     {
-      obs::ScopedSpan exec_span("execute");
-      obs::ScopedExecutePerf exec_perf;
-      const double exec_cpu_begin = obs::Profiler::CpuBegin();
-      const double exec_start =
-          exec_span.active() ? obs::Tracer::Global().NowSeconds() : 0.0;
+      obs::StageScope exec_stage(obs::RequestStage::kExecute,
+                                 &served->stages);
       data_epoch = 0;
-      result.cell = router_->RunOnShard(result.shard, query, size, options,
-                                        ctx, &data_epoch, op_id, attempt);
-      result.stages.Cpu(obs::RequestStage::kExecute) +=
-          obs::Profiler::CpuDelta(exec_cpu_begin);
-      if (exec_span.active()) {
-        obs::EmitPhaseSpans(
-            exec_start, std::max(0.0, result.cell.dm_s - result.cell.glue_s),
-            result.cell.analytics_s, result.cell.glue_s);
-      }
+      cell = router_->RunOnShard(served->shard, query, size, options, ctx,
+                                 &data_epoch, op_id, attempt);
+      exec_stage.EmitPhases(cell.dm_s, cell.analytics_s, cell.glue_s);
     }
     if (faults != nullptr && faults->enabled()) {
       // Slow-shard brown-out: the injected spike is virtual time, folded in
       // exactly like the network model so totals and deadlines see it.
-      const double spike_s = faults->ShardLatencySeconds(result.shard);
-      if (spike_s > 0.0 && result.cell.status.ok()) {
-        ChargeGlue(&result.cell, /*measured_s=*/0.0, spike_s,
+      const double spike_s = faults->ShardLatencySeconds(served->shard);
+      if (spike_s > 0.0 && cell.status.ok()) {
+        ChargeGlue(&cell, /*measured_s=*/0.0, spike_s,
                    options.timeout_seconds);
       }
     }
     // Retry transient failures only: unsupported queries fail identically
     // everywhere and INF (timeout/OOM) already consumed the op's budget.
-    const bool retryable = result.cell.supported && !result.cell.infinite &&
-                           !result.cell.status.ok();
+    const bool retryable =
+        cell.supported && !cell.infinite && !cell.status.ok();
     if (!retryable) break;
     double backoff_s = 0.0;
     if (!ScheduleRetry(retry, jitter_seed, op_id, attempt,
@@ -426,14 +384,14 @@ ServeResult ServingStack::ExecuteMiss(
       if (attempt < retry.max_attempts) retry_deadline_giveups_->Inc();
       break;
     }
-    overhead_modeled_s += result.cell.modeled_s;
-    overhead_measured_s += result.cell.total_s - result.cell.modeled_s;
+    overhead_modeled_s += cell.modeled_s;
+    overhead_measured_s += cell.total_s - cell.modeled_s;
     if (backoff_s > 0.0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff_s));
       overhead_measured_s += backoff_s;
     }
     retries_->Inc();
-    ++result.retries;
+    ++served->retries;
   }
 
   // Real slot-holding seconds feed the adaptive service-time model; the
@@ -441,34 +399,31 @@ ServeResult ServingStack::ExecuteMiss(
   // charged below, after this read, so it stays out of the service EWMA —
   // it is queueing-shaped cost, not service time.)
   admission_.Release(static_cast<int>(query),
-                     std::max(0.0, result.cell.total_s -
-                                       result.cell.modeled_s),
+                     std::max(0.0, cell.total_s - cell.modeled_s),
                      admitted_heavy);
 
-  const double exec_stage_s = result.cell.total_s;
-  if (result.retries > 0) {
-    ChargeGlue(&result.cell, overhead_measured_s, overhead_modeled_s,
+  const double exec_stage_s = cell.total_s;
+  if (served->retries > 0) {
+    ChargeGlue(&cell, overhead_measured_s, overhead_modeled_s,
                options.timeout_seconds);
   }
-  const int64_t reply_bytes = result.cell.status.ok()
-                                  ? ApproxResultBytes(result.cell.result)
-                                  : kRequestBytes;
-  ChargeGlue(&result.cell, /*measured_s=*/0.0,
+  const int64_t reply_bytes =
+      cell.status.ok() ? ApproxResultBytes(cell.result) : kRequestBytes;
+  ChargeGlue(&cell, /*measured_s=*/0.0,
              net_.TransferSeconds(kRequestBytes) +
                  net_.TransferSeconds(reply_bytes),
              options.timeout_seconds);
   // Stage accounting: retry overhead plus the modeled round trip are the
   // dispatch stage; the served attempt's cell (engine work, real +
   // modeled) is the execute stage.
-  result.stages[obs::RequestStage::kDispatch] =
-      result.cell.total_s - exec_stage_s;
-  result.stages[obs::RequestStage::kExecute] = exec_stage_s;
-  const bool servable = Servable(result.cell);
+  served->stages[obs::RequestStage::kDispatch] = cell.total_s - exec_stage_s;
+  served->stages[obs::RequestStage::kExecute] = exec_stage_s;
+  const bool servable = Servable(cell);
   // A retry success is an op that failed at least once yet is ultimately
   // served — judged on the final cell, after the overhead and network
   // charges, so an op they pushed past its deadline never counts as a
   // success.
-  if (result.retries > 0 && servable) retry_successes_->Inc();
+  if (served->retries > 0 && servable) retry_successes_->Inc();
   if (options_.cache_enabled && servable && data_epoch == key.epoch &&
       key.epoch == epoch_.load(std::memory_order_acquire)) {
     // Two epoch guards close the reload races. data_epoch == key.epoch: an
@@ -481,9 +436,8 @@ ServeResult ServingStack::ExecuteMiss(
     // landing between this check and the insert still leaves such an
     // entry; that window is microseconds and costs memory, not
     // correctness.)
-    cache_.Insert(key, result.cell.result);
+    cache_.Insert(key, cell.result);
   }
-  return result;
 }
 
 }  // namespace genbase::serving

@@ -93,7 +93,7 @@ struct ServeResult {
 /// Dataset churn: every cache key carries the dataset epoch
 /// (core::Engine::dataset_epoch), so ReloadDataset — a rolling, drain-based
 /// shard reload — invalidates the previous generation by construction
-/// instead of racing a Clear() against in-flight inserts.
+/// instead of clearing the cache under in-flight inserts.
 class ServingStack {
  public:
   /// Builds and loads `options.shards` engine instances. The stack owns its
@@ -140,37 +140,37 @@ class ServingStack {
   ServingStack(const ServingOptions& options, const std::string& instance,
                std::unique_ptr<ShardRouter> router);
 
-  /// The miss path: admission, shard execution (with bounded retries),
-  /// network model and cache insert. `start_deadline` is computed once per
-  /// op in Serve: a follower that falls back here after a failed flight
-  /// must not get a fresh budget, and the retry loop spends
+  /// The miss path, filling `served`: admission, shard execution (with
+  /// bounded retries), network model and cache insert. `start_deadline` is
+  /// computed once per op in Serve: a follower that falls back here after a
+  /// failed flight must not get a fresh budget, and the retry loop spends
   /// the same budget (see tests/serving_test FollowerFallbackKeepsDeadline).
   /// `op_id` is the op's sequence number — the injector's when one is
   /// attached, the stack's own otherwise — seeding deterministic fault
   /// draws and backoff jitter.
-  ServeResult ExecuteMiss(const CacheKey& key, core::QueryId query,
-                          core::DatasetSize size,
-                          const core::DriverOptions& options, ExecContext* ctx,
-                          std::optional<std::chrono::steady_clock::time_point>
-                              start_deadline,
-                          uint64_t op_id);
+  void ExecuteMiss(ServeResult* served, const CacheKey& key,
+                   core::QueryId query, core::DatasetSize size,
+                   const core::DriverOptions& options, ExecContext* ctx,
+                   std::optional<std::chrono::steady_clock::time_point>
+                       start_deadline,
+                   uint64_t op_id);
 
   std::optional<std::chrono::steady_clock::time_point> StartDeadline(
       std::optional<std::chrono::steady_clock::time_point> scheduled_arrival)
       const;
 
-  /// Builds the cell for an op answered at the serving tier (cache hit or
+  /// Fills `served` for an op answered at the serving tier (cache hit or
   /// coalesced flight result): `spent_s` real seconds plus the modeled
   /// network round trip, no engine work.
-  ServeResult ServedFromTier(core::QueryId query, core::DatasetSize size,
-                             core::QueryResult result, double spent_s,
-                             const core::DriverOptions& options,
-                             bool coalesced);
+  void ServedFromTier(ServeResult* served, core::QueryId query,
+                      core::DatasetSize size, core::QueryResult result,
+                      double spent_s, const core::DriverOptions& options,
+                      bool coalesced);
 
-  /// Builds the cell for a shed op (admission or flight-wait deadline); the
-  /// caller records the wait in the op's queue or flight stage.
-  ServeResult Shed(core::QueryId query, core::DatasetSize size,
-                   AdmissionOutcome outcome, const std::string& detail);
+  /// Fills `served` for a shed op (admission or flight-wait deadline); the
+  /// wait is already in the op's queue or flight stage.
+  void Shed(ServeResult* served, core::QueryId query, core::DatasetSize size,
+            AdmissionOutcome outcome, const std::string& detail);
 
   ServingOptions options_;
   ResultCache cache_;

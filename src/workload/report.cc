@@ -22,6 +22,139 @@ double Injected(const obs::MetricsWindow& counters, const obs::Labels& labels) {
              : 0.0;
 }
 
+/// --- counter blocks, shared by Print and ToJson ---------------------------
+
+/// How a counter-block value reads its instrument: the change over the
+/// measured phase (counters, and gauges that accumulate) or the level at
+/// its end (gauges, high-water marks).
+enum class Read { kChange, kEnd };
+
+/// One value of a counter block: its JSON key and the registry instrument
+/// it reads.
+struct CounterRow {
+  const char* key;
+  const char* instrument;
+  Read read;
+};
+
+constexpr CounterRow kCacheProbeRows[] = {
+    {"hits", "serving_cache_hits_total", Read::kChange},
+    {"misses", "serving_cache_misses_total", Read::kChange},
+};
+constexpr CounterRow kCacheRows[] = {
+    {"insertions", "serving_cache_insertions_total", Read::kChange},
+    {"evictions", "serving_cache_evictions_total", Read::kChange},
+    {"invalidated", "serving_cache_invalidated_total", Read::kChange},
+    {"rejected_oversize", "serving_cache_rejected_oversize_total",
+     Read::kChange},
+    {"entries", "serving_cache_entries", Read::kEnd},
+    {"bytes", "serving_cache_bytes", Read::kEnd},
+};
+constexpr CounterRow kAdmissionRows[] = {
+    {"admitted", "serving_admission_admitted_total", Read::kChange},
+    {"shed_queue_full", "serving_admission_shed_queue_full_total",
+     Read::kChange},
+    {"shed_timeout", "serving_admission_shed_timeout_total", Read::kChange},
+    {"shed_brownout", "serving_admission_shed_brownout_total", Read::kChange},
+    {"peak_queue", "serving_admission_peak_queue", Read::kEnd},
+    {"current_limit", "serving_admission_limit", Read::kEnd},
+};
+constexpr CounterRow kFlightRows[] = {
+    {"leaders", "serving_flight_leaders_total", Read::kChange},
+    {"coalesced", "serving_flight_coalesced_total", Read::kChange},
+    {"coalesced_served", "serving_flight_coalesced_served_total",
+     Read::kChange},
+    {"follower_fallbacks", "serving_flight_follower_fallbacks_total",
+     Read::kChange},
+    {"shed_wait_timeout", "serving_flight_shed_wait_timeout_total",
+     Read::kChange},
+};
+constexpr CounterRow kRetryRows[] = {
+    {"retries", "serving_retries_total", Read::kChange},
+    {"retry_successes", "serving_retry_successes_total", Read::kChange},
+    {"retry_deadline_giveups", "serving_retry_deadline_giveups_total",
+     Read::kChange},
+};
+constexpr CounterRow kStackRows[] = {
+    {"stale_hits", "serving_stack_stale_hits_total", Read::kChange},
+    {"reloads", "serving_stack_reloads_total", Read::kChange},
+};
+/// Read with a {"shard", N} label.
+constexpr CounterRow kShardRows[] = {
+    {"ops", "serving_shard_ops_total", Read::kChange},
+    {"errors", "serving_shard_errors_total", Read::kChange},
+    {"infs", "serving_shard_infs_total", Read::kChange},
+    {"busy_s", "serving_shard_busy_seconds", Read::kChange},
+    {"breaker_opens", "serving_shard_breaker_opens_total", Read::kChange},
+};
+constexpr CounterRow kPlanRows[] = {
+    {"compiles", "plan_compiles_total", Read::kChange},
+    {"cache_hits", "plan_cache_hits_total", Read::kChange},
+    {"executes", "plan_executes_total", Read::kChange},
+    {"compile_ns", "plan_compile_ns_total", Read::kChange},
+    {"peak_mismatches", "plan_peak_mismatch_total", Read::kChange},
+    {"peak_bytes", "plan_peak_bytes", Read::kEnd},
+};
+/// serving_fault_injected_total, by its `kind` label.
+constexpr std::pair<const char*, serving::FaultKind> kFaultKeys[] = {
+    {"crashes", serving::FaultKind::kCrash},
+    {"recoveries", serving::FaultKind::kRecover},
+    {"latency_spikes", serving::FaultKind::kLatencySpike},
+    {"transient_errors", serving::FaultKind::kTransientError},
+    {"reload_failures", serving::FaultKind::kReloadFailure},
+};
+
+/// serving_admission_shed_total, by its `class` label (a query id).
+constexpr const char* kShedByClass = "serving_admission_shed_total";
+
+/// The `shard` label values of the stack's shards.
+std::vector<std::string> ShardLabels(const obs::MetricsWindow& counters) {
+  return counters.LabelValues("serving_shard_ops_total", "shard");
+}
+
+/// serving_shard_health (a ShardHealth level) for one shard's labels.
+serving::ShardHealth ShardHealthOf(const obs::MetricsWindow& counters,
+                                   const obs::Labels& labels) {
+  return static_cast<serving::ShardHealth>(
+      static_cast<int>(counters.End("serving_shard_health", labels)));
+}
+
+double RowValue(const obs::MetricsWindow& counters, const CounterRow& row,
+                const obs::Labels& labels = {}) {
+  return row.read == Read::kChange ? counters.Change(row.instrument, labels)
+                                   : counters.End(row.instrument, labels);
+}
+
+/// Prints " key=value": whole numbers as integers, the rest (seconds,
+/// ratios) to three decimals.
+void PrintKv(const char* key, double value) {
+  std::printf(value == std::trunc(value) ? " %s=%.0f" : " %s=%.3f", key,
+              value);
+}
+
+template <size_t N>
+void PrintRows(const obs::MetricsWindow& counters, const CounterRow (&rows)[N],
+               const obs::Labels& labels = {}) {
+  for (const CounterRow& row : rows) {
+    PrintKv(row.key, RowValue(counters, row, labels));
+  }
+}
+
+/// Prints `label` and its rows as one line when any of them is nonzero: a
+/// layer that saw no traffic prints nothing.
+template <size_t N>
+void PrintRowsIfAny(const char* label, const obs::MetricsWindow& counters,
+                    const CounterRow (&rows)[N]) {
+  for (const CounterRow& row : rows) {
+    if (RowValue(counters, row) != 0) {
+      std::printf("  %s:", label);
+      PrintRows(counters, rows);
+      std::printf("\n");
+      return;
+    }
+  }
+}
+
 }  // namespace
 
 std::string FormatSeconds(double s) {
@@ -218,104 +351,51 @@ void WorkloadReport::Print() const {
                 FormatMillis(total.queue_delay.Percentile(99)).c_str(),
                 FormatMillis(total.queue_delay.max()).c_str());
   }
-  // Counter values for printf: changes over the measured phase, or levels
-  // at its end.
-  const auto count = [this](const char* name, const obs::Labels& labels = {}) {
-    return static_cast<long long>(counters.Change(name, labels));
-  };
-  const auto level = [this](const char* name, const obs::Labels& labels = {}) {
-    return static_cast<long long>(counters.End(name, labels));
-  };
+  // Counter blocks, under their ToJson names. Cache, admission and shards
+  // always print with a stack; the other layers only when they saw traffic,
+  // so the classic closed-loop figures stay byte-stable.
   if (has_serving) {
-    std::printf("  serving: cache hit=%lld miss=%lld (ratio %.2f, "
-                "%lld entries, %lld evicted, %lld invalidated, "
-                "%lld oversize)  admitted=%lld "
-                "shed=%lld+%lld peakq=%lld limit=%lld\n",
-                count("serving_cache_hits_total"),
-                count("serving_cache_misses_total"), cache_hit_ratio(),
-                level("serving_cache_entries"),
-                count("serving_cache_evictions_total"),
-                count("serving_cache_invalidated_total"),
-                count("serving_cache_rejected_oversize_total"),
-                count("serving_admission_admitted_total"),
-                count("serving_admission_shed_queue_full_total"),
-                count("serving_admission_shed_timeout_total"),
-                level("serving_admission_peak_queue"),
-                level("serving_admission_limit"));
-    // Churn/stampede lines only when those layers saw traffic: the classic
-    // closed-loop figures stay byte-stable otherwise.
-    const long long leaders = count("serving_flight_leaders_total");
-    const long long coalesced = count("serving_flight_coalesced_total");
-    if (leaders > 0 || coalesced > 0) {
-      std::printf("  single-flight: leaders=%lld coalesced=%lld "
-                  "(served=%lld, fallbacks=%lld, shed=%lld)\n",
-                  leaders, coalesced,
-                  count("serving_flight_coalesced_served_total"),
-                  count("serving_flight_follower_fallbacks_total"),
-                  count("serving_flight_shed_wait_timeout_total"));
-    }
+    std::printf("  serving cache:");
+    PrintRows(counters, kCacheProbeRows);
+    PrintKv("hit_ratio", cache_hit_ratio());
+    PrintRows(counters, kCacheRows);
+    std::printf("\n  serving admission:");
+    PrintRows(counters, kAdmissionRows);
+    std::printf("\n");
     const std::vector<std::string> classes =
-        counters.LabelValues("serving_admission_shed_total", "class");
+        counters.LabelValues(kShedByClass, "class");
     if (!classes.empty()) {
-      std::printf("  shed by class:");
+      std::printf("  serving shed_by_class:");
       for (const std::string& class_id : classes) {
-        std::printf(" %s=%lld",
-                    core::QueryName(static_cast<core::QueryId>(
-                        std::stoi(class_id))),
-                    count("serving_admission_shed_total",
-                          {{"class", class_id}}));
+        PrintKv(
+            core::QueryName(static_cast<core::QueryId>(std::stoi(class_id))),
+            counters.Change(kShedByClass, {{"class", class_id}}));
       }
       std::printf("\n");
     }
-    const long long reloads = count("serving_stack_reloads_total");
-    const long long stale_hits = count("serving_stack_stale_hits_total");
-    if (reloads > 0 || stale_hits > 0) {
-      std::printf("  churn: reloads=%lld stale_hits=%lld (must be 0)\n",
-                  reloads, stale_hits);
+    PrintRowsIfAny("serving single_flight", counters, kFlightRows);
+    PrintRowsIfAny("serving retry", counters, kRetryRows);
+    if (Injected(counters, {}) > 0) {
+      std::printf("  serving faults:");
+      for (const auto& [key, kind] : kFaultKeys) {
+        PrintKv(key,
+                Injected(counters, {{"kind", serving::FaultKindName(kind)}}));
+      }
+      std::printf("\n");
     }
-    // Fault-tolerance line only when that machinery actually engaged — the
-    // no-injector, no-retry configurations stay byte-stable.
-    const long long retries = count("serving_retries_total");
-    const long long giveups = count("serving_retry_deadline_giveups_total");
-    const long long brownout = count("serving_admission_shed_brownout_total");
-    const auto injected = static_cast<long long>(Injected(counters, {}));
-    if (retries > 0 || giveups > 0 || brownout > 0 || injected > 0) {
-      std::printf("  fault tolerance: retries=%lld (recovered=%lld, "
-                  "giveups=%lld) shed_brownout=%lld injected=%lld\n",
-                  retries, count("serving_retry_successes_total"), giveups,
-                  brownout, injected);
-    }
-    for (const std::string& shard :
-         counters.LabelValues("serving_shard_ops_total", "shard")) {
+    PrintRowsIfAny("serving", counters, kStackRows);
+    for (const std::string& shard : ShardLabels(counters)) {
       const obs::Labels labels{{"shard", shard}};
-      std::printf("    shard %s: ops=%lld busy=%ss err=%lld inf=%lld",
-                  shard.c_str(), count("serving_shard_ops_total", labels),
-                  FormatSeconds(counters.Change("serving_shard_busy_seconds",
-                                                labels))
-                      .c_str(),
-                  count("serving_shard_errors_total", labels),
-                  count("serving_shard_infs_total", labels));
-      const long long breaker_opens =
-          count("serving_shard_breaker_opens_total", labels);
-      const auto health = static_cast<serving::ShardHealth>(
-          level("serving_shard_health", labels));
-      if (breaker_opens > 0 || health != serving::ShardHealth::kHealthy) {
-        std::printf(" health=%s breaker_opens=%lld",
-                    serving::ShardHealthName(health), breaker_opens);
-      }
-      std::printf("\n");
+      std::printf("    shard %s:", shard.c_str());
+      PrintRows(counters, kShardRows, labels);
+      std::printf(" health=%s\n",
+                  serving::ShardHealthName(ShardHealthOf(counters, labels)));
     }
   }
   if (has_plan) {
-    std::printf("  plan: compiles=%lld hits=%lld executes=%lld "
-                "compile=%s peak=%.0fB%s\n",
-                count("plan_compiles_total"), count("plan_cache_hits_total"),
-                count("plan_executes_total"),
-                FormatMillis(counters.Change("plan_compile_ns_total") * 1e-9)
-                    .c_str(),
-                counters.End("plan_peak_bytes"),
-                count("plan_peak_mismatch_total") > 0 ? "  GUARD OVERWRITTEN"
-                                                      : "");
+    std::printf("  plan:");
+    PrintRows(counters, kPlanRows);
+    std::printf("\n");
   }
   std::printf("  %-14s %7s %6s %5s %5s %5s %9s %9s %9s  %9s %9s %9s\n",
               "query", "ops", "err", "inf", "bad", "shed", "p50", "p95",
@@ -431,86 +511,6 @@ void AppendOpStats(std::string* out, const OpStats& stats) {
   out->push_back('}');
 }
 
-/// How a counter-block value reads its instrument: the change over the
-/// measured phase (counters, and gauges that accumulate) or the level at
-/// its end (gauges, high-water marks).
-enum class Read { kChange, kEnd };
-
-/// One value of a counter block: its JSON key and the registry instrument
-/// it reads.
-struct CounterRow {
-  const char* key;
-  const char* instrument;
-  Read read;
-};
-
-constexpr CounterRow kCacheProbeRows[] = {
-    {"hits", "serving_cache_hits_total", Read::kChange},
-    {"misses", "serving_cache_misses_total", Read::kChange},
-};
-constexpr CounterRow kCacheRows[] = {
-    {"insertions", "serving_cache_insertions_total", Read::kChange},
-    {"evictions", "serving_cache_evictions_total", Read::kChange},
-    {"invalidated", "serving_cache_invalidated_total", Read::kChange},
-    {"rejected_oversize", "serving_cache_rejected_oversize_total",
-     Read::kChange},
-    {"entries", "serving_cache_entries", Read::kEnd},
-    {"bytes", "serving_cache_bytes", Read::kEnd},
-};
-constexpr CounterRow kAdmissionRows[] = {
-    {"admitted", "serving_admission_admitted_total", Read::kChange},
-    {"shed_queue_full", "serving_admission_shed_queue_full_total",
-     Read::kChange},
-    {"shed_timeout", "serving_admission_shed_timeout_total", Read::kChange},
-    {"shed_brownout", "serving_admission_shed_brownout_total", Read::kChange},
-    {"peak_queue", "serving_admission_peak_queue", Read::kEnd},
-    {"current_limit", "serving_admission_limit", Read::kEnd},
-};
-constexpr CounterRow kFlightRows[] = {
-    {"leaders", "serving_flight_leaders_total", Read::kChange},
-    {"coalesced", "serving_flight_coalesced_total", Read::kChange},
-    {"coalesced_served", "serving_flight_coalesced_served_total",
-     Read::kChange},
-    {"follower_fallbacks", "serving_flight_follower_fallbacks_total",
-     Read::kChange},
-    {"shed_wait_timeout", "serving_flight_shed_wait_timeout_total",
-     Read::kChange},
-};
-constexpr CounterRow kRetryRows[] = {
-    {"retries", "serving_retries_total", Read::kChange},
-    {"retry_successes", "serving_retry_successes_total", Read::kChange},
-    {"retry_deadline_giveups", "serving_retry_deadline_giveups_total",
-     Read::kChange},
-};
-constexpr CounterRow kStackRows[] = {
-    {"stale_hits", "serving_stack_stale_hits_total", Read::kChange},
-    {"reloads", "serving_stack_reloads_total", Read::kChange},
-};
-/// Read with a {"shard", N} label.
-constexpr CounterRow kShardRows[] = {
-    {"ops", "serving_shard_ops_total", Read::kChange},
-    {"errors", "serving_shard_errors_total", Read::kChange},
-    {"infs", "serving_shard_infs_total", Read::kChange},
-    {"busy_s", "serving_shard_busy_seconds", Read::kChange},
-    {"breaker_opens", "serving_shard_breaker_opens_total", Read::kChange},
-};
-constexpr CounterRow kPlanRows[] = {
-    {"compiles", "plan_compiles_total", Read::kChange},
-    {"cache_hits", "plan_cache_hits_total", Read::kChange},
-    {"executes", "plan_executes_total", Read::kChange},
-    {"compile_ns", "plan_compile_ns_total", Read::kChange},
-    {"peak_mismatches", "plan_peak_mismatch_total", Read::kChange},
-    {"peak_bytes", "plan_peak_bytes", Read::kEnd},
-};
-/// serving_fault_injected_total, by its `kind` label.
-constexpr std::pair<const char*, serving::FaultKind> kFaultKeys[] = {
-    {"crashes", serving::FaultKind::kCrash},
-    {"recoveries", serving::FaultKind::kRecover},
-    {"latency_spikes", serving::FaultKind::kLatencySpike},
-    {"transient_errors", serving::FaultKind::kTransientError},
-    {"reload_failures", serving::FaultKind::kReloadFailure},
-};
-
 /// Appends `"key":value` for each row, comma-separated. Counts are
 /// integral doubles, which %.17g prints exactly as an integer.
 template <size_t N>
@@ -518,10 +518,7 @@ void AppendRows(std::string* out, const obs::MetricsWindow& counters,
                 const CounterRow (&rows)[N], const obs::Labels& labels = {}) {
   for (size_t i = 0; i < N; ++i) {
     if (i > 0) out->push_back(',');
-    AppendKv(out, rows[i].key,
-             rows[i].read == Read::kChange
-                 ? counters.Change(rows[i].instrument, labels)
-                 : counters.End(rows[i].instrument, labels));
+    AppendKv(out, rows[i].key, RowValue(counters, rows[i], labels));
   }
 }
 
@@ -595,13 +592,12 @@ std::string WorkloadReport::ToJson() const {
     out.append(",\"shed_by_class\":{");
     bool first_class = true;
     for (const std::string& class_id :
-         counters.LabelValues("serving_admission_shed_total", "class")) {
+         counters.LabelValues(kShedByClass, "class")) {
       if (!first_class) out.push_back(',');
       first_class = false;
       AppendKv(&out,
                core::QueryName(static_cast<core::QueryId>(std::stoi(class_id))),
-               counters.Change("serving_admission_shed_total",
-                               {{"class", class_id}}));
+               counters.Change(kShedByClass, {{"class", class_id}}));
     }
     out.append("}},\"single_flight\":{");
     AppendRows(&out, counters, kFlightRows);
@@ -617,16 +613,14 @@ std::string WorkloadReport::ToJson() const {
     AppendRows(&out, counters, kStackRows);
     out.append(",\"shards\":[");
     bool first_shard = true;
-    for (const std::string& shard :
-         counters.LabelValues("serving_shard_ops_total", "shard")) {
+    for (const std::string& shard : ShardLabels(counters)) {
       if (!first_shard) out.push_back(',');
       first_shard = false;
       const obs::Labels labels{{"shard", shard}};
       out.push_back('{');
       AppendRows(&out, counters, kShardRows, labels);
       out.append(",\"health\":\"");
-      out.append(serving::ShardHealthName(static_cast<serving::ShardHealth>(
-          static_cast<int>(counters.End("serving_shard_health", labels)))));
+      out.append(serving::ShardHealthName(ShardHealthOf(counters, labels)));
       out.append("\"}");
     }
     out.append("]}");

@@ -49,46 +49,65 @@ struct ClientState {
   std::vector<obs::SlowQueryRecord> slowest;  ///< Desc by latency, capped.
 };
 
-void RecordOutcome(const WorkloadRunner::OpOutcome& outcome, bool mismatched,
-                   core::QueryId query, ClientState* state) {
-  // Classify once (verification already ran in the client loop, where it
-  // could be timed as the verify stage); the loop below only bumps counters
-  // into the run-total and per-query aggregates.
-  const core::CellResult& cell = outcome.cell;
-  const bool failed = !outcome.shed && !cell.infinite &&
-                      (!cell.supported || !cell.status.ok());
-  const bool succeeded = !outcome.shed && !cell.infinite && !failed;
+/// How one op ended, decided once for verification, the counters and the
+/// tail keep.
+enum class OpEnd {
+  kShed,       ///< Never executed (admission or flight-wait deadline).
+  kInfinite,   ///< Timeout / resource exhaustion (paper INF).
+  kFailed,     ///< Unsupported or errored.
+  kSucceeded,  ///< Answered: verified, and enters the latency histograms.
+};
+
+OpEnd Classify(const serving::ServeResult& served) {
+  if (served.shed) return OpEnd::kShed;
+  if (served.cell.infinite) return OpEnd::kInfinite;
+  if (!served.cell.supported || !served.cell.status.ok()) {
+    return OpEnd::kFailed;
+  }
+  return OpEnd::kSucceeded;
+}
+
+/// End-to-end seconds of an op: queueing, the cell, and verification.
+double EndToEndSeconds(const serving::ServeResult& served) {
+  return served.stages.Queued() + served.cell.total_s +
+         served.stages[obs::RequestStage::kVerify];
+}
+
+void RecordOutcome(const serving::ServeResult& served, OpEnd end,
+                   bool mismatched, core::QueryId query, ClientState* state) {
+  const core::CellResult& cell = served.cell;
   OpStats& q = state->per_query[query];
   for (OpStats* stats : {&state->total, &q}) {
     stats->ops += 1;
-    if (outcome.shed) {
+    if (end == OpEnd::kShed) {
       // A shed op never executed: it contributes to the offered load and to
       // its shed counter, nothing else.
-      stats->shed_timeout += outcome.shed_timeout ? 1 : 0;
-      stats->shed_queue_full += outcome.shed_timeout ? 0 : 1;
+      const bool timeout =
+          served.admission == serving::AdmissionOutcome::kShedTimeout;
+      stats->shed_timeout += timeout ? 1 : 0;
+      stats->shed_queue_full += timeout ? 0 : 1;
       continue;
     }
     stats->dm_s += cell.dm_s;
     stats->analytics_s += cell.analytics_s;
     stats->glue_s += cell.glue_s;
     stats->modeled_s += cell.modeled_s;
-    stats->infs += cell.infinite ? 1 : 0;
-    stats->errors += failed ? 1 : 0;
+    stats->infs += end == OpEnd::kInfinite ? 1 : 0;
+    stats->errors += end == OpEnd::kFailed ? 1 : 0;
     stats->verify_failures += mismatched ? 1 : 0;
-    if (succeeded) {
+    if (end == OpEnd::kSucceeded) {
       // Only successful operations enter the latency distributions: an
       // unsupported/errored op completes in ~0s and an INF op's time is
       // censored by the budget — recording either would drag p50 down or
       // up artificially. Failures are visible in their own counters.
-      const double queued_s = outcome.stages.Queued();
+      const double queued_s = served.stages.Queued();
       stats->latency.Record(queued_s + cell.total_s);
       stats->queue_delay.Record(queued_s);
       for (int s = 0; s < obs::kNumRequestStages; ++s) {
-        stats->stage[s].Record(outcome.stages.s[s]);
-        stats->stage_cpu_s[s] += outcome.stages.cpu[s];
+        stats->stage[s].Record(served.stages.s[s]);
+        stats->stage_cpu_s[s] += served.stages.cpu[s];
       }
-      stats->e2e_latency.Record(queued_s + cell.total_s +
-                                outcome.stages[obs::RequestStage::kVerify]);
+      stats->e2e_latency.Record(EndToEndSeconds(served));
     }
   }
 }
@@ -97,20 +116,16 @@ void RecordOutcome(const WorkloadRunner::OpOutcome& outcome, bool mismatched,
 /// stale tripwire / deadline miss / verify failure / retried) up to a small
 /// cap, and the client's slowest successful requests, so interesting tails
 /// survive even when head sampling skipped them.
-void KeepTailCandidates(const WorkloadRunner::OpOutcome& outcome,
-                        bool mismatched, const ScheduledOp& op,
-                        uint64_t trace_id, double start_s,
-                        const std::string& workload, ClientState* state) {
-  const core::CellResult& cell = outcome.cell;
-  const bool deadline_missed = !outcome.shed && cell.infinite;
-  const bool failed = !outcome.shed && !cell.infinite &&
-                      (!cell.supported || !cell.status.ok());
-  const bool succeeded = !outcome.shed && !cell.infinite && !failed;
-  const bool flagged = outcome.shed || outcome.stale_tripwire ||
-                       deadline_missed || mismatched || outcome.retries > 0;
-  if (!flagged && !succeeded) return;
-  const double e2e_s = outcome.stages.Queued() + cell.total_s +
-                       outcome.stages[obs::RequestStage::kVerify];
+void KeepTailCandidates(const serving::ServeResult& served, OpEnd end,
+                        bool mismatched, int64_t alloc_delta_bytes,
+                        const ScheduledOp& op, uint64_t trace_id,
+                        double start_s, const std::string& workload,
+                        ClientState* state) {
+  const bool flagged = end == OpEnd::kShed || served.stale_tripwire ||
+                       end == OpEnd::kInfinite || mismatched ||
+                       served.retries > 0;
+  if (!flagged && end != OpEnd::kSucceeded) return;
+  const double e2e_s = EndToEndSeconds(served);
   const auto make_record = [&] {
     obs::SlowQueryRecord rec;
     rec.trace_id = trace_id;
@@ -120,13 +135,13 @@ void KeepTailCandidates(const WorkloadRunner::OpOutcome& outcome,
     rec.class_id = static_cast<int>(op.query);
     rec.start_s = start_s;
     rec.latency_s = e2e_s;
-    rec.stages = outcome.stages;
-    rec.alloc_delta_bytes = outcome.alloc_delta_bytes;
-    rec.shed = outcome.shed;
-    rec.stale_tripwire = outcome.stale_tripwire;
-    rec.deadline_missed = deadline_missed;
+    rec.stages = served.stages;
+    rec.alloc_delta_bytes = alloc_delta_bytes;
+    rec.shed = end == OpEnd::kShed;
+    rec.stale_tripwire = served.stale_tripwire;
+    rec.deadline_missed = end == OpEnd::kInfinite;
     rec.verify_failed = mismatched;
-    rec.retries = outcome.retries;
+    rec.retries = served.retries;
     return rec;
   };
   if (flagged) {
@@ -248,27 +263,18 @@ genbase::Result<WorkloadReport> WorkloadRunner::Run(
       [engine, this](const ScheduledOp& op,
                      const core::DriverOptions& options,
                      std::optional<Clock::time_point>, ExecContext* ctx) {
-        OpOutcome outcome;
-        obs::ScopedSpan span("execute");
-        const double exec_start_s =
-            span.active() ? obs::Tracer::Global().NowSeconds() : 0.0;
-        const double exec_cpu_begin = obs::Profiler::CpuBegin();
+        serving::ServeResult served;
         {
-          obs::ScopedExecutePerf exec_perf;
-          outcome.cell = core::RunCellWithContext(engine, op.query,
-                                                  spec_.size, options, ctx);
+          obs::StageScope exec_stage(obs::RequestStage::kExecute,
+                                     &served.stages);
+          served.cell = core::RunCellWithContext(engine, op.query,
+                                                 spec_.size, options, ctx);
+          exec_stage.EmitPhases(served.cell.dm_s, served.cell.analytics_s,
+                                served.cell.glue_s);
         }
         // Direct-to-engine: the whole cell is the execute stage.
-        outcome.stages[obs::RequestStage::kExecute] = outcome.cell.total_s;
-        outcome.stages.Cpu(obs::RequestStage::kExecute) =
-            obs::Profiler::CpuDelta(exec_cpu_begin);
-        if (span.active()) {
-          obs::EmitPhaseSpans(
-              exec_start_s,
-              std::max(0.0, outcome.cell.dm_s - outcome.cell.glue_s),
-              outcome.cell.analytics_s, outcome.cell.glue_s);
-        }
-        return outcome;
+        served.stages[obs::RequestStage::kExecute] = served.cell.total_s;
+        return served;
       });
 }
 
@@ -283,17 +289,7 @@ genbase::Result<WorkloadReport> WorkloadRunner::Run(
       [stack, this](const ScheduledOp& op, const core::DriverOptions& options,
                     std::optional<Clock::time_point> arrival,
                     ExecContext* ctx) {
-        const serving::ServeResult served =
-            stack->Serve(op.query, spec_.size, options, ctx, arrival);
-        OpOutcome outcome;
-        outcome.cell = served.cell;
-        outcome.shed = served.shed;
-        outcome.shed_timeout =
-            served.admission == serving::AdmissionOutcome::kShedTimeout;
-        outcome.stages = served.stages;
-        outcome.stale_tripwire = served.stale_tripwire;
-        outcome.retries = served.retries;
-        return outcome;
+        return stack->Serve(op.query, spec_.size, options, ctx, arrival);
       });
 }
 
@@ -358,8 +354,10 @@ genbase::Result<WorkloadReport> WorkloadRunner::RunScheduled(
               record && obs::TraceSampled(
                             trace_id, obs::Tracer::Global().sample_rate());
           const double req_start_s = obs::Tracer::Global().NowSeconds();
-          OpOutcome outcome;
+          serving::ServeResult served;
+          OpEnd end = OpEnd::kSucceeded;
           bool mismatched = false;
+          int64_t alloc_delta_bytes = -1;
           {
             obs::ScopedTrace trace(trace_id, sampled);
             obs::ScopedSpan request_span("request");
@@ -371,47 +369,43 @@ genbase::Result<WorkloadReport> WorkloadRunner::RunScheduled(
             // delta across the op counts reservation activity during its
             // window even when everything was released again. Needs the
             // tracker installed before the op — warm-up's first op through
-            // each engine guarantees that for measured ops.
+            // each engine guarantees that for measured ops. Shared-tracker
+            // runs make this allocation activity during the request window,
+            // not an exclusive attribution.
             MemoryTracker* alloc_tracker =
                 obs::Profiler::Enabled() ? state->ctx.memory() : nullptr;
             const int64_t alloc_before =
                 alloc_tracker != nullptr ? alloc_tracker->reserved_total()
                                          : 0;
-            outcome =
+            served =
                 exec(op, variant_options[static_cast<size_t>(op.variant)],
                      arrival, &state->ctx);
             if (alloc_tracker != nullptr &&
                 state->ctx.memory() == alloc_tracker) {
-              outcome.alloc_delta_bytes =
+              alloc_delta_bytes =
                   alloc_tracker->reserved_total() - alloc_before;
             }
             // Dispatch lag is queueing the op's client really saw: part of
             // its queue stage, so it counts in stages.Queued().
-            outcome.stages[obs::RequestStage::kQueue] += dispatch_lag_s;
-            if (record && spec_.verify) {
+            served.stages[obs::RequestStage::kQueue] += dispatch_lag_s;
+            end = Classify(served);
+            const auto it = record && spec_.verify && end == OpEnd::kSucceeded
+                                ? table.find({op.query, op.variant})
+                                : table.end();
+            if (it != table.end()) {
               // Verification runs here — inside the trace, on the client
               // thread — so it is timed as the request's verify stage and
               // shows up as a span instead of vanishing into bookkeeping.
-              const core::CellResult& cell = outcome.cell;
-              const bool verifiable = !outcome.shed && !cell.infinite &&
-                                      cell.supported && cell.status.ok();
-              const auto it = verifiable
-                                  ? table.find({op.query, op.variant})
-                                  : table.end();
-              if (it != table.end()) {
-                obs::ScopedSpan verify_span("verify");
-                const double verify_cpu_begin = obs::Profiler::CpuBegin();
-                const auto verify_start = Clock::now();
-                mismatched =
-                    !core::CompareQueryResults(it->second, cell.result).ok();
-                outcome.stages[obs::RequestStage::kVerify] =
-                    std::chrono::duration<double>(Clock::now() -
-                                                  verify_start)
-                        .count();
-                outcome.stages.Cpu(obs::RequestStage::kVerify) =
-                    obs::Profiler::CpuDelta(verify_cpu_begin);
-                if (mismatched) verify_span.SetDetail("mismatch");
-              }
+              obs::StageScope verify_stage(obs::RequestStage::kVerify,
+                                           &served.stages);
+              const auto verify_start = Clock::now();
+              mismatched =
+                  !core::CompareQueryResults(it->second, served.cell.result)
+                       .ok();
+              served.stages[obs::RequestStage::kVerify] =
+                  std::chrono::duration<double>(Clock::now() - verify_start)
+                      .count();
+              if (mismatched) verify_stage.SetDetail("mismatch");
             }
           }
           if (obs::Profiler::Enabled()) {
@@ -419,17 +413,17 @@ genbase::Result<WorkloadReport> WorkloadRunner::RunScheduled(
             // sub-granule stage can read cpu > wall. Clamp per stage so the
             // cpu/wall ratio is a fraction by construction.
             for (int s = 0; s < obs::kNumRequestStages; ++s) {
-              outcome.stages.cpu[s] =
-                  std::min(outcome.stages.cpu[s], outcome.stages.s[s]);
+              served.stages.cpu[s] =
+                  std::min(served.stages.cpu[s], served.stages.s[s]);
             }
             // Periodic RSS samples (one small /proc read): enough points to
             // chart memory growth without touching every op.
             if ((i & 31) == 0) obs::SampleProcessRss();
           }
           if (record) {
-            RecordOutcome(outcome, mismatched, op.query, state);
-            KeepTailCandidates(outcome, mismatched, op, trace_id,
-                               req_start_s, spec_.name, state);
+            RecordOutcome(served, end, mismatched, op.query, state);
+            KeepTailCandidates(served, end, mismatched, alloc_delta_bytes,
+                               op, trace_id, req_start_s, spec_.name, state);
           }
         }
       });

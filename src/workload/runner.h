@@ -56,26 +56,6 @@ class WorkloadRunner {
   using TruthKey = std::pair<core::QueryId, int>;
   using TruthTable = std::map<TruthKey, core::QueryResult>;
 
-  /// One executed (or shed) operation, as consumed by the record step.
-  struct OpOutcome {
-    core::CellResult cell;
-    bool shed = false;
-    bool shed_timeout = false;  ///< vs queue-full, when shed.
-    /// Per-stage seconds. queue/cache/flight/dispatch/execute are filled by
-    /// the executor; the runner adds the dispatch-lag share of queue and the
-    /// verify stage. The op's queueing delay is stages.Queued(), so
-    /// Sum() == Queued() + cell.total_s + verify.
-    obs::StageSeconds stages;
-    /// MemoryTracker reservation activity (monotone reserved-total delta on
-    /// the op's ExecContext tracker) across the op; -1 when profiling is off
-    /// or no tracker was installed. Shared-tracker runs make this an
-    /// "allocation activity during the request window" measure, not an
-    /// exclusive attribution.
-    int64_t alloc_delta_bytes = -1;
-    bool stale_tripwire = false;  ///< Served stale past the tripwire age.
-    int retries = 0;              ///< Extra execute attempts after failures.
-  };
-
   explicit WorkloadRunner(WorkloadSpec spec);
 
   const WorkloadSpec& spec() const { return spec_; }
@@ -113,7 +93,11 @@ class WorkloadRunner {
                                       const core::GenBaseData& data);
 
  private:
-  using Executor = std::function<OpOutcome(
+  /// Runs one op. The returned ServeResult carries its queue, cache,
+  /// flight, dispatch and execute stages; the runner adds the dispatch-lag
+  /// share of queue and the verify stage, so stages.Sum() == Queued() +
+  /// cell.total_s + verify.
+  using Executor = std::function<serving::ServeResult(
       const ScheduledOp& op, const core::DriverOptions& options,
       std::optional<std::chrono::steady_clock::time_point> scheduled_arrival,
       ExecContext* ctx)>;

@@ -2,13 +2,16 @@
 
 #include "accel/coprocessor.h"
 #include "accel/phi_engine.h"
-#include "core/generator.h"
 #include "core/reference.h"
 #include "core/verify.h"
 #include "engine/engines.h"
+#include "tiny_data.h"  // Same directory.
 
 namespace genbase::accel {
 namespace {
+
+using testutil::TinyData;
+using testutil::TinyParams;
 
 using core::DatasetSize;
 using core::QueryId;
@@ -65,25 +68,6 @@ TEST(CoprocessorTest, LatencyBoundBarelyAccelerates) {
 }
 
 // --- Phi SciDB engine ---------------------------------------------------------------
-
-constexpr double kTinyScale = 0.008;
-
-const core::GenBaseData& TinyData() {
-  static const core::GenBaseData* data = [] {
-    auto r = core::GenerateDataset(DatasetSize::kSmall, kTinyScale);
-    GENBASE_CHECK(r.ok());
-    return new core::GenBaseData(std::move(r).ValueOrDie());
-  }();
-  return *data;
-}
-
-core::QueryParams TinyParams() {
-  core::QueryParams p;
-  p.svd_rank = 6;
-  p.bicluster_count = 2;
-  p.sample_fraction = 0.1;
-  return p;
-}
 
 class PhiAgreementTest : public ::testing::TestWithParam<QueryId> {};
 

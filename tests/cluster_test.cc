@@ -6,15 +6,18 @@
 #include "cluster/dist_kernels.h"
 #include "cluster/sim_cluster.h"
 #include "common/rng.h"
-#include "core/generator.h"
 #include "core/reference.h"
 #include "core/verify.h"
 #include "linalg/covariance.h"
 #include "linalg/qr.h"
 #include "linalg/svd.h"
+#include "tiny_data.h"  // Same directory.
 
 namespace genbase::cluster {
 namespace {
+
+using testutil::TinyData;
+using testutil::TinyParams;
 
 using core::DatasetSize;
 using core::QueryId;
@@ -221,25 +224,6 @@ INSTANTIATE_TEST_SUITE_P(NodeCounts, DistKernelTest,
                          ::testing::Values(1, 2, 3, 4));
 
 // --- multi-node engines vs reference ---------------------------------------------------
-
-constexpr double kTinyScale = 0.008;
-
-const core::GenBaseData& TinyData() {
-  static const core::GenBaseData* data = [] {
-    auto r = core::GenerateDataset(DatasetSize::kSmall, kTinyScale);
-    GENBASE_CHECK(r.ok());
-    return new core::GenBaseData(std::move(r).ValueOrDie());
-  }();
-  return *data;
-}
-
-core::QueryParams TinyParams() {
-  core::QueryParams p;
-  p.svd_rank = 6;
-  p.bicluster_count = 2;
-  p.sample_fraction = 0.1;
-  return p;
-}
 
 struct MnCase {
   const char* config;

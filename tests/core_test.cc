@@ -8,28 +8,14 @@
 #include "core/queries.h"
 #include "core/reference.h"
 #include "core/verify.h"
+#include "tiny_data.h"  // Same directory.
 
 namespace genbase::core {
 namespace {
 
-constexpr double kTinyScale = 0.008;  // genes 40, patients 40 for small.
-
-const GenBaseData& TinyData() {
-  static const GenBaseData* data = [] {
-    auto r = GenerateDataset(DatasetSize::kSmall, kTinyScale);
-    GENBASE_CHECK(r.ok());
-    return new GenBaseData(std::move(r).ValueOrDie());
-  }();
-  return *data;
-}
-
-QueryParams TinyParams() {
-  QueryParams p;
-  p.svd_rank = 6;
-  p.bicluster_count = 2;
-  p.sample_fraction = 0.1;  // Enough samples at tiny scale.
-  return p;
-}
+using testutil::TinyData;
+using testutil::TinyParams;
+using testutil::kTinyScale;
 
 // --- dims / datasets ------------------------------------------------------------
 

@@ -11,34 +11,20 @@
 #include "core/reference.h"
 #include "core/verify.h"
 #include "engine/engines.h"
+#include "tiny_data.h"  // Same directory.
 
 namespace genbase {
 namespace {
+
+using testutil::TinyData;
+using testutil::TinyParams;
+using testutil::kTinyScale;
 
 using core::DatasetSize;
 using core::GenBaseData;
 using core::QueryId;
 using core::QueryParams;
 using core::QueryResult;
-
-constexpr double kTinyScale = 0.008;
-
-const GenBaseData& TinyData() {
-  static const GenBaseData* data = [] {
-    auto r = core::GenerateDataset(DatasetSize::kSmall, kTinyScale);
-    GENBASE_CHECK(r.ok());
-    return new GenBaseData(std::move(r).ValueOrDie());
-  }();
-  return *data;
-}
-
-QueryParams TinyParams() {
-  QueryParams p;
-  p.svd_rank = 6;
-  p.bicluster_count = 2;
-  p.sample_fraction = 0.1;
-  return p;
-}
 
 const QueryResult& Expected(QueryId q) {
   static auto* cache = new std::map<QueryId, QueryResult>();

@@ -110,21 +110,6 @@ TEST_P(GemmParamTest, SyrkMatchesNaive) {
   EXPECT_LT(MaxAbsDiff(tuned, naive), 1e-9);
 }
 
-TEST_P(GemmParamTest, GemmTransposeAMatchesExplicitTranspose) {
-  const auto p = GetParam();
-  Matrix a = RandomMatrix(p.k, p.m, p.seed + 3);
-  Matrix b = RandomMatrix(p.k, p.n, p.seed + 4);
-  Matrix at(p.m, p.k);
-  for (int64_t i = 0; i < p.k; ++i) {
-    for (int64_t j = 0; j < p.m; ++j) at(j, i) = a(i, j);
-  }
-  Matrix via_t(p.m, p.n), direct(p.m, p.n);
-  ASSERT_TRUE(Gemm(MatrixView(at), MatrixView(b), &via_t).ok());
-  ASSERT_TRUE(GemmTransposeA(MatrixView(a), MatrixView(b), &direct,
-                             DefaultPool()).ok());
-  EXPECT_LT(MaxAbsDiff(via_t, direct), 1e-9);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmParamTest,
     ::testing::Values(GemmShape{1, 1, 1, 10}, GemmShape{3, 5, 2, 11},

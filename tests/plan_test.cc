@@ -32,9 +32,13 @@
 #include "plan/plan_graph.h"
 #include "plan/plan_stats.h"
 #include "bitwise_result.h"  // Same directory.
+#include "tiny_data.h"  // Same directory.
 
 namespace genbase {
 namespace {
+
+using testutil::TinyData;
+using testutil::TinyParams;
 
 using core::DatasetSize;
 using core::GenBaseData;
@@ -49,25 +53,6 @@ using plan::Region;
 using plan::Slot;
 using plan::TensorSpec;
 using testutil::BitwiseEqual;
-
-constexpr double kTinyScale = 0.008;
-
-const GenBaseData& TinyData() {
-  static const GenBaseData* data = [] {
-    auto r = core::GenerateDataset(DatasetSize::kSmall, kTinyScale);
-    GENBASE_CHECK(r.ok());
-    return new GenBaseData(std::move(r).ValueOrDie());
-  }();
-  return *data;
-}
-
-QueryParams TinyParams() {
-  QueryParams p;
-  p.svd_rank = 6;
-  p.bicluster_count = 2;
-  p.sample_fraction = 0.1;
-  return p;
-}
 
 /// One columnar copy of the tiny dataset shared by the planned and legacy
 /// paths, so bitwise comparisons read the exact same storage.

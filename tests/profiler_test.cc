@@ -20,24 +20,35 @@ class ProfilerTest : public ::testing::Test {
   bool saved_ = false;
 };
 
-TEST_F(ProfilerTest, DisabledCpuClockIsSentinel) {
+TEST_F(ProfilerTest, DisabledStageScopeAddsNoCpu) {
   Profiler::SetEnabled(false);
-  const double begin = Profiler::CpuBegin();
-  EXPECT_LT(begin, 0.0);
-  EXPECT_EQ(Profiler::CpuDelta(begin), 0.0);
+  StageSeconds stages;
+  {
+    StageScope scope(RequestStage::kExecute, &stages);
+    volatile double sink = 0;
+    for (int i = 0; i < 2000000; ++i) sink += i * 1e-9;
+  }
+  EXPECT_EQ(stages.CpuSum(), 0.0);
+  EXPECT_EQ(stages.Sum(), 0.0);
 }
 
-TEST_F(ProfilerTest, EnabledCpuClockAdvancesMonotonically) {
+TEST_F(ProfilerTest, EnabledStageScopeAddsThreadCpuToItsStage) {
   Profiler::SetEnabled(true);
-  const double begin = Profiler::CpuBegin();
-  ASSERT_GE(begin, 0.0);
-  // Burn a little CPU so the delta is strictly positive even on coarse
-  // clocks.
-  volatile double sink = 0;
-  for (int i = 0; i < 2000000; ++i) sink += i * 1e-9;
-  const double delta = Profiler::CpuDelta(begin);
+  StageSeconds stages;
+  stages.Cpu(RequestStage::kVerify) = 1.0;
+  {
+    StageScope scope(RequestStage::kVerify, &stages);
+    // Burn a little CPU so the delta is strictly positive even on coarse
+    // clocks.
+    volatile double sink = 0;
+    for (int i = 0; i < 2000000; ++i) sink += i * 1e-9;
+  }
+  // Added to what the stage held; no other stage and no wall time touched.
+  const double delta = stages.Cpu(RequestStage::kVerify) - 1.0;
   EXPECT_GT(delta, 0.0);
   EXPECT_LT(delta, 60.0);  // Sanity: seconds, not nanoseconds.
+  EXPECT_EQ(stages.CpuSum(), stages.Cpu(RequestStage::kVerify));
+  EXPECT_EQ(stages.Sum(), 0.0);
 }
 
 TEST_F(ProfilerTest, SetEnabledToggles) {

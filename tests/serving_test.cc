@@ -10,8 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/check.h"
-#include "core/generator.h"
 #include "core/verify.h"
 #include "engine/engines.h"
 #include "obs/metrics.h"
@@ -21,28 +19,13 @@
 #include "serving/shard_router.h"
 #include "serving/serving_stack.h"
 #include "workload/runner.h"
+#include "tiny_data.h"  // Same directory.
 
 namespace genbase::serving {
 namespace {
 
-constexpr double kTinyScale = 0.008;  // 40 genes x 40 patients for small.
-
-const core::GenBaseData& TinyData() {
-  static const core::GenBaseData* data = [] {
-    auto r = core::GenerateDataset(core::DatasetSize::kSmall, kTinyScale);
-    GENBASE_CHECK(r.ok());
-    return new core::GenBaseData(std::move(r).ValueOrDie());
-  }();
-  return *data;
-}
-
-core::QueryParams TinyParams() {
-  core::QueryParams p;
-  p.svd_rank = 6;
-  p.bicluster_count = 2;
-  p.sample_fraction = 0.1;
-  return p;
-}
+using testutil::TinyData;
+using testutil::TinyParams;
 
 core::DriverOptions TinyOptions() {
   core::DriverOptions options;
@@ -223,21 +206,6 @@ TEST(ResultCacheTest, InvalidateEpochsBelowRemovesExactlyOldEpochs) {
                 stats.End("serving_cache_invalidated_total"));
 }
 
-TEST(ResultCacheTest, ClearCountsRemovedEntriesAsInvalidated) {
-  const std::string instance = NewInstance();
-  ResultCache cache(/*max_entries=*/16, /*max_bytes=*/1 << 20, instance);
-  cache.Insert(KeyWithFingerprint(1), SvdResultWithValues(3, 1.0));
-  cache.Insert(KeyWithFingerprint(2), SvdResultWithValues(3, 2.0));
-  cache.Clear();
-  const obs::MetricsWindow stats = CountersNow({instance});
-  EXPECT_EQ(stats.End("serving_cache_entries"), 0);
-  EXPECT_EQ(stats.End("serving_cache_invalidated_total"), 2);
-  EXPECT_EQ(stats.End("serving_cache_entries"),
-            stats.End("serving_cache_insertions_total") -
-                stats.End("serving_cache_evictions_total") -
-                stats.End("serving_cache_invalidated_total"));
-}
-
 // --- admission controller ---------------------------------------------------
 
 TEST(AdmissionTest, DisabledControllerAdmitsEverything) {
@@ -335,6 +303,22 @@ ServingOptions CacheOnlyOptions(int shards) {
   return options;
 }
 
+/// Checks the accounting every Serve branch owes its result: the flags name
+/// the branch, and the cell's stages (cache + dispatch + execute) sum to the
+/// cell total. A shed op's cell and stages are all zero, so it holds there
+/// too.
+void ExpectBranch(const ServeResult& result, bool shed, bool cache_hit,
+                  bool coalesced) {
+  EXPECT_EQ(result.shed, shed);
+  EXPECT_EQ(result.cache_hit, cache_hit);
+  EXPECT_EQ(result.coalesced, coalesced);
+  EXPECT_FALSE(result.stale_tripwire);
+  EXPECT_DOUBLE_EQ(result.stages[obs::RequestStage::kCache] +
+                       result.stages[obs::RequestStage::kDispatch] +
+                       result.stages[obs::RequestStage::kExecute],
+                   result.cell.total_s);
+}
+
 TEST(ServingStackTest, CacheHitReturnsTheIdenticalResult) {
   auto stack = ServingStack::Create(CacheOnlyOptions(1),
                                     engine::CreateSciDb, TinyData());
@@ -347,6 +331,8 @@ TEST(ServingStackTest, CacheHitReturnsTheIdenticalResult) {
   ASSERT_TRUE(first.cell.status.ok()) << first.cell.status.ToString();
   EXPECT_FALSE(first.cache_hit);
   EXPECT_EQ(first.shard, 0);
+  ExpectBranch(first, /*shed=*/false, /*cache_hit=*/false,
+               /*coalesced=*/false);
 
   const auto second = (*stack)->Serve(core::QueryId::kRegression,
                                       core::DatasetSize::kSmall,
@@ -354,6 +340,8 @@ TEST(ServingStackTest, CacheHitReturnsTheIdenticalResult) {
   ASSERT_FALSE(second.shed);
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(second.shard, -1);
+  ExpectBranch(second, /*shed=*/false, /*cache_hit=*/true,
+               /*coalesced=*/false);
   EXPECT_TRUE(core::CompareQueryResults(first.cell.result,
                                         second.cell.result).ok());
   // A hit is not free: it pays the modeled network round trip.
@@ -502,6 +490,17 @@ TEST(ServingStackTest, OverloadShedsAndAccountsSeparately) {
           report->counters.Change("serving_admission_shed_timeout_total"),
       report->total.shed());
   EXPECT_EQ(report->has_serving, true);
+
+  // The admission-shed branch on its own: an op whose scheduled arrival is
+  // already past its start budget sheds without executing.
+  ExecContext ctx;
+  const ServeResult shed = (*stack)->Serve(
+      core::QueryId::kBiclustering, core::DatasetSize::kSmall, TinyOptions(),
+      &ctx, std::chrono::steady_clock::now() - std::chrono::milliseconds(5));
+  EXPECT_EQ(shed.admission, AdmissionOutcome::kShedTimeout);
+  EXPECT_EQ(shed.shard, -1);
+  ExpectBranch(shed, /*shed=*/true, /*cache_hit=*/false,
+               /*coalesced=*/false);
 }
 
 // --- single flight ----------------------------------------------------------
@@ -541,12 +540,25 @@ TEST(ServingStackTest, ConcurrentMissesOnOneKeyRunOneCompute) {
   EXPECT_GE(counters.End("serving_flight_leaders_total"), 1);
   EXPECT_EQ(counters.End("serving_flight_coalesced_total"),
             counters.End("serving_flight_coalesced_served_total"));
+  // One caller executed (the leader); every other was answered at the
+  // serving tier, coalesced onto the flight or (a straggler) by the cache.
+  int executed = 0;
+  int coalesced = 0;
   for (const auto& result : results) {
     ASSERT_FALSE(result.shed);
     ASSERT_TRUE(result.cell.status.ok()) << result.cell.status.ToString();
     EXPECT_TRUE(core::CompareQueryResults(results[0].cell.result,
                                           result.cell.result).ok());
+    executed += result.cache_hit ? 0 : 1;
+    coalesced += result.coalesced ? 1 : 0;
+    ExpectBranch(result, /*shed=*/false, /*cache_hit=*/result.shard == -1,
+                 result.coalesced);
+    if (result.coalesced) {
+      EXPECT_EQ(result.stages[obs::RequestStage::kExecute], 0.0);
+    }
   }
+  EXPECT_EQ(executed, 1);
+  EXPECT_EQ(coalesced, counters.End("serving_flight_coalesced_served_total"));
   EXPECT_EQ(counters.End("serving_stack_stale_hits_total"), 0);
 }
 
@@ -1354,14 +1366,19 @@ TEST(ServingStackTest, RetryBackoffIsChargedAsMeasuredTime) {
     const auto result = (*stack)->Serve(core::QueryId::kStatistics,
                                         core::DatasetSize::kSmall,
                                         TinyOptions(), &ctx);
+    ExpectBranch(result, /*shed=*/false, /*cache_hit=*/false,
+                 /*coalesced=*/false);
     if (result.retries == 0) continue;
     ++retried_ops;
     // Backoff sleeps are real seconds the op's client waited: they land in
-    // the cell's measured share, never in its modeled seconds.
+    // the cell's measured share, never in its modeled seconds, and in the
+    // dispatch stage beside the modeled round trip.
     const core::CellResult& cell = result.cell;
     EXPECT_GE(cell.total_s - cell.modeled_s, 0.0025 * result.retries)
         << "op " << i << " retries=" << result.retries
         << " total=" << cell.total_s << " modeled=" << cell.modeled_s;
+    EXPECT_GE(result.stages[obs::RequestStage::kDispatch],
+              0.0025 * result.retries);
   }
   // Deterministic draws (seed 21, same as the recovery test above).
   EXPECT_GT(retried_ops, 0);
@@ -1591,6 +1608,13 @@ TEST(ServingStackTest, FollowerFallbackKeepsTheOriginalDeadline) {
   EXPECT_FALSE(follower_result.cell.status.ok());
   EXPECT_FALSE(follower_result.cache_hit);
   EXPECT_EQ(follower_result.retries, 0);
+  ExpectBranch(leader_result, /*shed=*/false, /*cache_hit=*/false,
+               /*coalesced=*/false);
+  ExpectBranch(follower_result, /*shed=*/false, /*cache_hit=*/false,
+               /*coalesced=*/false);
+  // The fallback keeps the ~0.8s it waited on the flight as queueing.
+  EXPECT_GE(follower_result.stages[obs::RequestStage::kFlight], 0.5);
+  EXPECT_EQ(leader_result.stages[obs::RequestStage::kFlight], 0.0);
 
   const obs::MetricsWindow counters =
       CountersNow((*stack)->metric_instances());

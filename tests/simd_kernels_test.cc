@@ -184,23 +184,6 @@ TEST_P(BackendTest, GemmMatchesReferenceAcrossRaggedShapes) {
   }
 }
 
-TEST_P(BackendTest, GemmTransposeAMatchesReferenceAcrossRaggedShapes) {
-  ThreadPool pool(3);
-  for (const Shape& s : kShapes) {
-    const Matrix a = RandomMatrix(s.k, s.m, 1200 + s.m);
-    const Matrix b = RandomMatrix(s.k, s.n, 1300 + s.n);
-    Matrix c(s.m, s.n);
-    ASSERT_TRUE(
-        GemmTransposeA(MatrixView(a), MatrixView(b), &c, &pool).ok());
-    Matrix at(s.m, s.k);
-    for (int64_t i = 0; i < s.k; ++i) {
-      for (int64_t j = 0; j < s.m; ++j) at(j, i) = a(i, j);
-    }
-    const Matrix want = GemmRef(MatrixView(at), MatrixView(b));
-    EXPECT_LT(MaxAbsDiff(c, want), 1e-9);
-  }
-}
-
 TEST_P(BackendTest, SyrkMatchesReferenceAcrossRaggedShapes) {
   ThreadPool pool(3);
   for (const Shape& s : kShapes) {
@@ -248,19 +231,6 @@ TEST_P(BackendTest, Blas3EntriesShareThePackedPath) {
         SyrkCentered(MatrixView(a), zeros.data(), &centered, &pool).ok());
     EXPECT_TRUE(SameBits(syrk, centered))
         << "Syrk vs SyrkCentered, rows=" << s.rows << " cols=" << s.cols;
-
-    const Matrix b = RandomMatrix(s.rows, 23, 2400 + s.rows);
-    Matrix at(s.cols, s.rows);
-    for (int64_t i = 0; i < s.rows; ++i) {
-      for (int64_t j = 0; j < s.cols; ++j) at(j, i) = a(i, j);
-    }
-    Matrix transposed(s.cols, 23);
-    Matrix plain(s.cols, 23);
-    ASSERT_TRUE(
-        GemmTransposeA(MatrixView(a), MatrixView(b), &transposed, &pool).ok());
-    ASSERT_TRUE(Gemm(MatrixView(at), MatrixView(b), &plain, &pool).ok());
-    EXPECT_TRUE(SameBits(transposed, plain))
-        << "GemmTransposeA vs Gemm, rows=" << s.rows << " cols=" << s.cols;
   }
 }
 

@@ -24,38 +24,26 @@
 #include <string>
 #include <thread>
 
-#include "common/check.h"
 #include "common/exec_context.h"
-#include "core/generator.h"
 #include "engine/engines.h"
 #include "obs/metrics.h"
 #include "serving/faults.h"
 #include "serving/serving_stack.h"
 #include "tests/stress/stress_util.h"
+#include "tests/tiny_data.h"
 
 namespace genbase::serving {
 namespace {
 
 using stress::Hammer;
 using stress::NextRand;
-
-constexpr double kTinyScale = 0.008;  // 40 genes x 40 patients for kSmall.
-
-const core::GenBaseData& TinyData() {
-  static const core::GenBaseData* data = [] {
-    auto r = core::GenerateDataset(core::DatasetSize::kSmall, kTinyScale);
-    GENBASE_CHECK(r.ok());
-    return new core::GenBaseData(std::move(r).ValueOrDie());
-  }();
-  return *data;
-}
+using testutil::TinyData;
+using testutil::TinyParams;
 
 core::DriverOptions TinyOptions(int variant = 0) {
   core::DriverOptions options;
   options.timeout_seconds = 30.0;
-  options.params.svd_rank = 6;
-  options.params.bicluster_count = 2;
-  options.params.sample_fraction = 0.1;
+  options.params = TinyParams();
   // Distinct cache keys per variant without changing the workload class.
   options.params.function_threshold += variant;
   return options;

@@ -18,7 +18,6 @@
 #include "common/exec_context.h"
 #include "common/rng.h"
 #include "core/datasets.h"
-#include "core/generator.h"
 #include "core/queries.h"
 #include "engine/engine_util.h"
 #include "obs/metrics.h"
@@ -26,33 +25,18 @@
 #include "plan/plan_stats.h"
 #include "tests/bitwise_result.h"
 #include "tests/stress/stress_util.h"
+#include "tests/tiny_data.h"
 
 namespace genbase {
 namespace {
+
+using testutil::TinyData;
+using testutil::TinyParams;
 
 using core::DatasetSize;
 using core::GenBaseData;
 using core::QueryId;
 using core::QueryParams;
-
-constexpr double kTinyScale = 0.008;
-
-const GenBaseData& TinyData() {
-  static const GenBaseData* data = [] {
-    auto r = core::GenerateDataset(DatasetSize::kSmall, kTinyScale);
-    GENBASE_CHECK(r.ok());
-    return new GenBaseData(std::move(r).ValueOrDie());
-  }();
-  return *data;
-}
-
-QueryParams TinyParams() {
-  QueryParams p;
-  p.svd_rank = 6;
-  p.bicluster_count = 2;
-  p.sample_fraction = 0.1;
-  return p;
-}
 
 /// The legacy column-store answer for `q` under `params` on its own
 /// columnar copy of the tiny dataset.

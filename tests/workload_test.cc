@@ -10,9 +10,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "common/json.h"
-#include "core/generator.h"
 #include "engine/engines.h"
 #include "obs/trace.h"
 #include "plan/plan_engine.h"
@@ -22,28 +20,13 @@
 #include "workload/report.h"
 #include "workload/runner.h"
 #include "workload/workload_spec.h"
+#include "tiny_data.h"  // Same directory.
 
 namespace genbase::workload {
 namespace {
 
-constexpr double kTinyScale = 0.008;  // 40 genes x 40 patients for small.
-
-const core::GenBaseData& TinyData() {
-  static const core::GenBaseData* data = [] {
-    auto r = core::GenerateDataset(core::DatasetSize::kSmall, kTinyScale);
-    GENBASE_CHECK(r.ok());
-    return new core::GenBaseData(std::move(r).ValueOrDie());
-  }();
-  return *data;
-}
-
-core::QueryParams TinyParams() {
-  core::QueryParams p;
-  p.svd_rank = 6;
-  p.bicluster_count = 2;
-  p.sample_fraction = 0.1;
-  return p;
-}
+using testutil::TinyData;
+using testutil::TinyParams;
 
 // --- latency histogram ------------------------------------------------------
 
@@ -787,9 +770,10 @@ TEST(WorkloadReportTest, CounterBlocksCoverOnlyTheMeasuredPhase) {
   report->Print();
   std::fflush(stdout);
   const std::string text = testing::internal::GetCapturedStdout();
-  for (const char* line : {"  serving: ", "  single-flight: ",
-                           "  fault tolerance: ", "    shard 0: ",
-                           "    shard 1: ", "  plan: "}) {
+  for (const char* line :
+       {"  serving cache: ", "  serving admission: ",
+        "  serving single_flight: ", "  serving retry: ", "  serving faults: ",
+        "    shard 0: ", "    shard 1: ", "  plan: "}) {
     EXPECT_NE(text.find(std::string("\n") + line), std::string::npos)
         << line << "\n" << text;
   }
