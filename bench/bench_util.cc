@@ -8,6 +8,7 @@
 #include <ctime>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/sanitizers.h"
@@ -374,17 +375,39 @@ ObsDumpPaths ExtractObsPaths(int* argc, char** argv) {
   return paths;
 }
 
+/// Trace-id gate: every `request` root has a trace id of its own, so a
+/// reader that joins a span to its parent by (trace id, span id) finds the
+/// right one. Runs of one schedule share ids unless their specs set
+/// distinct trace scopes. Prints the gate line; false on a repeat.
+bool TraceIdsUnique(const std::vector<obs::Span>& spans) {
+  std::map<uint64_t, int> roots;
+  for (const obs::Span& span : spans) {
+    if (span.parent_id == 0 && std::strcmp(span.name, "request") == 0) {
+      ++roots[span.trace_id];
+    }
+  }
+  int64_t repeated = 0;
+  for (const auto& [id, count] : roots) repeated += count > 1 ? 1 : 0;
+  std::printf("# trace-id gate %s: %zu trace ids carry a request root, "
+              "%lld carry more than one\n",
+              repeated == 0 ? "PASS" : "FAIL", roots.size(),
+              static_cast<long long>(repeated));
+  return repeated == 0;
+}
+
 /// Drains the global tracer once into the trace path (Chrome trace JSON,
 /// stamped) plus the slow-query log next to it (.slow.jsonl), folds the same
 /// spans into the profile path's flame-graph stacks, and snapshots the
 /// global metrics registry into the metrics path (wrapped with the stamp).
-/// Empty paths skip; short writes are errors.
-genbase::Status WriteObsDumps(const ObsDumpPaths& paths) {
+/// Empty paths skip; short writes are errors. Sets `*ids_unique` to the
+/// trace-id gate's verdict on the drained spans.
+genbase::Status WriteObsDumps(const ObsDumpPaths& paths, bool* ids_unique) {
   obs::Tracer& tracer = obs::Tracer::Global();
   if (!paths.trace_path.empty() || !paths.profile_path.empty()) {
     // One drain feeds both artifacts: TakeCollected empties the collector,
     // so trace and profile must come from the same snapshot.
     const std::vector<obs::Span> spans = tracer.TakeCollected();
+    *ids_unique = TraceIdsUnique(spans);
     if (!paths.trace_path.empty()) {
       if (!obs::WriteTextFile(paths.trace_path,
                               obs::ChromeTraceJson(spans, StampJson()))) {
@@ -540,12 +563,14 @@ int RunWorkloadFigure(int argc, char** argv, const char* banner,
     std::printf("# %d cell(s) failed to run\n", FailedCells());
     failures += FailedCells();
   }
-  genbase::Status written = WriteObsDumps(obs_paths);
+  bool ids_unique = true;
+  genbase::Status written = WriteObsDumps(obs_paths, &ids_unique);
   if (written.ok()) written = WriteJsonReports(json_path, figure);
   if (!written.ok()) {
     std::fprintf(stderr, "%s\n", written.ToString().c_str());
     return 1;
   }
+  if (!ids_unique) ++failures;
   return failures == 0 ? 0 : 1;
 }
 

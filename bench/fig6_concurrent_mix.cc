@@ -23,8 +23,10 @@ namespace {
 
 constexpr int kClientCounts[] = {4, 8};
 
-workload::WorkloadSpec MixSpec(int clients) {
+/// All cells run one schedule; `cell` gives each its own trace ids.
+workload::WorkloadSpec MixSpec(int clients, const std::string& cell) {
   workload::WorkloadSpec spec = ServingMixSpec("mixed-q1q5", 42);
+  spec.trace_scope = cell;
   spec.clients = clients;
   spec.warmup_ops = 2 * clients;
   spec.measured_ops = 60;
@@ -40,9 +42,9 @@ void RegisterRuns() {
     for (int clients : kClientCounts) {
       const std::string name = std::string("fig6/") + spec.key + "/clients:" +
                                std::to_string(clients);
-      RegisterCell(name, [spec, clients]() -> genbase::Status {
+      RegisterCell(name, [spec, clients, name]() -> genbase::Status {
         auto engine = spec.factory();
-        workload::WorkloadRunner runner(MixSpec(clients));
+        workload::WorkloadRunner runner(MixSpec(clients, name));
         runner.set_truths(&SmallDataTruths());
         GENBASE_ASSIGN_OR_RETURN(
             Reports()[RunKey(spec.key, clients)],

@@ -37,8 +37,11 @@ constexpr int kShardCounts[] = {1, 2, 4};
 constexpr int kVariantCounts[] = {1, 4, 16};
 constexpr double kLoadMultipliers[] = {0.6, 2.0, 4.0};
 
-workload::WorkloadSpec BaseSpec(int param_variants) {
+/// All cells run one schedule; `cell` gives each its own trace ids.
+workload::WorkloadSpec BaseSpec(int param_variants,
+                                const std::string& cell) {
   workload::WorkloadSpec spec = ServingMixSpec("serving-mix", 42);
+  spec.trace_scope = cell;
   spec.clients = 8;
   spec.warmup_ops = 5;
   spec.measured_ops = 40;
@@ -61,13 +64,14 @@ void RegisterCacheShardSweep() {
         const std::string name = std::string("fig7a/") + engine.key +
                                  "/variants:" + std::to_string(variants) +
                                  "/shards:" + std::to_string(shards);
-        RegisterCell(name, [engine, variants, shards]() -> genbase::Status {
+        RegisterCell(name, [engine, variants, shards,
+                            name]() -> genbase::Status {
           serving::ServingOptions options;
           options.shards = shards;
           options.cache_enabled = true;
           GENBASE_ASSIGN_OR_RETURN(
               Reports()[RunKey(engine.key, shards, variants, 0)],
-              RunStack(engine, BaseSpec(variants), options));
+              RunStack(engine, BaseSpec(variants, name), options));
           return genbase::Status::OK();
         });
       }
@@ -80,7 +84,7 @@ void RegisterOverloadSweep() {
     for (double mult : kLoadMultipliers) {
       const std::string name = std::string("fig7b/") + engine.key +
                                "/load:" + std::to_string(mult);
-      RegisterCell(name, [engine, mult]() -> genbase::Status {
+      RegisterCell(name, [engine, mult, name]() -> genbase::Status {
         // Capacity reference: the closed-loop 2-shard/4-variant cell from
         // sweep (a), which benchmark ordering guarantees already ran.
         // Offered load is a multiple of what this engine can actually serve,
@@ -88,7 +92,7 @@ void RegisterOverloadSweep() {
         const Capacity capacity = MeasuredCapacity(
             RunKey(engine.key, 2, 4, 0), std::string("fig7b/") + engine.key);
 
-        workload::WorkloadSpec spec = BaseSpec(4);
+        workload::WorkloadSpec spec = BaseSpec(4, name);
         spec.model = workload::ClientModel::kOpenLoopPoisson;
         spec.arrival_rate_qps = capacity.goodput_qps * mult;
         spec.clients = 12;
@@ -214,13 +218,15 @@ int64_t OverheadGate(const char* gate, const char* what, double limit,
   serving::ServingOptions options;
   options.shards = 2;
   options.cache_enabled = true;
-  workload::WorkloadSpec spec = BaseSpec(1);  // 1 variant: hit-heavy.
+  workload::WorkloadSpec spec = BaseSpec(1, gate);  // 1 variant: hit-heavy.
   spec.warmup_ops = 10;
   spec.measured_ops = 2400;
   spec.verify = false;  // The gate measures the serving path, not verify.
 
-  const auto cell_qps = [&](bool on) {
+  const auto cell_qps = [&](int pair, bool on) {
     set_on(on);
+    spec.trace_scope = std::string(gate) + "/" + std::to_string(pair) +
+                       (on ? "/on" : "/off");
     const auto report = RunStack(engine, spec, options);
     return report.ok() ? report->achieved_qps() : -1.0;
   };
@@ -228,8 +234,8 @@ int64_t OverheadGate(const char* gate, const char* what, double limit,
   double best_off = 0.0;
   double best_on = 0.0;
   for (int pair = 0; pair < 3; ++pair) {
-    const double qps_off = cell_qps(false);
-    const double qps_on = cell_qps(true);
+    const double qps_off = cell_qps(pair, false);
+    const double qps_on = cell_qps(pair, true);
     if (qps_off < 0 || qps_on < 0) {
       std::printf("# %s FAIL: gate cell did not run\n", gate);
       return 1;

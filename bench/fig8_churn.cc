@@ -43,8 +43,11 @@ namespace {
 
 constexpr double kStampedeLoadMultiplier = 4.0;
 
-workload::WorkloadSpec BaseSpec(int param_variants) {
+/// All cells run one schedule; `cell` gives each its own trace ids.
+workload::WorkloadSpec BaseSpec(int param_variants,
+                                const std::string& cell) {
   workload::WorkloadSpec spec = ServingMixSpec("churn-mix", 43);
+  spec.trace_scope = cell;
   spec.clients = 8;
   spec.warmup_ops = 10;
   spec.measured_ops = 48;
@@ -61,7 +64,7 @@ std::string RunKey(const char* engine, const char* scenario) {
 void RegisterChurnSweep() {
   for (const auto& engine : ServingEngines()) {
     const std::string name = std::string("fig8a/") + engine.key + "/churn";
-    RegisterCell(name, [engine]() -> genbase::Status {
+    RegisterCell(name, [engine, name]() -> genbase::Status {
       const core::GenBaseData& data = CachedData(core::DatasetSize::kSmall);
       serving::ServingOptions options;
       options.shards = 2;
@@ -83,7 +86,7 @@ void RegisterChurnSweep() {
       std::atomic<bool> stop{false};
       std::thread churn;
 
-      workload::WorkloadRunner runner(BaseSpec(2));
+      workload::WorkloadRunner runner(BaseSpec(2, name));
       runner.set_truths(&SmallDataTruths());
       runner.set_on_measure_start([&churn, &stop, s, &data] {
         GENBASE_CHECK(s->ReloadDataset(data).ok());
@@ -111,7 +114,7 @@ void RegisterStampedeSweep() {
     for (bool coalesce : {false, true}) {
       const std::string name = std::string("fig8b/") + engine.key +
                                "/single_flight:" + (coalesce ? "on" : "off");
-      RegisterCell(name, [engine, coalesce]() -> genbase::Status {
+      RegisterCell(name, [engine, coalesce, name]() -> genbase::Status {
         // Capacity reference: the churn cell's closed-loop goodput
         // (benchmark ordering guarantees fig8a already ran). Offered load is
         // a multiple of what this engine actually serves, so 4x means the
@@ -121,7 +124,7 @@ void RegisterStampedeSweep() {
 
         // Cold cache + one parameter variant: the whole fleet wants the same
         // five keys at once. No warm-up — the stampede IS the measurement.
-        workload::WorkloadSpec spec = BaseSpec(1);
+        workload::WorkloadSpec spec = BaseSpec(1, name);
         spec.model = workload::ClientModel::kOpenLoopPoisson;
         spec.arrival_rate_qps = capacity.goodput_qps * kStampedeLoadMultiplier;
         spec.clients = 12;

@@ -11,7 +11,7 @@
 //       lost-capacity band of the no-fault baseline.
 //   (b) recovery: a three-phase script (pre-fault / crash / recover) runs
 //       one measured workload per phase. Post-restore goodput must be
-//       >= 90% of pre-fault.
+//       >= 40% of pre-fault, and the recovered shard must serve again.
 //   (c) transient errors: every execute attempt fails w.p. 0.2; with 6
 //       attempts per op the run must complete with zero op-level failures
 //       while the retry counters show the recovery work.
@@ -51,6 +51,17 @@ workload::WorkloadSpec BaseSpec(const char* name) {
   spec.clients = 8;
   spec.warmup_ops = 10;
   spec.measured_ops = 48;
+  return spec;
+}
+
+/// The cells whose goodput ratios the throughput bands gate (baseline and
+/// crash_failover; the recovery phases): enough measured ops that one
+/// scheduler stall cannot move a ratio across its limit. Not more: with
+/// every request traced (~8 spans each) the tracer drains once per run, so
+/// one client thread that serves a whole run must fit its 2048-span ring.
+workload::WorkloadSpec BandSpec(const char* name) {
+  workload::WorkloadSpec spec = BaseSpec(name);
+  spec.measured_ops = 192;
   return spec;
 }
 
@@ -151,14 +162,14 @@ genbase::Status RunCell(const char* key, const workload::WorkloadSpec& spec,
 
 void RegisterCells() {
   RegisterCell("fig9/baseline", [] {
-    return RunCell("baseline", BaseSpec("faults-baseline"),
+    return RunCell("baseline", BandSpec("faults-baseline"),
                    FaultOptions(nullptr, /*cache_enabled=*/false));
   });
 
   RegisterCell("fig9/crash_failover", []() -> genbase::Status {
     auto injector = MakeInjector("seed 901\n@0 crash 1\n");
     GENBASE_RETURN_NOT_OK(
-        RunCell("crash_failover", BaseSpec("faults-crash"),
+        RunCell("crash_failover", BandSpec("faults-crash"),
                 FaultOptions(injector.get(), /*cache_enabled=*/false)));
     Gates().crash_injected = injector->injected(serving::FaultKind::kCrash);
     return genbase::Status::OK();
@@ -184,7 +195,7 @@ void RegisterCells() {
     const char* specs[] = {"faults-recovery-pre", "faults-recovery-fault",
                            "faults-recovery-healed"};
     for (int phase = 0; phase < 3; ++phase) {
-      workload::WorkloadRunner runner(BaseSpec(specs[phase]));
+      workload::WorkloadRunner runner(BandSpec(specs[phase]));
       runner.set_truths(&SmallDataTruths());
       GENBASE_ASSIGN_OR_RETURN(Reports()[phases[phase]],
                                runner.Run(stack.get(), data));
@@ -273,6 +284,7 @@ void RegisterCells() {
     for (int run = 0; run < 2; ++run) {
       auto injector = MakeInjector(kScript);
       workload::WorkloadSpec spec = BaseSpec("faults-determinism");
+      spec.trace_scope = run == 0 ? "a" : "b";  // One schedule, two traces.
       spec.clients = 1;
       spec.warmup_ops = 0;
       spec.measured_ops = 32;
@@ -362,31 +374,50 @@ int64_t PrintFigure() {
     std::printf("# GATE: crash_failover injected no crash\n");
     ++gate_misses;
   }
-  // Throughput bands (modeled-clock goodput, stable at smoke scale; still
-  // skipped under sanitizers, which distort the real-seconds share).
+  // Throughput bands on modeled-clock goodput, skipped under sanitizers,
+  // which distort the real-seconds share.
   if (!SkipOverheadGates()) {
-    if (baseline != nullptr && crash != nullptr &&
-        crash->achieved_qps() < 0.5 * baseline->achieved_qps()) {
-      std::printf(
-          "# GATE: crash_failover goodput %.2f < 0.5x baseline %.2f — "
-          "losing 1 of 4 replicas must not cost more than the capacity\n",
-          crash->achieved_qps(), baseline->achieved_qps());
-      ++gate_misses;
+    // Crash band, at ctest's flags over 200 runs alone and 200 inside a
+    // full `ctest -j4`: at 48 measured ops per cell (~10 ms of wall) the
+    // ratio read 0.80-1.83 alone and 0.33-3.84 in ctest (quartiles
+    // 1.00-1.79), under 0.5 in 3 of 200; at BandSpec's 192 it reads
+    // 0.82-3.25 alone (quartiles 1.03-1.12) and 0.72-1.66 in ctest
+    // (quartiles 0.93-1.16), never under 0.5.
+    if (baseline != nullptr && crash != nullptr) {
+      std::printf("# crash_failover band: goodput %.2f / baseline %.2f = "
+                  "%.3f (limit 0.5)\n",
+                  crash->achieved_qps(), baseline->achieved_qps(),
+                  crash->achieved_qps() / baseline->achieved_qps());
+      if (crash->achieved_qps() < 0.5 * baseline->achieved_qps()) {
+        std::printf(
+            "# GATE: crash_failover goodput %.2f < 0.5x baseline %.2f — "
+            "losing 1 of 4 replicas must not cost more than the "
+            "capacity\n",
+            crash->achieved_qps(), baseline->achieved_qps());
+        ++gate_misses;
+      }
     }
-    // Collapse band only: at smoke scale each phase's measured window is
-    // ~10ms of real wall, so one scheduler stall moves the ratio ~20% and
-    // a tight band flakes under parallel ctest; at full scale a handful of
-    // ~0.7s SVD ops dominate the window and completion-order luck moves
-    // the ratio almost as much. A recovery that silently failed is caught
-    // structurally below (the recovered shard must carry traffic again);
-    // this band catches only a wedged stack, so it is deliberately wide —
-    // even a still-missing shard would cost ~25%, well inside it.
-    if (pre != nullptr && healed != nullptr &&
-        healed->achieved_qps() < 0.4 * pre->achieved_qps()) {
-      std::printf(
-          "# GATE: post-recovery goodput %.2f < 40%% of pre-fault %.2f\n",
-          healed->achieved_qps(), pre->achieved_qps());
-      ++gate_misses;
+    // Collapse band only: at smoke scale one scheduler stall moves the
+    // ratio by tens of percent, and at full scale a handful of ~0.7s SVD
+    // ops dominate the window and completion-order luck moves it almost as
+    // much. At 48 ops per phase (the crash cells at 480) it fell under 0.4
+    // in 2 of 37 `ctest -j4` runs; at BandSpec's 192 it reads 0.82-1.83
+    // alone (quartiles 0.98-1.06) and 0.65-1.99 in `ctest -j4` (quartiles
+    // 0.88-1.14) over 200 runs each. A recovery that silently failed is
+    // caught structurally below (the recovered shard must carry traffic
+    // again); this band catches only a wedged stack, so it is deliberately
+    // wide — even a still-missing shard would cost ~25%, well inside it.
+    if (pre != nullptr && healed != nullptr) {
+      std::printf("# post-recovery band: goodput %.2f / pre-fault %.2f = "
+                  "%.3f (limit 0.4)\n",
+                  healed->achieved_qps(), pre->achieved_qps(),
+                  healed->achieved_qps() / pre->achieved_qps());
+      if (healed->achieved_qps() < 0.4 * pre->achieved_qps()) {
+        std::printf(
+            "# GATE: post-recovery goodput %.2f < 40%% of pre-fault %.2f\n",
+            healed->achieved_qps(), pre->achieved_qps());
+        ++gate_misses;
+      }
     }
   }
   // Recovery is structural, not just a throughput band: after `recover`,

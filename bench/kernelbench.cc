@@ -55,7 +55,9 @@
 #include "engine/engine_util.h"
 #include "linalg/blas.h"
 #include "linalg/covariance.h"
+#include "linalg/lanczos.h"
 #include "linalg/matrix.h"
+#include "linalg/svd.h"
 #include "obs/perf_counters.h"
 #include "plan/plan_builder.h"
 #include "plan/plan_engine.h"
@@ -496,6 +498,34 @@ void RegisterPlanBenches() {
       }
     });
   }
+
+  // The path Q4's Lanczos record replaced, and the one an execute still
+  // takes when its rank stops past the record: a copy of the compile-time
+  // rank-1 prefix continued to PlanParams' rank with Gram steps (where a
+  // fused Gram apply would pay).
+  reg("lanczos/continue", [](benchmark::State& state) {
+    ScopedBackend sb(kSimd);
+    PlanBench& b = PlanBench::Get();
+    genbase::ExecContext ctx;  // No tracker and no pool, as a plan execute.
+    auto inputs = genbase::engine::PrepareInputsColumnar(
+        *b.tables, genbase::core::QueryId::kSvd, PlanParams(), &ctx);
+    GENBASE_CHECK(inputs.ok());
+    const MatrixView x(inputs->x);
+    genbase::linalg::LanczosRecord record;
+    GENBASE_CHECK(genbase::core::SvdPrefix(
+                      x, genbase::linalg::KernelQuality::kTuned, &record, &ctx)
+                      .ok());
+    const genbase::linalg::LanczosState prefix = record.snapshot()->state;
+    genbase::linalg::SvdOptions opt;
+    opt.rank = PlanParams().svd_rank;
+    for (auto _ : state) {
+      genbase::linalg::LanczosState continued = prefix;
+      auto r = genbase::linalg::TruncatedSingularValues(x, opt, &continued,
+                                                        &ctx);
+      GENBASE_CHECK(r.ok() && r->lanczos_iterations > prefix.iterations());
+      benchmark::DoNotOptimize(r);
+    }
+  });
 
   reg("serve/hit", [](benchmark::State& state) {
     static auto* b = new ServeBench(genbase::core::QueryId::kRegression,

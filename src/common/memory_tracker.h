@@ -108,6 +108,36 @@ class ScopedReservation {
   int64_t bytes_;
 };
 
+/// \brief A reservation that grows in steps, from any thread, and releases
+/// everything on destruction: for state that is charged when it is built
+/// and again each time it grows.
+class GrowingReservation {
+ public:
+  /// A null tracker charges nothing but still counts bytes().
+  explicit GrowingReservation(MemoryTracker* tracker) : tracker_(tracker) {}
+  GrowingReservation(const GrowingReservation&) = delete;
+  GrowingReservation& operator=(const GrowingReservation&) = delete;
+  ~GrowingReservation() {
+    if (tracker_ != nullptr) tracker_->Release(bytes());
+  }
+
+  /// Reserves `bytes` more; on failure nothing is reserved.
+  Status Grow(int64_t bytes) {
+    if (tracker_ != nullptr) {
+      Status st = tracker_->Reserve(bytes);
+      if (!st.ok()) return st;
+    }
+    bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    return Status::OK();
+  }
+
+  int64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
+
+ private:
+  MemoryTracker* tracker_;
+  std::atomic<int64_t> bytes_{0};
+};
+
 }  // namespace genbase
 
 #endif  // GENBASE_COMMON_MEMORY_TRACKER_H_

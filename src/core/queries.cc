@@ -308,7 +308,7 @@ genbase::Result<bicluster::ChengChurchState> BiclusterPrefix(
 
 genbase::Result<SvdSummary> SvdAnalytics(
     const linalg::MatrixView& x, int rank, linalg::KernelQuality quality,
-    ExecContext* ctx, const linalg::LanczosState* prefix) {
+    ExecContext* ctx, linalg::LanczosRecord* record) {
   SvdSummary s;
   s.rows = x.rows;
   s.cols = x.cols;
@@ -316,33 +316,22 @@ genbase::Result<SvdSummary> SvdAnalytics(
   linalg::SvdOptions opt;
   opt.rank = s.rank;
   opt.quality = quality;
-  linalg::LanczosState state;
-  // Rank 0 stops at the first step, before the rank-1 run does.
-  if (prefix != nullptr && s.rank >= 1) state = *prefix;
-  GENBASE_ASSIGN_OR_RETURN(linalg::SvdResult svd,
-                           linalg::TruncatedSingularValues(x, opt, &state,
-                                                           ctx));
+  linalg::LanczosState fresh;
+  GENBASE_ASSIGN_OR_RETURN(
+      linalg::SvdResult svd,
+      record != nullptr
+          ? linalg::TruncatedSingularValues(x, opt, record, ctx)
+          : linalg::TruncatedSingularValues(x, opt, &fresh, ctx));
   s.iterations = svd.lanczos_iterations;
   s.singular_values = std::move(svd.singular_values);
   return s;
 }
 
-genbase::Result<linalg::LanczosState> SvdPrefix(const linalg::MatrixView& x,
-                                                linalg::KernelQuality quality,
-                                                ExecContext* ctx) {
-  linalg::LanczosState state;
-  if (x.rows == 0 || x.cols == 0) return state;
-  linalg::SvdOptions opt;
-  opt.rank = 1;
-  opt.quality = quality;
-  GENBASE_RETURN_NOT_OK(
-      linalg::TruncatedSingularValues(x, opt, &state, ctx).status());
-  // The run reserved its basis for its iteration cap.
-  for (auto* v : {&state.basis, &state.alpha, &state.beta, &state.theta,
-                 &state.last_row}) {
-    v->shrink_to_fit();
-  }
-  return state;
+genbase::Status SvdPrefix(const linalg::MatrixView& x,
+                          linalg::KernelQuality quality,
+                          linalg::LanczosRecord* record, ExecContext* ctx) {
+  if (x.rows == 0 || x.cols == 0) return genbase::Status::OK();
+  return SvdAnalytics(x, /*rank=*/1, quality, ctx, record).status();
 }
 
 genbase::Result<StatsSummary> StatsAnalytics(

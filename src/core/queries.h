@@ -197,20 +197,20 @@ genbase::Result<bicluster::ChengChurchState> BiclusterPrefix(
     const linalg::MatrixView& x, ExecContext* ctx);
 
 /// Q4 analytics: the top min(rank, cols) singular values of x (no U, no
-/// V), by Lanczos on x's Gram operator. With `prefix` (SvdPrefix of the same
-/// x and quality), the run continues a copy of that stopped state instead
-/// of starting over, with the same answer and iteration count, bit for bit.
+/// V), by Lanczos on x's Gram operator. With `record` (a LanczosRecord of
+/// the same x and quality, such as SvdPrefix seeds), the answer is read
+/// from the record, which grows when the rank's stop lies past it; answer
+/// and iteration count are the same, bit for bit.
 genbase::Result<SvdSummary> SvdAnalytics(
     const linalg::MatrixView& x, int rank, linalg::KernelQuality quality,
-    ExecContext* ctx, const linalg::LanczosState* prefix = nullptr);
+    ExecContext* ctx, linalg::LanczosRecord* record = nullptr);
 
-/// The rank-1 run of SvdAnalytics on x, stopped, holding only what it
-/// wrote (an empty state for an empty x). It is a bitwise prefix of every
-/// rank's run: only the stopping rule reads the rank, and no rank >= 1
-/// stops before rank 1 does.
-genbase::Result<linalg::LanczosState> SvdPrefix(const linalg::MatrixView& x,
-                                                linalg::KernelQuality quality,
-                                                ExecContext* ctx);
+/// Seeds `record` with the rank-1 run of SvdAnalytics on x (nothing for an
+/// empty x): the prefix every rank's run shares, since only the stopping
+/// rule reads the rank and no rank >= 1 stops before rank 1 does.
+genbase::Status SvdPrefix(const linalg::MatrixView& x,
+                          linalg::KernelQuality quality,
+                          linalg::LanczosRecord* record, ExecContext* ctx);
 
 /// Q5 analytics: Wilcoxon rank-sum per GO term over per-gene scores.
 /// memberships[t] lists gene indices (0..genes-1) belonging to term t.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/rng.h"
 #include "linalg/blas.h"
@@ -52,64 +53,63 @@ genbase::Status Step(const LinearOperator& op, uint64_t seed, LanczosState* s,
   return genbase::Status::OK();
 }
 
-}  // namespace
+/// The stopping rule, one body for LanczosLargestEigenpairs and
+/// LanczosRecord: a run for the top k pairs tests T_m at m >= k, or at any
+/// m > 0 once the residual vanishes, and stops at a tested m when the top k
+/// pairs converged, the residual vanished or m reached the iteration cap.
+class StopRule {
+ public:
+  StopRule(int64_t n, int k)
+      : k_(k), max_iter_(static_cast<int>(std::min<int64_t>(n, 2 * k + 120))) {}
 
-int64_t LanczosState::bytes() const {
-  return static_cast<int64_t>((basis.capacity() + alpha.capacity() +
-                               beta.capacity() + w.capacity() +
-                               theta.capacity() + last_row.capacity()) *
-                              sizeof(double));
+  int max_iter() const { return max_iter_; }
+  /// Whether the run tests T_m at m; `w_norm` is the residual after step m.
+  bool Tests(int m, double w_norm) const {
+    return m > 0 && (m >= k_ || w_norm <= kBreakdown);
+  }
+  /// Whether the top k pairs converged at m, given ConvergedPairs there.
+  bool Converged(int m, int pairs) const { return m >= k_ && pairs >= k_; }
+  /// Whether a run that tests T_m stops at m.
+  bool Stops(int m, int pairs, double w_norm) const {
+    return Converged(m, pairs) || w_norm <= kBreakdown || m >= max_iter_;
+  }
+
+ private:
+  int k_;
+  int max_iter_;
+};
+
+/// T_m of the first m steps of `s`, solved for its Ritz values (ascending,
+/// into `theta`) and its eigenvectors' last row; `e` is scratch.
+genbase::Status SolveLastRow(const LanczosState& s, int m,
+                             std::vector<double>* theta,
+                             std::vector<double>* last_row,
+                             std::vector<double>* e) {
+  theta->assign(s.alpha.begin(), s.alpha.begin() + m);
+  e->assign(s.beta.begin(), s.beta.begin() + (m - 1));
+  e->resize(static_cast<size_t>(m), 0.0);
+  return SymmetricTridiagonalEigenLastRow(theta, e, last_row);
 }
 
-genbase::Result<LanczosResult> LanczosLargestEigenpairs(
-    const LinearOperator& op, const LanczosOptions& options, ExecContext* ctx,
-    LanczosState* state) {
-  const int64_t n = op.n;
-  if (n <= 0) return Status::InvalidArgument("operator dimension must be > 0");
-  if (options.num_eigenpairs < 0) {
-    return Status::InvalidArgument("num_eigenpairs must be >= 0");
+/// How many of T_m's top Ritz pairs, from the largest down, meet the
+/// tolerance: pair i's residual bound is |beta_m * z(m-1, i)|.
+int ConvergedPairs(const std::vector<double>& theta,
+                   const std::vector<double>& last_row, double w_norm,
+                   double tolerance) {
+  const int m = static_cast<int>(theta.size());
+  int pairs = 0;
+  for (; pairs < m; ++pairs) {
+    const int col = m - 1 - pairs;  // Largest eigenvalues at the end.
+    const double resid = std::fabs(w_norm * last_row[col]);
+    const double scale = std::max(1e-30, std::fabs(theta[col]));
+    if (resid > tolerance * scale) break;
   }
-  LanczosState fresh;
-  LanczosState& s = state != nullptr ? *state : fresh;
-  if (s.iterations() > 0 && static_cast<int64_t>(s.w.size()) != n) {
-    return Status::InvalidArgument("Lanczos state is for another dimension");
-  }
-  const int k = static_cast<int>(std::min<int64_t>(options.num_eigenpairs, n));
-  const int max_iter = static_cast<int>(std::min<int64_t>(n, 2 * k + 120));
-  s.basis.reserve(static_cast<size_t>(max_iter * n));
+  return pairs;
+}
 
-  // A resumed state is tested before its next step, as the run that wrote
-  // it would have been tested at that m had it asked for this k.
-  std::vector<double> e;
-  const std::vector<double>& theta = s.theta;
-  const std::vector<double>& last_row = s.last_row;
-  bool converged = false;
-  for (;;) {
-    const int m = s.iterations();
-    if (m > 0 && (m >= k || s.w_norm <= kBreakdown)) {
-      // Convergence test on the projected (tridiagonal) problem T_m, solved
-      // unless the state's last test already solved this T_m.
-      if (static_cast<int>(s.theta.size()) != m) {
-        s.theta.assign(s.alpha.begin(), s.alpha.end());
-        e.assign(s.beta.begin(), s.beta.end());
-        e.resize(static_cast<size_t>(m), 0.0);
-        GENBASE_RETURN_NOT_OK(
-            SymmetricTridiagonalEigenLastRow(&s.theta, &e, &s.last_row));
-      }
-      // Residual bound for Ritz pair i: |beta_m * z(m-1, i)|.
-      converged = m >= k;
-      for (int i = 0; i < k && converged; ++i) {
-        const int col = m - 1 - i;  // Largest eigenvalues at the end.
-        const double resid = std::fabs(s.w_norm * last_row[col]);
-        const double scale = std::max(1e-30, std::fabs(theta[col]));
-        if (resid > options.tolerance * scale) converged = false;
-      }
-      if (converged || s.w_norm <= kBreakdown || m >= max_iter) break;
-    }
-    GENBASE_RETURN_NOT_OK(Step(op, options.seed, &s, ctx));
-  }
-
-  const int m = s.iterations();
+/// The answer of a run for k that stopped at m, from T_m's Ritz values.
+LanczosResult Answer(int k, int m, bool converged,
+                     const std::vector<double>& theta) {
   LanczosResult result;
   result.iterations = m;
   result.converged = converged;
@@ -118,6 +118,61 @@ genbase::Result<LanczosResult> LanczosLargestEigenpairs(
   for (int i = 0; i < found; ++i) {
     result.eigenvalues[i] = theta[m - 1 - i];  // Descending.
   }
+  return result;
+}
+
+/// The clamped k of `options` for an operator of dimension n, or the
+/// argument error LanczosLargestEigenpairs and LanczosRecord::Run share.
+genbase::Result<int> CheckedRank(int64_t n, const LanczosOptions& options) {
+  if (n <= 0) return Status::InvalidArgument("operator dimension must be > 0");
+  if (options.num_eigenpairs < 0) {
+    return Status::InvalidArgument("num_eigenpairs must be >= 0");
+  }
+  return static_cast<int>(std::min<int64_t>(options.num_eigenpairs, n));
+}
+
+}  // namespace
+
+int64_t LanczosState::bytes() const {
+  return static_cast<int64_t>((basis.capacity() + alpha.capacity() +
+                               beta.capacity() + w.capacity()) *
+                              sizeof(double));
+}
+
+genbase::Result<LanczosResult> LanczosLargestEigenpairs(
+    const LinearOperator& op, const LanczosOptions& options, ExecContext* ctx,
+    LanczosState* state) {
+  const int64_t n = op.n;
+  GENBASE_ASSIGN_OR_RETURN(const int k, CheckedRank(n, options));
+  LanczosState fresh;
+  LanczosState& s = state != nullptr ? *state : fresh;
+  if (s.iterations() > 0 && static_cast<int64_t>(s.w.size()) != n) {
+    return Status::InvalidArgument("Lanczos state is for another dimension");
+  }
+  const StopRule rule(n, k);
+  s.basis.reserve(static_cast<size_t>(rule.max_iter() * n));
+
+  // A resumed state is tested before its next step, as the run that wrote
+  // it would have been tested at that m had it asked for this k.
+  std::vector<double> theta;
+  std::vector<double> last_row;
+  std::vector<double> e;
+  bool converged = false;
+  for (;;) {
+    const int m = s.iterations();
+    if (rule.Tests(m, s.w_norm)) {
+      GENBASE_RETURN_NOT_OK(SolveLastRow(s, m, &theta, &last_row, &e));
+      const int pairs =
+          ConvergedPairs(theta, last_row, s.w_norm, options.tolerance);
+      converged = rule.Converged(m, pairs);
+      if (rule.Stops(m, pairs, s.w_norm)) break;
+    }
+    GENBASE_RETURN_NOT_OK(Step(op, options.seed, &s, ctx));
+  }
+
+  const int m = s.iterations();
+  LanczosResult result = Answer(k, m, converged, theta);
+  const int found = static_cast<int>(result.eigenvalues.size());
   if (options.compute_vectors) {
     // The Ritz vectors need every row of T_m's eigenvectors: solve it again
     // with the full z (the eigenvalues come out the same, bit for bit).
@@ -149,6 +204,86 @@ genbase::Result<LanczosResult> LanczosLargestEigenpairs(
     }
   }
   return result;
+}
+
+int64_t LanczosRecord::Snapshot::bytes() const {
+  return state.bytes() +
+         static_cast<int64_t>(converged_pairs.capacity() * sizeof(int));
+}
+
+std::shared_ptr<const LanczosRecord::Snapshot> LanczosRecord::snapshot()
+    const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return snapshot_;
+}
+
+genbase::Result<LanczosResult> LanczosRecord::Run(
+    const LinearOperator& op, const LanczosOptions& options,
+    ExecContext* ctx) {
+  const int64_t n = op.n;
+  GENBASE_ASSIGN_OR_RETURN(const int k, CheckedRank(n, options));
+  const std::shared_ptr<const Snapshot> current = snapshot();
+  const LanczosState& r = current->state;
+  const int recorded = r.iterations();
+  if (recorded > 0 && static_cast<int64_t>(r.w.size()) != n) {
+    return Status::InvalidArgument("Lanczos record is for another dimension");
+  }
+  const StopRule rule(n, k);
+  std::vector<double> theta;
+  std::vector<double> last_row;
+  std::vector<double> e;
+  // The residual after step m is beta_m: beta[m - 1] inside the record.
+  for (int m = 1; m <= recorded; ++m) {
+    const double w_norm = m < recorded ? r.beta[m - 1] : r.w_norm;
+    const int pairs = current->converged_pairs[m - 1];
+    if (rule.Tests(m, w_norm) && rule.Stops(m, pairs, w_norm)) {
+      GENBASE_RETURN_NOT_OK(SolveLastRow(r, m, &theta, &last_row, &e));
+      return Answer(k, m, rule.Converged(m, pairs), theta);
+    }
+  }
+
+  // The stop lies past the record: continue a copy of it, recording every
+  // new m's count whatever this k reads.
+  auto next = std::make_shared<Snapshot>();
+  LanczosState& s = next->state;
+  s.basis.reserve(static_cast<size_t>(rule.max_iter() * n));
+  s.basis.assign(r.basis.begin(), r.basis.end());
+  s.alpha = r.alpha;
+  s.beta = r.beta;
+  s.w = r.w;
+  s.w_norm = r.w_norm;
+  next->converged_pairs = current->converged_pairs;
+  for (;;) {
+    GENBASE_RETURN_NOT_OK(Step(op, options.seed, &s, ctx));
+    const int m = s.iterations();
+    GENBASE_RETURN_NOT_OK(SolveLastRow(s, m, &theta, &last_row, &e));
+    const int pairs =
+        ConvergedPairs(theta, last_row, s.w_norm, options.tolerance);
+    next->converged_pairs.push_back(pairs);
+    if (rule.Tests(m, s.w_norm) && rule.Stops(m, pairs, s.w_norm)) {
+      LanczosResult result = Answer(k, m, rule.Converged(m, pairs), theta);
+      Publish(std::move(next));
+      return result;
+    }
+  }
+}
+
+void LanczosRecord::Publish(std::shared_ptr<Snapshot> next) {
+  // The copy was sized for this run's iteration cap: keep what it wrote.
+  next->state.basis.shrink_to_fit();
+  next->state.alpha.shrink_to_fit();
+  next->state.beta.shrink_to_fit();
+  next->converged_pairs.shrink_to_fit();
+  std::shared_ptr<const Snapshot> replaced;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (next->state.iterations() <= snapshot_->state.iterations()) return;
+    if (account_ != nullptr &&
+        !account_->Grow(next->bytes() - snapshot_->bytes()).ok()) {
+      return;
+    }
+    replaced = std::exchange(snapshot_, std::move(next));
+  }
 }
 
 }  // namespace genbase::linalg

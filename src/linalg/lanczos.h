@@ -3,9 +3,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/exec_context.h"
+#include "common/memory_tracker.h"
 #include "common/status.h"
 #include "linalg/matrix.h"
 
@@ -40,12 +43,6 @@ struct LanczosState {
   std::vector<double> beta;   ///< Its m-1 off-diagonal entries.
   std::vector<double> w;      ///< The residual after step m (length n).
   double w_norm = 0.0;        ///< ||w||: the residual bound's beta_m.
-  /// The last convergence test's Ritz values of T_m (ascending) and last
-  /// eigenvector row. They describe the current T_m only while their
-  /// length equals iterations(); a continued run's first test at the same
-  /// m reads them instead of solving T_m again.
-  std::vector<double> theta;
-  std::vector<double> last_row;
 
   int iterations() const { return static_cast<int>(alpha.size()); }
   /// Heap bytes the state holds (vector capacities).
@@ -65,12 +62,62 @@ struct LanczosState {
 /// the tolerance, where the residual vanishes (||w|| <= 1e-300: an
 /// invariant subspace), or at m = min(n, 2k + 120). Only this test reads k.
 /// With `state`, the run starts from `*state` instead of the seeded vector
-/// (an empty state is a fresh start) and leaves its stopped state there; the
-/// state must come from a run of the same operator, seed and tolerance. On
-/// error, `*state` is unusable.
+/// (an empty state is a fresh start; a resumed one is tested at its own m
+/// first) and leaves its stopped state there; the state must come from a
+/// run of the same operator and seed. On error, `*state` is unusable.
 genbase::Result<LanczosResult> LanczosLargestEigenpairs(
     const LinearOperator& op, const LanczosOptions& options,
     ExecContext* ctx = nullptr, LanczosState* state = nullptr);
+
+/// \brief One Lanczos run recorded for every k at once. The recurrence never
+/// reads k; only the stopping rule does, through how many of T_m's top Ritz
+/// pairs meet the tolerance. So the record keeps the recurrence so far and
+/// that count for each m it reached, and answers any k as
+/// LanczosLargestEigenpairs(op, options) would, bit for bit: values,
+/// iterations and converged, without Ritz vectors.
+///
+/// Thread-safe. The record is published as immutable snapshots. A run scans
+/// the current one with the stopping rule and solves T_m once, at its stop.
+/// Only when that stop lies past the snapshot does it continue a copy of
+/// the recurrence, and then it publishes the longer record, which replaces
+/// the current one under a mutex unless a longer one got there first. Every
+/// run must pass the same operator, tolerance and seed.
+class LanczosRecord {
+ public:
+  /// One published length of the record.
+  struct Snapshot {
+    LanczosState state;  ///< The recurrence after M steps.
+    /// converged_pairs[m - 1], m = 1..M: the largest c such that T_m's top
+    /// c Ritz pairs all meet the tolerance.
+    std::vector<int> converged_pairs;
+
+    int64_t bytes() const;
+  };
+
+  /// Each published growth is charged to `account` (null: not charged). A
+  /// growth the account cannot reserve is not published; the run still
+  /// answers from its own copy.
+  explicit LanczosRecord(GrowingReservation* account = nullptr)
+      : account_(account) {}
+
+  /// The run for options.num_eigenpairs; options.compute_vectors is ignored.
+  genbase::Result<LanczosResult> Run(const LinearOperator& op,
+                                     const LanczosOptions& options,
+                                     ExecContext* ctx = nullptr);
+
+  std::shared_ptr<const Snapshot> snapshot() const;
+  /// Heap bytes of the current snapshot.
+  int64_t bytes() const { return snapshot()->bytes(); }
+
+ private:
+  /// Replaces the snapshot with `next` if `next` is longer and its growth
+  /// could be charged; the replaced one is freed outside the lock.
+  void Publish(std::shared_ptr<Snapshot> next);
+
+  GrowingReservation* account_;
+  mutable std::mutex mu_;
+  std::shared_ptr<const Snapshot> snapshot_ = std::make_shared<Snapshot>();
+};
 
 }  // namespace genbase::linalg
 

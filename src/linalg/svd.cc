@@ -9,12 +9,13 @@ namespace genbase::linalg {
 
 namespace {
 
-/// Lanczos on the Gram operator y = A^T (A x) of `a`, from `state` (null: a
-/// fresh run).
+/// Lanczos on the Gram operator y = A^T (A x) of `a`: read from `record`
+/// when given, else run from `state` (null: a fresh run).
 genbase::Result<LanczosResult> GramLanczos(const MatrixView& a,
                                            const SvdOptions& options,
                                            bool compute_vectors,
                                            LanczosState* state,
+                                           LanczosRecord* record,
                                            ExecContext* ctx) {
   const int64_t m = a.rows;
   const int64_t n = a.cols;
@@ -36,6 +37,7 @@ genbase::Result<LanczosResult> GramLanczos(const MatrixView& a,
   lopt.tolerance = options.tolerance;
   lopt.seed = options.seed;
   lopt.compute_vectors = compute_vectors;
+  if (record != nullptr) return record->Run(op, lopt, ctx);
   return LanczosLargestEigenpairs(op, lopt, ctx, state);
 }
 
@@ -47,6 +49,14 @@ std::vector<double> SingularValues(const std::vector<double>& eigenvalues) {
     sigma.push_back(std::sqrt(std::max(0.0, lambda)));
   }
   return sigma;
+}
+
+/// The values-only answer of a Gram Lanczos run.
+SvdResult ValuesOnly(const LanczosResult& lr) {
+  SvdResult out;
+  out.lanczos_iterations = lr.iterations;
+  out.singular_values = SingularValues(lr.eigenvalues);
+  return out;
 }
 
 }  // namespace
@@ -76,7 +86,8 @@ genbase::Result<SvdResult> TruncatedSvd(const MatrixView& a,
                                         ExecContext* ctx) {
   GENBASE_ASSIGN_OR_RETURN(
       LanczosResult lr,
-      GramLanczos(a, options, /*compute_vectors=*/true, nullptr, ctx));
+      GramLanczos(a, options, /*compute_vectors=*/true, nullptr, nullptr,
+                  ctx));
   const int64_t m = a.rows;
   const int64_t n = a.cols;
   ThreadPool* pool = ctx != nullptr ? ctx->pool() : nullptr;
@@ -105,12 +116,20 @@ genbase::Result<SvdResult> TruncatedSingularValues(const MatrixView& a,
                                                    LanczosState* state,
                                                    ExecContext* ctx) {
   GENBASE_ASSIGN_OR_RETURN(
-      LanczosResult lr,
-      GramLanczos(a, options, /*compute_vectors=*/false, state, ctx));
-  SvdResult out;
-  out.lanczos_iterations = lr.iterations;
-  out.singular_values = SingularValues(lr.eigenvalues);
-  return out;
+      const LanczosResult lr,
+      GramLanczos(a, options, /*compute_vectors=*/false, state, nullptr, ctx));
+  return ValuesOnly(lr);
+}
+
+genbase::Result<SvdResult> TruncatedSingularValues(const MatrixView& a,
+                                                   const SvdOptions& options,
+                                                   LanczosRecord* record,
+                                                   ExecContext* ctx) {
+  GENBASE_ASSIGN_OR_RETURN(
+      const LanczosResult lr,
+      GramLanczos(a, options, /*compute_vectors=*/false, nullptr, record,
+                  ctx));
+  return ValuesOnly(lr);
 }
 
 }  // namespace genbase::linalg

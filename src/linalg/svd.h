@@ -50,6 +50,13 @@ genbase::Result<SvdResult> TruncatedSingularValues(const MatrixView& a,
                                                    LanczosState* state,
                                                    ExecContext* ctx = nullptr);
 
+/// \brief The same answer, read from (and grown into) `record`, a
+/// LanczosRecord of a's Gram operator under the same tolerance and seed.
+genbase::Result<SvdResult> TruncatedSingularValues(const MatrixView& a,
+                                                   const SvdOptions& options,
+                                                   LanczosRecord* record,
+                                                   ExecContext* ctx = nullptr);
+
 }  // namespace genbase::linalg
 
 #endif  // GENBASE_LINALG_SVD_H_

@@ -68,9 +68,9 @@ const PlanStatics& ExecFrame::statics() const {
   return *statics_;
 }
 
-void ExecFrame::ChargeRetained(int64_t bytes) {
+GrowingReservation* ExecFrame::kept() {
   GENBASE_CHECK(folding_ && "only folded ops keep state for execute ops");
-  charged_retained_ += bytes;
+  return &plan_->kept_;
 }
 
 const core::QueryParams& ExecFrame::params() {
@@ -109,21 +109,17 @@ genbase::Result<std::shared_ptr<CompiledPlan>> CompiledPlan::Build(
   plan->layout_ = LayOut(plan->graph_, folds);
 
   plan->folded_result_.query = query;
-  GENBASE_ASSIGN_OR_RETURN(const int64_t charged,
-                           plan->RunFolded(ops, statics, ctx));
-  const int64_t static_bytes = retained_static_bytes + charged;
-  GENBASE_ASSIGN_OR_RETURN(plan->retained_static_reservation_,
-                           ScopedReservation::Acquire(tracker, static_bytes));
-  plan->retained_bytes_ += static_bytes;
+  GENBASE_RETURN_NOT_OK(plan->RunFolded(ops, statics, ctx));
+  GENBASE_RETURN_NOT_OK(plan->kept_.Grow(retained_static_bytes));
   for (int op_id : plan->execute_ops_) {
     plan->execute_fns_.push_back(std::move(ops[static_cast<size_t>(op_id)]));
   }
   return plan;
 }
 
-genbase::Result<int64_t> CompiledPlan::RunFolded(
-    const std::vector<OpFn>& ops, const PlanStatics& statics,
-    ExecContext* ctx) {
+genbase::Status CompiledPlan::RunFolded(const std::vector<OpFn>& ops,
+                                       const PlanStatics& statics,
+                                       ExecContext* ctx) {
   GENBASE_ASSIGN_OR_RETURN(retained_, NewArena(Region::kRetained));
   GENBASE_ASSIGN_OR_RETURN(std::unique_ptr<PlanArena> scratch,
                            NewArena(Region::kScratch));
@@ -140,9 +136,7 @@ genbase::Result<int64_t> CompiledPlan::RunFolded(
     }
   }
   GENBASE_RETURN_NOT_OK(CheckGuards(Region::kRetained, retained_.get()));
-  GENBASE_RETURN_NOT_OK(CheckGuards(Region::kScratch, scratch.get()));
-  if (retained_ != nullptr) retained_bytes_ += retained_->reserved_bytes();
-  return frame.charged_retained();
+  return CheckGuards(Region::kScratch, scratch.get());
 }
 
 genbase::Result<std::unique_ptr<PlanArena>> CompiledPlan::NewArena(

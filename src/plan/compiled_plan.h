@@ -70,12 +70,12 @@ class ExecFrame {
 
   bool params_read() const { return params_read_; }
 
-  /// A folded op that keeps state for an execute op outside the arena (in
-  /// that op's closure, sized only once the folded op ran) charges its
-  /// bytes here; Build reserves them with the plan's retained bytes.
-  /// Folding frames only.
-  void ChargeRetained(int64_t bytes);
-  int64_t charged_retained() const { return charged_retained_; }
+  /// The plan's reservation for state its ops keep outside the arena (in
+  /// an execute op's closure, sized only once a folded op ran). A folded op
+  /// charges what it keeps here, or hands it to state that grows at
+  /// execute, which charges its growth here. The plan counts it in
+  /// retained_bytes() and releases it with the plan. Folding frames only.
+  GrowingReservation* kept();
 
  private:
   double* Address(int value_id) const;
@@ -87,7 +87,6 @@ class ExecFrame {
   const PlanStatics* statics_;
   const core::QueryParams* params_;
   bool params_read_ = false;
-  int64_t charged_retained_ = 0;
 };
 
 /// Kernel work of one op: reads its inputs from the frame, writes its
@@ -97,10 +96,13 @@ using OpFn = std::function<genbase::Status(ExecFrame*, ExecContext*,
 
 /// \brief A query compiled to a static plan and partially evaluated against
 /// what its key (query, shape params, dataset epoch) fixes. Build runs every
-/// folded op once (OpDef's fold rule), in op order, and keeps only two
+/// folded op once (OpDef's fold rule), in op order, and keeps only three
 /// things: the retained region (the folded values an execute op reads,
-/// written in place by the folded ops, read-only afterwards) and the
-/// QueryResult fields the folded ops wrote. Everything else — compile
+/// written in place by the folded ops, read-only afterwards), the
+/// QueryResult fields the folded ops wrote, and the state folded ops keep
+/// outside the arena for execute ops. That state is read-only too, except
+/// Q4's Lanczos record, which an execute grows (thread-safely, charged to
+/// the plan) when its rank stops past it. Everything else — compile
 /// statics, the scratch region — is released before Build returns. Execute
 /// copies that result and runs only the remaining ops, in op order, on an
 /// execute-region arena; any number of serving threads execute one plan
@@ -111,9 +113,8 @@ class CompiledPlan {
   /// execute ops, lays out their values, runs the folded ops against
   /// `statics`, and keeps the retained region. Then reserves on `tracker`
   /// `retained_static_bytes` for what execute-op closures captured from the
-  /// statics, plus what the folded ops charged (ExecFrame::ChargeRetained).
-  /// Fails with Internal if a folded op reads params or overwrites a guard
-  /// word.
+  /// statics, beside what the folded ops charged (ExecFrame::kept). Fails
+  /// with Internal if a folded op reads params or overwrites a guard word.
   static genbase::Result<std::shared_ptr<CompiledPlan>> Build(
       core::QueryId query, PlanGraph graph, std::vector<OpFn> ops,
       const PlanStatics& statics, int64_t retained_static_bytes,
@@ -121,7 +122,10 @@ class CompiledPlan {
 
   /// Use Build.
   CompiledPlan(core::QueryId query, PlanGraph graph, MemoryTracker* tracker)
-      : query_(query), graph_(std::move(graph)), tracker_(tracker) {}
+      : query_(query),
+        graph_(std::move(graph)),
+        tracker_(tracker),
+        kept_(tracker) {}
 
   /// Runs the execute ops with `params` bound to the frame, starting from
   /// the folded result. `params` must have the shape the plan was compiled
@@ -144,8 +148,11 @@ class CompiledPlan {
 
   /// Tracker bytes the plan holds between executions: the retained region,
   /// what execute ops captured from the statics and what folded ops kept
-  /// outside the arena.
-  int64_t retained_bytes() const { return retained_bytes_; }
+  /// outside the arena, with what that state grew by since.
+  int64_t retained_bytes() const {
+    return (retained_ != nullptr ? retained_->reserved_bytes() : 0) +
+           kept_.bytes();
+  }
 
   int64_t compile_ns() const { return compile_ns_; }
   void set_compile_ns(int64_t ns) { compile_ns_ = ns; }
@@ -156,10 +163,8 @@ class CompiledPlan {
  private:
   friend class ExecFrame;
 
-  /// Returns the bytes the folded ops charged with ChargeRetained.
-  genbase::Result<int64_t> RunFolded(const std::vector<OpFn>& ops,
-                                     const PlanStatics& statics,
-                                     ExecContext* ctx);
+  genbase::Status RunFolded(const std::vector<OpFn>& ops,
+                            const PlanStatics& statics, ExecContext* ctx);
 
   /// A guarded arena for `region`, or none when the region is empty.
   genbase::Result<std::unique_ptr<PlanArena>> NewArena(Region region) const;
@@ -176,11 +181,13 @@ class CompiledPlan {
   std::vector<int> execute_ops_;
   MemoryLayout layout_;
   std::unique_ptr<PlanArena> retained_;  ///< Null when nothing is retained.
-  ScopedReservation retained_static_reservation_;
   core::QueryResult folded_result_;
-  std::vector<OpFn> execute_fns_;  ///< Parallel to execute_ops_.
   MemoryTracker* tracker_;
-  int64_t retained_bytes_ = 0;
+  /// Grown by executes (a shared plan's Lanczos record), hence mutable.
+  /// Declared before execute_fns_, whose closures hold the state it pays
+  /// for, so that state is freed before its reservation is released.
+  mutable GrowingReservation kept_;
+  std::vector<OpFn> execute_fns_;  ///< Parallel to execute_ops_.
   int64_t compile_ns_ = 0;
 
   std::mutex arena_mu_;

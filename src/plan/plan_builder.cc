@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -213,8 +214,7 @@ GraphParts BuildBiclusterGraph(const JoinedAccess& a) {
                       QueryResult*) -> genbase::Status {
           GENBASE_ASSIGN_OR_RETURN(*prefix,
                                    core::BiclusterPrefix(f->View(v_x), ctx));
-          f->ChargeRetained(prefix->bytes());
-          return genbase::Status::OK();
+          return f->kept()->Grow(prefix->bytes());
         });
   p.Add({OpKind::kChengChurchStep, "cheng_church", {v_x}, {}, kReadsParams},
         [v_x, prefix = std::shared_ptr<const bicluster::ChengChurchState>(
@@ -238,34 +238,33 @@ GraphParts BuildSvdGraph(const JoinedAccess& a) {
   const int v_x = p.graph.AddValue("x", {rows, cols});
   p.Add({OpKind::kScan, "scan_matrix", {}, {v_x}},
         ScanMatrix(v_x, rows, cols));
-  // Only the Lanczos stopping rule reads svd_rank, so the rank-1 run is
-  // folded and truncated_svd continues a copy of its stopped state. That
-  // is exact: the recurrence never reads k, and no rank k >= 1 stops before
-  // the rank-1 run does — top-k convergence at iteration m implies top-1
-  // convergence at m, max_iter(k) = min(n, 2k + 120) >= max_iter(1), and a
-  // b_j <= 1e-300 breakdown stops every rank at the same m. The
-  // continuation first runs the rank-k test at the retained iteration and
-  // steps on only if it fails. The state, sized by where the run stopped,
-  // lives outside the arena; it is read-only once the compile returns.
-  auto prefix = std::make_shared<linalg::LanczosState>();
+  // Only the Lanczos stopping rule reads svd_rank, so one Lanczos record
+  // serves every rank (linalg::LanczosRecord): the recurrence so far and,
+  // for each m it reached, how many of T_m's top Ritz pairs converged. The
+  // fold seeds it with the rank-1 run, which every rank k >= 1 extends:
+  // top-k convergence at iteration m implies top-1 convergence at m,
+  // max_iter(k) = min(n, 2k + 120) >= max_iter(1), and a b_j <= 1e-300
+  // breakdown stops every rank at the same m. truncated_svd scans the
+  // record with the stopping rule and solves T_m once at its stop; a rank
+  // whose stop lies past the record continues a copy of it with Gram steps
+  // and publishes the longer record. The record lives outside the arena,
+  // charged to the plan as it grows.
+  auto record = std::make_shared<std::optional<linalg::LanczosRecord>>();
   p.Add({OpKind::kSvdHelper, "lanczos_prefix", {v_x}, {}},
-        [v_x, prefix](ExecFrame* f, ExecContext* ctx,
+        [v_x, record](ExecFrame* f, ExecContext* ctx,
                       QueryResult*) -> genbase::Status {
-          GENBASE_ASSIGN_OR_RETURN(
-              *prefix, core::SvdPrefix(f->View(v_x),
-                                       linalg::KernelQuality::kTuned, ctx));
-          f->ChargeRetained(prefix->bytes());
-          return genbase::Status::OK();
+          record->emplace(f->kept());
+          return core::SvdPrefix(f->View(v_x), linalg::KernelQuality::kTuned,
+                                 &**record, ctx);
         });
   p.Add({OpKind::kSvdHelper, "truncated_svd", {v_x}, {}, kReadsParams},
-        [v_x, prefix = std::shared_ptr<const linalg::LanczosState>(prefix)](
-            ExecFrame* f, ExecContext* ctx,
-            QueryResult* out) -> genbase::Status {
+        [v_x, record](ExecFrame* f, ExecContext* ctx,
+                      QueryResult* out) -> genbase::Status {
           GENBASE_ASSIGN_OR_RETURN(
               out->svd,
               core::SvdAnalytics(f->View(v_x), f->params().svd_rank,
                                  linalg::KernelQuality::kTuned, ctx,
-                                 prefix.get()));
+                                 &**record));
           return genbase::Status::OK();
         });
   return p;

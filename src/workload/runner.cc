@@ -310,6 +310,9 @@ genbase::Result<WorkloadReport> WorkloadRunner::RunScheduled(
   }
 
   const bool open_loop = spec_.model != ClientModel::kClosedLoop;
+  const std::string trace_name =
+      spec_.trace_scope.empty() ? spec_.name
+                                : spec_.name + "/" + spec_.trace_scope;
   // Read-only from here on: EnsureTruths filled it before any client ran.
   const TruthTable& table = truths();
   std::vector<ClientState> clients(spec_.clients);
@@ -345,11 +348,11 @@ genbase::Result<WorkloadReport> WorkloadRunner::RunScheduled(
                          .count());
           }
           // Tracing context for this op: deterministic id (a pure function
-          // of seed/workload/schedule index, so reruns sample the same
-          // requests) installed thread-locally — spans opened anywhere
-          // below (serving stack, engine) need no plumbing.
+          // of seed/workload/trace scope/schedule index, so reruns sample
+          // the same requests) installed thread-locally — spans opened
+          // anywhere below (serving stack, engine) need no plumbing.
           const uint64_t trace_id =
-              obs::RequestTraceId(spec_.seed, spec_.name, i);
+              obs::RequestTraceId(spec_.seed, trace_name, i);
           const bool sampled =
               record && obs::TraceSampled(
                             trace_id, obs::Tracer::Global().sample_rate());

@@ -66,6 +66,11 @@ struct WorkloadSpec {
 
   uint64_t seed = 42;
 
+  /// Appended to the name obs::RequestTraceId hashes into each request's
+  /// trace id, and read nowhere else: runs of one schedule that must not
+  /// share trace ids, such as a figure's cells, each set their own.
+  std::string trace_scope;
+
   /// Verify every completed operation against core/reference ground truth.
   bool verify = true;
 

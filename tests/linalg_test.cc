@@ -550,7 +550,44 @@ LanczosState ExpectContinuesExactly(const LinearOperator& op,
   return state;
 }
 
-/// The rank-1 run's stopped state, continued at every k from 1 to n.
+/// The stopping decision of two runs: iterations, converged and values.
+::testing::AssertionResult SameStop(const LanczosResult& continued,
+                                    const LanczosResult& recorded) {
+  if (continued.iterations != recorded.iterations) {
+    return ::testing::AssertionFailure()
+           << "iterations " << continued.iterations << " vs "
+           << recorded.iterations;
+  }
+  if (continued.converged != recorded.converged) {
+    return ::testing::AssertionFailure() << "converged differs";
+  }
+  if (!BitEq(continued.eigenvalues, recorded.eigenvalues)) {
+    return ::testing::AssertionFailure() << "eigenvalues differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// k from 1 to n in ascending order, in descending order, and every k
+/// twice in a seeded shuffle.
+std::vector<std::vector<int>> KOrders(int n) {
+  std::vector<int> ascending;
+  for (int k = 1; k <= n; ++k) ascending.push_back(k);
+  std::vector<int> descending(ascending.rbegin(), ascending.rend());
+  std::vector<int> shuffled = ascending;
+  shuffled.insert(shuffled.end(), ascending.begin(), ascending.end());
+  Rng rng(static_cast<uint64_t>(n) + 17);
+  for (size_t i = shuffled.size() - 1; i > 0; --i) {
+    std::swap(shuffled[i],
+              shuffled[static_cast<size_t>(
+                  rng.UniformInt(0, static_cast<int64_t>(i)))]);
+  }
+  return {ascending, descending, shuffled};
+}
+
+/// The rank-1 run's stopped state, continued at every k from 1 to n. Then,
+/// for each order of KOrders, a LanczosRecord seeded by the rank-1 run must
+/// stop every k where a continued run of the prefix does, bit for bit, and
+/// charge exactly the bytes it holds.
 LanczosState ExpectEveryRankContinuesExactly(const Matrix& a,
                                              double tolerance) {
   const LinearOperator op = GramOperator(a);
@@ -560,6 +597,25 @@ LanczosState ExpectEveryRankContinuesExactly(const Matrix& a,
   LanczosState prefix;
   EXPECT_TRUE(LanczosLargestEigenpairs(op, opt, nullptr, &prefix).ok());
   for (int k = 1; k <= op.n; ++k) ExpectContinuesExactly(op, opt, k, prefix);
+
+  for (const std::vector<int>& order : KOrders(static_cast<int>(op.n))) {
+    GrowingReservation account(nullptr);
+    LanczosRecord record(&account);
+    opt.num_eigenpairs = 1;
+    EXPECT_TRUE(record.Run(op, opt).ok());
+    EXPECT_EQ(record.snapshot()->state.iterations(), prefix.iterations());
+    for (const int k : order) {
+      opt.num_eigenpairs = k;
+      LanczosState state = prefix;
+      auto continued = LanczosLargestEigenpairs(op, opt, nullptr, &state);
+      auto recorded = record.Run(op, opt);
+      EXPECT_TRUE(continued.ok() && recorded.ok());
+      if (continued.ok() && recorded.ok()) {
+        EXPECT_TRUE(SameStop(*continued, *recorded)) << "k=" << k;
+      }
+    }
+    EXPECT_EQ(account.bytes(), record.bytes());
+  }
   return prefix;
 }
 
@@ -635,6 +691,9 @@ TEST(LanczosContinueTest, RejectsStateOfAnotherDimension) {
   EXPECT_FALSE(LanczosLargestEigenpairs(GramOperator(RandomMatrix(10, 7, 96)),
                                         opt, nullptr, &state)
                    .ok());
+  LanczosRecord record;
+  ASSERT_TRUE(record.Run(GramOperator(RandomMatrix(10, 6, 96)), opt).ok());
+  EXPECT_FALSE(record.Run(GramOperator(RandomMatrix(10, 7, 96)), opt).ok());
 }
 
 // --- Covariance --------------------------------------------------------------------

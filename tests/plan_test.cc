@@ -560,43 +560,78 @@ TEST(FoldTest, PlansRetainOnlyWhatExecuteReads) {
   }
 }
 
-/// Q4 folds the rank-1 Lanczos run and each execute continues a copy of
-/// its stopped state: every rank the plan's x admits, on one shared plan,
-/// answers as legacy does, bit for bit (iterations included). The state
-/// beside x holds only what that run wrote — m basis rows, not a slot for
-/// the iteration cap, plus its last test's m Ritz values and last row — and
-/// is charged to the tracker.
-TEST(FoldTest, SvdPlanServesEveryRankFromOnePrefix) {
-  MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
-  ExecContext ctx;
-  ctx.set_memory(&tracker);
-  auto plan = plan::CompileQuery(TinyTables(), QueryId::kSvd, TinyParams(),
-                                 &tracker, &ctx);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  const TensorSpec x = (*plan)->graph().values()[0].spec;
-  ASSERT_GT(x.cols, 2);
-  for (int rank = 0; rank <= x.cols; ++rank) {
-    QueryParams p = TinyParams();
-    p.svd_rank = rank;
-    auto r = (*plan)->Execute(p, &ctx);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_TRUE(BitwiseEqual(*r, LegacyAnswer(QueryId::kSvd, p)))
-        << "svd_rank " << rank;
+/// Ranks 0..n in ascending order, in descending order, and every rank
+/// twice in a seeded shuffle.
+std::vector<std::vector<int>> RankOrders(int n, uint64_t seed) {
+  std::vector<int> ascending;
+  for (int rank = 0; rank <= n; ++rank) ascending.push_back(rank);
+  std::vector<int> descending(ascending.rbegin(), ascending.rend());
+  std::vector<int> shuffled = ascending;
+  shuffled.insert(shuffled.end(), ascending.begin(), ascending.end());
+  Rng rng(seed);
+  for (size_t i = shuffled.size() - 1; i > 0; --i) {
+    std::swap(shuffled[i],
+              shuffled[static_cast<size_t>(
+                  rng.UniformInt(0, static_cast<int64_t>(i)))]);
   }
-  EXPECT_EQ(tracker.used(), (*plan)->retained_bytes());
+  return {ascending, descending, shuffled};
+}
 
+/// Q4 folds the rank-1 Lanczos run into one record and each execute reads
+/// it: every rank the plan's x admits, served through one shared plan in
+/// ascending, descending and shuffled order with repeats, answers as legacy
+/// does, bit for bit (iterations included). The record beside x holds only
+/// what its runs wrote — M basis rows, not a slot for the iteration cap,
+/// plus M - 1 betas, M alphas and M counts — and it is charged to the
+/// tracker as the fold seeds it and as executes grow it.
+TEST(FoldTest, SvdPlanServesEveryRankFromOnePrefix) {
   ExecContext legacy_ctx;
   auto inputs = engine::PrepareInputsColumnar(*TinyTables(), QueryId::kSvd,
                                               TinyParams(), &legacy_ctx);
   ASSERT_TRUE(inputs.ok());
-  auto prefix = core::SvdPrefix(linalg::MatrixView(inputs->x),
-                                linalg::KernelQuality::kTuned, nullptr);
-  ASSERT_TRUE(prefix.ok());
-  const int64_t m = prefix->iterations();
-  EXPECT_EQ(prefix->bytes(), ((m + 1) * x.cols + 4 * m - 1) * 8);
-  const int64_t arena =
-      (*plan)->layout().bytes(Region::kRetained) + plan::kSlotAlignment;
-  EXPECT_EQ((*plan)->retained_bytes(), arena + prefix->bytes());
+  const int64_t n = inputs->x.cols();
+  ASSERT_GT(n, 2);
+  linalg::LanczosRecord record;
+  ASSERT_TRUE(core::SvdPrefix(linalg::MatrixView(inputs->x),
+                              linalg::KernelQuality::kTuned, &record, nullptr)
+                  .ok());
+  const auto record_bytes = [&] {
+    const int64_t m = record.snapshot()->state.iterations();
+    return ((m + 1) * n + 2 * m - 1) * 8 + m * 4;
+  };
+  const int64_t seeded_bytes = record_bytes();
+  EXPECT_EQ(record.bytes(), seeded_bytes);
+  // The largest rank stops last, so it sets how far every order grows it.
+  ASSERT_TRUE(core::SvdAnalytics(linalg::MatrixView(inputs->x),
+                                 static_cast<int>(n),
+                                 linalg::KernelQuality::kTuned, nullptr,
+                                 &record)
+                  .ok());
+  const int64_t grown_bytes = record_bytes();
+  ASSERT_GT(grown_bytes, seeded_bytes) << "no rank grows the record";
+
+  for (const std::vector<int>& ranks : RankOrders(static_cast<int>(n), 31)) {
+    MemoryTracker tracker(MemoryTracker::kUnlimited, "PlanTest");
+    ExecContext ctx;
+    ctx.set_memory(&tracker);
+    auto plan = plan::CompileQuery(TinyTables(), QueryId::kSvd, TinyParams(),
+                                   &tracker, &ctx);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    ASSERT_EQ((*plan)->graph().values()[0].spec.cols, n);
+    const int64_t arena =
+        (*plan)->layout().bytes(Region::kRetained) + plan::kSlotAlignment;
+    EXPECT_EQ((*plan)->retained_bytes(), arena + seeded_bytes);
+    for (const int rank : ranks) {
+      QueryParams p = TinyParams();
+      p.svd_rank = rank;
+      auto r = (*plan)->Execute(p, &ctx);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_TRUE(BitwiseEqual(*r, LegacyAnswer(QueryId::kSvd, p)))
+          << "svd_rank " << rank;
+    }
+    EXPECT_EQ(tracker.used(), (*plan)->retained_bytes());
+    EXPECT_EQ((*plan)->retained_bytes(), arena + grown_bytes);
+  }
 }
 
 /// Q3 at GENBASE_SCALE 0.08, where x is 80 x 400 and the folded multiple

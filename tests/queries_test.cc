@@ -341,8 +341,8 @@ TEST(SvdAnalyticsTest, ValuesMatchTruncatedSvdBitwise) {
   const linalg::MatrixView view(x);
   for (const auto quality :
        {linalg::KernelQuality::kTuned, linalg::KernelQuality::kNaive}) {
-    auto prefix = SvdPrefix(view, quality, nullptr);
-    ASSERT_TRUE(prefix.ok());
+    linalg::LanczosRecord record;
+    ASSERT_TRUE(SvdPrefix(view, quality, &record, nullptr).ok());
     for (const int rank : {0, 1, 3, 6, 12, 50}) {
       SCOPED_TRACE(rank);
       auto s = SvdAnalytics(view, rank, quality, nullptr);
@@ -354,8 +354,8 @@ TEST(SvdAnalyticsTest, ValuesMatchTruncatedSvdBitwise) {
       ASSERT_TRUE(full.ok());
       EXPECT_TRUE(testutil::BitEq(s->singular_values, full->singular_values));
       EXPECT_EQ(s->iterations, full->lanczos_iterations);
-      // Continuing the rank-1 prefix gives the same answer.
-      auto continued = SvdAnalytics(view, rank, quality, nullptr, &*prefix);
+      // Reading the record the rank-1 prefix seeded gives the same answer.
+      auto continued = SvdAnalytics(view, rank, quality, nullptr, &record);
       ASSERT_TRUE(continued.ok());
       EXPECT_TRUE(
           testutil::BitEq(continued->singular_values, s->singular_values));

@@ -120,6 +120,61 @@ TEST(PlanCacheStressTest, ConcurrentExecutionsShareOnePlan) {
   EXPECT_EQ(engine.cached_plans(), 1);
 }
 
+/// Threads execute Q4 on one plan at ranks whose stops lie inside and past
+/// the Lanczos record the fold seeded: odd threads walk the ranks upward,
+/// so the record keeps growing while even threads read random ranks from
+/// it. Every answer must equal legacy, whole and bit for bit, and the plan
+/// must end holding the record a plan that served only the largest rank
+/// holds.
+TEST(PlanCacheStressTest, ConcurrentRanksShareOneSvdRecord) {
+  plan::PlanEngine engine;
+  ASSERT_TRUE(engine.LoadDataset(TinyData()).ok());
+  ExecContext ctx;
+  engine.PrepareContext(&ctx);
+  auto plan = engine.CompileForTest(QueryId::kSvd, TinyParams(), &ctx);
+  ASSERT_TRUE(plan.ok());
+  const int n = static_cast<int>((*plan)->graph().values()[0].spec.cols);
+  ASSERT_GT(n, 2);
+  const int64_t seeded_bytes = (*plan)->retained_bytes();
+  std::vector<core::QueryResult> expected;
+  for (int rank = 0; rank <= n; ++rank) {
+    QueryParams p = TinyParams();
+    p.svd_rank = rank;
+    expected.push_back(LegacyAnswer(QueryId::kSvd, p));
+  }
+
+  constexpr int kThreads = 8;
+  constexpr int kRoundsPerThread = 24;
+  std::atomic<int> wrong_answers{0};
+  stress::Hammer(kThreads, [&](int t) {
+    ExecContext thread_ctx;
+    engine.PrepareContext(&thread_ctx);
+    uint64_t rng = 0x5bd1e995ULL * static_cast<uint64_t>(t + 1);
+    for (int round = 0; round < kRoundsPerThread; ++round) {
+      QueryParams p = TinyParams();
+      p.svd_rank = t % 2 == 1
+                       ? (round * n) / (kRoundsPerThread - 1)
+                       : static_cast<int>(stress::NextRand(&rng) %
+                                          static_cast<uint64_t>(n + 1));
+      auto r = (*plan)->Execute(p, &thread_ctx);
+      if (!r.ok() || !testutil::BitwiseEqual(
+                         *r, expected[static_cast<size_t>(p.svd_rank)])) {
+        wrong_answers.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  EXPECT_EQ(wrong_answers.load(std::memory_order_relaxed), 0);
+
+  auto reference = engine.CompileForTest(QueryId::kSvd, TinyParams(), &ctx);
+  ASSERT_TRUE(reference.ok());
+  QueryParams largest = TinyParams();
+  largest.svd_rank = n;
+  ASSERT_TRUE((*reference)->Execute(largest, &ctx).ok());
+  EXPECT_GT((*plan)->retained_bytes(), seeded_bytes);
+  EXPECT_EQ((*plan)->retained_bytes(), (*reference)->retained_bytes());
+  EXPECT_EQ(plan::PlanMetrics::Get().peak_mismatches->Value(), 0);
+}
+
 /// Params variants for the reload race: every bound-at-execute field drawn
 /// per variant, plus two function thresholds, so Q1 and Q4 have two plan
 /// shapes each and Q2/Q3/Q5 one.
