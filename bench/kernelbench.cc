@@ -37,6 +37,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -57,7 +58,6 @@
 #include "linalg/covariance.h"
 #include "linalg/lanczos.h"
 #include "linalg/matrix.h"
-#include "linalg/svd.h"
 #include "obs/perf_counters.h"
 #include "plan/plan_builder.h"
 #include "plan/plan_engine.h"
@@ -499,10 +499,10 @@ void RegisterPlanBenches() {
     });
   }
 
-  // The path Q4's Lanczos record replaced, and the one an execute still
-  // takes when its rank stops past the record: a copy of the compile-time
-  // rank-1 prefix continued to PlanParams' rank with Gram steps (where a
-  // fused Gram apply would pay).
+  // The path an execute takes when its rank stops past the plan's Lanczos
+  // record (where a fused Gram apply would pay): a record freshly seeded
+  // with the rank-1 run, seeded untimed, then extended to PlanParams' rank
+  // with Gram steps and a T_m solve at each new m, and published.
   reg("lanczos/continue", [](benchmark::State& state) {
     ScopedBackend sb(kSimd);
     PlanBench& b = PlanBench::Get();
@@ -511,18 +511,20 @@ void RegisterPlanBenches() {
         *b.tables, genbase::core::QueryId::kSvd, PlanParams(), &ctx);
     GENBASE_CHECK(inputs.ok());
     const MatrixView x(inputs->x);
-    genbase::linalg::LanczosRecord record;
-    GENBASE_CHECK(genbase::core::SvdPrefix(
-                      x, genbase::linalg::KernelQuality::kTuned, &record, &ctx)
-                      .ok());
-    const genbase::linalg::LanczosState prefix = record.snapshot()->state;
-    genbase::linalg::SvdOptions opt;
-    opt.rank = PlanParams().svd_rank;
+    std::optional<genbase::linalg::LanczosRecord> record;
     for (auto _ : state) {
-      genbase::linalg::LanczosState continued = prefix;
-      auto r = genbase::linalg::TruncatedSingularValues(x, opt, &continued,
-                                                        &ctx);
-      GENBASE_CHECK(r.ok() && r->lanczos_iterations > prefix.iterations());
+      state.PauseTiming();
+      record.emplace();
+      GENBASE_CHECK(genbase::core::SvdPrefix(
+                        x, genbase::linalg::KernelQuality::kTuned, &*record,
+                        &ctx)
+                        .ok());
+      const int seeded = record->snapshot()->state.iterations();
+      state.ResumeTiming();
+      auto r = genbase::core::SvdAnalytics(
+          x, PlanParams().svd_rank, genbase::linalg::KernelQuality::kTuned,
+          &ctx, &*record);
+      GENBASE_CHECK(r.ok() && r->iterations > seeded);
       benchmark::DoNotOptimize(r);
     }
   });

@@ -316,12 +316,9 @@ genbase::Result<SvdSummary> SvdAnalytics(
   linalg::SvdOptions opt;
   opt.rank = s.rank;
   opt.quality = quality;
-  linalg::LanczosState fresh;
   GENBASE_ASSIGN_OR_RETURN(
       linalg::SvdResult svd,
-      record != nullptr
-          ? linalg::TruncatedSingularValues(x, opt, record, ctx)
-          : linalg::TruncatedSingularValues(x, opt, &fresh, ctx));
+      linalg::TruncatedSingularValues(x, opt, record, ctx));
   s.iterations = svd.lanczos_iterations;
   s.singular_values = std::move(svd.singular_values);
   return s;

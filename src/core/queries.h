@@ -207,7 +207,8 @@ genbase::Result<SvdSummary> SvdAnalytics(
 
 /// Seeds `record` with the rank-1 run of SvdAnalytics on x (nothing for an
 /// empty x): the prefix every rank's run shares, since only the stopping
-/// rule reads the rank and no rank >= 1 stops before rank 1 does.
+/// rule reads the rank and no rank >= 1 stops before rank 1 does. Fails
+/// when the record's account refuses the seed's bytes.
 genbase::Status SvdPrefix(const linalg::MatrixView& x,
                           linalg::KernelQuality quality,
                           linalg::LanczosRecord* record, ExecContext* ctx);

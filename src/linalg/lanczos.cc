@@ -55,7 +55,7 @@ genbase::Status Step(const LinearOperator& op, uint64_t seed, LanczosState* s,
 
 /// The stopping rule, one body for LanczosLargestEigenpairs and
 /// LanczosRecord: a run for the top k pairs tests T_m at m >= k, or at any
-/// m > 0 once the residual vanishes, and stops at a tested m when the top k
+/// m once the residual vanishes, and stops at a tested m when the top k
 /// pairs converged, the residual vanished or m reached the iteration cap.
 class StopRule {
  public:
@@ -65,7 +65,7 @@ class StopRule {
   int max_iter() const { return max_iter_; }
   /// Whether the run tests T_m at m; `w_norm` is the residual after step m.
   bool Tests(int m, double w_norm) const {
-    return m > 0 && (m >= k_ || w_norm <= kBreakdown);
+    return m >= k_ || w_norm <= kBreakdown;
   }
   /// Whether the top k pairs converged at m, given ConvergedPairs there.
   bool Converged(int m, int pairs) const { return m >= k_ && pairs >= k_; }
@@ -140,34 +140,27 @@ int64_t LanczosState::bytes() const {
 }
 
 genbase::Result<LanczosResult> LanczosLargestEigenpairs(
-    const LinearOperator& op, const LanczosOptions& options, ExecContext* ctx,
-    LanczosState* state) {
+    const LinearOperator& op, const LanczosOptions& options,
+    ExecContext* ctx) {
   const int64_t n = op.n;
   GENBASE_ASSIGN_OR_RETURN(const int k, CheckedRank(n, options));
-  LanczosState fresh;
-  LanczosState& s = state != nullptr ? *state : fresh;
-  if (s.iterations() > 0 && static_cast<int64_t>(s.w.size()) != n) {
-    return Status::InvalidArgument("Lanczos state is for another dimension");
-  }
   const StopRule rule(n, k);
+  LanczosState s;
   s.basis.reserve(static_cast<size_t>(rule.max_iter() * n));
 
-  // A resumed state is tested before its next step, as the run that wrote
-  // it would have been tested at that m had it asked for this k.
   std::vector<double> theta;
   std::vector<double> last_row;
   std::vector<double> e;
   bool converged = false;
   for (;;) {
-    const int m = s.iterations();
-    if (rule.Tests(m, s.w_norm)) {
-      GENBASE_RETURN_NOT_OK(SolveLastRow(s, m, &theta, &last_row, &e));
-      const int pairs =
-          ConvergedPairs(theta, last_row, s.w_norm, options.tolerance);
-      converged = rule.Converged(m, pairs);
-      if (rule.Stops(m, pairs, s.w_norm)) break;
-    }
     GENBASE_RETURN_NOT_OK(Step(op, options.seed, &s, ctx));
+    const int m = s.iterations();
+    if (!rule.Tests(m, s.w_norm)) continue;
+    GENBASE_RETURN_NOT_OK(SolveLastRow(s, m, &theta, &last_row, &e));
+    const int pairs =
+        ConvergedPairs(theta, last_row, s.w_norm, options.tolerance);
+    converged = rule.Converged(m, pairs);
+    if (rule.Stops(m, pairs, s.w_norm)) break;
   }
 
   const int m = s.iterations();
@@ -262,13 +255,16 @@ genbase::Result<LanczosResult> LanczosRecord::Run(
     next->converged_pairs.push_back(pairs);
     if (rule.Tests(m, s.w_norm) && rule.Stops(m, pairs, s.w_norm)) {
       LanczosResult result = Answer(k, m, rule.Converged(m, pairs), theta);
-      Publish(std::move(next));
+      // A refused seed fails the run: a record left empty would serve no
+      // rank. A refused growth leaves the shorter record serving.
+      const genbase::Status published = Publish(std::move(next));
+      if (!published.ok() && recorded == 0) return published;
       return result;
     }
   }
 }
 
-void LanczosRecord::Publish(std::shared_ptr<Snapshot> next) {
+genbase::Status LanczosRecord::Publish(std::shared_ptr<Snapshot> next) {
   // The copy was sized for this run's iteration cap: keep what it wrote.
   next->state.basis.shrink_to_fit();
   next->state.alpha.shrink_to_fit();
@@ -277,13 +273,15 @@ void LanczosRecord::Publish(std::shared_ptr<Snapshot> next) {
   std::shared_ptr<const Snapshot> replaced;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (next->state.iterations() <= snapshot_->state.iterations()) return;
-    if (account_ != nullptr &&
-        !account_->Grow(next->bytes() - snapshot_->bytes()).ok()) {
-      return;
+    if (next->state.iterations() <= snapshot_->state.iterations()) {
+      return genbase::Status::OK();
+    }
+    if (account_ != nullptr) {
+      GENBASE_RETURN_NOT_OK(account_->Grow(next->bytes() - snapshot_->bytes()));
     }
     replaced = std::exchange(snapshot_, std::move(next));
   }
+  return genbase::Status::OK();
 }
 
 }  // namespace genbase::linalg

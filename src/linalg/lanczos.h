@@ -35,8 +35,7 @@ struct LanczosResult {
 };
 
 /// \brief Everything the Lanczos recurrence reads to take its next step:
-/// the state after m steps, with m = iterations(). A run stops in this
-/// state, and a run started from it continues the same recurrence.
+/// the state after m steps, with m = iterations().
 struct LanczosState {
   std::vector<double> basis;  ///< v_0 .. v_{m-1}, m rows of n, row-major.
   std::vector<double> alpha;  ///< The m diagonal entries of T_m.
@@ -61,13 +60,9 @@ struct LanczosState {
 /// The run stops at the first m >= k where the top-k Ritz pairs of T_m meet
 /// the tolerance, where the residual vanishes (||w|| <= 1e-300: an
 /// invariant subspace), or at m = min(n, 2k + 120). Only this test reads k.
-/// With `state`, the run starts from `*state` instead of the seeded vector
-/// (an empty state is a fresh start; a resumed one is tested at its own m
-/// first) and leaves its stopped state there; the state must come from a
-/// run of the same operator and seed. On error, `*state` is unusable.
 genbase::Result<LanczosResult> LanczosLargestEigenpairs(
     const LinearOperator& op, const LanczosOptions& options,
-    ExecContext* ctx = nullptr, LanczosState* state = nullptr);
+    ExecContext* ctx = nullptr);
 
 /// \brief One Lanczos run recorded for every k at once. The recurrence never
 /// reads k; only the stopping rule does, through how many of T_m's top Ritz
@@ -95,8 +90,10 @@ class LanczosRecord {
   };
 
   /// Each published growth is charged to `account` (null: not charged). A
-  /// growth the account cannot reserve is not published; the run still
-  /// answers from its own copy.
+  /// run that seeds the record (finds it empty) fails with the account's
+  /// error when it cannot reserve the seed. A later growth the account
+  /// cannot reserve is not published; the run still answers from its own
+  /// copy.
   explicit LanczosRecord(GrowingReservation* account = nullptr)
       : account_(account) {}
 
@@ -111,8 +108,9 @@ class LanczosRecord {
 
  private:
   /// Replaces the snapshot with `next` if `next` is longer and its growth
-  /// could be charged; the replaced one is freed outside the lock.
-  void Publish(std::shared_ptr<Snapshot> next);
+  /// could be charged, else returns the account's error; the replaced one
+  /// is freed outside the lock.
+  genbase::Status Publish(std::shared_ptr<Snapshot> next);
 
   GrowingReservation* account_;
   mutable std::mutex mu_;

@@ -10,11 +10,10 @@ namespace genbase::linalg {
 namespace {
 
 /// Lanczos on the Gram operator y = A^T (A x) of `a`: read from `record`
-/// when given, else run from `state` (null: a fresh run).
+/// when given, else a fresh run.
 genbase::Result<LanczosResult> GramLanczos(const MatrixView& a,
                                            const SvdOptions& options,
                                            bool compute_vectors,
-                                           LanczosState* state,
                                            LanczosRecord* record,
                                            ExecContext* ctx) {
   const int64_t m = a.rows;
@@ -38,7 +37,7 @@ genbase::Result<LanczosResult> GramLanczos(const MatrixView& a,
   lopt.seed = options.seed;
   lopt.compute_vectors = compute_vectors;
   if (record != nullptr) return record->Run(op, lopt, ctx);
-  return LanczosLargestEigenpairs(op, lopt, ctx, state);
+  return LanczosLargestEigenpairs(op, lopt, ctx);
 }
 
 /// sigma_i = sqrt(lambda_i), with rounding noise below zero clamped.
@@ -49,14 +48,6 @@ std::vector<double> SingularValues(const std::vector<double>& eigenvalues) {
     sigma.push_back(std::sqrt(std::max(0.0, lambda)));
   }
   return sigma;
-}
-
-/// The values-only answer of a Gram Lanczos run.
-SvdResult ValuesOnly(const LanczosResult& lr) {
-  SvdResult out;
-  out.lanczos_iterations = lr.iterations;
-  out.singular_values = SingularValues(lr.eigenvalues);
-  return out;
 }
 
 }  // namespace
@@ -86,8 +77,7 @@ genbase::Result<SvdResult> TruncatedSvd(const MatrixView& a,
                                         ExecContext* ctx) {
   GENBASE_ASSIGN_OR_RETURN(
       LanczosResult lr,
-      GramLanczos(a, options, /*compute_vectors=*/true, nullptr, nullptr,
-                  ctx));
+      GramLanczos(a, options, /*compute_vectors=*/true, nullptr, ctx));
   const int64_t m = a.rows;
   const int64_t n = a.cols;
   ThreadPool* pool = ctx != nullptr ? ctx->pool() : nullptr;
@@ -113,23 +103,15 @@ genbase::Result<SvdResult> TruncatedSvd(const MatrixView& a,
 
 genbase::Result<SvdResult> TruncatedSingularValues(const MatrixView& a,
                                                    const SvdOptions& options,
-                                                   LanczosState* state,
-                                                   ExecContext* ctx) {
-  GENBASE_ASSIGN_OR_RETURN(
-      const LanczosResult lr,
-      GramLanczos(a, options, /*compute_vectors=*/false, state, nullptr, ctx));
-  return ValuesOnly(lr);
-}
-
-genbase::Result<SvdResult> TruncatedSingularValues(const MatrixView& a,
-                                                   const SvdOptions& options,
                                                    LanczosRecord* record,
                                                    ExecContext* ctx) {
   GENBASE_ASSIGN_OR_RETURN(
-      const LanczosResult lr,
-      GramLanczos(a, options, /*compute_vectors=*/false, nullptr, record,
-                  ctx));
-  return ValuesOnly(lr);
+      LanczosResult lr,
+      GramLanczos(a, options, /*compute_vectors=*/false, record, ctx));
+  SvdResult out;
+  out.lanczos_iterations = lr.iterations;
+  out.singular_values = SingularValues(lr.eigenvalues);
+  return out;
 }
 
 }  // namespace genbase::linalg

@@ -43,15 +43,9 @@ genbase::Result<SvdResult> TruncatedSvd(const MatrixView& a,
 
 /// \brief The singular values and iteration count of TruncatedSvd(a,
 /// options), bit for bit, without U or V: the same Lanczos run with no Ritz
-/// vectors. The run starts from and leaves its stopped state in `*state`
-/// (LanczosLargestEigenpairs); an empty state is a fresh run.
-genbase::Result<SvdResult> TruncatedSingularValues(const MatrixView& a,
-                                                   const SvdOptions& options,
-                                                   LanczosState* state,
-                                                   ExecContext* ctx = nullptr);
-
-/// \brief The same answer, read from (and grown into) `record`, a
-/// LanczosRecord of a's Gram operator under the same tolerance and seed.
+/// vectors. With `record` (a LanczosRecord of a's Gram operator under the
+/// same tolerance and seed) the answer is read from, and grown into, the
+/// record; null runs Lanczos afresh.
 genbase::Result<SvdResult> TruncatedSingularValues(const MatrixView& a,
                                                    const SvdOptions& options,
                                                    LanczosRecord* record,

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "common/memory_tracker.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
@@ -510,58 +511,18 @@ LinearOperator GramOperator(const Matrix& a) {
   return op;
 }
 
-::testing::AssertionResult SameRun(const LanczosResult& fresh,
-                                   const LanczosResult& continued) {
-  if (fresh.iterations != continued.iterations) {
+/// The stopping decision of two runs: iterations, converged and values.
+::testing::AssertionResult SameStop(const LanczosResult& fresh,
+                                    const LanczosResult& recorded) {
+  if (fresh.iterations != recorded.iterations) {
     return ::testing::AssertionFailure()
            << "iterations " << fresh.iterations << " vs "
-           << continued.iterations;
-  }
-  if (fresh.converged != continued.converged) {
-    return ::testing::AssertionFailure() << "converged differs";
-  }
-  if (!BitEq(fresh.eigenvalues, continued.eigenvalues)) {
-    return ::testing::AssertionFailure() << "eigenvalues differ";
-  }
-  const auto flat = [](const Matrix& m) {
-    return std::vector<double>(m.data(), m.data() + m.size());
-  };
-  if (fresh.eigenvectors.rows() != continued.eigenvectors.rows() ||
-      !BitEq(flat(fresh.eigenvectors), flat(continued.eigenvectors))) {
-    return ::testing::AssertionFailure() << "Ritz vectors differ";
-  }
-  return ::testing::AssertionSuccess();
-}
-
-/// Continues a copy of `from` at k and runs k fresh; both must agree bit
-/// for bit. Returns the continued state.
-LanczosState ExpectContinuesExactly(const LinearOperator& op,
-                                    LanczosOptions opt, int k,
-                                    const LanczosState& from) {
-  opt.num_eigenpairs = k;
-  LanczosState state = from;
-  auto fresh = LanczosLargestEigenpairs(op, opt);
-  auto continued = LanczosLargestEigenpairs(op, opt, nullptr, &state);
-  EXPECT_TRUE(fresh.ok() && continued.ok());
-  if (fresh.ok() && continued.ok()) {
-    EXPECT_TRUE(SameRun(*fresh, *continued)) << "k=" << k;
-    EXPECT_EQ(state.iterations(), fresh->iterations);
-  }
-  return state;
-}
-
-/// The stopping decision of two runs: iterations, converged and values.
-::testing::AssertionResult SameStop(const LanczosResult& continued,
-                                    const LanczosResult& recorded) {
-  if (continued.iterations != recorded.iterations) {
-    return ::testing::AssertionFailure()
-           << "iterations " << continued.iterations << " vs "
            << recorded.iterations;
   }
-  if (continued.converged != recorded.converged) {
+  if (fresh.converged != recorded.converged) {
     return ::testing::AssertionFailure() << "converged differs";
   }
-  if (!BitEq(continued.eigenvalues, recorded.eigenvalues)) {
+  if (!BitEq(fresh.eigenvalues, recorded.eigenvalues)) {
     return ::testing::AssertionFailure() << "eigenvalues differ";
   }
   return ::testing::AssertionSuccess();
@@ -584,54 +545,58 @@ std::vector<std::vector<int>> KOrders(int n) {
   return {ascending, descending, shuffled};
 }
 
-/// The rank-1 run's stopped state, continued at every k from 1 to n. Then,
-/// for each order of KOrders, a LanczosRecord seeded by the rank-1 run must
-/// stop every k where a continued run of the prefix does, bit for bit, and
-/// charge exactly the bytes it holds.
-LanczosState ExpectEveryRankContinuesExactly(const Matrix& a,
-                                             double tolerance) {
+/// For each order of KOrders, a LanczosRecord seeded by the rank-1 run must
+/// stop every k from 1 to n where a fresh LanczosLargestEigenpairs run
+/// does, bit for bit, and charge exactly the bytes it holds. Returns the
+/// seeded record's recurrence.
+LanczosState ExpectRecordStopsAsFreshRuns(const Matrix& a, double tolerance) {
   const LinearOperator op = GramOperator(a);
   LanczosOptions opt;
-  opt.num_eigenpairs = 1;
   opt.tolerance = tolerance;
-  LanczosState prefix;
-  EXPECT_TRUE(LanczosLargestEigenpairs(op, opt, nullptr, &prefix).ok());
-  for (int k = 1; k <= op.n; ++k) ExpectContinuesExactly(op, opt, k, prefix);
+  opt.compute_vectors = false;
+  std::vector<LanczosResult> fresh;  // fresh[k - 1] is the run for k.
+  for (int k = 1; k <= op.n; ++k) {
+    opt.num_eigenpairs = k;
+    auto r = LanczosLargestEigenpairs(op, opt);
+    EXPECT_TRUE(r.ok()) << "k=" << k;
+    fresh.push_back(r.ok() ? *r : LanczosResult());
+  }
 
+  LanczosState seeded;
   for (const std::vector<int>& order : KOrders(static_cast<int>(op.n))) {
     GrowingReservation account(nullptr);
     LanczosRecord record(&account);
     opt.num_eigenpairs = 1;
     EXPECT_TRUE(record.Run(op, opt).ok());
-    EXPECT_EQ(record.snapshot()->state.iterations(), prefix.iterations());
+    seeded = record.snapshot()->state;
+    EXPECT_EQ(seeded.iterations(), fresh[0].iterations);
     for (const int k : order) {
       opt.num_eigenpairs = k;
-      LanczosState state = prefix;
-      auto continued = LanczosLargestEigenpairs(op, opt, nullptr, &state);
       auto recorded = record.Run(op, opt);
-      EXPECT_TRUE(continued.ok() && recorded.ok());
-      if (continued.ok() && recorded.ok()) {
-        EXPECT_TRUE(SameStop(*continued, *recorded)) << "k=" << k;
+      EXPECT_TRUE(recorded.ok());
+      if (recorded.ok()) {
+        EXPECT_TRUE(SameStop(fresh[static_cast<size_t>(k - 1)], *recorded))
+            << "k=" << k;
       }
     }
     EXPECT_EQ(account.bytes(), record.bytes());
   }
-  return prefix;
+  return seeded;
 }
 
-TEST(LanczosContinueTest, RandomMatrixEveryRank) {
-  const LanczosState prefix =
-      ExpectEveryRankContinuesExactly(RandomMatrix(60, 30, 90), 1e-10);
-  EXPECT_LT(prefix.iterations(), 30) << "rank 1 should stop early";
+TEST(LanczosRecordTest, RandomMatrixEveryRank) {
+  const LanczosState seeded =
+      ExpectRecordStopsAsFreshRuns(RandomMatrix(60, 30, 90), 1e-10);
+  EXPECT_LT(seeded.iterations(), 30) << "rank 1 should stop early";
 }
 
-TEST(LanczosContinueTest, ZeroResidualStopsEveryRankAtOnce) {
+TEST(LanczosRecordTest, ZeroResidualStopsEveryRankAtOnce) {
   // Rank 0: the first residual is exactly 0, so every rank stops on the
   // b_j <= 1e-300 rule at m = 1, ranks above 1 unconverged.
-  const LanczosState prefix =
-      ExpectEveryRankContinuesExactly(Matrix(12, 8), 1e-10);
-  EXPECT_EQ(prefix.iterations(), 1);
-  EXPECT_EQ(prefix.w_norm, 0.0);
+  const LanczosState seeded =
+      ExpectRecordStopsAsFreshRuns(Matrix(12, 8), 1e-10);
+  EXPECT_EQ(seeded.iterations(), 1);
+  EXPECT_EQ(seeded.w_norm, 0.0);
   LanczosOptions opt;
   opt.num_eigenpairs = 3;
   auto r = LanczosLargestEigenpairs(GramOperator(Matrix(12, 8)), opt);
@@ -640,37 +605,64 @@ TEST(LanczosContinueTest, ZeroResidualStopsEveryRankAtOnce) {
   EXPECT_FALSE(r->converged);
 }
 
-TEST(LanczosContinueTest, RankDeficientEveryRank) {
+TEST(LanczosRecordTest, RankDeficientEveryRank) {
   // Rank 3 of 20 columns: the residual collapses to rounding noise after
   // three steps.
   Matrix a(40, 20);
   GENBASE_CHECK_OK(Gemm(MatrixView(RandomMatrix(40, 3, 91)),
                         MatrixView(RandomMatrix(3, 20, 92)), &a));
-  ExpectEveryRankContinuesExactly(a, 1e-10);
+  ExpectRecordStopsAsFreshRuns(a, 1e-10);
 }
 
-TEST(LanczosContinueTest, IterationCapAtNEveryRank) {
+TEST(LanczosRecordTest, IterationCapAtNEveryRank) {
   // n = 20 < 122, so max_iter = n for every rank; with a zero tolerance no
   // Ritz pair converges and every run stops at the cap.
-  const LanczosState prefix =
-      ExpectEveryRankContinuesExactly(RandomMatrix(50, 20, 93), 0.0);
-  EXPECT_EQ(prefix.iterations(), 20);
+  const LanczosState seeded =
+      ExpectRecordStopsAsFreshRuns(RandomMatrix(50, 20, 93), 0.0);
+  EXPECT_EQ(seeded.iterations(), 20);
 }
 
-TEST(LanczosContinueTest, SingleColumn) {
-  const LanczosState prefix =
-      ExpectEveryRankContinuesExactly(RandomMatrix(5, 1, 94), 1e-10);
-  EXPECT_EQ(prefix.iterations(), 1);
+TEST(LanczosRecordTest, SingleColumn) {
+  const LanczosState seeded =
+      ExpectRecordStopsAsFreshRuns(RandomMatrix(5, 1, 94), 1e-10);
+  EXPECT_EQ(seeded.iterations(), 1);
 }
 
-TEST(LanczosContinueTest, ChainOfContinuations) {
-  const Matrix a = RandomMatrix(60, 30, 95);
+/// A seed the account refuses fails the run and leaves the record empty; a
+/// growth it refuses still answers as a fresh run does, and the seeded
+/// record keeps serving.
+TEST(LanczosRecordTest, RefusedSeedFailsRefusedGrowthStillAnswers) {
+  const Matrix a = RandomMatrix(60, 30, 90);
   const LinearOperator op = GramOperator(a);
   LanczosOptions opt;
-  LanczosState state;
-  for (const int k : {2, 5, 12}) {
-    state = ExpectContinuesExactly(op, opt, k, state);
-  }
+  opt.num_eigenpairs = 1;
+  opt.compute_vectors = false;
+  MemoryTracker none(/*budget_bytes=*/1);
+  GrowingReservation refusing(&none);
+  LanczosRecord empty(&refusing);
+  auto seed = empty.Run(op, opt);
+  ASSERT_FALSE(seed.ok());
+  EXPECT_EQ(seed.status().code(), StatusCode::kOutOfMemory);
+  EXPECT_EQ(empty.snapshot()->state.iterations(), 0);
+  EXPECT_EQ(none.used(), 0);
+
+  LanczosRecord uncharged;
+  ASSERT_TRUE(uncharged.Run(op, opt).ok());
+  const int64_t seed_bytes = uncharged.bytes();
+  MemoryTracker exact(seed_bytes);
+  GrowingReservation account(&exact);
+  LanczosRecord record(&account);
+  ASSERT_TRUE(record.Run(op, opt).ok());
+  const int seeded = record.snapshot()->state.iterations();
+  EXPECT_EQ(exact.used(), seed_bytes);
+  opt.num_eigenpairs = static_cast<int>(op.n);
+  auto fresh = LanczosLargestEigenpairs(op, opt);
+  auto recorded = record.Run(op, opt);
+  ASSERT_TRUE(fresh.ok() && recorded.ok());
+  EXPECT_GT(recorded->iterations, seeded);
+  EXPECT_TRUE(SameStop(*fresh, *recorded));
+  EXPECT_EQ(record.snapshot()->state.iterations(), seeded);
+  EXPECT_EQ(exact.used(), seed_bytes);
 }
 
 TEST(LanczosTest, RejectsNegativeRank) {
@@ -681,16 +673,9 @@ TEST(LanczosTest, RejectsNegativeRank) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(LanczosContinueTest, RejectsStateOfAnotherDimension) {
+TEST(LanczosRecordTest, RejectsOperatorOfAnotherDimension) {
   LanczosOptions opt;
   opt.num_eigenpairs = 1;
-  LanczosState state;
-  ASSERT_TRUE(LanczosLargestEigenpairs(GramOperator(RandomMatrix(10, 6, 96)),
-                                       opt, nullptr, &state)
-                  .ok());
-  EXPECT_FALSE(LanczosLargestEigenpairs(GramOperator(RandomMatrix(10, 7, 96)),
-                                        opt, nullptr, &state)
-                   .ok());
   LanczosRecord record;
   ASSERT_TRUE(record.Run(GramOperator(RandomMatrix(10, 6, 96)), opt).ok());
   EXPECT_FALSE(record.Run(GramOperator(RandomMatrix(10, 7, 96)), opt).ok());

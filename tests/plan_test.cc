@@ -634,6 +634,30 @@ TEST(FoldTest, SvdPlanServesEveryRankFromOnePrefix) {
   }
 }
 
+/// A Q4 compile whose tracker cannot hold the seeded Lanczos record fails
+/// with the tracker's error and leaves nothing charged. The seed is the
+/// compile's last reservation while the fold's arenas and statics are
+/// live, so it sets the compile's peak, and a budget one byte under that
+/// peak refuses the seed alone.
+TEST(FoldTest, SvdCompileFailsWhenTheTrackerRefusesTheRecord) {
+  MemoryTracker roomy(MemoryTracker::kUnlimited, "PlanTest");
+  ExecContext roomy_ctx;
+  roomy_ctx.set_memory(&roomy);
+  ASSERT_TRUE(plan::CompileQuery(TinyTables(), QueryId::kSvd, TinyParams(),
+                                 &roomy, &roomy_ctx)
+                  .ok());
+
+  MemoryTracker tight(roomy.peak() - 1, "PlanTest");
+  ExecContext ctx;
+  ctx.set_memory(&tight);
+  auto refused = plan::CompileQuery(TinyTables(), QueryId::kSvd, TinyParams(),
+                                    &tight, &ctx);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kOutOfMemory)
+      << refused.status().ToString();
+  EXPECT_EQ(tight.used(), 0);
+}
+
 /// Q3 at GENBASE_SCALE 0.08, where x is 80 x 400 and the folded multiple
 /// node deletion has columns to delete: at delta fractions on both sides
 /// of the prefix's guard and 0, 1 or 3 biclusters, one shared plan answers

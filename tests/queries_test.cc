@@ -355,11 +355,11 @@ TEST(SvdAnalyticsTest, ValuesMatchTruncatedSvdBitwise) {
       EXPECT_TRUE(testutil::BitEq(s->singular_values, full->singular_values));
       EXPECT_EQ(s->iterations, full->lanczos_iterations);
       // Reading the record the rank-1 prefix seeded gives the same answer.
-      auto continued = SvdAnalytics(view, rank, quality, nullptr, &record);
-      ASSERT_TRUE(continued.ok());
+      auto recorded = SvdAnalytics(view, rank, quality, nullptr, &record);
+      ASSERT_TRUE(recorded.ok());
       EXPECT_TRUE(
-          testutil::BitEq(continued->singular_values, s->singular_values));
-      EXPECT_EQ(continued->iterations, s->iterations);
+          testutil::BitEq(recorded->singular_values, s->singular_values));
+      EXPECT_EQ(recorded->iterations, s->iterations);
     }
   }
 }
