@@ -86,7 +86,6 @@ constexpr int64_t kGemmM = 384, kGemmK = 384, kGemmN = 384;
 constexpr int64_t kSyrkRows = 1024, kSyrkCols = 384;
 constexpr int64_t kCcRows = 384, kCcCols = 288;
 constexpr int64_t kGlueDim = 256;
-constexpr int64_t kUdfChunkRows = 512;  // As the +UDF engine passes.
 
 Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
   Matrix m(rows, cols);
@@ -287,8 +286,8 @@ void RegisterAll(ThreadPool* pool) {
   });
   reg("glue/udf", [=](benchmark::State& state) {
     for (auto _ : state) {
-      auto out = genbase::engine::UdfTransferMatrix(MatrixView(*glue),
-                                                    nullptr, kUdfChunkRows);
+      auto out =
+          genbase::engine::UdfTransferMatrix(MatrixView(*glue), nullptr);
       GENBASE_CHECK(out.ok());
       benchmark::DoNotOptimize(out);
     }

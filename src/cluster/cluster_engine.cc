@@ -1,20 +1,16 @@
 #include "cluster/cluster_engine.h"
 
 #include <algorithm>
-#include <cmath>
-#include <unordered_set>
 
+#include "accel/coprocessor.h"
 #include "core/config.h"
 #include "core/reference.h"
-#include "relational/col_ops.h"
 
 namespace genbase::cluster {
 
 namespace {
 
-using core::GeneCols;
 using core::MicroarrayCols;
-using core::PatientCols;
 using core::QueryId;
 using core::SimConfig;
 
@@ -116,25 +112,10 @@ genbase::Status ClusterEngine::DoLoadDataset(const core::GenBaseData& data) {
     if (options_.array_native) {
       GENBASE_ASSIGN_OR_RETURN(
           nd->expression,
-          storage::ChunkedArray2D::Create(nd->patients.size(), dims_.genes,
-                                          &tracker_));
-      const auto& pid = data.microarray.IntColumn(MicroarrayCols::kPatientId);
-      const auto& gid = data.microarray.IntColumn(MicroarrayCols::kGeneId);
-      const auto& expr = data.microarray.DoubleColumn(MicroarrayCols::kExpr);
-      for (int64_t i = row_begin; i < row_end; ++i) {
-        const int64_t r = pid[static_cast<size_t>(i)] - nd->patients.begin;
-        const int64_t c = gid[static_cast<size_t>(i)];
-        // Ids are the local array's coordinates: one outside it fails the
-        // load.
-        if (!nd->expression.Contains(r, c)) {
-          return genbase::Status::InvalidArgument(
-              options_.name + ": (patient, gene) id (" +
-              std::to_string(pid[static_cast<size_t>(i)]) + ", " +
-              std::to_string(c) + ") is not a coordinate of node " +
-              std::to_string(node) + "'s array");
-        }
-        nd->expression.Set(r, c, expr[static_cast<size_t>(i)]);
-      }
+          engine::LoadExpressionArray(data.microarray, row_begin, row_end,
+                                      nd->patients.begin,
+                                      nd->patients.size(), dims_.genes,
+                                      options_.name, &tracker_));
     } else {
       GENBASE_RETURN_NOT_OK(SliceTable(data.microarray, row_begin, row_end,
                                        &tracker_, &nd->tables.microarray));
@@ -173,45 +154,16 @@ genbase::Result<std::vector<linalg::Matrix>> ClusterEngine::LocalBlocks(
   if (y_blocks != nullptr) {
     y_blocks->assign(static_cast<size_t>(options_.nodes), {});
   }
-  genbase::Status worker = genbase::Status::OK();
   GENBASE_RETURN_NOT_OK(sim->Compute([&](int node) -> genbase::Status {
-    NodeData& nd = *node_data_[static_cast<size_t>(node)];
-    if (options_.array_native) {
-      // SciDB: dimension-aligned selections + chunked submatrix gather.
-      const engine::Selection sel =
-          engine::SelectionFor(query, params, dims_);
-      GENBASE_ASSIGN_OR_RETURN(
-          std::vector<int64_t> selected,
-          relational::FilterColumns(
-              sel.on_genes ? nd.tables.genes : nd.tables.patients,
-              sel.predicates, ctx));
-      std::vector<int64_t> local_rows;
-      std::vector<int64_t> cols;
-      if (sel.on_genes) {
-        const auto& gids = nd.tables.genes.IntColumn(GeneCols::kGeneId);
-        for (int64_t i : selected) cols.push_back(gids[i]);
-        std::sort(cols.begin(), cols.end());
-        local_rows.resize(static_cast<size_t>(nd.patients.size()));
-        for (int64_t i = 0; i < nd.patients.size(); ++i) local_rows[i] = i;
-        if (y_blocks != nullptr) {
-          (*y_blocks)[static_cast<size_t>(node)] =
-              nd.tables.patients.DoubleColumn(PatientCols::kDrugResponse);
-        }
-      } else {
-        local_rows = std::move(selected);  // Positions == local array rows.
-        cols.resize(static_cast<size_t>(dims_.genes));
-        for (int64_t g = 0; g < dims_.genes; ++g) cols[g] = g;
-      }
-      GENBASE_ASSIGN_OR_RETURN(
-          blocks[static_cast<size_t>(node)],
-          nd.expression.GatherSubmatrix(local_rows, cols, ctx->memory()));
-      if (node == 0 && col_ids != nullptr) *col_ids = cols;
-      return genbase::Status::OK();
-    }
-    // Relational local pipeline (pbdR / column store / Hadoop local wave).
+    const NodeData& nd = *node_data_[static_cast<size_t>(node)];
+    // SciDB selects on its local array; the others filter, join and
+    // restructure their relational partition.
     GENBASE_ASSIGN_OR_RETURN(
         engine::QueryInputs in,
-        engine::PrepareInputsColumnar(nd.tables, query, params, ctx));
+        options_.array_native
+            ? engine::SelectArray(nd.expression, nd.patients.begin, nd.tables,
+                                  query, params, ctx)
+            : engine::PrepareInputsColumnar(nd.tables, query, params, ctx));
     blocks[static_cast<size_t>(node)] = std::move(in.x);
     if (y_blocks != nullptr) {
       (*y_blocks)[static_cast<size_t>(node)] = std::move(in.y);
@@ -219,7 +171,6 @@ genbase::Result<std::vector<linalg::Matrix>> ClusterEngine::LocalBlocks(
     if (node == 0 && col_ids != nullptr) *col_ids = std::move(in.col_ids);
     return genbase::Status::OK();
   }));
-  GENBASE_RETURN_NOT_OK(worker);
   if (options_.mapreduce) {
     int64_t total_bytes = 0;
     for (const auto& b : blocks) total_bytes += b.bytes() * 3;  // Triples.
@@ -245,10 +196,9 @@ genbase::Status ClusterEngine::ApplyGlue(std::vector<linalg::Matrix>* blocks,
   if (options_.udf_glue) {
     for (int node = 0; node < options_.nodes; ++node) {
       const linalg::Matrix& b = (*blocks)[static_cast<size_t>(node)];
-      const int64_t chunks = std::max<int64_t>(1, b.rows() / 512 + 1);
-      sim->ChargeCompute(node,
-                         static_cast<double>(chunks) *
-                             config.udf_invocation_overhead_s);
+      sim->ChargeCompute(
+          node, static_cast<double>(engine::UdfInvocations(b.rows())) *
+                    config.udf_invocation_overhead_s);
     }
   }
   return genbase::Status::OK();
@@ -317,15 +267,8 @@ genbase::Result<core::QueryResult> ClusterEngine::RunQuery(
       GENBASE_ASSIGN_OR_RETURN(
           linalg::LeastSquaresFit fit,
           DistributedLeastSquares(&sim, std::move(designs), y_blocks, ctx));
-      out.regression.rows = rows;
-      out.regression.predictors = static_cast<int64_t>(col_ids.size());
-      out.regression.r_squared = fit.r_squared;
-      double l2 = 0;
-      for (double c : fit.coefficients) l2 += c * c;
-      out.regression.coef_l2 = std::sqrt(l2);
-      const size_t head = std::min<size_t>(8, fit.coefficients.size());
-      out.regression.coef_head.assign(fit.coefficients.begin(),
-                                      fit.coefficients.begin() + head);
+      out.regression = core::SummarizeFit(
+          rows, static_cast<int64_t>(col_ids.size()) + 1, fit);
       break;
     }
     case QueryId::kCovariance: {
@@ -475,30 +418,13 @@ genbase::Result<core::QueryResult> ClusterEngine::RunQuery(
 
   double analytics_elapsed = sim.elapsed() - phase_start;
   if (options_.phi_offload) {
-    // Device model: communication stays on the host network; per-node
-    // compute is accelerated; partitions cross PCIe first.
+    // Communication stays on the host network; the per-node compute and
+    // the largest partition's PCIe transfer go through the device model.
     const double comm = sim.comm_elapsed() - comm_start;
-    const double compute = std::max(0.0, analytics_elapsed - comm);
-    double speedup = 1.0;
-    switch (query) {
-      case QueryId::kCovariance:
-      case QueryId::kSvd:
-      case QueryId::kRegression:
-        speedup = config.phi_gemm_speedup;
-        break;
-      case QueryId::kStatistics:
-        speedup = config.phi_bandwidth_speedup;
-        break;
-      case QueryId::kBiclustering:
-        speedup = 1.15;  // Latency-bound: "cannot be expected to show
-                         // significant speedup on any accelerator".
-        break;
-    }
-    const double transfer =
-        static_cast<double>(max_block_bytes) /
-            config.phi_transfer_bytes_per_s +
-        config.phi_launch_latency_s;
-    analytics_elapsed = comm + compute / speedup + transfer;
+    analytics_elapsed =
+        comm + accel::Coprocessor().OffloadedSeconds(
+                   accel::KernelClassFor(query), max_block_bytes,
+                   std::max(0.0, analytics_elapsed - comm));
   }
   ctx->clock().AddVirtual(Phase::kAnalytics, analytics_elapsed);
   return out;

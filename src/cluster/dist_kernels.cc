@@ -231,7 +231,6 @@ genbase::Result<DistributedSvdResult> DistributedTruncatedSvd(
   linalg::LanczosOptions opt;
   opt.num_eigenpairs = std::min<int64_t>(rank, n);
   opt.seed = seed;
-  opt.compute_vectors = false;
   WallTimer total_timer;
   GENBASE_ASSIGN_OR_RETURN(linalg::LanczosResult lr,
                            linalg::LanczosLargestEigenpairs(op, opt, ctx));
@@ -243,10 +242,7 @@ genbase::Result<DistributedSvdResult> DistributedTruncatedSvd(
 
   DistributedSvdResult out;
   out.iterations = lr.iterations;
-  out.singular_values.reserve(lr.eigenvalues.size());
-  for (double lambda : lr.eigenvalues) {
-    out.singular_values.push_back(std::sqrt(std::max(0.0, lambda)));
-  }
+  out.singular_values = linalg::SingularValues(lr.eigenvalues);
   return out;
 }
 

@@ -27,36 +27,34 @@ const std::string& DefaultSpillDir() {
 SpillFile::~SpillFile() { Discard(); }
 
 SpillFile::SpillFile(SpillFile&& other) noexcept
-    : path_(std::move(other.path_)),
-      fd_(other.fd_),
+    : fd_(other.fd_),
       bytes_written_(other.bytes_written_),
       reading_(other.reading_) {
   other.fd_ = -1;
-  other.path_.clear();
 }
 
 SpillFile& SpillFile::operator=(SpillFile&& other) noexcept {
   Discard();
-  path_ = std::move(other.path_);
   fd_ = other.fd_;
   bytes_written_ = other.bytes_written_;
   reading_ = other.reading_;
   other.fd_ = -1;
-  other.path_.clear();
   return *this;
 }
 
 Result<SpillFile> SpillFile::Create(const std::string& dir) {
   SpillFile f;
-  const std::string base = dir.empty() ? DefaultSpillDir() : dir;
-  f.path_ = base + "/spill_" + std::to_string(::getpid()) + "_" +
-            std::to_string(
-                g_spill_counter.fetch_add(1, std::memory_order_relaxed));
-  f.fd_ = ::open(f.path_.c_str(), O_CREAT | O_TRUNC | O_RDWR, 0644);
+  const std::string path =
+      (dir.empty() ? DefaultSpillDir() : dir) + "/spill_" +
+      std::to_string(::getpid()) + "_" +
+      std::to_string(g_spill_counter.fetch_add(1, std::memory_order_relaxed));
+  f.fd_ = ::open(path.c_str(), O_CREAT | O_TRUNC | O_RDWR, 0644);
   if (f.fd_ < 0) {
-    return Status::IOError("cannot create spill file " + f.path_ + ": " +
+    return Status::IOError("cannot create spill file " + path + ": " +
                            std::strerror(errno));
   }
+  // The open descriptor keeps the bytes; the name is not needed again.
+  ::unlink(path.c_str());
   return f;
 }
 
@@ -111,10 +109,6 @@ void SpillFile::Discard() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
-  }
-  if (!path_.empty()) {
-    ::unlink(path_.c_str());
-    path_.clear();
   }
 }
 

@@ -11,7 +11,10 @@ namespace genbase {
 
 /// \brief Disk-backed byte stream used by the MapReduce engine to materialize
 /// every stage boundary, as Hadoop does between map and reduce. Writes go to
-/// real files under a temp directory so the cost is genuinely incurred.
+/// real files under a temp directory so the cost is genuinely incurred. The
+/// file is unlinked as soon as it is opened: the descriptor keeps its bytes
+/// until it is closed or the process exits, so no spill file outlives its
+/// process, whether or not its owner is ever destroyed.
 class SpillFile {
  public:
   SpillFile() = default;
@@ -54,13 +57,11 @@ class SpillFile {
   }
 
   int64_t bytes_written() const { return bytes_written_; }
-  const std::string& path() const { return path_; }
 
-  /// Deletes the backing file.
+  /// Closes the file, which frees its bytes.
   void Discard();
 
  private:
-  std::string path_;
   int fd_ = -1;
   int64_t bytes_written_ = 0;
   bool reading_ = false;

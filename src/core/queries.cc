@@ -70,10 +70,6 @@ std::string QueryResult::ToString() const {
   return buf;
 }
 
-namespace {
-
-/// The Q1 summary of a fit on a rows x cols design matrix (intercept
-/// included); both RegressionAnalytics overloads end here.
 RegressionSummary SummarizeFit(int64_t rows, int64_t cols,
                                const linalg::LeastSquaresFit& fit) {
   RegressionSummary s;
@@ -88,8 +84,6 @@ RegressionSummary SummarizeFit(int64_t rows, int64_t cols,
                      fit.coefficients.begin() + head);
   return s;
 }
-
-}  // namespace
 
 genbase::Result<RegressionSummary> RegressionAnalytics(
     linalg::Matrix design_with_intercept, const std::vector<double>& y,

@@ -12,6 +12,7 @@
 #include "linalg/covariance.h"
 #include "linalg/lanczos.h"
 #include "linalg/matrix.h"
+#include "linalg/qr.h"
 
 namespace genbase::core {
 
@@ -122,6 +123,12 @@ struct QueryResult {
 /// budget. Keeping the arithmetic shared is how all seven engines compute
 /// identical answers while paying very different architectural costs — the
 /// paper's own systems all called the same LAPACK-family routines.
+
+/// The Q1 summary of a fit on a rows x cols design matrix (intercept
+/// included): both RegressionAnalytics overloads and the distributed TSQR
+/// fit end here.
+RegressionSummary SummarizeFit(int64_t rows, int64_t cols,
+                               const linalg::LeastSquaresFit& fit);
 
 /// Q1 analytics: least squares of y on [1 | X].
 genbase::Result<RegressionSummary> RegressionAnalytics(

@@ -60,9 +60,7 @@ genbase::Result<core::QueryResult> ColumnStoreEngine::RunQuery(
   if (inputs.x.size() > 0) {
     ScopedPhase glue(ctx, Phase::kGlue);
     GENBASE_ASSIGN_OR_RETURN(
-        inputs.x,
-        UdfTransferMatrix(linalg::MatrixView(inputs.x), ctx,
-                          /*chunk_rows=*/512));
+        inputs.x, UdfTransferMatrix(linalg::MatrixView(inputs.x), ctx));
   }
   if (!inputs.scores.empty() && ctx != nullptr) {
     ctx->clock().AddVirtual(Phase::kGlue, config.udf_invocation_overhead_s);

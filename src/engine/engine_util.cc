@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <unordered_map>
 
 #include "common/csv.h"
@@ -116,20 +117,26 @@ genbase::Result<std::vector<double>> CsvRoundTripVector(
   return parsed;
 }
 
-genbase::Result<linalg::Matrix> UdfTransferMatrix(
-    const linalg::MatrixView& m, ExecContext* ctx, int64_t chunk_rows) {
+int64_t UdfInvocations(int64_t rows) {
+  return (rows + kUdfChunkRows - 1) / kUdfChunkRows;
+}
+
+genbase::Result<linalg::Matrix> UdfTransferMatrix(const linalg::MatrixView& m,
+                                                  ExecContext* ctx) {
   MemoryTracker* tracker = ctx != nullptr ? ctx->memory() : nullptr;
   GENBASE_ASSIGN_OR_RETURN(linalg::Matrix out,
                            linalg::Matrix::Create(m.rows, m.cols, tracker));
   const auto& config = core::SimConfig::Get();
-  for (int64_t r0 = 0; r0 < m.rows; r0 += chunk_rows) {
+  const int64_t chunks = UdfInvocations(m.rows);
+  for (int64_t chunk = 0; chunk < chunks; ++chunk) {
     if (ctx != nullptr) {
       GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
       // One UDF invocation per chunk: interpreter entry + marshalling.
       ctx->clock().AddVirtual(Phase::kGlue,
                               config.udf_invocation_overhead_s);
     }
-    const int64_t r1 = std::min(m.rows, r0 + chunk_rows);
+    const int64_t r0 = chunk * kUdfChunkRows;
+    const int64_t r1 = std::min(m.rows, r0 + kUdfChunkRows);
     for (int64_t r = r0; r < r1; ++r) {
       std::copy(m.data + r * m.stride, m.data + r * m.stride + m.cols,
                 out.Row(r));
@@ -174,6 +181,20 @@ core::GeneMetaLookup MakeColumnarMetaLookup(
     }
     *function = (*func)[static_cast<size_t>(it->second)];
     *length = (*len)[static_cast<size_t>(it->second)];
+    return genbase::Status::OK();
+  };
+}
+
+core::GeneMetaLookup MakeMetaLookup(
+    std::shared_ptr<const GeneMetaIndex> index) {
+  return [index = std::move(index)](int64_t gene_id, int64_t* function,
+                                    int64_t* length) -> genbase::Status {
+    const auto it = index->find(gene_id);
+    if (it == index->end()) {
+      return genbase::Status::NotFound("gene " + std::to_string(gene_id));
+    }
+    *function = it->second.first;
+    *length = it->second.second;
     return genbase::Status::OK();
   };
 }
@@ -438,6 +459,71 @@ genbase::Result<QueryInputs> PrepareInputsColumnar(
   if (query == QueryId::kCovariance) {
     in.meta = MakeColumnarMetaLookup(tables.genes);
   }
+  return in;
+}
+
+genbase::Result<storage::ChunkedArray2D> LoadExpressionArray(
+    const storage::ColumnTable& microarray, int64_t row_begin,
+    int64_t row_end, int64_t first_patient, int64_t patients, int64_t genes,
+    const std::string& engine, MemoryTracker* tracker) {
+  GENBASE_ASSIGN_OR_RETURN(
+      storage::ChunkedArray2D a,
+      storage::ChunkedArray2D::Create(patients, genes, tracker));
+  const auto& pid = microarray.IntColumn(MicroarrayCols::kPatientId);
+  const auto& gid = microarray.IntColumn(MicroarrayCols::kGeneId);
+  const auto& expr = microarray.DoubleColumn(MicroarrayCols::kExpr);
+  for (int64_t i = row_begin; i < row_end; ++i) {
+    const auto k = static_cast<size_t>(i);
+    // Ids are the array's coordinates: one outside it fails the load.
+    if (!a.Contains(pid[k] - first_patient, gid[k])) {
+      return genbase::Status::InvalidArgument(
+          engine + ": (patient, gene) id (" + std::to_string(pid[k]) + ", " +
+          std::to_string(gid[k]) + ") is not an array coordinate");
+    }
+    a.Set(pid[k] - first_patient, gid[k], expr[k]);
+  }
+  return a;
+}
+
+genbase::Result<QueryInputs> SelectArray(
+    const storage::ChunkedArray2D& expression, int64_t first_patient,
+    const ColumnarTables& meta, QueryId query,
+    const core::QueryParams& params, ExecContext* ctx) {
+  const Selection sel = SelectionFor(query, params, meta.dims);
+  const storage::ColumnTable& side =
+      sel.on_genes ? meta.genes : meta.patients;
+  GENBASE_ASSIGN_OR_RETURN(
+      std::vector<int64_t> selected,
+      relational::FilterColumns(side, sel.predicates, ctx));
+  QueryInputs in;
+  std::vector<int64_t>& selected_ids = sel.on_genes ? in.col_ids : in.row_ids;
+  const int id_column =
+      sel.on_genes ? GeneCols::kGeneId : PatientCols::kPatientId;
+  selected_ids = GatherIds(side.IntColumn(id_column), selected);
+  std::sort(selected_ids.begin(), selected_ids.end());
+  // The other dimension is whole: every array row, or every gene.
+  std::vector<int64_t>& all_ids = sel.on_genes ? in.row_ids : in.col_ids;
+  all_ids.resize(static_cast<size_t>(sel.on_genes ? expression.rows()
+                                                  : expression.cols()));
+  std::iota(all_ids.begin(), all_ids.end(),
+            sel.on_genes ? first_patient : 0);
+  if (query == QueryId::kRegression) {
+    in.y = meta.patients.DoubleColumn(PatientCols::kDrugResponse);
+  }
+  std::vector<int64_t> rows(in.row_ids.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows[i] = in.row_ids[i] - first_patient;
+  }
+  // Sorted coordinates: the extremes bound them all.
+  if (!rows.empty() && !in.col_ids.empty() &&
+      !(expression.Contains(rows.front(), in.col_ids.front()) &&
+        expression.Contains(rows.back(), in.col_ids.back()))) {
+    return genbase::Status::InvalidArgument(
+        "a selected id is not an array coordinate");
+  }
+  GENBASE_ASSIGN_OR_RETURN(
+      in.x, expression.GatherSubmatrix(
+                rows, in.col_ids, ctx != nullptr ? ctx->memory() : nullptr));
   return in;
 }
 

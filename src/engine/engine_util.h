@@ -2,6 +2,10 @@
 #define GENBASE_ENGINE_ENGINE_UTIL_H_
 
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/exec_context.h"
@@ -11,6 +15,7 @@
 #include "linalg/matrix.h"
 #include "relational/col_ops.h"
 #include "relational/restructure.h"
+#include "storage/array_store.h"
 #include "storage/column_store.h"
 
 namespace genbase::engine {
@@ -48,11 +53,19 @@ genbase::Result<linalg::Matrix> CsvRoundTripMatrix(
 genbase::Result<std::vector<double>> CsvRoundTripVector(
     const std::vector<double>& v, ExecContext* ctx);
 
+/// Rows one in-database UDF invocation transfers.
+inline constexpr int64_t kUdfChunkRows = 512;
+
+/// UDF invocations that transfer `rows` rows: one per started chunk, none
+/// for no rows. The one count behind the single-node UDF transfer and the
+/// multi-node column store's per-node charge.
+int64_t UdfInvocations(int64_t rows);
+
 /// \brief The in-database UDF transfer: chunk-wise in-process copy plus a
 /// modeled per-invocation interpreter-entry overhead (SimConfig
 /// udf_invocation_overhead_s), charged as virtual glue time.
-genbase::Result<linalg::Matrix> UdfTransferMatrix(
-    const linalg::MatrixView& m, ExecContext* ctx, int64_t chunk_rows);
+genbase::Result<linalg::Matrix> UdfTransferMatrix(const linalg::MatrixView& m,
+                                                  ExecContext* ctx);
 
 /// \brief Builds GO memberships (term -> sorted unique gene ids) from a
 /// columnar ontology table by a vectorized pass. Q5's rank tests read
@@ -65,6 +78,13 @@ std::vector<std::vector<int64_t>> BuildMembershipsColumnar(
 /// table (built once per query; the Q2 join goes through it).
 core::GeneMetaLookup MakeColumnarMetaLookup(
     const storage::ColumnTable& genes);
+
+/// Gene id -> (function, length): the Q2 metadata index a tuple scan builds.
+using GeneMetaIndex =
+    std::unordered_map<int64_t, std::pair<int64_t, int64_t>>;
+
+/// The Q2 lookup over an index a scan built (the row store and Hadoop).
+core::GeneMetaLookup MakeMetaLookup(std::shared_ptr<const GeneMetaIndex> index);
 
 /// \brief A loaded dataset in columnar native storage (used by the R,
 /// column-store and — for its 1-D metadata arrays — SciDB engines).
@@ -147,10 +167,34 @@ genbase::Status AggregateScores(const ColumnarTables& tables,
 /// timed into Phase::kDataManagement: BuildJoinedAccess, then the matrix
 /// scatter (Q1-Q4) or the score aggregate (Q5), plus Q2's metadata lookup.
 /// Used by the R and column-store engines and the cluster engine's
-/// relational path; the row store and array engines implement their own
-/// pipelines.
+/// relational nodes. The row store and Hadoop run SelectionFor's predicates
+/// through their tuple-at-a-time operators instead, and the array engines
+/// through SelectArray.
 genbase::Result<QueryInputs> PrepareInputsColumnar(
     const ColumnarTables& tables, core::QueryId query,
+    const core::QueryParams& params, ExecContext* ctx);
+
+/// \brief The array engines' microarray: a dense [patient, gene] array
+/// whose row r holds patient `first_patient` + r (0 on one node; a node's
+/// first patient id on the cluster). Loads microarray rows [row_begin,
+/// row_end); ids are the array's coordinates, so a triple outside the
+/// `patients` x `genes` array fails the load with InvalidArgument naming
+/// `engine`. Charged to `tracker`.
+genbase::Result<storage::ChunkedArray2D> LoadExpressionArray(
+    const storage::ColumnTable& microarray, int64_t row_begin,
+    int64_t row_end, int64_t first_patient, int64_t patients, int64_t genes,
+    const std::string& engine, MemoryTracker* tracker);
+
+/// \brief The array engines' Q1-Q4 data management over such an array and
+/// its metadata: the query's Selection filters `meta`'s genes (Q1, Q4) or
+/// patients (Q2, Q3), and the survivors' ids index the array directly,
+/// with no join and no restructure. Returns x, its patient (row) and gene
+/// (column) ids, and Q1's response by row; x's rows are every array row or
+/// the selected patients, its columns the selected genes or every gene.
+/// Q2's metadata lookup is left to the caller.
+genbase::Result<QueryInputs> SelectArray(
+    const storage::ChunkedArray2D& expression, int64_t first_patient,
+    const ColumnarTables& meta, core::QueryId query,
     const core::QueryParams& params, ExecContext* ctx);
 
 }  // namespace genbase::engine

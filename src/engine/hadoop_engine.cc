@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "core/config.h"
 #include "relational/restructure.h"
+#include "relational/row_ops.h"
 
 namespace genbase::engine {
 
@@ -17,6 +17,8 @@ using core::MicroarrayCols;
 using core::PatientCols;
 using relational::DenseMapping;
 using relational::MakeDenseMapping;
+using relational::RowSatisfies;
+using storage::Value;
 
 constexpr int64_t kIoChunkRows = 64 * 1024;
 
@@ -34,7 +36,54 @@ void ChargeJobStartup(ExecContext* ctx, Phase phase) {
   }
 }
 
+/// One 8-byte field word: the int64, or the double's bits.
+int64_t Word(const Value& v) {
+  if (v.type == storage::DataType::kInt64) return v.AsInt();
+  const double d = v.AsDouble();
+  int64_t w;
+  std::memcpy(&w, &d, sizeof(w));
+  return w;
+}
+
+Value FromWord(storage::DataType type, int64_t w) {
+  if (type == storage::DataType::kInt64) return Value::Int(w);
+  double d;
+  std::memcpy(&d, &w, sizeof(d));
+  return Value::Double(d);
+}
+
 }  // namespace
+
+genbase::Status HadoopEngine::HdfsTable::Write(
+    const storage::ColumnTable& table) {
+  schema = table.schema();
+  rows = table.num_rows();
+  GENBASE_ASSIGN_OR_RETURN(file, SpillFile::Create());
+  std::vector<int64_t> words(static_cast<size_t>(schema.num_fields()));
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int c = 0; c < schema.num_fields(); ++c) {
+      words[static_cast<size_t>(c)] = Word(table.Get(r, c));
+    }
+    GENBASE_RETURN_NOT_OK(file.WriteInts(words.data(), schema.num_fields()));
+  }
+  return file.FinishWrite();
+}
+
+genbase::Status HadoopEngine::HdfsTable::Scan(
+    const std::function<void(const std::vector<Value>&)>& fn) {
+  GENBASE_RETURN_NOT_OK(file.Rewind());
+  std::vector<int64_t> words(static_cast<size_t>(schema.num_fields()));
+  std::vector<Value> row(words.size());
+  for (int64_t r = 0; r < rows; ++r) {
+    GENBASE_RETURN_NOT_OK(file.ReadInts(words.data(), schema.num_fields()));
+    for (int c = 0; c < schema.num_fields(); ++c) {
+      row[static_cast<size_t>(c)] =
+          FromWord(schema.field(c).type, words[static_cast<size_t>(c)]);
+    }
+    fn(row);
+  }
+  return genbase::Status::OK();
+}
 
 HadoopEngine::HadoopEngine()
     : tracker_(MemoryTracker::kUnlimited, "Hadoop") {}
@@ -66,33 +115,8 @@ genbase::Status HadoopEngine::DoLoadDataset(const core::GenBaseData& data) {
     hdfs->microarray_rows = static_cast<int64_t>(pid.size());
     GENBASE_RETURN_NOT_OK(hdfs->microarray.FinishWrite());
   }
-  {
-    GENBASE_ASSIGN_OR_RETURN(hdfs->patients, SpillFile::Create());
-    const int nf = data.patients.schema().num_fields();
-    std::vector<double> row(static_cast<size_t>(nf));
-    for (int64_t r = 0; r < data.patients.num_rows(); ++r) {
-      for (int c = 0; c < nf; ++c) {
-        row[static_cast<size_t>(c)] = data.patients.Get(r, c).ToDouble();
-      }
-      GENBASE_RETURN_NOT_OK(
-          hdfs->patients.WriteDoubles(row.data(), nf));
-    }
-    hdfs->patient_rows = data.patients.num_rows();
-    GENBASE_RETURN_NOT_OK(hdfs->patients.FinishWrite());
-  }
-  {
-    GENBASE_ASSIGN_OR_RETURN(hdfs->genes, SpillFile::Create());
-    const int nf = data.genes.schema().num_fields();
-    std::vector<int64_t> row(static_cast<size_t>(nf));
-    for (int64_t r = 0; r < data.genes.num_rows(); ++r) {
-      for (int c = 0; c < nf; ++c) {
-        row[static_cast<size_t>(c)] = data.genes.Get(r, c).AsInt();
-      }
-      GENBASE_RETURN_NOT_OK(hdfs->genes.WriteInts(row.data(), nf));
-    }
-    hdfs->gene_rows = data.genes.num_rows();
-    GENBASE_RETURN_NOT_OK(hdfs->genes.FinishWrite());
-  }
+  GENBASE_RETURN_NOT_OK(hdfs->patients.Write(data.patients));
+  GENBASE_RETURN_NOT_OK(hdfs->genes.Write(data.genes));
   hdfs_ = std::move(hdfs);
   return genbase::Status::OK();
 }
@@ -114,54 +138,33 @@ genbase::Result<SpillFile> HadoopEngine::HiveFilterJoin(
   Hdfs& h = *hdfs_;
   ScopedPhase dm(ctx, Phase::kDataManagement);
 
-  // Job 1: scan the dimension table, apply the filter ("Hive has only
-  // rudimentary query optimization" — but a broadcast join of a small
-  // dimension table is standard).
+  // Job 1: scan both dimension tables; the selection filters its side,
+  // whose survivors are broadcast to the join ("Hive has only rudimentary
+  // query optimization" — but a broadcast join of a small dimension table is
+  // standard).
   ChargeJobStartup(ctx, Phase::kDataManagement);
-  std::unordered_set<int64_t> filter_ids;
-  const bool gene_side = query == core::QueryId::kRegression ||
-                         query == core::QueryId::kSvd;
-  if (gene_side) {
-    GENBASE_RETURN_NOT_OK(h.genes.Rewind());
-    std::vector<int64_t> row(5);
-    for (int64_t r = 0; r < h.gene_rows; ++r) {
-      GENBASE_RETURN_NOT_OK(h.genes.ReadInts(row.data(), 5));
-      if (row[GeneCols::kFunction] < params.function_threshold) {
-        filter_ids.insert(row[GeneCols::kGeneId]);
-        col_ids->push_back(row[GeneCols::kGeneId]);
-      }
+  const Selection sel = SelectionFor(query, params, h.dims);
+  std::vector<std::pair<int64_t, double>> patients;  // (id, drug response)
+  GENBASE_RETURN_NOT_OK(h.genes.Scan([&](const std::vector<Value>& r) {
+    if (!sel.on_genes || RowSatisfies(sel.predicates, r)) {
+      col_ids->push_back(r[GeneCols::kGeneId].AsInt());
     }
-    std::sort(col_ids->begin(), col_ids->end());
-    GENBASE_RETURN_NOT_OK(h.patients.Rewind());
-    std::vector<double> prow(6);
-    for (int64_t r = 0; r < h.patient_rows; ++r) {
-      GENBASE_RETURN_NOT_OK(h.patients.ReadDoubles(prow.data(), 6));
-      row_ids->push_back(
-          static_cast<int64_t>(prow[PatientCols::kPatientId]));
-      if (y != nullptr) y->push_back(prow[PatientCols::kDrugResponse]);
+  }));
+  GENBASE_RETURN_NOT_OK(h.patients.Scan([&](const std::vector<Value>& r) {
+    if (sel.on_genes || RowSatisfies(sel.predicates, r)) {
+      patients.emplace_back(r[PatientCols::kPatientId].AsInt(),
+                            r[PatientCols::kDrugResponse].AsDouble());
     }
-  } else {
-    GENBASE_RETURN_NOT_OK(h.patients.Rewind());
-    std::vector<double> prow(6);
-    for (int64_t r = 0; r < h.patient_rows; ++r) {
-      GENBASE_RETURN_NOT_OK(h.patients.ReadDoubles(prow.data(), 6));
-      if (static_cast<int64_t>(prow[PatientCols::kDiseaseId]) ==
-          params.disease_id) {
-        const int64_t pid =
-            static_cast<int64_t>(prow[PatientCols::kPatientId]);
-        filter_ids.insert(pid);
-        row_ids->push_back(pid);
-      }
-    }
-    std::sort(row_ids->begin(), row_ids->end());
-    GENBASE_RETURN_NOT_OK(h.genes.Rewind());
-    std::vector<int64_t> grow(5);
-    for (int64_t r = 0; r < h.gene_rows; ++r) {
-      GENBASE_RETURN_NOT_OK(h.genes.ReadInts(grow.data(), 5));
-      col_ids->push_back(grow[GeneCols::kGeneId]);
-    }
-    std::sort(col_ids->begin(), col_ids->end());
+  }));
+  std::sort(col_ids->begin(), col_ids->end());
+  std::sort(patients.begin(), patients.end());
+  for (const auto& [id, response] : patients) {
+    row_ids->push_back(id);
+    if (y != nullptr) y->push_back(response);
   }
+  const std::vector<int64_t>& selected = sel.on_genes ? *col_ids : *row_ids;
+  const std::unordered_set<int64_t> filter_ids(selected.begin(),
+                                               selected.end());
 
   // Job 2: map over the fact file, join against the broadcast filter, and
   // materialize matched triples back to disk (the reduce output).
@@ -180,7 +183,7 @@ genbase::Result<SpillFile> HadoopEngine::HiveFilterJoin(
         in_buf.data(), n * static_cast<int64_t>(sizeof(TripleRec))));
     for (int64_t i = 0; i < n; ++i) {
       const int64_t key =
-          gene_side ? in_buf[i].gene_id : in_buf[i].patient_id;
+          sel.on_genes ? in_buf[i].gene_id : in_buf[i].patient_id;
       if (filter_ids.count(key) == 0) continue;
       out_buf.push_back(in_buf[static_cast<size_t>(i)]);
       ++*matched_rows;
@@ -261,25 +264,13 @@ genbase::Result<core::QueryResult> HadoopEngine::RunQuery(
   if (query == core::QueryId::kCovariance) {
     ScopedPhase dm(ctx, Phase::kDataManagement);
     ChargeJobStartup(ctx, Phase::kDataManagement);
-    auto index = std::make_shared<
-        std::unordered_map<int64_t, std::pair<int64_t, int64_t>>>();
-    GENBASE_RETURN_NOT_OK(hdfs_->genes.Rewind());
-    std::vector<int64_t> row(5);
-    for (int64_t r = 0; r < hdfs_->gene_rows; ++r) {
-      GENBASE_RETURN_NOT_OK(hdfs_->genes.ReadInts(row.data(), 5));
-      (*index)[row[GeneCols::kGeneId]] = {row[GeneCols::kFunction],
-                                          row[GeneCols::kLength]};
-    }
-    inputs.meta = [index](int64_t gene_id, int64_t* function,
-                          int64_t* length) -> genbase::Status {
-      const auto it = index->find(gene_id);
-      if (it == index->end()) {
-        return genbase::Status::NotFound("gene " + std::to_string(gene_id));
-      }
-      *function = it->second.first;
-      *length = it->second.second;
-      return genbase::Status::OK();
-    };
+    auto index = std::make_shared<GeneMetaIndex>();
+    GENBASE_RETURN_NOT_OK(
+        hdfs_->genes.Scan([&index](const std::vector<Value>& r) {
+          (*index)[r[GeneCols::kGeneId].AsInt()] = {
+              r[GeneCols::kFunction].AsInt(), r[GeneCols::kLength].AsInt()};
+        }));
+    inputs.meta = MakeMetaLookup(std::move(index));
   }
 
   // Mahout job(s): naive kernels, one job startup — plus, for Lanczos, one

@@ -1,6 +1,7 @@
 #ifndef GENBASE_ENGINE_HADOOP_ENGINE_H_
 #define GENBASE_ENGINE_HADOOP_ENGINE_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,13 +50,24 @@ class HadoopEngine : public core::Engine {
                                               ExecContext* ctx) override;
 
  private:
+  /// A dimension table on "HDFS": fixed-width records of one 8-byte word
+  /// per field (the int64, or the double's bits).
+  struct HdfsTable {
+    SpillFile file;
+    storage::Schema schema;
+    int64_t rows = 0;
+
+    genbase::Status Write(const storage::ColumnTable& table);
+    /// Decodes every record in file order and hands it to `fn`.
+    genbase::Status Scan(
+        const std::function<void(const std::vector<storage::Value>&)>& fn);
+  };
+
   struct Hdfs {
     SpillFile microarray;  ///< (patient_id, gene_id, expr) binary triples.
-    SpillFile patients;    ///< 6 fields per row.
-    SpillFile genes;       ///< 5 fields per row.
     int64_t microarray_rows = 0;
-    int64_t patient_rows = 0;
-    int64_t gene_rows = 0;
+    HdfsTable patients;
+    HdfsTable genes;
     core::DatasetDims dims;
   };
 

@@ -18,10 +18,10 @@ using core::MicroarrayCols;
 using core::PatientCols;
 using relational::DenseMapping;
 using relational::MakeDenseMapping;
-using relational::MaterializeRows;
 using relational::RowFilter;
 using relational::RowHashJoin;
 using relational::RowOperator;
+using relational::RowPredicate;
 using relational::RowProject;
 using relational::RowScan;
 using storage::RowStore;
@@ -37,6 +37,24 @@ genbase::Status LoadRowTable(const storage::ColumnTable& src,
     }
     GENBASE_RETURN_NOT_OK(dst->Append(row.data()));
   }
+  return genbase::Status::OK();
+}
+
+/// Drains `op` into the sorted values of its int column `key`; `each` (if
+/// set) also sees every tuple.
+genbase::Status CollectIds(
+    std::unique_ptr<RowOperator> op, int key,
+    const std::function<void(const std::vector<Value>&)>& each,
+    ExecContext* ctx, std::vector<int64_t>* ids) {
+  GENBASE_RETURN_NOT_OK(op->Open(ctx));
+  std::vector<Value> row;
+  for (;;) {
+    GENBASE_ASSIGN_OR_RETURN(bool more, op->Next(&row));
+    if (!more) break;
+    ids->push_back(row[static_cast<size_t>(key)].AsInt());
+    if (each) each(row);
+  }
+  std::sort(ids->begin(), ids->end());
   return genbase::Status::OK();
 }
 
@@ -96,221 +114,112 @@ genbase::Result<QueryInputs> PostgresEngine::PrepareInputs(
   QueryInputs in;
   ScopedPhase dm(ctx, Phase::kDataManagement);
   Tables& t = *tables_;
+  const Selection sel = SelectionFor(query, params, t.dims);
+  const RowPredicate selected = [&sel](const std::vector<Value>& r) {
+    return relational::RowSatisfies(sel.predicates, r);
+  };
+  const RowStore& side = sel.on_genes ? t.genes : t.patients;
+  const int side_key = sel.on_genes ? GeneCols::kGeneId
+                                    : PatientCols::kPatientId;
+  // SELECT ... FROM side WHERE <selection> JOIN microarray USING (key).
+  auto join = std::make_unique<RowHashJoin>(
+      std::make_unique<RowProject>(
+          std::make_unique<RowFilter>(std::make_unique<RowScan>(&side),
+                                      selected),
+          std::vector<int>{side_key}),
+      std::make_unique<RowScan>(&t.microarray), 0,
+      sel.on_genes ? MicroarrayCols::kGeneId : MicroarrayCols::kPatientId);
 
-  switch (query) {
-    case core::QueryId::kRegression:
-    case core::QueryId::kSvd: {
-      // SELECT gene_id FROM genes WHERE function < thr (collect ids).
-      {
-        auto scan = std::make_unique<RowScan>(&t.genes);
-        RowFilter filter(
-            std::move(scan),
-            [thr = params.function_threshold](const std::vector<Value>& r) {
-              return r[GeneCols::kFunction].AsInt() < thr;
-            });
-        GENBASE_RETURN_NOT_OK(filter.Open(ctx));
-        std::vector<Value> row;
-        for (;;) {
-          GENBASE_ASSIGN_OR_RETURN(bool more, filter.Next(&row));
-          if (!more) break;
-          in.col_ids.push_back(row[GeneCols::kGeneId].AsInt());
-        }
-        std::sort(in.col_ids.begin(), in.col_ids.end());
-      }
-      // ... JOIN microarray USING (gene_id), project, restructure.
-      auto build = std::make_unique<RowProject>(
-          std::make_unique<RowFilter>(
-              std::make_unique<RowScan>(&t.genes),
-              [thr = params.function_threshold](
-                  const std::vector<Value>& r) {
-                return r[GeneCols::kFunction].AsInt() < thr;
-              }),
-          std::vector<int>{GeneCols::kGeneId});
-      auto join = std::make_unique<RowHashJoin>(
-          std::move(build), std::make_unique<RowScan>(&t.microarray), 0,
-          MicroarrayCols::kGeneId);
-      // Join output: [gene_id(build), gene_id, patient_id, expr].
-      RowProject projected(std::move(join),
-                           {1 + MicroarrayCols::kPatientId,
-                            1 + MicroarrayCols::kGeneId,
-                            1 + MicroarrayCols::kExpr});
-      // Row ids: all patients, plus the Q1 response projection.
-      std::unordered_map<int64_t, double> response;
-      {
-        RowScan scan(&t.patients);
-        GENBASE_RETURN_NOT_OK(scan.Open(ctx));
-        std::vector<Value> row;
-        for (;;) {
-          GENBASE_ASSIGN_OR_RETURN(bool more, scan.Next(&row));
-          if (!more) break;
-          in.row_ids.push_back(row[PatientCols::kPatientId].AsInt());
-          response[row[PatientCols::kPatientId].AsInt()] =
-              row[PatientCols::kDrugResponse].AsDouble();
-        }
-        std::sort(in.row_ids.begin(), in.row_ids.end());
-      }
-      const DenseMapping row_map = MakeDenseMapping(in.row_ids);
-      const DenseMapping col_map = MakeDenseMapping(in.col_ids);
-      GENBASE_ASSIGN_OR_RETURN(
-          in.x, RestructureFromOperator(&projected, row_map, col_map, ctx));
-      if (query == core::QueryId::kRegression) {
-        in.y.resize(static_cast<size_t>(row_map.size()));
-        for (int64_t i = 0; i < row_map.size(); ++i) {
-          in.y[static_cast<size_t>(i)] =
-              response[row_map.ids[static_cast<size_t>(i)]];
-        }
-      }
-      return in;
+  if (query == core::QueryId::kStatistics) {
+    // Per-tuple aggregation: AVG(expr) GROUP BY gene_id.
+    GENBASE_RETURN_NOT_OK(join->Open(ctx));
+    std::unordered_map<int64_t, std::pair<double, int64_t>> agg;
+    std::vector<Value> row;
+    for (;;) {
+      GENBASE_ASSIGN_OR_RETURN(bool more, join->Next(&row));
+      if (!more) break;
+      auto& slot = agg[row[1 + MicroarrayCols::kGeneId].AsInt()];
+      slot.first += row[1 + MicroarrayCols::kExpr].AsDouble();
+      ++slot.second;
     }
-    case core::QueryId::kCovariance:
-    case core::QueryId::kBiclustering: {
-      relational::RowPredicate pred;
-      if (query == core::QueryId::kCovariance) {
-        pred = [d = params.disease_id](const std::vector<Value>& r) {
-          return r[PatientCols::kDiseaseId].AsInt() == d;
-        };
-      } else {
-        pred = [g = params.gender,
-                a = params.max_age](const std::vector<Value>& r) {
-          return r[PatientCols::kGender].AsInt() == g &&
-                 r[PatientCols::kAge].AsInt() < a;
-        };
+    in.sample_count = std::min<int64_t>(
+        core::SampleCount(t.dims.patients, params.sample_fraction),
+        t.dims.patients);
+    // Scores aligned to the full gene id order.
+    std::vector<int64_t> gene_ids;
+    GENBASE_RETURN_NOT_OK(
+        CollectIds(std::make_unique<RowScan>(&t.genes), GeneCols::kGeneId,
+                   nullptr, ctx, &gene_ids));
+    in.scores.resize(gene_ids.size(), 0.0);
+    for (size_t i = 0; i < gene_ids.size(); ++i) {
+      const auto it = agg.find(gene_ids[i]);
+      if (it != agg.end() && it->second.second > 0) {
+        in.scores[i] =
+            it->second.first / static_cast<double>(it->second.second);
       }
-      {
-        RowFilter filter(std::make_unique<RowScan>(&t.patients), pred);
-        GENBASE_RETURN_NOT_OK(filter.Open(ctx));
-        std::vector<Value> row;
-        for (;;) {
-          GENBASE_ASSIGN_OR_RETURN(bool more, filter.Next(&row));
-          if (!more) break;
-          in.row_ids.push_back(row[PatientCols::kPatientId].AsInt());
-        }
-        std::sort(in.row_ids.begin(), in.row_ids.end());
-      }
-      {
-        RowScan scan(&t.genes);
-        GENBASE_RETURN_NOT_OK(scan.Open(ctx));
-        std::vector<Value> row;
-        for (;;) {
-          GENBASE_ASSIGN_OR_RETURN(bool more, scan.Next(&row));
-          if (!more) break;
-          in.col_ids.push_back(row[GeneCols::kGeneId].AsInt());
-        }
-        std::sort(in.col_ids.begin(), in.col_ids.end());
-      }
-      auto build = std::make_unique<RowProject>(
-          std::make_unique<RowFilter>(std::make_unique<RowScan>(&t.patients),
-                                      pred),
-          std::vector<int>{PatientCols::kPatientId});
-      auto join = std::make_unique<RowHashJoin>(
-          std::move(build), std::make_unique<RowScan>(&t.microarray), 0,
-          MicroarrayCols::kPatientId);
-      RowProject projected(std::move(join),
-                           {1 + MicroarrayCols::kPatientId,
-                            1 + MicroarrayCols::kGeneId,
-                            1 + MicroarrayCols::kExpr});
-      const DenseMapping row_map = MakeDenseMapping(in.row_ids);
-      const DenseMapping col_map = MakeDenseMapping(in.col_ids);
-      GENBASE_ASSIGN_OR_RETURN(
-          in.x, RestructureFromOperator(&projected, row_map, col_map, ctx));
-      if (query == core::QueryId::kCovariance) {
-        // Build the metadata access path by an index scan into a hash.
-        auto index = std::make_shared<
-            std::unordered_map<int64_t, std::pair<int64_t, int64_t>>>();
-        RowScan scan(&t.genes);
-        GENBASE_RETURN_NOT_OK(scan.Open(ctx));
-        std::vector<Value> row;
-        for (;;) {
-          GENBASE_ASSIGN_OR_RETURN(bool more, scan.Next(&row));
-          if (!more) break;
-          (*index)[row[GeneCols::kGeneId].AsInt()] = {
-              row[GeneCols::kFunction].AsInt(),
-              row[GeneCols::kLength].AsInt()};
-        }
-        in.meta = [index](int64_t gene_id, int64_t* function,
-                          int64_t* length) -> genbase::Status {
-          const auto it = index->find(gene_id);
-          if (it == index->end()) {
-            return genbase::Status::NotFound("gene " +
-                                             std::to_string(gene_id));
-          }
-          *function = it->second.first;
-          *length = it->second.second;
-          return genbase::Status::OK();
-        };
-      }
-      return in;
     }
-    case core::QueryId::kStatistics: {
-      const int64_t k =
-          core::SampleCount(t.dims.patients, params.sample_fraction);
-      auto build = std::make_unique<RowProject>(
-          std::make_unique<RowFilter>(
-              std::make_unique<RowScan>(&t.patients),
-              [k](const std::vector<Value>& r) {
-                return r[PatientCols::kPatientId].AsInt() < k;
-              }),
-          std::vector<int>{PatientCols::kPatientId});
-      auto join = std::make_unique<RowHashJoin>(
-          std::move(build), std::make_unique<RowScan>(&t.microarray), 0,
-          MicroarrayCols::kPatientId);
-      // Per-tuple aggregation: AVG(expr) GROUP BY gene_id.
-      GENBASE_RETURN_NOT_OK(join->Open(ctx));
-      std::unordered_map<int64_t, std::pair<double, int64_t>> agg;
-      std::vector<Value> row;
-      int64_t sample_rows = 0;
-      for (;;) {
-        GENBASE_ASSIGN_OR_RETURN(bool more, join->Next(&row));
-        if (!more) break;
-        auto& slot = agg[row[1 + MicroarrayCols::kGeneId].AsInt()];
-        slot.first += row[1 + MicroarrayCols::kExpr].AsDouble();
-        ++slot.second;
-        ++sample_rows;
-      }
-      in.sample_count = std::min<int64_t>(k, t.dims.patients);
-      // Scores aligned to the full gene id order.
-      {
-        RowScan scan(&t.genes);
-        GENBASE_RETURN_NOT_OK(scan.Open(ctx));
-        std::vector<Value> grow;
-        std::vector<int64_t> gene_ids;
-        for (;;) {
-          GENBASE_ASSIGN_OR_RETURN(bool more, scan.Next(&grow));
-          if (!more) break;
-          gene_ids.push_back(grow[GeneCols::kGeneId].AsInt());
-        }
-        std::sort(gene_ids.begin(), gene_ids.end());
-        in.scores.resize(gene_ids.size(), 0.0);
-        for (size_t i = 0; i < gene_ids.size(); ++i) {
-          const auto it = agg.find(gene_ids[i]);
-          if (it != agg.end() && it->second.second > 0) {
-            in.scores[i] = it->second.first /
-                           static_cast<double>(it->second.second);
-          }
-        }
-      }
-      // Memberships by tuple-at-a-time scan of the ontology table.
-      in.memberships.assign(static_cast<size_t>(t.dims.go_terms), {});
-      {
-        RowScan scan(&t.ontology);
-        GENBASE_RETURN_NOT_OK(scan.Open(ctx));
-        std::vector<Value> orow;
-        for (;;) {
-          GENBASE_ASSIGN_OR_RETURN(bool more, scan.Next(&orow));
-          if (!more) break;
-          if (orow[GoCols::kBelongs].AsInt() == 0) continue;
-          in.memberships[static_cast<size_t>(orow[GoCols::kGoId].AsInt())]
-              .push_back(orow[GoCols::kGeneId].AsInt());
-        }
-        for (auto& m : in.memberships) {
-          std::sort(m.begin(), m.end());
-          m.erase(std::unique(m.begin(), m.end()), m.end());
-        }
-      }
-      return in;
+    // Memberships by tuple-at-a-time scan of the ontology table.
+    in.memberships.assign(static_cast<size_t>(t.dims.go_terms), {});
+    RowScan scan(&t.ontology);
+    GENBASE_RETURN_NOT_OK(scan.Open(ctx));
+    for (;;) {
+      GENBASE_ASSIGN_OR_RETURN(bool more, scan.Next(&row));
+      if (!more) break;
+      if (row[GoCols::kBelongs].AsInt() == 0) continue;
+      in.memberships[static_cast<size_t>(row[GoCols::kGoId].AsInt())]
+          .push_back(row[GoCols::kGeneId].AsInt());
+    }
+    for (auto& m : in.memberships) {
+      std::sort(m.begin(), m.end());
+      m.erase(std::unique(m.begin(), m.end()), m.end());
+    }
+    return in;
+  }
+
+  // Q1-Q4: the selected side's ids and every id of the other side, whose
+  // scan also builds Q1's response projection or Q2's metadata index; then
+  // restructure the projected join.
+  GENBASE_RETURN_NOT_OK(CollectIds(
+      std::make_unique<RowFilter>(std::make_unique<RowScan>(&side), selected),
+      side_key, nullptr, ctx, sel.on_genes ? &in.col_ids : &in.row_ids));
+  std::unordered_map<int64_t, double> response;
+  auto meta = std::make_shared<GeneMetaIndex>();
+  std::function<void(const std::vector<Value>&)> each_other;
+  if (query == core::QueryId::kRegression) {
+    each_other = [&response](const std::vector<Value>& r) {
+      response[r[PatientCols::kPatientId].AsInt()] =
+          r[PatientCols::kDrugResponse].AsDouble();
+    };
+  } else if (query == core::QueryId::kCovariance) {
+    each_other = [&meta](const std::vector<Value>& r) {
+      (*meta)[r[GeneCols::kGeneId].AsInt()] = {r[GeneCols::kFunction].AsInt(),
+                                               r[GeneCols::kLength].AsInt()};
+    };
+  }
+  GENBASE_RETURN_NOT_OK(
+      sel.on_genes
+          ? CollectIds(std::make_unique<RowScan>(&t.patients),
+                       PatientCols::kPatientId, each_other, ctx, &in.row_ids)
+          : CollectIds(std::make_unique<RowScan>(&t.genes),
+                       GeneCols::kGeneId, each_other, ctx, &in.col_ids));
+  // Join output: [key(build), patient_id, gene_id, expr].
+  RowProject projected(std::move(join),
+                       {1 + MicroarrayCols::kPatientId,
+                        1 + MicroarrayCols::kGeneId,
+                        1 + MicroarrayCols::kExpr});
+  const DenseMapping row_map = MakeDenseMapping(in.row_ids);
+  const DenseMapping col_map = MakeDenseMapping(in.col_ids);
+  GENBASE_ASSIGN_OR_RETURN(
+      in.x, RestructureFromOperator(&projected, row_map, col_map, ctx));
+  if (query == core::QueryId::kRegression) {
+    in.y.resize(static_cast<size_t>(row_map.size()));
+    for (int64_t i = 0; i < row_map.size(); ++i) {
+      in.y[static_cast<size_t>(i)] =
+          response[row_map.ids[static_cast<size_t>(i)]];
     }
   }
-  return genbase::Status::InvalidArgument("unknown query");
+  if (query == core::QueryId::kCovariance) in.meta = MakeMetaLookup(meta);
+  return in;
 }
 
 genbase::Result<core::QueryResult> PostgresEngine::RunQuery(

@@ -163,40 +163,7 @@ genbase::Result<LanczosResult> LanczosLargestEigenpairs(
     if (rule.Stops(m, pairs, s.w_norm)) break;
   }
 
-  const int m = s.iterations();
-  LanczosResult result = Answer(k, m, converged, theta);
-  const int found = static_cast<int>(result.eigenvalues.size());
-  if (options.compute_vectors) {
-    // The Ritz vectors need every row of T_m's eigenvectors: solve it again
-    // with the full z (the eigenvalues come out the same, bit for bit).
-    std::vector<double> d(s.alpha.begin(), s.alpha.end());
-    e.assign(s.beta.begin(), s.beta.end());
-    e.resize(static_cast<size_t>(m), 0.0);
-    Matrix z(m, m);
-    for (int i = 0; i < m; ++i) z(i, i) = 1.0;
-    GENBASE_RETURN_NOT_OK(SymmetricTridiagonalEigen(&d, &e, &z));
-    result.eigenvectors = Matrix(n, found);
-    // Ritz vector i = sum_r basis[r] * z(r, col_i).
-    for (int i = 0; i < found; ++i) {
-      const int col = m - 1 - i;
-      for (int r = 0; r < m; ++r) {
-        const double c = z(r, col);
-        if (c == 0.0) continue;
-        const double* br = s.basis.data() + r * n;
-        for (int64_t t = 0; t < n; ++t) result.eigenvectors(t, i) += c * br[t];
-      }
-      // Normalize (defensive; should already be unit norm).
-      double nrm = 0;
-      for (int64_t t = 0; t < n; ++t) {
-        nrm += result.eigenvectors(t, i) * result.eigenvectors(t, i);
-      }
-      nrm = std::sqrt(nrm);
-      if (nrm > 0) {
-        for (int64_t t = 0; t < n; ++t) result.eigenvectors(t, i) /= nrm;
-      }
-    }
-  }
-  return result;
+  return Answer(k, s.iterations(), converged, theta);
 }
 
 int64_t LanczosRecord::Snapshot::bytes() const {

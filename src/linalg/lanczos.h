@@ -10,7 +10,6 @@
 #include "common/exec_context.h"
 #include "common/memory_tracker.h"
 #include "common/status.h"
-#include "linalg/matrix.h"
 
 namespace genbase::linalg {
 
@@ -24,12 +23,10 @@ struct LanczosOptions {
   int num_eigenpairs = 50;     ///< k: the paper's Query 4 asks for 50.
   double tolerance = 1e-10;    ///< Residual tolerance relative to |theta|.
   uint64_t seed = 42;          ///< Starting-vector seed (deterministic).
-  bool compute_vectors = true;
 };
 
 struct LanczosResult {
   std::vector<double> eigenvalues;  ///< Descending, length <= k.
-  Matrix eigenvectors;              ///< n x k Ritz vectors (if requested).
   int iterations = 0;
   bool converged = false;
 };
@@ -49,7 +46,8 @@ struct LanczosState {
 };
 
 /// \brief Lanczos iteration with full reorthogonalization for the largest
-/// eigenpairs of a symmetric positive semidefinite operator.
+/// eigenvalues of a symmetric positive semidefinite operator (no Ritz
+/// vectors: every Q4 answer is values only).
 ///
 /// This is the algorithm GenBase names for Query 4: "the Lanczos algorithm,
 /// which is a power method that can iteratively find the largest eigenvalues
@@ -69,7 +67,7 @@ genbase::Result<LanczosResult> LanczosLargestEigenpairs(
 /// pairs meet the tolerance. So the record keeps the recurrence so far and
 /// that count for each m it reached, and answers any k as
 /// LanczosLargestEigenpairs(op, options) would, bit for bit: values,
-/// iterations and converged, without Ritz vectors.
+/// iterations and converged.
 ///
 /// Thread-safe. The record is published as immutable snapshots. A run scans
 /// the current one with the stopping rule and solves T_m once, at its stop.
@@ -97,7 +95,7 @@ class LanczosRecord {
   explicit LanczosRecord(GrowingReservation* account = nullptr)
       : account_(account) {}
 
-  /// The run for options.num_eigenpairs; options.compute_vectors is ignored.
+  /// The run for options.num_eigenpairs.
   genbase::Result<LanczosResult> Run(const LinearOperator& op,
                                      const LanczosOptions& options,
                                      ExecContext* ctx = nullptr);

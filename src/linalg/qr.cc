@@ -139,19 +139,6 @@ void HouseholderQr::ApplyQTranspose(double* b) const {
   }
 }
 
-void HouseholderQr::ApplyQ(double* b) const {
-  const int64_t m = rows();
-  const int64_t n = cols();
-  for (int64_t k = n - 1; k >= 0; --k) {
-    if (tau_[k] == 0.0) continue;
-    const double* colk = qrt_.Row(k);
-    const double s =
-        (b[k] + Dot(colk + k + 1, b + k + 1, m - k - 1)) * tau_[k];
-    b[k] -= s;
-    Axpy(-s, colk + k + 1, b + k + 1, m - k - 1);
-  }
-}
-
 genbase::Status HouseholderQr::SolveR(const double* b, double* x) const {
   const int64_t n = cols();
   for (int64_t i = n - 1; i >= 0; --i) {
@@ -165,20 +152,6 @@ genbase::Status HouseholderQr::SolveR(const double* b, double* x) const {
     x[i] = s / d;
   }
   return Status::OK();
-}
-
-Matrix HouseholderQr::ThinQ() const {
-  const int64_t m = rows();
-  const int64_t n = cols();
-  Matrix q(m, n);
-  std::vector<double> e(static_cast<size_t>(m), 0.0);
-  for (int64_t j = 0; j < n; ++j) {
-    std::fill(e.begin(), e.end(), 0.0);
-    e[static_cast<size_t>(j)] = 1.0;
-    ApplyQ(e.data());
-    for (int64_t i = 0; i < m; ++i) q(i, j) = e[static_cast<size_t>(i)];
-  }
-  return q;
 }
 
 Matrix HouseholderQr::R() const {

@@ -34,16 +34,9 @@ class HouseholderQr {
   /// Overwrites b (length m) with Q^T b.
   void ApplyQTranspose(double* b) const;
 
-  /// Overwrites b (length m) with Q b.
-  void ApplyQ(double* b) const;
-
   /// Solves R x = b[0..n) by back substitution. Returns InvalidArgument on a
   /// numerically singular R.
   genbase::Status SolveR(const double* b, double* x) const;
-
-  /// Returns the thin Q (m x n) explicitly; tests check the factorization
-  /// through it (TSQR reads only R).
-  Matrix ThinQ() const;
 
   /// Returns the R factor (n x n).
   Matrix R() const;

@@ -7,40 +7,6 @@
 
 namespace genbase::linalg {
 
-namespace {
-
-/// Lanczos on the Gram operator y = A^T (A x) of `a`: read from `record`
-/// when given, else a fresh run.
-genbase::Result<LanczosResult> GramLanczos(const MatrixView& a,
-                                           const SvdOptions& options,
-                                           bool compute_vectors,
-                                           LanczosRecord* record,
-                                           ExecContext* ctx) {
-  const int64_t m = a.rows;
-  const int64_t n = a.cols;
-  if (m == 0 || n == 0) return Status::InvalidArgument("empty matrix in SVD");
-  ThreadPool* pool = ctx != nullptr ? ctx->pool() : nullptr;
-
-  // Temp buffer reused across applications.
-  std::vector<double> tmp(static_cast<size_t>(m));
-  LinearOperator op;
-  op.n = n;
-  op.apply = [&](const double* x, double* y) -> genbase::Status {
-    GramApply(a, options.quality, x, tmp.data(), y, pool);
-    if (ctx != nullptr) return ctx->CheckBudgets();
-    return genbase::Status::OK();
-  };
-
-  LanczosOptions lopt;
-  lopt.num_eigenpairs = std::min<int>(options.rank, static_cast<int>(n));
-  lopt.tolerance = options.tolerance;
-  lopt.seed = options.seed;
-  lopt.compute_vectors = compute_vectors;
-  if (record != nullptr) return record->Run(op, lopt, ctx);
-  return LanczosLargestEigenpairs(op, lopt, ctx);
-}
-
-/// sigma_i = sqrt(lambda_i), with rounding noise below zero clamped.
 std::vector<double> SingularValues(const std::vector<double>& eigenvalues) {
   std::vector<double> sigma;
   sigma.reserve(eigenvalues.size());
@@ -49,8 +15,6 @@ std::vector<double> SingularValues(const std::vector<double>& eigenvalues) {
   }
   return sigma;
 }
-
-}  // namespace
 
 void GramApply(const MatrixView& a, KernelQuality quality, const double* x,
                double* tmp, double* y, ThreadPool* pool) {
@@ -72,42 +36,33 @@ void GramApply(const MatrixView& a, KernelQuality quality, const double* x,
   }
 }
 
-genbase::Result<SvdResult> TruncatedSvd(const MatrixView& a,
-                                        const SvdOptions& options,
-                                        ExecContext* ctx) {
-  GENBASE_ASSIGN_OR_RETURN(
-      LanczosResult lr,
-      GramLanczos(a, options, /*compute_vectors=*/true, nullptr, ctx));
-  const int64_t m = a.rows;
-  const int64_t n = a.cols;
-  ThreadPool* pool = ctx != nullptr ? ctx->pool() : nullptr;
-
-  SvdResult out;
-  out.lanczos_iterations = lr.iterations;
-  out.singular_values = SingularValues(lr.eigenvalues);
-  const int k = static_cast<int>(lr.eigenvalues.size());
-  out.v = std::move(lr.eigenvectors);
-  out.u = Matrix(m, k);
-  std::vector<double> av(static_cast<size_t>(m));
-  std::vector<double> vcol(static_cast<size_t>(n));
-  for (int i = 0; i < k; ++i) {
-    const double sigma = out.singular_values[i];
-    for (int64_t t = 0; t < n; ++t) vcol[t] = out.v(t, i);
-    Gemv(a, vcol.data(), av.data(), pool);
-    if (sigma > 1e-12) {
-      for (int64_t t = 0; t < m; ++t) out.u(t, i) = av[t] / sigma;
-    }
-  }
-  return out;
-}
-
 genbase::Result<SvdResult> TruncatedSingularValues(const MatrixView& a,
                                                    const SvdOptions& options,
                                                    LanczosRecord* record,
                                                    ExecContext* ctx) {
-  GENBASE_ASSIGN_OR_RETURN(
-      LanczosResult lr,
-      GramLanczos(a, options, /*compute_vectors=*/false, record, ctx));
+  const int64_t m = a.rows;
+  const int64_t n = a.cols;
+  if (m == 0 || n == 0) return Status::InvalidArgument("empty matrix in SVD");
+  ThreadPool* pool = ctx != nullptr ? ctx->pool() : nullptr;
+
+  // Temp buffer reused across applications.
+  std::vector<double> tmp(static_cast<size_t>(m));
+  LinearOperator op;
+  op.n = n;
+  op.apply = [&](const double* x, double* y) -> genbase::Status {
+    GramApply(a, options.quality, x, tmp.data(), y, pool);
+    if (ctx != nullptr) return ctx->CheckBudgets();
+    return genbase::Status::OK();
+  };
+
+  LanczosOptions lopt;
+  lopt.num_eigenpairs = std::min<int>(options.rank, static_cast<int>(n));
+  lopt.tolerance = options.tolerance;
+  lopt.seed = options.seed;
+  GENBASE_ASSIGN_OR_RETURN(LanczosResult lr,
+                           record != nullptr
+                               ? record->Run(op, lopt, ctx)
+                               : LanczosLargestEigenpairs(op, lopt, ctx));
   SvdResult out;
   out.lanczos_iterations = lr.iterations;
   out.singular_values = SingularValues(lr.eigenvalues);

@@ -12,11 +12,9 @@
 
 namespace genbase::linalg {
 
-/// \brief Truncated singular value decomposition A ~= U diag(sigma) V^T.
+/// \brief The top-k singular values of A and the Lanczos run behind them.
 struct SvdResult {
   std::vector<double> singular_values;  ///< Descending.
-  Matrix u;                             ///< m x k left singular vectors.
-  Matrix v;                             ///< n x k right singular vectors.
   int lanczos_iterations = 0;
 };
 
@@ -33,19 +31,17 @@ struct SvdOptions {
 void GramApply(const MatrixView& a, KernelQuality quality, const double* x,
                double* tmp, double* y, ThreadPool* pool = nullptr);
 
-/// \brief Computes the top-k singular triplets of A via Lanczos on the
-/// Gram operator v -> A^T (A v) (never formed explicitly). sigma_i =
-/// sqrt(lambda_i); u_i = A v_i / sigma_i. Matches the paper's use of the
-/// Lanczos power method for Query 4.
-genbase::Result<SvdResult> TruncatedSvd(const MatrixView& a,
-                                        const SvdOptions& options,
-                                        ExecContext* ctx = nullptr);
+/// sigma_i = sqrt(lambda_i) of the Gram operator's eigenvalues, with
+/// rounding noise below zero clamped: the one conversion behind every Q4
+/// answer, single-node and distributed.
+std::vector<double> SingularValues(const std::vector<double>& eigenvalues);
 
-/// \brief The singular values and iteration count of TruncatedSvd(a,
-/// options), bit for bit, without U or V: the same Lanczos run with no Ritz
-/// vectors. With `record` (a LanczosRecord of a's Gram operator under the
-/// same tolerance and seed) the answer is read from, and grown into, the
-/// record; null runs Lanczos afresh.
+/// \brief The top-k singular values of A via Lanczos on the Gram operator
+/// v -> A^T (A v) (never formed explicitly), the paper's Lanczos power
+/// method for Query 4, and the iteration count. With `record` (a
+/// LanczosRecord of a's Gram operator under the same tolerance and seed) the
+/// answer is read from, and grown into, the record, bit for bit what null
+/// (a fresh run) gives.
 genbase::Result<SvdResult> TruncatedSingularValues(const MatrixView& a,
                                                    const SvdOptions& options,
                                                    LanczosRecord* record,

@@ -6,47 +6,23 @@ namespace genbase::relational {
 
 namespace {
 
-template <typename T, typename Cmp>
+template <typename T>
 void FilterTyped(const std::vector<T>& col, const std::vector<int64_t>& in,
-                 bool use_all, int64_t n, T operand, Cmp cmp,
+                 bool use_all, int64_t n, ColumnPredicate::Op op, T operand,
                  std::vector<int64_t>* out) {
   out->clear();
   if (use_all) {
     for (int64_t i = 0; i < n; ++i) {
-      if (cmp(col[static_cast<size_t>(i)], operand)) out->push_back(i);
+      if (ColumnPredicate::Holds(op, col[static_cast<size_t>(i)], operand)) {
+        out->push_back(i);
+      }
     }
   } else {
     for (int64_t i : in) {
-      if (cmp(col[static_cast<size_t>(i)], operand)) out->push_back(i);
+      if (ColumnPredicate::Holds(op, col[static_cast<size_t>(i)], operand)) {
+        out->push_back(i);
+      }
     }
-  }
-}
-
-template <typename T>
-void DispatchOp(const std::vector<T>& col, const std::vector<int64_t>& in,
-                bool use_all, int64_t n, T operand, ColumnPredicate::Op op,
-                std::vector<int64_t>* out) {
-  switch (op) {
-    case ColumnPredicate::Op::kLt:
-      FilterTyped(col, in, use_all, n, operand,
-                  [](T a, T b) { return a < b; }, out);
-      break;
-    case ColumnPredicate::Op::kLe:
-      FilterTyped(col, in, use_all, n, operand,
-                  [](T a, T b) { return a <= b; }, out);
-      break;
-    case ColumnPredicate::Op::kEq:
-      FilterTyped(col, in, use_all, n, operand,
-                  [](T a, T b) { return a == b; }, out);
-      break;
-    case ColumnPredicate::Op::kGe:
-      FilterTyped(col, in, use_all, n, operand,
-                  [](T a, T b) { return a >= b; }, out);
-      break;
-    case ColumnPredicate::Op::kGt:
-      FilterTyped(col, in, use_all, n, operand,
-                  [](T a, T b) { return a > b; }, out);
-      break;
   }
 }
 
@@ -62,11 +38,12 @@ genbase::Result<std::vector<int64_t>> FilterColumns(
     if (ctx != nullptr) GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
     const auto& field = table.schema().field(pred.column);
     if (field.type == storage::DataType::kInt64) {
-      DispatchOp(table.IntColumn(pred.column), current, use_all,
-                 table.num_rows(), pred.operand.AsInt(), pred.op, &next);
+      FilterTyped(table.IntColumn(pred.column), current, use_all,
+                  table.num_rows(), pred.op, pred.operand.AsInt(), &next);
     } else {
-      DispatchOp(table.DoubleColumn(pred.column), current, use_all,
-                 table.num_rows(), pred.operand.AsDouble(), pred.op, &next);
+      FilterTyped(table.DoubleColumn(pred.column), current, use_all,
+                  table.num_rows(), pred.op, pred.operand.AsDouble(),
+                  &next);
     }
     current.swap(next);
     use_all = false;
@@ -76,34 +53,6 @@ genbase::Result<std::vector<int64_t>> FilterColumns(
     for (int64_t i = 0; i < table.num_rows(); ++i) current[i] = i;
   }
   return current;
-}
-
-genbase::Result<storage::ColumnTable> GatherRows(
-    const storage::ColumnTable& table, const std::vector<int64_t>& selection,
-    ExecContext* ctx, MemoryTracker* tracker) {
-  storage::ColumnTable out(table.schema(), tracker);
-  GENBASE_RETURN_NOT_OK(
-      out.Reserve(static_cast<int64_t>(selection.size())));
-  for (int c = 0; c < table.schema().num_fields(); ++c) {
-    if (ctx != nullptr) GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
-    if (table.schema().field(c).type == storage::DataType::kInt64) {
-      const auto& src = table.IntColumn(c);
-      auto& dst = out.MutableIntColumn(c);
-      dst.resize(selection.size());
-      for (size_t i = 0; i < selection.size(); ++i) {
-        dst[i] = src[static_cast<size_t>(selection[i])];
-      }
-    } else {
-      const auto& src = table.DoubleColumn(c);
-      auto& dst = out.MutableDoubleColumn(c);
-      dst.resize(selection.size());
-      for (size_t i = 0; i < selection.size(); ++i) {
-        dst[i] = src[static_cast<size_t>(selection[i])];
-      }
-    }
-  }
-  GENBASE_RETURN_NOT_OK(out.FinishBulkLoad());
-  return out;
 }
 
 genbase::Result<JoinIndex> HashJoinIndicesFiltered(
@@ -140,17 +89,6 @@ genbase::Result<JoinIndex> HashJoinIndicesFiltered(
     }
   }
   return out;
-}
-
-genbase::Result<JoinIndex> HashJoinIndices(const storage::ColumnTable& left,
-                                           int left_key,
-                                           const storage::ColumnTable& right,
-                                           int right_key, ExecContext* ctx,
-                                           MemoryTracker* tracker) {
-  std::vector<int64_t> all(static_cast<size_t>(left.num_rows()));
-  for (int64_t i = 0; i < left.num_rows(); ++i) all[i] = i;
-  return HashJoinIndicesFiltered(left, left_key, all, right, right_key, ctx,
-                                 tracker);
 }
 
 }  // namespace genbase::relational

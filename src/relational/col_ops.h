@@ -10,12 +10,13 @@
 
 namespace genbase::relational {
 
-/// \brief Comparison predicate against a single column — the unit of
-/// vectorized filtering (a tight loop over one typed array, no per-tuple
-/// function calls). Conjunctions apply several predicates to a shrinking
-/// selection vector.
+/// \brief Comparison predicate against a single column: the two ops the
+/// five selections use (engine::SelectionFor). FilterColumns evaluates a
+/// conjunction vectorized, one predicate at a time over a shrinking
+/// selection vector; RowSatisfies (row_ops.h) evaluates it a tuple at a
+/// time. Both compare through Holds.
 struct ColumnPredicate {
-  enum class Op { kLt, kLe, kEq, kGe, kGt };
+  enum class Op { kLt, kEq };
   int column = 0;
   Op op = Op::kLt;
   storage::Value operand;
@@ -23,17 +24,14 @@ struct ColumnPredicate {
   static ColumnPredicate Lt(int col, storage::Value v) {
     return {col, Op::kLt, v};
   }
-  static ColumnPredicate Le(int col, storage::Value v) {
-    return {col, Op::kLe, v};
-  }
   static ColumnPredicate Eq(int col, storage::Value v) {
     return {col, Op::kEq, v};
   }
-  static ColumnPredicate Ge(int col, storage::Value v) {
-    return {col, Op::kGe, v};
-  }
-  static ColumnPredicate Gt(int col, storage::Value v) {
-    return {col, Op::kGt, v};
+
+  /// Whether `value op operand` holds.
+  template <typename T>
+  static bool Holds(Op op, T value, T operand) {
+    return op == Op::kLt ? value < operand : value == operand;
   }
 };
 
@@ -43,27 +41,15 @@ genbase::Result<std::vector<int64_t>> FilterColumns(
     const storage::ColumnTable& table,
     const std::vector<ColumnPredicate>& predicates, ExecContext* ctx);
 
-/// Gathers `selection` rows of `table` into a new ColumnTable.
-genbase::Result<storage::ColumnTable> GatherRows(
-    const storage::ColumnTable& table, const std::vector<int64_t>& selection,
-    ExecContext* ctx, MemoryTracker* tracker);
-
 /// \brief Join match pair lists (parallel arrays of row indices).
 struct JoinIndex {
   std::vector<int64_t> left;
   std::vector<int64_t> right;
 };
 
-/// Hash join on int64 key columns, producing the match index. The caller
-/// assembles output columns with GatherRows-style gathers, which is how a
-/// late-materializing column store executes joins.
-genbase::Result<JoinIndex> HashJoinIndices(const storage::ColumnTable& left,
-                                           int left_key,
-                                           const storage::ColumnTable& right,
-                                           int right_key, ExecContext* ctx,
-                                           MemoryTracker* tracker);
-
-/// As above but the left side is pre-filtered to `left_selection`.
+/// Hash join on int64 key columns over the `left_selection` rows of `left`,
+/// producing the match index; the caller gathers what it reads by index,
+/// which is how a late-materializing column store executes joins.
 genbase::Result<JoinIndex> HashJoinIndicesFiltered(
     const storage::ColumnTable& left, int left_key,
     const std::vector<int64_t>& left_selection,

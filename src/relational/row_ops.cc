@@ -25,6 +25,20 @@ genbase::Result<bool> RowScan::Next(std::vector<storage::Value>* out) {
   return true;
 }
 
+bool RowSatisfies(const std::vector<ColumnPredicate>& predicates,
+                  const std::vector<storage::Value>& row) {
+  for (const ColumnPredicate& p : predicates) {
+    const storage::Value& v = row[static_cast<size_t>(p.column)];
+    const bool holds =
+        v.type == storage::DataType::kInt64
+            ? ColumnPredicate::Holds(p.op, v.AsInt(), p.operand.AsInt())
+            : ColumnPredicate::Holds(p.op, v.AsDouble(),
+                                     p.operand.AsDouble());
+    if (!holds) return false;
+  }
+  return true;
+}
+
 genbase::Result<bool> RowFilter::Next(std::vector<storage::Value>* out) {
   for (;;) {
     GENBASE_ASSIGN_OR_RETURN(bool more, child_->Next(out));
@@ -113,32 +127,6 @@ genbase::Result<bool> RowHashJoin::Next(std::vector<storage::Value>* out) {
     matches_ = &it->second;
     match_pos_ = 0;
   }
-}
-
-genbase::Result<storage::RowStore> MaterializeRows(RowOperator* op,
-                                                   ExecContext* ctx,
-                                                   MemoryTracker* tracker) {
-  GENBASE_RETURN_NOT_OK(op->Open(ctx));
-  storage::RowStore out(op->schema(), tracker);
-  std::vector<storage::Value> row;
-  for (;;) {
-    GENBASE_ASSIGN_OR_RETURN(bool more, op->Next(&row));
-    if (!more) break;
-    GENBASE_RETURN_NOT_OK(out.Append(row.data()));
-  }
-  return out;
-}
-
-genbase::Result<int64_t> CountRows(RowOperator* op, ExecContext* ctx) {
-  GENBASE_RETURN_NOT_OK(op->Open(ctx));
-  std::vector<storage::Value> row;
-  int64_t n = 0;
-  for (;;) {
-    GENBASE_ASSIGN_OR_RETURN(bool more, op->Next(&row));
-    if (!more) break;
-    ++n;
-  }
-  return n;
 }
 
 }  // namespace genbase::relational

@@ -8,6 +8,7 @@
 
 #include "common/exec_context.h"
 #include "common/status.h"
+#include "relational/col_ops.h"
 #include "storage/row_store.h"
 #include "storage/types.h"
 
@@ -47,6 +48,12 @@ class RowScan : public RowOperator {
 
 using RowPredicate =
     std::function<bool(const std::vector<storage::Value>&)>;
+
+/// Whether `row` (one value per schema field) satisfies every predicate:
+/// the tuple-at-a-time evaluator of a Selection's conjunction, which the
+/// row store's filters and Hadoop's dimension scans run.
+bool RowSatisfies(const std::vector<ColumnPredicate>& predicates,
+                  const std::vector<storage::Value>& row);
 
 /// Tuple filter with an interpreted predicate.
 class RowFilter : public RowOperator {
@@ -112,14 +119,6 @@ class RowHashJoin : public RowOperator {
   size_t match_pos_ = 0;
   int64_t tuples_seen_ = 0;
 };
-
-/// Drains an operator into a RowStore (charged to `tracker`).
-genbase::Result<storage::RowStore> MaterializeRows(RowOperator* op,
-                                                   ExecContext* ctx,
-                                                   MemoryTracker* tracker);
-
-/// Runs a count-only drain (used by tests and cardinality estimation).
-genbase::Result<int64_t> CountRows(RowOperator* op, ExecContext* ctx);
 
 }  // namespace genbase::relational
 

@@ -205,7 +205,8 @@ TEST_P(DistKernelTest, SvdMatchesSingleNode) {
   linalg::Matrix a = RandomMatrix(80, 30, 11);
   linalg::SvdOptions opt;
   opt.rank = 8;
-  auto single = linalg::TruncatedSvd(linalg::MatrixView(a), opt);
+  auto single =
+      linalg::TruncatedSingularValues(linalg::MatrixView(a), opt, nullptr);
   ASSERT_TRUE(single.ok());
   SimCluster sim(nodes, NetworkModel{});
   auto dist = DistributedTruncatedSvd(&sim, SplitRows(a, nodes), 8,

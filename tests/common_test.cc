@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <thread>
@@ -435,14 +438,24 @@ TEST(SpillFileTest, ReadBeforeFinishFails) {
   EXPECT_FALSE(file->ReadInts(&out, 1).ok());
 }
 
-TEST(SpillFileTest, DiscardRemovesBackingFile) {
-  auto file = SpillFile::Create();
-  ASSERT_TRUE(file.ok());
-  const std::string path = file->path();
-  file->Discard();
-  FILE* f = std::fopen(path.c_str(), "r");
-  EXPECT_EQ(f, nullptr);
-  if (f != nullptr) std::fclose(f);
+/// A spill file has no name on disk while it lives, so none outlives its
+/// process, even when its owner is never destroyed.
+TEST(SpillFileTest, LeavesNoFileBehind) {
+  std::string dir = ::testing::TempDir() + "spill_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  {
+    auto file = SpillFile::Create(dir);
+    ASSERT_TRUE(file.ok());
+    const std::vector<int64_t> written = {7, -3, 42};
+    ASSERT_TRUE(file->WriteInts(written.data(), 3).ok());
+    ASSERT_TRUE(file->FinishWrite().ok());
+    std::vector<int64_t> read(3);
+    ASSERT_TRUE(file->ReadInts(read.data(), 3).ok());
+    EXPECT_EQ(read, written);
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
 }
 
 // --- memory tracker gauges ---------------------------------------------------

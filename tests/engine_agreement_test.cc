@@ -1,16 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "accel/phi_engine.h"
 #include "cluster/cluster_engine.h"
 #include "core/datasets.h"
 #include "core/driver.h"
 #include "core/generator.h"
 #include "core/reference.h"
 #include "core/verify.h"
+#include "engine/engine_util.h"
 #include "engine/engines.h"
+#include "relational/col_ops.h"
 #include "tiny_data.h"  // Same directory.
 
 namespace genbase {
@@ -200,6 +204,113 @@ TEST(SparseIdEngineTest, EnginesAnswerOrRejectIdsThatAreNotPositions) {
   }
   // At least Vanilla R and the column store + R / UDFs answer all five.
   EXPECT_GE(answered, 15);
+}
+
+/// The array engines index their arrays by the ids a selection keeps: a
+/// selected patient id that is no array row fails the query with
+/// InvalidArgument instead of reading outside the array.
+TEST(SparseIdEngineTest, ArrayEnginesRejectSelectedIdsOutsideTheArray) {
+  auto generated = core::GenerateDataset(DatasetSize::kSmall, kTinyScale);
+  ASSERT_TRUE(generated.ok());
+  GenBaseData data = std::move(generated).ValueOrDie();
+  for (int64_t& id :
+       data.patients.MutableIntColumn(core::PatientCols::kPatientId)) {
+    id += 1000;  // The microarray keeps its ids, so the loads succeed.
+  }
+  std::vector<std::unique_ptr<core::Engine>> engines;
+  engines.push_back(engine::CreateSciDb());
+  engines.push_back(
+      std::make_unique<cluster::ClusterEngine>(cluster::SciDbMnOptions(2)));
+  for (const auto& engine : engines) {
+    SCOPED_TRACE(engine->name());
+    ASSERT_TRUE(engine->LoadDataset(data).ok());
+    ExecContext ctx;
+    engine->PrepareContext(&ctx);
+    auto result = engine->RunQuery(QueryId::kCovariance, TinyParams(), &ctx);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+/// Three non-default shape-param sets: each moves every field the five
+/// selections read. Thresholds 237, 400 and 100 are function codes of tiny
+/// genes and max_age 36 (gender 0), 40 and 51 (gender 1) are ages of tiny
+/// patients, so an evaluator that reads `<` as `<=` selects one more.
+std::vector<QueryParams> NonDefaultSelections() {
+  struct Shape {
+    int64_t function_threshold, disease_id, gender, max_age;
+    double sample_fraction;
+  };
+  std::vector<QueryParams> sets;
+  for (const Shape& s : {Shape{237, 4, 0, 36, 0.3}, Shape{400, 13, 1, 40, 0.5},
+                         Shape{100, 1, 1, 51, 1.0}}) {
+    QueryParams p = TinyParams();
+    p.function_threshold = s.function_threshold;
+    p.disease_id = s.disease_id;
+    p.gender = s.gender;
+    p.max_age = s.max_age;
+    p.sample_fraction = s.sample_fraction;
+    sets.push_back(p);
+  }
+  return sets;
+}
+
+/// Every engine, single-node, Phi and the five multi-node configurations at
+/// 2 nodes, answers non-default selections as core/reference does: a
+/// selection is fixed in one place (engine::SelectionFor), not per engine.
+TEST(SelectionAgreementTest, EveryEngineAnswersNonDefaultSelections) {
+  const GenBaseData& data = TinyData();
+  engine::ColumnarTables tables;
+  ASSERT_TRUE(engine::LoadColumnarTables(data, nullptr, &tables).ok());
+  const auto holds = [](const std::vector<int64_t>& column, int64_t value) {
+    return std::find(column.begin(), column.end(), value) != column.end();
+  };
+  for (const QueryParams& params : NonDefaultSelections()) {
+    // The premise: the bounds sit on values, and no selection is empty.
+    EXPECT_TRUE(holds(data.genes.IntColumn(core::GeneCols::kFunction),
+                      params.function_threshold));
+    EXPECT_TRUE(holds(data.patients.IntColumn(core::PatientCols::kAge),
+                      params.max_age));
+    for (const QueryId q : core::kAllQueries) {
+      const engine::Selection sel = engine::SelectionFor(q, params, data.dims);
+      auto selected = relational::FilterColumns(
+          sel.on_genes ? tables.genes : tables.patients, sel.predicates,
+          nullptr);
+      ASSERT_TRUE(selected.ok());
+      EXPECT_FALSE(selected->empty()) << core::QueryName(q);
+    }
+  }
+
+  std::vector<std::unique_ptr<core::Engine>> engines =
+      engine::CreateSingleNodeEngines();
+  engines.push_back(accel::CreatePhiSciDb());
+  for (auto& e : cluster::CreateMultiNodeEngines(2)) {
+    engines.push_back(std::move(e));
+  }
+  ASSERT_EQ(engines.size(), 13u);
+  for (const auto& engine : engines) {
+    SCOPED_TRACE(engine->name());
+    ASSERT_TRUE(engine->LoadDataset(data).ok());
+    for (const QueryParams& params : NonDefaultSelections()) {
+      SCOPED_TRACE(params.function_threshold);
+      for (const QueryId q : core::kAllQueries) {
+        if (!engine->SupportsQuery(q)) continue;
+        SCOPED_TRACE(core::QueryName(q));
+        auto expected = core::RunReferenceQuery(q, data, params);
+        ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+        ExecContext ctx;
+        engine->PrepareContext(&ctx);
+        auto result = engine->RunQuery(q, params, &ctx);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        // Relaxed as in the cluster agreement test: distributed sums
+        // reorder.
+        const Status match =
+            core::CompareQueryResults(*expected, *result, 1e-5);
+        EXPECT_TRUE(match.ok()) << match.ToString();
+      }
+    }
+    engine->UnloadDataset();
+  }
 }
 
 }  // namespace

@@ -39,12 +39,24 @@ ColumnTable MakeColTable(const std::vector<std::pair<int64_t, double>>& rows) {
   return t;
 }
 
+/// Drains `op`, returning how many tuples it produced.
+Result<int64_t> Drain(RowOperator* op, ExecContext* ctx) {
+  GENBASE_RETURN_NOT_OK(op->Open(ctx));
+  std::vector<Value> row;
+  int64_t n = 0;
+  for (;;) {
+    GENBASE_ASSIGN_OR_RETURN(bool more, op->Next(&row));
+    if (!more) return n;
+    ++n;
+  }
+}
+
 // --- Volcano row operators ----------------------------------------------------------
 
 TEST(RowOpsTest, ScanProducesAllRows) {
   RowStore t = MakeRowTable({{1, 0.1}, {2, 0.2}, {3, 0.3}});
   RowScan scan(&t);
-  auto count = CountRows(&scan, nullptr);
+  auto count = Drain(&scan, nullptr);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 3);
 }
@@ -133,22 +145,13 @@ TEST(RowOpsTest, HashJoinEmptyBuildSide) {
   EXPECT_FALSE(*more);
 }
 
-TEST(RowOpsTest, MaterializePreservesRows) {
-  RowStore t = MakeRowTable({{1, 0.5}, {2, 1.5}});
-  RowScan scan(&t);
-  auto mat = MaterializeRows(&scan, nullptr, nullptr);
-  ASSERT_TRUE(mat.ok());
-  EXPECT_EQ(mat->num_rows(), 2);
-  EXPECT_DOUBLE_EQ(mat->GetDouble(1, 1), 1.5);
-}
-
 TEST(RowOpsTest, DeadlineAbortsScan) {
   std::vector<std::pair<int64_t, double>> rows(100000, {1, 1.0});
   RowStore t = MakeRowTable(rows);
   ExecContext ctx;
   ctx.SetDeadlineAfter(-1.0);
   RowScan scan(&t);
-  auto count = CountRows(&scan, &ctx);
+  auto count = Drain(&scan, &ctx);
   EXPECT_FALSE(count.ok());
   EXPECT_TRUE(count.status().IsDeadlineExceeded());
 }
@@ -167,11 +170,11 @@ TEST(ColOpsTest, FilterConjunction) {
   ColumnTable t = MakeColTable(
       {{1, 0.1}, {2, 0.9}, {3, 0.95}, {4, 0.2}, {5, 0.99}});
   auto sel = FilterColumns(t,
-                           {ColumnPredicate::Gt(1, Value::Double(0.5)),
-                            ColumnPredicate::Ge(0, Value::Int(3))},
+                           {ColumnPredicate::Lt(1, Value::Double(0.96)),
+                            ColumnPredicate::Lt(0, Value::Int(3))},
                            nullptr);
   ASSERT_TRUE(sel.ok());
-  EXPECT_EQ(*sel, (std::vector<int64_t>{2, 4}));
+  EXPECT_EQ(*sel, (std::vector<int64_t>{0, 1}));
 }
 
 TEST(ColOpsTest, EmptyPredicateListSelectsAll) {
@@ -181,46 +184,61 @@ TEST(ColOpsTest, EmptyPredicateListSelectsAll) {
   EXPECT_EQ(sel->size(), 2u);
 }
 
-TEST(ColOpsTest, AllOperatorsAgainstScalarOracle) {
+/// Both evaluators of a predicate conjunction, FilterColumns (vectorized)
+/// and RowSatisfies (a tuple at a time, in a RowFilter), select what a
+/// scalar oracle does, on int and double columns.
+TEST(ColOpsTest, BothEvaluatorsMatchScalarOracle) {
   Rng rng(17);
   ColumnTable t(PairSchema());
-  std::vector<int64_t> keys;
+  RowStore rows(PairSchema());
+  std::vector<std::pair<int64_t, double>> values;
   for (int i = 0; i < 500; ++i) {
-    const int64_t k = rng.UniformInt(-20, 20);
-    keys.push_back(k);
-    GENBASE_CHECK_OK(t.AppendRow({Value::Int(k), Value::Double(0)}));
+    values.push_back({rng.UniformInt(-20, 20), rng.UniformInt(0, 4) * 0.25});
+    const std::vector<Value> row = {Value::Int(values.back().first),
+                                    Value::Double(values.back().second)};
+    GENBASE_CHECK_OK(t.AppendRow(row));
+    GENBASE_CHECK_OK(rows.AppendRow(row));
   }
-  const int64_t pivot = 3;
-  struct OpCase {
-    ColumnPredicate::Op op;
-    std::function<bool(int64_t)> oracle;
+  struct Case {
+    std::vector<ColumnPredicate> predicates;
+    std::function<bool(int64_t, double)> oracle;
   };
-  const std::vector<OpCase> cases = {
-      {ColumnPredicate::Op::kLt, [&](int64_t v) { return v < pivot; }},
-      {ColumnPredicate::Op::kLe, [&](int64_t v) { return v <= pivot; }},
-      {ColumnPredicate::Op::kEq, [&](int64_t v) { return v == pivot; }},
-      {ColumnPredicate::Op::kGe, [&](int64_t v) { return v >= pivot; }},
-      {ColumnPredicate::Op::kGt, [&](int64_t v) { return v > pivot; }},
+  const std::vector<Case> cases = {
+      {{ColumnPredicate::Lt(0, Value::Int(3))},
+       [](int64_t k, double) { return k < 3; }},
+      {{ColumnPredicate::Eq(0, Value::Int(3))},
+       [](int64_t k, double) { return k == 3; }},
+      {{ColumnPredicate::Lt(1, Value::Double(0.5))},
+       [](int64_t, double v) { return v < 0.5; }},
+      {{ColumnPredicate::Eq(1, Value::Double(0.5))},
+       [](int64_t, double v) { return v == 0.5; }},
+      {{ColumnPredicate::Eq(1, Value::Double(0.25)),
+        ColumnPredicate::Lt(0, Value::Int(0))},
+       [](int64_t k, double v) { return v == 0.25 && k < 0; }},
   };
   for (const auto& c : cases) {
-    ColumnPredicate pred{0, c.op, Value::Int(pivot)};
-    auto sel = FilterColumns(t, {pred}, nullptr);
+    auto sel = FilterColumns(t, c.predicates, nullptr);
     ASSERT_TRUE(sel.ok());
+    RowFilter filter(std::make_unique<RowScan>(&rows),
+                     [&c](const std::vector<Value>& r) {
+                       return RowSatisfies(c.predicates, r);
+                     });
+    ASSERT_TRUE(filter.Open(nullptr).ok());
     std::vector<int64_t> expected;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (c.oracle(keys[i])) expected.push_back(static_cast<int64_t>(i));
+    std::vector<Value> row;
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (!c.oracle(values[i].first, values[i].second)) continue;
+      expected.push_back(static_cast<int64_t>(i));
+      auto more = filter.Next(&row);
+      ASSERT_TRUE(more.ok() && *more);
+      EXPECT_EQ(row[0].AsInt(), values[i].first);
+      EXPECT_EQ(row[1].AsDouble(), values[i].second);
     }
+    auto more = filter.Next(&row);
+    ASSERT_TRUE(more.ok());
+    EXPECT_FALSE(*more);
     EXPECT_EQ(*sel, expected);
   }
-}
-
-TEST(ColOpsTest, GatherRows) {
-  ColumnTable t = MakeColTable({{1, 0.1}, {2, 0.2}, {3, 0.3}});
-  auto g = GatherRows(t, {2, 0}, nullptr, nullptr);
-  ASSERT_TRUE(g.ok());
-  EXPECT_EQ(g->num_rows(), 2);
-  EXPECT_EQ(g->IntColumn(0)[0], 3);
-  EXPECT_EQ(g->IntColumn(0)[1], 1);
 }
 
 TEST(ColOpsTest, HashJoinMatchesRowJoinCount) {
@@ -230,7 +248,9 @@ TEST(ColOpsTest, HashJoinMatchesRowJoinCount) {
   for (int i = 0; i < 70; ++i) right.push_back({rng.UniformInt(0, 9), 0.0});
   ColumnTable lt = MakeColTable(left);
   ColumnTable rt = MakeColTable(right);
-  auto join = HashJoinIndices(lt, 0, rt, 0, nullptr, nullptr);
+  std::vector<int64_t> all(left.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int64_t>(i);
+  auto join = HashJoinIndicesFiltered(lt, 0, all, rt, 0, nullptr, nullptr);
   ASSERT_TRUE(join.ok());
   EXPECT_EQ(join->left.size(),
             NestedLoopJoinKeys(left, right).size());

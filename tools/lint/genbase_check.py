@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """genbase_check: repo-specific lint invariants for src/.
 
-Seven rules, each encoding a convention the concurrent serving/obs stack
-depends on but that neither the compiler nor clang-tidy enforces:
+Eight rules, each encoding a convention the engines or the concurrent
+serving/obs stack depend on but that neither the compiler nor clang-tidy
+enforces:
 
   atomic-memory-order   Every std::atomic load/store/RMW names an explicit
                         std::memory_order. A bare .load() silently means
@@ -46,6 +47,14 @@ depends on but that neither the compiler nor clang-tidy enforces:
                         Only the arena's own backing allocation carries
                         an inline waiver: compile-time access paths live
                         in engine::JoinedAccess, outside src/plan/.
+  one-selection         Under src/engine/ and src/cluster/, only
+                        engine_util.cc (engine::SelectionFor, the one copy
+                        of the five selections) reads QueryParams'
+                        function_threshold, disease_id, gender or max_age.
+                        Every engine answers the same queries; an engine
+                        that spells a predicate itself can drift from the
+                        others. Q5's sample_fraction goes through
+                        core::SampleCount, which is not flagged.
   metric-name           Every "serving_..." or "plan_..." string literal
                         that is a bare identifier, anywhere under src/,
                         bench/ or tests/ (whatever roots are scanned), must
@@ -79,6 +88,7 @@ RULES = (
     "no-bare-assert",
     "fault-hook-guard",
     "plan-arena-alloc",
+    "one-selection",
     "metric-name",
 )
 
@@ -374,6 +384,24 @@ def check_plan_arena_alloc(path, code):
             "allocation")
 
 
+SELECTION_FIELD_RE = re.compile(
+    r"(?:\.|->)(function_threshold|disease_id|gender|max_age)\b")
+
+
+def check_one_selection(path, code):
+    """Flags a selection field read under src/engine/ or src/cluster/
+    outside engine_util.cc."""
+    norm = str(path).replace("\\", "/")
+    if ("src/engine/" not in norm and "src/cluster/" not in norm) or \
+            norm.endswith("/engine_util.cc"):
+        return
+    for m in SELECTION_FIELD_RE.finditer(code):
+        yield Finding(
+            path, line_of(code, m.start()), "one-selection",
+            f"reads QueryParams::{m.group(1)} — select through "
+            "engine::SelectionFor, the one copy of the five selections")
+
+
 METRIC_LITERAL_RE = re.compile(r"^(?:serving|plan)_[a-z0-9_]+$")
 REGISTER_CALL_RE = re.compile(r"\bGet(?:Counter|Gauge)\s*\(\s*\"")
 # A string literal in comment/string-blanked code: quotes around blanks.
@@ -427,7 +455,8 @@ def scan_file(path):
     code, waivers = strip_comments_and_strings(text)
     findings = []
     checkers = [check_atomics, check_new_delete, check_mutex_across_run,
-                check_fault_hook_guard, check_plan_arena_alloc]
+                check_fault_hook_guard, check_plan_arena_alloc,
+                check_one_selection]
     # check.h implements GENBASE_CHECK itself; its aborts are the sanctioned
     # ones and carry inline waivers, which the generic path below honors.
     checkers.append(check_assert_abort)
