@@ -2,6 +2,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,6 +29,11 @@
 namespace genbase::bench {
 
 namespace {
+
+constexpr core::DatasetSize kBenchSizes[] = {core::DatasetSize::kSmall,
+                                             core::DatasetSize::kMedium,
+                                             core::DatasetSize::kLarge};
+constexpr int kNodeCounts[] = {1, 2, 4};
 
 struct LoadedEngine {
   std::unique_ptr<core::Engine> engine;
@@ -68,32 +74,32 @@ const genbase::Result<core::QueryResult>& ReferenceTruth(
   return it->second;
 }
 
-core::CellResult RunOnCached(const std::string& cache_key,
-                             const std::function<std::unique_ptr<
-                                 core::Engine>()>& factory,
-                             core::QueryId query, core::DatasetSize size,
-                             int nodes) {
-  auto& slot = EngineCache()[cache_key];
+/// Runs and records one (system, query, x) cell on the system's cached
+/// engine (see RunPaperFigure).
+core::CellResult RunPaperCell(const FigureSystem& system, core::QueryId query,
+                              XPoint x) {
+  auto& slot = EngineCache()[system.key + "/n" + std::to_string(x.nodes) +
+                             "@" + core::DatasetSizeName(x.size)];
   if (slot.engine == nullptr) {
-    slot.engine = factory();
-    slot.load_status = slot.engine->LoadDataset(CachedData(size));
+    slot.engine = system.create(x.nodes);
+    slot.load_status = slot.engine->LoadDataset(CachedData(x.size));
   }
   core::CellResult cell;
   if (!slot.load_status.ok()) {
     cell.engine = slot.engine->name();
     cell.query = query;
-    cell.size = size;
+    cell.size = x.size;
     cell.status = slot.load_status;
     cell.infinite = slot.load_status.IsResourceFailure();
     cell.supported = slot.engine->SupportsQuery(query);
   } else {
-    cell = core::RunCell(slot.engine.get(), query, size,
+    cell = core::RunCell(slot.engine.get(), query, x.size,
                          DefaultDriverOptions());
   }
   // An answer that differs from core/reference, or one that cannot be
   // checked, fails the cell: the grid shows ERR and the figure exits 1.
   if (cell.status.ok()) {
-    const auto& truth = ReferenceTruth(query, size);
+    const auto& truth = ReferenceTruth(query, x.size);
     if (!truth.ok()) {
       cell.status = genbase::Status::Internal("core/reference failed: " +
                                               truth.status().ToString());
@@ -104,9 +110,58 @@ core::CellResult RunOnCached(const std::string& cache_key,
           "answer differs from core/reference: " + diff.message());
     }
   }
-  cell.nodes = nodes;
+  cell.nodes = x.nodes;
   Cells().push_back(cell);
   return cell;
+}
+
+/// A grid cell's text (see PrintPanel); a failed cell's is
+/// CellResult::Display's.
+std::string CellText(const core::CellResult* cell,
+                     double core::CellResult::*field) {
+  if (cell == nullptr) return "?";
+  return cell->status.ok() ? workload::FormatSeconds(cell->*field)
+                           : cell->Display();
+}
+
+/// One google-benchmark cell per (system, axis point, query), in that
+/// order: manual time from the cell's total seconds, one iteration.
+void RegisterPaperCells(const PaperFigure& figure) {
+  std::vector<core::QueryId> queries;
+  for (const Panel& panel : figure.panels) {
+    if (std::find(queries.begin(), queries.end(), panel.query) ==
+        queries.end()) {
+      queries.push_back(panel.query);
+    }
+  }
+  const bool breakdown = queries.size() == 1;
+  for (const FigureSystem& system : figure.systems) {
+    for (const XPoint x : AxisPoints(figure.axis)) {
+      for (const core::QueryId query : queries) {
+        std::string name = std::string(figure.name) + "/" + system.key + "/" +
+                           (figure.axis == Axis::kNodes
+                                ? "n" + std::to_string(x.nodes)
+                                : core::DatasetSizeName(x.size));
+        if (!breakdown) name += std::string("/") + core::QueryName(query);
+        benchmark::RegisterBenchmark(
+            name.c_str(),
+            [system, query, x, breakdown](benchmark::State& state) {
+              for (auto _ : state) {
+                const core::CellResult cell = RunPaperCell(system, query, x);
+                state.SetIterationTime(std::max(cell.total_s, 1e-9));
+                state.SetLabel(
+                    breakdown ? "dm=" + workload::FormatSeconds(cell.dm_s) +
+                                    " analytics=" +
+                                    workload::FormatSeconds(cell.analytics_s)
+                              : cell.Display());
+              }
+            })
+            ->UseManualTime()
+            ->Iterations(1)
+            ->Unit(benchmark::kMillisecond);
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -130,62 +185,97 @@ core::DriverOptions DefaultDriverOptions() {
   return options;
 }
 
-core::CellResult RunSingleNodeCell(
-    const std::string& engine_key,
-    const std::function<std::unique_ptr<core::Engine>()>& factory,
-    core::QueryId query, core::DatasetSize size) {
-  const std::string cache_key =
-      engine_key + "@" + core::DatasetSizeName(size);
-  return RunOnCached(cache_key, factory, query, size, 1);
+FigureSystem SingleNodeSystem(const engine::EngineSpec& spec) {
+  return {spec.key, spec.display,
+          [factory = spec.factory](int) { return factory(); }};
 }
 
-core::CellResult RunClusterCell(const cluster::ClusterEngineOptions& options,
-                                core::QueryId query, core::DatasetSize size) {
-  const std::string cache_key =
-      options.name + (options.phi_offload ? "+phi" : "") + "/n" +
-      std::to_string(options.nodes) + "@" + core::DatasetSizeName(size);
-  return RunOnCached(
-      cache_key,
-      [&options]() -> std::unique_ptr<core::Engine> {
-        return std::make_unique<cluster::ClusterEngine>(options);
-      },
-      query, size, options.nodes);
+FigureSystem MultiNodeSystem(const cluster::ClusterSpec& spec,
+                             std::string key) {
+  return {std::move(key), spec.options.name,
+          [spec](int nodes) -> std::unique_ptr<core::Engine> {
+            return std::make_unique<cluster::ClusterEngine>(spec.At(nodes));
+          }};
 }
 
-const core::CellResult* FindCell(const std::string& engine,
-                                 core::QueryId query, core::DatasetSize size,
-                                 int nodes) {
+std::vector<XPoint> AxisPoints(Axis axis) {
+  std::vector<XPoint> points;
+  if (axis == Axis::kNodes) {
+    for (int nodes : kNodeCounts) {
+      points.push_back({core::DatasetSize::kLarge, nodes});
+    }
+  } else {
+    for (core::DatasetSize size : kBenchSizes) points.push_back({size, 1});
+  }
+  return points;
+}
+
+const core::CellResult* FindCell(const FigureSystem& system,
+                                 core::QueryId query, XPoint x) {
   for (const auto& c : Cells()) {
-    if (c.engine == engine && c.query == query && c.size == size &&
-        c.nodes == nodes) {
+    if (c.engine == system.display && c.query == query && c.size == x.size &&
+        c.nodes == x.nodes) {
       return &c;
     }
   }
   return nullptr;
 }
 
-std::string CellDisplay(const std::string& engine, core::QueryId query,
-                        core::DatasetSize size, int nodes) {
-  const core::CellResult* c = FindCell(engine, query, size, nodes);
-  return c == nullptr ? "?" : c->Display();
+void PrintPanel(const PaperFigure& figure, const Panel& panel) {
+  std::vector<std::string> systems;
+  for (const FigureSystem& system : figure.systems) {
+    systems.push_back(system.display);
+  }
+  std::vector<std::string> x_values;
+  std::vector<std::vector<std::string>> cells;
+  for (const XPoint x : AxisPoints(figure.axis)) {
+    x_values.push_back(figure.axis == Axis::kNodes
+                           ? std::to_string(x.nodes) +
+                                 (x.nodes == 1 ? " node" : " nodes")
+                           : core::DatasetSizeName(x.size));
+    std::vector<std::string> row;
+    for (const FigureSystem& system : figure.systems) {
+      row.push_back(CellText(FindCell(system, panel.query, x), panel.field));
+    }
+    cells.push_back(std::move(row));
+  }
+  workload::PrintGrid(panel.title,
+                      figure.axis == Axis::kNodes ? "nodes" : "dataset",
+                      x_values, systems, cells);
 }
 
-std::string CellFieldDisplay(const core::CellResult* cell,
-                             double core::CellResult::*field) {
-  if (cell == nullptr || !cell->supported) return "n/a";
-  if (cell->infinite) return "INF";
-  if (!cell->status.ok()) return "ERR";
-  return workload::FormatSeconds(cell->*field);
+std::optional<double> CellRatio(const core::CellResult* num,
+                                const core::CellResult* den,
+                                double core::CellResult::*field) {
+  if (num == nullptr || den == nullptr || !num->status.ok() ||
+      !den->status.ok() || den->*field <= 0) {
+    return std::nullopt;
+  }
+  return num->*field / den->*field;
+}
+
+void PrintRatioRow(const PaperFigure& figure, const FigureSystem& num,
+                   const FigureSystem& den, core::QueryId query,
+                   double core::CellResult::*field) {
+  for (const XPoint x : AxisPoints(figure.axis)) {
+    const std::optional<double> ratio =
+        CellRatio(FindCell(num, query, x), FindCell(den, query, x), field);
+    if (ratio) {
+      std::printf(" %9.2fx", *ratio);
+    } else {
+      std::printf(" %10s", "n/a");
+    }
+  }
 }
 
 int RunPaperFigure(int argc, char** argv, const char* banner,
-                   const std::function<void()>& register_cells,
-                   const std::function<void()>& print) {
+                   const PaperFigure& figure,
+                   const std::function<void(const PaperFigure&)>& print) {
   PrintBanner(banner);
-  register_cells();
+  RegisterPaperCells(figure);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  print();
+  print(figure);
   int failed = 0;
   for (const core::CellResult& c : Cells()) {
     if (!c.supported || c.infinite || c.status.ok()) continue;
@@ -198,11 +288,11 @@ int RunPaperFigure(int argc, char** argv, const char* banner,
   return failed == 0 ? 0 : 1;
 }
 
-const std::vector<ServingEngineSpec>& ServingEngines() {
-  static const auto* engines = new std::vector<ServingEngineSpec>{
-      {"scidb", "SciDB", engine::CreateSciDb},
-      {"col_udf", "Column store + UDFs", engine::CreateColumnStoreUdf},
-      {"col_r", "Column store + R", engine::CreateColumnStoreR},
+const std::vector<engine::EngineSpec>& ServingEngines() {
+  static const auto* engines = new std::vector<engine::EngineSpec>{
+      engine::SingleNodeEngine("scidb"),
+      engine::SingleNodeEngine("col_udf"),
+      engine::SingleNodeEngine("col_r"),
       {"plan", "Planned column store", plan::CreatePlanStore},
   };
   return *engines;
@@ -519,7 +609,7 @@ void RegisterCell(const std::string& name,
 }
 
 genbase::Result<workload::WorkloadReport> RunStack(
-    const ServingEngineSpec& engine, const workload::WorkloadSpec& spec,
+    const engine::EngineSpec& engine, const workload::WorkloadSpec& spec,
     const serving::ServingOptions& options) {
   const core::GenBaseData& data = CachedData(core::DatasetSize::kSmall);
   GENBASE_ASSIGN_OR_RETURN(

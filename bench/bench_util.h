@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "core/datasets.h"
 #include "core/driver.h"
 #include "core/engine.h"
+#include "engine/engines.h"
 #include "serving/serving_stack.h"
 #include "workload/report.h"
 #include "workload/runner.h"
@@ -26,63 +28,109 @@ const core::GenBaseData& CachedData(core::DatasetSize size);
 /// Driver options from SimConfig (GENBASE_TIMEOUT).
 core::DriverOptions DefaultDriverOptions();
 
-/// Runs one (engine, query, size) cell. The engine instance is cached and
-/// loaded once per (key, size); a failed load (e.g. R on the large dataset)
-/// is reported as INF for every query — the paper's semantics for systems
-/// that cannot hold the data. An OK answer is compared with the
-/// core/reference answer for (query, size), computed once per process; a
-/// mismatch, or a failed reference run, makes the cell an error.
-core::CellResult RunSingleNodeCell(
-    const std::string& engine_key,
-    const std::function<std::unique_ptr<core::Engine>()>& factory,
-    core::QueryId query, core::DatasetSize size);
-
-/// As above for a multi-node configuration (cached per options + size).
-core::CellResult RunClusterCell(const cluster::ClusterEngineOptions& options,
-                                core::QueryId query, core::DatasetSize size);
-
-/// Looks up a recorded cell's display string; "?" if absent.
-std::string CellDisplay(const std::string& engine, core::QueryId query,
-                        core::DatasetSize size, int nodes = 1);
-
-/// Finds a recorded cell (nullptr if absent).
-const core::CellResult* FindCell(const std::string& engine,
-                                 core::QueryId query, core::DatasetSize size,
-                                 int nodes = 1);
-
 /// Prints the workload banner (scale, dims, timeout, model constants).
 void PrintBanner(const char* figure);
 
 // --- paper figures (fig1–fig5, table1) ---------------------------------------
+//
+// One harness for the paper's figures: the engine lineups
+// (engine::kSingleNodeEngines, cluster::ClusterConfigs), one x axis, one
+// cell registration, one grid printer and one ratio rule, so a change to
+// what a cell records or prints is a one-place edit.
 
-/// Grid text for one phase field of a recorded cell: its seconds
-/// (workload::FormatSeconds), "n/a" when the cell is absent or its engine
-/// does not implement the query, "INF" on a timeout or memory failure (the
-/// paper's horizontal lines), "ERR" on any other failure.
-std::string CellFieldDisplay(const core::CellResult* cell,
-                             double core::CellResult::*field);
-
-/// The paper figures' `main`: prints the banner, registers the cells, runs
-/// google-benchmark, then `print` (grids and derived tables). Exits nonzero
-/// when a recorded cell failed — supported, not INF and not OK — naming
-/// each one, so an engine that starts failing fails the figure instead of
-/// only showing ERR in a grid. A cell that --benchmark_filter leaves out is
-/// never recorded and fails nothing.
-int RunPaperFigure(int argc, char** argv, const char* banner,
-                   const std::function<void()>& register_cells,
-                   const std::function<void()>& print);
-
-/// One serving-scenario engine configuration. The lineup (ServingEngines)
-/// is the subset of the paper's single-node configs that implement all five
-/// queries natively: the serving scenario assumes full functionality, and a
-/// mixed stream against Postgres/Hadoop configs would report errors, not
-/// latency. Shared by fig6–fig9 so the figures cannot drift apart.
-struct ServingEngineSpec {
-  const char* key;
-  const char* display;
-  std::unique_ptr<core::Engine> (*factory)();
+/// One system a paper figure compares: the key its benchmark cells are
+/// named by, its legend name (the engine's name(), which its recorded cells
+/// carry) and its engine at a node count.
+struct FigureSystem {
+  std::string key;
+  std::string display;
+  std::function<std::unique_ptr<core::Engine>(int nodes)> create;
 };
-const std::vector<ServingEngineSpec>& ServingEngines();
+
+/// A single-node lineup entry as a figure system.
+FigureSystem SingleNodeSystem(const engine::EngineSpec& spec);
+
+/// A multi-node configuration as a figure system named by `key`.
+FigureSystem MultiNodeSystem(const cluster::ClusterSpec& spec,
+                             std::string key);
+
+/// A figure's x axis: the three dataset sizes at one node, or 1, 2 and 4
+/// nodes on the large dataset.
+enum class Axis { kDatasetSize, kNodes };
+
+/// One point of an axis.
+struct XPoint {
+  core::DatasetSize size;
+  int nodes = 1;
+};
+
+/// The axis's points, in order.
+std::vector<XPoint> AxisPoints(Axis axis);
+
+/// One panel of a figure: the query it shows, its title and the seconds its
+/// grid prints (the total, or one phase). Table 1 prints no grid; its panels
+/// title its rows.
+struct Panel {
+  core::QueryId query;
+  const char* title;
+  double core::CellResult::*field = &core::CellResult::total_s;
+};
+
+/// A paper figure times one cell per system, axis point and panel query.
+/// A figure of one query (fig2, fig4) breaks it into phases: its cells are
+/// named without the query and labelled `dm=… analytics=…`.
+struct PaperFigure {
+  const char* name;  ///< Benchmark-name prefix, e.g. "fig1".
+  Axis axis;
+  std::vector<FigureSystem> systems;  ///< Legend order.
+  std::vector<Panel> panels;
+};
+
+/// The recorded (system, query, x) cell; nullptr when none ran (e.g.
+/// --benchmark_filter left it out).
+const core::CellResult* FindCell(const FigureSystem& system,
+                                 core::QueryId query, XPoint x);
+
+/// Prints `panel`'s grid: a row per axis point, a column per system. A
+/// cell shows its `field` seconds, "?" when it did not run, "n/a" when its
+/// engine does not implement the query, "INF" on a timeout or memory
+/// failure (the paper's horizontal lines) and "ERR" on any other failure.
+void PrintPanel(const PaperFigure& figure, const Panel& panel);
+
+/// num->*field / den->*field when both cells ran and are OK and the
+/// denominator is positive; nullopt otherwise.
+std::optional<double> CellRatio(const core::CellResult* num,
+                                const core::CellResult* den,
+                                double core::CellResult::*field);
+
+/// Prints, per axis point, the CellRatio of `field` between `num`'s and
+/// `den`'s `query` cells as " %9.2fx", or "n/a".
+void PrintRatioRow(const PaperFigure& figure, const FigureSystem& num,
+                   const FigureSystem& den, core::QueryId query,
+                   double core::CellResult::*field);
+
+/// The paper figures' `main`: prints the banner, registers the figure's
+/// cells, runs google-benchmark, then `print` (grids and derived tables).
+/// Each cell's engine is cached and loaded once per (system, nodes, size);
+/// a failed load (e.g. R on the large dataset) is INF for every query, the
+/// paper's semantics for systems that cannot hold the data. An OK answer is
+/// compared with core/reference, computed once per (query, size); a
+/// mismatch or a failed reference run makes the cell an error. Exits
+/// nonzero when a recorded cell failed — supported, not INF and not OK —
+/// naming each one, so an engine that starts failing fails the figure
+/// instead of only showing ERR in a grid. A cell that --benchmark_filter
+/// leaves out is never recorded and fails nothing.
+int RunPaperFigure(int argc, char** argv, const char* banner,
+                   const PaperFigure& figure,
+                   const std::function<void(const PaperFigure&)>& print);
+
+/// The serving scenario's engine lineup: the single-node configurations
+/// that implement all five queries natively (SciDB, Column store + UDFs,
+/// Column store + R) plus the planned column store. The serving scenario
+/// assumes full functionality, and a mixed stream against Postgres/Hadoop
+/// configs would report errors, not latency. Shared by fig6–fig9 so the
+/// figures cannot drift apart.
+const std::vector<engine::EngineSpec>& ServingEngines();
 
 /// Strips a `--flag=VALUE` (or `--flag VALUE`) pair out of argv — call
 /// before benchmark::Initialize, which rejects flags it does not know — and
@@ -127,7 +175,7 @@ void RegisterCell(const std::string& name,
 /// Builds a fresh serving stack of `engine` on the small dataset and runs
 /// `spec` through it on SmallDataTruths().
 genbase::Result<workload::WorkloadReport> RunStack(
-    const ServingEngineSpec& engine, const workload::WorkloadSpec& spec,
+    const engine::EngineSpec& engine, const workload::WorkloadSpec& spec,
     const serving::ServingOptions& options);
 
 /// What a closed-loop reference cell measured, in real-clock terms: arrivals
@@ -161,10 +209,6 @@ int RunWorkloadFigure(int argc, char** argv, const char* banner,
                       const char* figure,
                       const std::function<void()>& register_cells,
                       const std::function<int64_t()>& print);
-
-inline constexpr core::DatasetSize kBenchSizes[] = {
-    core::DatasetSize::kSmall, core::DatasetSize::kMedium,
-    core::DatasetSize::kLarge};
 
 }  // namespace genbase::bench
 

@@ -4,107 +4,50 @@
 // SciDB's covariance hurt by the Gram all-reduce when going 1 -> 2 nodes,
 // and pbdR scaling best thanks to ScaLAPACK-style distributed analytics.
 
-#include <benchmark/benchmark.h>
-
-#include <algorithm>
-#include <string>
-#include <vector>
+#include <cstdio>
+#include <optional>
 
 #include "bench/bench_util.h"
 #include "cluster/cluster_engine.h"
-#include "core/driver.h"
-#include "workload/report.h"
 
 namespace genbase::bench {
 namespace {
 
-constexpr int kNodeCounts[] = {1, 2, 4};
+using core::CellResult;
+using core::DatasetSize;
+using core::QueryId;
 
-using OptionsFactory = cluster::ClusterEngineOptions (*)(int);
-const std::pair<const char*, OptionsFactory> kSystems[] = {
-    {"Column store + pbdR", cluster::ColumnStorePbdrOptions},
-    {"Column store + UDFs", cluster::ColumnStoreUdfMnOptions},
-    {"Hadoop", cluster::HadoopMnOptions},
-    {"pbdR", cluster::PbdrOptions},
-    {"SciDB", cluster::SciDbMnOptions},
-};
-
-const std::pair<core::QueryId, const char*> kPanels[] = {
-    {core::QueryId::kRegression,
-     "Figure 3a: Linear Regression Query, large dataset"},
-    {core::QueryId::kBiclustering,
-     "Figure 3b: Biclustering Query, large dataset"},
-    {core::QueryId::kSvd, "Figure 3c: SVD Query, large dataset"},
-    {core::QueryId::kCovariance,
-     "Figure 3d: Covariance Query, large dataset"},
-    {core::QueryId::kStatistics,
-     "Figure 3e: Statistics Query, large dataset"},
-};
-
-void RegisterCells() {
-  for (const auto& [display, factory] : kSystems) {
-    for (int nodes : kNodeCounts) {
-      const cluster::ClusterEngineOptions options = factory(nodes);
-      for (const auto& [query, title] : kPanels) {
-        (void)title;
-        const std::string name = std::string("fig3/") + display + "/n" +
-                                 std::to_string(nodes) + "/" +
-                                 core::QueryName(query);
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [options, query](benchmark::State& state) {
-              for (auto _ : state) {
-                const core::CellResult cell = RunClusterCell(
-                    options, query, core::DatasetSize::kLarge);
-                state.SetIterationTime(std::max(cell.total_s, 1e-9));
-                state.SetLabel(cell.Display());
-              }
-            })
-            ->UseManualTime()
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-      }
-    }
+PaperFigure Figure() {
+  PaperFigure figure{
+      "fig3",
+      Axis::kNodes,
+      {},
+      {{QueryId::kRegression,
+        "Figure 3a: Linear Regression Query, large dataset"},
+       {QueryId::kBiclustering, "Figure 3b: Biclustering Query, large dataset"},
+       {QueryId::kSvd, "Figure 3c: SVD Query, large dataset"},
+       {QueryId::kCovariance, "Figure 3d: Covariance Query, large dataset"},
+       {QueryId::kStatistics, "Figure 3e: Statistics Query, large dataset"}}};
+  for (const cluster::ClusterSpec& spec : cluster::MultiNodeSystems()) {
+    figure.systems.push_back(MultiNodeSystem(spec, spec.options.name));
   }
+  return figure;
 }
 
-void PrintFigure() {
-  std::vector<std::string> engines;
-  for (const auto& [display, factory] : kSystems) {
-    (void)factory;
-    engines.push_back(display);
-  }
-  std::vector<std::string> x_values = {"1 node", "2 nodes", "4 nodes"};
-  for (const auto& [query, title] : kPanels) {
-    std::vector<std::vector<std::string>> cells;
-    for (int nodes : kNodeCounts) {
-      std::vector<std::string> row;
-      for (const auto& [display, factory] : kSystems) {
-        (void)factory;
-        row.push_back(
-            CellDisplay(display, query, core::DatasetSize::kLarge, nodes));
-      }
-      cells.push_back(std::move(row));
-    }
-    workload::PrintGrid(title, "nodes", x_values, engines, cells);
-  }
+void PrintFigure(const PaperFigure& figure) {
+  for (const Panel& panel : figure.panels) PrintPanel(figure, panel);
 
   std::printf("\n=== Speedup 1 -> 4 nodes (overall; paper: 'no systems "
               "offered linear speedup') ===\n");
-  for (const auto& [display, factory] : kSystems) {
-    (void)factory;
-    for (const auto& [query, title] : kPanels) {
-      (void)title;
-      const auto* one =
-          FindCell(display, query, core::DatasetSize::kLarge, 1);
-      const auto* four =
-          FindCell(display, query, core::DatasetSize::kLarge, 4);
-      if (one == nullptr || four == nullptr || !one->status.ok() ||
-          !four->status.ok() || four->total_s <= 0) {
-        continue;
-      }
-      std::printf("%-24s %-14s %5.2fx\n", display, core::QueryName(query),
-                  one->total_s / four->total_s);
+  for (const FigureSystem& system : figure.systems) {
+    for (const Panel& panel : figure.panels) {
+      const std::optional<double> speedup =
+          CellRatio(FindCell(system, panel.query, {DatasetSize::kLarge, 1}),
+                    FindCell(system, panel.query, {DatasetSize::kLarge, 4}),
+                    &CellResult::total_s);
+      if (!speedup) continue;
+      std::printf("%-24s %-14s %5.2fx\n", system.display.c_str(),
+                  core::QueryName(panel.query), *speedup);
     }
   }
 }
@@ -115,5 +58,5 @@ void PrintFigure() {
 int main(int argc, char** argv) {
   return genbase::bench::RunPaperFigure(
       argc, argv, "Figure 3: multi-node overall performance, large dataset",
-      genbase::bench::RegisterCells, genbase::bench::PrintFigure);
+      genbase::bench::Figure(), genbase::bench::PrintFigure);
 }

@@ -214,7 +214,7 @@ int64_t OverheadGate(const char* gate, const char* what, double limit,
                 gate);
     return 0;
   }
-  const ServingEngineSpec& engine = ServingEngines().front();
+  const engine::EngineSpec& engine = ServingEngines().front();
   serving::ServingOptions options;
   options.shards = 2;
   options.cache_enabled = true;

@@ -5,69 +5,39 @@
 // which the coprocessor cannot accelerate — takes a larger share; and
 // biclustering barely accelerating at all.
 
-#include <benchmark/benchmark.h>
-
-#include <algorithm>
 #include <cstdio>
-#include <string>
 
 #include "bench/bench_util.h"
 #include "cluster/cluster_engine.h"
-#include "core/driver.h"
 
 namespace genbase::bench {
 namespace {
 
-constexpr int kNodeCounts[] = {1, 2, 4};
+using core::CellResult;
+using core::QueryId;
 
-const std::pair<core::QueryId, const char*> kRows[] = {
-    {core::QueryId::kCovariance, "Covariance"},
-    {core::QueryId::kSvd, "SVD"},
-    {core::QueryId::kStatistics, "Statistics"},
-    {core::QueryId::kBiclustering, "Biclustering"},
-};
-
-cluster::ClusterEngineOptions HostOptions(int nodes) {
-  return cluster::SciDbMnOptions(nodes);
+PaperFigure Figure() {
+  return {"table1",
+          Axis::kNodes,
+          {MultiNodeSystem(cluster::ClusterConfig("scidb"), "xeon"),
+           MultiNodeSystem(cluster::ClusterConfig("scidb_phi"), "phi")},
+          {{QueryId::kCovariance, "Covariance"},
+           {QueryId::kSvd, "SVD"},
+           {QueryId::kStatistics, "Statistics"},
+           {QueryId::kBiclustering, "Biclustering"}}};
 }
 
-cluster::ClusterEngineOptions PhiOptions(int nodes) {
-  cluster::ClusterEngineOptions o = cluster::SciDbMnOptions(nodes);
-  o.phi_offload = true;
-  o.name = "SciDB + Xeon Phi";
-  return o;
-}
-
-void RegisterCells() {
-  for (int nodes : kNodeCounts) {
-    for (bool phi : {false, true}) {
-      const cluster::ClusterEngineOptions options =
-          phi ? PhiOptions(nodes) : HostOptions(nodes);
-      for (const auto& [query, label] : kRows) {
-        (void)label;
-        const std::string name = std::string("table1/") +
-                                 (phi ? "phi" : "xeon") + "/n" +
-                                 std::to_string(nodes) + "/" +
-                                 core::QueryName(query);
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [options, query](benchmark::State& state) {
-              for (auto _ : state) {
-                const core::CellResult cell = RunClusterCell(
-                    options, query, core::DatasetSize::kLarge);
-                state.SetIterationTime(std::max(cell.total_s, 1e-9));
-                state.SetLabel(cell.Display());
-              }
-            })
-            ->UseManualTime()
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-      }
-    }
+/// One row per panel: the host/Phi ratio of `field` at 1, 2 and 4 nodes.
+void PrintSpeedups(const PaperFigure& figure, double CellResult::*field) {
+  for (const Panel& panel : figure.panels) {
+    std::printf("%-14s", panel.title);
+    PrintRatioRow(figure, figure.systems[0], figure.systems[1], panel.query,
+                  field);
+    std::printf("\n");
   }
 }
 
-void PrintTable() {
+void PrintTable(const PaperFigure& figure) {
   std::printf("\n=== Table 1: analytics speedup, Xeon Phi vs Xeon "
               "(SciDB + ScaLAPACK, large dataset) ===\n");
   std::printf("%-14s %10s %10s %10s    (paper: cov 2.60/1.55/1.54, svd "
@@ -75,41 +45,11 @@ void PrintTable() {
               "4 nodes");
   std::printf("%-14s %10s %10s %10s     stats 1.40/1.43/1.21, bicluster "
               "1.18/1.05/1.02)\n", "", "", "", "");
-  for (const auto& [query, label] : kRows) {
-    std::printf("%-14s", label);
-    for (int nodes : kNodeCounts) {
-      const auto* host =
-          FindCell("SciDB", query, core::DatasetSize::kLarge, nodes);
-      const auto* phi = FindCell("SciDB + Xeon Phi", query,
-                                 core::DatasetSize::kLarge, nodes);
-      if (host == nullptr || phi == nullptr || !host->status.ok() ||
-          !phi->status.ok() || phi->analytics_s <= 0) {
-        std::printf(" %10s", "n/a");
-      } else {
-        std::printf(" %9.2fx", host->analytics_s / phi->analytics_s);
-      }
-    }
-    std::printf("\n");
-  }
+  PrintSpeedups(figure, &CellResult::analytics_s);
 
   std::printf("\n=== Overall-time speedup (paper: 'up to 1.5X with an "
               "average of around 1.3X' at 1 node) ===\n");
-  for (const auto& [query, label] : kRows) {
-    std::printf("%-14s", label);
-    for (int nodes : kNodeCounts) {
-      const auto* host =
-          FindCell("SciDB", query, core::DatasetSize::kLarge, nodes);
-      const auto* phi = FindCell("SciDB + Xeon Phi", query,
-                                 core::DatasetSize::kLarge, nodes);
-      if (host == nullptr || phi == nullptr || !host->status.ok() ||
-          !phi->status.ok() || phi->total_s <= 0) {
-        std::printf(" %10s", "n/a");
-      } else {
-        std::printf(" %9.2fx", host->total_s / phi->total_s);
-      }
-    }
-    std::printf("\n");
-  }
+  PrintSpeedups(figure, &CellResult::total_s);
 }
 
 }  // namespace
@@ -118,5 +58,5 @@ void PrintTable() {
 int main(int argc, char** argv) {
   return genbase::bench::RunPaperFigure(
       argc, argv, "Table 1: Phi analytics speedup, multi-node",
-      genbase::bench::RegisterCells, genbase::bench::PrintTable);
+      genbase::bench::Figure(), genbase::bench::PrintTable);
 }

@@ -25,7 +25,8 @@ int main() {
   options.timeout_seconds = 120.0;
   double base = 0.0;
   for (int nodes : {1, 2, 4, 8}) {
-    cluster::ClusterEngine engine(cluster::SciDbMnOptions(nodes));
+    cluster::ClusterEngine engine(
+        cluster::ClusterConfig("scidb").At(nodes));
     GENBASE_CHECK_OK(engine.LoadDataset(*data));
     const core::CellResult cell =
         core::RunCell(&engine, core::QueryId::kCovariance,

@@ -4,13 +4,11 @@
 
 #include "accel/coprocessor.h"
 #include "core/config.h"
-#include "core/reference.h"
 
 namespace genbase::cluster {
 
 namespace {
 
-using core::MicroarrayCols;
 using core::QueryId;
 using core::SimConfig;
 
@@ -41,44 +39,45 @@ genbase::Status SliceTable(const storage::ColumnTable& src, int64_t begin,
 
 }  // namespace
 
-ClusterEngineOptions SciDbMnOptions(int nodes) {
-  ClusterEngineOptions o;
-  o.name = "SciDB";
-  o.nodes = nodes;
-  o.array_native = true;
-  return o;
+const std::vector<ClusterSpec>& ClusterConfigs() {
+  static const std::vector<ClusterSpec> configs = [] {
+    ClusterEngineOptions col_pbdr, col_udf, hadoop, pbdr, scidb;
+    col_pbdr.name = "Column store + pbdR";
+    col_pbdr.csv_glue = true;
+    col_udf.name = "Column store + UDFs";
+    col_udf.udf_glue = true;
+    hadoop.name = "Hadoop";
+    hadoop.mapreduce = true;
+    hadoop.quality = linalg::KernelQuality::kNaive;
+    pbdr.name = "pbdR";
+    scidb.name = "SciDB";
+    scidb.array_native = true;
+    ClusterEngineOptions scidb_phi = scidb;
+    scidb_phi.name = "SciDB + Xeon Phi";
+    scidb_phi.phi_offload = true;
+    return std::vector<ClusterSpec>{
+        {"col_pbdr", col_pbdr}, {"col_udf", col_udf},
+        {"hadoop", hadoop},     {"pbdr", pbdr},
+        {"scidb", scidb},       {"scidb_phi", scidb_phi}};
+  }();
+  return configs;
 }
 
-ClusterEngineOptions PbdrOptions(int nodes) {
-  ClusterEngineOptions o;
-  o.name = "pbdR";
-  o.nodes = nodes;
-  return o;
+std::vector<ClusterSpec> MultiNodeSystems() {
+  std::vector<ClusterSpec> systems;
+  for (const ClusterSpec& spec : ClusterConfigs()) {
+    if (!spec.options.phi_offload) systems.push_back(spec);
+  }
+  return systems;
 }
 
-ClusterEngineOptions ColumnStorePbdrOptions(int nodes) {
-  ClusterEngineOptions o;
-  o.name = "Column store + pbdR";
-  o.nodes = nodes;
-  o.csv_glue = true;
-  return o;
-}
-
-ClusterEngineOptions ColumnStoreUdfMnOptions(int nodes) {
-  ClusterEngineOptions o;
-  o.name = "Column store + UDFs";
-  o.nodes = nodes;
-  o.udf_glue = true;
-  return o;
-}
-
-ClusterEngineOptions HadoopMnOptions(int nodes) {
-  ClusterEngineOptions o;
-  o.name = "Hadoop";
-  o.nodes = nodes;
-  o.mapreduce = true;
-  o.quality = linalg::KernelQuality::kNaive;
-  return o;
+const ClusterSpec& ClusterConfig(std::string_view key) {
+  const ClusterSpec* found = nullptr;
+  for (const ClusterSpec& spec : ClusterConfigs()) {
+    if (key == spec.key) found = &spec;
+  }
+  GENBASE_CHECK(found != nullptr);
+  return *found;
 }
 
 ClusterEngine::ClusterEngine(ClusterEngineOptions options)
@@ -357,58 +356,58 @@ genbase::Result<core::QueryResult> ClusterEngine::RunQuery(
       break;
     }
     case QueryId::kStatistics: {
-      const int64_t k =
-          core::SampleCount(dims_.patients, params.sample_fraction);
-      std::vector<double> sums(static_cast<size_t>(dims_.genes), 0.0);
+      // Per-gene sums over the selected sample, node by node in patient
+      // order; the root scales them once. Every node holds every gene, so
+      // each sizes `sums` alike.
+      std::vector<double> sums;
+      std::vector<std::vector<int64_t>> memberships;
+      int64_t samples = 0;
       GENBASE_RETURN_NOT_OK(sim.Compute([&](int node) -> genbase::Status {
         const NodeData& nd = *node_data_[static_cast<size_t>(node)];
-        const int64_t lo = nd.patients.begin;
-        const int64_t hi = std::min(nd.patients.end, k);
         if (options_.array_native) {
-          for (int64_t p = lo; p < hi; ++p) {
-            for (int64_t g = 0; g < dims_.genes; ++g) {
-              sums[static_cast<size_t>(g)] +=
-                  nd.expression.Get(p - lo, g);
+          GENBASE_ASSIGN_OR_RETURN(
+              engine::QueryInputs in,
+              engine::SelectArray(nd.expression, nd.patients.begin, nd.tables,
+                                  query, params, ctx));
+          sums.resize(static_cast<size_t>(in.x.cols()));
+          for (int64_t i = 0; i < in.x.rows(); ++i) {
+            const double* row = in.x.Row(i);
+            for (int64_t g = 0; g < in.x.cols(); ++g) {
+              sums[static_cast<size_t>(g)] += row[g];
             }
           }
-        } else if (hi > lo) {
-          const auto& pid =
-              nd.tables.microarray.IntColumn(MicroarrayCols::kPatientId);
-          const auto& gid =
-              nd.tables.microarray.IntColumn(MicroarrayCols::kGeneId);
-          const auto& expr =
-              nd.tables.microarray.DoubleColumn(MicroarrayCols::kExpr);
-          for (size_t i = 0; i < pid.size(); ++i) {
-            if (pid[i] >= k) continue;
-            // Gene ids index the score vector.
-            if (gid[i] < 0 || gid[i] >= dims_.genes) {
-              return genbase::Status::InvalidArgument(
-                  options_.name + ": gene id " + std::to_string(gid[i]) +
-                  " is not a score position");
-            }
-            sums[static_cast<size_t>(gid[i])] += expr[i];
+          samples += in.x.rows();
+          if (node == 0) {
+            memberships = engine::BuildMembershipsColumnar(nd.tables.ontology,
+                                                           dims_.go_terms);
           }
+          return genbase::Status::OK();
         }
-        return genbase::Status::OK();
+        // Relational nodes select and join as the column store does: sums
+        // sit at col_map positions, which node 0's memberships name.
+        GENBASE_ASSIGN_OR_RETURN(
+            engine::JoinedAccess access,
+            engine::BuildJoinedAccess(nd.tables, query, params, ctx,
+                                      ctx->memory()));
+        sums.resize(static_cast<size_t>(access.col_map.size()));
+        samples += access.sample_count;
+        if (node == 0) memberships = std::move(access.memberships);
+        return engine::AccumulateScores(nd.tables, access, sums.data(), ctx);
       }));
       sim.AllReduce(dims_.genes * 8);
       genbase::Status root_status = genbase::Status::OK();
       GENBASE_RETURN_NOT_OK(sim.Compute([&](int node) -> genbase::Status {
         if (node != 0) return genbase::Status::OK();
-        std::vector<double> scores = sums;
-        const double inv = 1.0 / static_cast<double>(std::min(k,
-                                                     dims_.patients));
-        for (auto& s : scores) s *= inv;
-        const auto memberships = engine::BuildMembershipsColumnar(
-            node_data_[0]->tables.ontology, dims_.go_terms);
-        auto summary = core::StatsAnalytics(scores, memberships,
+        const double inv = 1.0 / static_cast<double>(samples);
+        for (auto& s : sums) s *= inv;
+        auto summary = core::StatsAnalytics(sums, memberships,
                                             params.significance, ctx);
         if (!summary.ok()) {
           root_status = summary.status();
           return genbase::Status::OK();
         }
         out.stats = std::move(summary).ValueOrDie();
-        out.stats.samples = std::min(k, dims_.patients);
+        out.stats.samples = samples;
         return genbase::Status::OK();
       }));
       GENBASE_RETURN_NOT_OK(root_status);
@@ -428,19 +427,6 @@ genbase::Result<core::QueryResult> ClusterEngine::RunQuery(
   }
   ctx->clock().AddVirtual(Phase::kAnalytics, analytics_elapsed);
   return out;
-}
-
-std::vector<std::unique_ptr<core::Engine>> CreateMultiNodeEngines(
-    int nodes) {
-  std::vector<std::unique_ptr<core::Engine>> engines;
-  engines.push_back(
-      std::make_unique<ClusterEngine>(ColumnStorePbdrOptions(nodes)));
-  engines.push_back(
-      std::make_unique<ClusterEngine>(ColumnStoreUdfMnOptions(nodes)));
-  engines.push_back(std::make_unique<ClusterEngine>(HadoopMnOptions(nodes)));
-  engines.push_back(std::make_unique<ClusterEngine>(PbdrOptions(nodes)));
-  engines.push_back(std::make_unique<ClusterEngine>(SciDbMnOptions(nodes)));
-  return engines;
 }
 
 }  // namespace genbase::cluster

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/dist_kernels.h"
@@ -38,12 +39,31 @@ struct ClusterEngineOptions {
   bool phi_offload = false;
 };
 
-/// Factory helpers for the paper's configurations.
-ClusterEngineOptions SciDbMnOptions(int nodes);
-ClusterEngineOptions PbdrOptions(int nodes);
-ClusterEngineOptions ColumnStorePbdrOptions(int nodes);
-ClusterEngineOptions ColumnStoreUdfMnOptions(int nodes);
-ClusterEngineOptions HadoopMnOptions(int nodes);
+/// \brief One of the paper's multi-node configurations: the key tests and
+/// figures select it by, and its options at one node.
+struct ClusterSpec {
+  const char* key;
+  ClusterEngineOptions options;
+
+  /// The options at `nodes` nodes.
+  ClusterEngineOptions At(int nodes) const {
+    ClusterEngineOptions o = options;
+    o.nodes = nodes;
+    return o;
+  }
+};
+
+/// \brief The paper's multi-node configurations, one table: Figure 3's five
+/// systems (Section 4.2) in its legend order, then Table 1's "scidb_phi".
+const std::vector<ClusterSpec>& ClusterConfigs();
+
+/// Figure 3's lineup: every ClusterConfigs() entry without coprocessor
+/// offload.
+std::vector<ClusterSpec> MultiNodeSystems();
+
+/// The ClusterConfigs() entry with `key`; an unknown key is a programming
+/// error (GENBASE_CHECK).
+const ClusterSpec& ClusterConfig(std::string_view key);
 
 /// \brief One multi-node system configuration over the virtual-time
 /// cluster: data row-partitioned by patient across nodes, metadata
@@ -55,7 +75,6 @@ class ClusterEngine : public core::Engine {
   explicit ClusterEngine(ClusterEngineOptions options);
 
   std::string name() const override { return options_.name; }
-  int nodes() const { return options_.nodes; }
 
   bool SupportsQuery(core::QueryId query) const override {
     if (options_.mapreduce) {
@@ -101,9 +120,6 @@ class ClusterEngine : public core::Engine {
   core::DatasetDims dims_;
   bool loaded_ = false;
 };
-
-/// The paper's Figure 3 lineup for a given node count.
-std::vector<std::unique_ptr<core::Engine>> CreateMultiNodeEngines(int nodes);
 
 }  // namespace genbase::cluster
 

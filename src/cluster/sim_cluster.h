@@ -24,8 +24,8 @@ struct NetworkModel {
 ///
 /// Only 2 physical cores exist in this environment, so a real N-node run is
 /// impossible; instead every node's local work is executed for real —
-/// sequentially, timed with the per-thread CPU clock so scheduling does not
-/// distort it — and charged to that node's *virtual* clock. Communication
+/// sequentially, one node at a time, so its wall seconds measure that
+/// node's work — and charged to that node's *virtual* clock. Communication
 /// steps advance clocks by modeled collective costs (ring all-reduce, tree
 /// broadcast, ...). Cluster elapsed time is the maximum node clock: the
 /// critical path. This reproduces the paper's multi-node phenomena (e.g.
@@ -49,8 +49,8 @@ class SimCluster {
   /// Portion of elapsed() spent in collectives (critical path).
   double comm_elapsed() const { return comm_elapsed_; }
 
-  /// Runs fn(node) for every node, adding each node's thread-CPU seconds to
-  /// its virtual clock. Stops at the first non-OK status.
+  /// Runs fn(node) for every node in turn, adding each node's wall seconds
+  /// to its virtual clock. Stops at the first non-OK status.
   genbase::Status Compute(const std::function<genbase::Status(int)>& fn);
 
   /// Adds externally measured (or modeled) compute seconds to one node.

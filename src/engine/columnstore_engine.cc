@@ -32,9 +32,12 @@ void ColumnStoreEngine::PrepareContext(ExecContext* ctx) {
 genbase::Result<core::QueryResult> ColumnStoreEngine::RunQuery(
     core::QueryId query, const core::QueryParams& params, ExecContext* ctx) {
   if (tables_ == nullptr) return genbase::Status::Internal("not loaded");
-  GENBASE_ASSIGN_OR_RETURN(QueryInputs inputs,
-                           PrepareInputsColumnar(*tables_, query, params,
-                                                 ctx));
+  QueryInputs inputs;
+  {
+    ScopedPhase dm(ctx, Phase::kDataManagement);
+    GENBASE_ASSIGN_OR_RETURN(
+        inputs, PrepareInputsColumnar(*tables_, query, params, ctx));
+  }
   const auto& config = core::SimConfig::Get();
 
   if (analytics_ == ColumnStoreAnalytics::kExternalR) {

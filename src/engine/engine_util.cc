@@ -408,11 +408,9 @@ genbase::Status ScatterJoined(const ColumnarTables& tables,
   return genbase::Status::OK();
 }
 
-genbase::Status AggregateScores(const ColumnarTables& tables,
-                                const JoinedAccess& access, double* scores,
-                                ExecContext* ctx) {
-  const int64_t genes = access.col_map.size();
-  std::fill_n(scores, static_cast<size_t>(genes), 0.0);
+genbase::Status AccumulateScores(const ColumnarTables& tables,
+                                 const JoinedAccess& access, double* sums,
+                                 ExecContext* ctx) {
   const auto& gid = tables.microarray.IntColumn(MicroarrayCols::kGeneId);
   const auto& expr = tables.microarray.DoubleColumn(MicroarrayCols::kExpr);
   const IndexLookup gene_of(access.col_map);
@@ -422,8 +420,17 @@ genbase::Status AggregateScores(const ColumnarTables& tables,
     }
     const auto row = static_cast<size_t>(access.matched_rows[k]);
     const int64_t g = gene_of(gid[row]);
-    if (g >= 0) scores[g] += expr[row];
+    if (g >= 0) sums[g] += expr[row];
   }
+  return genbase::Status::OK();
+}
+
+genbase::Status AggregateScores(const ColumnarTables& tables,
+                                const JoinedAccess& access, double* scores,
+                                ExecContext* ctx) {
+  const int64_t genes = access.col_map.size();
+  std::fill_n(scores, static_cast<size_t>(genes), 0.0);
+  GENBASE_RETURN_NOT_OK(AccumulateScores(tables, access, scores, ctx));
   const double inv = access.sample_count > 0
                          ? 1.0 / static_cast<double>(access.sample_count)
                          : 0.0;
@@ -434,7 +441,6 @@ genbase::Status AggregateScores(const ColumnarTables& tables,
 genbase::Result<QueryInputs> PrepareInputsColumnar(
     const ColumnarTables& tables, QueryId query,
     const core::QueryParams& params, ExecContext* ctx) {
-  ScopedPhase dm(ctx, Phase::kDataManagement);
   MemoryTracker* tracker = ctx != nullptr ? ctx->memory() : nullptr;
   GENBASE_ASSIGN_OR_RETURN(
       JoinedAccess access,

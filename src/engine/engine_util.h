@@ -157,19 +157,26 @@ genbase::Status ScatterJoined(const ColumnarTables& tables,
                               int64_t num_cols, int64_t col_offset,
                               ExecContext* ctx);
 
-/// Q5's scores: each gene's mean expression over the sample, at its
-/// col_map position (`scores` holds col_map.size() values; overwritten).
+/// Q5's per-gene sums: adds each matched row's expression, in microarray
+/// order, to `sums` at its gene's col_map position (`sums` holds at least
+/// col_map.size() values; the cluster's nodes add into one vector).
+genbase::Status AccumulateScores(const ColumnarTables& tables,
+                                 const JoinedAccess& access, double* sums,
+                                 ExecContext* ctx);
+
+/// Q5's scores: AccumulateScores from zero, then one multiply by
+/// 1/sample_count (`scores` holds col_map.size() values; overwritten).
 genbase::Status AggregateScores(const ColumnarTables& tables,
                                 const JoinedAccess& access, double* scores,
                                 ExecContext* ctx);
 
-/// \brief The full vectorized data-management pipeline for one query,
-/// timed into Phase::kDataManagement: BuildJoinedAccess, then the matrix
-/// scatter (Q1-Q4) or the score aggregate (Q5), plus Q2's metadata lookup.
-/// Used by the R and column-store engines and the cluster engine's
-/// relational nodes. The row store and Hadoop run SelectionFor's predicates
-/// through their tuple-at-a-time operators instead, and the array engines
-/// through SelectArray.
+/// \brief The full vectorized data-management pipeline for one query:
+/// BuildJoinedAccess, then the matrix scatter (Q1-Q4) or the score aggregate
+/// (Q5), plus Q2's metadata lookup. Used by the R and column-store engines,
+/// which time it into Phase::kDataManagement, and the cluster engine's
+/// relational nodes, whose time the simulated cluster charges. The row store
+/// and Hadoop run SelectionFor's predicates through their tuple-at-a-time
+/// operators instead, and the array engines through SelectArray.
 genbase::Result<QueryInputs> PrepareInputsColumnar(
     const ColumnarTables& tables, core::QueryId query,
     const core::QueryParams& params, ExecContext* ctx);
@@ -185,13 +192,13 @@ genbase::Result<storage::ChunkedArray2D> LoadExpressionArray(
     int64_t row_end, int64_t first_patient, int64_t patients, int64_t genes,
     const std::string& engine, MemoryTracker* tracker);
 
-/// \brief The array engines' Q1-Q4 data management over such an array and
-/// its metadata: the query's Selection filters `meta`'s genes (Q1, Q4) or
-/// patients (Q2, Q3), and the survivors' ids index the array directly,
+/// \brief The array engines' data management over such an array and its
+/// metadata: the query's Selection filters `meta`'s genes (Q1, Q4) or
+/// patients (Q2, Q3, Q5), and the survivors' ids index the array directly,
 /// with no join and no restructure. Returns x, its patient (row) and gene
 /// (column) ids, and Q1's response by row; x's rows are every array row or
-/// the selected patients, its columns the selected genes or every gene.
-/// Q2's metadata lookup is left to the caller.
+/// the selected patients in id order, its columns the selected genes or
+/// every gene. Q2's metadata lookup and Q5's means are left to the caller.
 genbase::Result<QueryInputs> SelectArray(
     const storage::ChunkedArray2D& expression, int64_t first_patient,
     const ColumnarTables& meta, core::QueryId query,

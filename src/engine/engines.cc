@@ -1,5 +1,6 @@
 #include "engine/engines.h"
 
+#include "common/check.h"
 #include "engine/columnstore_engine.h"
 #include "engine/hadoop_engine.h"
 #include "engine/postgres_engine.h"
@@ -31,16 +32,13 @@ std::unique_ptr<core::Engine> CreateHadoop() {
   return std::make_unique<HadoopEngine>();
 }
 
-std::vector<std::unique_ptr<core::Engine>> CreateSingleNodeEngines() {
-  std::vector<std::unique_ptr<core::Engine>> engines;
-  engines.push_back(CreateColumnStoreR());
-  engines.push_back(CreateColumnStoreUdf());
-  engines.push_back(CreateHadoop());
-  engines.push_back(CreatePostgresMadlib());
-  engines.push_back(CreatePostgresR());
-  engines.push_back(CreateSciDb());
-  engines.push_back(CreateVanillaR());
-  return engines;
+const EngineSpec& SingleNodeEngine(std::string_view key) {
+  const EngineSpec* found = nullptr;
+  for (const EngineSpec& spec : kSingleNodeEngines) {
+    if (key == spec.key) found = &spec;
+  }
+  GENBASE_CHECK(found != nullptr);
+  return *found;
 }
 
 }  // namespace genbase::engine

@@ -55,21 +55,23 @@ genbase::Result<core::QueryResult> VanillaREngine::RunQuery(
   if (tables_ == nullptr) {
     return genbase::Status::OutOfMemory("R: dataset failed to load");
   }
-  GENBASE_ASSIGN_OR_RETURN(QueryInputs inputs,
-                           PrepareInputsColumnar(*tables_, query, params,
-                                                 ctx));
-  // R's copy-on-modify semantics: model.matrix / scale() duplicate the
-  // analysis matrix before the fit. Make the copy for real so both the time
-  // and the memory budget feel it.
-  if (inputs.x.size() > 0) {
+  QueryInputs inputs;
+  {
     ScopedPhase dm(ctx, Phase::kDataManagement);
     GENBASE_ASSIGN_OR_RETURN(
-        linalg::Matrix duplicate,
-        linalg::Matrix::Create(inputs.x.rows(), inputs.x.cols(),
-                               ctx->memory()));
-    std::memcpy(duplicate.data(), inputs.x.data(),
-                static_cast<size_t>(inputs.x.bytes()));
-    inputs.x = std::move(duplicate);
+        inputs, PrepareInputsColumnar(*tables_, query, params, ctx));
+    // R's copy-on-modify semantics: model.matrix / scale() duplicate the
+    // analysis matrix before the fit. Make the copy for real so both the
+    // time and the memory budget feel it.
+    if (inputs.x.size() > 0) {
+      GENBASE_ASSIGN_OR_RETURN(
+          linalg::Matrix duplicate,
+          linalg::Matrix::Create(inputs.x.rows(), inputs.x.cols(),
+                                 ctx->memory()));
+      std::memcpy(duplicate.data(), inputs.x.data(),
+                  static_cast<size_t>(inputs.x.bytes()));
+      inputs.x = std::move(duplicate);
+    }
   }
   return RunStandardAnalytics(query, std::move(inputs), params,
                               linalg::KernelQuality::kTuned, ctx);

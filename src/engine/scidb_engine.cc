@@ -1,8 +1,6 @@
 #include "engine/scidb_engine.h"
 
-#include <algorithm>
-
-#include "core/reference.h"
+#include "linalg/covariance.h"
 
 namespace genbase::engine {
 
@@ -39,33 +37,23 @@ void SciDbEngine::PrepareContext(ExecContext* ctx) {
 genbase::Result<QueryInputs> SciDbEngine::PrepareInputs(
     core::QueryId query, const core::QueryParams& params, ExecContext* ctx) {
   ScopedPhase dm(ctx, Phase::kDataManagement);
-  if (query != core::QueryId::kStatistics) {
-    GENBASE_ASSIGN_OR_RETURN(
-        QueryInputs in, SelectArray(expression_, /*first_patient=*/0, *meta_,
-                                    query, params, ctx));
-    if (query == core::QueryId::kCovariance) {
-      in.meta = MakeColumnarMetaLookup(meta_->genes);
-    }
-    return in;
+  GENBASE_ASSIGN_OR_RETURN(
+      QueryInputs in,
+      SelectArray(expression_, /*first_patient=*/0, *meta_, query, params,
+                  ctx));
+  if (query == core::QueryId::kCovariance) {
+    in.meta = MakeColumnarMetaLookup(meta_->genes);
   }
-  QueryInputs in;
-  const int64_t k =
-      core::SampleCount(meta_->dims.patients, params.sample_fraction);
-  in.sample_count = std::min<int64_t>(k, expression_.rows());
-  // Array-native: mean over the first k array rows, gene-dimension aligned;
-  // no join required.
-  in.scores.assign(static_cast<size_t>(expression_.cols()), 0.0);
-  for (int64_t p = 0; p < in.sample_count; ++p) {
-    GENBASE_RETURN_NOT_OK(ctx->CheckBudgets());
-    for (int64_t g = 0; g < expression_.cols(); ++g) {
-      in.scores[static_cast<size_t>(g)] += expression_.Get(p, g);
-    }
+  if (query == core::QueryId::kStatistics) {
+    // Array-native: the sampled rows' per-gene means, gene-dimension
+    // aligned; no join required. x goes, so the coprocessor model charges
+    // the score vector's transfer.
+    in.scores = linalg::ColumnMeans(linalg::MatrixView(in.x));
+    in.sample_count = in.x.rows();
+    in.x = linalg::Matrix();
+    in.memberships =
+        BuildMembershipsColumnar(meta_->ontology, meta_->dims.go_terms);
   }
-  const double inv =
-      in.sample_count > 0 ? 1.0 / static_cast<double>(in.sample_count) : 0.0;
-  for (auto& s : in.scores) s *= inv;
-  in.memberships =
-      BuildMembershipsColumnar(meta_->ontology, meta_->dims.go_terms);
   return in;
 }
 

@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "core/reference.h"
 #include "core/verify.h"
+#include "engine/engines.h"
 #include "linalg/covariance.h"
 #include "linalg/qr.h"
 #include "linalg/svd.h"
@@ -232,19 +233,11 @@ struct MnCase {
   QueryId query;
 };
 
-ClusterEngineOptions OptionsByName(const std::string& config, int nodes) {
-  if (config == "scidb") return SciDbMnOptions(nodes);
-  if (config == "pbdr") return PbdrOptions(nodes);
-  if (config == "col_pbdr") return ColumnStorePbdrOptions(nodes);
-  if (config == "col_udf") return ColumnStoreUdfMnOptions(nodes);
-  return HadoopMnOptions(nodes);
-}
-
 class MnAgreementTest : public ::testing::TestWithParam<MnCase> {};
 
 TEST_P(MnAgreementTest, MatchesReference) {
   const auto& param = GetParam();
-  ClusterEngine engine(OptionsByName(param.config, param.nodes));
+  ClusterEngine engine(ClusterConfig(param.config).At(param.nodes));
   if (!engine.SupportsQuery(param.query)) {
     GTEST_SKIP() << param.config << " does not support this query";
   }
@@ -268,11 +261,10 @@ TEST_P(MnAgreementTest, MatchesReference) {
 
 std::vector<MnCase> MnCases() {
   std::vector<MnCase> cases;
-  for (const char* config :
-       {"scidb", "pbdr", "col_pbdr", "col_udf", "hadoop"}) {
+  for (const ClusterSpec& spec : MultiNodeSystems()) {
     for (int nodes : {1, 2, 4}) {
       for (QueryId q : core::kAllQueries) {
-        cases.push_back({config, nodes, q});
+        cases.push_back({spec.key, nodes, q});
       }
     }
   }
@@ -289,8 +281,38 @@ INSTANTIATE_TEST_SUITE_P(AllConfigs, MnAgreementTest,
                          ::testing::ValuesIn(MnCases()), MnCaseName);
 
 TEST(MnEngineTest, FigureThreeLineupHasFiveSystems) {
-  const auto engines = CreateMultiNodeEngines(2);
-  EXPECT_EQ(engines.size(), 5u);
+  EXPECT_EQ(MultiNodeSystems().size(), 5u);
+  for (const ClusterSpec& spec : ClusterConfigs()) {
+    EXPECT_EQ(&ClusterConfig(spec.key), &spec) << spec.key;
+  }
+}
+
+/// A multi-node query charges its data management once, as the simulated
+/// critical path (modeled seconds): the query clock measures none of its
+/// nodes' work. The single-node column store and Vanilla R time theirs on
+/// the query clock.
+TEST(MnEngineTest, DataManagementIsChargedOnce) {
+  for (const ClusterSpec& spec : MultiNodeSystems()) {
+    SCOPED_TRACE(spec.key);
+    ClusterEngine engine(spec.At(2));
+    ASSERT_TRUE(engine.LoadDataset(TinyData()).ok());
+    ExecContext ctx;
+    engine.PrepareContext(&ctx);
+    ASSERT_TRUE(
+        engine.RunQuery(QueryId::kRegression, TinyParams(), &ctx).ok());
+    EXPECT_EQ(ctx.clock().measured(Phase::kDataManagement), 0.0);
+    EXPECT_GT(ctx.clock().modeled(Phase::kDataManagement), 0.0);
+  }
+  for (const char* key : {"col_r", "r"}) {
+    SCOPED_TRACE(key);
+    auto single = engine::SingleNodeEngine(key).factory();
+    ASSERT_TRUE(single->LoadDataset(TinyData()).ok());
+    ExecContext ctx;
+    single->PrepareContext(&ctx);
+    ASSERT_TRUE(
+        single->RunQuery(QueryId::kRegression, TinyParams(), &ctx).ok());
+    EXPECT_GT(ctx.clock().measured(Phase::kDataManagement), 0.0);
+  }
 }
 
 TEST(MnEngineTest, CommunicationGrowsWithNodes) {
@@ -300,7 +322,7 @@ TEST(MnEngineTest, CommunicationGrowsWithNodes) {
   core::QueryParams params = TinyParams();
   double analytics1 = 0, analytics4 = 0;
   for (int nodes : {1, 4}) {
-    ClusterEngine engine(SciDbMnOptions(nodes));
+    ClusterEngine engine(ClusterConfig("scidb").At(nodes));
     ASSERT_TRUE(engine.LoadDataset(TinyData()).ok());
     ExecContext ctx;
     engine.PrepareContext(&ctx);
@@ -314,10 +336,7 @@ TEST(MnEngineTest, CommunicationGrowsWithNodes) {
 }
 
 TEST(MnEngineTest, PhiOffloadAgreesAndAccountsAnalytics) {
-  ClusterEngineOptions opt = SciDbMnOptions(2);
-  opt.phi_offload = true;
-  opt.name = "SciDB + Phi";
-  ClusterEngine engine(opt);
+  ClusterEngine engine(ClusterConfig("scidb_phi").At(2));
   ASSERT_TRUE(engine.LoadDataset(TinyData()).ok());
   ExecContext ctx;
   engine.PrepareContext(&ctx);

@@ -42,13 +42,12 @@ const QueryResult& Expected(QueryId q) {
 }
 
 struct AgreementCase {
-  const char* engine_name;
-  std::unique_ptr<core::Engine> (*factory)();
+  const engine::EngineSpec* spec;
   QueryId query;
 };
 
 void PrintTo(const AgreementCase& c, std::ostream* os) {
-  *os << c.engine_name << "/" << core::QueryName(c.query);
+  *os << c.spec->display << "/" << core::QueryName(c.query);
 }
 
 class EngineAgreementTest : public ::testing::TestWithParam<AgreementCase> {};
@@ -57,7 +56,7 @@ class EngineAgreementTest : public ::testing::TestWithParam<AgreementCase> {};
 /// differ in speed and architecture, never in what they compute.
 TEST_P(EngineAgreementTest, MatchesReference) {
   const auto& param = GetParam();
-  auto engine = param.factory();
+  auto engine = param.spec->factory();
   if (!engine->SupportsQuery(param.query)) {
     GTEST_SKIP() << engine->name() << " does not support this query";
   }
@@ -73,35 +72,33 @@ TEST_P(EngineAgreementTest, MatchesReference) {
 }
 
 std::vector<AgreementCase> AllCases() {
-  struct Factory {
-    const char* name;
-    std::unique_ptr<core::Engine> (*fn)();
-  };
-  static const Factory kFactories[] = {
-      {"VanillaR", engine::CreateVanillaR},
-      {"PostgresMadlib", engine::CreatePostgresMadlib},
-      {"PostgresR", engine::CreatePostgresR},
-      {"ColumnStoreR", engine::CreateColumnStoreR},
-      {"ColumnStoreUdf", engine::CreateColumnStoreUdf},
-      {"SciDB", engine::CreateSciDb},
-      {"Hadoop", engine::CreateHadoop},
-  };
   std::vector<AgreementCase> cases;
-  for (const auto& f : kFactories) {
-    for (QueryId q : core::kAllQueries) {
-      cases.push_back({f.name, f.fn, q});
-    }
+  for (const engine::EngineSpec& spec : engine::kSingleNodeEngines) {
+    for (QueryId q : core::kAllQueries) cases.push_back({&spec, q});
   }
   return cases;
 }
 
 std::string CaseName(const ::testing::TestParamInfo<AgreementCase>& info) {
-  return std::string(info.param.engine_name) + "_" +
+  return std::string(info.param.spec->key) + "_" +
          core::QueryName(info.param.query);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEnginesAllQueries, EngineAgreementTest,
                          ::testing::ValuesIn(AllCases()), CaseName);
+
+/// The paper's seven single-node configurations, then Figure 3's five
+/// multi-node systems at 2 nodes.
+std::vector<std::unique_ptr<core::Engine>> PaperEngines() {
+  std::vector<std::unique_ptr<core::Engine>> engines;
+  for (const engine::EngineSpec& spec : engine::kSingleNodeEngines) {
+    engines.push_back(spec.factory());
+  }
+  for (const cluster::ClusterSpec& spec : cluster::MultiNodeSystems()) {
+    engines.push_back(std::make_unique<cluster::ClusterEngine>(spec.At(2)));
+  }
+  return engines;
+}
 
 /// Phase accounting: every successful run must attribute nonzero time and
 /// the glue phase must be zero for engines with no external bridge.
@@ -158,8 +155,8 @@ TEST(EnginePhasesTest, HadoopChargesJobStartups) {
 /// spread out (g -> 1000g + 7), every engine, single-node and 2-node,
 /// either still gives the reference answer (the columnar engines map ids to
 /// positions) or fails with InvalidArgument where it uses ids as array
-/// coordinates or score positions (SciDB, Postgres' Q5 scan, the cluster
-/// engines), never by indexing past an array.
+/// coordinates or score positions (SciDB, Postgres' Q5 scan, the cluster's
+/// array nodes), never by indexing past an array.
 TEST(SparseIdEngineTest, EnginesAnswerOrRejectIdsThatAreNotPositions) {
   auto generated = core::GenerateDataset(DatasetSize::kSmall, kTinyScale);
   ASSERT_TRUE(generated.ok());
@@ -170,11 +167,7 @@ TEST(SparseIdEngineTest, EnginesAnswerOrRejectIdsThatAreNotPositions) {
         &data.ontology.MutableIntColumn(core::GoCols::kGeneId)}) {
     for (int64_t& id : *ids) id = 1000 * id + 7;
   }
-  std::vector<std::unique_ptr<core::Engine>> engines =
-      engine::CreateSingleNodeEngines();
-  for (auto& e : cluster::CreateMultiNodeEngines(2)) {
-    engines.push_back(std::move(e));
-  }
+  std::vector<std::unique_ptr<core::Engine>> engines = PaperEngines();
   int answered = 0;
   for (const auto& engine : engines) {
     SCOPED_TRACE(engine->name());
@@ -219,8 +212,8 @@ TEST(SparseIdEngineTest, ArrayEnginesRejectSelectedIdsOutsideTheArray) {
   }
   std::vector<std::unique_ptr<core::Engine>> engines;
   engines.push_back(engine::CreateSciDb());
-  engines.push_back(
-      std::make_unique<cluster::ClusterEngine>(cluster::SciDbMnOptions(2)));
+  engines.push_back(std::make_unique<cluster::ClusterEngine>(
+      cluster::ClusterConfig("scidb").At(2)));
   for (const auto& engine : engines) {
     SCOPED_TRACE(engine->name());
     ASSERT_TRUE(engine->LoadDataset(data).ok());
@@ -281,12 +274,8 @@ TEST(SelectionAgreementTest, EveryEngineAnswersNonDefaultSelections) {
     }
   }
 
-  std::vector<std::unique_ptr<core::Engine>> engines =
-      engine::CreateSingleNodeEngines();
+  std::vector<std::unique_ptr<core::Engine>> engines = PaperEngines();
   engines.push_back(accel::CreatePhiSciDb());
-  for (auto& e : cluster::CreateMultiNodeEngines(2)) {
-    engines.push_back(std::move(e));
-  }
   ASSERT_EQ(engines.size(), 13u);
   for (const auto& engine : engines) {
     SCOPED_TRACE(engine->name());

@@ -187,8 +187,12 @@ TEST(CapabilityTest, FullSupportEverywhereElse) {
 }
 
 TEST(CapabilityTest, SevenSingleNodeConfigurations) {
-  const auto engines = engine::CreateSingleNodeEngines();
-  EXPECT_EQ(engines.size(), 7u);
+  ASSERT_EQ(std::size(engine::kSingleNodeEngines), 7u);
+  // Figures find a cell by its engine's name, so a legend name must be it.
+  for (const engine::EngineSpec& spec : engine::kSingleNodeEngines) {
+    EXPECT_EQ(spec.factory()->name(), spec.display) << spec.key;
+    EXPECT_EQ(&engine::SingleNodeEngine(spec.key), &spec) << spec.key;
+  }
 }
 
 // --- R-specific limits ------------------------------------------------------------

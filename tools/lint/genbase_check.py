@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""genbase_check: repo-specific lint invariants for src/.
+"""genbase_check: repo-specific lint invariants for src/ and bench/.
 
-Eight rules, each encoding a convention the engines or the concurrent
+Nine rules, each encoding a convention the engines or the concurrent
 serving/obs stack depend on but that neither the compiler nor clang-tidy
 enforces:
 
@@ -63,6 +63,12 @@ enforces:
                         counters by registry name through
                         obs::MetricsWindow; a misspelt name would fail only
                         at run time, and only on the path that reads it.
+  one-harness           Under bench/ (scanned whatever roots are given),
+                        only bench_util.cc and kernelbench.cc call
+                        benchmark::RegisterBenchmark. The figures register
+                        their cells through the shared harness
+                        (RunPaperFigure, RegisterCell), so how a cell is
+                        timed, labelled and failed is defined once.
 
 Waivers: a finding on line N is waived by a comment on line N or N-1 of the
 form
@@ -90,6 +96,7 @@ RULES = (
     "plan-arena-alloc",
     "one-selection",
     "metric-name",
+    "one-harness",
 )
 
 ATOMIC_METHODS = (
@@ -450,6 +457,29 @@ def check_metric_names(repo):
                     "(GetCounter/GetGauge) — misspelt or renamed?")
 
 
+REGISTER_BENCHMARK_RE = re.compile(r"\bRegisterBenchmark\s*\(")
+HARNESS_FILES = ("bench_util.cc", "kernelbench.cc")
+
+
+def check_one_harness(repo):
+    """Flags a google-benchmark registration under bench/ outside the
+    harness and kernelbench."""
+    for path in source_files(repo / "bench"):
+        if path.name in HARNESS_FILES:
+            continue
+        code, waivers = strip_comments_and_strings(
+            path.read_text(encoding="utf-8"))
+        for m in REGISTER_BENCHMARK_RE.finditer(code):
+            line = line_of(code, m.start())
+            waiver = waivers.get(line) or waivers.get(line - 1)
+            if waiver and waiver[0] == "one-harness":
+                continue
+            yield Finding(
+                str(path), line, "one-harness",
+                "registers a benchmark cell outside the harness — use "
+                "RunPaperFigure or RegisterCell (bench/bench_util.h)")
+
+
 def scan_file(path):
     text = path.read_text(encoding="utf-8")
     code, waivers = strip_comments_and_strings(text)
@@ -503,6 +533,7 @@ def main():
         findings, _ = scan_file(path)
         all_findings.extend(findings)
     all_findings.extend(check_metric_names(repo))
+    all_findings.extend(check_one_harness(repo))
 
     if args.list_waivers:
         for path, ln, rule, why in all_waivers:
