@@ -528,6 +528,32 @@ void RegisterPlanBenches() {
     }
   });
 
+  // The path an execute takes when its delta lies in no piece of the
+  // plan's Cheng-Church record: a record freshly seeded with the prefix,
+  // seeded untimed, then one Q3 run at PlanParams' delta and count that
+  // continues the prefix and publishes its piece.
+  reg("bicluster/continue", [](benchmark::State& state) {
+    ScopedBackend sb(kSimd);
+    PlanBench& b = PlanBench::Get();
+    genbase::ExecContext ctx;  // No tracker and no pool, as a plan execute.
+    auto inputs = genbase::engine::PrepareInputsColumnar(
+        *b.tables, genbase::core::QueryId::kBiclustering, PlanParams(), &ctx);
+    GENBASE_CHECK(inputs.ok());
+    const MatrixView x(inputs->x);
+    std::optional<genbase::bicluster::ChengChurchRecord> record;
+    for (auto _ : state) {
+      state.PauseTiming();
+      record.emplace();
+      GENBASE_CHECK(genbase::core::BiclusterPrefix(x, &*record, &ctx).ok());
+      state.ResumeTiming();
+      auto r = genbase::core::BiclusterAnalytics(
+          x, PlanParams().bicluster_delta_fraction,
+          PlanParams().bicluster_count, &ctx, nullptr, &*record);
+      GENBASE_CHECK(r.ok());
+      benchmark::DoNotOptimize(r);
+    }
+  });
+
   reg("serve/hit", [](benchmark::State& state) {
     static auto* b = new ServeBench(genbase::core::QueryId::kRegression,
                                     {ServeOptions(PlanParams().significance)});

@@ -156,6 +156,52 @@ void Range(const linalg::MatrixView& m, double* lo, double* hi) {
   *hi = h;
 }
 
+/// A run's delta and the half-open piece [lo, hi) of deltas that take
+/// every delta test the run made so far the way its delta did. The only
+/// reader of ChengChurchOptions::delta (lint rule one-delta-test): a test
+/// made elsewhere would not narrow the piece, which could then serve a
+/// delta whose run differs.
+class DeltaInterval {
+ public:
+  explicit DeltaInterval(const ChengChurchOptions& options)
+      : delta_(options.delta) {}
+
+  /// h <= delta: an extraction's stop test.
+  bool AtMost(double h) {
+    const bool at_most = h <= delta_;
+    Narrow(h, /*at_least_h=*/at_most);
+    return at_most;
+  }
+
+  /// delta < bound: the prefix guard.
+  bool Below(double bound) {
+    const bool below = delta_ < bound;
+    Narrow(bound, /*at_least_h=*/!below);
+    return below;
+  }
+
+  bool finite() const { return std::isfinite(delta_); }
+  /// Whether delta lies in [lo, hi).
+  bool In(double lo, double hi) const { return lo <= delta_ && delta_ < hi; }
+  double lo() const { return lo_; }
+  double hi() const { return hi_; }
+
+ private:
+  /// Keeps the deltas >= h when `at_least_h`, else the deltas < h. A NaN h
+  /// takes every delta the same way, so it narrows nothing.
+  void Narrow(double h, bool at_least_h) {
+    if (at_least_h) {
+      if (lo_ < h) lo_ = h;
+    } else if (h < hi_) {
+      hi_ = h;
+    }
+  }
+
+  double delta_;
+  double lo_ = -std::numeric_limits<double>::infinity();
+  double hi_ = std::numeric_limits<double>::infinity();
+};
+
 }  // namespace
 
 /// --- incremental residue engine ---------------------------------------------
@@ -565,7 +611,8 @@ genbase::Status CrossCheck(const IncrementalCluster& inc, double h,
 /// the smallest H it tested.
 genbase::Result<double> MultipleNodeDeletion(const ChengChurchOptions& options,
                                              ExecContext* ctx,
-                                             IncrementalCluster* inc) {
+                                             IncrementalCluster* inc,
+                                             DeltaInterval* delta) {
   ThreadPool* pool = ctx != nullptr ? ctx->pool() : nullptr;
   double min_h = std::numeric_limits<double>::infinity();
   for (;;) {
@@ -577,7 +624,7 @@ genbase::Result<double> MultipleNodeDeletion(const ChengChurchOptions& options,
     if (options.cross_check) {
       GENBASE_RETURN_NOT_OK(CrossCheck(*inc, h, nullptr, nullptr));
     }
-    if (h <= options.delta) break;
+    if (delta->AtMost(h)) break;
     bool changed = false;
     if (inc->nrows() > 100) {
       const std::vector<double>& d = inc->RowResiduesFast(pool);
@@ -627,7 +674,8 @@ genbase::Result<double> MultipleNodeDeletion(const ChengChurchOptions& options,
 /// extraction continues a copy of it from phase 2.
 genbase::Result<Bicluster> ExtractIncremental(
     const linalg::MatrixView& wv, const ChengChurchOptions& options,
-    ExecContext* ctx, const IncrementalCluster* after_deletion) {
+    ExecContext* ctx, const IncrementalCluster* after_deletion,
+    DeltaInterval* delta) {
   ThreadPool* pool = ctx != nullptr ? ctx->pool() : nullptr;
   IncrementalCluster inc = after_deletion != nullptr
                                ? *after_deletion
@@ -635,7 +683,8 @@ genbase::Result<Bicluster> ExtractIncremental(
   if (after_deletion != nullptr) {
     inc.Relayout(wv.cols, wv.rows);
   } else {
-    GENBASE_RETURN_NOT_OK(MultipleNodeDeletion(options, ctx, &inc).status());
+    GENBASE_RETURN_NOT_OK(
+        MultipleNodeDeletion(options, ctx, &inc, delta).status());
   }
 
   // Phase 2: single node deletion until H <= delta. Stats update in
@@ -645,7 +694,7 @@ genbase::Result<Bicluster> ExtractIncremental(
     if (options.pass_hook) GENBASE_RETURN_NOT_OK(options.pass_hook());
     CountIteration(options.counters);
     const double h = inc.H();
-    if (h <= options.delta) break;
+    if (delta->AtMost(h)) break;
     const std::vector<double>& dr = inc.RowResiduesFast(pool);
     const std::vector<double>& dc = inc.ColResiduesFast(pool);
     if (options.cross_check) {
@@ -735,7 +784,7 @@ genbase::Result<Bicluster> ExtractIncremental(
 /// One bicluster extraction with the original from-scratch engine.
 genbase::Result<Bicluster> ExtractReference(
     const linalg::MatrixView& wv, const ChengChurchOptions& options,
-    ExecContext* ctx) {
+    ExecContext* ctx, DeltaInterval* delta) {
   std::vector<int64_t> rows(static_cast<size_t>(wv.rows));
   std::vector<int64_t> cols(static_cast<size_t>(wv.cols));
   std::iota(rows.begin(), rows.end(), 0);
@@ -753,7 +802,7 @@ genbase::Result<Bicluster> ExtractReference(
     SubmatrixStats s = ComputeStats(wv, rows, cols);
     const double h = Msr(wv, s, rows, cols);
     CountFlops(options.counters, (kStatsFlops + kResidueFlops) * cells());
-    if (h <= options.delta) break;
+    if (delta->AtMost(h)) break;
     bool changed = false;
     if (static_cast<int64_t>(rows.size()) > 100) {
       const std::vector<double> d = RowResidues(wv, s, rows, cols);
@@ -801,7 +850,7 @@ genbase::Result<Bicluster> ExtractReference(
     const SubmatrixStats s = ComputeStats(wv, rows, cols);
     const double h = Msr(wv, s, rows, cols);
     CountFlops(options.counters, (kStatsFlops + kResidueFlops) * cells());
-    if (h <= options.delta) break;
+    if (delta->AtMost(h)) break;
     const std::vector<double> dr = RowResidues(wv, s, rows, cols);
     const std::vector<double> dc = ColResidues(wv, s, rows, cols);
     CountFlops(options.counters, 2 * kResidueFlops * cells());
@@ -913,8 +962,9 @@ genbase::Result<ChengChurchState> ChengChurchPrefix(
   deletion.min_rows = options.min_rows;
   deletion.min_cols = options.min_cols;
   IncrementalCluster inc(data, nullptr);
+  DeltaInterval never(deletion);
   GENBASE_ASSIGN_OR_RETURN(state.min_h,
-                           MultipleNodeDeletion(deletion, ctx, &inc));
+                           MultipleNodeDeletion(deletion, ctx, &inc, &never));
   if (inc.nrows() < data.rows || inc.ncols() < data.cols) {
     inc.Relayout(inc.ncols(), inc.nrows());
     // A copy holds no spare capacity.
@@ -923,16 +973,23 @@ genbase::Result<ChengChurchState> ChengChurchPrefix(
   return state;
 }
 
-genbase::Result<std::vector<Bicluster>> ChengChurch(
+namespace {
+
+/// Whether a run sees no pass from outside: only such a run continues a
+/// prefix or reads and publishes a record's pieces.
+bool Plain(const ChengChurchOptions& options) {
+  return options.impl == ChengChurchImpl::kIncremental && !options.pass_hook &&
+         options.counters == nullptr && !options.cross_check;
+}
+
+/// ChengChurch, with every delta test narrowing `delta`.
+genbase::Result<std::vector<Bicluster>> Extract(
     const linalg::MatrixView& data, const ChengChurchOptions& options,
-    ExecContext* ctx, const ChengChurchState* prefix) {
+    ExecContext* ctx, const ChengChurchState* prefix, DeltaInterval* delta) {
   if (TooSmall(data, options)) {
     return Status::InvalidArgument("matrix smaller than minimum bicluster");
   }
-  const bool use_prefix = prefix != nullptr &&
-                          options.impl == ChengChurchImpl::kIncremental &&
-                          !options.pass_hook && options.counters == nullptr &&
-                          !options.cross_check;
+  const bool use_prefix = prefix != nullptr && Plain(options);
   // Working copy: masking replaces found cells with noise.
   GENBASE_ASSIGN_OR_RETURN(
       linalg::Matrix work,
@@ -955,14 +1012,14 @@ genbase::Result<std::vector<Bicluster>> ChengChurch(
   for (int b = 0; b < options.max_biclusters; ++b) {
     linalg::MatrixView wv(work);
     const IncrementalCluster* after_deletion =
-        use_prefix && b == 0 && options.delta < prefix->min_h
+        use_prefix && b == 0 && delta->Below(prefix->min_h)
             ? prefix->first.get()
             : nullptr;
     GENBASE_ASSIGN_OR_RETURN(
         Bicluster bc,
         options.impl == ChengChurchImpl::kIncremental
-            ? ExtractIncremental(wv, options, ctx, after_deletion)
-            : ExtractReference(wv, options, ctx));
+            ? ExtractIncremental(wv, options, ctx, after_deletion, delta)
+            : ExtractReference(wv, options, ctx, delta));
     bc.mean_squared_residue = MeanSquaredResidue(wv, bc.rows, bc.cols);
     // Mask the found bicluster with uniform noise so the next pass finds a
     // different one (the Cheng & Church masking step).
@@ -974,6 +1031,71 @@ genbase::Result<std::vector<Bicluster>> ChengChurch(
     found.push_back(std::move(bc));
   }
   return found;
+}
+
+}  // namespace
+
+genbase::Result<std::vector<Bicluster>> ChengChurch(
+    const linalg::MatrixView& data, const ChengChurchOptions& options,
+    ExecContext* ctx, const ChengChurchState* prefix) {
+  DeltaInterval delta(options);
+  return Extract(data, options, ctx, prefix, &delta);
+}
+
+int64_t ChengChurchRecord::Piece::bytes() const {
+  size_t ids = 0;
+  for (const Bicluster& b : biclusters) {
+    ids += b.rows.capacity() + b.cols.capacity();
+  }
+  return static_cast<int64_t>(biclusters.capacity() * sizeof(Bicluster) +
+                              ids * sizeof(int64_t));
+}
+
+genbase::Status ChengChurchRecord::Seed(ChengChurchState prefix) {
+  if (account_ != nullptr) {
+    GENBASE_RETURN_NOT_OK(account_->Grow(prefix.bytes()));
+  }
+  prefix_ = std::move(prefix);
+  return genbase::Status::OK();
+}
+
+std::vector<ChengChurchRecord::Piece> ChengChurchRecord::pieces() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return pieces_;
+}
+
+genbase::Result<std::vector<Bicluster>> ChengChurchRecord::Run(
+    const linalg::MatrixView& data, const ChengChurchOptions& options,
+    ExecContext* ctx) {
+  DeltaInterval delta(options);
+  const bool recordable = delta.finite() && Plain(options);
+  if (recordable) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const Piece& p : pieces_) {
+      if (p.max_biclusters == options.max_biclusters && delta.In(p.lo, p.hi)) {
+        return p.biclusters;
+      }
+    }
+  }
+  GENBASE_ASSIGN_OR_RETURN(std::vector<Bicluster> found,
+                           Extract(data, options, ctx, &prefix_, &delta));
+  if (recordable) {
+    Publish({delta.lo(), delta.hi(), options.max_biclusters, found});
+  }
+  return found;
+}
+
+void ChengChurchRecord::Publish(Piece piece) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // Another run inside this piece may have published it meanwhile.
+  for (const Piece& p : pieces_) {
+    if (p.max_biclusters == piece.max_biclusters && p.lo == piece.lo &&
+        p.hi == piece.hi) {
+      return;
+    }
+  }
+  if (account_ != nullptr && !account_->Grow(piece.bytes()).ok()) return;
+  pieces_.push_back(std::move(piece));
 }
 
 }  // namespace genbase::bicluster

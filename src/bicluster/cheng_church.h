@@ -4,9 +4,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/exec_context.h"
+#include "common/memory_tracker.h"
 #include "common/status.h"
 #include "linalg/matrix.h"
 
@@ -131,6 +133,67 @@ genbase::Result<ChengChurchState> ChengChurchPrefix(
 genbase::Result<std::vector<Bicluster>> ChengChurch(
     const linalg::MatrixView& data, const ChengChurchOptions& options,
     ExecContext* ctx = nullptr, const ChengChurchState* prefix = nullptr);
+
+/// \brief ChengChurch runs on one matrix recorded for every delta at once.
+/// A run reads delta only through its stop tests `H <= delta` and the
+/// prefix guard `delta < min_h`, so its answer is constant on each
+/// half-open piece [lo, hi) of deltas that take every one of its tests the
+/// same way. Each test narrows the run's piece as it is made; the record
+/// keeps each run's piece with its biclusters, and answers a delta inside
+/// a piece of its count from it, as ChengChurch(data, options, ctx,
+/// &prefix()) would, bit for bit. Pieces of one count never overlap: any
+/// delta inside a run's piece repeats that run.
+///
+/// Thread-safe once seeded. A miss runs ChengChurch continuing the prefix
+/// and publishes its piece under a mutex, unless an equal one got there
+/// first. Every run must pass the seeded data and the same options apart
+/// from delta and max_biclusters. A NaN or infinite delta, and a run with
+/// a pass_hook, counters, cross_check or the reference impl, runs
+/// ChengChurch and publishes nothing.
+class ChengChurchRecord {
+ public:
+  /// One recorded run: every delta in [lo, hi) at this count answers
+  /// `biclusters`.
+  struct Piece {
+    double lo = 0.0;
+    double hi = 0.0;
+    int max_biclusters = 0;
+    std::vector<Bicluster> biclusters;
+
+    /// Heap bytes the piece holds.
+    int64_t bytes() const;
+  };
+
+  /// The prefix and each published piece are charged to `account` (null:
+  /// not charged). A piece the account refuses is not published; the run
+  /// still answers.
+  explicit ChengChurchRecord(GrowingReservation* account = nullptr)
+      : account_(account) {}
+
+  /// Seeds the record with ChengChurchPrefix of the data every run passes.
+  /// Fails with the account's error when it cannot reserve the prefix.
+  /// Call once, before any Run.
+  genbase::Status Seed(ChengChurchState prefix);
+
+  /// ChengChurch(data, options, ctx, &prefix()).
+  genbase::Result<std::vector<Bicluster>> Run(const linalg::MatrixView& data,
+                                              const ChengChurchOptions& options,
+                                              ExecContext* ctx = nullptr);
+
+  const ChengChurchState& prefix() const { return prefix_; }
+  /// The published pieces, in publish order.
+  std::vector<Piece> pieces() const;
+
+ private:
+  /// Adds `piece` unless an equal one is published or the account refuses
+  /// its bytes.
+  void Publish(Piece piece);
+
+  GrowingReservation* account_;
+  ChengChurchState prefix_;
+  mutable std::mutex mu_;
+  std::vector<Piece> pieces_;  ///< Guarded by mu_.
+};
 
 }  // namespace genbase::bicluster
 

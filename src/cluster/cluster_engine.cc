@@ -391,7 +391,9 @@ genbase::Result<core::QueryResult> ClusterEngine::RunQuery(
                                       ctx->memory()));
         sums.resize(static_cast<size_t>(access.col_map.size()));
         samples += access.sample_count;
-        if (node == 0) memberships = std::move(access.memberships);
+        if (node == 0) {
+          memberships = engine::MemberPositions(nd.tables, access);
+        }
         return engine::AccumulateScores(nd.tables, access, sums.data(), ctx);
       }));
       sim.AllReduce(dims_.genes * 8);

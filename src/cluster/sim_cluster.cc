@@ -21,9 +21,8 @@ double SimCluster::elapsed() const { return MaxClock(); }
 
 genbase::Status SimCluster::Compute(
     const std::function<genbase::Status(int)>& fn) {
-  // Node steps run sequentially, so high-resolution wall time measures each
-  // node's local work accurately (the per-thread CPU clock has only ~10 ms
-  // granularity in sandboxed kernels, far too coarse for these steps).
+  // Node steps run one at a time, so each step's wall time measures that
+  // node's local work alone.
   for (int node = 0; node < nodes(); ++node) {
     WallTimer timer;
     GENBASE_RETURN_NOT_OK(fn(node));

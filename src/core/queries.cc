@@ -266,14 +266,14 @@ genbase::Result<ScopedReservation> ReserveIndexes(const linalg::MatrixView& x,
 genbase::Result<BiclusterSummary> BiclusterAnalytics(
     const linalg::MatrixView& x, double delta_fraction, int count,
     ExecContext* ctx, std::function<genbase::Status()> pass_hook,
-    const bicluster::ChengChurchState* prefix) {
+    bicluster::ChengChurchRecord* record) {
   BiclusterSummary s;
   s.matrix_rows = x.rows;
   s.matrix_cols = x.cols;
-  // Without a prefix the index reservation stays held through the run.
+  // Without a record the index reservation stays held through the run.
   ScopedReservation index_reservation;
-  if (prefix != nullptr) {
-    s.delta = delta_fraction * prefix->full_msr;
+  if (record != nullptr) {
+    s.delta = delta_fraction * record->prefix().full_msr;
   } else {
     GENBASE_ASSIGN_OR_RETURN(index_reservation, ReserveIndexes(x, ctx));
     s.delta = delta_fraction * bicluster::MeanSquaredResidue(x);
@@ -284,7 +284,9 @@ genbase::Result<BiclusterSummary> BiclusterAnalytics(
   opt.max_biclusters = count;
   opt.pass_hook = std::move(pass_hook);
   GENBASE_ASSIGN_OR_RETURN(std::vector<bicluster::Bicluster> found,
-                           bicluster::ChengChurch(x, opt, ctx, prefix));
+                           record != nullptr
+                               ? record->Run(x, opt, ctx)
+                               : bicluster::ChengChurch(x, opt, ctx));
   for (const auto& b : found) {
     s.biclusters.push_back({static_cast<int64_t>(b.rows.size()),
                             static_cast<int64_t>(b.cols.size()),
@@ -293,11 +295,15 @@ genbase::Result<BiclusterSummary> BiclusterAnalytics(
   return s;
 }
 
-genbase::Result<bicluster::ChengChurchState> BiclusterPrefix(
-    const linalg::MatrixView& x, ExecContext* ctx) {
+genbase::Status BiclusterPrefix(const linalg::MatrixView& x,
+                                bicluster::ChengChurchRecord* record,
+                                ExecContext* ctx) {
   GENBASE_ASSIGN_OR_RETURN(ScopedReservation index_reservation,
                            ReserveIndexes(x, ctx));
-  return bicluster::ChengChurchPrefix(x, BiclusterOptions(), ctx);
+  GENBASE_ASSIGN_OR_RETURN(
+      bicluster::ChengChurchState prefix,
+      bicluster::ChengChurchPrefix(x, BiclusterOptions(), ctx));
+  return record->Seed(std::move(prefix));
 }
 
 genbase::Result<SvdSummary> SvdAnalytics(

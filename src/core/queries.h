@@ -191,17 +191,21 @@ genbase::Result<CovarianceSummary> CovarianceJoinPass(
 /// Q3 analytics: Cheng-Church with delta = fraction * MSR(full matrix).
 /// `pass_hook` (optional) is invoked once per algorithm pass; engines whose
 /// analytics interface has per-invocation overhead charge it there. With
-/// `prefix` (BiclusterPrefix of the same x), the run reads H(x) from it and
-/// passes it on to ChengChurch, with the same answer bit for bit.
+/// `record` (a ChengChurchRecord of the same x, such as BiclusterPrefix
+/// seeds), the run reads H(x) from its prefix and the answer from the
+/// record, which runs Cheng-Church and records the run when no recorded
+/// piece holds the delta; the answer is the same, bit for bit.
 genbase::Result<BiclusterSummary> BiclusterAnalytics(
     const linalg::MatrixView& x, double delta_fraction, int count,
     ExecContext* ctx, std::function<genbase::Status()> pass_hook = nullptr,
-    const bicluster::ChengChurchState* prefix = nullptr);
+    bicluster::ChengChurchRecord* record = nullptr);
 
-/// Q3's first part, which reads no parameter: ChengChurchPrefix of x under
-/// Q3's options.
-genbase::Result<bicluster::ChengChurchState> BiclusterPrefix(
-    const linalg::MatrixView& x, ExecContext* ctx);
+/// Q3's first part, which reads no parameter: seeds `record` with
+/// ChengChurchPrefix of x under Q3's options. Fails when the record's
+/// account refuses the prefix's bytes.
+genbase::Status BiclusterPrefix(const linalg::MatrixView& x,
+                                bicluster::ChengChurchRecord* record,
+                                ExecContext* ctx);
 
 /// Q4 analytics: the top min(rank, cols) singular values of x (no U, no
 /// V), by Lanczos on x's Gram operator. With `record` (a LanczosRecord of

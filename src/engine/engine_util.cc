@@ -357,19 +357,6 @@ genbase::Result<JoinedAccess> BuildJoinedAccess(
 
   if (query == QueryId::kStatistics) {
     a.sample_count = static_cast<int64_t>(selected.size());
-    a.memberships =
-        BuildMembershipsColumnar(tables.ontology, tables.dims.go_terms);
-    // Gene ids -> score positions; the map is monotone, so each term's
-    // members stay sorted and unique.
-    const IndexLookup position_of(a.col_map);
-    for (auto& members : a.memberships) {
-      size_t kept = 0;
-      for (const int64_t id : members) {
-        const int64_t pos = position_of(id);
-        if (pos >= 0) members[kept++] = pos;
-      }
-      members.resize(kept);
-    }
     return a;
   }
   if (query == QueryId::kRegression) {
@@ -383,6 +370,24 @@ genbase::Result<JoinedAccess> BuildJoinedAccess(
     }
   }
   return a;
+}
+
+std::vector<std::vector<int64_t>> MemberPositions(const ColumnarTables& tables,
+                                                  const JoinedAccess& access) {
+  std::vector<std::vector<int64_t>> memberships =
+      BuildMembershipsColumnar(tables.ontology, tables.dims.go_terms);
+  // Gene ids -> score positions; the map is monotone, so each term's
+  // members stay sorted and unique.
+  const IndexLookup position_of(access.col_map);
+  for (auto& members : memberships) {
+    size_t kept = 0;
+    for (const int64_t id : members) {
+      const int64_t pos = position_of(id);
+      if (pos >= 0) members[kept++] = pos;
+    }
+    members.resize(kept);
+  }
+  return memberships;
 }
 
 genbase::Status ScatterJoined(const ColumnarTables& tables,
@@ -450,7 +455,7 @@ genbase::Result<QueryInputs> PrepareInputsColumnar(
     in.scores.resize(static_cast<size_t>(access.col_map.size()));
     GENBASE_RETURN_NOT_OK(
         AggregateScores(tables, access, in.scores.data(), ctx));
-    in.memberships = std::move(access.memberships);
+    in.memberships = MemberPositions(tables, access);
     in.sample_count = access.sample_count;
     return in;
   }

@@ -135,17 +135,21 @@ struct JoinedAccess {
   relational::DenseMapping col_map;
   std::vector<double> y;    ///< Q1: drug response by matrix row.
   int64_t sample_count = 0;  ///< Q5: patients in the sample.
-  /// Q5: term -> sorted col_map positions of its member genes (members
-  /// with no gene row are dropped).
-  std::vector<std::vector<int64_t>> memberships;
 };
 
-/// Selection -> hash join -> dense mappings (plus Q1's aligned response
-/// and Q5's memberships). The join's hash table is charged to `tracker`.
+/// Selection -> hash join -> dense mappings (plus Q1's aligned response).
+/// The join's hash table is charged to `tracker`.
 genbase::Result<JoinedAccess> BuildJoinedAccess(
     const ColumnarTables& tables, core::QueryId query,
     const core::QueryParams& params, ExecContext* ctx,
     MemoryTracker* tracker);
+
+/// Q5's GO memberships as score positions: term -> sorted `access.col_map`
+/// positions of its member genes (members with no gene row are dropped).
+/// Built only where Q5's rank tests read them: a plan's compile,
+/// PrepareInputsColumnar, and node 0 of the cluster's relational nodes.
+std::vector<std::vector<int64_t>> MemberPositions(const ColumnarTables& tables,
+                                                  const JoinedAccess& access);
 
 /// Scatters the matched triples into a row-major buffer of `num_cols`
 /// columns: the expression of (patient, gene) lands at row

@@ -30,6 +30,8 @@ namespace genbase::plan {
 struct PlanStatics {
   std::shared_ptr<const engine::ColumnarTables> tables;
   engine::JoinedAccess access;
+  /// Q5: engine::MemberPositions, which its folded rank tests read.
+  std::vector<std::vector<int64_t>> memberships;
 };
 
 class CompiledPlan;
@@ -101,8 +103,9 @@ using OpFn = std::function<genbase::Status(ExecFrame*, ExecContext*,
 /// written in place by the folded ops, read-only afterwards), the
 /// QueryResult fields the folded ops wrote, and the state folded ops keep
 /// outside the arena for execute ops. That state is read-only too, except
-/// Q4's Lanczos record, which an execute grows (thread-safely, charged to
-/// the plan) when its rank stops past it. Everything else — compile
+/// Q4's Lanczos record and Q3's Cheng-Church record, which an execute grows
+/// (thread-safely, charged to the plan) when its rank stops past the one
+/// or its delta lies in no piece of the other. Everything else — compile
 /// statics, the scratch region — is released before Build returns. Execute
 /// copies that result and runs only the remaining ops, in op order, on an
 /// execute-region arena; any number of serving threads execute one plan
@@ -183,7 +186,8 @@ class CompiledPlan {
   std::unique_ptr<PlanArena> retained_;  ///< Null when nothing is retained.
   core::QueryResult folded_result_;
   MemoryTracker* tracker_;
-  /// Grown by executes (a shared plan's Lanczos record), hence mutable.
+  /// Grown by executes (a shared plan's Lanczos or Cheng-Church record),
+  /// hence mutable.
   /// Declared before execute_fns_, whose closures hold the state it pays
   /// for, so that state is freed before its reservation is released.
   mutable GrowingReservation kept_;

@@ -28,14 +28,15 @@ constexpr int64_t kHashEntryBytes = 24;
 /// Approximate resident footprint of the compile-time access paths,
 /// charged to the engine tracker while the plan compiles (matched rows,
 /// Q1's response, dense mappings, Q5 memberships).
-int64_t StaticsBytes(const JoinedAccess& a) {
+int64_t StaticsBytes(const PlanStatics& st) {
+  const JoinedAccess& a = st.access;
   int64_t bytes = 0;
   bytes += static_cast<int64_t>(a.matched_rows.size()) * 8;
   bytes += static_cast<int64_t>(a.y.size()) * 8;
   // DenseMapping: sorted ids plus a hash entry per id.
   bytes += static_cast<int64_t>(a.row_map.ids.size() + a.col_map.ids.size()) *
            (8 + kHashEntryBytes);
-  for (const auto& m : a.memberships) {
+  for (const auto& m : st.memberships) {
     bytes += static_cast<int64_t>(m.size()) * 8;
   }
   return bytes;
@@ -203,29 +204,32 @@ GraphParts BuildBiclusterGraph(const JoinedAccess& a) {
         ScanMatrix(v_x, rows, cols));
   // Only delta, the count and the masking read params, so the first
   // extraction's multiple node deletion is folded: it removes nodes by
-  // alpha * H alone, and delta only stops it early. An execute whose delta
-  // is below every H it tested continues a copy of its stopped state; any
-  // other runs that extraction from scratch. The fold also keeps H(x) and
-  // x's range. The state holds only the live block and sits outside the
-  // arena; it is read-only once the compile returns.
-  auto prefix = std::make_shared<bicluster::ChengChurchState>();
+  // alpha * H alone, and delta only stops it early. The fold seeds the
+  // plan's Cheng-Church record with that stopped state, H(x) and x's range
+  // (bicluster::ChengChurchRecord). A run reads delta only through its
+  // tests, so its answer holds for every delta that takes each test the
+  // same way: cheng_church answers a delta inside a recorded piece of its
+  // count from the record, and runs any other delta, continuing the
+  // prefix when delta is below every H the deletion tested, then records
+  // its piece. The record lives outside the arena, charged to the plan as
+  // it grows.
+  auto record =
+      std::make_shared<std::optional<bicluster::ChengChurchRecord>>();
   p.Add({OpKind::kChengChurchStep, "bicluster_prefix", {v_x}, {}},
-        [v_x, prefix](ExecFrame* f, ExecContext* ctx,
+        [v_x, record](ExecFrame* f, ExecContext* ctx,
                       QueryResult*) -> genbase::Status {
-          GENBASE_ASSIGN_OR_RETURN(*prefix,
-                                   core::BiclusterPrefix(f->View(v_x), ctx));
-          return f->kept()->Grow(prefix->bytes());
+          record->emplace(f->kept());
+          return core::BiclusterPrefix(f->View(v_x), &**record, ctx);
         });
   p.Add({OpKind::kChengChurchStep, "cheng_church", {v_x}, {}, kReadsParams},
-        [v_x, prefix = std::shared_ptr<const bicluster::ChengChurchState>(
-                  prefix)](ExecFrame* f, ExecContext* ctx,
-                           QueryResult* out) -> genbase::Status {
+        [v_x, record](ExecFrame* f, ExecContext* ctx,
+                      QueryResult* out) -> genbase::Status {
           const QueryParams& params = f->params();
           GENBASE_ASSIGN_OR_RETURN(
               out->bicluster,
               core::BiclusterAnalytics(
                   f->View(v_x), params.bicluster_delta_fraction,
-                  params.bicluster_count, ctx, nullptr, prefix.get()));
+                  params.bicluster_count, ctx, nullptr, &**record));
           return genbase::Status::OK();
         });
   return p;
@@ -270,10 +274,10 @@ GraphParts BuildSvdGraph(const JoinedAccess& a) {
   return p;
 }
 
-GraphParts BuildStatsGraph(const JoinedAccess& a) {
+GraphParts BuildStatsGraph(const PlanStatics& statics) {
   GraphParts p;
-  const int64_t genes = a.col_map.size();
-  const auto terms = static_cast<int64_t>(a.memberships.size());
+  const int64_t genes = statics.access.col_map.size();
+  const auto terms = static_cast<int64_t>(statics.memberships.size());
   const int v_scores = p.graph.AddValue("scores", {genes, 1});
   const int v_p = p.graph.AddValue("p_values", {terms, 1});
   p.Add({OpKind::kScan, "aggregate_scores", {}, {v_scores}},
@@ -286,12 +290,12 @@ GraphParts BuildStatsGraph(const JoinedAccess& a) {
   p.Add({OpKind::kWilcoxonRank, "wilcoxon", {v_scores}, {v_p}},
         [v_scores, v_p, genes](ExecFrame* f, ExecContext* ctx,
                                QueryResult* out) -> genbase::Status {
-          const JoinedAccess& a = f->statics().access;
+          const PlanStatics& st = f->statics();
           GENBASE_ASSIGN_OR_RETURN(
               out->stats,
-              core::StatsRankTests(f->In(v_scores), genes, a.memberships,
+              core::StatsRankTests(f->In(v_scores), genes, st.memberships,
                                    f->Data(v_p), ctx));
-          out->stats.samples = a.sample_count;
+          out->stats.samples = st.access.sample_count;
           return genbase::Status::OK();
         });
   // terms_tested comes with the folded result every execute starts from.
@@ -349,10 +353,14 @@ genbase::Result<std::shared_ptr<CompiledPlan>> CompileQuery(
   GENBASE_ASSIGN_OR_RETURN(
       statics.access,
       engine::BuildJoinedAccess(*tables, query, params, ctx, tracker));
+  if (query == QueryId::kStatistics) {
+    // Read by the folded rank tests only.
+    statics.memberships = engine::MemberPositions(*tables, statics.access);
+  }
   statics.tables = std::move(tables);
   GENBASE_ASSIGN_OR_RETURN(
       ScopedReservation statics_reservation,
-      ScopedReservation::Acquire(tracker, StaticsBytes(statics.access)));
+      ScopedReservation::Acquire(tracker, StaticsBytes(statics)));
 
   GraphParts parts;
   switch (query) {
@@ -370,7 +378,7 @@ genbase::Result<std::shared_ptr<CompiledPlan>> CompileQuery(
       parts = BuildSvdGraph(statics.access);
       break;
     case QueryId::kStatistics:
-      parts = BuildStatsGraph(statics.access);
+      parts = BuildStatsGraph(statics);
       break;
   }
   return CompiledPlan::Build(query, std::move(parts.graph),

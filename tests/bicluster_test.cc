@@ -3,9 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "bicluster/cheng_church.h"
+#include "common/check.h"
+#include "common/memory_tracker.h"
 #include "common/rng.h"
+#include "core/datasets.h"
+#include "core/generator.h"
+#include "engine/engine_util.h"
 #include "linalg/matrix.h"
 
 namespace genbase::bicluster {
@@ -373,6 +381,209 @@ TEST(ChengChurchPrefixTest, HooksCountersAndCrossCheckSeeEveryPass) {
   auto r = ChengChurch(v, checked, nullptr, &*prefix);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(SameBiclusters(*r, *plain));
+}
+
+// --- ChengChurchRecord -----------------------------------------------------------
+
+/// Q3's x at GENBASE_SCALE 0.08, the shape serving runs it on (80 x 400):
+/// the selected patients' expression over every gene, as the column store
+/// and the plan build it.
+const Matrix& ServingShapeMatrix() {
+  static const Matrix* x = [] {
+    auto data = core::GenerateDataset(core::DatasetSize::kSmall, 0.08);
+    GENBASE_CHECK(data.ok());
+    MemoryTracker tracker(MemoryTracker::kUnlimited, "BiclusterTest");
+    engine::ColumnarTables tables;
+    GENBASE_CHECK(engine::LoadColumnarTables(*data, &tracker, &tables).ok());
+    auto inputs = engine::PrepareInputsColumnar(
+        tables, core::QueryId::kBiclustering, core::QueryParams(), nullptr);
+    GENBASE_CHECK(inputs.ok());
+    return new Matrix(std::move(inputs->x));
+  }();
+  return *x;
+}
+
+ChengChurchOptions Q3Options(double delta, int count) {
+  ChengChurchOptions opt = Q3Options();
+  opt.delta = delta;
+  opt.max_biclusters = count;
+  return opt;
+}
+
+/// A seeded sweep through one record at the serving shape: 300 deltas
+/// drawn over [0, 1] x H(x) plus both ends and both sides of the prefix's
+/// guard, at counts 0-3, in shuffled order. Every answer, whether the
+/// record ran Cheng-Church or read a piece, equals a fresh run's, bit for
+/// bit, and one count's pieces never overlap.
+TEST(ChengChurchRecordTest, SweepAnswersAsFreshRuns) {
+  const MatrixView v(ServingShapeMatrix());
+  ASSERT_GT(v.cols, 100);
+  auto prefix = ChengChurchPrefix(v, Q3Options());
+  ASSERT_TRUE(prefix.ok());
+  ASSERT_NE(prefix->first, nullptr);
+  ChengChurchRecord record;
+  ASSERT_TRUE(record.Seed(*prefix).ok());
+  const double h = prefix->full_msr;
+  std::vector<std::pair<double, int>> runs;
+  Rng rng(0xb1c1);
+  for (int i = 0; i < 300; ++i) {
+    const double f = rng.Uniform(0.0, 1.0);
+    runs.emplace_back(f * h, static_cast<int>(rng.UniformInt(0, 3)));
+  }
+  for (int count = 0; count <= 3; ++count) {
+    for (const double delta : {0.0, h, prefix->min_h,
+                               std::nextafter(prefix->min_h, 0.0)}) {
+      runs.emplace_back(delta, count);
+    }
+  }
+  for (size_t i = runs.size() - 1; i > 0; --i) {
+    std::swap(runs[i], runs[static_cast<size_t>(
+                           rng.UniformInt(0, static_cast<int64_t>(i)))]);
+  }
+  size_t below_guard = 0;
+  for (const auto& [delta, count] : runs) {
+    below_guard += delta < prefix->min_h;
+    const ChengChurchOptions opt = Q3Options(delta, count);
+    auto recorded = record.Run(v, opt);
+    auto fresh = ChengChurch(v, opt);
+    ASSERT_TRUE(recorded.ok() && fresh.ok());
+    EXPECT_TRUE(SameBiclusters(*recorded, *fresh))
+        << "delta " << delta << " count " << count;
+  }
+  EXPECT_GT(below_guard, 0u);
+  EXPECT_LT(below_guard, runs.size());
+
+  // Each run that found no piece recorded one.
+  const std::vector<ChengChurchRecord::Piece> pieces = record.pieces();
+  EXPECT_LT(pieces.size(), runs.size()) << "no run read a piece";
+  for (size_t i = 0; i < pieces.size(); ++i) {
+    EXPECT_LT(pieces[i].lo, pieces[i].hi);
+    for (size_t j = i + 1; j < pieces.size(); ++j) {
+      const auto& a = pieces[i];
+      const auto& b = pieces[j];
+      if (a.max_biclusters != b.max_biclusters) continue;
+      EXPECT_TRUE(a.hi <= b.lo || b.hi <= a.lo)
+          << "count " << a.max_biclusters << ": [" << a.lo << ", " << a.hi
+          << ") overlaps [" << b.lo << ", " << b.hi << ")";
+    }
+  }
+}
+
+/// A piece holds its lo and not its hi: in a record that holds one run's
+/// piece, a delta at lo reads it (and a run there records that piece
+/// again), a delta at hi runs Cheng-Church, and the piece that run records
+/// starts at hi.
+TEST(ChengChurchRecordTest, PieceHoldsItsLoAndNotItsHi) {
+  const MatrixView v(ServingShapeMatrix());
+  auto prefix = ChengChurchPrefix(v, Q3Options());
+  ASSERT_TRUE(prefix.ok());
+  int checked = 0;
+  for (const double f : {0.05, 0.2, 0.35, 0.6, 0.9}) {
+    for (const int count : {1, 3}) {
+      SCOPED_TRACE(testing::Message() << "fraction " << f << " count "
+                                      << count);
+      ChengChurchRecord first;
+      ASSERT_TRUE(first.Seed(*prefix).ok());
+      ASSERT_TRUE(first.Run(v, Q3Options(f * prefix->full_msr, count)).ok());
+      ASSERT_EQ(first.pieces().size(), 1u);
+      const ChengChurchRecord::Piece piece = first.pieces()[0];
+      if (!std::isfinite(piece.lo) || !std::isfinite(piece.hi)) continue;
+      ++checked;
+
+      ChengChurchRecord record;
+      ASSERT_TRUE(record.Seed(*prefix).ok());
+      ASSERT_TRUE(record.Run(v, Q3Options(piece.lo, count)).ok());
+      ASSERT_EQ(record.pieces().size(), 1u);
+      EXPECT_EQ(record.pieces()[0].lo, piece.lo);
+      EXPECT_EQ(record.pieces()[0].hi, piece.hi);
+
+      // Any Cheng-Church pass fails under a passed deadline, so a run
+      // that answers under it read a recorded piece.
+      ExecContext expired;
+      expired.SetDeadlineAfter(-1.0);
+      auto at_lo = record.Run(v, Q3Options(piece.lo, count), &expired);
+      ASSERT_TRUE(at_lo.ok()) << at_lo.status().ToString();
+      EXPECT_TRUE(SameBiclusters(*at_lo, piece.biclusters));
+      auto at_hi = record.Run(v, Q3Options(piece.hi, count), &expired);
+      ASSERT_FALSE(at_hi.ok()) << "a delta at hi read the piece";
+      EXPECT_TRUE(at_hi.status().IsDeadlineExceeded());
+
+      auto ran = record.Run(v, Q3Options(piece.hi, count));
+      auto fresh = ChengChurch(v, Q3Options(piece.hi, count));
+      ASSERT_TRUE(ran.ok() && fresh.ok());
+      EXPECT_TRUE(SameBiclusters(*ran, *fresh));
+      const std::vector<ChengChurchRecord::Piece> both = record.pieces();
+      ASSERT_EQ(both.size(), 2u);
+      EXPECT_EQ(both[1].lo, piece.hi);
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+/// A NaN or infinite delta, and a matrix with a NaN cell (whose H, and so
+/// every delta Q3 derives from it, is NaN), run Cheng-Church and record
+/// nothing.
+TEST(ChengChurchRecordTest, NonFiniteDeltasRunAndRecordNothing) {
+  const MatrixView v(ServingShapeMatrix());
+  auto prefix = ChengChurchPrefix(v, Q3Options());
+  ASSERT_TRUE(prefix.ok());
+  ChengChurchRecord record;
+  ASSERT_TRUE(record.Seed(*prefix).ok());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double delta :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    const ChengChurchOptions opt = Q3Options(delta, 2);
+    auto recorded = record.Run(v, opt);
+    auto fresh = ChengChurch(v, opt);
+    ASSERT_TRUE(recorded.ok() && fresh.ok());
+    EXPECT_TRUE(SameBiclusters(*recorded, *fresh)) << "delta " << delta;
+  }
+  EXPECT_TRUE(record.pieces().empty());
+
+  Matrix holed = ServingShapeMatrix();
+  holed(3, 5) = std::numeric_limits<double>::quiet_NaN();
+  const MatrixView hv(holed);
+  auto holed_prefix = ChengChurchPrefix(hv, Q3Options());
+  ASSERT_TRUE(holed_prefix.ok());
+  ASSERT_TRUE(std::isnan(holed_prefix->full_msr));
+  ChengChurchRecord holed_record;
+  ASSERT_TRUE(holed_record.Seed(*holed_prefix).ok());
+  const ChengChurchOptions opt =
+      Q3Options(0.35 * holed_record.prefix().full_msr, 2);
+  auto recorded = holed_record.Run(hv, opt);
+  auto fresh = ChengChurch(hv, opt);
+  ASSERT_TRUE(recorded.ok() && fresh.ok());
+  EXPECT_TRUE(SameBiclusters(*recorded, *fresh));
+  EXPECT_TRUE(holed_record.pieces().empty());
+}
+
+/// The record charges its account: a seed the account refuses fails, and
+/// a piece it refuses is not recorded while the run still answers.
+TEST(ChengChurchRecordTest, RefusedGrowthStillAnswers) {
+  const MatrixView v(ServingShapeMatrix());
+  auto prefix = ChengChurchPrefix(v, Q3Options());
+  ASSERT_TRUE(prefix.ok());
+  ASSERT_GT(prefix->bytes(), 0);
+
+  MemoryTracker tight(prefix->bytes() - 1, "BiclusterTest");
+  GrowingReservation refusing(&tight);
+  ChengChurchRecord unseeded(&refusing);
+  const genbase::Status seeded = unseeded.Seed(*prefix);
+  EXPECT_EQ(seeded.code(), StatusCode::kOutOfMemory) << seeded.ToString();
+  EXPECT_EQ(tight.used(), 0);
+
+  MemoryTracker exact(prefix->bytes(), "BiclusterTest");
+  GrowingReservation account(&exact);
+  ChengChurchRecord record(&account);
+  ASSERT_TRUE(record.Seed(*prefix).ok());
+  const ChengChurchOptions opt = Q3Options(0.35 * prefix->full_msr, 2);
+  auto recorded = record.Run(v, opt);  // No context: the copy is uncharged.
+  auto fresh = ChengChurch(v, opt);
+  ASSERT_TRUE(recorded.ok() && fresh.ok());
+  EXPECT_TRUE(SameBiclusters(*recorded, *fresh));
+  EXPECT_TRUE(record.pieces().empty());
+  EXPECT_EQ(exact.used(), prefix->bytes());
+  EXPECT_EQ(account.bytes(), prefix->bytes());
 }
 
 }  // namespace

@@ -661,7 +661,8 @@ TEST(FoldTest, SvdCompileFailsWhenTheTrackerRefusesTheRecord) {
 /// Q3 at GENBASE_SCALE 0.08, where x is 80 x 400 and the folded multiple
 /// node deletion has columns to delete: at delta fractions on both sides
 /// of the prefix's guard and 0, 1 or 3 biclusters, one shared plan answers
-/// as legacy does, bit for bit.
+/// as legacy does, bit for bit, when it runs Cheng-Church and again when
+/// the second execute of each reads the piece the first one recorded.
 TEST(FoldTest, BiclusterPlanMatchesLegacyAtServingShape) {
   auto data = core::GenerateDataset(DatasetSize::kSmall, 0.08);
   ASSERT_TRUE(data.ok());
@@ -680,8 +681,11 @@ TEST(FoldTest, BiclusterPlanMatchesLegacyAtServingShape) {
   auto inputs = engine::PrepareInputsColumnar(
       *tables, QueryId::kBiclustering, base, &legacy_ctx);
   ASSERT_TRUE(inputs.ok());
-  auto prefix = core::BiclusterPrefix(linalg::MatrixView(inputs->x), nullptr);
-  ASSERT_TRUE(prefix.ok());
+  bicluster::ChengChurchRecord record;
+  ASSERT_TRUE(
+      core::BiclusterPrefix(linalg::MatrixView(inputs->x), &record, nullptr)
+          .ok());
+  const bicluster::ChengChurchState* prefix = &record.prefix();
   // The fold keeps the live block deletion left, not a copy of x.
   EXPECT_LT(prefix->bytes(), inputs->x.size() * 8);
   const double guard = prefix->min_h / prefix->full_msr;
@@ -694,11 +698,14 @@ TEST(FoldTest, BiclusterPlanMatchesLegacyAtServingShape) {
       QueryParams p = base;
       p.bicluster_delta_fraction = f;
       p.bicluster_count = count;
-      auto r = (*plan)->Execute(p, &ctx);
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      EXPECT_TRUE(
-          BitwiseEqual(*r, LegacyAnswer(QueryId::kBiclustering, p, *tables)))
-          << "fraction " << f << " count " << count;
+      const QueryResult legacy =
+          LegacyAnswer(QueryId::kBiclustering, p, *tables);
+      for (const char* execute : {"first", "second"}) {
+        auto r = (*plan)->Execute(p, &ctx);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_TRUE(BitwiseEqual(*r, legacy))
+            << "fraction " << f << " count " << count << " " << execute;
+      }
     }
   }
   EXPECT_GT(resumed, 0);

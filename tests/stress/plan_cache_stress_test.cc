@@ -21,6 +21,7 @@
 #include "core/queries.h"
 #include "engine/engine_util.h"
 #include "obs/metrics.h"
+#include "plan/plan_builder.h"
 #include "plan/plan_engine.h"
 #include "plan/plan_stats.h"
 #include "tests/bitwise_result.h"
@@ -38,19 +39,24 @@ using core::GenBaseData;
 using core::QueryId;
 using core::QueryParams;
 
-/// The legacy column-store answer for `q` under `params` on its own
-/// columnar copy of the tiny dataset.
-core::QueryResult LegacyAnswer(QueryId q, const QueryParams& params) {
+/// One columnar copy of the tiny dataset, charged to its own tracker.
+const std::shared_ptr<const engine::ColumnarTables>& TinyTables() {
   static const auto* tables = [] {
     static MemoryTracker tracker(MemoryTracker::kUnlimited, "StressTables");
-    auto* t = new engine::ColumnarTables();
-    GENBASE_CHECK(engine::LoadColumnarTables(TinyData(), &tracker, t).ok());
-    return t;
+    auto t = std::make_shared<engine::ColumnarTables>();
+    GENBASE_CHECK(
+        engine::LoadColumnarTables(TinyData(), &tracker, t.get()).ok());
+    return new std::shared_ptr<const engine::ColumnarTables>(std::move(t));
   }();
+  return *tables;
+}
+
+/// The legacy column-store answer for `q` under `params` on TinyTables().
+core::QueryResult LegacyAnswer(QueryId q, const QueryParams& params) {
   MemoryTracker tracker(MemoryTracker::kUnlimited, "StressLegacy");
   ExecContext ctx;
   ctx.set_memory(&tracker);
-  auto inputs = engine::PrepareInputsColumnar(*tables, q, params, &ctx);
+  auto inputs = engine::PrepareInputsColumnar(*TinyTables(), q, params, &ctx);
   GENBASE_CHECK(inputs.ok());
   auto legacy = engine::RunStandardAnalytics(
       q, std::move(*inputs), params, linalg::KernelQuality::kTuned, &ctx);
@@ -170,6 +176,76 @@ TEST(PlanCacheStressTest, ConcurrentRanksShareOneSvdRecord) {
   QueryParams largest = TinyParams();
   largest.svd_rank = n;
   ASSERT_TRUE((*reference)->Execute(largest, &ctx).ok());
+  EXPECT_GT((*plan)->retained_bytes(), seeded_bytes);
+  EXPECT_EQ((*plan)->retained_bytes(), (*reference)->retained_bytes());
+  EXPECT_EQ(plan::PlanMetrics::Get().peak_mismatches->Value(), 0);
+}
+
+/// Q3 params at 16 delta fractions and counts 1-3.
+std::vector<QueryParams> DeltaGrid() {
+  std::vector<QueryParams> grid;
+  for (int i = 0; i < 16; ++i) {
+    for (int count = 1; count <= 3; ++count) {
+      QueryParams p = TinyParams();
+      p.bicluster_delta_fraction = 0.05 + 0.06 * i;
+      p.bicluster_count = count;
+      grid.push_back(p);
+    }
+  }
+  return grid;
+}
+
+/// Threads execute Q3 on one plan at deltas inside and outside the pieces
+/// its Cheng-Church record holds: odd threads walk the delta grid upward,
+/// so every grid point is served while the record grows, and even threads
+/// read random grid points. Every answer must equal legacy, whole and bit
+/// for bit. A run that publishes a piece another run already published
+/// (racing it between lookup and publish) must not add it twice: the plan
+/// must end holding what a plan that served each grid point once holds,
+/// and its tracker exactly the plan's retained bytes.
+TEST(PlanCacheStressTest, ConcurrentDeltasShareOneBiclusterRecord) {
+  const std::vector<QueryParams> grid = DeltaGrid();
+  std::vector<core::QueryResult> expected;
+  for (const QueryParams& p : grid) {
+    expected.push_back(LegacyAnswer(QueryId::kBiclustering, p));
+  }
+  MemoryTracker tracker(MemoryTracker::kUnlimited, "StressPlan");
+  ExecContext ctx;
+  ctx.set_memory(&tracker);
+  auto plan = plan::CompileQuery(TinyTables(), QueryId::kBiclustering,
+                                 TinyParams(), &tracker, &ctx);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const int64_t seeded_bytes = (*plan)->retained_bytes();
+
+  constexpr int kThreads = 8;
+  const int rounds = static_cast<int>(grid.size());
+  std::atomic<int> wrong_answers{0};
+  stress::Hammer(kThreads, [&](int t) {
+    ExecContext thread_ctx;
+    thread_ctx.set_memory(&tracker);
+    uint64_t rng = 0x2545f491ULL * static_cast<uint64_t>(t + 1);
+    for (int round = 0; round < rounds; ++round) {
+      const size_t i =
+          t % 2 == 1 ? static_cast<size_t>(round)
+                     : static_cast<size_t>(stress::NextRand(&rng) %
+                                           grid.size());
+      auto r = (*plan)->Execute(grid[i], &thread_ctx);
+      if (!r.ok() || !testutil::BitwiseEqual(*r, expected[i])) {
+        wrong_answers.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  EXPECT_EQ(wrong_answers.load(std::memory_order_relaxed), 0);
+  EXPECT_EQ(tracker.used(), (*plan)->retained_bytes());
+
+  MemoryTracker reference_tracker(MemoryTracker::kUnlimited, "StressPlan");
+  auto reference =
+      plan::CompileQuery(TinyTables(), QueryId::kBiclustering, TinyParams(),
+                         &reference_tracker, &ctx);
+  ASSERT_TRUE(reference.ok());
+  for (const QueryParams& p : grid) {
+    ASSERT_TRUE((*reference)->Execute(p, &ctx).ok());
+  }
   EXPECT_GT((*plan)->retained_bytes(), seeded_bytes);
   EXPECT_EQ((*plan)->retained_bytes(), (*reference)->retained_bytes());
   EXPECT_EQ(plan::PlanMetrics::Get().peak_mismatches->Value(), 0);

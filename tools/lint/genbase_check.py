@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """genbase_check: repo-specific lint invariants for src/ and bench/.
 
-Nine rules, each encoding a convention the engines or the concurrent
+Ten rules, each encoding a convention the engines or the concurrent
 serving/obs stack depend on but that neither the compiler nor clang-tidy
 enforces:
 
@@ -69,6 +69,14 @@ enforces:
                         their cells through the shared harness
                         (RunPaperFigure, RegisterCell), so how a cell is
                         timed, labelled and failed is defined once.
+  one-delta-test        Under src/bicluster/, ChengChurchOptions::delta is
+                        read (any `.delta` / `->delta` that is not an
+                        assignment) only inside the body of class
+                        DeltaInterval, the helper every delta test goes
+                        through. A ChengChurchRecord piece is the deltas
+                        that take each test a run made the same way; a
+                        test made elsewhere would not narrow the piece,
+                        which could then serve a delta whose run differs.
 
 Waivers: a finding on line N is waived by a comment on line N or N-1 of the
 form
@@ -97,6 +105,7 @@ RULES = (
     "one-selection",
     "metric-name",
     "one-harness",
+    "one-delta-test",
 )
 
 ATOMIC_METHODS = (
@@ -409,6 +418,30 @@ def check_one_selection(path, code):
             "engine::SelectionFor, the one copy of the five selections")
 
 
+# A member read: `.delta` or `->delta` not followed by a plain assignment.
+DELTA_READ_RE = re.compile(r"(?:\.|->)delta\b(?!\s*=(?!=))")
+DELTA_HELPER_RE = re.compile(r"\b(?:class|struct)\s+DeltaInterval\b[^;{]*\{")
+
+
+def check_one_delta_test(path, code):
+    """Flags a ChengChurchOptions::delta read under src/bicluster/ outside
+    the body of class DeltaInterval."""
+    norm = str(path).replace("\\", "/")
+    if "src/bicluster/" not in norm:
+        return
+    helpers = []
+    for m in DELTA_HELPER_RE.finditer(code):
+        end = matching_brace(code, m.end() - 1)
+        helpers.append((m.end(), end if end != -1 else len(code)))
+    for m in DELTA_READ_RE.finditer(code):
+        if any(a <= m.start() < b for a, b in helpers):
+            continue
+        yield Finding(
+            path, line_of(code, m.start()), "one-delta-test",
+            "reads ChengChurchOptions::delta outside DeltaInterval — test "
+            "delta through it, so a recorded piece narrows by the test")
+
+
 METRIC_LITERAL_RE = re.compile(r"^(?:serving|plan)_[a-z0-9_]+$")
 REGISTER_CALL_RE = re.compile(r"\bGet(?:Counter|Gauge)\s*\(\s*\"")
 # A string literal in comment/string-blanked code: quotes around blanks.
@@ -486,7 +519,7 @@ def scan_file(path):
     findings = []
     checkers = [check_atomics, check_new_delete, check_mutex_across_run,
                 check_fault_hook_guard, check_plan_arena_alloc,
-                check_one_selection]
+                check_one_selection, check_one_delta_test]
     # check.h implements GENBASE_CHECK itself; its aborts are the sanctioned
     # ones and carry inline waivers, which the generic path below honors.
     checkers.append(check_assert_abort)
